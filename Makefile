@@ -5,7 +5,7 @@
 CARGO ?= cargo
 
 .PHONY: all build test bench examples table5 table7 figures ablations doc clean ci faults obs \
-	bench-record bench-smoke bench-compare socket seam intervals trace alloc serve
+	bench-record bench-smoke bench-compare socket seam trace alloc serve
 
 all: build
 
@@ -65,26 +65,45 @@ ci: seam
 	$(CARGO) test -q
 	$(CARGO) test -p difftest-core --test fault_link --test fault_runners
 
-# Runner modules build on the shared session/link/consume layer only —
-# one runner reaching into another's internals is the coupling this
-# refactor removed, so it fails CI if it ever comes back. The wire layer
-# (proto/mux) has its own rules: it sits below every runner (imports
-# none of them), only the socket runner speaks it in-process, and the
-# difftest-serve crate builds on it exclusively (no runner internals).
+# Runner modules build on the shared session/link/produce/consume layer
+# only — one runner reaching into another's internals is the coupling
+# this refactor removed, so it fails CI if it ever comes back. The one
+# produce loop lives in produce.rs: no runner ticks the DUT or times the
+# tick phase itself, and the public `run_*` surface is pinned to one
+# entry point per runner plus the dispatcher (and its by-parts form).
+# The wire layer (proto/mux) has its own rules: it sits below every
+# runner (imports none of them), only the socket runner speaks it
+# in-process, and the difftest-serve crate builds on it exclusively (no
+# runner internals).
 RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/threaded.rs \
 	crates/core/src/sharded.rs crates/core/src/socket.rs \
-	crates/core/src/intervals.rs
+	crates/core/src/channel.rs
 WIRE_SRCS = crates/core/src/proto.rs crates/core/src/mux.rs
 INPROC_RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/threaded.rs \
-	crates/core/src/sharded.rs crates/core/src/intervals.rs
+	crates/core/src/sharded.rs crates/core/src/channel.rs
+RUN_ENTRY_POINTS = run_runner run_session run_sharded_session \
+	run_socket_session run_threaded_session
 seam:
-	@if grep -nE 'use crate::(engine|threaded|sharded|socket|intervals)(::|;| )' $(RUNNER_SRCS); then \
-		echo "runner seam violated: runners must build on session/link/consume only"; \
+	@if grep -nE 'use crate::(engine|threaded|sharded|socket)(::|;| )' $(RUNNER_SRCS); then \
+		echo "runner seam violated: runners must build on session/link/produce/consume only"; \
 		exit 1; \
 	else \
 		echo "runner seam clean: no runner imports another runner's internals"; \
 	fi
-	@if grep -nE 'use crate::(engine|threaded|sharded|socket|intervals)(::|;| )' $(WIRE_SRCS); then \
+	@if grep -nE 'tick_into\(|Phase::Tick' $(RUNNER_SRCS); then \
+		echo "producer seam violated: only produce.rs ticks the DUT"; \
+		exit 1; \
+	else \
+		echo "producer seam clean: no runner carries a produce loop of its own"; \
+	fi
+	@found=$$(grep -ohE 'pub fn run_[a-z_]+' crates/core/src/*.rs | sed 's/pub fn //' | sort | tr '\n' ' '); \
+	if [ "$$found" != "$(sort $(RUN_ENTRY_POINTS)) " ]; then \
+		echo "entry-point seam violated: pub fn run_* is {$$found}, expected {$(sort $(RUN_ENTRY_POINTS)) }"; \
+		exit 1; \
+	else \
+		echo "entry-point seam clean: one run_* per runner plus the dispatcher"; \
+	fi
+	@if grep -nE 'use crate::(engine|threaded|sharded|socket)(::|;| )' $(WIRE_SRCS); then \
 		echo "wire seam violated: proto/mux sit below the runners"; \
 		exit 1; \
 	else \
@@ -96,7 +115,7 @@ seam:
 	else \
 		echo "wire seam clean: in-process runners stay off the wire layer"; \
 	fi
-	@if grep -rnE 'difftest_core::(engine|threaded|sharded|socket|intervals)(::|;| )' crates/serve/src; then \
+	@if grep -rnE 'difftest_core::(engine|threaded|sharded|socket)(::|;| )' crates/serve/src; then \
 		echo "service seam violated: difftest-serve builds on proto/mux only"; \
 		exit 1; \
 	else \
@@ -130,14 +149,6 @@ serve:
 	$(CARGO) test --release -p difftest-core --test proto_prop
 	$(CARGO) run --release --example serve
 
-# Time-parallel interval runner: the engine-equivalence proptests
-# (clean verdicts, mismatch identity up to a fusion window, fault
-# containment and seed replay) plus the checkpoint/revert/re-execute
-# coherence property the interval workers lean on.
-intervals:
-	$(CARGO) test --release -p difftest-core --test intervals_equivalence
-	$(CARGO) test --release -p difftest-ref --test block_coherence checkpoint_revert
-
 # Block-cache coherence suite: lockstep proptests of the basic-block
 # compiled REF tier against the block-disabled interpreter oracle —
 # self-modifying code, fences, reverts, traps, skips, and all six
@@ -155,15 +166,14 @@ obs:
 # run exports one merged Chrome trace spanning both processes;
 # trace_check holds it to the cross-process bar (matched pack→unpack
 # flow arrows, producer and consumer pids). The observability example
-# then exports and self-validates the engine/sharded/interval traces,
-# and trace_check re-gates the files from the outside.
+# then exports and self-validates the engine/sharded traces, and
+# trace_check re-gates the files from the outside.
 trace:
 	mkdir -p target/trace
 	DIFFTEST_TRACE=target/trace/socket.json $(CARGO) run --release --example socket
 	scripts/trace_check --require-flows target/trace/socket.json
 	DIFFTEST_TRACE=target/trace/obs.json $(CARGO) run --release --example observability
-	scripts/trace_check --require-flows target/trace/obs.engine.json \
-		target/trace/obs.intervals.json
+	scripts/trace_check --require-flows target/trace/obs.engine.json
 	scripts/trace_check target/trace/obs.sharded.json
 
 # A.5.1-style quick start: run the co-simulation end to end.

@@ -14,8 +14,8 @@
 //!   --record <path>      full run; refresh the `current` section of the
 //!                        artifact, preserving its committed `baseline`
 //!                        (first recording writes baseline = current)
-//!   --compare <path>     full run of the gated (engine + socket +
-//!                        intervals) scenarios; fail when events_per_sec regresses
+//!   --compare <path>     full run of the gated (engine + socket)
+//!                        scenarios; fail when events_per_sec regresses
 //!                        more than DIFFTEST_BENCH_TOL percent (default
 //!                        10) vs the artifact's `current` section
 
@@ -26,7 +26,7 @@ use difftest_bench::record::{
 };
 use difftest_bench::Table;
 use difftest_core::engine::DiffConfig;
-use difftest_core::{run_runner, CoSimulation, FaultPlan, RunOutcome, RunnerKind, RunnerReport};
+use difftest_core::{run_session, CoSimulation, FaultPlan, RunOutcome, RunnerKind, Session};
 use difftest_dut::DutConfig;
 use difftest_platform::Platform;
 use difftest_stats::{Metrics, Phase, TRACE_ENV};
@@ -139,15 +139,17 @@ fn run_parallel_cfg(
     w: &Workload,
 ) -> ScenarioStats {
     let plan = faulty.then(|| FaultPlan::uniform(FAULT_SEED, FAULT_PER_MILLE));
-    let r = run_runner(
+    let r = run_session(
         kind,
-        DutConfig::xiangshan_default(),
-        config,
-        w,
-        Vec::new(),
-        cycles,
-        QUEUE_DEPTH,
-        plan,
+        Session::new(
+            DutConfig::xiangshan_default(),
+            config,
+            w,
+            Vec::new(),
+            cycles,
+            QUEUE_DEPTH,
+            plan,
+        ),
     );
     assert!(
         ok_outcome(&r.outcome, faulty),
@@ -155,19 +157,11 @@ fn run_parallel_cfg(
         r.outcome
     );
     let (wall_s, _) = r.wall().expect("parallel runners measure wall time");
-    // Span (critical path) for the pool-scheduled runner: the wall
-    // clock this run converges to once every thread has a core, which
-    // a core-count-limited bench host cannot show directly.
-    let span_ns = match &r {
-        RunnerReport::Intervals(ir) => (ir.span_s() * 1e9) as u64,
-        _ => 0,
-    };
     let mut s = ScenarioStats {
         events: r.items,
         instructions: r.instructions,
         cycles: r.cycles,
         wall_ns: (wall_s * 1e9) as u64,
-        span_ns,
         ..Default::default()
     };
     phase_stats(&r.metrics, &mut s);
@@ -294,30 +288,12 @@ fn scenarios() -> Vec<(&'static str, bool, Runner)> {
             false,
             Box::new(|c, w| run_parallel(RunnerKind::Socket, true, c, w)),
         ),
-        (
-            "intervals/squash/clean",
-            true,
-            Box::new(|c, w| run_parallel(RunnerKind::Intervals, false, c, w)),
-        ),
-        (
-            "intervals/squash/faults",
-            false,
-            Box::new(|c, w| run_parallel(RunnerKind::Intervals, true, c, w)),
-        ),
-        // The batch (BN) pair is the time-parallel showcase: without
-        // Squash fusion the event stream is ~5x larger and unpack+check
-        // dominates the producer, so interval workers buy real
-        // wall-clock; under BNSD the DUT tick dominates and intervals
-        // only break even (see DESIGN.md §14).
+        // The batch (BN) run ships ~5x the events of the Squash one,
+        // so unpack+check weigh most against the producer here.
         (
             "threaded/batch/clean",
             false,
             Box::new(|c, w| run_parallel_cfg(RunnerKind::Threaded, DiffConfig::BN, false, c, w)),
-        ),
-        (
-            "intervals/batch/clean",
-            true,
-            Box::new(|c, w| run_parallel_cfg(RunnerKind::Intervals, DiffConfig::BN, false, c, w)),
         ),
         (
             "ref/blocks/on",
@@ -424,33 +400,6 @@ fn record(path: &str) {
     ) {
         println!("{key}: unpack+check {b:.0} -> {c:.0} ev/s ({:.2}x)", c / b);
     }
-    // And the time-parallel claim: interval verification vs the serial
-    // single-consumer checker on the same cycle budget. The comparison
-    // reads the interval run's *span* (recording pass + busiest worker
-    // — the schedule's critical path): measured wall only matches it
-    // when the host grants each thread a core, and on an oversubscribed
-    // host wall degenerates to the sum of all threads' work.
-    let stats = |name: &str| results.iter().find(|(n, _)| n == name).map(|(_, s)| s);
-    let workers = difftest_core::IntervalTuning::default().workers;
-    for (serial_key, key) in [
-        ("threaded/squash/clean", "intervals/squash/clean"),
-        ("threaded/batch/clean", "intervals/batch/clean"),
-    ] {
-        if let (Some(serial), Some(intervals)) = (stats(serial_key), stats(key)) {
-            let span = intervals.span_ns as f64;
-            if span > 0.0 {
-                println!(
-                    "{key}: span {:.0} ms vs serial {:.0} ms wall \
-                     ({:.2}x at {workers} workers; 1-thread-per-core wall, \
-                     measured wall here {:.0} ms)",
-                    span / 1e6,
-                    serial.wall_ns as f64 / 1e6,
-                    serial.wall_ns as f64 / span,
-                    intervals.wall_ns as f64 / 1e6,
-                );
-            }
-        }
-    }
 }
 
 fn compare(path: &str) {
@@ -512,23 +461,6 @@ fn compare(path: &str) {
                 "{name}: pack {:.0} ms vs recorded {:.0} ms ({pack_delta_pct:+.1}%) {verdict}",
                 s.pack_ns as f64 / 1e6,
                 rec_pack / 1e6
-            );
-        }
-        // Pool-scheduled runners also gate their span (critical path):
-        // the recorded time-parallel speedup must not silently erode.
-        let rec_span = extract_num(obj, "span_ns").unwrap_or(0.0);
-        if rec_span > 0.0 && s.span_ns > 0 {
-            let span_delta_pct = (s.span_ns as f64 - rec_span) / rec_span * 100.0;
-            let verdict = if span_delta_pct > tol {
-                failed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "{name}: span {:.0} ms vs recorded {:.0} ms ({span_delta_pct:+.1}%) {verdict}",
-                s.span_ns as f64 / 1e6,
-                rec_span / 1e6
             );
         }
     }

@@ -8,7 +8,7 @@
 
 use difftest_bench::{fmt_pct, Table};
 use difftest_core::engine::DiffConfig;
-use difftest_core::{run_sharded, run_sharded_faulty, run_threaded, FaultPlan, RunOutcome};
+use difftest_core::{run_sharded_session, run_threaded_session, FaultPlan, RunOutcome, Session};
 use difftest_dut::DutConfig;
 use difftest_workload::Workload;
 
@@ -50,26 +50,28 @@ fn main() {
     let mut best_threaded: Option<difftest_core::ThreadedReport> = None;
     let mut best_sharded: Option<difftest_core::ShardedReport> = None;
     for _ in 0..reps {
-        let t = run_threaded(
+        let t = run_threaded_session(Session::new(
             dual_core_minimal(),
             DiffConfig::BNSD,
             &w,
             Vec::new(),
             max_cycles,
             depth,
-        );
+            None,
+        ));
         assert_eq!(t.outcome, RunOutcome::GoodTrap, "bench workload must pass");
         if best_threaded.as_ref().is_none_or(|b| t.wall_s < b.wall_s) {
             best_threaded = Some(t);
         }
-        let s = run_sharded(
+        let s = run_sharded_session(Session::new(
             dual_core_minimal(),
             DiffConfig::BNSD,
             &w,
             Vec::new(),
             max_cycles,
             depth,
-        );
+            None,
+        ));
         assert_eq!(s.outcome, RunOutcome::GoodTrap, "bench workload must pass");
         if best_sharded.as_ref().is_none_or(|b| s.wall_s < b.wall_s) {
             best_sharded = Some(s);
@@ -150,7 +152,7 @@ fn main() {
             None => (spec.parse().unwrap_or(20u16), 1u64),
         };
         let plan = FaultPlan::uniform(seed, rate);
-        let f = run_sharded_faulty(
+        let f = run_sharded_session(Session::new(
             dual_core_minimal(),
             DiffConfig::BNSD,
             &w,
@@ -158,7 +160,7 @@ fn main() {
             max_cycles,
             depth,
             Some(plan),
-        );
+        ));
         println!(
             "\nlossy link (uniform {rate}\u{2030}, seed {seed}): outcome {:?}",
             f.outcome

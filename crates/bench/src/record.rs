@@ -21,12 +21,6 @@ pub struct ScenarioStats {
     pub cycles: u64,
     /// Host wall-clock nanoseconds for the whole run.
     pub wall_ns: u64,
-    /// Critical-path (span) nanoseconds for runners that schedule work
-    /// across a pool: recording pass + busiest worker. `0` when the
-    /// scenario has no span notion (serial and per-core runners). Wall
-    /// clock only matches span when every thread has its own core, so
-    /// span is what the speedup headline and the regression gate read.
-    pub span_ns: u64,
     /// Checked events per host wall-clock second.
     pub events_per_sec: f64,
     /// Simulated cycles per host wall-clock second.
@@ -67,7 +61,6 @@ fn render_scenario(out: &mut String, indent: &str, s: &ScenarioStats) {
     let _ = writeln!(out, "{indent}  \"instructions\": {},", s.instructions);
     let _ = writeln!(out, "{indent}  \"cycles\": {},", s.cycles);
     let _ = writeln!(out, "{indent}  \"wall_ns\": {},", s.wall_ns);
-    let _ = writeln!(out, "{indent}  \"span_ns\": {},", s.span_ns);
     let _ = writeln!(
         out,
         "{indent}  \"events_per_sec\": {:.1},",
@@ -214,7 +207,6 @@ mod tests {
             instructions: 900,
             cycles: 500,
             wall_ns: 2_000_000_000,
-            span_ns: 1_500_000_000,
             pack_ns: 100_000_000,
             unpack_ns: 250_000_000,
             check_ns: 250_000_000,
@@ -249,7 +241,6 @@ mod tests {
         assert_eq!(extract_num(sc, "events"), Some(1000.0));
         assert_eq!(extract_num(sc, "events_per_sec"), Some(500.0));
         assert_eq!(extract_num(sc, "uc_events_per_sec"), Some(2000.0));
-        assert_eq!(extract_num(sc, "span_ns"), Some(1_500_000_000.0));
         assert_eq!(extract_num(sc, "pack_ns"), Some(100_000_000.0));
         assert_eq!(extract_num(sc, "block.hits"), Some(800.0));
         assert_eq!(extract_num(sc, "decode.misses"), Some(3.0));

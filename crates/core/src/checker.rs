@@ -956,30 +956,6 @@ impl Checker {
         self.cores.iter().map(|c| (&c.refm, c.seq)).collect()
     }
 
-    /// Rebuilds a single-core checker mid-stream: responsible for exactly
-    /// `core` (as [`Checker::single`]) but starting at sequence `seq`
-    /// instead of 0 (as [`Checker::resume`]). The interval runner seeds
-    /// each worker this way from a REF checkpoint taken at an interval
-    /// boundary, so fused records whose `first_seq` continues the recorded
-    /// stream line up with the restored checker.
-    pub fn resume_single(core: u8, mut refm: RefModel, seq: u64, replay_support: bool) -> Self {
-        refm.set_journal_enabled(replay_support);
-        Checker {
-            cores: vec![CoreChecker {
-                core,
-                refm,
-                seq,
-                last_effect: None,
-                pending: BTreeMap::new(),
-                token_watermark: 0,
-                ckpt: None,
-                replay_support,
-            }],
-            stats: CheckStats::default(),
-            core_base: core,
-        }
-    }
-
     /// Rebuilds a checker from snapshotted REF states and progress.
     pub fn resume(refs: Vec<(RefModel, u64)>, replay_support: bool) -> Self {
         let cores = refs

@@ -1,9 +1,8 @@
 //! The receive-side state machine every runner drives: CRC verify →
 //! unpack → check → bounded ARQ recovery.
 //!
-//! Before this module, each runner carried a private copy of the same
-//! loop. [`Consumer`] is the single implementation: feed it transfers
-//! with [`ingest`](Consumer::ingest), close the stream with
+//! [`Consumer`] is the single implementation: feed it transfers with
+//! [`ingest`](Consumer::ingest), close the stream with
 //! [`finish_stream`](Consumer::finish_stream), and read the verdict.
 //! Transport differences stay outside — a runner only decides *where*
 //! this state machine executes (in-line, on a thread, in another
@@ -120,8 +119,7 @@ impl Consumer {
     /// Builds the pipeline over a decoder and checker. Metrics
     /// (histograms `packet.bytes`/`packet.items`, gauges
     /// `reorder.buffered.max`/`checker.pending.max`), the phase timer
-    /// and the flight ring are wired here — the setup every runner
-    /// previously duplicated.
+    /// and the flight ring are wired here.
     pub fn new(sw: SwUnit, checker: Checker) -> Self {
         let mut metrics = Metrics::new();
         let h_bytes = metrics.register_histogram("packet.bytes");
@@ -160,8 +158,8 @@ impl Consumer {
         self
     }
 
-    /// The consume-side span sink (runners add their own samples, e.g.
-    /// interval workers marking whole-job spans).
+    /// The consume-side span sink (the engine takes its buffer while
+    /// staying runnable).
     pub fn spans_mut(&mut self) -> &mut SpanSink {
         &mut self.spans
     }
@@ -514,17 +512,24 @@ impl Consumer {
         &mut self.flight
     }
 
-    /// The phase timer (shared with producer phases in single-threaded
-    /// runners).
-    pub fn timer_mut(&mut self) -> &mut PhaseTimer {
-        &mut self.timer
-    }
-
-    /// Disjoint borrows for the engine's §4.4 replay flow: the checker
-    /// (revert + replay), the retention ring (unfused retransmission)
-    /// and the timer (Arq attribution) in one call.
-    pub fn replay_parts(&mut self) -> (&mut Checker, Option<&mut ReplayBuffer>, &mut PhaseTimer) {
-        (&mut self.checker, self.retention.as_mut(), &mut self.timer)
+    /// Disjoint borrows for the engine, which runs on this consumer's
+    /// timeline: its producer phases write the timer and flight ring
+    /// and fill the retention ring, and its §4.4 replay flow reverts
+    /// the checker and reads the ring back.
+    pub fn lend(
+        &mut self,
+    ) -> (
+        &mut PhaseTimer,
+        &mut FlightRecorder,
+        Option<&mut ReplayBuffer>,
+        &mut Checker,
+    ) {
+        (
+            &mut self.timer,
+            &mut self.flight,
+            self.retention.as_mut(),
+            &mut self.checker,
+        )
     }
 
     /// Snapshot of the flight ring.
@@ -605,9 +610,11 @@ pub fn drive<S: LinkSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::QueueSink;
     use crate::session::{DiffConfig, Session};
     use difftest_dut::DutConfig;
     use difftest_workload::Workload;
+    use std::sync::atomic::AtomicBool;
 
     /// Small workload + small packets: several sequenced transfers, yet
     /// few enough that none fall out of the packet-retention ring.
@@ -627,17 +634,10 @@ mod tests {
 
     /// Runs the producer side to completion, collecting every packet.
     fn produce(session: &Session) -> Vec<Transfer> {
-        let mut dut = session.dut();
-        let mut accel = session.accel();
-        let mut transfers = Vec::new();
-        let mut events = Vec::new();
-        while dut.halted().is_none() && dut.cycles() < session.max_cycles() {
-            events.clear();
-            dut.tick_into(&mut events);
-            accel.push_cycle(&events, &mut transfers);
-        }
-        accel.flush(&mut transfers);
-        transfers
+        let mut p = session.producer(vec![session.lane(None, QueueSink::default())]);
+        let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
+        p.run(&AtomicBool::new(false), &mut timer, &mut rec);
+        std::mem::take(&mut p.link_mut(0).sink_mut().queue)
     }
 
     #[test]

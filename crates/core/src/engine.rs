@@ -20,22 +20,22 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 
 use difftest_dut::{BugSpec, Dut, DutConfig};
-use difftest_platform::{LinkParams, OverheadBreakdown, Platform};
-use difftest_stats::{export_to_env, Metrics, Phase, SpanBuf, Tracer, PID_CONSUMER, PID_PRODUCER};
+use difftest_platform::{OverheadBreakdown, Platform};
+use difftest_stats::{Phase, Tracer, PID_CONSUMER};
 use difftest_workload::Workload;
 
 use crate::batch::peek_packet_seq;
-use crate::checker::{CheckStats, Mismatch, Verdict};
+use crate::checker::{CheckStats, Mismatch};
 use crate::consume::{ChargeObserver, Consumer, Step};
 use crate::fault::{FaultPlan, LinkErrorKind};
-use crate::link::{FusionWatch, QueueSink, SendLink};
-use crate::replay::{FailureReport, Retransmission};
-use crate::session::{RunCommon, Session};
+use crate::link::QueueSink;
+use crate::produce::Producer;
+use crate::replay::{FailureReport, ReplayBuffer, Retransmission};
+use crate::session::{seal_report, RunCommon, RunnerKind, Session};
 use crate::squash::SquashStats;
-use crate::transport::{AccelUnit, Transfer};
+use crate::transport::Transfer;
 
 pub use crate::session::{DiffConfig, RunOutcome};
 
@@ -204,7 +204,7 @@ impl CoSimulationBuilder {
         }
 
         let mut session = Session::new(
-            self.dut.clone(),
+            self.dut,
             self.config,
             workload,
             self.bugs,
@@ -220,45 +220,7 @@ impl CoSimulationBuilder {
             session = session.with_tracer(self.tracer);
         }
 
-        let replay_on = self.replay && self.config.squash();
-        let dut = session.dut();
-        let accel = session.accel();
-        let consumer = if replay_on {
-            session.consumer_with_retention(true, 1 << 16)
-        } else {
-            session.consumer()
-        }
-        .with_spans(session.span_sink(PID_CONSUMER, 0, "consumer", "consumer"));
-        let link = session
-            .send_link(QueueSink::default())
-            .with_spans(session.span_sink(PID_PRODUCER, 0, "producer", "dut"));
-        let tracer = session.tracer().cloned();
-        let gates = self.dut.gates;
-
-        Ok(CoSimulation {
-            dut,
-            accel,
-            consumer,
-            fusion: FusionWatch::default(),
-            link,
-            timing: Timing::new(
-                self.platform.cycle_time_s(gates),
-                self.platform.step_sync_s(),
-                match self.config {
-                    DiffConfig::Z => TimingMode::BlockingStep,
-                    DiffConfig::B => TimingMode::Blocking,
-                    DiffConfig::BN | DiffConfig::BNSD => TimingMode::Pipelined,
-                },
-                self.queue_depth,
-            ),
-            platform: self.platform,
-            config: self.config,
-            max_cycles: self.max_cycles,
-            staging: Vec::new(),
-            events_buf: Vec::new(),
-            failure: None,
-            tracer,
-        })
+        Ok(CoSimulation::assemble(session, self.platform, self.replay))
     }
 }
 
@@ -291,20 +253,6 @@ pub struct RunReport {
     /// `replay.dropped` counter): when non-zero, a localization over an
     /// old token range may be partial.
     pub replay_dropped: u64,
-}
-
-impl Deref for RunReport {
-    type Target = RunCommon;
-
-    fn deref(&self) -> &RunCommon {
-        &self.common
-    }
-}
-
-impl DerefMut for RunReport {
-    fn deref_mut(&mut self) -> &mut RunCommon {
-        &mut self.common
-    }
 }
 
 impl RunReport {
@@ -388,6 +336,7 @@ enum TimingMode {
 /// LogGP virtual-time accounting (Eq. 1, per [`TimingMode`]).
 #[derive(Debug)]
 struct Timing {
+    platform: Platform,
     mode: TimingMode,
     cycle_time: f64,
     step_sync: f64,
@@ -398,14 +347,18 @@ struct Timing {
     inflight: VecDeque<f64>,
     end: f64,
     overhead: OverheadBreakdown,
+    /// Communication invocations and bytes charged so far.
+    invokes: u64,
+    bytes: u64,
 }
 
 impl Timing {
-    fn new(cycle_time: f64, step_sync: f64, mode: TimingMode, queue_depth: usize) -> Self {
+    fn new(platform: Platform, gates: f64, mode: TimingMode, queue_depth: usize) -> Self {
         Timing {
             mode,
-            cycle_time,
-            step_sync,
+            cycle_time: platform.cycle_time_s(gates),
+            step_sync: platform.step_sync_s(),
+            platform,
             queue_depth,
             hw: 0.0,
             link_free: 0.0,
@@ -413,6 +366,8 @@ impl Timing {
             inflight: VecDeque::new(),
             end: 0.0,
             overhead: OverheadBreakdown::default(),
+            invokes: 0,
+            bytes: 0,
         }
     }
 
@@ -426,7 +381,8 @@ impl Timing {
         }
     }
 
-    fn on_transfer(&mut self, link: &LinkParams, invokes: u64, bytes: u64, sw_cost: f64) {
+    fn on_transfer(&mut self, invokes: u64, bytes: u64, sw_cost: f64) {
+        let link = self.platform.link();
         let startup = link.startup_time(invokes);
         let trans = link.transmission_time(bytes);
         self.overhead.startup_s += startup;
@@ -462,57 +418,54 @@ impl Timing {
         }
     }
 
+    /// Prices one transfer that crossed the link on the LogGP timeline
+    /// (Eq. 1) and tallies its invoke and byte volume. The software
+    /// cost derives from the checker-stats delta the transfer caused —
+    /// real work, virtually priced.
+    fn charge(&mut self, invokes: u64, bytes: u64, before: &CheckStats, after: &CheckStats) {
+        self.invokes += invokes;
+        self.bytes += bytes;
+        let host = self.platform.host();
+        let sw_cost = (after.events - before.events) as f64 * host.event_fixed_s
+            + (after.instructions - before.instructions) as f64 * host.ref_step_s
+            + bytes as f64 * host.event_per_byte_s;
+        self.on_transfer(invokes, bytes, sw_cost);
+    }
+
     fn total(&self) -> f64 {
         self.hw.max(self.end)
     }
 }
 
-/// The engine's [`ChargeObserver`]: prices each transfer that crossed
-/// the link on the LogGP timeline (Eq. 1) and tallies the run's invoke
-/// and byte volume. The software cost derives from the checker-stats
-/// delta the transfer caused — real work, virtually priced.
-struct LogGpCharge<'a> {
-    timing: &'a mut Timing,
-    platform: &'a Platform,
-    invokes: &'a mut u64,
-    bytes: &'a mut u64,
+impl ChargeObserver for Timing {
+    fn transfer_done(&mut self, t: &Transfer, before: &CheckStats, after: &CheckStats) {
+        self.charge(t.invokes, t.bytes.len() as u64, before, after);
+    }
 }
 
-impl ChargeObserver for LogGpCharge<'_> {
-    fn transfer_done(&mut self, t: &Transfer, before: &CheckStats, after: &CheckStats) {
-        *self.invokes += t.invokes;
-        *self.bytes += t.bytes.len() as u64;
-        let host = self.platform.host();
-        let sw_cost = (after.events - before.events) as f64 * host.event_fixed_s
-            + (after.instructions - before.instructions) as f64 * host.ref_step_s
-            + t.bytes.len() as f64 * host.event_per_byte_s;
-        self.timing.on_transfer(
-            self.platform.link(),
-            t.invokes,
-            t.bytes.len() as u64,
-            sw_cost,
-        );
+/// The pre-fault tap of the engine's feed phase: while fault injection
+/// is active, retains a pristine copy of every packet about to cross
+/// the link, so ARQ recovery can retransmit it.
+fn retain_packets(mut ring: Option<&mut ReplayBuffer>) -> impl FnMut(&Transfer) + '_ {
+    move |t| {
+        if let (Some(rb), Some(seq)) = (ring.as_deref_mut(), peek_packet_seq(&t.bytes)) {
+            rb.record_packet(seq, &t.bytes);
+        }
     }
 }
 
 /// A runnable co-simulation.
 #[derive(Debug)]
 pub struct CoSimulation {
-    dut: Dut,
-    accel: AccelUnit,
+    /// The shared send-side pipeline over the virtual link: an
+    /// in-memory queue the engine drains in-line every cycle.
+    producer: Producer<QueueSink>,
     /// The shared receive-side pipeline (decode, check, ARQ recovery,
-    /// observability) — the engine drives it in-line on one timeline.
+    /// observability). It lends the producer its timer and flight ring,
+    /// so both sides share one interleaved timeline.
     consumer: Consumer,
-    fusion: FusionWatch,
-    /// The virtual link: the shared send path over an in-memory queue.
-    link: SendLink<QueueSink>,
-    platform: Platform,
     config: DiffConfig,
     timing: Timing,
-    max_cycles: u64,
-    /// Transfers produced by the accelerator, before crossing the link.
-    staging: Vec<Transfer>,
-    events_buf: Vec<difftest_event::MonitoredEvent>,
     failure: Option<FailureReport>,
     /// Span-trace configuration, when `DIFFTEST_TRACE` (or a builder
     /// override) enabled tracing.
@@ -525,6 +478,40 @@ impl CoSimulation {
         CoSimulationBuilder::default()
     }
 
+    /// Wires a built session onto the engine's virtual link, timed by
+    /// `platform`'s LogGP model, with Replay on where the configuration
+    /// fuses ([`builder`](Self::builder) is the validated front door).
+    pub fn from_session(session: Session, platform: Platform) -> CoSimulation {
+        CoSimulation::assemble(session, platform, true)
+    }
+
+    fn assemble(session: Session, platform: Platform, replay: bool) -> CoSimulation {
+        let config = session.config();
+        let consumer = if replay && config.squash() {
+            session.consumer_with_retention(true, 1 << 16)
+        } else {
+            session.consumer()
+        }
+        .with_spans(session.span_sink(PID_CONSUMER, 0, "consumer", "consumer"));
+        CoSimulation {
+            producer: session.producer(vec![session.lane(None, QueueSink::default())]),
+            consumer,
+            timing: Timing::new(
+                platform,
+                session.dut_cfg().gates,
+                match config {
+                    DiffConfig::Z => TimingMode::BlockingStep,
+                    DiffConfig::B => TimingMode::Blocking,
+                    DiffConfig::BN | DiffConfig::BNSD => TimingMode::Pipelined,
+                },
+                session.queue_depth(),
+            ),
+            config,
+            failure: None,
+            tracer: session.tracer().cloned(),
+        }
+    }
+
     /// The selected optimization configuration.
     pub fn config(&self) -> DiffConfig {
         self.config
@@ -532,7 +519,7 @@ impl CoSimulation {
 
     /// The design under test (device transcripts, per-core state).
     pub fn dut(&self) -> &Dut {
-        &self.dut
+        self.producer.dut()
     }
 
     /// The ISA checker (statistics, per-core progress).
@@ -542,27 +529,21 @@ impl CoSimulation {
 
     /// Runs to completion (trap, mismatch or cycle budget) and reports.
     pub fn run(&mut self) -> RunReport {
-        let mut invokes = 0u64;
-        let mut bytes = 0u64;
+        // Pristine packets are worth retaining only where the link can
+        // damage them and they carry the sequence numbers ARQ asks by.
+        let arq = self.producer.fault_stats().is_some() && self.config.batch();
 
-        while self.dut.halted().is_none() && self.dut.cycles() < self.max_cycles {
-            let t0 = self.consumer.timer_mut().start();
-            self.events_buf.clear();
-            self.dut.tick_into(&mut self.events_buf);
+        while self.producer.running() {
+            let (timer, rec, mut ring, _) = self.consumer.lend();
+            self.producer.tick(timer);
             self.timing.on_cycle();
-            self.consumer.timer_mut().stop(Phase::Tick, t0);
-
-            let t0 = self.consumer.timer_mut().start();
-            if let Some(rb) = self.consumer.retention_mut() {
-                rb.push_slice(&self.events_buf);
+            if let Some(rb) = ring.as_deref_mut() {
+                self.producer.monitor(timer, |events| rb.push_slice(events));
             }
-            self.consumer.timer_mut().stop(Phase::Monitor, t0);
-
-            let t0 = self.consumer.timer_mut().start();
-            self.accel.push_cycle(&self.events_buf, &mut self.staging);
-            self.consumer.timer_mut().stop(Phase::Pack, t0);
-            self.route_staged();
-            if self.process_queued(&mut invokes, &mut bytes) {
+            self.producer.pack(timer);
+            self.producer
+                .feed(timer, rec, retain_packets(ring.filter(|_| arq)));
+            if self.process_queued() {
                 break;
             }
         }
@@ -570,154 +551,93 @@ impl CoSimulation {
         // Drain: flush fusion windows, partial packets and the link's
         // reorder holds, then pending transfers, then any terminal gaps.
         if !self.consumer.stopped() {
-            let t0 = self.consumer.timer_mut().start();
-            self.accel.flush(&mut self.staging);
-            self.consumer.timer_mut().stop(Phase::Pack, t0);
-            self.route_staged();
-            let t0 = self.consumer.timer_mut().start();
-            self.link.finish();
-            self.consumer.timer_mut().stop(Phase::Transport, t0);
-            let stopped = self.process_queued(&mut invokes, &mut bytes);
-            if !stopped {
-                let cycle = self.dut.cycles();
-                let produced = self.link.produced();
-                let mut obs = LogGpCharge {
-                    timing: &mut self.timing,
-                    platform: &self.platform,
-                    invokes: &mut invokes,
-                    bytes: &mut bytes,
-                };
-                self.consumer.finish_stream(Some(produced), cycle, &mut obs);
+            let (timer, rec, ring, _) = self.consumer.lend();
+            self.producer
+                .flush(timer, rec, retain_packets(ring.filter(|_| arq)));
+            if !self.process_queued() {
+                let cycle = self.producer.dut().cycles();
+                let produced = self.producer.link_mut(0).produced();
+                self.consumer
+                    .finish_stream(Some(produced), cycle, &mut self.timing);
             }
         }
         if self.failure.is_none() {
             if let Some(m) = self.consumer.mismatch().cloned() {
-                self.on_mismatch(m, &mut invokes, &mut bytes);
+                self.on_mismatch(m);
             }
         }
 
-        let outcome = if self.failure.is_some() {
-            RunOutcome::Mismatch
-        } else if let Some((kind, seq, core)) = self.consumer.link_error() {
-            RunOutcome::LinkError { kind, seq, core }
-        } else {
-            match self.consumer.verdict() {
-                Some(Verdict::Halt { good: true, .. }) => RunOutcome::GoodTrap,
-                Some(Verdict::Halt { good: false, .. }) => RunOutcome::BadTrap,
-                _ => RunOutcome::MaxCycles,
-            }
-        };
-
-        let cycles = self.dut.cycles();
+        let dut = self.producer.dut();
+        let cycles = dut.cycles();
         let sim_time_s = self.timing.total();
-        let flight = match outcome {
-            RunOutcome::Mismatch | RunOutcome::LinkError { .. } => {
-                Some(self.consumer.flight_snapshot())
-            }
-            _ => None,
-        };
         let mut report = RunReport {
             common: RunCommon {
-                outcome,
+                outcome: RunOutcome::decide(
+                    self.failure.is_some(),
+                    self.consumer.link_error(),
+                    self.consumer.verdict(),
+                ),
                 mismatch: self.failure.as_ref().map(|f| f.coarse.clone()),
                 cycles,
-                instructions: self.dut.total_commits(),
+                instructions: dut.total_commits(),
                 items: self.consumer.items(),
                 link: self.consumer.link_stats(),
-                fault: self.link.fault_stats(),
-                metrics: Metrics::new(),
-                flight,
+                fault: self.producer.fault_stats(),
+                // Snapshot the registry into the report (`self` stays
+                // runnable); completed with the run counters below.
+                metrics: self.consumer.metrics_snapshot(),
+                flight: None,
             },
             failure: self.failure.clone(),
             sim_time_s,
             speed_hz: cycles as f64 / sim_time_s.max(1e-12),
-            dut_only_hz: self.platform.dut_only_hz(self.dut.config().gates),
+            dut_only_hz: self.timing.platform.dut_only_hz(dut.config().gates),
             overhead: self.timing.overhead,
-            invokes,
-            bytes,
-            squash: self.accel.squash_stats(),
+            invokes: self.timing.invokes,
+            bytes: self.timing.bytes,
+            squash: self.producer.accel(0).squash_stats(),
             check: *self.consumer.checker().stats(),
             replay_dropped: self.consumer.retention_dropped(),
         };
-        // Snapshot the registry into the report (`self` stays runnable)
-        // and complete it with the run counters.
-        let mut metrics = self.consumer.metrics_snapshot();
-        metrics.counters.merge(&report.counters());
-        let bufs: Vec<SpanBuf> = [self.link.take_spans(), self.consumer.spans_mut().take_buf()]
-            .into_iter()
-            .filter(|b| !b.is_empty())
-            .collect();
-        crate::session::export_trace(self.tracer.as_ref(), &bufs, &mut metrics);
-        report.common.metrics = metrics;
-        if let Err(e) = export_to_env("engine", &report.metrics, report.flight.as_ref()) {
-            eprintln!("difftest: {} export failed: {e}", difftest_stats::OBS_ENV);
-        }
+        let counters = report.counters();
+        report.common.metrics.counters.merge(&counters);
+        let spans = [
+            self.producer.link_mut(0).take_spans(),
+            self.consumer.spans_mut().take_buf(),
+        ];
+        seal_report(
+            RunnerKind::Engine,
+            &mut report.common,
+            self.tracer.as_ref(),
+            spans,
+            || self.consumer.flight_snapshot(),
+        );
         report
     }
 
-    /// Moves accelerator-produced transfers across the (possibly faulty)
-    /// link into the receive queue, retaining pristine packet copies for
-    /// retransmission while fault injection is active.
-    fn route_staged(&mut self) {
-        if self.staging.is_empty() {
-            return;
-        }
-        let cycle = self.dut.cycles();
-        let t0 = self.consumer.timer_mut().start();
-        self.fusion
-            .observe(&self.accel, true, 0, cycle, self.consumer.flight_mut());
-        if self.link.is_faulty() && self.config.batch() {
-            if let Some(rb) = self.consumer.retention_mut() {
-                for t in &self.staging {
-                    if let Some(seq) = peek_packet_seq(&t.bytes) {
-                        rb.record_packet(seq, &t.bytes);
-                    }
-                }
-            }
-        }
-        self.link
-            .feed(&mut self.staging, self.consumer.flight_mut(), cycle);
-        self.consumer.timer_mut().stop(Phase::Transport, t0);
-    }
-
-    /// Feeds queued transfers through the shared pipeline; returns `true`
-    /// when the run must stop.
-    fn process_queued(&mut self, invokes: &mut u64, bytes: &mut u64) -> bool {
-        let transfers = std::mem::take(&mut self.link.sink_mut().queue);
-        let cycle = self.dut.cycles();
-        for t in &transfers {
-            let mut obs = LogGpCharge {
-                timing: &mut self.timing,
-                platform: &self.platform,
-                invokes: &mut *invokes,
-                bytes: &mut *bytes,
-            };
-            if self.consumer.ingest(t, cycle, &mut obs) == Step::Stop {
-                return true;
-            }
-        }
-        false
+    /// Feeds queued transfers through the shared pipeline, draining the
+    /// virtual link's queue in place (its buffer is reused every
+    /// shipping cycle); returns `true` when the run must stop.
+    fn process_queued(&mut self) -> bool {
+        let cycle = self.producer.dut().cycles();
+        let queue = &mut self.producer.link_mut(0).sink_mut().queue;
+        let stop = queue
+            .iter()
+            .any(|t| self.consumer.ingest(t, cycle, &mut self.timing) == Step::Stop);
+        queue.clear();
+        stop
     }
 
     /// Replay flow (paper §4.4): revert, retransmit, reprocess. The
     /// consumer already recorded the `Mismatch` flight at detection.
-    fn on_mismatch(&mut self, coarse: Mismatch, invokes: &mut u64, bytes: &mut u64) {
+    fn on_mismatch(&mut self, coarse: Mismatch) {
         let core = coarse.core;
-        let (checker, retention, timer) = self.consumer.replay_parts();
-        let Some(rb) = retention else {
-            // Unfused configurations: the mismatch is already precise.
-            self.failure = Some(FailureReport {
-                precise: Some(coarse.clone()),
-                coarse,
-                token_range: (0, 0),
-                replayed_events: 0,
-                partial: false,
-            });
-            return;
-        };
-
+        let (timer, _, retention, checker) = self.consumer.lend();
         let t0 = timer.start();
-        let Some((from, to)) = checker.revert_for_replay(core) else {
+        let replay = retention.and_then(|rb| Some((rb, checker.revert_for_replay(core)?)));
+        let Some((rb, (from, to))) = replay else {
+            // Unfused configurations keep no ring, and an unfused window
+            // leaves nothing to revert: the mismatch is already precise.
             self.failure = Some(FailureReport {
                 precise: Some(coarse.clone()),
                 coarse,
@@ -731,18 +651,11 @@ impl CoSimulation {
         let Retransmission { events, complete } = rb.retransmit(core, from, to);
         // Charge the retransmission: one request plus the unfused payload.
         let replay_bytes: usize = events.iter().map(|e| 2 + e.encoded_len()).sum();
-        *invokes += 1;
-        *bytes += replay_bytes as u64;
         let before = *checker.stats();
         let precise = checker.replay_unfused(core, &events);
         timer.stop(Phase::Arq, t0);
-        let after = *checker.stats();
-        let host = self.platform.host();
-        let sw_cost = (after.events - before.events) as f64 * host.event_fixed_s
-            + (after.instructions - before.instructions) as f64 * host.ref_step_s
-            + replay_bytes as f64 * host.event_per_byte_s;
         self.timing
-            .on_transfer(self.platform.link(), 1, replay_bytes as u64, sw_cost);
+            .charge(1, replay_bytes as u64, &before, checker.stats());
 
         self.failure = Some(FailureReport {
             coarse,

@@ -124,6 +124,17 @@ impl FaultStats {
     }
 }
 
+impl std::ops::AddAssign for FaultStats {
+    fn add_assign(&mut self, o: FaultStats) {
+        self.delivered += o.delivered;
+        self.dropped += o.dropped;
+        self.duplicated += o.duplicated;
+        self.reordered += o.reordered;
+        self.truncated += o.truncated;
+        self.corrupted += o.corrupted;
+    }
+}
+
 /// SplitMix64: tiny, deterministic, and statistically adequate for a
 /// fault schedule. Kept private so the schedule format can evolve.
 #[derive(Debug, Clone)]

@@ -20,31 +20,33 @@
 //!   synchronization and order restoration,
 //! - [`engine`]: the co-simulation engine with LogGP virtual-time
 //!   accounting, blocking and non-blocking (paper §4.5) transmission,
-//! - [`threaded`]: the non-blocking architecture on real OS threads with a
-//!   bounded queue (wall-clock hardware/software parallelism),
+//! - [`threaded`] / [`sharded`]: the non-blocking architecture on real OS
+//!   threads with bounded queues (wall-clock hardware/software
+//!   parallelism; one consumer, or one per DUT core),
 //! - [`prior`]: models of IBI-check, SBS-check and Fromajo for the
 //!   Table 7 comparison.
 //!
 //! The runners share one transport-agnostic pipeline:
 //!
 //! - [`session`]: the shared setup layer ([`Session`]) plus the
-//!   [`RunnerKind`]/[`run_runner`] dispatch entry point,
+//!   [`RunnerKind`]/[`run_session`] dispatch entry point,
 //! - [`link`]: the [`LinkSink`]/[`LinkSource`] transport seam and the
 //!   shared fault-injecting send path ([`SendLink`]),
+//! - [`produce`]: the send-side state machine ([`Producer`]: tick →
+//!   monitor → pack → feed over one [`Lane`] per link) every runner
+//!   drives,
 //! - [`consume`]: the receive-side state machine ([`Consumer`]: CRC
 //!   verify → unpack → check → bounded ARQ recovery) every runner
 //!   drives,
+//! - [`channel`]: the in-process channel topology the threaded and
+//!   sharded runners share,
 //! - [`proto`]: the DTH wire protocol itself — typed handshake/frame/
 //!   result codecs with incremental, bounded-allocation decoding,
 //! - [`mux`]: push-driven consumer sessions over that protocol and the
 //!   [`SessionRegistry`] a multi-session service accounts them in,
 //! - [`socket`]: the fourth runner — producer and consumer in separate
 //!   OS processes speaking [`proto`] over a Unix-domain socket (or to a
-//!   persistent `difftest-serve` daemon, Unix or TCP),
-//! - [`intervals`]: the fifth runner — time-parallel interval
-//!   verification: a recording pass snapshots the REF every K retired
-//!   instructions and a worker pool re-verifies the checkpoint-delimited
-//!   slices independently.
+//!   persistent `difftest-serve` daemon, Unix or TCP).
 //!
 //! # Quick start
 //!
@@ -74,15 +76,16 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod batch;
+pub mod channel;
 pub mod checker;
 pub mod consume;
 pub mod engine;
 pub mod fault;
-pub mod intervals;
 pub mod link;
 pub mod mux;
 pub mod pool;
 pub mod prior;
+pub mod produce;
 pub mod proto;
 pub mod replay;
 pub mod session;
@@ -101,29 +104,21 @@ pub use consume::{
 };
 pub use engine::{BuildError, CoSimulation, CoSimulationBuilder, RunReport};
 pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyLink, LinkErrorKind, LinkStats};
-pub use intervals::{
-    run_intervals, run_intervals_faulty, run_intervals_session, run_intervals_tuned,
-    IntervalTuning, IntervalsReport,
-};
 pub use link::{
     ChannelSink, ChannelSource, FusionWatch, LinkSink, LinkSource, QueueSink, SendLink,
 };
 pub use mux::{CloseReason, MuxStep, ProtoSession, SessionRegistry, SessionResult};
 pub use pool::{BufferPool, PoolStats, PooledBuf};
+pub use produce::{Lane, Producer, ProducerOutput};
 pub use proto::{ClientMsg, FrameDecoder, Hello, ProtoError, ServeAddr, SERVE_ADDR_ENV};
 pub use replay::{FailureReport, ReplayBuffer, Retransmission};
 pub use session::{
-    export_trace, run_runner, DiffConfig, RunCommon, RunOutcome, RunnerKind, RunnerReport, Session,
+    run_runner, run_session, DiffConfig, RunCommon, RunOutcome, RunnerKind, RunnerReport, Session,
 };
-pub use sharded::{
-    run_sharded, run_sharded_faulty, run_sharded_session, ShardedReport, WorkerReport,
-};
+pub use sharded::{run_sharded_session, ShardedReport, WorkerReport};
 pub use snapshot::{snapshot_debug_run, SnapshotReport};
-pub use socket::{
-    child_entry, run_socket, run_socket_at, run_socket_faulty, run_socket_tuned, SocketReport,
-    SocketTuning, KILLED_EXIT,
-};
+pub use socket::{child_entry, run_socket_session, SocketReport, SocketTuning, KILLED_EXIT};
 pub use squash::{FusedCommit, SquashStats, SquashUnit};
-pub use threaded::{run_threaded, run_threaded_faulty, run_threaded_session, ThreadedReport};
+pub use threaded::{run_threaded_session, ThreadedReport};
 pub use transport::{AccelUnit, SwUnit, Transfer};
 pub use wire::{WireItem, WireKind};

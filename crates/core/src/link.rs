@@ -5,17 +5,18 @@
 //! transport-agnostic: the same pack → transmit → unpack → check flow
 //! runs whether the link is a virtual LogGP model, a bounded in-process
 //! channel, or a real socket. These two single-method traits are that
-//! seam. [`SendLink`] wraps any sink in the shared send path — the
-//! produced-packet accounting, flight records and fault injection that
-//! every runner previously hand-rolled (`feed_link` and its private
-//! copies) — so a runner's transport is just an adapter:
+//! seam. [`SendLink`] wraps any sink in the shared send path
+//! (produced-packet accounting, flight records, fault injection), one
+//! per [`Lane`](crate::produce::Lane) of the shared
+//! [`Producer`](crate::produce::Producer), so a runner's transport is
+//! just an adapter:
 //!
-//! | runner | sink | source |
-//! |---|---|---|
-//! | engine | [`QueueSink`] (virtual link) | drained in-line |
-//! | threaded | [`ChannelSink`] | [`ChannelSource`] |
-//! | sharded | [`ChannelSink`] per core | [`ChannelSource`] per core |
-//! | socket | `StreamSink` (Unix socket) | `StreamSource` |
+//! | runner | lanes | sink | source |
+//! |---|---|---|---|
+//! | engine | one, unrouted | [`QueueSink`] (virtual link) | drained in-line |
+//! | threaded | one, unrouted | [`ChannelSink`] | [`ChannelSource`] |
+//! | sharded | one per core, routed | [`ChannelSink`] | [`ChannelSource`] |
+//! | socket | one, unrouted | `StreamSink` (socket frames) | the peer's `ProtoSession` |
 
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -196,11 +197,6 @@ impl<S: LinkSink> SendLink<S> {
     /// Packets produced so far (pre-fault).
     pub fn produced(&self) -> u32 {
         self.produced.load(Ordering::Acquire)
-    }
-
-    /// Whether this link injects faults.
-    pub fn is_faulty(&self) -> bool {
-        self.fault.is_some()
     }
 
     /// The fault model, when injection is enabled.

@@ -406,6 +406,7 @@ mod tests {
     use crate::session::DiffConfig;
     use crate::session::RunOutcome;
     use difftest_workload::Workload;
+    use std::sync::atomic::AtomicBool;
 
     /// Produces a full clean stream (hello + frames + end) for `seed`.
     fn stream_for(seed: u64) -> (Vec<u8>, u64) {
@@ -419,29 +420,18 @@ mod tests {
             8,
             None,
         );
-        let mut dut = session.dut();
-        let mut accel = session.accel();
-        let mut link = session.send_link(QueueSink::default());
+        let mut p = session.producer(vec![session.lane(None, QueueSink::default())]);
+        let mut timer = difftest_stats::PhaseTimer::monotonic();
         let mut rec = difftest_stats::FlightRecorder::default();
-        let mut transfers = Vec::new();
-        let mut events = Vec::new();
-        while dut.halted().is_none() && dut.cycles() < session.max_cycles() {
-            events.clear();
-            dut.tick_into(&mut events);
-            accel.push_cycle(&events, &mut transfers);
-            link.feed(&mut transfers, &mut rec, dut.cycles());
-        }
-        accel.flush(&mut transfers);
-        link.feed(&mut transfers, &mut rec, dut.cycles());
-        link.finish();
+        p.run(&AtomicBool::new(false), &mut timer, &mut rec);
         let mut bytes = Vec::new();
         write_hello(&mut bytes, &Hello::from_session(&session, 0, w.words())).unwrap();
-        let queued: Vec<_> = link.sink_mut().queue.drain(..).collect();
+        let queued: Vec<_> = p.link_mut(0).sink_mut().queue.drain(..).collect();
         for t in queued {
             write_transfer_frame(&mut bytes, &t).unwrap();
         }
-        write_end_frame(&mut bytes, link.produced()).unwrap();
-        (bytes, dut.cycles())
+        write_end_frame(&mut bytes, p.link_mut(0).produced()).unwrap();
+        (bytes, p.dut().cycles())
     }
 
     #[test]

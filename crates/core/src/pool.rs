@@ -100,6 +100,15 @@ impl PoolStats {
     }
 }
 
+impl std::ops::AddAssign for PoolStats {
+    fn add_assign(&mut self, o: PoolStats) {
+        self.hits += o.hits;
+        self.misses += o.misses;
+        self.returns += o.returns;
+        self.discards += o.discards;
+    }
+}
+
 /// A shared, lock-free pool of recyclable byte buffers.
 ///
 /// Cloning the pool clones a handle; all clones share the same free list

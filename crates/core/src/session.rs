@@ -8,30 +8,39 @@
 //! acceleration unit matching a [`DiffConfig`], the fault schedule — and
 //! hands each runner pre-wired components:
 //!
-//! - [`Session::dut`] / [`Session::accel`] build the producer side,
-//! - [`Session::send_link`] wraps any [`LinkSink`](crate::link::LinkSink)
-//!   in the shared fault-injection / flight-recording send path,
+//! - [`Session::lane`] pairs an acceleration unit with the shared
+//!   fault-injection / flight-recording send path over any
+//!   [`LinkSink`](crate::link::LinkSink), and [`Session::producer`]
+//!   puts the DUT in front of them: the send-side state machine
+//!   ([`Producer`](crate::produce::Producer)) running the tick →
+//!   monitor → pack → feed loop,
 //! - [`Session::consumer`] builds the receive-side state machine
 //!   ([`Consumer`](crate::consume::Consumer)) that performs the actual
 //!   CRC verify → unpack → check → recover loop.
 //!
 //! Runners ([`crate::engine`], [`crate::threaded`], [`crate::sharded`],
-//! [`crate::socket`]) differ only in *where* those components run —
+//! [`crate::socket`]) differ only in *where* those two machines run —
 //! one virtual timeline, two threads, N+1 threads, or two processes —
 //! and in what they report on top of the shared [`RunCommon`] core.
+//! [`run_session`] dispatches a built session onto any of them.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use difftest_dut::{BugSpec, Dut, DutConfig};
+use difftest_platform::Platform;
 use difftest_ref::{Memory, RefModel};
-use difftest_stats::{chrometrace, FlightSnapshot, Metrics, SpanBuf, SpanSink, Tracer};
+use difftest_stats::{
+    chrometrace, export_to_env, FlightSnapshot, Metrics, SpanBuf, SpanSink, Tracer, PID_PRODUCER,
+};
 use difftest_workload::Workload;
 
-use crate::checker::{Checker, Mismatch};
+use crate::checker::{Checker, Mismatch, Verdict};
 use crate::consume::Consumer;
 use crate::fault::{FaultPlan, FaultStats, FaultyLink, LinkErrorKind, LinkStats};
 use crate::link::{LinkSink, SendLink};
+use crate::produce::{Lane, Producer};
 use crate::transport::{AccelUnit, SwUnit};
 
 /// The optimization configurations of the artifact appendix (`DIFF_CONFIG`).
@@ -132,6 +141,26 @@ pub enum RunOutcome {
     },
 }
 
+impl RunOutcome {
+    /// Ranks what the receive side found into the run's outcome: a
+    /// genuine mismatch outranks a link error (the stream prefix it was
+    /// found on was intact), which outranks the halting-trap verdict;
+    /// with none of them the cycle budget ended the run.
+    pub fn decide(
+        mismatch: bool,
+        link_error: Option<(LinkErrorKind, u32, u8)>,
+        verdict: Option<Verdict>,
+    ) -> RunOutcome {
+        match (mismatch, link_error, verdict) {
+            (true, ..) => RunOutcome::Mismatch,
+            (_, Some((kind, seq, core)), _) => RunOutcome::LinkError { kind, seq, core },
+            (.., Some(Verdict::Halt { good: true, .. })) => RunOutcome::GoodTrap,
+            (.., Some(Verdict::Halt { good: false, .. })) => RunOutcome::BadTrap,
+            _ => RunOutcome::MaxCycles,
+        }
+    }
+}
+
 /// The report core every runner shares: verdict, volume, link health and
 /// observability. Runner-specific reports ([`RunReport`](crate::RunReport),
 /// [`ThreadedReport`](crate::ThreadedReport), …) embed one and `Deref` to
@@ -162,6 +191,32 @@ pub struct RunCommon {
     pub flight: Option<FlightSnapshot>,
 }
 
+/// Every runner's report `Deref`s to the [`RunCommon`] it embeds.
+macro_rules! deref_to_common {
+    ($($report:ty),+) => {$(
+        impl Deref for $report {
+            type Target = RunCommon;
+
+            fn deref(&self) -> &RunCommon {
+                &self.common
+            }
+        }
+
+        impl DerefMut for $report {
+            fn deref_mut(&mut self) -> &mut RunCommon {
+                &mut self.common
+            }
+        }
+    )+};
+}
+
+deref_to_common!(
+    crate::engine::RunReport,
+    crate::threaded::ThreadedReport,
+    crate::sharded::ShardedReport,
+    crate::socket::SocketReport
+);
+
 /// One co-simulation session: the transport-independent setup shared by
 /// every runner. Cloneable and `Send`, so threaded runners can move one
 /// copy into each thread and build their components locally.
@@ -170,6 +225,9 @@ pub struct Session {
     dut_cfg: DutConfig,
     config: DiffConfig,
     image: Memory,
+    /// The program words behind `image` (the socket handshake ships
+    /// them); empty when built [`from_image`](Session::from_image).
+    words: Arc<[u32]>,
     bugs: Vec<BugSpec>,
     max_cycles: u64,
     queue_depth: usize,
@@ -197,7 +255,10 @@ impl Session {
     ) -> Session {
         let mut image = Memory::new();
         image.load_words(Memory::RAM_BASE, workload.words());
-        Session::from_image(dut_cfg, config, image, bugs, max_cycles, queue_depth, fault)
+        let mut session =
+            Session::from_image(dut_cfg, config, image, bugs, max_cycles, queue_depth, fault);
+        session.words = workload.words().into();
+        session
     }
 
     /// Creates a session over an already-loaded memory image. This is
@@ -217,6 +278,7 @@ impl Session {
             dut_cfg,
             config,
             image,
+            words: Arc::from([]),
             bugs,
             max_cycles,
             queue_depth: queue_depth.max(1),
@@ -250,16 +312,6 @@ impl Session {
             Some(t) => t.sink(pid, tid, process, track),
             None => SpanSink::disabled(),
         }
-    }
-
-    /// Finishes a traced run: folds `trace.spans_recorded` /
-    /// `trace.spans_dropped` into `metrics` and writes the gathered
-    /// buffers as Chrome trace-event JSON to the tracer's path. No-op
-    /// when tracing is off. Runners call this exactly once, after all
-    /// producer/consumer/worker buffers are gathered (counters are
-    /// *added*, so sharded metric merges stay consistent).
-    pub fn export_trace(&self, bufs: &[SpanBuf], metrics: &mut Metrics) {
-        export_trace(self.tracer.as_ref(), bufs, metrics);
     }
 
     /// Overrides the transmission packet capacity in bytes.
@@ -311,14 +363,14 @@ impl Session {
         self.queue_depth
     }
 
-    /// The fault schedule, when injection is enabled.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault
-    }
-
     /// The loaded workload memory image.
     pub fn image(&self) -> &Memory {
         &self.image
+    }
+
+    /// The workload's program words (empty on a receive-only session).
+    pub fn words(&self) -> &[u32] {
+        &self.words
     }
 
     /// Asserts the configuration suits a genuinely parallel runner.
@@ -342,18 +394,7 @@ impl Session {
     /// Builds the hardware-side acceleration unit for this
     /// configuration, packing all cores into one stream.
     pub fn accel(&self) -> AccelUnit {
-        self.accel_inner(self.cores())
-    }
-
-    /// Builds a per-core acceleration unit that filters and routes one
-    /// core's events (sharded producers run one per core).
-    pub fn accel_for_core(&self, core: u8) -> AccelUnit {
-        let mut a = self.accel_inner(self.cores());
-        a.set_route_core(core);
-        a
-    }
-
-    fn accel_inner(&self, cores: usize) -> AccelUnit {
+        let cores = self.cores();
         match self.config {
             DiffConfig::Z => AccelUnit::per_event(),
             DiffConfig::B | DiffConfig::BN => AccelUnit::batch(cores, self.packet_bytes),
@@ -385,11 +426,6 @@ impl Session {
         Checker::new(refs, replay)
     }
 
-    /// Builds a single-core checker for shard `core`.
-    pub fn checker_for_core(&self, core: u8) -> Checker {
-        Checker::single(core, RefModel::new(self.image.clone()), false)
-    }
-
     /// Builds the receive-side pipeline ([`Consumer`]) for a
     /// single-consumer runner: full-width decoder and checker, no
     /// retention ring (report-only link-error handling).
@@ -402,20 +438,8 @@ impl Session {
     /// this core's reference model, and tail gaps are attributed to the
     /// shard.
     pub fn consumer_for_core(&self, core: u8) -> Consumer {
-        Consumer::new(self.sw_unit(), self.checker_for_core(core)).with_home_core(core)
-    }
-
-    /// Builds the receive-side pipeline for one *interval* of shard
-    /// `core`: the checker resumes mid-stream at `seq` over a REF
-    /// restored from a checkpoint image, so fused records whose absolute
-    /// first-sequence tags continue the recorded stream line up without
-    /// cross-interval state (the interval runner's worker side).
-    pub fn consumer_for_interval(&self, core: u8, refm: RefModel, seq: u64) -> Consumer {
-        Consumer::new(
-            self.sw_unit(),
-            Checker::resume_single(core, refm, seq, false),
-        )
-        .with_home_core(core)
+        let checker = Checker::single(core, RefModel::new(self.image.clone()), false);
+        Consumer::new(self.sw_unit(), checker).with_home_core(core)
     }
 
     /// Builds the engine's receive-side pipeline: checker compensation
@@ -446,48 +470,73 @@ impl Session {
         SendLink::new(sink, link)
     }
 
-    /// Per-interval variant of
-    /// [`send_link_for_core`](Self::send_link_for_core): each `(core,
-    /// interval)` slice gets an independent deterministic link, so the
-    /// interval runner's schedule replays exactly while consecutive
-    /// slices fail differently. The interval index is spread with a
-    /// 64-bit odd multiplier so neighbouring `(core, interval)` pairs
-    /// never collide with plain `seed + core` derivations.
-    pub fn send_link_for_interval<S: LinkSink>(
-        &self,
-        core: u8,
-        interval: u64,
-        sink: S,
-    ) -> SendLink<S> {
-        let link = self.fault.map(|p| {
-            FaultyLink::new(FaultPlan {
-                seed: p
-                    .seed
-                    .wrapping_add(core as u64)
-                    .wrapping_add(interval.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-                ..p
-            })
-        });
-        SendLink::new(sink, link)
+    /// Builds one lane of the send side over `sink`. Unrouted
+    /// (`route: None`): every core's events packed into one stream
+    /// under the plan's own fault schedule, traced on the `dut` track.
+    /// Routed (`Some(core)`): only that core's events, stamped with
+    /// its id, under the shard's schedule
+    /// ([`send_link_for_core`](Self::send_link_for_core)), traced on
+    /// the `dut-core<k>` track.
+    pub fn lane<S: LinkSink>(&self, route: Option<u8>, sink: S) -> Lane<S> {
+        // Core 0's unit and schedule are the unrouted ones.
+        let core = route.unwrap_or(0);
+        let track = route.map_or_else(|| "dut".to_owned(), |k| format!("dut-core{k}"));
+        let link = self
+            .send_link_for_core(core, sink)
+            .with_spans(self.span_sink(PID_PRODUCER, u32::from(core), "producer", &track));
+        Lane::new(self.accel(), link, route)
+    }
+
+    /// Builds the send-side pipeline ([`Producer`]): the DUT in front
+    /// of `lanes`, stopping at the session's cycle budget.
+    pub fn producer<S: LinkSink>(&self, lanes: Vec<Lane<S>>) -> Producer<S> {
+        Producer::new(self.dut(), lanes, self.max_cycles)
     }
 }
 
-/// Free-function form of [`Session::export_trace`] for runners that
-/// keep only the [`Tracer`] after setup (the engine). Counters are
-/// added only when tracing is on, so dormant runs stay byte-identical.
-pub fn export_trace(tracer: Option<&Tracer>, bufs: &[SpanBuf], metrics: &mut Metrics) {
-    let Some(tracer) = tracer else {
-        return;
-    };
-    let recorded: u64 = bufs.iter().map(|b| b.recorded).sum();
-    let dropped: u64 = bufs.iter().map(|b| b.dropped).sum();
-    metrics.counters.add("trace.spans_recorded", recorded);
-    metrics.counters.add("trace.spans_dropped", dropped);
-    if let Err(e) = chrometrace::write_trace(tracer.path(), bufs) {
-        eprintln!(
-            "difftest: failed to write trace {}: {e}",
-            tracer.path().display()
+/// The report epilogue every runner shares, run once the outcome is
+/// decided and the metrics are merged: stamps the `hw.*` volume
+/// counters; when tracing is on, folds the gathered span buffers'
+/// totals into `trace.spans_recorded` / `trace.spans_dropped` and
+/// writes them (producer tracks first) as Chrome trace-event JSON;
+/// attaches the flight snapshot `flight` builds on
+/// [`RunOutcome::Mismatch`] / [`RunOutcome::LinkError`] — producer
+/// context first, then the deciding consumer's view — and writes the
+/// `DIFFTEST_OBS` export under the runner's name.
+pub(crate) fn seal_report(
+    kind: RunnerKind,
+    common: &mut RunCommon,
+    tracer: Option<&Tracer>,
+    spans: impl IntoIterator<Item = SpanBuf>,
+    flight: impl FnOnce() -> FlightSnapshot,
+) {
+    let counters = &mut common.metrics.counters;
+    counters.set("hw.cycles", common.cycles);
+    counters.set("hw.instructions", common.instructions);
+    // Trace counters exist only when tracing is on, so dormant runs
+    // stay byte-identical.
+    if let Some(tracer) = tracer {
+        let bufs: Vec<SpanBuf> = spans.into_iter().filter(|b| !b.is_empty()).collect();
+        counters.add(
+            "trace.spans_recorded",
+            bufs.iter().map(|b| b.recorded).sum(),
         );
+        counters.add("trace.spans_dropped", bufs.iter().map(|b| b.dropped).sum());
+        if let Err(e) = chrometrace::write_trace(tracer.path(), &bufs) {
+            eprintln!(
+                "difftest: failed to write trace {}: {e}",
+                tracer.path().display()
+            );
+        }
+    }
+    if matches!(
+        common.outcome,
+        RunOutcome::Mismatch | RunOutcome::LinkError { .. }
+    ) {
+        common.flight = Some(flight());
+    }
+    if let Err(e) = export_to_env(kind.name(), &common.metrics, common.flight.as_ref()) {
+        eprintln!("difftest: {} export failed: {e}", difftest_stats::OBS_ENV);
     }
 }
 
@@ -505,20 +554,15 @@ pub enum RunnerKind {
     /// process boundary). The hosting binary must call
     /// [`crate::socket::child_entry`] first thing in `main`.
     Socket,
-    /// Recording pass + time-parallel interval verification over REF
-    /// checkpoints: a worker pool re-verifies checkpoint-delimited
-    /// slices of the stream independently (wall-clock).
-    Intervals,
 }
 
 impl RunnerKind {
     /// All runners, in the order the runner matrix documents them.
-    pub const ALL: [RunnerKind; 5] = [
+    pub const ALL: [RunnerKind; 4] = [
         RunnerKind::Engine,
         RunnerKind::Threaded,
         RunnerKind::Sharded,
         RunnerKind::Socket,
-        RunnerKind::Intervals,
     ];
 
     /// Stable lowercase name (matrix rows, bench scenario labels).
@@ -528,7 +572,6 @@ impl RunnerKind {
             RunnerKind::Threaded => "threaded",
             RunnerKind::Sharded => "sharded",
             RunnerKind::Socket => "socket",
-            RunnerKind::Intervals => "intervals",
         }
     }
 }
@@ -539,7 +582,7 @@ impl fmt::Display for RunnerKind {
     }
 }
 
-/// The report of [`run_runner`]: the runner's own report, `Deref`ing to
+/// The report of [`run_session`]: the runner's own report, `Deref`ing to
 /// the shared [`RunCommon`] so dispatch call sites can read
 /// `report.outcome` / `report.items` without matching.
 // One report exists per co-simulation run, never in bulk — the size
@@ -556,9 +599,6 @@ pub enum RunnerReport {
     Sharded(crate::sharded::ShardedReport),
     /// Socket report (cross-process wall-clock throughput).
     Socket(crate::socket::SocketReport),
-    /// Intervals report (checkpoint/interval accounting, worker pool
-    /// high-water mark).
-    Intervals(crate::intervals::IntervalsReport),
 }
 
 impl Deref for RunnerReport {
@@ -570,7 +610,6 @@ impl Deref for RunnerReport {
             RunnerReport::Threaded(r) => r,
             RunnerReport::Sharded(r) => r,
             RunnerReport::Socket(r) => r,
-            RunnerReport::Intervals(r) => r,
         }
     }
 }
@@ -582,23 +621,11 @@ impl DerefMut for RunnerReport {
             RunnerReport::Threaded(r) => r,
             RunnerReport::Sharded(r) => r,
             RunnerReport::Socket(r) => r,
-            RunnerReport::Intervals(r) => r,
         }
     }
 }
 
 impl RunnerReport {
-    /// Which substrate produced this report.
-    pub fn kind(&self) -> RunnerKind {
-        match self {
-            RunnerReport::Engine(_) => RunnerKind::Engine,
-            RunnerReport::Threaded(_) => RunnerKind::Threaded,
-            RunnerReport::Sharded(_) => RunnerKind::Sharded,
-            RunnerReport::Socket(_) => RunnerKind::Socket,
-            RunnerReport::Intervals(_) => RunnerKind::Intervals,
-        }
-    }
-
     /// Host wall-clock seconds and DUT cycles per wall-clock second, for
     /// the runners that measure real time (`None` for the virtual-time
     /// engine, whose speeds are simulated — see
@@ -609,20 +636,47 @@ impl RunnerReport {
             RunnerReport::Threaded(r) => Some((r.wall_s, r.cycles_per_sec)),
             RunnerReport::Sharded(r) => Some((r.wall_s, r.cycles_per_sec)),
             RunnerReport::Socket(r) => Some((r.wall_s, r.cycles_per_sec)),
-            RunnerReport::Intervals(r) => Some((r.wall_s, r.cycles_per_sec)),
         }
     }
 }
 
-/// Runs one co-simulation on the chosen transport substrate — the
-/// single dispatch entry point the examples use. All four runners drive
-/// the identical session components, so the verdict is
-/// substrate-independent; only the throughput story differs.
+/// Runs a built session on the chosen transport substrate — the single
+/// dispatch entry point. All four runners drive the identical
+/// [`Producer`] and [`Consumer`] state machines, so the verdict is
+/// substrate-independent; only the throughput story differs. The engine
+/// runs on the Palladium platform model with Replay on (use
+/// [`CoSimulation::builder`](crate::engine::CoSimulation::builder) for
+/// anything else); the socket runner dials `DIFFTEST_SERVE_ADDR` when
+/// set and spawns its consumer otherwise.
 ///
 /// # Panics
 ///
-/// Panics when `kind` is a parallel runner and `config` is blocking
-/// (`Z`/`B`), mirroring the underlying runners.
+/// Panics when `kind` is a parallel runner and the session's
+/// configuration is blocking (`Z`/`B`), mirroring the underlying
+/// runners.
+pub fn run_session(kind: RunnerKind, session: Session) -> RunnerReport {
+    match kind {
+        RunnerKind::Engine => RunnerReport::Engine(
+            crate::engine::CoSimulation::from_session(session, Platform::palladium()).run(),
+        ),
+        RunnerKind::Threaded => {
+            RunnerReport::Threaded(crate::threaded::run_threaded_session(session))
+        }
+        RunnerKind::Sharded => RunnerReport::Sharded(crate::sharded::run_sharded_session(session)),
+        RunnerKind::Socket => RunnerReport::Socket(crate::socket::run_socket_session(
+            session,
+            None,
+            crate::socket::SocketTuning::default(),
+        )),
+    }
+}
+
+/// [`run_session`] over a session built from its parts with the default
+/// pipeline tuning ([`Session::new`]).
+///
+/// # Panics
+///
+/// As [`run_session`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_runner(
     kind: RunnerKind,
@@ -634,24 +688,9 @@ pub fn run_runner(
     queue_depth: usize,
     fault: Option<FaultPlan>,
 ) -> RunnerReport {
-    match kind {
-        RunnerKind::Engine => {
-            let mut builder = crate::engine::CoSimulation::builder()
-                .dut(dut_cfg)
-                .config(config)
-                .bugs(bugs)
-                .max_cycles(max_cycles)
-                .queue_depth(queue_depth);
-            if let Some(plan) = fault {
-                builder = builder.fault_plan(plan);
-            }
-            let mut sim = match builder.build(workload) {
-                Ok(sim) => sim,
-                Err(e) => unreachable!("default engine tuning is always valid: {e}"),
-            };
-            RunnerReport::Engine(sim.run())
-        }
-        RunnerKind::Threaded => RunnerReport::Threaded(crate::threaded::run_threaded_faulty(
+    run_session(
+        kind,
+        Session::new(
             dut_cfg,
             config,
             workload,
@@ -659,81 +698,41 @@ pub fn run_runner(
             max_cycles,
             queue_depth,
             fault,
-        )),
-        RunnerKind::Sharded => RunnerReport::Sharded(crate::sharded::run_sharded_faulty(
-            dut_cfg,
-            config,
-            workload,
-            bugs,
-            max_cycles,
-            queue_depth,
-            fault,
-        )),
-        RunnerKind::Socket => RunnerReport::Socket(crate::socket::run_socket_faulty(
-            dut_cfg,
-            config,
-            workload,
-            bugs,
-            max_cycles,
-            queue_depth,
-            fault,
-        )),
-        RunnerKind::Intervals => RunnerReport::Intervals(crate::intervals::run_intervals_faulty(
-            dut_cfg,
-            config,
-            workload,
-            bugs,
-            max_cycles,
-            queue_depth,
-            fault,
-        )),
-    }
+        ),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn session_builds_matching_components() {
+    fn session(config: DiffConfig, fault: Option<FaultPlan>) -> Session {
         let w = Workload::microbench().seed(1).iterations(5).build();
-        let s = Session::new(
+        Session::new(
             DutConfig::nutshell(),
-            DiffConfig::BNSD,
+            config,
             &w,
             Vec::new(),
             1_000,
             8,
-            None,
-        );
+            fault,
+        )
+    }
+
+    #[test]
+    fn session_builds_matching_components() {
+        let s = session(DiffConfig::BNSD, None);
         assert_eq!(s.cores(), 1);
         assert!(s.accel().squash_stats().is_some());
         assert!(s.sw_unit().expected_seq().is_some());
-        let plain = Session::new(
-            DutConfig::nutshell(),
-            DiffConfig::Z,
-            &w,
-            Vec::new(),
-            1_000,
-            8,
-            None,
-        );
+        let plain = session(DiffConfig::Z, None);
         assert!(plain.accel().squash_stats().is_none());
         assert!(plain.sw_unit().expected_seq().is_none());
     }
 
     #[test]
     fn per_core_links_derive_distinct_seeds() {
-        let w = Workload::microbench().seed(1).iterations(5).build();
-        let s = Session::new(
-            DutConfig::nutshell(),
-            DiffConfig::BNSD,
-            &w,
-            Vec::new(),
-            1_000,
-            8,
-            Some(FaultPlan::uniform(7, 10)),
-        );
+        let s = session(DiffConfig::BNSD, Some(FaultPlan::uniform(7, 10)));
         let l0 = s.send_link_for_core(0, crate::link::QueueSink::default());
         let l1 = s.send_link_for_core(1, crate::link::QueueSink::default());
         let seed = |l: &SendLink<crate::link::QueueSink>| l.fault_link().map(|f| f.plan().seed);
@@ -752,16 +751,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-blocking")]
     fn require_nonblock_rejects_blocking_configs() {
-        let w = Workload::microbench().seed(1).iterations(5).build();
-        Session::new(
-            DutConfig::nutshell(),
-            DiffConfig::Z,
-            &w,
-            Vec::new(),
-            1_000,
-            8,
-            None,
-        )
-        .require_nonblock("test");
+        session(DiffConfig::Z, None).require_nonblock("test");
     }
 }

@@ -4,66 +4,27 @@
 //! [`crate::threaded`] demonstrates the paper's non-blocking architecture
 //! with a single software consumer; for multi-core DUTs that consumer is
 //! the bottleneck because every core's reference model steps on one host
-//! thread. This module shards the software side by core: the producer runs
-//! the DUT and one [`AccelUnit`] *per core*, stamping each
-//! [`Transfer`](crate::transport::Transfer) with its core id, and routes
-//! it over a dedicated bounded channel to that core's worker — O(1)
-//! routing, no demultiplexing on the consumer side. Each worker drives
-//! its own shared [`Consumer`](crate::consume::Consumer) pipeline over a
-//! single-core checker, so the per-core reference models step
-//! concurrently on separate host threads.
-//!
-//! Coordination:
-//!
-//! - **Stop broadcast** — any worker that verifies a halting trap or
-//!   detects a mismatch sets a shared [`AtomicBool`]; the producer polls
-//!   it every DUT cycle and stops feeding the channels.
-//! - **First-mismatch semantics** — when several cores fail in the same
-//!   drain, the coordinator reports the mismatch with the lowest
-//!   instruction count (ties broken by the lower core id), matching what a
-//!   single in-order consumer would have hit first.
-//! - **Backpressure** — each per-core channel is bounded by
-//!   `queue_depth`, the paper's sending-queue model applied per shard.
+//! thread. This module shards the software side by core: the shared
+//! [`Producer`](crate::produce::Producer) runs one routed lane — one
+//! [`AccelUnit`](crate::transport::AccelUnit) stamping each
+//! [`Transfer`](crate::transport::Transfer) with its core id — *per
+//! core*, and feeds it over a dedicated bounded channel to that core's
+//! worker: O(1) routing, no demultiplexing on the consumer side. Each
+//! worker drives its own shared [`Consumer`](crate::consume::Consumer)
+//! pipeline over a single-core checker, so the per-core reference
+//! models step concurrently on separate host threads. Stop broadcast,
+//! first-mismatch aggregation and backpressure are the channel
+//! topology's ([`crate::channel`]), shared with the threaded runner.
 //
-// Seam rule: runner modules build on `session`/`link`/`consume` only —
-// never on another runner's internals (enforced by `make ci`'s grep).
+// Seam rule: runner modules build on `session`/`link`/`produce`/
+// `consume` (and the shared `channel` topology) only — never on another
+// runner's internals (enforced by `make ci`'s grep).
 
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::Instant;
-
-use crossbeam::channel;
-use difftest_dut::{BugSpec, DutConfig};
-use difftest_stats::{
-    export_to_env, FlightRecorder, FlightSnapshot, Metrics, Phase, PhaseTimer, SpanBuf,
-    PID_CONSUMER, PID_PRODUCER,
-};
-use difftest_workload::Workload;
-
-use crate::checker::{Mismatch, Verdict};
-use crate::consume::{drive, NoCharge};
-use crate::fault::{FaultPlan, FaultStats, LinkErrorKind, LinkStats};
-use crate::link::{ChannelSink, ChannelSource, FusionWatch, SendLink};
+use crate::channel::run_channels;
+pub use crate::channel::WorkerReport;
+use crate::fault::LinkErrorKind;
 use crate::pool::PoolStats;
-use crate::session::{DiffConfig, RunCommon, RunOutcome, Session};
-use crate::transport::AccelUnit;
-
-/// Per-worker (per-core) statistics of a sharded run.
-#[derive(Debug, Clone)]
-pub struct WorkerReport {
-    /// DUT core this worker checked.
-    pub core: u8,
-    /// Wire items checked by this worker.
-    pub items: u64,
-    /// Instructions stepped on this worker's reference model.
-    pub instructions: u64,
-    /// Worker wall-clock seconds (receive loop + finalize).
-    pub wall_s: f64,
-    /// Items checked per wall-clock second on this worker.
-    pub items_per_sec: f64,
-}
+use crate::session::{RunCommon, RunnerKind, Session};
 
 /// Result of a sharded run: the shared [`RunCommon`] core plus per-worker
 /// wall-clock throughput.
@@ -84,20 +45,6 @@ pub struct ShardedReport {
     pub workers: Vec<WorkerReport>,
     /// Aggregate buffer-pool statistics across the per-core producers.
     pub pool: PoolStats,
-}
-
-impl Deref for ShardedReport {
-    type Target = RunCommon;
-
-    fn deref(&self) -> &RunCommon {
-        &self.common
-    }
-}
-
-impl DerefMut for ShardedReport {
-    fn deref_mut(&mut self) -> &mut RunCommon {
-        &mut self.common
-    }
 }
 
 impl ShardedReport {
@@ -135,390 +82,61 @@ impl ShardedReport {
     }
 }
 
-/// What one worker thread hands back to the coordinator.
-struct WorkerOutcome {
-    core: u8,
-    items: u64,
-    instructions: u64,
-    wall_s: f64,
-    verdict: Option<Verdict>,
-    mismatch: Option<Mismatch>,
-    link_error: Option<(LinkErrorKind, u32, u8)>,
-    link: LinkStats,
-    metrics: Metrics,
-    flight: FlightSnapshot,
-    spans: SpanBuf,
-}
-
-/// Runs a co-simulation with one checker worker per DUT core.
+/// Runs a co-simulation with one checker worker per DUT core: the
+/// channel topology ([`crate::channel`]) with one routed lane and one
+/// single-core consumer per core, verdicts aggregated with
+/// first-mismatch semantics. On a single-core DUT this and
+/// [`crate::run_threaded_session`] produce identical verdicts.
 ///
-/// The producer thread runs the DUT and one acceleration unit per core;
-/// each worker thread decodes and checks one core's stream. Verdicts are
-/// aggregated with first-mismatch semantics (see the module docs). The
-/// signature mirrors [`crate::run_threaded`]; on a single-core DUT the two
-/// runners produce identical verdicts, the sharded one merely adds the
-/// per-core plumbing.
+/// Under a fault plan each shard gets an independent deterministic
+/// [`crate::fault::FaultyLink`] (`seed + core`), so a multi-core
+/// schedule stays reproducible while the shards fail differently. Like
+/// the threaded runner this one has no retention ring: decode failures
+/// and terminal gaps surface as
+/// [`RunOutcome::LinkError`](crate::RunOutcome::LinkError).
 ///
 /// # Panics
 ///
-/// Panics if a thread dies (a poisoned internal invariant), never on
-/// workload behaviour.
-pub fn run_sharded(
-    dut_cfg: DutConfig,
-    config: DiffConfig,
-    workload: &Workload,
-    bugs: Vec<BugSpec>,
-    max_cycles: u64,
-    queue_depth: usize,
-) -> ShardedReport {
-    run_sharded_faulty(
-        dut_cfg,
-        config,
-        workload,
-        bugs,
-        max_cycles,
-        queue_depth,
-        None,
-    )
-}
-
-/// [`run_sharded`] with an optional fault-injecting link on every
-/// per-core channel. Each shard gets an independent deterministic
-/// [`crate::fault::FaultyLink`] derived from the plan's seed
-/// (`seed + core`), so a multi-core schedule stays reproducible while the
-/// shards fail differently. Like the threaded runner this one has no
-/// retention ring: decode failures and terminal gaps surface as
-/// [`RunOutcome::LinkError`] (stale duplicates are dropped and counted).
-///
-/// # Panics
-///
-/// Panics if a thread dies (a poisoned internal invariant), never on
-/// workload behaviour or link faults.
-pub fn run_sharded_faulty(
-    dut_cfg: DutConfig,
-    config: DiffConfig,
-    workload: &Workload,
-    bugs: Vec<BugSpec>,
-    max_cycles: u64,
-    queue_depth: usize,
-    fault: Option<FaultPlan>,
-) -> ShardedReport {
-    run_sharded_session(Session::new(
-        dut_cfg,
-        config,
-        workload,
-        bugs,
-        max_cycles,
-        queue_depth,
-        fault,
-    ))
-}
-
-/// [`run_sharded_faulty`] on a pre-built [`Session`] — the entry point
-/// tests use to inject a [`Tracer`](difftest_stats::Tracer) (via
-/// [`Session::with_tracer`]) without touching process environment.
-///
-/// # Panics
-///
-/// Panics if a thread dies (a poisoned internal invariant), never on
-/// workload behaviour or link faults.
+/// Panics when the configuration is blocking (`Z`/`B`), or if a thread
+/// dies (a poisoned internal invariant) — never on workload behaviour
+/// or link faults.
 pub fn run_sharded_session(session: Session) -> ShardedReport {
-    session.require_nonblock("sharded");
-    let max_cycles = session.max_cycles();
-    let cores = session.cores();
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let mut links: Vec<SendLink<ChannelSink>> = Vec::with_capacity(cores);
-    let mut rxs = Vec::with_capacity(cores);
-    for k in 0..cores {
-        let (tx, rx) = channel::bounded(session.queue_depth());
-        // One independent deterministic link per shard (seed + core),
-        // counting this shard's produced packets for tail-loss detection.
-        links.push(
-            session
-                .send_link_for_core(k as u8, ChannelSink(tx))
-                .with_spans(session.span_sink(
-                    PID_PRODUCER,
-                    k as u32,
-                    "producer",
-                    &format!("dut-core{k}"),
-                )),
-        );
-        rxs.push(rx);
-    }
-    let produced_handles: Vec<_> = links.iter().map(SendLink::produced_handle).collect();
-
-    let start = Instant::now();
-
-    let producer = {
-        let session = session.clone();
-        let stop = Arc::clone(&stop);
-        thread::spawn(move || {
-            let mut dut = session.dut();
-            let mut accels: Vec<AccelUnit> = (0..cores)
-                .map(|k| session.accel_for_core(k as u8))
-                .collect();
-            let mut fusions: Vec<FusionWatch> =
-                (0..cores).map(|_| FusionWatch::default()).collect();
-            let mut events = Vec::new();
-            let mut transfers = Vec::new();
-            let mut timer = PhaseTimer::monotonic();
-            let mut rec = FlightRecorder::default();
-            'run: while dut.halted().is_none() && dut.cycles() < max_cycles {
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let t0 = timer.start();
-                events.clear();
-                dut.tick_into(&mut events);
-                timer.stop(Phase::Tick, t0);
-                for (k, accel) in accels.iter_mut().enumerate() {
-                    let t0 = timer.start();
-                    accel.push_cycle_for_route_core(&events, &mut transfers);
-                    timer.stop(Phase::Pack, t0);
-                    fusions[k].observe(
-                        accel,
-                        !transfers.is_empty(),
-                        k as u8,
-                        dut.cycles(),
-                        &mut rec,
-                    );
-                    // Blocking sends inside: each bounded channel is one
-                    // shard's sending queue with backpressure.
-                    let t0 = timer.start();
-                    let alive = links[k].feed(&mut transfers, &mut rec, dut.cycles());
-                    timer.stop(Phase::Transport, t0);
-                    if !alive {
-                        break 'run;
-                    }
-                }
-            }
-            for (k, accel) in accels.iter_mut().enumerate() {
-                let t0 = timer.start();
-                accel.flush(&mut transfers);
-                timer.stop(Phase::Pack, t0);
-                let t0 = timer.start();
-                if links[k].feed(&mut transfers, &mut rec, dut.cycles()) {
-                    // Release transfers still held for reordering.
-                    links[k].finish();
-                }
-                timer.stop(Phase::Transport, t0);
-            }
-            let pool =
-                accels
-                    .iter()
-                    .map(AccelUnit::pool_stats)
-                    .fold(PoolStats::default(), |a, s| PoolStats {
-                        hits: a.hits + s.hits,
-                        misses: a.misses + s.misses,
-                        returns: a.returns + s.returns,
-                        discards: a.discards + s.discards,
-                    });
-            let fault_stats = if session.fault_plan().is_some() {
-                Some(links.iter().filter_map(SendLink::fault_stats).fold(
-                    FaultStats::default(),
-                    |a, s| FaultStats {
-                        delivered: a.delivered + s.delivered,
-                        dropped: a.dropped + s.dropped,
-                        duplicated: a.duplicated + s.duplicated,
-                        reordered: a.reordered + s.reordered,
-                        truncated: a.truncated + s.truncated,
-                        corrupted: a.corrupted + s.corrupted,
-                    },
-                ))
-            } else {
-                None
-            };
-            let spans: Vec<SpanBuf> = links.iter_mut().map(SendLink::take_spans).collect();
-            drop(links); // closes every channel: end of stream
-            (
-                dut.cycles(),
-                dut.total_commits(),
-                pool,
-                fault_stats,
-                timer.times(),
-                rec.snapshot(),
-                spans,
-            )
-        })
-    };
-
-    let workers: Vec<thread::JoinHandle<WorkerOutcome>> = rxs
-        .into_iter()
-        .enumerate()
-        .map(|(k, rx)| {
-            let session = session.clone();
-            let stop = Arc::clone(&stop);
-            let produced = Arc::clone(&produced_handles[k]);
-            thread::spawn(move || {
-                let started = Instant::now();
-                let core = k as u8;
-                let mut source = ChannelSource(rx);
-                let mut consumer = session
-                    .consumer_for_core(core)
-                    .with_spans(session.span_sink(
-                        PID_CONSUMER,
-                        core as u32,
-                        "consumer",
-                        &format!("worker-{core}"),
-                    ));
-                let exhausted = drive(&mut source, &mut consumer, || {
-                    stop.store(true, Ordering::Release);
-                });
-                if exhausted {
-                    // The channel closed, so this shard's `produced` is
-                    // final: a packet still awaited was lost in flight.
-                    let sent = produced.load(Ordering::Acquire);
-                    consumer.finish_stream(Some(sent), 0, &mut NoCharge);
-                }
-                let instructions = consumer.checker().seq(core);
-                let out = consumer.finish();
-                WorkerOutcome {
-                    core,
-                    items: out.items,
-                    instructions,
-                    wall_s: started.elapsed().as_secs_f64(),
-                    verdict: out.verdict,
-                    mismatch: out.mismatch,
-                    link_error: out.link_error,
-                    link: out.link,
-                    metrics: out.metrics,
-                    flight: out.flight,
-                    spans: out.spans,
-                }
-            })
-        })
-        .collect();
-
-    let (cycles, instructions, pool, fault_stats, producer_times, producer_flight, producer_spans) =
-        match producer.join() {
-            Ok(v) => v,
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-    let mut outcomes: Vec<WorkerOutcome> = Vec::with_capacity(cores);
-    for w in workers {
-        match w.join() {
-            Ok(o) => outcomes.push(o),
-            Err(panic) => std::panic::resume_unwind(panic),
-        }
-    }
-    let wall_s = start.elapsed().as_secs_f64();
-    outcomes.sort_by_key(|o| o.core);
-
-    // First-mismatch semantics across shards: lowest instruction count
-    // wins, core id breaks ties deterministically. A genuine mismatch
-    // outranks a link error (the stream prefix it was found on was
-    // intact); the lowest-core link error outranks clean verdicts.
-    let mismatch = outcomes
-        .iter()
-        .filter_map(|o| o.mismatch.clone())
-        .min_by_key(|m| (m.seq, m.core));
-    let link_error = outcomes.iter().filter_map(|o| o.link_error).next();
-    let verdict = outcomes.iter().filter_map(|o| o.verdict).next();
-    let link = outcomes.iter().fold(LinkStats::default(), |mut a, o| {
-        for kind in LinkErrorKind::ALL {
-            a.detected[kind as usize] += o.link.count(kind);
-        }
-        a.stale_dropped += o.link.stale_dropped;
-        a
-    });
-
-    let outcome = if mismatch.is_some() {
-        RunOutcome::Mismatch
-    } else if let Some((kind, seq, core)) = link_error {
-        RunOutcome::LinkError { kind, seq, core }
-    } else {
-        match verdict {
-            Some(Verdict::Halt { good: true, .. }) => RunOutcome::GoodTrap,
-            Some(Verdict::Halt { good: false, .. }) => RunOutcome::BadTrap,
-            _ => RunOutcome::MaxCycles,
-        }
-    };
-
-    let items: u64 = outcomes.iter().map(|o| o.items).sum();
-
-    // Deterministic aggregation: producer phases first, then every
-    // worker's registry in core order (outcomes are already sorted), so
-    // the merged metrics are independent of worker scheduling.
-    let mut metrics = Metrics::new();
-    metrics.phases.merge(&producer_times);
-    for o in &outcomes {
-        metrics.merge(&o.metrics);
-    }
-    metrics.counters.set("hw.cycles", cycles);
-    metrics.counters.set("hw.instructions", instructions);
-    // Producer tracks in core order, then worker tracks in core order
-    // (outcomes are sorted), so the merged trace is schedule-independent.
-    let bufs: Vec<SpanBuf> = producer_spans
-        .into_iter()
-        .chain(outcomes.iter().map(|o| o.spans.clone()))
-        .filter(|b| !b.is_empty())
-        .collect();
-    crate::session::export_trace(session.tracer(), &bufs, &mut metrics);
-
-    // Attach producer context plus the failing worker's view; the worker
-    // whose verdict decided the outcome wins (first-mismatch semantics).
-    let flight = match outcome {
-        RunOutcome::Mismatch | RunOutcome::LinkError { .. } => {
-            let failing_core = mismatch
-                .as_ref()
-                .map(|m| m.core)
-                .or(link_error.map(|(_, _, core)| core));
-            let mut snap = producer_flight;
-            if let Some(o) = outcomes
-                .iter()
-                .find(|o| Some(o.core) == failing_core)
-                .or_else(|| {
-                    outcomes
-                        .iter()
-                        .find(|o| o.mismatch.is_some() || o.link_error.is_some())
-                })
-            {
-                snap.append(&o.flight);
-            }
-            Some(snap)
-        }
-        _ => None,
-    };
-    if let Err(e) = export_to_env("sharded", &metrics, flight.as_ref()) {
-        eprintln!("difftest: {} export failed: {e}", difftest_stats::OBS_ENV);
-    }
-
-    let workers = outcomes
-        .into_iter()
-        .map(|o| WorkerReport {
-            core: o.core,
-            items: o.items,
-            instructions: o.instructions,
-            wall_s: o.wall_s,
-            items_per_sec: o.items as f64 / o.wall_s.max(1e-9),
-        })
-        .collect();
-
+    let run = run_channels(RunnerKind::Sharded, &session);
     ShardedReport {
-        common: RunCommon {
-            outcome,
-            mismatch,
-            cycles,
-            instructions,
-            items,
-            link,
-            fault: fault_stats,
-            metrics,
-            flight,
-        },
-        wall_s,
-        cycles_per_sec: cycles as f64 / wall_s.max(1e-9),
-        items_per_sec: items as f64 / wall_s.max(1e-9),
-        workers,
-        pool,
+        cycles_per_sec: run.common.cycles as f64 / run.wall_s.max(1e-9),
+        items_per_sec: run.common.items as f64 / run.wall_s.max(1e-9),
+        common: run.common,
+        wall_s: run.wall_s,
+        workers: run.workers,
+        pool: run.pool,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use difftest_dut::BugKind;
+    use crate::session::{DiffConfig, RunOutcome};
+    use difftest_dut::{BugKind, BugSpec, DutConfig};
+    use difftest_workload::Workload;
+
+    fn run_sharded(
+        dut_cfg: DutConfig,
+        config: DiffConfig,
+        workload: &Workload,
+        bugs: Vec<BugSpec>,
+        max_cycles: u64,
+        queue_depth: usize,
+    ) -> ShardedReport {
+        run_sharded_session(Session::new(
+            dut_cfg,
+            config,
+            workload,
+            bugs,
+            max_cycles,
+            queue_depth,
+            None,
+        ))
+    }
 
     fn dual_core_minimal() -> DutConfig {
         let mut cfg = DutConfig::xiangshan_minimal();

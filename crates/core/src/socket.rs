@@ -11,13 +11,15 @@
 //!   must call [`child_entry`] first thing in `main`), joined by a
 //!   Unix-domain socket;
 //! - **external daemon**: with `DIFFTEST_SERVE_ADDR=unix:<path>` or
-//!   `tcp:<host:port>` set (or via [`run_socket_at`]), the producer
-//!   connects to a persistent `difftest-serve` service multiplexing
-//!   many concurrent sessions (see the `difftest-serve` crate).
+//!   `tcp:<host:port>` set (or an explicit address passed to
+//!   [`run_socket_session`]), the producer connects to a persistent
+//!   `difftest-serve` service multiplexing many concurrent sessions
+//!   (see the `difftest-serve` crate).
 //!
 //! Either way the producer streams length-prefixed frames and reads
 //! back a serialized verdict; both sides are the same shared pipeline —
-//! [`Session`] components on the producer, a
+//! the [`Session`]'s [`Producer`](crate::produce::Producer) over a
+//! frame-writing sink here, a
 //! [`ProtoSession`](crate::mux::ProtoSession) state machine on the
 //! consumer — so verdicts are identical to the in-process runners.
 //!
@@ -33,35 +35,31 @@
 //! result; counters, gauges, phase times and flight records cross the
 //! socket and match the in-process runners.
 //
-// Seam rule: runner modules build on `session`/`link`/`consume` (and,
-// uniquely for this runner, the `proto`/`mux` wire layer) — never on
-// another runner's internals (enforced by `make ci`'s grep).
+// Seam rule: runner modules build on `session`/`link`/`produce`/
+// `consume` (and, uniquely for this runner, the `proto`/`mux` wire
+// layer) — never on another runner's internals (enforced by `make ci`'s
+// grep).
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::ops::{Deref, DerefMut};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use difftest_dut::{BugSpec, DutConfig};
 use difftest_stats::{
-    export_to_env, wall_epoch_ns, FlightKind, FlightRecord, FlightRecorder, Metrics, Phase,
-    PhaseTimer, SpanBuf, PID_PRODUCER,
+    wall_epoch_ns, FlightKind, FlightRecord, FlightRecorder, Metrics, PhaseTimer,
 };
-use difftest_workload::Workload;
 
-use crate::checker::Verdict;
 use crate::fault::{LinkErrorKind, LinkStats};
-use crate::link::{FusionWatch, LinkSink};
+use crate::link::LinkSink;
 use crate::mux::{MuxStep, ProtoSession};
 use crate::proto::{
     read_result, write_end_frame, write_hello, write_transfer_frame, Hello, ServeAddr,
     SERVE_ADDR_ENV,
 };
-use crate::session::{DiffConfig, RunCommon, RunOutcome, Session};
+use crate::session::{seal_report, RunCommon, RunOutcome, RunnerKind, Session};
 use crate::transport::Transfer;
 
 /// Environment variable marking a process as a spawned socket consumer.
@@ -110,20 +108,6 @@ pub struct SocketReport {
     pub consumer_exit: Option<i32>,
 }
 
-impl Deref for SocketReport {
-    type Target = RunCommon;
-
-    fn deref(&self) -> &RunCommon {
-        &self.common
-    }
-}
-
-impl DerefMut for SocketReport {
-    fn deref_mut(&mut self) -> &mut RunCommon {
-        &mut self.common
-    }
-}
-
 /// Hands the process over to the socket consumer when the environment
 /// marks it as one, and returns immediately otherwise. Every binary
 /// that may host the socket runner (examples, benches, harness-free
@@ -140,166 +124,58 @@ pub fn child_entry() {
 
 /// Runs a co-simulation with the producer in this process and the
 /// shared receive-side pipeline in a separate consumer process, joined
-/// by a socket carrying the CRC-framed wire format.
+/// by a socket carrying the CRC-framed wire format. The session's fault
+/// plan, if any, applies on the producer side, before the bytes enter
+/// the socket; like the threaded and sharded runners this one has no
+/// retention ring, so decode failures are reported, not recovered.
 ///
-/// Only meaningful for non-blocking configurations ([`DiffConfig::BN`] /
-/// [`DiffConfig::BNSD`]), like the other parallel runners.
-///
-/// # Panics
-///
-/// Panics when `config` is blocking (`Z`/`B`); never on link or
-/// process failures — those surface as [`RunOutcome::LinkError`].
-pub fn run_socket(
-    dut_cfg: DutConfig,
-    config: DiffConfig,
-    workload: &Workload,
-    bugs: Vec<BugSpec>,
-    max_cycles: u64,
-    queue_depth: usize,
-) -> SocketReport {
-    run_socket_faulty(
-        dut_cfg,
-        config,
-        workload,
-        bugs,
-        max_cycles,
-        queue_depth,
-        None,
-    )
-}
-
-/// [`run_socket`] with an optional fault-injecting link (applied on the
-/// producer side, before the bytes enter the socket). This runner has
-/// no retention ring, so decode failures are reported, not recovered —
-/// the same report-only semantics as the threaded and sharded runners.
+/// The peer is, in order of precedence: the daemon at `addr` (how many
+/// producers share one `difftest-serve` fleet); the daemon
+/// `DIFFTEST_SERVE_ADDR` names (a malformed address is a setup failure,
+/// not a silent fallback); otherwise a consumer child this call spawns
+/// and reaps. `consumer_exit` is `None` against a daemon — it outlives
+/// the run. `tuning` lets tests kill the consumer mid-run.
 ///
 /// # Panics
 ///
-/// Panics when `config` is blocking (`Z`/`B`).
-pub fn run_socket_faulty(
-    dut_cfg: DutConfig,
-    config: DiffConfig,
-    workload: &Workload,
-    bugs: Vec<BugSpec>,
-    max_cycles: u64,
-    queue_depth: usize,
-    fault: Option<FaultPlan>,
-) -> SocketReport {
-    run_socket_tuned(
-        dut_cfg,
-        config,
-        workload,
-        bugs,
-        max_cycles,
-        queue_depth,
-        fault,
-        SocketTuning::default(),
-    )
-}
-
-use crate::fault::FaultPlan;
-
-/// [`run_socket_faulty`] with explicit [`SocketTuning`] (tests use it
-/// to kill the consumer process mid-run).
-///
-/// When `DIFFTEST_SERVE_ADDR` names an external daemon, the run
-/// connects there instead of spawning a consumer child (a malformed
-/// address is a setup failure, not a silent fallback).
-///
-/// # Panics
-///
-/// Panics when `config` is blocking (`Z`/`B`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_socket_tuned(
-    dut_cfg: DutConfig,
-    config: DiffConfig,
-    workload: &Workload,
-    bugs: Vec<BugSpec>,
-    max_cycles: u64,
-    queue_depth: usize,
-    fault: Option<FaultPlan>,
+/// Panics when the configuration is blocking (`Z`/`B`), like the other
+/// parallel runners; never on link or process failures — those surface
+/// as [`RunOutcome::LinkError`].
+pub fn run_socket_session(
+    session: Session,
+    addr: Option<&ServeAddr>,
     tuning: SocketTuning,
 ) -> SocketReport {
-    let session = Session::new(
-        dut_cfg,
-        config,
-        workload,
-        bugs,
-        max_cycles,
-        queue_depth,
-        fault,
-    );
     session.require_nonblock("socket");
     let start = Instant::now();
-    if let Ok(env) = std::env::var(SERVE_ADDR_ENV) {
-        let Some(addr) = ServeAddr::parse(&env) else {
-            return setup_failure_report(start, LinkErrorKind::Malformed, None);
-        };
-        return match connect_remote(&addr)
-            .and_then(|conn| run_producer(&session, workload.words(), tuning, start, conn, None))
-        {
-            Ok(report) => report,
-            Err(fail) => setup_failure_report(start, fail.kind, fail.consumer_exit),
-        };
-    }
-    // Anti-fork-bomb guard: a consumer process must never spawn another
-    // generation of consumers, even if a test calls the runner from one.
-    if std::env::var_os(ROLE_ENV).is_some() {
-        return setup_failure_report(start, LinkErrorKind::Malformed, None);
-    }
-    let spawned = spawn_consumer().and_then(|(stream, guard)| {
-        run_producer(
-            &session,
-            workload.words(),
-            tuning,
-            start,
-            ConnStream::Unix(stream),
-            Some(guard),
-        )
-    });
-    match spawned {
-        Ok(report) => report,
-        Err(fail) => setup_failure_report(start, fail.kind, fail.consumer_exit),
-    }
-}
-
-/// Runs a socket co-simulation against an external daemon at `addr`
-/// (Unix or TCP), without spawning a consumer child. This is how many
-/// producers share one `difftest-serve` fleet; `consumer_exit` is
-/// always `None` — the daemon outlives the run.
-///
-/// # Panics
-///
-/// Panics when `config` is blocking (`Z`/`B`).
-#[allow(clippy::too_many_arguments)]
-pub fn run_socket_at(
-    addr: &ServeAddr,
-    dut_cfg: DutConfig,
-    config: DiffConfig,
-    workload: &Workload,
-    bugs: Vec<BugSpec>,
-    max_cycles: u64,
-    queue_depth: usize,
-    fault: Option<FaultPlan>,
-    tuning: SocketTuning,
-) -> SocketReport {
-    let session = Session::new(
-        dut_cfg,
-        config,
-        workload,
-        bugs,
-        max_cycles,
-        queue_depth,
-        fault,
-    );
-    session.require_nonblock("socket");
-    let start = Instant::now();
-    match connect_remote(addr)
-        .and_then(|conn| run_producer(&session, workload.words(), tuning, start, conn, None))
-    {
-        Ok(report) => report,
-        Err(fail) => setup_failure_report(start, fail.kind, fail.consumer_exit),
-    }
+    let env_addr = match (addr, std::env::var(SERVE_ADDR_ENV)) {
+        (None, Ok(env)) => match ServeAddr::parse(&env) {
+            Some(parsed) => Some(parsed),
+            None => return setup_failure_report(start, SetupFail::new(LinkErrorKind::Malformed)),
+        },
+        _ => None,
+    };
+    let report = match addr.or(env_addr.as_ref()) {
+        Some(addr) => {
+            connect_remote(addr).and_then(|conn| run_producer(&session, tuning, start, conn, None))
+        }
+        // Anti-fork-bomb guard: a consumer process must never spawn
+        // another generation of consumers, even if a test calls the
+        // runner from one.
+        None if std::env::var_os(ROLE_ENV).is_some() => {
+            Err(SetupFail::new(LinkErrorKind::Malformed))
+        }
+        None => spawn_consumer().and_then(|(stream, guard)| {
+            run_producer(
+                &session,
+                tuning,
+                start,
+                ConnStream::Unix(stream),
+                Some(guard),
+            )
+        }),
+    };
+    report.unwrap_or_else(|fail| setup_failure_report(start, fail))
 }
 
 /// A failure before the DUT ever ran (bind/spawn/accept/handshake):
@@ -318,11 +194,11 @@ impl SetupFail {
     }
 }
 
-fn setup_failure_report(
-    start: Instant,
-    kind: LinkErrorKind,
-    consumer_exit: Option<i32>,
-) -> SocketReport {
+fn setup_failure_report(start: Instant, fail: SetupFail) -> SocketReport {
+    let SetupFail {
+        kind,
+        consumer_exit,
+    } = fail;
     let mut link = LinkStats::default();
     link.note(kind);
     SocketReport {
@@ -487,13 +363,10 @@ fn spawn_consumer() -> Result<(UnixStream, ChildGuard), SetupFail> {
     let stream = loop {
         match listener.accept() {
             Ok((s, _)) => break s,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                if accept_from.elapsed() > ACCEPT_TIMEOUT {
-                    return Err(SetupFail {
-                        kind: LinkErrorKind::Gap,
-                        consumer_exit: guard.wait_exit(),
-                    });
-                }
+            Err(e)
+                if e.kind() == io::ErrorKind::WouldBlock
+                    && accept_from.elapsed() <= ACCEPT_TIMEOUT =>
+            {
                 std::thread::sleep(Duration::from_millis(2));
             }
             Err(_) => {
@@ -549,7 +422,6 @@ impl<W: Write> LinkSink for StreamSink<W> {
 
 fn run_producer(
     session: &Session,
-    words: &[u32],
     tuning: SocketTuning,
     start: Instant,
     stream: ConnStream,
@@ -561,7 +433,11 @@ fn run_producer(
     let mut sink = StreamSink {
         w: BufWriter::new(writer),
     };
-    let hello = Hello::from_session(session, tuning.kill_consumer_after.unwrap_or(0), words);
+    let hello = Hello::from_session(
+        session,
+        tuning.kill_consumer_after.unwrap_or(0),
+        session.words(),
+    );
     if write_hello(&mut sink.w, &hello).is_err() {
         return Err(SetupFail {
             kind: LinkErrorKind::Gap,
@@ -572,59 +448,28 @@ fn run_producer(
     // From here on the run always produces a real report: the DUT side
     // executes locally even if the consumer dies (that becomes a typed
     // link error, not a setup failure).
-    let mut dut = session.dut();
-    let mut accel = session.accel();
-    let mut fusion = FusionWatch::default();
+    let mut producer = session.producer(vec![session.lane(None, sink)]);
     let mut timer = PhaseTimer::monotonic();
     let mut rec = FlightRecorder::default();
     let mut metrics = Metrics::new();
     let h_bytes = metrics.register_histogram("packet.bytes");
     let h_items = metrics.register_histogram("packet.items");
-    let mut link =
-        session
-            .send_link(sink)
-            .with_spans(session.span_sink(PID_PRODUCER, 0, "producer", "dut"));
-    let mut transfers = Vec::new();
-    let mut events = Vec::new();
-    let max_cycles = session.max_cycles();
-    let mut alive = true;
-    while alive && dut.halted().is_none() && dut.cycles() < max_cycles {
-        let t0 = timer.start();
-        events.clear();
-        dut.tick_into(&mut events);
-        timer.stop(Phase::Tick, t0);
-        let t0 = timer.start();
-        accel.push_cycle(&events, &mut transfers);
-        timer.stop(Phase::Pack, t0);
-        fusion.observe(&accel, !transfers.is_empty(), 0, dut.cycles(), &mut rec);
-        for t in &transfers {
-            metrics.record(h_bytes, t.bytes.len() as u64);
-            metrics.record(h_items, u64::from(t.items));
-        }
-        let t0 = timer.start();
-        alive = link.feed(&mut transfers, &mut rec, dut.cycles());
-        timer.stop(Phase::Transport, t0);
-    }
-    let t0 = timer.start();
-    accel.flush(&mut transfers);
-    timer.stop(Phase::Pack, t0);
-    for t in &transfers {
+    let mut sizes = |t: &Transfer| {
         metrics.record(h_bytes, t.bytes.len() as u64);
         metrics.record(h_items, u64::from(t.items));
+    };
+    while producer.running() {
+        producer.tick(&mut timer);
+        producer.pack(&mut timer);
+        producer.feed(&mut timer, &mut rec, &mut sizes);
     }
-    let t0 = timer.start();
-    if link.feed(&mut transfers, &mut rec, dut.cycles()) {
-        // Release transfers still held for reordering.
-        link.finish();
-    }
-    timer.stop(Phase::Transport, t0);
+    producer.flush(&mut timer, &mut rec, &mut sizes);
 
-    let produced = link.produced();
-    let fault_stats = link.fault_stats();
-    let producer_spans = link.take_spans();
     // End-of-stream frame carrying the pre-fault produced count (the
     // consumer's tail-loss reference), then half-close so EOF is
     // unambiguous even if the end frame itself was lost to EPIPE.
+    let link = producer.link_mut(0);
+    let produced = link.produced();
     let w = &mut link.sink_mut().w;
     let _ = write_end_frame(w, produced).and_then(|()| w.flush());
     let _ = stream.shutdown(Shutdown::Write);
@@ -636,121 +481,84 @@ fn run_producer(
     let _ = stream.set_read_timeout(Some(RESULT_TIMEOUT));
     let result = read_result(&mut BufReader::new(stream));
     let consumer_exit = guard.as_mut().and_then(ChildGuard::wait_exit);
-
-    let cycles = dut.cycles();
-    let instructions = dut.total_commits();
     let wall_s = start.elapsed().as_secs_f64();
-    let report = match result {
+
+    if result.is_err() {
+        // The consumer process died without a verdict: everything it
+        // had not acknowledged is gone. Typed link error, attributed
+        // to the produced count (the last sequence we know left).
+        rec.record(FlightRecord {
+            kind: FlightKind::LinkError,
+            core: 0,
+            seq: produced,
+            cycle: producer.dut().cycles(),
+            value: LinkErrorKind::Gap as u64,
+        });
+    }
+    let out = producer.finish(&timer, &rec);
+    metrics.phases = out.phases;
+    // One merged timeline: the producer's own track plus the consumer
+    // process's tracks (none without a result blob), already shifted
+    // onto this clock via the wall-epoch exchanged in the handshake.
+    let mut spans = out.spans;
+    let mut link = LinkStats::default();
+    let (outcome, mismatch, items, consumer_flight) = match result {
         Ok(res) => {
-            let outcome = if res.mismatch.is_some() {
-                RunOutcome::Mismatch
-            } else if let Some((kind, seq, core)) = res.link_error {
-                RunOutcome::LinkError { kind, seq, core }
-            } else {
-                match res.verdict {
-                    Some(Verdict::Halt { good: true, .. }) => RunOutcome::GoodTrap,
-                    Some(Verdict::Halt { good: false, .. }) => RunOutcome::BadTrap,
-                    _ => RunOutcome::MaxCycles,
-                }
-            };
-            metrics.phases = timer.times();
             metrics.phases.merge(&res.phases);
-            metrics.counters.set("hw.cycles", cycles);
-            metrics.counters.set("hw.instructions", instructions);
             metrics.counters.set("obs.transfers", res.obs_transfers);
             metrics.counters.set("obs.bytes", res.obs_bytes);
             metrics.counters.set("obs.items", res.items);
             metrics.set_gauge("reorder.buffered.max", res.g_reorder);
             metrics.set_gauge("checker.pending.max", res.g_pending);
-            // One merged timeline: the producer's own track plus the
-            // consumer process's tracks, already shifted onto this
-            // clock via the wall-epoch exchanged in the handshake.
-            let bufs: Vec<SpanBuf> = std::iter::once(producer_spans)
-                .chain(res.spans)
-                .filter(|b| !b.is_empty())
-                .collect();
-            crate::session::export_trace(session.tracer(), &bufs, &mut metrics);
-            let flight = match outcome {
-                RunOutcome::Mismatch | RunOutcome::LinkError { .. } => {
-                    // Producer-side context (sends, fusion) first, then
-                    // the consumer process's view of arrivals and the
-                    // verdict — same ordering as the threaded runner.
-                    let mut snap = rec.snapshot();
-                    snap.append(&res.flight);
-                    Some(snap)
-                }
-                _ => None,
-            };
-            SocketReport {
-                common: RunCommon {
-                    outcome,
-                    mismatch: res.mismatch,
-                    cycles,
-                    instructions,
-                    items: res.items,
-                    link: res.link,
-                    fault: fault_stats,
-                    metrics,
-                    flight,
-                },
-                wall_s,
-                cycles_per_sec: cycles as f64 / wall_s.max(1e-9),
-                consumer_exit,
-            }
+            spans.extend(res.spans);
+            link = res.link;
+            (
+                RunOutcome::decide(res.mismatch.is_some(), res.link_error, res.verdict),
+                res.mismatch,
+                res.items,
+                Some(res.flight),
+            )
         }
         Err(_) => {
-            // The consumer process died without a verdict: everything it
-            // had not acknowledged is gone. Typed link error, attributed
-            // to the produced count (the last sequence we know left).
             let kind = LinkErrorKind::Gap;
-            let mut link_stats = LinkStats::default();
-            link_stats.note(kind);
-            rec.record(FlightRecord {
-                kind: FlightKind::LinkError,
-                core: 0,
-                seq: produced,
-                cycle: cycles,
-                value: kind as u64,
-            });
-            metrics.phases = timer.times();
-            metrics.counters.set("hw.cycles", cycles);
-            metrics.counters.set("hw.instructions", instructions);
-            // No consumer result blob means no consumer spans; the
-            // producer's side of the timeline is still worth keeping.
-            let bufs: Vec<SpanBuf> = std::iter::once(producer_spans)
-                .filter(|b| !b.is_empty())
-                .collect();
-            crate::session::export_trace(session.tracer(), &bufs, &mut metrics);
-            SocketReport {
-                common: RunCommon {
-                    outcome: RunOutcome::LinkError {
-                        kind,
-                        seq: produced,
-                        core: 0,
-                    },
-                    mismatch: None,
-                    cycles,
-                    instructions,
-                    items: 0,
-                    link: link_stats,
-                    fault: fault_stats,
-                    metrics,
-                    flight: Some(rec.snapshot()),
-                },
-                wall_s,
-                cycles_per_sec: cycles as f64 / wall_s.max(1e-9),
-                consumer_exit,
-            }
+            link.note(kind);
+            let seq = produced;
+            (RunOutcome::LinkError { kind, seq, core: 0 }, None, 0, None)
         }
     };
-    if let Err(e) = export_to_env(
-        "socket",
-        &report.common.metrics,
-        report.common.flight.as_ref(),
-    ) {
-        eprintln!("difftest: {} export failed: {e}", difftest_stats::OBS_ENV);
-    }
-    Ok(report)
+    let mut common = RunCommon {
+        outcome,
+        mismatch,
+        cycles: out.cycles,
+        instructions: out.instructions,
+        items,
+        link,
+        fault: out.fault,
+        metrics,
+        flight: None,
+    };
+    // Producer-side context (sends, fusion) first, then the consumer
+    // process's view of arrivals and the verdict — same ordering as the
+    // threaded runner.
+    let mut flight = out.flight;
+    seal_report(
+        RunnerKind::Socket,
+        &mut common,
+        session.tracer(),
+        spans,
+        || {
+            if let Some(theirs) = &consumer_flight {
+                flight.append(theirs);
+            }
+            flight
+        },
+    );
+    Ok(SocketReport {
+        cycles_per_sec: common.cycles as f64 / wall_s.max(1e-9),
+        common,
+        wall_s,
+        consumer_exit,
+    })
 }
 
 /// The spawned consumer process: connect back and drive one

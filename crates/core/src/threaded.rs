@@ -3,33 +3,21 @@
 //!
 //! The engine in [`crate::engine`] *models* non-blocking transmission
 //! (paper §4.5) with overlapped virtual timelines. This module demonstrates
-//! the same architecture with OS threads: a producer thread runs the DUT
-//! and the acceleration unit, a consumer thread runs the shared
+//! the same architecture with OS threads: the calling thread runs the
+//! shared [`Producer`](crate::produce::Producer) (DUT and acceleration
+//! unit), a consumer thread runs the shared
 //! [`Consumer`](crate::consume::Consumer) pipeline, and a bounded channel
-//! between them ([`ChannelSink`]/[`ChannelSource`]) provides the
+//! between them ([`ChannelSink`](crate::link::ChannelSink) /
+//! [`ChannelSource`](crate::link::ChannelSource)) provides the
 //! backpressure of the paper's sending/receiving queues. It reports
 //! wall-clock throughput rather than simulated KHz.
 //
-// Seam rule: runner modules build on `session`/`link`/`consume` only —
-// never on another runner's internals (enforced by `make ci`'s grep).
+// Seam rule: runner modules build on `session`/`link`/`produce`/
+// `consume` (and the shared `channel` topology) only — never on another
+// runner's internals (enforced by `make ci`'s grep).
 
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
-use std::time::Instant;
-
-use crossbeam::channel;
-use difftest_dut::{BugSpec, DutConfig};
-use difftest_stats::{
-    export_to_env, FlightRecorder, Phase, PhaseTimer, SpanBuf, PID_CONSUMER, PID_PRODUCER,
-};
-use difftest_workload::Workload;
-
-use crate::consume::{drive, NoCharge};
-use crate::fault::FaultPlan;
-use crate::link::{ChannelSink, ChannelSource, FusionWatch};
-use crate::session::{DiffConfig, RunCommon, RunOutcome, Session};
+use crate::channel::run_channels;
+use crate::session::{RunCommon, RunnerKind, Session};
 
 /// Result of a threaded run: the shared [`RunCommon`] core plus
 /// wall-clock throughput.
@@ -44,256 +32,52 @@ pub struct ThreadedReport {
     pub cycles_per_sec: f64,
 }
 
-impl Deref for ThreadedReport {
-    type Target = RunCommon;
-
-    fn deref(&self) -> &RunCommon {
-        &self.common
-    }
-}
-
-impl DerefMut for ThreadedReport {
-    fn deref_mut(&mut self) -> &mut RunCommon {
-        &mut self.common
-    }
-}
-
 /// Runs a co-simulation with the hardware and software sides on separate
-/// OS threads, connected by a bounded transfer queue of `queue_depth`.
+/// OS threads, connected by a bounded transfer queue of the session's
+/// `queue_depth`: the channel topology ([`crate::channel`]) with one
+/// unrouted lane and one full-width consumer. Only the non-blocking
+/// configurations make sense here; the blocking semantics of `Z`/`B`
+/// would serialize the threads anyway.
 ///
-/// Only the packed configurations make sense here ([`DiffConfig::BN`] /
-/// [`DiffConfig::BNSD`]); the blocking semantics of `Z`/`B` would serialize
-/// the threads anyway.
-///
-/// # Panics
-///
-/// Panics if a thread dies (a poisoned internal invariant), never on
-/// workload behaviour.
-pub fn run_threaded(
-    dut_cfg: DutConfig,
-    config: DiffConfig,
-    workload: &Workload,
-    bugs: Vec<BugSpec>,
-    max_cycles: u64,
-    queue_depth: usize,
-) -> ThreadedReport {
-    run_threaded_faulty(
-        dut_cfg,
-        config,
-        workload,
-        bugs,
-        max_cycles,
-        queue_depth,
-        None,
-    )
-}
-
-/// [`run_threaded`] with an optional fault-injecting link between the
-/// producer and consumer threads (see [`FaultPlan`]). Decode failures
-/// surface as [`RunOutcome::LinkError`] — stale duplicates are dropped
-/// and counted; a gap left at end of stream (lost packet, including a
-/// tail drop the sequence window alone cannot see) is reported as a
-/// [`crate::fault::LinkErrorKind::Gap`]. This runner has no retention
-/// ring, so it reports rather than recovers.
+/// This runner has no retention ring, so under a fault plan it reports
+/// rather than recovers: decode failures surface as
+/// [`RunOutcome::LinkError`](crate::RunOutcome::LinkError), stale
+/// duplicates are dropped and counted, and a gap left at end of stream
+/// (a lost packet, including a tail drop the sequence window alone
+/// cannot see) is a [`crate::fault::LinkErrorKind::Gap`].
 ///
 /// # Panics
 ///
-/// Panics if a thread dies (a poisoned internal invariant), never on
-/// workload behaviour or link faults.
-pub fn run_threaded_faulty(
-    dut_cfg: DutConfig,
-    config: DiffConfig,
-    workload: &Workload,
-    bugs: Vec<BugSpec>,
-    max_cycles: u64,
-    queue_depth: usize,
-    fault: Option<FaultPlan>,
-) -> ThreadedReport {
-    run_threaded_session(Session::new(
-        dut_cfg,
-        config,
-        workload,
-        bugs,
-        max_cycles,
-        queue_depth,
-        fault,
-    ))
-}
-
-/// [`run_threaded_faulty`] on a pre-built [`Session`] — the entry point
-/// tests use to inject a [`Tracer`](difftest_stats::Tracer) (via
-/// [`Session::with_tracer`]) without touching process environment.
-///
-/// # Panics
-///
-/// Panics if a thread dies (a poisoned internal invariant), never on
-/// workload behaviour or link faults.
+/// Panics when the configuration is blocking, or if a thread dies (a
+/// poisoned internal invariant) — never on workload behaviour or link
+/// faults.
 pub fn run_threaded_session(session: Session) -> ThreadedReport {
-    session.require_nonblock("threaded");
-    let max_cycles = session.max_cycles();
-
-    let (tx, rx) = channel::bounded(session.queue_depth());
-    // Consumer -> producer stop signal (mismatch or trap seen early). An
-    // atomic flag cannot race or fill up the way a 1-slot channel could:
-    // a second stop reason published while the first is still unread is
-    // simply idempotent.
-    let stop = Arc::new(AtomicBool::new(false));
-    // The shared send path counts packets produced before fault
-    // injection; the consumer compares its expected sequence against
-    // this after the channel closes to detect drops the reorder window
-    // never sees (tail loss).
-    let mut link = session
-        .send_link(ChannelSink(tx))
-        .with_spans(session.span_sink(PID_PRODUCER, 0, "producer", "dut"));
-    let produced = link.produced_handle();
-
-    let start = Instant::now();
-
-    let producer = {
-        let session = session.clone();
-        let stop = Arc::clone(&stop);
-        thread::spawn(move || {
-            let mut dut = session.dut();
-            let mut accel = session.accel();
-            let mut fusion = FusionWatch::default();
-            let mut timer = PhaseTimer::monotonic();
-            let mut rec = FlightRecorder::default();
-            let mut transfers = Vec::new();
-            let mut events = Vec::new();
-            while dut.halted().is_none() && dut.cycles() < max_cycles {
-                if stop.load(Ordering::Acquire) {
-                    break;
-                }
-                let t0 = timer.start();
-                events.clear();
-                dut.tick_into(&mut events);
-                timer.stop(Phase::Tick, t0);
-                let t0 = timer.start();
-                accel.push_cycle(&events, &mut transfers);
-                timer.stop(Phase::Pack, t0);
-                fusion.observe(&accel, !transfers.is_empty(), 0, dut.cycles(), &mut rec);
-                let t0 = timer.start();
-                let alive = link.feed(&mut transfers, &mut rec, dut.cycles());
-                timer.stop(Phase::Transport, t0);
-                if !alive {
-                    // Receiver gone: it already decided the run.
-                    break;
-                }
-            }
-            let t0 = timer.start();
-            accel.flush(&mut transfers);
-            timer.stop(Phase::Pack, t0);
-            let t0 = timer.start();
-            if link.feed(&mut transfers, &mut rec, dut.cycles()) {
-                // Release transfers still held for reordering.
-                link.finish();
-            }
-            timer.stop(Phase::Transport, t0);
-            let fault_stats = link.fault_stats();
-            let spans = link.take_spans();
-            drop(link); // closes the channel: end of stream
-            (
-                dut.cycles(),
-                dut.total_commits(),
-                fault_stats,
-                timer.times(),
-                rec.snapshot(),
-                spans,
-            )
-        })
-    };
-
-    let consumer = {
-        let session = session.clone();
-        let stop = Arc::clone(&stop);
-        thread::spawn(move || {
-            let mut source = ChannelSource(rx);
-            let mut consumer = session.consumer().with_spans(session.span_sink(
-                PID_CONSUMER,
-                0,
-                "consumer",
-                "consumer",
-            ));
-            let exhausted = drive(&mut source, &mut consumer, || {
-                stop.store(true, Ordering::Release);
-            });
-            if exhausted {
-                // The channel closed, so `produced` is final: any packet
-                // the receiver still waits on was lost on the link.
-                let sent = produced.load(Ordering::Acquire);
-                consumer.finish_stream(Some(sent), 0, &mut NoCharge);
-            }
-            consumer.finish()
-        })
-    };
-
-    let (cycles, instructions, fault_stats, producer_times, producer_flight, producer_spans) =
-        match producer.join() {
-            Ok(v) => v,
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-    let out = match consumer.join() {
-        Ok(v) => v,
-        Err(panic) => std::panic::resume_unwind(panic),
-    };
-    let wall_s = start.elapsed().as_secs_f64();
-
-    let outcome = if out.mismatch.is_some() {
-        RunOutcome::Mismatch
-    } else if let Some((kind, seq, core)) = out.link_error {
-        RunOutcome::LinkError { kind, seq, core }
-    } else {
-        match out.verdict {
-            Some(crate::checker::Verdict::Halt { good: true, .. }) => RunOutcome::GoodTrap,
-            Some(crate::checker::Verdict::Halt { good: false, .. }) => RunOutcome::BadTrap,
-            _ => RunOutcome::MaxCycles,
-        }
-    };
-
-    let mut metrics = out.metrics;
-    metrics.phases.merge(&producer_times);
-    metrics.counters.set("hw.cycles", cycles);
-    metrics.counters.set("hw.instructions", instructions);
-    let bufs: Vec<SpanBuf> = [producer_spans, out.spans]
-        .into_iter()
-        .filter(|b| !b.is_empty())
-        .collect();
-    crate::session::export_trace(session.tracer(), &bufs, &mut metrics);
-    let flight = match outcome {
-        RunOutcome::Mismatch | RunOutcome::LinkError { .. } => {
-            // Producer-side context (sends, fusion) first, then the
-            // failing consumer's view of arrivals and the verdict.
-            let mut snap = producer_flight;
-            snap.append(&out.flight);
-            Some(snap)
-        }
-        _ => None,
-    };
-    if let Err(e) = export_to_env("threaded", &metrics, flight.as_ref()) {
-        eprintln!("difftest: {} export failed: {e}", difftest_stats::OBS_ENV);
-    }
-
+    let run = run_channels(RunnerKind::Threaded, &session);
     ThreadedReport {
-        common: RunCommon {
-            outcome,
-            mismatch: out.mismatch,
-            cycles,
-            instructions,
-            items: out.items,
-            link: out.link,
-            fault: fault_stats,
-            metrics,
-            flight,
-        },
-        wall_s,
-        cycles_per_sec: cycles as f64 / wall_s.max(1e-9),
+        cycles_per_sec: run.common.cycles as f64 / run.wall_s.max(1e-9),
+        common: run.common,
+        wall_s: run.wall_s,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use difftest_dut::BugKind;
+    use crate::session::{DiffConfig, RunOutcome};
+    use difftest_dut::{BugKind, BugSpec, DutConfig};
+    use difftest_workload::Workload;
+
+    fn run_threaded(
+        dut_cfg: DutConfig,
+        config: DiffConfig,
+        workload: &Workload,
+        bugs: Vec<BugSpec>,
+        max_cycles: u64,
+    ) -> ThreadedReport {
+        run_threaded_session(Session::new(
+            dut_cfg, config, workload, bugs, max_cycles, 8, None,
+        ))
+    }
 
     #[test]
     fn threaded_run_reaches_good_trap() {
@@ -304,7 +88,6 @@ mod tests {
             &w,
             Vec::new(),
             500_000,
-            8,
         );
         assert_eq!(r.outcome, RunOutcome::GoodTrap);
         assert!(r.items > 0);
@@ -320,7 +103,6 @@ mod tests {
             &w,
             vec![BugSpec::new(BugKind::RegWriteCorruption, 5_000)],
             500_000,
-            8,
         );
         assert_eq!(r.outcome, RunOutcome::Mismatch);
         assert!(r.mismatch.is_some());
@@ -330,13 +112,6 @@ mod tests {
     #[should_panic(expected = "non-blocking")]
     fn threaded_run_rejects_blocking_configs() {
         let w = Workload::microbench().seed(2).iterations(5).build();
-        let _ = run_threaded(
-            DutConfig::nutshell(),
-            DiffConfig::Z,
-            &w,
-            Vec::new(),
-            1_000,
-            8,
-        );
+        let _ = run_threaded(DutConfig::nutshell(), DiffConfig::Z, &w, Vec::new(), 1_000);
     }
 }

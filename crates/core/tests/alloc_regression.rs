@@ -10,12 +10,14 @@
 //! registration), ingesting the remaining packets must allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use difftest_core::consume::{NoCharge, Step};
+use difftest_core::link::QueueSink;
 use difftest_core::session::{DiffConfig, Session};
 use difftest_core::transport::Transfer;
 use difftest_dut::DutConfig;
+use difftest_stats::{FlightRecorder, PhaseTimer};
 use difftest_workload::Workload;
 
 /// Counts every allocation and reallocation crossing the global
@@ -51,17 +53,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Runs the producer side to completion, collecting every packet.
 fn produce(session: &Session) -> Vec<Transfer> {
-    let mut dut = session.dut();
-    let mut accel = session.accel();
-    let mut transfers = Vec::new();
-    let mut events = Vec::new();
-    while dut.halted().is_none() && dut.cycles() < session.max_cycles() {
-        events.clear();
-        dut.tick_into(&mut events);
-        accel.push_cycle(&events, &mut transfers);
-    }
-    accel.flush(&mut transfers);
-    transfers
+    let mut p = session.producer(vec![session.lane(None, QueueSink::default())]);
+    let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
+    p.run(&AtomicBool::new(false), &mut timer, &mut rec);
+    std::mem::take(&mut p.link_mut(0).sink_mut().queue)
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! must surface as errors.
 
 use difftest_core::{
-    run_sharded_faulty, run_threaded_faulty, CoSimulation, DiffConfig, FaultPlan, RunOutcome,
-    RunReport,
+    run_sharded_session, run_threaded_session, CoSimulation, DiffConfig, FaultPlan, RunOutcome,
+    RunReport, Session,
 };
 use difftest_dut::DutConfig;
 use difftest_platform::Platform;
@@ -153,7 +153,7 @@ fn threaded_runner_contains_faults() {
     for seed in SEEDS {
         for rate in RATES {
             let plan = FaultPlan::uniform(seed, rate);
-            let r = run_threaded_faulty(
+            let r = run_threaded_session(Session::new(
                 DutConfig::nutshell(),
                 DiffConfig::BNSD,
                 &w,
@@ -161,7 +161,7 @@ fn threaded_runner_contains_faults() {
                 400_000,
                 8,
                 Some(plan),
-            );
+            ));
             let ctx = format!("threaded seed={seed} rate={rate}‰");
             assert_contained(r.outcome, &ctx);
             assert!(r.mismatch.is_none(), "{ctx}: phantom mismatch");
@@ -181,7 +181,7 @@ fn threaded_runner_contains_faults() {
 
 #[test]
 fn threaded_clean_link_still_passes() {
-    let r = run_threaded_faulty(
+    let r = run_threaded_session(Session::new(
         DutConfig::nutshell(),
         DiffConfig::BNSD,
         &workload(),
@@ -189,7 +189,7 @@ fn threaded_clean_link_still_passes() {
         400_000,
         8,
         Some(FaultPlan::clean(1)),
-    );
+    ));
     assert_eq!(r.outcome, RunOutcome::GoodTrap);
     assert_eq!(r.link.total_detected(), 0);
 }
@@ -200,7 +200,7 @@ fn sharded_runner_contains_faults() {
     for seed in SEEDS {
         for rate in RATES {
             let plan = FaultPlan::uniform(seed, rate);
-            let r = run_sharded_faulty(
+            let r = run_sharded_session(Session::new(
                 DutConfig::xiangshan_minimal(),
                 DiffConfig::BNSD,
                 &w,
@@ -208,7 +208,7 @@ fn sharded_runner_contains_faults() {
                 400_000,
                 8,
                 Some(plan),
-            );
+            ));
             let ctx = format!("sharded seed={seed} rate={rate}‰");
             assert_contained(r.outcome, &ctx);
             assert!(r.mismatch.is_none(), "{ctx}: phantom mismatch");
@@ -229,7 +229,7 @@ fn sharded_runner_contains_faults() {
 #[test]
 fn sharded_clean_link_still_passes() {
     let w = Workload::linux_boot().seed(9).iterations(120).build();
-    let r = run_sharded_faulty(
+    let r = run_sharded_session(Session::new(
         DutConfig::xiangshan_minimal(),
         DiffConfig::BNSD,
         &w,
@@ -237,7 +237,7 @@ fn sharded_clean_link_still_passes() {
         400_000,
         8,
         Some(FaultPlan::clean(1)),
-    );
+    ));
     assert_eq!(r.outcome, RunOutcome::GoodTrap);
     assert_eq!(r.link.total_detected(), 0);
 }

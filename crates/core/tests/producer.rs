@@ -1,0 +1,116 @@
+//! The shared send-side state machine on its own: a `Producer` run to
+//! completion over an in-memory queue ships exactly the stream the
+//! engine ships, and a dead receiver stops it without losing its
+//! account of the run.
+
+use std::sync::atomic::AtomicBool;
+
+use difftest_core::consume::{NoCharge, Step};
+use difftest_core::{
+    run_session, DiffConfig, FaultPlan, LinkSink, QueueSink, RunnerKind, Session, Transfer,
+};
+use difftest_dut::DutConfig;
+use difftest_stats::{FlightKind, FlightRecorder, Phase, PhaseTimer};
+use difftest_workload::Workload;
+
+fn dual_core_minimal() -> DutConfig {
+    let mut cfg = DutConfig::xiangshan_minimal();
+    cfg.cores = 2;
+    cfg
+}
+
+#[test]
+fn queue_producer_reproduces_the_engine_stream() {
+    let presets = [
+        Workload::microbench().seed(5).iterations(8).build(),
+        Workload::linux_boot().seed(5).iterations(12).build(),
+    ];
+    for w in &presets {
+        for dut in [DutConfig::nutshell(), dual_core_minimal()] {
+            for config in DiffConfig::ALL {
+                let ctx = format!("{config:?} on {} core(s)", dut.cores);
+                let session = Session::new(dut.clone(), config, w, Vec::new(), 300_000, 8, None);
+                let engine = run_session(RunnerKind::Engine, session.clone());
+
+                let mut p = session.producer(vec![session.lane(None, QueueSink::default())]);
+                let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
+                p.run(&AtomicBool::new(false), &mut timer, &mut rec);
+                let produced = p.link_mut(0).produced();
+                let queue = std::mem::take(&mut p.link_mut(0).sink_mut().queue);
+                assert_eq!(
+                    queue.len() as u32,
+                    produced,
+                    "{ctx}: clean link delivers all"
+                );
+                let out = p.finish(&timer, &rec);
+                assert_eq!(out.cycles, engine.cycles, "{ctx}");
+                assert_eq!(out.instructions, engine.instructions, "{ctx}");
+                for phase in [Phase::Tick, Phase::Pack, Phase::Transport] {
+                    assert!(out.phases.get(phase) > 0, "{ctx}: {phase} untimed");
+                }
+                assert_eq!(out.phases.get(Phase::Monitor), 0, "{ctx}: no hook ran");
+
+                // The same receive side the engine drives, fed the
+                // producer's stream, must account the same volume.
+                let mut consumer = session.consumer();
+                let stopped = queue
+                    .iter()
+                    .any(|t| consumer.ingest(t, 0, &mut NoCharge) == Step::Stop);
+                if !stopped {
+                    consumer.finish_stream(Some(produced), 0, &mut NoCharge);
+                }
+                let got = consumer.finish();
+                assert!(got.mismatch.is_none(), "{ctx}: {:?}", got.mismatch);
+                assert_eq!(got.items, engine.items, "{ctx}");
+                for key in ["obs.bytes", "obs.transfers"] {
+                    assert_eq!(
+                        got.metrics.counters.get(key),
+                        engine.metrics.counters.get(key),
+                        "{ctx}: {key}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A receiver that is gone by the time the `.0`-th transfer arrives.
+struct DyingSink(u32);
+
+impl LinkSink for DyingSink {
+    fn send(&mut self, _t: Transfer) -> bool {
+        self.0 = self.0.saturating_sub(1);
+        self.0 > 0
+    }
+}
+
+#[test]
+fn dead_receiver_stops_the_producer_and_finish_still_reports() {
+    let w = Workload::linux_boot().seed(9).iterations(300).build();
+    let session = Session::new(
+        DutConfig::nutshell(),
+        DiffConfig::BNSD,
+        &w,
+        Vec::new(),
+        300_000,
+        8,
+        Some(FaultPlan::clean(1)),
+    );
+    let mut p = session.producer(vec![session.lane(None, DyingSink(3))]);
+    let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
+    p.run(&AtomicBool::new(false), &mut timer, &mut rec);
+    assert!(!p.running());
+    assert!(
+        p.dut().halted().is_none() && p.dut().cycles() < 300_000,
+        "the dead receiver, not the workload, ended the run"
+    );
+    let out = p.finish(&timer, &rec);
+    assert!(out.cycles > 0 && out.instructions > 0);
+    assert!(out.fault.is_some_and(|f| f.delivered >= 3));
+    let sent = out
+        .flight
+        .records
+        .iter()
+        .filter(|r| r.kind == FlightKind::PacketSent);
+    assert!(sent.count() >= 3, "sends stay on the flight record");
+}

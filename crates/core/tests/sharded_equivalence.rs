@@ -5,7 +5,7 @@
 //! what is checked.
 
 use difftest_core::engine::{DiffConfig, RunOutcome};
-use difftest_core::{run_sharded, run_threaded};
+use difftest_core::{run_sharded_session, run_threaded_session, Session};
 use difftest_dut::{BugKind, BugSpec, DutConfig};
 use difftest_workload::Workload;
 use proptest::prelude::*;
@@ -22,12 +22,12 @@ proptest! {
     #[test]
     fn sharded_matches_threaded_on_clean_runs(seed in 0u64..1_000) {
         let w = Workload::microbench().seed(seed).iterations(40).build();
-        let t = run_threaded(
-            DutConfig::nutshell(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8,
-        );
-        let s = run_sharded(
-            DutConfig::nutshell(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8,
-        );
+        let t = run_threaded_session(Session::new(
+            DutConfig::nutshell(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8, None,
+        ));
+        let s = run_sharded_session(Session::new(
+            DutConfig::nutshell(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8, None,
+        ));
         prop_assert_eq!(s.outcome, t.outcome);
         prop_assert_eq!(s.outcome, RunOutcome::GoodTrap);
         prop_assert_eq!(s.items, t.items, "both runners check the same stream");
@@ -40,12 +40,12 @@ proptest! {
     ) {
         let w = Workload::linux_boot().seed(seed).iterations(300).build();
         let bugs = vec![BugSpec::new(BugKind::RegWriteCorruption, bug_cycle)];
-        let t = run_threaded(
-            DutConfig::xiangshan_minimal(), DiffConfig::BNSD, &w, bugs.clone(), 500_000, 8,
-        );
-        let s = run_sharded(
-            DutConfig::xiangshan_minimal(), DiffConfig::BNSD, &w, bugs, 500_000, 8,
-        );
+        let t = run_threaded_session(Session::new(
+            DutConfig::xiangshan_minimal(), DiffConfig::BNSD, &w, bugs.clone(), 500_000, 8, None,
+        ));
+        let s = run_sharded_session(Session::new(
+            DutConfig::xiangshan_minimal(), DiffConfig::BNSD, &w, bugs, 500_000, 8, None,
+        ));
         prop_assert_eq!(s.outcome, t.outcome);
         // Single core: arrival order is identical, so the first failing
         // check must be byte-for-byte the same mismatch.
@@ -72,12 +72,12 @@ proptest! {
         // order must reproduce exactly what the single-consumer runner
         // measured on the same stream — histogram for histogram.
         let w = Workload::microbench().seed(seed).iterations(40).build();
-        let t = run_threaded(
-            DutConfig::nutshell(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8,
-        );
-        let s = run_sharded(
-            DutConfig::nutshell(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8,
-        );
+        let t = run_threaded_session(Session::new(
+            DutConfig::nutshell(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8, None,
+        ));
+        let s = run_sharded_session(Session::new(
+            DutConfig::nutshell(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8, None,
+        ));
         // Single core: both runners pack the identical packet stream, so
         // the merged histograms must match the threaded ones bucket for
         // bucket (phase timings are wall-clock and naturally differ).
@@ -93,9 +93,9 @@ proptest! {
         }
         // And a re-run with the same seed reproduces the merged registry
         // exactly: worker scheduling must not leak into the aggregation.
-        let s2 = run_sharded(
-            DutConfig::nutshell(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8,
-        );
+        let s2 = run_sharded_session(Session::new(
+            DutConfig::nutshell(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8, None,
+        ));
         prop_assert_eq!(
             s.metrics.histogram("packet.bytes"), s2.metrics.histogram("packet.bytes")
         );
@@ -111,21 +111,21 @@ proptest! {
         // boundaries (and their histograms) legitimately differ — but
         // the checked item volume is schedule-independent.
         let w = Workload::microbench().seed(seed).iterations(40).build();
-        let t = run_threaded(
-            dual_core_minimal(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8,
-        );
-        let s = run_sharded(
-            dual_core_minimal(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8,
-        );
+        let t = run_threaded_session(Session::new(
+            dual_core_minimal(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8, None,
+        ));
+        let s = run_sharded_session(Session::new(
+            dual_core_minimal(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8, None,
+        ));
         prop_assert_eq!(s.outcome, RunOutcome::GoodTrap);
         prop_assert_eq!(
             s.metrics.counters.get("obs.items"),
             t.metrics.counters.get("obs.items"),
             "clean dual-core runs must check the same item volume"
         );
-        let s2 = run_sharded(
-            dual_core_minimal(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8,
-        );
+        let s2 = run_sharded_session(Session::new(
+            dual_core_minimal(), DiffConfig::BNSD, &w, Vec::new(), 500_000, 8, None,
+        ));
         prop_assert_eq!(
             s.metrics.histogram("packet.bytes"), s2.metrics.histogram("packet.bytes"),
             "sharded re-run must merge to the identical histogram"
@@ -143,12 +143,12 @@ proptest! {
         } else {
             Vec::new()
         };
-        let t = run_threaded(
-            dual_core_minimal(), DiffConfig::BNSD, &w, bugs.clone(), 500_000, 8,
-        );
-        let s = run_sharded(
-            dual_core_minimal(), DiffConfig::BNSD, &w, bugs, 500_000, 8,
-        );
+        let t = run_threaded_session(Session::new(
+            dual_core_minimal(), DiffConfig::BNSD, &w, bugs.clone(), 500_000, 8, None,
+        ));
+        let s = run_sharded_session(Session::new(
+            dual_core_minimal(), DiffConfig::BNSD, &w, bugs, 500_000, 8, None,
+        ));
         // Across cores the two runners may stop at different points in the
         // interleaving, but the verdict class must agree.
         prop_assert_eq!(s.outcome, t.outcome);

@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use difftest_core::{
-    run_intervals_session, run_sharded_session, run_threaded_session, CoSimulation, DiffConfig,
-    IntervalTuning, RunOutcome, RunReport, Session,
+    run_sharded_session, run_threaded_session, CoSimulation, DiffConfig, RunOutcome, RunReport,
+    Session,
 };
 use difftest_dut::{BugKind, BugSpec, DutConfig};
 use difftest_stats::{parse_json, validate_trace, FakeClock, Json, Tracer};
@@ -178,37 +178,6 @@ fn sharded_trace_has_per_core_tracks() {
     let _ = std::fs::remove_file(&p);
 }
 
-#[test]
-fn intervals_trace_carries_worker_busy_counter() {
-    let p = trace_path("intervals");
-    let w = Workload::microbench().seed(7).iterations(60).build();
-    let r = run_intervals_session(
-        session(DutConfig::nutshell(), &w, Vec::new()).with_tracer(Some(fake_tracer(&p))),
-        IntervalTuning {
-            interval_insns: 256,
-            workers: 2,
-        },
-    );
-    assert_eq!(r.common.outcome, RunOutcome::GoodTrap);
-    assert!(r.common.metrics.counters.get("trace.spans_recorded") > 0);
-    let text = std::fs::read_to_string(&p).expect("trace written");
-    let summary = validate_trace(&text).expect("well-formed trace");
-    assert!(summary.spans > 0 && summary.flows > 0);
-    assert!(
-        summary.counters > 0,
-        "workers emit interval.workers_busy samples"
-    );
-    assert!(
-        text.contains("\"interval.workers_busy\""),
-        "counter track named after the gauge"
-    );
-    assert!(
-        text.contains("\"name\":\"interval\",\"cat\":\"difftest\""),
-        "per-job interval spans present"
-    );
-    let _ = std::fs::remove_file(&p);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -250,20 +219,6 @@ proptest! {
         let p = trace_path("prop-sharded");
         let traced = run_sharded_session(
             session(dual_core_minimal(), &w, Vec::new()).with_tracer(Some(fake_tracer(&p))),
-        );
-        prop_assert_eq!(traced.common.outcome, base.common.outcome);
-        prop_assert_eq!(traced.common.items, base.common.items);
-        prop_assert_eq!(traced.common.instructions, base.common.instructions);
-        let _ = std::fs::remove_file(&p);
-
-        let tuning = IntervalTuning { interval_insns: 512, workers: 2 };
-        let base = run_intervals_session(
-            session(DutConfig::nutshell(), &w, Vec::new()), tuning,
-        );
-        let p = trace_path("prop-intervals");
-        let traced = run_intervals_session(
-            session(DutConfig::nutshell(), &w, Vec::new()).with_tracer(Some(fake_tracer(&p))),
-            tuning,
         );
         prop_assert_eq!(traced.common.outcome, base.common.outcome);
         prop_assert_eq!(traced.common.items, base.common.items);

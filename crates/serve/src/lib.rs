@@ -8,9 +8,9 @@
 //! [`ProtoSession`](difftest_core::ProtoSession) per connection from
 //! whatever bytes have arrived, and writes each session's DTHR result
 //! blob back on its own connection. Producers are the unmodified socket
-//! runner pointed at the daemon (`DIFFTEST_SERVE_ADDR` or
-//! [`run_socket_at`](difftest_core::run_socket_at)); verdicts
-//! are byte-identical to the spawned-child arrangement because both
+//! runner pointed at the daemon (`DIFFTEST_SERVE_ADDR` or an address
+//! passed to [`run_socket_session`](difftest_core::run_socket_session));
+//! verdicts are byte-identical to the spawned-child arrangement because both
 //! sides share the same protocol and consumer pipeline.
 //!
 //! # Backpressure

@@ -22,8 +22,8 @@ use std::time::Duration;
 
 use difftest_core::proto::write_hello;
 use difftest_core::{
-    run_runner, run_socket_at, DiffConfig, Hello, RunOutcome, RunnerKind, RunnerReport, ServeAddr,
-    SocketReport, SocketTuning,
+    run_runner, run_socket_session, DiffConfig, Hello, RunOutcome, RunnerKind, RunnerReport,
+    ServeAddr, Session, SocketReport, SocketTuning,
 };
 use difftest_dut::{BugKind, BugSpec, DutConfig};
 use difftest_serve::{spawn, ServeConfig};
@@ -46,15 +46,17 @@ fn engine(w: &Workload, bugs: Vec<BugSpec>) -> RunnerReport {
 }
 
 fn via_daemon(addr: &ServeAddr, w: &Workload, bugs: Vec<BugSpec>) -> SocketReport {
-    run_socket_at(
-        addr,
-        DutConfig::nutshell(),
-        DiffConfig::BNSD,
-        w,
-        bugs,
-        MAX_CYCLES,
-        QUEUE_DEPTH,
-        None,
+    run_socket_session(
+        Session::new(
+            DutConfig::nutshell(),
+            DiffConfig::BNSD,
+            w,
+            bugs,
+            MAX_CYCLES,
+            QUEUE_DEPTH,
+            None,
+        ),
+        Some(addr),
         SocketTuning::default(),
     )
 }

@@ -1,9 +1,9 @@
 //! Observability smoke: run every runner with `DIFFTEST_OBS` set and
 //! validate the exported JSONL — all seven phases present, packet
 //! histograms populated, and a flight-recorder snapshot attached to the
-//! fault-injected failure. The engine, sharded and interval runners
-//! additionally export Chrome/Perfetto span traces (DESIGN.md §15) that
-//! are validated in-process and counted via the `trace.*` counters.
+//! fault-injected failure. The engine and sharded runners additionally
+//! export Chrome/Perfetto span traces (DESIGN.md §15) that are
+//! validated in-process and counted via the `trace.*` counters.
 //!
 //! ```text
 //! DIFFTEST_OBS=metrics.jsonl DIFFTEST_TRACE=trace.json \
@@ -12,15 +12,15 @@
 //!
 //! Without the env vars the example exports to temporary files so
 //! `make obs` is self-contained. `DIFFTEST_TRACE` is treated as a stem:
-//! the three traced runners write `<stem>.engine.json`,
-//! `<stem>.sharded.json` and `<stem>.intervals.json`.
+//! the two traced runners write `<stem>.engine.json` and
+//! `<stem>.sharded.json`.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use difftest_h::core::{
-    run_intervals_session, run_sharded_session, run_threaded, CoSimulation, DiffConfig, FaultPlan,
-    IntervalTuning, RunOutcome, Session,
+    run_sharded_session, run_threaded_session, CoSimulation, DiffConfig, FaultPlan, RunOutcome,
+    Session,
 };
 use difftest_h::dut::DutConfig;
 use difftest_h::platform::Platform;
@@ -109,14 +109,15 @@ fn main() {
     assert_eq!(engine_summary.tracks, 2, "engine: producer + consumer");
 
     // 2. Threaded runner: clean run, wall-clock phase attribution.
-    let t = run_threaded(
+    let t = run_threaded_session(Session::new(
         DutConfig::nutshell(),
         DiffConfig::BNSD,
         &w,
         Vec::new(),
         400_000,
         8,
-    );
+        None,
+    ));
     assert_eq!(t.outcome, RunOutcome::GoodTrap);
     // No tracer injected and the env var is cleared: the threaded leg
     // demonstrates the dormant path — zero spans accounted.
@@ -158,39 +159,6 @@ fn main() {
         assert!(!snap.records.is_empty(), "snapshot must carry records");
     }
 
-    // 4. Interval runner: clean run, `interval.*` rows in the export,
-    //    per-worker trace tracks with `interval.workers_busy` samples.
-    let intervals_trace = trace_for("intervals");
-    let iv = run_intervals_session(
-        Session::new(
-            DutConfig::nutshell(),
-            DiffConfig::BNSD,
-            &w,
-            Vec::new(),
-            400_000,
-            8,
-            None,
-        )
-        .with_tracer(Some(Tracer::to_path(&intervals_trace))),
-        IntervalTuning::default(),
-    );
-    assert_eq!(iv.outcome, RunOutcome::GoodTrap);
-    assert_eq!(iv.instructions_checked, iv.instructions);
-    println!(
-        "intervals: {:?}, {} intervals, {} checkpoint bytes, busy high-water {}, \
-         span {:.0} ms",
-        iv.outcome,
-        iv.intervals,
-        iv.checkpoint_bytes,
-        iv.max_workers_busy,
-        iv.span_s() * 1e3
-    );
-    let iv_summary = check_trace("intervals", &intervals_trace, &iv.metrics);
-    assert!(
-        iv_summary.counters > 0,
-        "intervals: no interval.workers_busy counter samples"
-    );
-
     // Validate the export: parse every line, collect phases per runner.
     let text = std::fs::read_to_string(&path).expect("export file written");
     let mut phases: BTreeSet<String> = BTreeSet::new();
@@ -214,24 +182,7 @@ fn main() {
             }
         }
     }
-    assert_eq!(runs, 4, "four runners must have exported");
-    assert!(
-        text.contains("\"interval.count\""),
-        "interval counters missing from export"
-    );
-    assert!(
-        text.contains("\"interval.len\""),
-        "interval length histogram missing from export"
-    );
-    assert!(
-        text.contains("\"interval.workers_busy.max\""),
-        "workers-busy gauge missing from export"
-    );
-    assert!(
-        text.contains("\"interval.recording_cpu_us\"")
-            && text.contains("\"interval.worker_cpu_max_us\""),
-        "span busy-time counters missing from export"
-    );
+    assert_eq!(runs, 3, "three runners must have exported");
     for phase in Phase::ALL {
         assert!(
             phases.contains(phase.name()),

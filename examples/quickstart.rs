@@ -2,7 +2,7 @@
 //!
 //! Every transport substrate drives the identical pipeline, so the
 //! runner is just a command-line choice dispatched through
-//! [`run_runner`]:
+//! [`run_session`]:
 //!
 //! ```text
 //! cargo run --release --example quickstart                    # engine
@@ -11,7 +11,7 @@
 //! cargo run --release --example quickstart -- socket
 //! ```
 
-use difftest_h::core::{run_runner, DiffConfig, RunnerKind, RunnerReport};
+use difftest_h::core::{run_session, DiffConfig, RunnerKind, RunnerReport, Session};
 use difftest_h::dut::DutConfig;
 use difftest_h::stats::fmt_hz;
 use difftest_h::workload::Workload;
@@ -26,11 +26,8 @@ fn main() {
         Some("threaded") => RunnerKind::Threaded,
         Some("sharded") => RunnerKind::Sharded,
         Some("socket") => RunnerKind::Socket,
-        Some("intervals") => RunnerKind::Intervals,
         Some(other) => {
-            eprintln!(
-                "unknown runner {other:?}; expected engine|threaded|sharded|socket|intervals"
-            );
+            eprintln!("unknown runner {other:?}; expected engine|threaded|sharded|socket");
             std::process::exit(2);
         }
     };
@@ -43,15 +40,17 @@ fn main() {
     // 2-3. Run the full DiffTest-H pipeline (Batch + NonBlock + Squash +
     //    Differencing + Replay) on a XiangShan-class DUT, on the chosen
     //    substrate, to the workload's good trap.
-    let report = run_runner(
+    let report = run_session(
         kind,
-        DutConfig::xiangshan_default(),
-        DiffConfig::BNSD,
-        &workload,
-        Vec::new(),
-        200_000,
-        64,
-        None,
+        Session::new(
+            DutConfig::xiangshan_default(),
+            DiffConfig::BNSD,
+            &workload,
+            Vec::new(),
+            200_000,
+            64,
+            None,
+        ),
     );
 
     // The shared report core every runner fills in.

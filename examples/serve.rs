@@ -18,7 +18,8 @@
 use std::sync::Arc;
 
 use difftest_h::core::{
-    run_runner, run_socket_at, DiffConfig, RunOutcome, RunnerKind, ServeAddr, SocketTuning,
+    run_session, run_socket_session, DiffConfig, RunOutcome, RunnerKind, ServeAddr, Session,
+    SocketTuning,
 };
 use difftest_h::dut::DutConfig;
 use difftest_h::serve::{spawn, ServeConfig};
@@ -30,19 +31,7 @@ const QUEUE_DEPTH: usize = 8;
 
 fn session(addr: &ServeAddr, seed: u64) -> (u64, RunOutcome, u64) {
     let w = Workload::microbench().seed(seed).iterations(30).build();
-    let rep = run_socket_at(
-        addr,
-        DutConfig::nutshell(),
-        DiffConfig::BNSD,
-        &w,
-        Vec::new(),
-        MAX_CYCLES,
-        QUEUE_DEPTH,
-        None,
-        SocketTuning::default(),
-    );
-    let engine = run_runner(
-        RunnerKind::Engine,
+    let session = Session::new(
         DutConfig::nutshell(),
         DiffConfig::BNSD,
         &w,
@@ -51,6 +40,8 @@ fn session(addr: &ServeAddr, seed: u64) -> (u64, RunOutcome, u64) {
         QUEUE_DEPTH,
         None,
     );
+    let rep = run_socket_session(session.clone(), Some(addr), SocketTuning::default());
+    let engine = run_session(RunnerKind::Engine, session);
     assert_eq!(rep.outcome, engine.outcome, "seed {seed}: daemon vs engine");
     assert_eq!(rep.items, engine.items, "seed {seed}: item volume");
     (seed, rep.outcome, rep.items)

@@ -18,7 +18,7 @@
 //! timeline (`make trace` gates this through `scripts/trace_check`).
 
 use difftest_h::core::{
-    run_socket, run_socket_tuned, DiffConfig, RunOutcome, SocketTuning, KILLED_EXIT,
+    run_socket_session, DiffConfig, RunOutcome, Session, SocketTuning, KILLED_EXIT,
 };
 use difftest_h::dut::DutConfig;
 use difftest_h::stats::TRACE_ENV;
@@ -30,17 +30,21 @@ fn main() {
     difftest_h::core::child_entry();
 
     let workload = Workload::linux_boot().seed(42).iterations(1_000).build();
+    let session = || {
+        Session::new(
+            DutConfig::xiangshan_default(),
+            DiffConfig::BNSD,
+            &workload,
+            Vec::new(),
+            400_000,
+            8,
+            None,
+        )
+    };
 
     // A healthy run: verdict-identical to the in-process runners, but
     // every packet genuinely crossed a process boundary.
-    let report = run_socket(
-        DutConfig::xiangshan_default(),
-        DiffConfig::BNSD,
-        &workload,
-        Vec::new(),
-        400_000,
-        8,
-    );
+    let report = run_socket_session(session(), None, SocketTuning::default());
     assert_eq!(report.outcome, RunOutcome::GoodTrap);
     println!("== clean run ==");
     println!(
@@ -72,13 +76,8 @@ fn main() {
     }
 
     // The same run with the consumer process dying after two packets.
-    let report = run_socket_tuned(
-        DutConfig::xiangshan_default(),
-        DiffConfig::BNSD,
-        &workload,
-        Vec::new(),
-        400_000,
-        8,
+    let report = run_socket_session(
+        session(),
         None,
         SocketTuning {
             kill_consumer_after: Some(2),

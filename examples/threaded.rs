@@ -2,7 +2,7 @@
 //!
 //! The producer runs the DUT and the acceleration unit; the consumer
 //! unpacks and checks; a bounded link between them is the sending queue
-//! with backpressure. All wall-clock runners are one [`run_runner`]
+//! with backpressure. All wall-clock runners are one [`run_session`]
 //! dispatch away from each other — same pipeline, different substrate:
 //! two threads (threaded), one consumer thread per core (sharded), or a
 //! separate consumer process on a Unix socket (socket).
@@ -11,7 +11,7 @@
 //! cargo run --release --example threaded
 //! ```
 
-use difftest_h::core::{run_runner, DiffConfig, RunOutcome, RunnerKind};
+use difftest_h::core::{run_session, DiffConfig, RunOutcome, RunnerKind, Session};
 use difftest_h::dut::DutConfig;
 use difftest_h::workload::Workload;
 
@@ -28,15 +28,17 @@ fn main() {
             RunnerKind::Sharded,
             RunnerKind::Socket,
         ] {
-            let report = run_runner(
+            let report = run_session(
                 kind,
-                DutConfig::xiangshan_default(),
-                config,
-                &workload,
-                Vec::new(),
-                400_000,
-                8,
-                None,
+                Session::new(
+                    DutConfig::xiangshan_default(),
+                    config,
+                    &workload,
+                    Vec::new(),
+                    400_000,
+                    8,
+                    None,
+                ),
             );
             assert_eq!(report.outcome, RunOutcome::GoodTrap);
             let (wall_s, cycles_per_sec) = report.wall().expect("wall-clock runner");

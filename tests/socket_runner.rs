@@ -14,8 +14,8 @@
 //! process can never spawn a second generation of consumers.
 
 use difftest_h::core::{
-    run_runner, run_socket, run_socket_tuned, DiffConfig, LinkErrorKind, RunOutcome, RunnerKind,
-    RunnerReport, SocketTuning, KILLED_EXIT,
+    run_runner, run_socket_session, DiffConfig, LinkErrorKind, RunOutcome, RunnerKind,
+    RunnerReport, Session, SocketTuning, KILLED_EXIT,
 };
 use difftest_h::dut::{BugKind, BugSpec, DutConfig};
 use difftest_h::stats::{parse_json, validate_trace, FlightKind, Json, TRACE_ENV};
@@ -139,13 +139,16 @@ fn fault_grid_matches_engine() {
 /// still reaps the child's exit code.
 fn killed_consumer_is_a_typed_link_error() {
     let w = Workload::linux_boot().seed(7).iterations(300).build();
-    let r = run_socket_tuned(
-        DutConfig::nutshell(),
-        DiffConfig::BNSD,
-        &w,
-        Vec::new(),
-        MAX_CYCLES,
-        QUEUE_DEPTH,
+    let r = run_socket_session(
+        Session::new(
+            DutConfig::nutshell(),
+            DiffConfig::BNSD,
+            &w,
+            Vec::new(),
+            MAX_CYCLES,
+            QUEUE_DEPTH,
+            None,
+        ),
         None,
         SocketTuning {
             kill_consumer_after: Some(2),
@@ -180,13 +183,16 @@ fn killed_consumer_is_a_typed_link_error() {
 fn consumer_processes_cannot_spawn_consumers() {
     let w = Workload::microbench().seed(1).iterations(5).build();
     std::env::set_var("DIFFTEST_SOCKET_ROLE", "stale");
-    let r = run_socket_tuned(
-        DutConfig::nutshell(),
-        DiffConfig::BN,
-        &w,
-        Vec::new(),
-        10_000,
-        QUEUE_DEPTH,
+    let r = run_socket_session(
+        Session::new(
+            DutConfig::nutshell(),
+            DiffConfig::BN,
+            &w,
+            Vec::new(),
+            10_000,
+            QUEUE_DEPTH,
+            None,
+        ),
         None,
         SocketTuning::default(),
     );
@@ -218,13 +224,18 @@ fn trace_env_merges_both_processes() {
     let _ = std::fs::remove_file(&path);
     std::env::set_var(TRACE_ENV, &path);
     let w = Workload::microbench().seed(11).iterations(40).build();
-    let r = run_socket(
-        DutConfig::nutshell(),
-        DiffConfig::BNSD,
-        &w,
-        Vec::new(),
-        MAX_CYCLES,
-        QUEUE_DEPTH,
+    let r = run_socket_session(
+        Session::new(
+            DutConfig::nutshell(),
+            DiffConfig::BNSD,
+            &w,
+            Vec::new(),
+            MAX_CYCLES,
+            QUEUE_DEPTH,
+            None,
+        ),
+        None,
+        SocketTuning::default(),
     );
     std::env::remove_var(TRACE_ENV);
     assert_eq!(r.outcome, RunOutcome::GoodTrap);
@@ -284,6 +295,32 @@ fn trace_env_merges_both_processes() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// One producer behind every runner: all four reports time the same
+/// phases, the producer's tick/pack/transport among them, and the
+/// monitor phase exactly where a monitor hook ran (the engine's
+/// retention ring).
+fn runners_share_one_phase_attribution() {
+    use difftest_h::stats::Phase;
+    let w = Workload::microbench().seed(11).iterations(40).build();
+    let engine = run(RunnerKind::Engine, DiffConfig::BNSD, &w, Vec::new());
+    let keys = |r: &RunnerReport| -> Vec<&'static str> {
+        r.metrics.phases.iter().map(|(p, _)| p.name()).collect()
+    };
+    for kind in RunnerKind::ALL {
+        let r = run(kind, DiffConfig::BNSD, &w, Vec::new());
+        assert_eq!(r.outcome, RunOutcome::GoodTrap, "{kind}");
+        assert_eq!(keys(&r), keys(&engine), "{kind}: phase key set");
+        for phase in [Phase::Tick, Phase::Pack, Phase::Transport] {
+            assert!(r.metrics.phases.get(phase) > 0, "{kind}: {phase} untimed");
+        }
+        assert_eq!(
+            r.metrics.phases.get(Phase::Monitor) > 0,
+            kind == RunnerKind::Engine,
+            "{kind}: monitor phase"
+        );
+    }
+}
+
 fn main() {
     // MUST be first: a spawned consumer process diverges here and never
     // reaches the test list below.
@@ -304,6 +341,10 @@ fn main() {
         (
             "consumer_processes_cannot_spawn_consumers",
             consumer_processes_cannot_spawn_consumers,
+        ),
+        (
+            "runners_share_one_phase_attribution",
+            runners_share_one_phase_attribution,
         ),
     ];
     println!("\nrunning {} socket runner tests", tests.len());
