@@ -5,8 +5,6 @@
 //! with the paper's reported values alongside (`DESIGN.md` §4 maps each
 //! experiment to its target; `EXPERIMENTS.md` records the outcomes).
 
-pub mod record;
-
 use difftest_core::{CoSimulation, DiffConfig, RunOutcome, RunReport};
 use difftest_dut::DutConfig;
 use difftest_platform::Platform;

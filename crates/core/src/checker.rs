@@ -22,7 +22,7 @@ use difftest_event::{
 use difftest_isa::csr::CsrIndex;
 use difftest_isa::trap::Interrupt;
 use difftest_ref::exec::Effect;
-use difftest_ref::{BlockCacheStats, DecodeCacheStats, RefModel, StepOutcome, MAX_BLOCK_LEN};
+use difftest_ref::{DecodeCacheStats, RefModel, StepOutcome};
 
 use crate::squash::FusedCommit;
 use crate::wire::{WireItem, WireItemRef};
@@ -145,6 +145,22 @@ macro_rules! mismatch {
 }
 
 impl CoreChecker {
+    /// A checker for `core` that has checked `seq` instructions so far.
+    /// `replay_support` turns on the REF journal the Replay revert needs.
+    fn new(core: u8, mut refm: RefModel, seq: u64, replay_support: bool) -> Self {
+        refm.set_journal_enabled(replay_support);
+        CoreChecker {
+            core,
+            refm,
+            seq,
+            last_effect: None,
+            pending: BTreeMap::new(),
+            token_watermark: 0,
+            ckpt: None,
+            replay_support,
+        }
+    }
+
     fn ensure(
         &self,
         cond: bool,
@@ -862,19 +878,7 @@ impl Checker {
         let cores = refs
             .into_iter()
             .enumerate()
-            .map(|(i, mut refm)| {
-                refm.set_journal_enabled(replay_support);
-                CoreChecker {
-                    core: i as u8,
-                    refm,
-                    seq: 0,
-                    last_effect: None,
-                    pending: BTreeMap::new(),
-                    token_watermark: 0,
-                    ckpt: None,
-                    replay_support,
-                }
-            })
+            .map(|(i, refm)| CoreChecker::new(i as u8, refm, 0, replay_support))
             .collect();
         Checker {
             cores,
@@ -889,19 +893,9 @@ impl Checker {
     /// sharded topology (one checker per worker thread) detects routing
     /// faults the same way the monolithic checker detects corrupted core
     /// bytes. `replay_support` is as in [`Checker::new`].
-    pub fn single(core: u8, mut refm: RefModel, replay_support: bool) -> Self {
-        refm.set_journal_enabled(replay_support);
+    pub fn single(core: u8, refm: RefModel, replay_support: bool) -> Self {
         Checker {
-            cores: vec![CoreChecker {
-                core,
-                refm,
-                seq: 0,
-                last_effect: None,
-                pending: BTreeMap::new(),
-                token_watermark: 0,
-                ckpt: None,
-                replay_support,
-            }],
+            cores: vec![CoreChecker::new(core, refm, 0, replay_support)],
             stats: CheckStats::default(),
             core_base: core,
         }
@@ -912,29 +906,14 @@ impl Checker {
         &self.stats
     }
 
-    /// Aggregated REF instruction-cache counters across all cores: the
-    /// block trace cache and the per-insn decode cache. Feeds the
-    /// `block.*` / `decode.*` observability counters.
-    pub fn ref_cache_stats(&self) -> (BlockCacheStats, DecodeCacheStats) {
-        let mut blocks = BlockCacheStats::default();
+    /// The REF decode-cache counters summed across all cores. Feeds the
+    /// `decode.*` observability counters.
+    pub fn ref_cache_stats(&self) -> DecodeCacheStats {
         let mut decode = DecodeCacheStats::default();
         for c in &self.cores {
-            blocks.merge(&c.refm.block_cache_stats());
             decode.merge(&c.refm.decode_cache_stats());
         }
-        (blocks, decode)
-    }
-
-    /// Aggregated built-block length distribution across all cores,
-    /// indexed by length in micro-ops.
-    pub fn ref_block_len_counts(&self) -> [u64; MAX_BLOCK_LEN + 1] {
-        let mut counts = [0u64; MAX_BLOCK_LEN + 1];
-        for c in &self.cores {
-            for (acc, n) in counts.iter_mut().zip(c.refm.block_len_counts()) {
-                *acc += n;
-            }
-        }
-        counts
+        decode
     }
 
     /// Borrows the per-core REF states and progress for an external snapshot
@@ -961,19 +940,7 @@ impl Checker {
         let cores = refs
             .into_iter()
             .enumerate()
-            .map(|(i, (mut refm, seq))| {
-                refm.set_journal_enabled(replay_support);
-                CoreChecker {
-                    core: i as u8,
-                    refm,
-                    seq,
-                    last_effect: None,
-                    pending: BTreeMap::new(),
-                    token_watermark: 0,
-                    ckpt: None,
-                    replay_support,
-                }
-            })
+            .map(|(i, (refm, seq))| CoreChecker::new(i as u8, refm, seq, replay_support))
             .collect();
         Checker {
             cores,
@@ -987,6 +954,24 @@ impl Checker {
         self.cores[(core - self.core_base) as usize].seq
     }
 
+    /// The checker that owns wire core id `core`, with the shared stats.
+    /// A corrupted transport can smuggle an out-of-range core id; that
+    /// surfaces as a checkable failure instead of a panic.
+    fn route(&mut self, core: u8) -> Result<(&mut CoreChecker, &mut CheckStats), Mismatch> {
+        let idx = (core as usize).wrapping_sub(self.core_base as usize);
+        let n = self.cores.len();
+        match self.cores.get_mut(idx) {
+            Some(c) => Ok((c, &mut self.stats)),
+            None => Err(Mismatch {
+                core,
+                seq: 0,
+                check: "wire.core out of range".to_owned(),
+                expected: format!("{n:#x}"),
+                actual: format!("{core:#x}"),
+            }),
+        }
+    }
+
     /// Processes one wire item (owned: tagged and differenced payloads are
     /// queued without copying).
     ///
@@ -994,19 +979,7 @@ impl Checker {
     ///
     /// Returns the [`Mismatch`] that aborted checking.
     pub fn process(&mut self, item: WireItem) -> Result<Verdict, Mismatch> {
-        let idx = (item.core() as usize).wrapping_sub(self.core_base as usize);
-        let Some(core) = self.cores.get_mut(idx) else {
-            // A corrupted transport can smuggle an out-of-range core id;
-            // surface it as a checkable failure instead of panicking.
-            return Err(Mismatch {
-                core: item.core(),
-                seq: 0,
-                check: "wire.core out of range".to_owned(),
-                expected: format!("{:#x}", self.cores.len()),
-                actual: format!("{:#x}", item.core()),
-            });
-        };
-        let stats = &mut self.stats;
+        let (core, stats) = self.route(item.core())?;
         match item {
             WireItem::Plain { event, .. } => core.process_plain(&event, stats),
             WireItem::Tagged {
@@ -1033,17 +1006,7 @@ impl Checker {
     ///
     /// Returns the [`Mismatch`] that aborted checking.
     pub fn process_ref(&mut self, item: WireItemRef<'_>) -> Result<Verdict, Mismatch> {
-        let idx = (item.core() as usize).wrapping_sub(self.core_base as usize);
-        let Some(core) = self.cores.get_mut(idx) else {
-            return Err(Mismatch {
-                core: item.core(),
-                seq: 0,
-                check: "wire.core out of range".to_owned(),
-                expected: format!("{:#x}", self.cores.len()),
-                actual: format!("{:#x}", item.core()),
-            });
-        };
-        let stats = &mut self.stats;
+        let (core, stats) = self.route(item.core())?;
         match item {
             WireItemRef::Plain { event, .. } => core.process_plain_ref(&event, stats),
             WireItemRef::Tagged {

@@ -6,7 +6,7 @@
 //! straight from the packet bytes, no `WireItem` batch is built, and
 //! every ring/histogram the observability layer touches is fixed-size.
 //! This test pins that property with a counting global allocator: after
-//! a warmup prefix (REF block-cache builds, pool growth, metric
+//! a warmup prefix (REF page first-touch, pool growth, metric
 //! registration), ingesting the remaining packets must allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -80,10 +80,9 @@ fn packed_consume_steady_state_allocates_nothing() {
     );
 
     let mut consumer = s.consumer();
-    // Warmup: REF block-cache builds, metric registration, flight-ring
+    // Warmup: REF page first-touch, metric registration, flight-ring
     // growth all happen in the prefix. The terminal packet is excluded
-    // from the gate too — the trap epilogue reaches fresh PCs, so the
-    // REF legitimately builds (allocates) their blocks once.
+    // from the gate too — it carries the halting trap, not steady state.
     let warmup = transfers.len() * 3 / 4;
     for t in &transfers[..warmup] {
         assert_eq!(consumer.ingest(t, 0, &mut NoCharge), Step::Continue);

@@ -219,20 +219,6 @@ impl Op {
         )
     }
 
-    /// Returns `true` if the instruction may redirect control flow.
-    pub fn is_control_flow(self) -> bool {
-        self.is_branch() || matches!(self, Op::Jal | Op::Jalr | Op::Mret | Op::Ecall | Op::Ebreak)
-    }
-
-    /// Returns `true` if the op terminates a basic block for trace caching:
-    /// anything that can redirect control flow (including trapping ops),
-    /// CSR accesses and `wfi` (system-state interaction is kept out of
-    /// straight-line replay), `fence` (it flushes the trace cache itself),
-    /// and undecodable words.
-    pub fn ends_block(self) -> bool {
-        self.is_control_flow() || self.is_csr() || matches!(self, Op::Fence | Op::Wfi | Op::Illegal)
-    }
-
     /// Returns `true` for the floating-point slice.
     pub fn is_fp(self) -> bool {
         matches!(
@@ -343,7 +329,6 @@ mod tests {
     #[test]
     fn classifiers_are_consistent() {
         assert!(Op::Beq.is_branch());
-        assert!(Op::Beq.is_control_flow());
         assert!(!Op::Beq.writes_int_rd());
         assert!(Op::Ld.is_load());
         assert!(!Op::Ld.is_store());

@@ -1,12 +1,7 @@
-//! Pure RV64 instruction semantics with threaded dispatch.
+//! Pure RV64 instruction semantics.
 //!
-//! Each operation has a dedicated executor function with the uniform
-//! [`ExecFn`] signature; [`exec_fn`] resolves the executor for an opcode
-//! *once* (at decode or block-build time), and [`execute`] is the
-//! convenience wrapper that resolves and calls in one go. The block cache
-//! stores the resolved pointer next to the decoded instruction, so the hot
-//! path dispatches straight through the micro-op array with no per-insn
-//! `match`.
+//! Each operation has a dedicated executor function with one uniform
+//! signature; [`execute`] resolves the executor for the opcode and calls it.
 //!
 //! An executor evaluates one instruction against an immutable view of the
 //! architectural state and memory, and returns an [`Effect`] describing every
@@ -92,11 +87,8 @@ impl Effect {
     }
 }
 
-/// A pre-resolved executor for one opcode.
-///
-/// All executors share this signature so the block cache can store the
-/// pointer next to the decoded [`Insn`] and dispatch without a `match`.
-pub type ExecFn = fn(&ArchState, &Memory, &Insn) -> Effect;
+/// The signature every per-op executor shares.
+type ExecFn = fn(&ArchState, &Memory, &Insn) -> Effect;
 
 #[inline]
 fn sext(value: u64, len: u8) -> u64 {
@@ -625,12 +617,9 @@ fn x_illegal(_state: &ArchState, _mem: &Memory, insn: &Insn) -> Effect {
     Effect::trap(Trap::Exception(Exception::IllegalInstr, insn.raw as u64))
 }
 
-/// Resolves the executor for `op`.
-///
-/// This is the *only* opcode `match` on the execution path; decode-time
-/// callers (the block builder, the per-insn cache) resolve once and reuse
-/// the returned pointer for every subsequent dispatch.
-pub fn exec_fn(op: Op) -> ExecFn {
+/// Resolves the executor for `op` — the only opcode `match` on the
+/// execution path.
+fn exec_fn(op: Op) -> ExecFn {
     use Op::*;
     match op {
         Lui => x_lui,

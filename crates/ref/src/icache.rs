@@ -1,7 +1,4 @@
-//! Instruction caching for the REF model: a per-insn decode cache and a
-//! basic-block trace cache.
-//!
-//! # Per-instruction decode cache
+//! The REF model's per-instruction decode cache.
 //!
 //! `RefModel::step` fetches and decodes the instruction at the current PC
 //! on every call; on the host hot path the decode is pure overhead for the
@@ -21,33 +18,11 @@
 //! - a journal revert flushes too — compensation entries can restore old
 //!   code bytes without going through the store path.
 //!
-//! # Basic-block trace cache
-//!
-//! The [`BlockCache`] goes one level up: on a miss at a block head it
-//! decodes *forward* until a control-flow/fence/system boundary (bounded
-//! by [`MAX_BLOCK_LEN`] and the 4 KiB page), storing the run as a vector
-//! of pre-decoded micro-ops ([`Uop`]: the [`Insn`] plus its pre-resolved
-//! [`ExecFn`]) together with an FNV-1a fingerprint of the raw code words.
-//! Re-entering the block revalidates *once* — one fingerprint pass over
-//! the live bytes — and then a cursor walks the micro-op array step by
-//! step with no refetch, no decode-cache probe, and no per-insn dispatch
-//! `match`. The cursor validates itself cheaply on every step (block
-//! identity and expected PC), so interrupts, reverts, external PC writes
-//! and self-modifying stores all degrade gracefully into an early exit
-//! back to the interpreter path rather than into stale execution.
-//!
-//! Coherence mirrors the decode cache and stays eager:
-//!
-//! - a store intersecting a block's `[base, base + 4·len)` range drops the
-//!   block ([`BlockCache::invalidate_store`]) — including the block the
-//!   cursor is currently inside,
-//! - `fence` and journal reverts flush everything (cursor included),
-//! - the entry fingerprint is the belt-and-suspenders backstop for any
-//!   path that bypasses the store hook.
+//! This is one of the model's two execution tiers; the other is the same
+//! `step` with the cache disabled (`RefModel::set_decode_cache_enabled`),
+//! the oracle `tests/icache_coherence.rs` holds this one to.
 
-use crate::exec::{exec_fn, ExecFn};
-use crate::Memory;
-use difftest_isa::{decode, Insn};
+use difftest_isa::Insn;
 use serde::{Deserialize, Serialize};
 
 /// Entries in the direct-mapped array. 4096 × ~48 B keeps the table well
@@ -185,368 +160,6 @@ impl DecodeCache {
     }
 }
 
-// Basic-block trace cache ---------------------------------------------------
-
-/// Maximum number of micro-ops in one cached block. 32 covers the hot
-/// loop bodies of every workload preset while keeping the worst-case
-/// store-intersect probe window (and entry fingerprint pass) small.
-pub const MAX_BLOCK_LEN: usize = 32;
-
-/// Direct-mapped block slots. 1024 blocks × up to 32 micro-ops dwarfs the
-/// per-insn cache's reach at a fraction of the probe cost.
-const BLOCK_SLOTS: usize = 1024;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0100_0000_01b3;
-
-/// Folds one 32-bit code word into an FNV-1a style hash (word-at-a-time
-/// rather than byte-at-a-time: one XOR and one multiply per instruction
-/// keeps entry revalidation near one cycle per cached word).
-#[inline]
-fn fnv_word(h: u64, w: u32) -> u64 {
-    (h ^ w as u64).wrapping_mul(FNV_PRIME)
-}
-
-/// Fingerprints a little-endian byte image of a block's code words.
-#[inline]
-fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    bytes.chunks_exact(4).fold(FNV_OFFSET, |h, c| {
-        fnv_word(h, u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-    })
-}
-
-/// One pre-decoded micro-op: the decoded instruction plus its executor,
-/// resolved once at block-build time so dispatch is a single indirect call.
-#[derive(Debug, Clone, Copy)]
-pub struct Uop {
-    /// The decoded instruction.
-    pub insn: Insn,
-    /// Pre-resolved executor for `insn.op`.
-    pub exec: ExecFn,
-}
-
-#[derive(Debug, Clone)]
-struct Block {
-    /// PC of the first micro-op.
-    base: u64,
-    /// Unique, never-reused build id — the cursor's ABA guard: a slot
-    /// overwritten and rebuilt at the same base can never satisfy a stale
-    /// cursor.
-    id: u64,
-    /// FNV fingerprint over the block's raw code words.
-    fp: u64,
-    uops: Box<[Uop]>,
-}
-
-/// A position inside a cached block, kept across `step` calls.
-///
-/// Carries the block's `base` and `len` so [`BlockCache::retire`] is pure
-/// arithmetic on the cursor — no slot probe on the per-step hot path.
-/// Liveness (`slot` occupied, `id` matching) is checked once per step in
-/// [`BlockCache::fetch`], which has to read the slot anyway to hand out
-/// the micro-op.
-#[derive(Debug, Clone, Copy)]
-struct Cursor {
-    slot: usize,
-    id: u64,
-    /// Index of the micro-op about to execute. Invariant: `pos < len`.
-    pos: u32,
-    /// The block's micro-op count.
-    len: u32,
-    /// PC of the block's first micro-op.
-    base: u64,
-}
-
-/// Block-cache counters, exposed for tests and observability.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockCacheStats {
-    /// Block entries revalidated by fingerprint and served from cache.
-    pub hits: u64,
-    /// Block builds (cold entries and fingerprint mismatches).
-    pub misses: u64,
-    /// Blocks dropped because a store intersected their address range.
-    pub store_invalidations: u64,
-    /// Whole-cache flushes (fence, revert).
-    pub flushes: u64,
-    /// Blocks left before their final micro-op (trap, MMIO/skip sync,
-    /// redirect, or invalidation under the cursor).
-    pub early_exits: u64,
-    /// Blocks whose final micro-op was reached.
-    pub completed: u64,
-    /// Steps dispatched from a cached block (no refetch, no re-decode).
-    pub uop_steps: u64,
-}
-
-impl BlockCacheStats {
-    /// Folds `other` into `self` (multi-core aggregation).
-    pub fn merge(&mut self, other: &BlockCacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.store_invalidations += other.store_invalidations;
-        self.flushes += other.flushes;
-        self.early_exits += other.early_exits;
-        self.completed += other.completed;
-        self.uop_steps += other.uop_steps;
-    }
-}
-
-/// The basic-block trace cache. See the module docs for the design and
-/// coherence rules.
-///
-/// The cache is deliberately *not* serializable — micro-ops carry function
-/// pointers — and it is pure acceleration state: a deserialized model
-/// simply starts cold.
-#[derive(Debug, Clone)]
-pub struct BlockCache {
-    slots: Vec<Option<Block>>,
-    cursor: Option<Cursor>,
-    enabled: bool,
-    next_id: u64,
-    /// Watermarks over every address any live block has covered; stores
-    /// outside `[code_lo, code_hi)` skip the probe loop entirely, so pure
-    /// data traffic costs two compares.
-    code_lo: u64,
-    code_hi: u64,
-    stats: BlockCacheStats,
-    lens: [u64; MAX_BLOCK_LEN + 1],
-}
-
-impl Default for BlockCache {
-    fn default() -> Self {
-        BlockCache {
-            slots: vec![None; BLOCK_SLOTS],
-            cursor: None,
-            enabled: true,
-            next_id: 0,
-            code_lo: u64::MAX,
-            code_hi: 0,
-            stats: BlockCacheStats::default(),
-            lens: [0; MAX_BLOCK_LEN + 1],
-        }
-    }
-}
-
-impl BlockCache {
-    #[inline]
-    fn index(pc: u64) -> usize {
-        ((pc >> 2) as usize) & (BLOCK_SLOTS - 1)
-    }
-
-    /// Returns the micro-op to execute at `pc`, advancing through the
-    /// active block when possible, revalidating or building a block at a
-    /// block head otherwise. `None` means the caller must take the
-    /// interpreter path (cache disabled, or the fetch would straddle a
-    /// page boundary).
-    #[inline]
-    pub fn fetch(&mut self, pc: u64, mem: &Memory) -> Option<Uop> {
-        if !self.enabled {
-            return None;
-        }
-        // Cursor fast path: mid-block steps cost an identity check and a
-        // PC compare — no hashing, no memory traffic beyond the slot.
-        if let Some(cur) = self.cursor {
-            if cur.base + 4 * cur.pos as u64 == pc {
-                if let Some(b) = self.slots[cur.slot].as_ref() {
-                    // The id is the ABA guard: same id ⇒ same build, so
-                    // `pos < len` (a retire invariant) still bounds `uops`.
-                    if b.id == cur.id {
-                        self.stats.uop_steps += 1;
-                        return Some(b.uops[cur.pos as usize]);
-                    }
-                }
-            }
-            // Stale cursor (external PC write, interrupt, invalidation
-            // under the cursor): count the abandoned block and take a
-            // normal entry below.
-            self.cursor = None;
-            self.stats.early_exits += 1;
-        }
-        self.enter(pc, mem)
-    }
-
-    /// Block-entry path: revalidate a cached block once by fingerprint, or
-    /// build a fresh one.
-    fn enter(&mut self, pc: u64, mem: &Memory) -> Option<Uop> {
-        let slot = Self::index(pc);
-        let mut entry = None;
-        if let Some(b) = self.slots[slot].as_ref() {
-            if b.base == pc {
-                if let Some(bytes) = mem.page_slice(pc, b.uops.len() * 4) {
-                    if fingerprint_bytes(bytes) == b.fp {
-                        entry = Some((b.id, b.uops.len() as u32, b.uops[0]));
-                    }
-                }
-            }
-        }
-        if let Some((id, len, uop)) = entry {
-            self.stats.hits += 1;
-            self.stats.uop_steps += 1;
-            self.cursor = Some(Cursor {
-                slot,
-                id,
-                pos: 0,
-                len,
-                base: pc,
-            });
-            return Some(uop);
-        }
-        self.build(pc, mem)
-    }
-
-    /// Decodes forward from `pc` to the next block boundary and caches the
-    /// run. Never crosses a page boundary, so the entry fingerprint can be
-    /// computed from a single borrowed page slice.
-    fn build(&mut self, pc: u64, mem: &Memory) -> Option<Uop> {
-        self.stats.misses += 1;
-        let max_words = (Memory::page_remaining(pc) / 4).min(MAX_BLOCK_LEN);
-        if max_words == 0 {
-            // The word itself straddles a page: interpreter's problem.
-            return None;
-        }
-        let mut uops = Vec::with_capacity(8);
-        let mut fp = FNV_OFFSET;
-        for i in 0..max_words {
-            let raw = mem.fetch(pc + 4 * i as u64);
-            fp = fnv_word(fp, raw);
-            let insn = decode(raw);
-            let ends = insn.op.ends_block();
-            uops.push(Uop {
-                insn,
-                exec: exec_fn(insn.op),
-            });
-            if ends {
-                break;
-            }
-        }
-        let len = uops.len();
-        self.lens[len] += 1;
-        self.code_lo = self.code_lo.min(pc);
-        self.code_hi = self.code_hi.max(pc + 4 * len as u64);
-        let id = self.next_id;
-        self.next_id += 1;
-        let first = uops[0];
-        let slot = Self::index(pc);
-        self.slots[slot] = Some(Block {
-            base: pc,
-            id,
-            fp,
-            uops: uops.into_boxed_slice(),
-        });
-        self.cursor = Some(Cursor {
-            slot,
-            id,
-            pos: 0,
-            len: len as u32,
-            base: pc,
-        });
-        self.stats.uop_steps += 1;
-        Some(first)
-    }
-
-    /// Advances the cursor after a block-dispatched step, given the PC
-    /// that will execute next. Sequential fall-through moves to the next
-    /// micro-op; reaching the block's final micro-op completes it; any
-    /// other transfer (trap entry mid-block) is an early exit back to
-    /// the entry path. Pure cursor arithmetic — liveness was checked by
-    /// [`fetch`](Self::fetch) this step, and a store invalidating the
-    /// block *during* the step is caught by the next `fetch`'s id check.
-    #[inline]
-    pub fn retire(&mut self, next_pc: u64) {
-        let Some(cur) = self.cursor.as_mut() else {
-            return;
-        };
-        let next = cur.pos + 1;
-        if next < cur.len {
-            if next_pc == cur.base + 4 * next as u64 {
-                cur.pos = next;
-            } else {
-                self.cursor = None;
-                self.stats.early_exits += 1;
-            }
-        } else {
-            self.cursor = None;
-            self.stats.completed += 1;
-        }
-    }
-
-    /// Drops the cursor at a non-replayable point (MMIO access, skip
-    /// synchronization), counting an early exit if a block was active.
-    pub fn exit_early(&mut self) {
-        if self.cursor.take().is_some() {
-            self.stats.early_exits += 1;
-        }
-    }
-
-    /// Invalidates every cached block whose `[base, base + 4·len)` range
-    /// intersects the stored range `[addr, addr + len)`.
-    ///
-    /// Candidate bases are the word-aligned addresses in
-    /// `(addr - 4·MAX_BLOCK_LEN, addr + len)`, probed through the
-    /// direct-mapped index — at most `MAX_BLOCK_LEN + 2` slots for the
-    /// `len ≤ 8` stores the ISA produces, and zero for the common case of
-    /// stores outside the code watermarks.
-    pub fn invalidate_store(&mut self, addr: u64, len: u64) {
-        if !self.enabled || len == 0 {
-            return;
-        }
-        if addr >= self.code_hi || addr.saturating_add(len) <= self.code_lo {
-            return;
-        }
-        let first = addr.saturating_sub(4 * MAX_BLOCK_LEN as u64 - 1);
-        let last = addr + len - 1;
-        for word in (first >> 2)..=(last >> 2) {
-            let base = word << 2;
-            let slot = (word as usize) & (BLOCK_SLOTS - 1);
-            let hit = self.slots[slot]
-                .as_ref()
-                .is_some_and(|b| b.base == base && b.base + 4 * b.uops.len() as u64 > addr);
-            if hit {
-                self.slots[slot] = None;
-                self.stats.store_invalidations += 1;
-            }
-        }
-    }
-
-    /// Drops every block and the cursor (fence, journal revert).
-    pub fn flush(&mut self) {
-        self.cursor = None;
-        if self.next_id > 0 {
-            self.slots.iter_mut().for_each(|s| *s = None);
-            self.code_lo = u64::MAX;
-            self.code_hi = 0;
-        }
-        self.stats.flushes += 1;
-    }
-
-    /// Enables or disables block execution. Disabling drops everything, so
-    /// a re-enable never observes pre-disable blocks.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        if !enabled {
-            self.cursor = None;
-            self.slots.iter_mut().for_each(|s| *s = None);
-            self.code_lo = u64::MAX;
-            self.code_hi = 0;
-        }
-        self.enabled = enabled;
-    }
-
-    /// Whether block execution is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// The counters.
-    pub fn stats(&self) -> BlockCacheStats {
-        self.stats
-    }
-
-    /// Built-block length distribution: `len_counts()[n]` is the number of
-    /// block builds that produced `n` micro-ops.
-    pub fn len_counts(&self) -> &[u64; MAX_BLOCK_LEN + 1] {
-        &self.lens
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -626,131 +239,5 @@ mod tests {
         assert_eq!(c.lookup(PC, raw), None, "disabled lookups never hit");
         c.set_enabled(true);
         assert_eq!(c.lookup(PC, raw), None, "re-enable starts cold");
-    }
-
-    // Block cache --------------------------------------------------------
-
-    use difftest_isa::{encode, Reg};
-
-    /// Three ALU ops and a terminating branch at the RAM base.
-    fn block_mem() -> Memory {
-        let mut mem = Memory::new();
-        mem.load_words(
-            Memory::RAM_BASE,
-            &[
-                encode::addi(Reg::A0, Reg::A0, 1),
-                encode::addi(Reg::A1, Reg::A1, 2),
-                encode::add(Reg::A2, Reg::A0, Reg::A1),
-                encode::beq(Reg::ZERO, Reg::ZERO, -12),
-            ],
-        );
-        mem
-    }
-
-    /// Walks the cursor through the block at `pc` and returns the ops seen.
-    fn walk(c: &mut BlockCache, mem: &Memory, pc: u64, steps: usize) -> Vec<difftest_isa::Op> {
-        let mut ops = Vec::new();
-        let mut pc = pc;
-        for _ in 0..steps {
-            let u = c.fetch(pc, mem).expect("in-page fetch");
-            ops.push(u.insn.op);
-            pc += 4; // every op in block_mem falls through in this walk
-            c.retire(pc);
-        }
-        ops
-    }
-
-    #[test]
-    fn build_terminates_at_control_flow_and_reentry_hits() {
-        let mem = block_mem();
-        let mut c = BlockCache::default();
-        walk(&mut c, &mem, Memory::RAM_BASE, 4);
-        let s = c.stats();
-        assert_eq!((s.misses, s.hits), (1, 0), "first pass builds once");
-        assert_eq!(c.len_counts()[4], 1, "branch ends the 4-op block");
-        // Second entry revalidates by fingerprint and dispatches from cache.
-        walk(&mut c, &mem, Memory::RAM_BASE, 4);
-        let s = c.stats();
-        assert_eq!((s.misses, s.hits), (1, 1));
-        assert_eq!(s.uop_steps, 8);
-        assert_eq!(s.completed, 2, "retire at the final op completes");
-    }
-
-    #[test]
-    fn entry_fingerprint_catches_out_of_band_patch() {
-        let mut mem = block_mem();
-        let mut c = BlockCache::default();
-        walk(&mut c, &mem, Memory::RAM_BASE, 4);
-        // Patch the third word *without* the invalidate_store hook — the
-        // belt-and-suspenders path the fingerprint must catch.
-        mem.write(Memory::RAM_BASE + 8, 4, encode::nop() as u64);
-        let u = c.fetch(Memory::RAM_BASE, &mem).unwrap();
-        assert_eq!(u.insn.op, difftest_isa::Op::Addi);
-        assert_eq!(c.stats().misses, 2, "stale fingerprint forces a rebuild");
-        // The rebuilt block sees the patched word.
-        c.retire(Memory::RAM_BASE + 4);
-        c.retire(Memory::RAM_BASE + 8);
-        let u = c.fetch(Memory::RAM_BASE + 8, &mem).unwrap();
-        assert_eq!(u.insn.op, difftest_isa::Op::Addi); // nop decodes as addi
-        assert_eq!(u.insn.raw, encode::nop());
-    }
-
-    #[test]
-    fn store_invalidates_intersecting_block_and_cursor_exits() {
-        let mem = block_mem();
-        let mut c = BlockCache::default();
-        // Step one op in, leaving the cursor mid-block.
-        let u = c.fetch(Memory::RAM_BASE, &mem).unwrap();
-        assert_eq!(u.insn.op, difftest_isa::Op::Addi);
-        c.retire(Memory::RAM_BASE + 4);
-        // A store into the block's third word drops the block.
-        c.invalidate_store(Memory::RAM_BASE + 8, 4);
-        assert_eq!(c.stats().store_invalidations, 1);
-        // The cursor notices at its next validation and rebuilds mid-run.
-        let u = c.fetch(Memory::RAM_BASE + 4, &mem).unwrap();
-        assert_eq!(u.insn.op, difftest_isa::Op::Addi);
-        let s = c.stats();
-        assert_eq!(s.misses, 2, "mid-block re-entry built a new block");
-        assert_eq!(c.len_counts()[3], 1, "rebuilt block starts at word 1");
-    }
-
-    #[test]
-    fn stores_outside_code_watermarks_are_rejected_cheaply() {
-        let mem = block_mem();
-        let mut c = BlockCache::default();
-        walk(&mut c, &mem, Memory::RAM_BASE, 4);
-        // Far-away data stores must not count invalidations.
-        c.invalidate_store(Memory::RAM_BASE + 0x10_0000, 8);
-        c.invalidate_store(Memory::RAM_BASE - 0x1000, 8);
-        assert_eq!(c.stats().store_invalidations, 0);
-        // An intersecting one still fires.
-        c.invalidate_store(Memory::RAM_BASE + 2, 1);
-        assert_eq!(c.stats().store_invalidations, 1);
-    }
-
-    #[test]
-    fn blocks_never_cross_a_page_boundary() {
-        let mut mem = Memory::new();
-        let base = Memory::RAM_BASE + 0x1000 - 8; // two words before page end
-        mem.load_words(base, &[encode::nop(); 6]);
-        let mut c = BlockCache::default();
-        c.fetch(base, &mem).unwrap();
-        assert_eq!(c.len_counts()[2], 1, "build stops at the page boundary");
-    }
-
-    #[test]
-    fn flush_drops_blocks_and_disable_starts_cold() {
-        let mem = block_mem();
-        let mut c = BlockCache::default();
-        walk(&mut c, &mem, Memory::RAM_BASE, 4);
-        c.flush();
-        assert_eq!(c.stats().flushes, 1);
-        walk(&mut c, &mem, Memory::RAM_BASE, 4);
-        assert_eq!(c.stats().misses, 2, "flush forces a rebuild");
-        c.set_enabled(false);
-        assert!(c.fetch(Memory::RAM_BASE, &mem).is_none());
-        c.set_enabled(true);
-        c.fetch(Memory::RAM_BASE, &mem).unwrap();
-        assert_eq!(c.stats().misses, 3, "re-enable starts cold");
     }
 }

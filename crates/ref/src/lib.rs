@@ -10,7 +10,10 @@
 //! - [`RefModel`]: the steppable simulator with non-deterministic-event
 //!   synchronization hooks (`skip_next` for MMIO loads, `raise_interrupt`)
 //!   and compensation-log checkpointing (`checkpoint` / `revert`) used by
-//!   the Replay debugging mechanism (paper §4.4).
+//!   the Replay debugging mechanism (paper §4.4). It has two execution
+//!   tiers: `step` through the per-instruction [`DecodeCache`] (the
+//!   default), and the same `step` uncached — the oracle the coherence
+//!   suite compares against.
 //!
 //! # Examples
 //!
@@ -31,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod exec;
 mod icache;
 mod journal;
@@ -41,8 +43,7 @@ mod model;
 mod state;
 pub mod wireio;
 
-pub use checkpoint::CheckpointError;
-pub use icache::{BlockCache, BlockCacheStats, DecodeCache, DecodeCacheStats, Uop, MAX_BLOCK_LEN};
+pub use icache::{DecodeCache, DecodeCacheStats};
 pub use journal::{Journal, JournalEntry};
 pub use mem::Memory;
 pub use model::{RefModel, StepOutcome};

@@ -119,28 +119,6 @@ impl Memory {
         self.read(addr, 4) as u32
     }
 
-    /// Borrows `len` bytes at `addr` when the whole range lies inside a
-    /// single resident page; `None` if the page is absent or the range
-    /// straddles a page boundary. The block cache uses this to fingerprint
-    /// a block's code bytes in one pass without copying.
-    #[inline]
-    pub fn page_slice(&self, addr: u64, len: usize) -> Option<&[u8]> {
-        let off = (addr as usize) & (PAGE_SIZE - 1);
-        if off + len > PAGE_SIZE {
-            return None;
-        }
-        self.pages
-            .get(&(addr >> PAGE_BITS))
-            .map(|p| &p[off..off + len])
-    }
-
-    /// Bytes remaining in `addr`'s backing page, from `addr` to the page
-    /// end. Block builds use this to stop before a page boundary.
-    #[inline]
-    pub fn page_remaining(addr: u64) -> usize {
-        PAGE_SIZE - ((addr as usize) & (PAGE_SIZE - 1))
-    }
-
     /// Loads a program image of 32-bit words starting at `base`.
     pub fn load_words(&mut self, base: u64, words: &[u32]) {
         for (i, w) in words.iter().enumerate() {
@@ -158,30 +136,6 @@ impl Memory {
     /// Number of resident (allocated) pages; used by tests and stats.
     pub fn resident_pages(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Resident pages as `(base_address, bytes)` pairs, sorted by address.
-    ///
-    /// The serde shims are no-ops, so the checkpoint codec
-    /// ([`crate::checkpoint`]) walks pages itself; sorting makes the byte
-    /// image deterministic for a given memory state.
-    pub fn page_images(&self) -> Vec<(u64, &[u8])> {
-        let mut pages: Vec<(u64, &[u8])> = self
-            .pages
-            .iter()
-            .map(|(idx, bytes)| (idx << PAGE_BITS, bytes.as_slice()))
-            .collect();
-        pages.sort_unstable_by_key(|&(base, _)| base);
-        pages
-    }
-
-    /// Installs one full page at `base` (which must be page-aligned and
-    /// `bytes` exactly [`Memory::PAGE_SIZE`] long) — the checkpoint-restore
-    /// inverse of [`page_images`](Self::page_images).
-    pub fn install_page(&mut self, base: u64, bytes: &[u8]) {
-        debug_assert_eq!(base & (PAGE_SIZE as u64 - 1), 0, "unaligned page base");
-        debug_assert_eq!(bytes.len(), PAGE_SIZE, "short page image");
-        self.pages.insert(base >> PAGE_BITS, bytes.to_vec());
     }
 }
 

@@ -5,8 +5,8 @@ use difftest_isa::trap::{Interrupt, Trap};
 use difftest_isa::{decode, FReg, Insn, Op, Reg};
 use serde::{Deserialize, Serialize};
 
-use crate::exec::{exec_fn, Effect, ExecFn};
-use crate::icache::{BlockCache, BlockCacheStats, DecodeCache, DecodeCacheStats, MAX_BLOCK_LEN};
+use crate::exec::{execute, Effect};
+use crate::icache::{DecodeCache, DecodeCacheStats};
 use crate::journal::{Journal, JournalEntry};
 use crate::{ArchState, Memory};
 
@@ -56,17 +56,17 @@ pub enum StepOutcome {
 /// marks a position and [`RefModel::revert`] rolls state and memory back to
 /// the most recent mark — the mechanism Replay uses to reprocess unfused
 /// events after a mismatch.
+///
 /// # Execution tiers
 ///
-/// Three tiers share one set of semantics ([`crate::exec`]):
+/// Two tiers share one set of semantics ([`crate::exec`]):
 ///
-/// 1. **Block mode** (default): the [`BlockCache`] dispatches pre-decoded
-///    micro-op traces with one revalidation per block entry.
-/// 2. **Per-insn decode cache**: the fallback when block mode is disabled
-///    ([`RefModel::set_block_mode`]) or a fetch straddles a page.
-/// 3. **Pure interpreter**: both caches disabled
+/// 1. **Per-insn decode cache** (default, and the only path production
+///    runs): `step` fetches the raw word and probes the [`DecodeCache`]
+///    before decoding.
+/// 2. **Uncached interpreter**: the cache disabled
 ///    ([`RefModel::set_decode_cache_enabled`]) — the oracle the lockstep
-///    coherence suites compare against.
+///    coherence suite compares against.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RefModel {
     state: ArchState,
@@ -74,11 +74,14 @@ pub struct RefModel {
     journal: Journal,
     pending_skip: Option<u64>,
     icache: DecodeCache,
-    // Micro-ops carry function pointers, so the block cache cannot be
-    // serialized; it is pure acceleration state and starts cold after
-    // deserialization.
-    #[serde(skip)]
-    blocks: BlockCache,
+}
+
+/// What [`RefModel::block_cache_stats`] returns: always zero.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RetiredBlockStats {
+    pub hits: u64,
+    pub misses: u64,
 }
 
 impl RefModel {
@@ -96,38 +99,14 @@ impl RefModel {
             journal: Journal::new(),
             pending_skip: None,
             icache: DecodeCache::default(),
-            blocks: BlockCache::default(),
-        }
-    }
-
-    /// Reassembles a model from a restored architectural state and memory
-    /// image (the [`crate::checkpoint`] codec's constructor). The journal
-    /// starts empty and disabled; both execution caches start cold — they
-    /// are pure acceleration state and warm back up on first use.
-    pub fn from_parts(state: ArchState, mem: Memory) -> Self {
-        RefModel {
-            state,
-            mem,
-            journal: Journal::new(),
-            pending_skip: None,
-            icache: DecodeCache::default(),
-            blocks: BlockCache::default(),
         }
     }
 
     /// Enables or disables the per-insn pre-decoded instruction cache (on
-    /// by default). The coherence proptests disable this *and*
-    /// [`set_block_mode`](Self::set_block_mode) to run a fully uncached
-    /// oracle twin of the model.
+    /// by default). The coherence suite disables it to run a fully
+    /// uncached oracle twin of the model.
     pub fn set_decode_cache_enabled(&mut self, enabled: bool) {
         self.icache.set_enabled(enabled);
-    }
-
-    /// Enables or disables basic-block compiled execution (on by default).
-    /// With blocks off the model falls back to the per-insn decode cache;
-    /// with both tiers off it is a pure fetch/decode/execute interpreter.
-    pub fn set_block_mode(&mut self, enabled: bool) {
-        self.blocks.set_enabled(enabled);
     }
 
     /// Decode-cache hit/miss/invalidation counters.
@@ -135,14 +114,17 @@ impl RefModel {
         self.icache.stats()
     }
 
-    /// Block-cache counters.
-    pub fn block_cache_stats(&self) -> BlockCacheStats {
-        self.blocks.stats()
-    }
+    // The block-compiled tier is gone; `benchmark/src/adapter.rs` still
+    // calls this and may only change in a benchmark-only PR. The paired
+    // one that drops `ref.step_noblocks_ns_per_insn` deletes this shim.
+    #[doc(hidden)]
+    pub fn set_block_mode(&mut self, _: bool) {}
 
-    /// Built-block length distribution, indexed by length in micro-ops.
-    pub fn block_len_counts(&self) -> &[u64; MAX_BLOCK_LEN + 1] {
-        self.blocks.len_counts()
+    // As above: deleted by the paired benchmark-only PR that drops
+    // `ref.block_hit_ratio`.
+    #[doc(hidden)]
+    pub fn block_cache_stats(&self) -> RetiredBlockStats {
+        RetiredBlockStats::default()
     }
 
     /// The architectural state.
@@ -185,11 +167,8 @@ impl RefModel {
         }
         self.pending_skip = None;
         // Compensation entries can restore old code bytes without going
-        // through the store path, so both instruction caches start over
-        // (a revert can also land the PC mid-block, which the block
-        // cursor must not survive).
+        // through the store path, so the decode cache starts over.
         self.icache.flush();
-        self.blocks.flush();
         self.journal.revert_into(&mut self.state, &mut self.mem)
     }
 
@@ -213,32 +192,20 @@ impl RefModel {
     /// Executes (or skips) one instruction.
     pub fn step(&mut self) -> StepOutcome {
         let pc = self.state.pc();
-        // Block fast path: a validated cursor hands back the pre-decoded
-        // micro-op with its executor — no fetch, no decode-cache probe.
-        let (insn, exec, from_block): (Insn, ExecFn, bool) = match self.blocks.fetch(pc, &self.mem)
-        {
-            Some(u) => (u.insn, u.exec, true),
+        // The raw word is fetched unconditionally and is part of the
+        // cache key, so a hit is bit-identical to decoding by construction.
+        let raw = self.mem.fetch(pc);
+        let insn = match self.icache.lookup(pc, raw) {
+            Some(insn) => insn,
             None => {
-                // The raw word is fetched unconditionally and is part of
-                // the cache key, so a hit is bit-identical to decoding
-                // by construction.
-                let raw = self.mem.fetch(pc);
-                let insn = match self.icache.lookup(pc, raw) {
-                    Some(insn) => insn,
-                    None => {
-                        let insn = decode(raw);
-                        self.icache.insert(pc, raw, insn);
-                        insn
-                    }
-                };
-                (insn, exec_fn(insn.op), false)
+                let insn = decode(raw);
+                self.icache.insert(pc, raw, insn);
+                insn
             }
         };
 
         if let Some(value) = self.pending_skip.take() {
-            // MMIO skip: force the destination, advance, retire. Skip sync
-            // is exactly the non-deterministic point block replay must not
-            // coast through, so the cursor exits to the entry path.
+            // MMIO skip: force the destination, advance, retire.
             if insn.op.writes_fp_rd() {
                 self.write_freg(insn.frd(), value);
             } else if insn.op.writes_int_rd() {
@@ -246,25 +213,16 @@ impl RefModel {
             }
             self.set_pc(pc.wrapping_add(4));
             self.bump_instret();
-            if from_block {
-                self.blocks.exit_early();
-            }
             return StepOutcome::Skipped { pc, insn };
         }
 
-        let effect = exec(&self.state, &self.mem, &insn);
+        let effect = execute(&self.state, &self.mem, &insn);
 
         if let Some(trap) = effect.trap {
             self.take_trap(trap);
-            if from_block {
-                // Trap entry redirects the PC; the cursor follows (counts
-                // an early exit unless the trapping op ended the block).
-                self.blocks.retire(self.state.pc());
-            }
             return StepOutcome::Trapped { pc, trap };
         }
 
-        let mmio = effect.mmio;
         self.apply(&effect);
         self.bump_instret();
         // `fence`/`fence.i` is the architectural point where prior stores
@@ -272,16 +230,6 @@ impl RefModel {
         // to Illegal and traps above, so this one arm covers the flush set.
         if insn.op == Op::Fence {
             self.icache.flush();
-            self.blocks.flush();
-        }
-        if from_block {
-            if mmio {
-                // MMIO touches device state the REF cannot replay; bail to
-                // the interpreter-visible entry path.
-                self.blocks.exit_early();
-            } else {
-                self.blocks.retire(self.state.pc());
-            }
         }
         StepOutcome::Retired { pc, insn, effect }
     }
@@ -364,10 +312,6 @@ impl RefModel {
         self.journal.record(JournalEntry::Mem { addr, len, old });
         self.mem.write(addr, len as usize, value);
         self.icache.invalidate_store(addr, len as u64);
-        // A store can invalidate the very block the cursor is inside
-        // (self-modifying code); the cursor discovers that at its next
-        // validation and exits early.
-        self.blocks.invalidate_store(addr, len as u64);
     }
 
     fn bump_instret(&mut self) {

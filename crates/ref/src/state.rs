@@ -105,24 +105,6 @@ impl ArchState {
         &self.csrs
     }
 
-    /// Overwrites the full integer register file (checkpoint restore).
-    /// The `x0` slot is forced back to zero to preserve the hardwired
-    /// invariant whatever the input says.
-    pub fn set_xregs(&mut self, regs: [u64; 32]) {
-        self.xregs = regs;
-        self.xregs[0] = 0;
-    }
-
-    /// Overwrites the full floating-point register file (checkpoint restore).
-    pub fn set_fregs(&mut self, regs: [u64; 32]) {
-        self.fregs = regs;
-    }
-
-    /// Overwrites the dense CSR file (checkpoint restore).
-    pub fn set_csrs(&mut self, csrs: [u64; CSR_COUNT]) {
-        self.csrs = csrs;
-    }
-
     /// The current LR/SC reservation address.
     #[inline]
     pub fn reservation(&self) -> Option<u64> {

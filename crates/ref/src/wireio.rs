@@ -1,12 +1,8 @@
 //! Shared little-endian wire helpers.
 //!
-//! The repo hand-rolls two byte codecs — the checkpoint image in
-//! [`crate::checkpoint`] and the `DTH1`/`DTHR` socket protocol in
-//! `difftest-core` — and both used to carry private copies of the same
-//! `u8`/`u32`/`u64` plumbing. This module is the single shared copy:
+//! The byte plumbing under the `DTH1`/`DTHR` socket protocol in
+//! `difftest-core`:
 //!
-//! - [`put_u8`]/[`put_u16`]/[`put_u32`]/[`put_u64`] append to a `Vec`
-//!   (in-memory blob builders like the checkpoint image),
 //! - [`Reader`] walks a byte slice with typed underflow errors
 //!   ([`ShortRead`]) instead of panics — callers map [`ShortRead`] onto
 //!   their own error enums,
@@ -19,29 +15,9 @@
 
 use std::io::{self, Read, Write};
 
-/// Appends a `u8`.
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-/// Appends a `u16` little-endian.
-pub fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u32` little-endian.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a `u64` little-endian.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// A read ran past the end of the slice: the blob is truncated (or a
 /// length field lied). Callers translate this into their own typed
-/// error (`CheckpointError::Truncated`, `ProtoError::Truncated`, …).
+/// error (`ProtoError::Truncated`, …).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShortRead;
 
@@ -182,11 +158,10 @@ mod tests {
 
     #[test]
     fn vec_and_reader_round_trip() {
-        let mut blob = Vec::new();
-        put_u8(&mut blob, 0xab);
-        put_u16(&mut blob, 0x1234);
-        put_u32(&mut blob, 0xdead_beef);
-        put_u64(&mut blob, 0x0123_4567_89ab_cdef);
+        let mut blob = vec![0xab];
+        blob.extend_from_slice(&0x1234u16.to_le_bytes());
+        blob.extend_from_slice(&0xdead_beefu32.to_le_bytes());
+        blob.extend_from_slice(&0x0123_4567_89ab_cdefu64.to_le_bytes());
         let mut r = Reader::new(&blob);
         assert_eq!(r.u8().unwrap(), 0xab);
         assert_eq!(r.u16().unwrap(), 0x1234);

@@ -4,11 +4,12 @@
 //! execution with it disabled: same per-step outcomes, same final
 //! architectural state, same compensation journal. The tests drive the
 //! hard cases directly — self-modifying code patching instructions both
-//! ahead of and behind the program counter, with and without `fence` —
-//! and then sweep every workload preset for the steady-state case.
+//! ahead of and behind the program counter, with and without `fence`,
+//! journal reverts, MMIO skip synchronization and traps mid-run — and
+//! then sweep every workload preset for the steady-state case.
 
 use difftest_isa::{encode, Reg};
-use difftest_ref::{Memory, RefModel};
+use difftest_ref::{Memory, RefModel, StepOutcome};
 use difftest_workload::Workload;
 use proptest::prelude::*;
 
@@ -30,23 +31,32 @@ fn patch_pool() -> Vec<u32> {
 /// cache-enabled and a cache-disabled [`RefModel`] in lockstep for
 /// `steps`, asserting outcome, state, and journal equivalence.
 fn lockstep(words: &[u32], steps: usize) -> RefModel {
+    lockstep_with(words, steps, |_, _, _| {}).0
+}
+
+/// [`lockstep`] with a hook called *before* each step pair; the hook may
+/// checkpoint, revert or arm NDE synchronization on both models. Also
+/// returns the (agreed) per-step outcomes.
+fn lockstep_with(
+    words: &[u32],
+    steps: usize,
+    mut before: impl FnMut(usize, &mut RefModel, &mut RefModel),
+) -> (RefModel, Vec<StepOutcome>) {
     let mut mem = Memory::new();
     mem.load_words(Memory::RAM_BASE, words);
     mem.load_words(Memory::RAM_BASE + POOL_OFF as u64, &patch_pool());
     let mut cached = RefModel::new(mem.clone());
     let mut plain = RefModel::new(mem);
-    // This suite isolates the per-insn decode-cache tier: block mode off on
-    // both sides (block coherence has its own lockstep suite), and the
-    // plain twin fully uncached.
-    cached.set_block_mode(false);
-    plain.set_block_mode(false);
     plain.set_decode_cache_enabled(false);
     cached.set_journal_enabled(true);
     plain.set_journal_enabled(true);
+    let mut outcomes = Vec::with_capacity(steps);
     for i in 0..steps {
+        before(i, &mut cached, &mut plain);
         let a = cached.step();
         let b = plain.step();
         assert_eq!(a, b, "step {i} diverged (cached vs uncached)");
+        outcomes.push(a);
     }
     assert_eq!(cached.state(), plain.state(), "final state diverged");
     assert_eq!(
@@ -54,7 +64,7 @@ fn lockstep(words: &[u32], steps: usize) -> RefModel {
         plain.journal().entries(),
         "journals diverged"
     );
-    cached
+    (cached, outcomes)
 }
 
 /// Emits the five-word prelude: `a1` = code base, `a2` = pool base.
@@ -172,6 +182,117 @@ fn store_to_cached_line_takes_effect_on_reexecution() {
                 "each patching store invalidates the cached line"
             );
         }
+    }
+}
+
+/// A loop whose body contains `fence`: every iteration flushes the decode
+/// cache, and a patching store before the fence still takes effect on the
+/// next iteration.
+#[test]
+fn fence_inside_loop_flushes_every_iteration() {
+    let mut words = Vec::new();
+    prelude(&mut words);
+    words.push(encode::addi(Reg::A5, Reg::ZERO, 4)); // loop counter
+    let loop_top = words.len();
+    words.push(encode::addi(Reg::A0, Reg::A0, 1)); // patched after iter 1
+    words.push(encode::lw(Reg::T0, Reg::A2, 0)); // pool[0] = addi a0,a0,7
+    words.push(encode::sw(Reg::T0, Reg::A1, (loop_top * 4) as i64));
+    words.push(encode::fence());
+    words.push(encode::addi(Reg::A5, Reg::A5, -1));
+    let delta = (loop_top as i64 - words.len() as i64) * 4;
+    words.push(encode::bne(Reg::A5, Reg::ZERO, delta));
+    words.push(encode::ebreak());
+
+    let body = 6;
+    let steps = 6 + 4 * body; // prelude + counter + four iterations
+    let m = lockstep(&words, steps);
+    assert_eq!(
+        m.state().xreg(Reg::A0),
+        1 + 3 * 7,
+        "iterations 2..4 execute the patched word"
+    );
+    let s = m.decode_cache_stats();
+    assert!(s.flushes >= 4, "each fence flushes the decode cache: {s:?}");
+    assert!(
+        s.store_invalidations >= 1,
+        "the first patch drops the cached line: {s:?}"
+    );
+}
+
+/// A journal revert landing mid-run: the warm cache must not survive it,
+/// and re-execution after the revert is deterministic and
+/// lockstep-identical.
+#[test]
+fn revert_mid_block_reexecutes_identically() {
+    let mut words = Vec::new();
+    for i in 0..8 {
+        words.push(encode::addi(Reg::A0, Reg::A0, i + 1));
+    }
+    words.push(encode::ebreak());
+
+    // Four steps in, both models revert to the checkpoint taken at step 0
+    // and then run the whole eight-op sequence.
+    let (m, _) = lockstep_with(&words, 4 + 8, |i, c, p| match i {
+        0 => {
+            c.checkpoint();
+            p.checkpoint();
+        }
+        4 => {
+            assert!(c.revert());
+            assert!(p.revert());
+            assert_eq!(c.state(), p.state(), "revert diverged");
+            assert!(
+                c.decode_cache_stats().flushes >= 1,
+                "revert must flush the decode cache"
+            );
+        }
+        _ => {}
+    });
+    assert_eq!(m.state().xreg(Reg::A0), (1..=8).sum::<u64>());
+}
+
+/// MMIO skip synchronization mid-run: the armed skip forces the
+/// destination on both models instead of executing the cached load.
+#[test]
+fn skip_sync_mid_block_exits_early() {
+    let words = [
+        encode::addi(Reg::A1, Reg::ZERO, 0x100), // a1 = MMIO-ish after shift
+        encode::slli(Reg::A1, Reg::A1, 20),      // 0x1000_0000
+        encode::addi(Reg::A0, Reg::A0, 1),
+        encode::lw(Reg::T0, Reg::A1, 0), // MMIO load, skipped
+        encode::addi(Reg::A0, Reg::A0, 2),
+        encode::ebreak(),
+    ];
+    let (m, outcomes) = lockstep_with(&words, 5, |i, c, p| {
+        if i == 3 {
+            c.skip_next(0xabcd);
+            p.skip_next(0xabcd);
+        }
+    });
+    assert!(
+        matches!(outcomes[3], StepOutcome::Skipped { pc, .. } if pc == Memory::RAM_BASE + 12),
+        "the load is skipped, not executed: {:?}",
+        outcomes[3]
+    );
+    assert_eq!(m.state().xreg(Reg::T0), 0xabcd);
+    assert_eq!(m.state().xreg(Reg::A0), 3);
+}
+
+/// A trap in the middle of a straight-line run reports `Trapped` with the
+/// faulting PC on both models (lockstep compares the outcomes).
+#[test]
+fn trap_mid_block_reports_faulting_pc() {
+    let words = [
+        encode::addi(Reg::A0, Reg::A0, 1),
+        encode::addi(Reg::A1, Reg::ZERO, -1), // a1 = huge address
+        encode::lw(Reg::T0, Reg::A1, 0),      // load access fault
+        encode::addi(Reg::A0, Reg::A0, 2),
+        encode::ebreak(),
+    ];
+    let (_, outcomes) = lockstep_with(&words, 4, |_, _, _| {});
+    match &outcomes[2] {
+        StepOutcome::Trapped { pc, .. } => assert_eq!(*pc, Memory::RAM_BASE + 8),
+        other => panic!("expected trap, got {other:?}"),
     }
 }
 

@@ -12,21 +12,23 @@
 //! are contained as counters, and drain (flag or SIGTERM on the real
 //! binary) finishes in-flight sessions before exiting.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
-use difftest_core::proto::write_hello;
+use difftest_core::proto::{read_result, write_end_frame, write_hello, write_transfer_frame};
 use difftest_core::{
-    run_runner, run_socket_session, DiffConfig, Hello, RunOutcome, RunnerKind, RunnerReport,
-    ServeAddr, Session, SocketReport, SocketTuning,
+    run_runner, run_socket_session, DiffConfig, Hello, LinkSink, RunOutcome, RunnerKind,
+    RunnerReport, ServeAddr, Session, SocketReport, SocketTuning, Transfer,
 };
 use difftest_dut::{BugKind, BugSpec, DutConfig};
 use difftest_serve::{spawn, ServeConfig};
+use difftest_stats::{FlightRecorder, PhaseTimer};
 use difftest_workload::Workload;
 
 const MAX_CYCLES: u64 = 400_000;
@@ -45,20 +47,91 @@ fn engine(w: &Workload, bugs: Vec<BugSpec>) -> RunnerReport {
     )
 }
 
-fn via_daemon(addr: &ServeAddr, w: &Workload, bugs: Vec<BugSpec>) -> SocketReport {
-    run_socket_session(
-        Session::new(
-            DutConfig::nutshell(),
-            DiffConfig::BNSD,
-            w,
-            bugs,
-            MAX_CYCLES,
-            QUEUE_DEPTH,
-            None,
-        ),
-        Some(addr),
-        SocketTuning::default(),
+fn session(w: &Workload, bugs: Vec<BugSpec>) -> Session {
+    Session::new(
+        DutConfig::nutshell(),
+        DiffConfig::BNSD,
+        w,
+        bugs,
+        MAX_CYCLES,
+        QUEUE_DEPTH,
+        None,
     )
+}
+
+fn via_daemon(addr: &ServeAddr, w: &Workload, bugs: Vec<BugSpec>) -> SocketReport {
+    run_socket_session(session(w, bugs), Some(addr), SocketTuning::default())
+}
+
+/// The producer end of a hand-driven daemon connection: every transfer
+/// becomes one DTH frame on the stream.
+struct FrameSink(BufWriter<UnixStream>);
+
+impl LinkSink for FrameSink {
+    fn send(&mut self, t: Transfer) -> bool {
+        write_transfer_frame(&mut self.0, &t).is_ok()
+    }
+}
+
+/// What [`hand_driven`] reads back: the fields the engine comparison uses.
+struct HandReport {
+    outcome: RunOutcome,
+    items: u64,
+    instructions: u64,
+}
+
+/// What the eight [`hand_driven`] clients share: how many have connected
+/// so far, and the barrier that holds back their end frames.
+struct Overlap {
+    connected: Mutex<usize>,
+    ends: Barrier,
+}
+
+/// One clean session spoken to the daemon by hand, so the test — not the
+/// scheduler — decides which session may end first: connect, hello,
+/// stream, end frame, verdict.
+///
+/// The daemon registers a session when it accepts the connection, accepts
+/// in connect order, and cannot close a session before its end frame. So
+/// the client that connected *last* ends first, alone: its verdict proves
+/// it was accepted, which puts the other seven — accepted before it, end
+/// frames still held back by the barrier — in the registry at that moment.
+fn hand_driven(path: &Path, w: &Workload, overlap: &Overlap) -> HandReport {
+    let session = session(w, Vec::new());
+    let (mut stream, last) = {
+        // Connecting under the lock makes the count the accept order.
+        let mut n = overlap.connected.lock().expect("connect order");
+        *n += 1;
+        (UnixStream::connect(path).expect("connect"), *n == 8)
+    };
+    write_hello(
+        &mut stream,
+        &Hello::from_session(&session, 0, session.words()),
+    )
+    .expect("hello");
+
+    let sink = FrameSink(BufWriter::new(stream.try_clone().expect("clone stream")));
+    let mut producer = session.producer(vec![session.lane(None, sink)]);
+    let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
+    producer.run(&AtomicBool::new(false), &mut timer, &mut rec);
+    if !last {
+        overlap.ends.wait();
+    }
+    let link = producer.link_mut(0);
+    let produced = link.produced();
+    let w = &mut link.sink_mut().0;
+    write_end_frame(w, produced).expect("end frame");
+    w.flush().expect("flush stream");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let res = read_result(&mut BufReader::new(stream)).expect("verdict");
+    if last {
+        overlap.ends.wait();
+    }
+    HandReport {
+        outcome: RunOutcome::decide(res.mismatch.is_some(), res.link_error, res.verdict),
+        items: res.items,
+        instructions: producer.finish(&timer, &rec).instructions,
+    }
 }
 
 fn unix_sock(tag: &str) -> PathBuf {
@@ -68,7 +141,8 @@ fn unix_sock(tag: &str) -> PathBuf {
 /// Eight producers dialing one daemon at once, each with its own
 /// workload: every per-session verdict must equal the single-process
 /// engine on the same workload, and the high-water gauge must prove the
-/// sessions genuinely overlapped.
+/// sessions genuinely overlapped. The clients are [`hand_driven`] so
+/// that overlap is constructed rather than hoped for.
 #[test]
 fn eight_concurrent_unix_sessions_match_engine() {
     let handle = spawn(ServeConfig {
@@ -77,19 +151,23 @@ fn eight_concurrent_unix_sessions_match_engine() {
         ..ServeConfig::default()
     })
     .expect("bind daemon");
-    let addr = handle.unix_addr().expect("unix addr").clone();
-    let barrier = Arc::new(Barrier::new(8));
+    let Some(ServeAddr::Unix(path)) = handle.unix_addr().cloned() else {
+        panic!("unix addr");
+    };
+    let overlap = Arc::new(Overlap {
+        connected: Mutex::new(0),
+        ends: Barrier::new(8),
+    });
     let joins: Vec<_> = (0..8u64)
         .map(|i| {
-            let addr = addr.clone();
-            let barrier = Arc::clone(&barrier);
+            let path = path.clone();
+            let overlap = Arc::clone(&overlap);
             std::thread::spawn(move || {
                 let w = Workload::microbench()
                     .seed(100 + i)
                     .iterations(40 + i as u32)
                     .build();
-                barrier.wait();
-                (i, via_daemon(&addr, &w, Vec::new()))
+                (i, hand_driven(&path, &w, &overlap))
             })
         })
         .collect();
@@ -104,7 +182,6 @@ fn eight_concurrent_unix_sessions_match_engine() {
         assert_eq!(rep.outcome, e.outcome, "session {i}");
         assert_eq!(rep.items, e.items, "session {i}: same stream, same items");
         assert_eq!(rep.instructions, e.instructions, "session {i}");
-        assert!(rep.consumer_exit.is_none(), "daemon sessions own no child");
     }
     let summary = handle.drain().expect("drain");
     assert_eq!(summary.counter("serve.sessions.opened"), 8);

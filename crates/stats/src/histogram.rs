@@ -90,24 +90,6 @@ impl Histogram {
         }
     }
 
-    /// Records `n` identical samples in O(1) — for replaying an external
-    /// pre-bucketed distribution (e.g. the REF block-length counts) into
-    /// a histogram without a per-sample loop.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_index(v)] += n;
-        self.count += n;
-        self.sum = self.sum.wrapping_add(v.wrapping_mul(n));
-        if v < self.min {
-            self.min = v;
-        }
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count

@@ -283,14 +283,6 @@ impl Metrics {
         self.hists[id.0].record(value);
     }
 
-    /// Records `n` identical samples into a registered histogram — O(1).
-    /// Used to replay externally pre-bucketed distributions (e.g. the
-    /// REF block-length counts) into the registry.
-    #[inline]
-    pub fn record_n(&mut self, id: HistogramId, value: u64, n: u64) {
-        self.hists[id.0].record_n(value, n);
-    }
-
     /// Looks a histogram up by name (export/analysis path).
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.hist_names
