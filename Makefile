@@ -61,7 +61,10 @@ ci: seam
 # The wire layer (proto/mux) has its own rules: it sits below every
 # runner (imports none of them), only the socket runner speaks it
 # in-process, and the difftest-serve crate builds on it exclusively (no
-# runner internals).
+# runner internals). The producer moves each event's payload once per
+# consumer of it: outside tests, retention, packing and the produce loop
+# never clone an event, and Squash does so only in its Vec<WireItem>
+# sink.
 RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/threaded.rs \
 	crates/core/src/sharded.rs crates/core/src/socket.rs \
 	crates/core/src/channel.rs
@@ -70,6 +73,8 @@ INPROC_RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/threaded.rs \
 	crates/core/src/sharded.rs crates/core/src/channel.rs
 RUN_ENTRY_POINTS = run_runner run_session run_sharded_session \
 	run_socket_session run_threaded_session
+PRODUCER_SRCS = crates/core/src/replay.rs crates/core/src/transport.rs \
+	crates/core/src/produce.rs crates/core/src/squash.rs
 seam:
 	@if grep -nE 'use crate::(engine|threaded|sharded|socket)(::|;| )' $(RUNNER_SRCS); then \
 		echo "runner seam violated: runners must build on session/link/produce/consume only"; \
@@ -108,6 +113,15 @@ seam:
 	else \
 		echo "service seam clean: difftest-serve reaches no runner internals"; \
 	fi
+	@if for f in $(PRODUCER_SRCS); do \
+		sed -e '/^#\[cfg(test)\]/,$$d' -e '/^impl SquashSink for Vec<WireItem>/,/^}/d' $$f \
+			| grep -nE '\.event\.clone\(\)|\.cloned\(\)' | sed "s|^|$$f: |"; \
+	done | grep .; then \
+		echo "producer-copy seam violated: an event is cloned on the send path"; \
+		exit 1; \
+	else \
+		echo "producer-copy seam clean: events are lent, not cloned, from monitor to packet"; \
+	fi
 	@if grep -rnE 'BlockCache|Uop|MAX_BLOCK_LEN|ends_block' crates/*/src; then \
 		echo "REF tier seam violated: the block-compiled tier was retired (DESIGN.md §13)"; \
 		exit 1; \
@@ -117,7 +131,8 @@ seam:
 
 # Allocation-regression gate: a counting global allocator pins the
 # packed consume path (admit → view-based streaming check) to zero
-# steady-state heap allocations per packet.
+# steady-state heap allocations per packet, and the produce path
+# (retention ring → Squash → Batch) to zero per cycle.
 alloc:
 	$(CARGO) test -p difftest-core --test alloc_regression
 

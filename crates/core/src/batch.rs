@@ -27,9 +27,10 @@ use difftest_event::wire::{
 use difftest_event::{Event, EventKind, MonitoredEvent};
 
 use crate::pool::{BufferPool, PooledBuf};
+use crate::squash::{FusedCommit, SquashSink};
 use crate::wire::{
-    decode_item_ref_body, encode_item_body, validate_item_body, DiffCache, WireItem, WireItemRef,
-    WireKind,
+    decode_item_ref_body, encode_item_body, encode_tag_token, validate_item_body, DiffCache,
+    WireItem, WireItemRef, WireKind,
 };
 
 /// One metadata record: `count` items of `wire_kind` from `core`.
@@ -186,60 +187,17 @@ impl BatchUnit {
         4 + 2 + self.meta.len() * META_ENTRY_BYTES + self.payload.len() + CRC_TRAILER_BYTES
     }
 
-    /// Packs one cycle's wire items, emitting any packets that filled.
-    pub fn push_cycle(&mut self, items: &[WireItem], out: &mut Vec<Packet>) {
-        for item in items {
-            self.body.clear();
-            // NOTE: diff encoding mutates the cache, so the item must be
-            // committed to the current packet (or dropped) once encoded.
-            if !encode_item_body(item, &mut self.diff, &mut self.body) {
-                // Vacuous diff: byte-identical to the previous same-kind
-                // event; the hardware transmits nothing.
-                self.stats.diff_dropped += 1;
-                continue;
-            }
-            let kind = item.wire_kind().to_u8();
-            let core = item.core();
-
-            // Transmission level: flush when this item cannot fit.
-            let extends_run = matches!(
-                self.meta.last(),
-                Some(m) if m.wire_kind == kind && m.core == core && m.count < u16::MAX
-            );
-            let needed = self.body.len() + if extends_run { 0 } else { META_ENTRY_BYTES };
-            if self.current_len() + needed > self.capacity && self.items > 0 {
-                self.flush_packet(out);
-            }
-
-            match self.meta.last_mut() {
-                Some(m) if m.wire_kind == kind && m.core == core && m.count < u16::MAX => {
-                    m.count += 1;
-                }
-                _ => self.meta.push(MetaEntry {
-                    core,
-                    wire_kind: kind,
-                    count: 1,
-                }),
-            }
-            self.payload.extend_from_slice(&self.body);
-            self.items += 1;
-        }
-    }
-
-    /// Packs one Plain event straight into the packet's payload buffer —
-    /// the producer-side zero-materialization fast path. The fixed layout
-    /// means the item's size is known *before* encoding, so the flush
-    /// check runs first and the bytes are then written in place: no
-    /// [`WireItem`] is built, no per-item body scratch is filled and
-    /// copied.
-    #[inline]
-    pub fn push_plain(&mut self, core: u8, event: &Event, out: &mut Vec<Packet>) {
-        let kind = WireKind::Plain(event.kind()).to_u8();
+    /// Admits one item of `body_len` encoded bytes to the open packet
+    /// (transmission level): the packet is flushed first when the item
+    /// cannot fit, then the item extends the last meta run or opens a
+    /// new one. The caller appends the body to the payload.
+    fn admit(&mut self, core: u8, kind: WireKind, body_len: usize, out: &mut Vec<Packet>) {
+        let kind = kind.to_u8();
         let extends_run = matches!(
             self.meta.last(),
             Some(m) if m.wire_kind == kind && m.core == core && m.count < u16::MAX
         );
-        let needed = event.encoded_len() + if extends_run { 0 } else { META_ENTRY_BYTES };
+        let needed = body_len + if extends_run { 0 } else { META_ENTRY_BYTES };
         if self.current_len() + needed > self.capacity && self.items > 0 {
             self.flush_packet(out);
         }
@@ -253,8 +211,57 @@ impl BatchUnit {
                 count: 1,
             }),
         }
-        event.encode_into(&mut self.payload);
         self.items += 1;
+    }
+
+    /// Packs one item through the body scratch, for bodies whose size is
+    /// only known once encoded. `encode` returns `false` for a vacuous
+    /// diff — byte-identical to the previous same-kind event, so the
+    /// hardware transmits nothing. Differencing mutates the cache, so an
+    /// encoded item is always either admitted or counted as dropped.
+    fn push_encoded(
+        &mut self,
+        core: u8,
+        kind: WireKind,
+        out: &mut Vec<Packet>,
+        encode: impl FnOnce(&mut DiffCache, &mut Vec<u8>) -> bool,
+    ) {
+        self.body.clear();
+        if !encode(&mut self.diff, &mut self.body) {
+            self.stats.diff_dropped += 1;
+            return;
+        }
+        self.admit(core, kind, self.body.len(), out);
+        self.payload.extend_from_slice(&self.body);
+    }
+
+    /// Packs one cycle's wire items, emitting any packets that filled.
+    pub fn push_cycle(&mut self, items: &[WireItem], out: &mut Vec<Packet>) {
+        for item in items {
+            self.push_encoded(item.core(), item.wire_kind(), out, |diff, body| {
+                encode_item_body(item, diff, body)
+            });
+        }
+    }
+
+    /// Packs one Plain event straight into the packet's payload buffer —
+    /// the producer-side zero-materialization fast path. The fixed layout
+    /// means the item's size is known *before* encoding, so the flush
+    /// check runs first and the bytes are then written in place: no
+    /// [`WireItem`] is built, no per-item body scratch is filled and
+    /// copied.
+    #[inline]
+    pub fn push_plain(&mut self, core: u8, event: &Event, out: &mut Vec<Packet>) {
+        let kind = WireKind::Plain(event.kind());
+        self.admit(core, kind, event.encoded_len(), out);
+        event.encode_into(&mut self.payload);
+    }
+
+    /// This packer as Squash's output: what `SquashUnit` lends is encoded
+    /// on the spot, the same bytes [`push_cycle`](Self::push_cycle) makes
+    /// of the equivalent [`WireItem`]s.
+    pub(crate) fn sink<'a>(&'a mut self, out: &'a mut Vec<Packet>) -> PackSink<'a> {
+        PackSink { batch: self, out }
     }
 
     /// Flushes the partially filled packet, if any.
@@ -291,6 +298,41 @@ impl BatchUnit {
         self.meta.clear();
         self.payload.clear();
         self.items = 0;
+    }
+}
+
+/// A [`BatchUnit`] taking Squash's output by reference
+/// ([`BatchUnit::sink`]); `out` receives the packets that fill.
+pub(crate) struct PackSink<'a> {
+    batch: &'a mut BatchUnit,
+    out: &'a mut Vec<Packet>,
+}
+
+impl SquashSink for PackSink<'_> {
+    fn tagged(&mut self, ev: &MonitoredEvent) {
+        let kind = WireKind::Tagged(ev.event.kind());
+        self.batch.push_encoded(ev.core, kind, self.out, |_, body| {
+            encode_tag_token(ev.order, ev.token, body);
+            ev.event.encode_into(body);
+            true
+        });
+    }
+
+    fn diff(&mut self, ev: &MonitoredEvent) {
+        let kind = WireKind::Diff(ev.event.kind());
+        self.batch
+            .push_encoded(ev.core, kind, self.out, |diff, body| {
+                encode_tag_token(ev.order, ev.token, body);
+                diff.encode(ev.core, &ev.event, body) > 0
+            });
+    }
+
+    fn fused(&mut self, core: u8, fused: &FusedCommit) {
+        self.batch
+            .push_encoded(core, WireKind::Fused, self.out, |_, body| {
+                fused.encode_into(body);
+                true
+            });
     }
 }
 

@@ -23,6 +23,13 @@ use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// A buffer as it sits in a pool slot. Slots are thin atomic pointers,
+/// so the `Vec` header needs a heap home of its own; a [`PooledBuf`]
+/// keeps that box for its way back, which makes the return trip
+/// allocation-free.
+#[allow(clippy::box_collection)]
+type SlotBox = Box<Vec<u8>>;
+
 #[derive(Debug)]
 struct PoolShared {
     /// Each slot is either null or a `Box<Vec<u8>>` leaked into the slot.
@@ -34,21 +41,21 @@ struct PoolShared {
 }
 
 impl PoolShared {
-    fn take(&self) -> Option<Vec<u8>> {
+    fn take(&self) -> Option<SlotBox> {
         for slot in self.slots.iter() {
             let p = slot.swap(ptr::null_mut(), Ordering::AcqRel);
             if !p.is_null() {
                 // We exclusively own `p` now: the swap removed it from the
                 // pool before any other thread could observe it.
-                return Some(*unsafe { Box::from_raw(p) });
+                return Some(unsafe { Box::from_raw(p) });
             }
         }
         None
     }
 
-    fn put(&self, mut buf: Vec<u8>) {
+    fn put(&self, mut buf: SlotBox) {
         buf.clear();
-        let p = Box::into_raw(Box::new(buf));
+        let p = Box::into_raw(buf);
         for slot in self.slots.iter() {
             if slot
                 .compare_exchange(ptr::null_mut(), p, Ordering::AcqRel, Ordering::Relaxed)
@@ -143,19 +150,19 @@ impl BufferPool {
     /// The buffer's capacity from its previous life is retained, which is
     /// what makes the steady state allocation-free.
     pub fn acquire(&self) -> PooledBuf {
-        let bytes = match self.shared.take() {
+        let mut slot_box = match self.shared.take() {
             Some(b) => {
                 self.shared.hits.fetch_add(1, Ordering::Relaxed);
                 b
             }
             None => {
                 self.shared.misses.fetch_add(1, Ordering::Relaxed);
-                Vec::new()
+                Box::default()
             }
         };
         PooledBuf {
-            bytes,
-            pool: Some(self.shared.clone()),
+            bytes: std::mem::take(&mut *slot_box),
+            pool: Some((self.shared.clone(), slot_box)),
         }
     }
 
@@ -192,7 +199,8 @@ impl BufferPool {
 /// like a plain `Vec<u8>`.
 pub struct PooledBuf {
     bytes: Vec<u8>,
-    pool: Option<Arc<PoolShared>>,
+    /// The pool to return to, and the slot box to return in.
+    pool: Option<(Arc<PoolShared>, SlotBox)>,
 }
 
 impl PooledBuf {
@@ -216,8 +224,9 @@ impl PooledBuf {
 
 impl Drop for PooledBuf {
     fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.put(std::mem::take(&mut self.bytes));
+        if let Some((pool, mut slot_box)) = self.pool.take() {
+            *slot_box = std::mem::take(&mut self.bytes);
+            pool.put(slot_box);
         }
     }
 }
@@ -242,7 +251,7 @@ impl Clone for PooledBuf {
     fn clone(&self) -> Self {
         PooledBuf {
             bytes: self.bytes.clone(),
-            pool: self.pool.clone(),
+            pool: self.pool.as_ref().map(|(p, _)| (p.clone(), Box::default())),
         }
     }
 }

@@ -11,13 +11,20 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use difftest_event::MonitoredEvent;
+use difftest_event::{Event, EventKind, MonitoredEvent, OrderTag, Token};
 
 use crate::checker::Mismatch;
 
 /// Packets the hardware side retains for link-level retransmission, in
 /// addition to the event ring (which serves mismatch localization).
 const DEFAULT_PACKET_RETENTION: usize = 512;
+
+/// Size of one ring chunk. A record never straddles chunks, so a chunk
+/// wastes at most one maximal record (538 B, under 1%) at its tail.
+const CHUNK_BYTES: usize = 64 << 10;
+
+/// Record header: `core:u8 kind:u8 cycle:u64 order:u64 token:u64`.
+const RECORD_HEADER_BYTES: usize = 26;
 
 /// The result of an event-range retransmission request.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,10 +37,78 @@ pub struct Retransmission {
     pub complete: bool,
 }
 
-/// The hardware-side token-indexed ring of original events.
+/// One retained event as it sits in a chunk: the monitor's stamps and the
+/// payload's wire encoding, borrowed.
+struct Record<'a> {
+    core: u8,
+    kind: EventKind,
+    cycle: u64,
+    order: u64,
+    token: u64,
+    payload: &'a [u8],
+}
+
+impl<'a> Record<'a> {
+    /// Appends `ev`'s record. The header is built on the stack and
+    /// written in one piece (one capacity check, not five).
+    fn append(ev: &MonitoredEvent, chunk: &mut Vec<u8>) {
+        let mut head = [0u8; RECORD_HEADER_BYTES];
+        head[0] = ev.core;
+        head[1] = ev.event.kind() as u8;
+        head[2..10].copy_from_slice(&ev.cycle.to_le_bytes());
+        head[10..18].copy_from_slice(&ev.order.0.to_le_bytes());
+        head[18..26].copy_from_slice(&ev.token.0.to_le_bytes());
+        chunk.extend_from_slice(&head);
+        ev.event.encode_into(chunk);
+    }
+
+    /// The record at `chunk[at..]` and the offset of the one after it;
+    /// `None` at the end of the chunk.
+    fn at(chunk: &'a [u8], at: usize) -> Option<(Record<'a>, usize)> {
+        let body = at + RECORD_HEADER_BYTES;
+        let head = chunk.get(at..body)?;
+        let kind = EventKind::from_u8(head[1]).ok()?;
+        let word = |at: usize| head[at..at + 8].try_into().map(u64::from_le_bytes).ok();
+        let next = body + kind.encoded_len();
+        let rec = Record {
+            core: head[0],
+            kind,
+            cycle: word(2)?,
+            order: word(10)?,
+            token: word(18)?,
+            payload: chunk.get(body..next)?,
+        };
+        Some((rec, next))
+    }
+
+    /// Decodes the event back out (Replay runs once, after a mismatch).
+    fn to_event(&self) -> Option<MonitoredEvent> {
+        Some(MonitoredEvent {
+            core: self.core,
+            cycle: self.cycle,
+            order: OrderTag(self.order),
+            token: Token(self.token),
+            event: Event::decode(self.kind, self.payload).ok()?,
+        })
+    }
+}
+
+/// The hardware-side token-indexed ring of original events (paper §4.4:
+/// a ring of raw event bytes). Each event is retained as one encoded
+/// record — header plus [`Event::encode_into`] payload, about 165 B on a
+/// XiangShan stream against 552 B for the value — appended to
+/// fixed-size chunks that are recycled as eviction empties them, so a
+/// full ring allocates nothing.
 #[derive(Debug, Default)]
 pub struct ReplayBuffer {
-    ring: VecDeque<MonitoredEvent>,
+    /// Chunks holding records, oldest first.
+    chunks: VecDeque<Vec<u8>>,
+    /// Offset of the oldest record in the front chunk.
+    head: usize,
+    /// Emptied chunks awaiting reuse.
+    spare: Vec<Vec<u8>>,
+    /// Number of buffered events.
+    len: usize,
     capacity: usize,
     dropped: u64,
     /// Highest token evicted from the ring, per core — lets
@@ -52,68 +127,74 @@ impl ReplayBuffer {
     /// Creates a ring retaining the most recent `capacity` events.
     pub fn new(capacity: usize) -> Self {
         ReplayBuffer {
-            ring: VecDeque::with_capacity(capacity.min(1 << 16)),
             capacity: capacity.max(1),
-            dropped: 0,
-            evicted_watermark: Vec::new(),
-            packet_ring: VecDeque::new(),
-            packet_first_seq: 0,
             packet_capacity: DEFAULT_PACKET_RETENTION,
-            packets_evicted: 0,
+            ..ReplayBuffer::default()
         }
     }
 
     /// Buffers one captured event (before any optimization touches it).
     pub fn push(&mut self, ev: MonitoredEvent) {
-        if self.ring.len() == self.capacity {
-            if let Some(old) = self.ring.pop_front() {
-                self.note_evicted(&old);
-            }
-            self.dropped += 1;
-        }
-        self.ring.push_back(ev);
+        self.retain(&ev);
     }
 
-    /// Buffers one cycle's captured events in bulk. Evictions for the
-    /// whole batch are computed up front, so the per-event hot loop the
-    /// engine's monitor phase runs every cycle is a clone + ring append
-    /// with no capacity or watermark bookkeeping. Equivalent to calling
+    /// Buffers one cycle's captured events — what the engine's monitor
+    /// phase runs every cycle. Equivalent to calling
     /// [`push`](Self::push) once per event.
     pub fn push_slice(&mut self, events: &[MonitoredEvent]) {
-        let overflow = (self.ring.len() + events.len()).saturating_sub(self.capacity);
-        for _ in 0..overflow.min(self.ring.len()) {
-            if let Some(old) = self.ring.pop_front() {
-                self.note_evicted(&old);
-                self.dropped += 1;
-            }
+        for ev in events {
+            self.retain(ev);
         }
-        // A batch larger than the ring evicts its own oldest events on
-        // arrival.
-        let skip = events.len().saturating_sub(self.capacity);
-        for ev in &events[..skip] {
-            self.note_evicted(ev);
-            self.dropped += 1;
-        }
-        self.ring.extend(events[skip..].iter().cloned());
     }
 
-    fn note_evicted(&mut self, ev: &MonitoredEvent) {
-        let idx = ev.core as usize;
-        if self.evicted_watermark.len() <= idx {
-            self.evicted_watermark.resize(idx + 1, None);
+    /// Encodes `ev` at the tail, evicting the oldest event when full.
+    fn retain(&mut self, ev: &MonitoredEvent) {
+        if self.len == self.capacity {
+            self.evict_oldest();
         }
-        let slot = &mut self.evicted_watermark[idx];
-        *slot = Some(slot.map_or(ev.token.0, |w| w.max(ev.token.0)));
+        let need = RECORD_HEADER_BYTES + ev.encoded_len();
+        if !matches!(self.chunks.back(), Some(c) if c.len() + need <= CHUNK_BYTES) {
+            let fresh = self.spare.pop();
+            self.chunks
+                .push_back(fresh.unwrap_or_else(|| Vec::with_capacity(CHUNK_BYTES)));
+        }
+        if let Some(chunk) = self.chunks.back_mut() {
+            Record::append(ev, chunk);
+            self.len += 1;
+        }
+    }
+
+    fn evict_oldest(&mut self) {
+        while let Some(chunk) = self.chunks.front() {
+            if let Some((old, next)) = Record::at(chunk, self.head) {
+                let idx = old.core as usize;
+                if self.evicted_watermark.len() <= idx {
+                    self.evicted_watermark.resize(idx + 1, None);
+                }
+                let slot = &mut self.evicted_watermark[idx];
+                *slot = Some(slot.map_or(old.token, |w| w.max(old.token)));
+                self.head = next;
+                self.len -= 1;
+                self.dropped += 1;
+                return;
+            }
+            // The front chunk is spent: recycle it.
+            self.head = 0;
+            if let Some(mut spent) = self.chunks.pop_front() {
+                spent.clear();
+                self.spare.push(spent);
+            }
+        }
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.ring.len()
+        self.len
     }
 
     /// Returns `true` when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
+        self.len == 0
     }
 
     /// Events evicted because the ring overflowed (the `replay.dropped`
@@ -123,19 +204,25 @@ impl ReplayBuffer {
     }
 
     /// Retransmits the buffered events with tokens in `[from, to]`, for one
-    /// core, in token order. Tokens also filter out unrelated events that
-    /// arrived between the failure and the replay request (paper §4.4).
-    /// The result is marked incomplete when the requested range overlaps
-    /// tokens already evicted from the ring — the caller must then treat
-    /// any localization as partial rather than silently trusting a
-    /// truncated replay.
+    /// core, in arrival order (which is token order per core), decoding
+    /// them from the ring on demand. Tokens also filter out unrelated
+    /// events that arrived between the failure and the replay request
+    /// (paper §4.4). The result is marked incomplete when the requested
+    /// range overlaps tokens already evicted from the ring — the caller
+    /// must then treat any localization as partial rather than silently
+    /// trusting a truncated replay.
     pub fn retransmit(&self, core: u8, from: u64, to: u64) -> Retransmission {
-        let events: Vec<MonitoredEvent> = self
-            .ring
-            .iter()
-            .filter(|e| e.core == core && (from..=to).contains(&e.token.0))
-            .cloned()
-            .collect();
+        let mut events = Vec::new();
+        let mut at = self.head;
+        for chunk in &self.chunks {
+            while let Some((rec, next)) = Record::at(chunk, at) {
+                if rec.core == core && (from..=to).contains(&rec.token) {
+                    events.extend(rec.to_event());
+                }
+                at = next;
+            }
+            at = 0;
+        }
         let complete = match self.evicted_watermark.get(core as usize).copied().flatten() {
             // Tokens up to the watermark are gone; if the range starts
             // at or below it, its oldest events may be missing.
@@ -157,12 +244,16 @@ impl ReplayBuffer {
             self.packet_ring.clear();
             self.packet_first_seq = seq;
         }
+        // A full ring's evicted packet lends its buffer to the new one.
+        let mut copy = Vec::new();
         if self.packet_ring.len() == self.packet_capacity {
-            self.packet_ring.pop_front();
+            copy = self.packet_ring.pop_front().unwrap_or_default();
+            copy.clear();
             self.packet_first_seq = self.packet_first_seq.wrapping_add(1);
             self.packets_evicted += 1;
         }
-        self.packet_ring.push_back(bytes.to_vec());
+        copy.extend_from_slice(bytes);
+        self.packet_ring.push_back(copy);
     }
 
     /// The retained copy of packet `seq`, if it has not been evicted.
@@ -252,6 +343,39 @@ mod tests {
         }
     }
 
+    /// The independent oracle: the ring as a deque of event values with
+    /// pop-front eviction.
+    #[derive(Default)]
+    struct Model {
+        ring: VecDeque<MonitoredEvent>,
+        dropped: u64,
+        watermark: [Option<u64>; 2],
+    }
+
+    impl Model {
+        fn push(&mut self, cap: usize, ev: &MonitoredEvent) {
+            if self.ring.len() == cap {
+                let old = self.ring.pop_front().unwrap();
+                let w = &mut self.watermark[old.core as usize];
+                *w = Some(w.map_or(old.token.0, |w| w.max(old.token.0)));
+                self.dropped += 1;
+            }
+            self.ring.push_back(ev.clone());
+        }
+
+        fn retransmit_all(&self, core: u8) -> Retransmission {
+            Retransmission {
+                events: self
+                    .ring
+                    .iter()
+                    .filter(|e| e.core == core)
+                    .cloned()
+                    .collect(),
+                complete: self.watermark[core as usize].is_none(),
+            }
+        }
+    }
+
     #[test]
     fn push_slice_matches_per_event_push() {
         // Batches straddling every eviction regime: empty ring, partial
@@ -264,6 +388,7 @@ mod tests {
         ] {
             let mut a = ReplayBuffer::new(cap);
             let mut b = ReplayBuffer::new(cap);
+            let mut model = Model::default();
             let mut t = 0u64;
             for n in batches {
                 let evs: Vec<MonitoredEvent> =
@@ -271,13 +396,18 @@ mod tests {
                 t += n as u64;
                 for e in &evs {
                     a.push(e.clone());
+                    model.push(cap, e);
                 }
                 b.push_slice(&evs);
+                for rb in [&a, &b] {
+                    assert_eq!(rb.len(), model.ring.len(), "cap {cap}");
+                    assert_eq!(rb.dropped(), model.dropped, "cap {cap}");
+                    for core in 0..2 {
+                        let got = rb.retransmit(core, 0, u64::MAX);
+                        assert_eq!(got, model.retransmit_all(core), "cap {cap} core {core}");
+                    }
+                }
             }
-            assert_eq!(a.len(), b.len(), "cap {cap}");
-            assert_eq!(a.dropped(), b.dropped(), "cap {cap}");
-            assert_eq!(a.evicted_watermark, b.evicted_watermark, "cap {cap}");
-            assert!(a.ring.iter().eq(b.ring.iter()), "cap {cap}");
         }
     }
 

@@ -242,59 +242,41 @@ impl SquashStats {
     }
 }
 
+/// One core's fusion window. The record's write-set vectors are cleared
+/// on reopening, never taken, so a steady stream of windows allocates
+/// nothing.
 #[derive(Debug, Default)]
 struct WindowState {
     open: bool,
-    first_seq: u64,
-    count: u32,
-    final_pc: u64,
-    token_first: u64,
-    token_last: u64,
     age: u32,
-    int_writes: Vec<(u8, u64)>,
-    fp_writes: Vec<(u8, u64)>,
+    rec: FusedCommit,
 }
 
 impl WindowState {
     fn absorb(&mut self, ev: &MonitoredEvent, c: &difftest_event::InstrCommit) {
+        let rec = &mut self.rec;
         if !self.open {
             self.open = true;
-            self.first_seq = ev.order.0;
-            self.count = 0;
-            self.token_first = ev.token.0;
             self.age = 0;
-            self.int_writes.clear();
-            self.fp_writes.clear();
+            rec.first_seq = ev.order.0;
+            rec.count = 0;
+            rec.token_first = ev.token.0;
+            rec.int_writes.clear();
+            rec.fp_writes.clear();
         }
-        self.count += 1;
-        self.token_last = ev.token.0;
-        self.final_pc = next_pc_of(c);
+        rec.count += 1;
+        rec.token_last = ev.token.0;
+        rec.final_pc = next_pc_of(c);
         if c.wen != 0 {
             let set = if c.flags & commit_flags::FP_WEN != 0 {
-                &mut self.fp_writes
+                &mut rec.fp_writes
             } else {
-                &mut self.int_writes
+                &mut rec.int_writes
             };
             match set.iter_mut().find(|(r, _)| *r == c.wdest) {
                 Some(slot) => slot.1 = c.wdata,
                 None => set.push((c.wdest, c.wdata)),
             }
-        }
-    }
-
-    fn take(&mut self, core: u8) -> WireItem {
-        self.open = false;
-        WireItem::Fused {
-            core,
-            fused: FusedCommit {
-                first_seq: self.first_seq,
-                count: self.count,
-                final_pc: self.final_pc,
-                token_first: self.token_first,
-                token_last: self.token_last,
-                int_writes: std::mem::take(&mut self.int_writes),
-                fp_writes: std::mem::take(&mut self.fp_writes),
-            },
         }
     }
 }
@@ -331,6 +313,48 @@ fn decode_target(c: &difftest_event::InstrCommit) -> u64 {
         // does not carry; the monitor marks them with a zero final PC and
         // the checker falls back to comparing the next commit's PC.
         _ => 0,
+    }
+}
+
+/// Where Squash's output goes: the one seam between classification and
+/// fusion on this side and encoding on the other. Events and the fusion
+/// record are lent, never moved, so a sink that encodes (the packer
+/// inside [`AccelUnit`](crate::AccelUnit)) copies each payload once,
+/// into its packet, and only a sink that keeps items (`Vec<WireItem>`)
+/// pays for a clone.
+pub trait SquashSink {
+    /// An event scheduled ahead with its order tag, full payload.
+    fn tagged(&mut self, ev: &MonitoredEvent);
+    /// An event to difference against the previous one of its kind.
+    fn diff(&mut self, ev: &MonitoredEvent);
+    /// A closed fusion window of `core`.
+    fn fused(&mut self, core: u8, fused: &FusedCommit);
+}
+
+impl SquashSink for Vec<WireItem> {
+    fn tagged(&mut self, ev: &MonitoredEvent) {
+        self.push(WireItem::Tagged {
+            core: ev.core,
+            tag: ev.order,
+            token: ev.token,
+            event: ev.event.clone(),
+        });
+    }
+
+    fn diff(&mut self, ev: &MonitoredEvent) {
+        self.push(WireItem::Diff {
+            core: ev.core,
+            tag: ev.order,
+            token: ev.token,
+            event: ev.event.clone(),
+        });
+    }
+
+    fn fused(&mut self, core: u8, fused: &FusedCommit) {
+        self.push(WireItem::Fused {
+            core,
+            fused: fused.clone(),
+        });
     }
 }
 
@@ -376,8 +400,9 @@ impl SquashUnit {
         &self.stats
     }
 
-    /// Processes one monitored event, appending wire items.
-    pub fn push(&mut self, ev: &MonitoredEvent, out: &mut Vec<WireItem>) {
+    /// Processes one monitored event, handing what it puts on the wire
+    /// to `out`.
+    pub fn push<S: SquashSink>(&mut self, ev: &MonitoredEvent, out: &mut S) {
         let core = ev.core as usize;
         let mut class = classify(&ev.event);
         if class == SquashClass::Diff && !self.differencing {
@@ -394,16 +419,11 @@ impl SquashUnit {
                 // it ahead with its order tag before fusing it.
                 if ev.is_nde() {
                     self.stats.tagged += 1;
-                    out.push(WireItem::Tagged {
-                        core: ev.core,
-                        tag: ev.order,
-                        token: ev.token,
-                        event: ev.event.clone(),
-                    });
+                    out.tagged(ev);
                 }
                 self.windows[core].absorb(ev, c);
                 self.stats.commits_fused += 1;
-                if self.windows[core].count >= self.window_limit {
+                if self.windows[core].rec.count >= self.window_limit {
                     self.flush_core(ev.core, out);
                 }
             }
@@ -420,27 +440,17 @@ impl SquashUnit {
                     }
                 }
                 self.stats.tagged += 1;
-                out.push(WireItem::Tagged {
-                    core: ev.core,
-                    tag: ev.order,
-                    token: ev.token,
-                    event: ev.event.clone(),
-                });
+                out.tagged(ev);
             }
             SquashClass::Diff => {
                 self.stats.diffed += 1;
-                out.push(WireItem::Diff {
-                    core: ev.core,
-                    tag: ev.order,
-                    token: ev.token,
-                    event: ev.event.clone(),
-                });
+                out.diff(ev);
             }
         }
     }
 
     /// Ends one DUT cycle: ages open windows and flushes stale ones.
-    pub fn on_cycle_end(&mut self, out: &mut Vec<WireItem>) {
+    pub fn on_cycle_end<S: SquashSink>(&mut self, out: &mut S) {
         for core in 0..self.windows.len() {
             if self.windows[core].open {
                 self.windows[core].age += 1;
@@ -452,16 +462,17 @@ impl SquashUnit {
     }
 
     /// Flushes one core's open fusion window.
-    pub fn flush_core(&mut self, core: u8, out: &mut Vec<WireItem>) {
+    pub fn flush_core<S: SquashSink>(&mut self, core: u8, out: &mut S) {
         let w = &mut self.windows[core as usize];
         if w.open {
+            w.open = false;
             self.stats.fused_records += 1;
-            out.push(w.take(core));
+            out.fused(core, &w.rec);
         }
     }
 
     /// Flushes every open window (end of simulation, replay requests).
-    pub fn flush_all(&mut self, out: &mut Vec<WireItem>) {
+    pub fn flush_all<S: SquashSink>(&mut self, out: &mut S) {
         for core in 0..self.windows.len() as u8 {
             self.flush_core(core, out);
         }

@@ -49,7 +49,6 @@ enum HwMode {
 #[derive(Debug)]
 pub struct AccelUnit {
     mode: HwMode,
-    item_buf: Vec<WireItem>,
     packet_buf: Vec<Packet>,
     /// Buffer pool for the per-event path (packed paths draw from the
     /// [`BatchUnit`]'s pool).
@@ -63,7 +62,6 @@ impl AccelUnit {
     pub fn per_event() -> Self {
         AccelUnit {
             mode: HwMode::PerEvent,
-            item_buf: Vec::new(),
             packet_buf: Vec::new(),
             event_pool: BufferPool::new(DEFAULT_POOL_SLOTS),
             route_core: 0,
@@ -74,7 +72,6 @@ impl AccelUnit {
     pub fn batch(cores: usize, packet_bytes: usize) -> Self {
         AccelUnit {
             mode: HwMode::Batch(BatchUnit::new(cores, packet_bytes)),
-            item_buf: Vec::new(),
             packet_buf: Vec::new(),
             event_pool: BufferPool::new(DEFAULT_POOL_SLOTS),
             route_core: 0,
@@ -104,7 +101,6 @@ impl AccelUnit {
         squash.set_differencing(differencing);
         AccelUnit {
             mode: HwMode::SquashBatch(squash, BatchUnit::new(cores, packet_bytes)),
-            item_buf: Vec::new(),
             packet_buf: Vec::new(),
             event_pool: BufferPool::new(DEFAULT_POOL_SLOTS),
             route_core: 0,
@@ -203,12 +199,14 @@ impl AccelUnit {
                 drain_packets(&mut self.packet_buf, self.route_core, out);
             }
             HwMode::SquashBatch(squash, batch) => {
-                self.item_buf.clear();
+                // Squash lends each event (and each closed window) to
+                // the packer, which encodes it in place: no WireItem
+                // staging, no event clone.
+                let mut sink = batch.sink(&mut self.packet_buf);
                 for ev in events {
-                    squash.push(ev, &mut self.item_buf);
+                    squash.push(ev, &mut sink);
                 }
-                squash.on_cycle_end(&mut self.item_buf);
-                batch.push_cycle(&self.item_buf, &mut self.packet_buf);
+                squash.on_cycle_end(&mut sink);
                 drain_packets(&mut self.packet_buf, self.route_core, out);
             }
         }
@@ -223,9 +221,7 @@ impl AccelUnit {
                 drain_packets(&mut self.packet_buf, self.route_core, out);
             }
             HwMode::SquashBatch(squash, batch) => {
-                self.item_buf.clear();
-                squash.flush_all(&mut self.item_buf);
-                batch.push_cycle(&self.item_buf, &mut self.packet_buf);
+                squash.flush_all(&mut batch.sink(&mut self.packet_buf));
                 batch.flush(&mut self.packet_buf);
                 drain_packets(&mut self.packet_buf, self.route_core, out);
             }

@@ -278,17 +278,26 @@ impl DiffCache {
         let start = out.len();
         out.resize(start + bitmap_bytes, 0);
         let mut changed = 0usize;
-        for w in 0..words {
-            let lo = w * 8;
-            let hi = (lo + 8).min(cur.len());
-            let same = matches!(prev.as_deref(), Some(p) if p[lo..hi] == cur[lo..hi]);
-            if !same {
+        // One paired scan of both payloads. Without a previous payload
+        // the partner is empty, so every word reads as changed.
+        let mut cur_words = cur.chunks_exact(8);
+        let mut prev_words = prev.as_deref().unwrap_or_default().chunks_exact(8);
+        let mut w = 0usize;
+        for word in cur_words.by_ref() {
+            if prev_words.next() != Some(word) {
                 out[start + w / 8] |= 1 << (w % 8);
-                let mut word = [0u8; 8];
-                word[..hi - lo].copy_from_slice(&cur[lo..hi]);
-                out.extend_from_slice(&word);
+                out.extend_from_slice(word);
                 changed += 1;
             }
+            w += 1;
+        }
+        // A short tail word is zero-padded to eight bytes.
+        let tail = cur_words.remainder();
+        if !tail.is_empty() && (prev.is_none() || prev_words.remainder() != tail) {
+            out[start + w / 8] |= 1 << (w % 8);
+            out.extend_from_slice(tail);
+            out.resize(out.len() + 8 - tail.len(), 0);
+            changed += 1;
         }
         // The slot takes the current payload; its old buffer becomes the
         // next call's scratch.
@@ -373,9 +382,7 @@ pub fn encode_item_body(item: &WireItem, diff: &mut DiffCache, out: &mut Vec<u8>
         WireItem::Tagged {
             tag, token, event, ..
         } => {
-            let mut w = Writer::new(out);
-            w.u64(tag.0);
-            w.u64(token.0);
+            encode_tag_token(*tag, *token, out);
             event.encode_into(out);
             true
         }
@@ -389,12 +396,18 @@ pub fn encode_item_body(item: &WireItem, diff: &mut DiffCache, out: &mut Vec<u8>
             event,
             core,
         } => {
-            let mut w = Writer::new(out);
-            w.u64(tag.0);
-            w.u64(token.0);
+            encode_tag_token(*tag, *token, out);
             diff.encode(*core, event, out) > 0
         }
     }
+}
+
+/// Appends the prefix Tagged and Diff bodies share (the packer writes it
+/// straight into the packet when Squash hands it an event by reference).
+pub(crate) fn encode_tag_token(tag: OrderTag, token: Token, out: &mut Vec<u8>) {
+    let mut w = Writer::new(out);
+    w.u64(tag.0);
+    w.u64(token.0);
 }
 
 /// Decodes one wire item's body given its kind and core.

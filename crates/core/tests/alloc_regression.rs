@@ -5,18 +5,24 @@
 //! allocation per packet in the steady state: events are checked
 //! straight from the packet bytes, no `WireItem` batch is built, and
 //! every ring/histogram the observability layer touches is fixed-size.
-//! This test pins that property with a counting global allocator: after
-//! a warmup prefix (REF page first-touch, pool growth, metric
-//! registration), ingesting the remaining packets must allocate nothing.
+//! The produce pipeline mirrors it: the retention ring encodes into
+//! recycled chunks, Squash lends events to the packer, and packets come
+//! from a primed pool. These tests pin both with a counting global
+//! allocator: after a warmup prefix (REF page first-touch, ring fill,
+//! pool growth, metric registration), the remaining packets or cycles
+//! must allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use difftest_core::consume::{NoCharge, Step};
 use difftest_core::link::QueueSink;
 use difftest_core::session::{DiffConfig, Session};
 use difftest_core::transport::Transfer;
+use difftest_core::ReplayBuffer;
 use difftest_dut::DutConfig;
+use difftest_event::MonitoredEvent;
 use difftest_stats::{FlightRecorder, PhaseTimer};
 use difftest_workload::Workload;
 
@@ -51,6 +57,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide and the harness runs tests on parallel
+/// threads: each test holds this for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// Runs the producer side to completion, collecting every packet.
 fn produce(session: &Session) -> Vec<Transfer> {
     let mut p = session.producer(vec![session.lane(None, QueueSink::default())]);
@@ -61,6 +71,7 @@ fn produce(session: &Session) -> Vec<Transfer> {
 
 #[test]
 fn packed_consume_steady_state_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap();
     let w = Workload::microbench().seed(3).iterations(40).build();
     let s = Session::new(
         DutConfig::nutshell(),
@@ -106,4 +117,71 @@ fn packed_consume_steady_state_allocates_nothing() {
     let out = consumer.finish();
     assert!(out.mismatch.is_none(), "{:?}", out.mismatch);
     assert!(out.link_error.is_none(), "{:?}", out.link_error);
+}
+
+#[test]
+fn produce_steady_state_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap();
+    const CYCLES: u64 = 4_000;
+    let w = Workload::microbench().seed(3).iterations(4_000).build();
+    let s = Session::new(
+        DutConfig::xiangshan_default(),
+        DiffConfig::BNSD,
+        &w,
+        Vec::new(),
+        CYCLES,
+        8,
+        None,
+    );
+
+    // Pre-capture the stream, so the gated loop below runs retention and
+    // packing alone.
+    let mut dut = s.dut();
+    let mut stream: Vec<Vec<MonitoredEvent>> = Vec::new();
+    while dut.halted().is_none() && dut.cycles() < CYCLES {
+        let mut events = Vec::new();
+        dut.tick_into(&mut events);
+        stream.push(events);
+    }
+    let n_events: usize = stream.iter().map(Vec::len).sum();
+    let warmup = stream.len() * 3 / 4;
+
+    // The ring fills (and starts recycling chunks) well inside the
+    // warmup; every cycle's transfers are dropped, which is what primes
+    // the packet pool.
+    let mut ring = ReplayBuffer::new(n_events / 8);
+    let mut accel = s.accel();
+    let mut transfers: Vec<Transfer> = Vec::new();
+    let mut cycle = |events: &[MonitoredEvent]| {
+        ring.push_slice(events);
+        accel.push_cycle(events, &mut transfers);
+        transfers.clear();
+    };
+    stream[..warmup].iter().for_each(|events| cycle(events));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    stream[warmup..].iter().for_each(|events| cycle(events));
+    let produce_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(ring.dropped() > 0 && accel.pool_stats().hit_rate() > 0.0);
+
+    // Reported, not gated: what the DUT model itself allocates per cycle
+    // into a reused buffer over the same steady-state cycles.
+    let mut dut = s.dut();
+    let mut events = Vec::new();
+    let mut before = 0;
+    while dut.halted().is_none() && dut.cycles() < CYCLES {
+        if dut.cycles() == warmup as u64 {
+            before = ALLOCS.load(Ordering::Relaxed);
+        }
+        events.clear();
+        dut.tick_into(&mut events);
+    }
+    let tail = stream.len() - warmup;
+    let tick_allocs = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / tail as f64;
+    eprintln!("Dut::tick_into: {tick_allocs:.3} allocations per cycle over {tail} cycles");
+
+    assert_eq!(
+        produce_allocs, 0,
+        "steady-state push_slice + push_cycle allocated {produce_allocs} times over {tail} \
+         cycles (Dut::tick_into, not gated: {tick_allocs:.3} per cycle)"
+    );
 }

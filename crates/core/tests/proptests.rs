@@ -1,12 +1,19 @@
 //! Property tests on the communication pipeline's core invariants:
 //! pack/unpack is the identity, differencing round-trips across packet
-//! boundaries, and the fused-commit codec is self-inverse.
+//! boundaries, the fused-commit codec is self-inverse, the byte
+//! retention ring behaves as a deque of event values, and Squash's two
+//! output sinks make the same bytes.
+
+use std::collections::VecDeque;
 
 use difftest_core::batch::{BatchUnit, Unpacker};
-use difftest_core::{FusedCommit, WireItem, WireKind};
+use difftest_core::{
+    AccelUnit, FusedCommit, ReplayBuffer, Retransmission, SquashUnit, WireItem, WireKind,
+};
 use difftest_event::wire::Reader;
 use difftest_event::{
-    ArchIntRegState, CsrState, Event, EventKind, InstrCommit, OrderTag, StoreEvent, Token,
+    commit_flags, ArchIntRegState, CsrState, Event, EventKind, InstrCommit, MonitoredEvent,
+    OrderTag, StoreEvent, Token,
 };
 use proptest::prelude::*;
 
@@ -42,6 +49,110 @@ fn any_plain_or_tagged() -> impl Strategy<Value = WireItem> {
                 WireItem::Plain { core, event }
             }
         })
+}
+
+/// The retention ring's independent oracle: a deque of event values with
+/// pop-front eviction and a per-core highest-evicted-token watermark.
+struct RingModel {
+    ring: VecDeque<MonitoredEvent>,
+    capacity: usize,
+    dropped: u64,
+    watermark: [Option<u64>; 2],
+}
+
+impl RingModel {
+    fn push(&mut self, ev: &MonitoredEvent) {
+        if self.ring.len() == self.capacity {
+            let old = self.ring.pop_front().expect("capacity >= 1");
+            let w = &mut self.watermark[old.core as usize];
+            *w = Some(w.map_or(old.token.0, |w| w.max(old.token.0)));
+            self.dropped += 1;
+        }
+        self.ring.push_back(ev.clone());
+    }
+
+    fn retransmit(&self, core: u8, from: u64, to: u64) -> Retransmission {
+        Retransmission {
+            events: self
+                .ring
+                .iter()
+                .filter(|e| e.core == core && (from..=to).contains(&e.token.0))
+                .cloned()
+                .collect(),
+            complete: self.watermark[core as usize].is_none_or(|w| from > w),
+        }
+    }
+}
+
+/// Strategy: a commit shaped like the DUT's (small register indices, so
+/// write sets collide; MMIO skips and FP writes now and then).
+fn any_commit() -> impl Strategy<Value = Event> {
+    (any::<u64>(), 0u8..8, any::<u64>(), 0u8..8, 0u8..4).prop_map(
+        |(pc, wdest, wdata, dice, wen)| {
+            let mut flags = 0;
+            if dice == 0 {
+                flags |= commit_flags::SKIP;
+            }
+            if dice == 1 {
+                flags |= commit_flags::FP_WEN;
+            }
+            InstrCommit {
+                pc,
+                instr: 0x13,
+                wen: (wen != 0) as u8,
+                wdest,
+                wdata,
+                flags,
+                rob_idx: 0,
+            }
+            .into()
+        },
+    )
+}
+
+/// Strategy: `cycles` of monitored events on two cores — commits (so
+/// windows fill and, across the empty cycles, age out), repeats from a
+/// small pool (so differencing sees unchanged and slightly changed
+/// payloads, vacuous diffs included) and fresh events of every kind.
+/// Tokens count up in capture order; order tags are non-decreasing.
+fn any_cycle_stream() -> impl Strategy<Value = Vec<Vec<MonitoredEvent>>> {
+    let pool = proptest::collection::vec(any_event(), 1..6);
+    let pick = (
+        0u8..6,
+        any_commit(),
+        any_event(),
+        0usize..6,
+        0u8..2,
+        0u64..3,
+    );
+    let cycle = proptest::collection::vec(pick, 0..7);
+    (pool, proptest::collection::vec(cycle, 1..160)).prop_map(|(pool, cycles)| {
+        let (mut token, mut order) = (0u64, 0u64);
+        cycles
+            .into_iter()
+            .enumerate()
+            .map(|(cycle, picks)| {
+                picks
+                    .into_iter()
+                    .map(|(which, commit, fresh, idx, core, step)| {
+                        order += step;
+                        token += 1;
+                        MonitoredEvent {
+                            core,
+                            cycle: cycle as u64,
+                            order: OrderTag(order),
+                            token: Token(token),
+                            event: match which {
+                                0..=2 => commit,
+                                3..=4 => pool[idx % pool.len()].clone(),
+                                _ => fresh,
+                            },
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    })
 }
 
 proptest! {
@@ -150,6 +261,107 @@ proptest! {
     }
 
     #[test]
+    fn byte_ring_behaves_as_a_deque_of_events(
+        stream in proptest::collection::vec((any_event(), 0u8..2, any::<u64>(), 0u64..3), 1..2500),
+        capacity in prop_oneof![1usize..8, 8usize..600, 600usize..=4096],
+        batches in proptest::collection::vec(1usize..700, 1..12),
+        probe in any::<(u64, u64)>(),
+    ) {
+        // Tokens count up with gaps, as the monitor's do; a few thousand
+        // events of every kind span several 64 KiB chunks, so evictions
+        // cross chunk boundaries whenever the capacity is below that.
+        let mut token = 0u64;
+        let events: Vec<MonitoredEvent> = stream
+            .into_iter()
+            .map(|(event, core, cycle, gap)| {
+                token += 1 + gap;
+                MonitoredEvent { core, cycle, order: OrderTag(cycle ^ token), token: Token(token), event }
+            })
+            .collect();
+        let mut ring = ReplayBuffer::new(capacity);
+        let mut model = RingModel {
+            ring: VecDeque::new(),
+            capacity,
+            dropped: 0,
+            watermark: [None; 2],
+        };
+        let mut rest = events.as_slice();
+        for n in batches.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, tail) = rest.split_at((*n).min(rest.len()));
+            rest = tail;
+            ring.push_slice(batch);
+            batch.iter().for_each(|e| model.push(e));
+            prop_assert_eq!(ring.len(), model.ring.len());
+            prop_assert_eq!(ring.dropped(), model.dropped);
+            let (lo, hi) = (probe.0 % (token + 2), probe.1 % (token + 2));
+            for core in 0..2 {
+                for (from, to) in [(0, u64::MAX), (lo.min(hi), lo.max(hi))] {
+                    prop_assert_eq!(
+                        ring.retransmit(core, from, to),
+                        model.retransmit(core, from, to),
+                        "core {} tokens [{}, {}]", core, from, to
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn squash_sinks_make_the_same_transfers(
+        cycles in any_cycle_stream(),
+        capacity in 1024usize..4096,
+        window in 1u32..12,
+        order_coupled in any::<bool>(),
+        differencing in any::<bool>(),
+        routed in any::<bool>(),
+    ) {
+        // One lane packing both cores, or one routed lane per core.
+        let lanes: Vec<Option<u8>> = if routed { vec![Some(0), Some(1)] } else { vec![None] };
+        for route in lanes {
+            // Production: Squash lends to the packer inside AccelUnit.
+            let mut accel =
+                AccelUnit::squash_batch_with(2, capacity, window, order_coupled, differencing);
+            accel.set_route_core(route.unwrap_or(0));
+            let mut transfers = Vec::new();
+            // Staged: Squash fills a Vec<WireItem>, the packer takes it.
+            let mut squash = SquashUnit::new(2, window);
+            squash.set_order_coupled(order_coupled);
+            squash.set_differencing(differencing);
+            let mut batch = BatchUnit::new(2, capacity);
+            let (mut items, mut packets) = (Vec::new(), Vec::new());
+            for events in &cycles {
+                match route {
+                    Some(_) => accel.push_cycle_for_route_core(events, &mut transfers),
+                    None => accel.push_cycle(events, &mut transfers),
+                }
+                items.clear();
+                for ev in events.iter().filter(|e| route.is_none_or(|c| e.core == c)) {
+                    squash.push(ev, &mut items);
+                }
+                squash.on_cycle_end(&mut items);
+                batch.push_cycle(&items, &mut packets);
+            }
+            accel.flush(&mut transfers);
+            items.clear();
+            squash.flush_all(&mut items);
+            batch.push_cycle(&items, &mut packets);
+            batch.flush(&mut packets);
+
+            prop_assert_eq!(transfers.len(), packets.len());
+            for (t, p) in transfers.iter().zip(&packets) {
+                prop_assert_eq!(&t.bytes[..], &p.bytes[..]);
+                prop_assert_eq!(t.items, p.items);
+                prop_assert_eq!(t.core, route.unwrap_or(0));
+            }
+            prop_assert_eq!(accel.squash_stats(), Some(*squash.stats()));
+            prop_assert_eq!(accel.pack_stats(), Some(*batch.stats()));
+        }
+    }
+
+    #[test]
     fn fused_commit_codec_round_trips(
         first_seq in any::<u64>(),
         count in any::<u32>(),
@@ -214,9 +426,6 @@ proptest! {
 fn commit_events_survive_squash_fuse_defuse() {
     // Deterministic cross-check: N commits fused then checked against an
     // interpreter-style accumulation equals the direct write-set.
-    use difftest_core::SquashUnit;
-    use difftest_event::MonitoredEvent;
-
     let mut squash = SquashUnit::new(1, 1000);
     let mut out = Vec::new();
     let mut last = [0u64; 32];

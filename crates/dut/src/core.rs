@@ -13,8 +13,8 @@ use difftest_event::{
     commit_flags, ArchEvent, ArchFpRegState, ArchIntRegState, ArchVecRegState, AtomicEvent,
     CsrState, DebugModeState, Event, EventKind, FpCsrUpdate, FpWriteback, HCsrUpdate,
     HypervisorCsrState, InstrCommit, IntWriteback, L1TlbEvent, L2TlbEvent, LoadEvent, LrScEvent,
-    OrderTag, PtwEvent, Redirect, RefillEvent, RunaheadEvent, StoreEvent, TrapEvent,
-    TriggerCsrState, VecConfig, VecCsrState,
+    MonitoredEvent, OrderTag, PtwEvent, Redirect, RefillEvent, RunaheadEvent, StoreEvent, Token,
+    TrapEvent, TriggerCsrState, VecConfig, VecCsrState,
 };
 use difftest_isa::csr::{mi, mstatus, CsrIndex, CSR_COUNT};
 use difftest_isa::trap::{Interrupt, Trap};
@@ -62,6 +62,33 @@ impl CycleBudget {
 
     fn take(&mut self, kind: EventKind) {
         self.used[kind as usize] += 1;
+    }
+}
+
+/// The monitor port a core's cycle writes through: each captured event is
+/// stamped with core, cycle, order tag and the next replay token and
+/// moved once, straight into the caller's buffer.
+#[derive(Debug)]
+pub struct MonitorPort<'a> {
+    /// The cycle being captured.
+    pub cycle: u64,
+    /// Where stamped events land, in token order.
+    pub out: &'a mut Vec<MonitoredEvent>,
+    /// The replay-token counter all cores share.
+    pub next_token: &'a mut u64,
+}
+
+impl MonitorPort<'_> {
+    fn capture(&mut self, core: u8, seq: u64, event: Event) {
+        let token = Token(*self.next_token);
+        *self.next_token += 1;
+        self.out.push(MonitoredEvent {
+            core,
+            cycle: self.cycle,
+            order: OrderTag(seq),
+            token,
+            event,
+        });
     }
 }
 
@@ -150,9 +177,10 @@ impl DutCore {
         self.injector.any_fired()
     }
 
-    /// Runs one cycle, appending `(order, event)` pairs to `out`.
-    /// Returns the number of instructions committed.
-    pub fn tick(&mut self, cycle: u64, out: &mut Vec<(OrderTag, Event)>) -> u32 {
+    /// Runs cycle `out.cycle`, capturing its events through the monitor
+    /// port. Returns the number of instructions committed.
+    pub fn tick(&mut self, out: &mut MonitorPort<'_>) -> u32 {
+        let cycle = out.cycle;
         self.dev.tick();
         if self.halt.is_some() {
             return 0;
@@ -341,7 +369,7 @@ impl DutCore {
         &mut self,
         pc: u64,
         _cycle: u64,
-        out: &mut Vec<(OrderTag, Event)>,
+        out: &mut MonitorPort<'_>,
         budget: &mut CycleBudget,
     ) -> bool {
         if self.cfg.policy.hierarchy {
@@ -359,7 +387,7 @@ impl DutCore {
                 .into();
                 self.injector.perturb_event(self.seq, &mut ev);
                 budget.take(EventKind::RefillEvent);
-                out.push((OrderTag(self.seq), ev));
+                out.capture(self.id, self.seq, ev);
             }
             self.stall = self.stall.max(1);
             return true;
@@ -370,7 +398,7 @@ impl DutCore {
     /// Emits L1 TLB fill plus (paced) L2 TLB / PTW events.
     fn emit_hierarchy_fill(
         &mut self,
-        out: &mut Vec<(OrderTag, Event)>,
+        out: &mut MonitorPort<'_>,
         budget: &mut CycleBudget,
         vpn: u64,
         source: u8,
@@ -453,7 +481,7 @@ impl DutCore {
         effect: &Effect,
         mmio: bool,
         cycle: u64,
-        out: &mut Vec<(OrderTag, Event)>,
+        out: &mut MonitorPort<'_>,
         budget: &mut CycleBudget,
     ) -> bool {
         let cfg_port = self.cfg.policy.port_events;
@@ -712,7 +740,7 @@ impl DutCore {
                         .into();
                         self.injector.perturb_event(seq, &mut ev);
                         budget.take(EventKind::RefillEvent);
-                        out.push((OrderTag(seq), ev));
+                        out.capture(self.id, seq, ev);
                     }
                     self.stall = self.stall.max(self.stalls.l1_miss_penalty());
                     group_end = true;
@@ -808,7 +836,7 @@ impl DutCore {
     }
 
     /// Emits the periodic architectural state dumps.
-    fn emit_state_dumps(&mut self, out: &mut Vec<(OrderTag, Event)>, budget: &mut CycleBudget) {
+    fn emit_state_dumps(&mut self, out: &mut MonitorPort<'_>, budget: &mut CycleBudget) {
         let seq = self.seq;
         self.emit(
             out,
@@ -876,7 +904,7 @@ impl DutCore {
     /// and the cycle budget allows, applying event-hook bug perturbation.
     fn emit(
         &mut self,
-        out: &mut Vec<(OrderTag, Event)>,
+        out: &mut MonitorPort<'_>,
         budget: &mut CycleBudget,
         seq: u64,
         mut event: Event,
@@ -887,6 +915,6 @@ impl DutCore {
         }
         self.injector.perturb_event(seq, &mut event);
         budget.take(kind);
-        out.push((OrderTag(seq), event));
+        out.capture(self.id, seq, event);
     }
 }

@@ -1,11 +1,11 @@
 //! The multi-core design under test with its monitor wrapper.
 
-use difftest_event::{Event, MonitoredEvent, OrderTag, Token, TrapEvent};
+use difftest_event::{MonitoredEvent, TrapEvent};
 use difftest_ref::Memory;
 
 use crate::bugs::{BugInjector, BugSpec};
 use crate::config::DutConfig;
-use crate::core::DutCore;
+use crate::core::{DutCore, MonitorPort};
 
 /// Why the simulation stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +53,6 @@ pub struct Dut {
     next_token: u64,
     halted: Option<HaltInfo>,
     total_commits: u64,
-    scratch: Vec<(OrderTag, Event)>,
 }
 
 impl Dut {
@@ -77,7 +76,6 @@ impl Dut {
             next_token: 0,
             halted: None,
             total_commits: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -126,26 +124,18 @@ impl Dut {
         let cycle = self.cycle;
         self.cycle += 1;
         let mut commits = 0u32;
+        let mut port = MonitorPort {
+            cycle,
+            out,
+            next_token: &mut self.next_token,
+        };
 
         for core in &mut self.cores {
-            self.scratch.clear();
-            commits += core.tick(cycle, &mut self.scratch);
-            let core_id = core.id();
-            for (order, event) in self.scratch.drain(..) {
-                let token = Token(self.next_token);
-                self.next_token += 1;
-                out.push(MonitoredEvent {
-                    core: core_id,
-                    cycle,
-                    order,
-                    token,
-                    event,
-                });
-            }
+            commits += core.tick(&mut port);
             if self.halted.is_none() {
                 if let Some(trap) = core.halt() {
                     self.halted = Some(HaltInfo {
-                        core: core_id,
+                        core: core.id(),
                         good: trap.code == 0,
                         pc: trap.pc,
                         cycle,

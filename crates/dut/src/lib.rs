@@ -46,6 +46,6 @@ mod pipeline;
 
 pub use bugs::{bug_catalog, BugInjector, BugKind, BugSpec, Hook};
 pub use config::{DutConfig, EventPolicy, PipelineParams, SlotTable};
-pub use core::DutCore;
+pub use core::{DutCore, MonitorPort};
 pub use dut::{CycleOutput, CycleSummary, Dut, HaltInfo};
 pub use pipeline::{mix, StallModel};

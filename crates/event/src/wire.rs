@@ -111,11 +111,15 @@ impl<'a> Writer<'a> {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes a fixed array of `u64` values.
+    /// Writes a fixed array of `u64` values: one reservation, then a
+    /// word-wise fill the compiler turns into a bulk copy (state dumps
+    /// are 24–64 words each and dominate the encoded volume).
     #[inline]
     pub fn u64_array(&mut self, vs: &[u64]) {
-        for v in vs {
-            self.u64(*v);
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * vs.len(), 0);
+        for (dst, v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
     }
 
