@@ -64,7 +64,10 @@ ci: seam
 # runner internals). The producer moves each event's payload once per
 # consumer of it: outside tests, retention, packing and the produce loop
 # never clone an event, and Squash does so only in its Vec<WireItem>
-# sink.
+# sink. The consume side is one state machine: outside consume.rs and
+# checker.rs no library code drives the checker (`process_ref`,
+# `finalize`), and the retired owned decode path and second byte reader
+# stay gone.
 RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/threaded.rs \
 	crates/core/src/sharded.rs crates/core/src/socket.rs \
 	crates/core/src/channel.rs
@@ -75,6 +78,7 @@ RUN_ENTRY_POINTS = run_runner run_session run_sharded_session \
 	run_socket_session run_threaded_session
 PRODUCER_SRCS = crates/core/src/replay.rs crates/core/src/transport.rs \
 	crates/core/src/produce.rs crates/core/src/squash.rs
+CONSUME_SRCS = crates/core/src/consume.rs crates/core/src/checker.rs
 seam:
 	@if grep -nE 'use crate::(engine|threaded|sharded|socket)(::|;| )' $(RUNNER_SRCS); then \
 		echo "runner seam violated: runners must build on session/link/produce/consume only"; \
@@ -127,6 +131,19 @@ seam:
 		exit 1; \
 	else \
 		echo "REF tier seam clean: two tiers, decode cache and uncached oracle"; \
+	fi
+	@if for f in $(filter-out $(CONSUME_SRCS),$(wildcard crates/*/src/*.rs)); do \
+		sed -e '/^#\[cfg(test)\]/,$$d' $$f \
+			| grep -nE '\.process_ref\(|\.finalize\(\)' | sed "s|^|$$f: |"; \
+	done | grep .; then \
+		echo "consume seam violated: only Consumer drives the checker from a stream"; \
+		exit 1; \
+	elif grep -rnE 'fn decode_into|fn decode_item_body|unpack_bytes|wireio' \
+		crates/*/src crates/*/tests crates/*/benches src examples tests vendor; then \
+		echo "consume seam violated: a retired owned decode path or second byte reader is back"; \
+		exit 1; \
+	else \
+		echo "consume seam clean: every stream is checked through Consumer"; \
 	fi
 
 # Allocation-regression gate: a counting global allocator pins the

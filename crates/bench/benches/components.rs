@@ -2,7 +2,7 @@
 //! algorithms (packing, fusion, differencing, checking, DUT/REF stepping).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use difftest_core::{AccelUnit, Checker, SwUnit, Verdict};
+use difftest_core::{AccelUnit, Checker, Consumer, NoCharge, Step, SwUnit};
 use difftest_dut::{Dut, DutConfig};
 use difftest_event::{Event, MonitoredEvent};
 use difftest_ref::{Memory, RefModel};
@@ -91,7 +91,9 @@ fn bench_pipeline(c: &mut Criterion) {
             for cyc in &cycles {
                 accel.push_cycle(cyc, &mut out);
                 for t in out.drain(..) {
-                    items += sw.decode(&t).expect("round-trip").len();
+                    if let Some(body) = sw.admit(&t).expect("round-trip") {
+                        items += sw.visit_admitted(body, &mut |_| true).expect("round-trip");
+                    }
                 }
             }
             items
@@ -115,16 +117,18 @@ fn bench_checker(c: &mut Criterion) {
     g.throughput(Throughput::Elements(items));
     g.bench_function("squashed_stream", |b| {
         b.iter(|| {
-            let mut sw = SwUnit::packed(1);
-            let mut checker = Checker::new(vec![RefModel::new(image.clone())], false);
+            let checker = Checker::new(vec![RefModel::new(image.clone())], false);
+            let mut consumer = Consumer::new(SwUnit::packed(1), checker);
             for t in &transfers {
-                for item in sw.decode(t).expect("round-trip") {
-                    match checker.process(item).expect("bug-free stream") {
-                        Verdict::Continue => {}
-                        Verdict::Halt { .. } => return,
-                    }
+                if consumer.ingest(t, 0, &mut NoCharge) == Step::Stop {
+                    break;
                 }
             }
+            consumer.finish_stream(None, 0, &mut NoCharge);
+            assert!(
+                consumer.mismatch().is_none() && consumer.link_error().is_none(),
+                "bug-free stream"
+            );
         });
     });
     g.finish();

@@ -379,52 +379,28 @@ impl Unpacker {
         self.expected_seq
     }
 
-    /// Decodes one packet back into wire items.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError`] on malformed metadata or payload.
-    pub fn unpack(&mut self, packet: &Packet) -> Result<Vec<WireItem>, CodecError> {
-        self.unpack_bytes(&packet.bytes)
-    }
-
-    /// Accepts a packet in arrival order, which may differ from send order
-    /// on a non-blocking link. In-order packets decode immediately
-    /// (together with any buffered successors they unblock); early packets
-    /// are buffered and yield an empty batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError`] on malformed packets or on a stale/duplicate
-    /// sequence number (the link never replays old packets).
-    pub fn unpack_bytes(&mut self, bytes: &[u8]) -> Result<Vec<WireItem>, CodecError> {
-        let mut items = Vec::new();
-        self.unpack_bytes_into(bytes, &mut items)?;
-        Ok(items)
-    }
-
-    /// Allocation-free variant of [`unpack_bytes`](Self::unpack_bytes):
-    /// appends decoded items to `out` (which the caller clears and
-    /// reuses) and returns how many were appended.
+    /// Admits one packet frame (arrival order may differ from send
+    /// order) and materializes every item it releases, buffered
+    /// successors included; an early packet is buffered and yields an
+    /// empty batch. This is the codec tests' round-trip materializer —
+    /// checking streams views through [`admit`](Self::admit) and
+    /// [`visit_admitted`](Self::visit_admitted) instead.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError`] on malformed packets or on a
-    /// stale/duplicate sequence number. Packets are validated on
-    /// admission, so `out` never holds a partial batch after an error.
-    pub fn unpack_bytes_into(
-        &mut self,
-        bytes: &[u8],
-        out: &mut Vec<WireItem>,
-    ) -> Result<usize, CodecError> {
-        let before = out.len();
+    /// stale/duplicate sequence number (the link never replays old
+    /// packets). Packets are validated on admission, so an error never
+    /// follows a partial batch.
+    pub fn unpack(&mut self, bytes: &[u8]) -> Result<Vec<WireItem>, CodecError> {
+        let mut items = Vec::new();
         if let Some(body) = self.admit(bytes)? {
             self.visit_admitted(body, &mut |item: WireItemRef<'_>| {
-                out.push(item.into_item());
+                items.push(item.into_item());
                 true
             })?;
         }
-        Ok(out.len() - before)
+        Ok(items)
     }
 
     /// Admits one packet frame: CRC verification, stale/duplicate
@@ -717,7 +693,7 @@ mod tests {
         packer.push_cycle(&items, &mut out);
         packer.flush(&mut out);
         assert_eq!(out.len(), 1);
-        let back = unpacker.unpack(&out[0]).unwrap();
+        let back = unpacker.unpack(&out[0].bytes).unwrap();
         assert_eq!(back, items);
     }
 
@@ -749,7 +725,7 @@ mod tests {
         }
         let back: Vec<WireItem> = out
             .iter()
-            .flat_map(|p| unpacker.unpack(p).unwrap())
+            .flat_map(|p| unpacker.unpack(&p.bytes).unwrap())
             .collect();
         assert_eq!(back, items);
         assert!(packer.stats().utilization() > 0.9);
@@ -768,7 +744,7 @@ mod tests {
         packets.swap(0, 2);
         let mut decoded = Vec::new();
         for p in &packets {
-            decoded.extend(unpacker.unpack(p).unwrap());
+            decoded.extend(unpacker.unpack(&p.bytes).unwrap());
         }
         assert_eq!(
             decoded, items,
@@ -785,8 +761,8 @@ mod tests {
         let mut packets = Vec::new();
         packer.push_cycle(&items, &mut packets);
         packer.flush(&mut packets);
-        unpacker.unpack(&packets[0]).unwrap();
-        let err = unpacker.unpack(&packets[0]).unwrap_err();
+        unpacker.unpack(&packets[0].bytes).unwrap();
+        let err = unpacker.unpack(&packets[0].bytes).unwrap_err();
         assert!(matches!(
             err,
             CodecError::StaleSequence {
@@ -819,7 +795,7 @@ mod tests {
         assert!(out.len() > 1);
         let back: Vec<WireItem> = out
             .iter()
-            .flat_map(|p| unpacker.unpack(p).unwrap())
+            .flat_map(|p| unpacker.unpack(&p.bytes).unwrap())
             .collect();
         assert_eq!(back, items);
     }

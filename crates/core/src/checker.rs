@@ -1,6 +1,7 @@
 //! The ISA checker: drives the REF from the wire stream and compares.
 //!
-//! The checker consumes [`WireItem`]s in arrival order. In plain mode
+//! The checker consumes wire items ([`WireItemRef`] views over the packet
+//! bytes, fed by [`crate::Consumer`]) in arrival order. In plain mode
 //! (baseline / Batch-only) arrival order *is* checking order. In Squash
 //! mode, order-decoupled items carry [`difftest_event::OrderTag`]s and are queued until the
 //! fused commit covering their position arrives; the checker then restores
@@ -25,7 +26,7 @@ use difftest_ref::exec::Effect;
 use difftest_ref::{DecodeCacheStats, RefModel, StepOutcome};
 
 use crate::squash::FusedCommit;
-use crate::wire::{WireItem, WireItemRef};
+use crate::wire::WireItemRef;
 
 /// A detected divergence between the DUT and the REF.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,6 +112,30 @@ fn is_pre(event: &Event) -> bool {
         K::RefillEvent => matches!(event, Event::RefillEvent(r) if r.refill_type != 0),
         _ => false,
     }
+}
+
+/// A register-file state dump: which REF words it mirrors and how a
+/// divergent index is named in the [`Mismatch`].
+#[derive(Debug, Clone, Copy)]
+enum Dump {
+    Xregs,
+    Fregs,
+    Csrs,
+    /// Architecturally zero on both sides in this model; any non-zero
+    /// half is a monitor/datapath fault.
+    Vregs,
+}
+
+/// The first index at which the DUT's words diverge from the REF's, with
+/// `(index, want, got)`.
+fn first_divergence(
+    dut: impl IntoIterator<Item = u64>,
+    refw: impl IntoIterator<Item = u64>,
+) -> Option<(usize, u64, u64)> {
+    dut.into_iter()
+        .zip(refw)
+        .enumerate()
+        .find_map(|(i, (got, want))| (got != want).then_some((i, want, got)))
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -227,6 +252,33 @@ impl CoreChecker {
         Ok(())
     }
 
+    /// Compares one register-file dump against the REF: the single
+    /// comparison routine of each dump kind, shared by the owned (replay)
+    /// and view (stream) paths. It compares first and renders the check
+    /// name only on failure, so a clean dump costs no allocation.
+    fn check_dump(&self, dump: Dump, dut: impl IntoIterator<Item = u64>) -> Result<(), Mismatch> {
+        let st = self.refm.state();
+        let diverged = match dump {
+            Dump::Xregs => first_divergence(dut, st.xregs().iter().copied()),
+            Dump::Fregs => first_divergence(dut, st.fregs().iter().copied()),
+            Dump::Csrs => first_divergence(dut, st.csrs().iter().copied()),
+            Dump::Vregs => first_divergence(dut, std::iter::repeat(0)),
+        };
+        let Some((i, want, got)) = diverged else {
+            return Ok(());
+        };
+        let check = match dump {
+            Dump::Xregs => format!("xreg x{i}"),
+            Dump::Fregs => format!("freg f{i}"),
+            Dump::Csrs => {
+                let name = CsrIndex::from_dense(i).map(|c| c.name()).unwrap_or("?");
+                format!("csr {name}")
+            }
+            Dump::Vregs => format!("vreg half {i}"),
+        };
+        self.ensure(false, check, want, got)
+    }
+
     /// Checks one non-commit event against the current REF state.
     fn check_event(
         &mut self,
@@ -291,40 +343,10 @@ impl CoreChecker {
                     stats.exceptions += 1;
                 }
             }
-            // The state-dump loops below compare first and only render the
-            // check name on failure — an eager `format!` per register would
-            // put 32+ heap allocations on the hot path of every dump event.
-            Event::ArchIntRegState(s) => {
-                for (i, (got, want)) in s.regs.iter().zip(refm.state().xregs()).enumerate() {
-                    if got != want {
-                        self.ensure(false, format!("xreg x{i}"), *want, *got)?;
-                    }
-                }
-            }
-            Event::ArchFpRegState(s) => {
-                for (i, (got, want)) in s.regs.iter().zip(refm.state().fregs()).enumerate() {
-                    if got != want {
-                        self.ensure(false, format!("freg f{i}"), *want, *got)?;
-                    }
-                }
-            }
-            Event::CsrState(s) => {
-                for (i, (got, want)) in s.csrs.iter().zip(refm.state().csrs()).enumerate() {
-                    if got != want {
-                        let name = CsrIndex::from_dense(i).map(|c| c.name()).unwrap_or("?");
-                        self.ensure(false, format!("csr {name}"), *want, *got)?;
-                    }
-                }
-            }
-            Event::ArchVecRegState(s) => {
-                // Vector state is architecturally zero in this model on both
-                // sides; any non-zero reading is a monitor/datapath fault.
-                for (i, got) in s.regs.iter().enumerate() {
-                    if *got != 0 {
-                        self.ensure(false, format!("vreg half {i}"), 0u64, *got)?;
-                    }
-                }
-            }
+            Event::ArchIntRegState(s) => self.check_dump(Dump::Xregs, s.regs)?,
+            Event::ArchFpRegState(s) => self.check_dump(Dump::Fregs, s.regs)?,
+            Event::CsrState(s) => self.check_dump(Dump::Csrs, s.csrs)?,
+            Event::ArchVecRegState(s) => self.check_dump(Dump::Vregs, s.regs)?,
             Event::VecCsrState(s) => {
                 let st = refm.state();
                 self.ensure(
@@ -760,8 +782,8 @@ impl CoreChecker {
     }
 
     /// Checks one plain (unfused, untagged) event by reference. Shared by
-    /// [`Checker::process`] and the replay path, which re-checks monitored
-    /// events it does not own.
+    /// the view path's small-struct fallback and the replay path, which
+    /// re-checks monitored events it does not own.
     fn process_plain(
         &mut self,
         event: &Event,
@@ -780,86 +802,52 @@ impl CoreChecker {
     /// Checks one plain item through its borrowed wire view — the
     /// zero-materialization fast path. Commits and traps copy their
     /// small fixed struct off the wire; the big state dumps compare the
-    /// packet bytes against the REF lazily and only materialize when a
-    /// register actually diverges (to render the precise [`Mismatch`]);
-    /// the remaining kinds materialize their (small) owned struct and
-    /// take the standard path.
+    /// packet bytes against the REF in place through
+    /// [`check_dump`](Self::check_dump); the remaining kinds materialize
+    /// their (small) owned struct and take the standard path.
     fn process_plain_ref(
         &mut self,
         event: &EventRef<'_>,
         stats: &mut CheckStats,
     ) -> Result<Verdict, Mismatch> {
-        match event {
+        let (checked, wire) = match event {
             EventRef::InstrCommit(c) => {
                 let c = (*c).to_owned();
                 self.check_commit(&c, stats)?;
-                Ok(Verdict::Continue)
+                return Ok(Verdict::Continue);
             }
             EventRef::TrapEvent(t) => {
                 let t = (*t).to_owned();
-                self.check_trap(&t, stats)
+                return self.check_trap(&t, stats);
             }
-            EventRef::ArchIntRegState(s) => {
-                let diverges = s
-                    .regs()
-                    .iter()
-                    .zip(self.refm.state().xregs())
-                    .any(|(got, want)| got != *want);
-                if diverges {
-                    return self.process_plain(&(*s).to_owned().into(), stats);
-                }
-                stats.events += 1;
-                stats.bytes += s.wire_bytes().len() as u64;
-                Ok(Verdict::Continue)
-            }
-            EventRef::ArchFpRegState(s) => {
-                let diverges = s
-                    .regs()
-                    .iter()
-                    .zip(self.refm.state().fregs())
-                    .any(|(got, want)| got != *want);
-                if diverges {
-                    return self.process_plain(&(*s).to_owned().into(), stats);
-                }
-                stats.events += 1;
-                stats.bytes += s.wire_bytes().len() as u64;
-                Ok(Verdict::Continue)
-            }
-            EventRef::CsrState(s) => {
-                let diverges = s
-                    .csrs()
-                    .iter()
-                    .zip(self.refm.state().csrs())
-                    .any(|(got, want)| got != *want);
-                if diverges {
-                    return self.process_plain(&(*s).to_owned().into(), stats);
-                }
-                stats.events += 1;
-                stats.bytes += s.wire_bytes().len() as u64;
-                Ok(Verdict::Continue)
-            }
-            EventRef::ArchVecRegState(s) => {
-                // Architecturally zero on both sides; any non-zero half
-                // is a monitor/datapath fault.
-                if s.regs().iter().any(|got| got != 0) {
-                    return self.process_plain(&(*s).to_owned().into(), stats);
-                }
-                stats.events += 1;
-                stats.bytes += s.wire_bytes().len() as u64;
-                Ok(Verdict::Continue)
-            }
-            other => {
-                let ev = other.to_event();
-                self.process_plain(&ev, stats)
-            }
-        }
+            EventRef::ArchIntRegState(s) => (
+                self.check_dump(Dump::Xregs, s.regs().iter()),
+                s.wire_bytes(),
+            ),
+            EventRef::ArchFpRegState(s) => (
+                self.check_dump(Dump::Fregs, s.regs().iter()),
+                s.wire_bytes(),
+            ),
+            EventRef::CsrState(s) => (self.check_dump(Dump::Csrs, s.csrs().iter()), s.wire_bytes()),
+            EventRef::ArchVecRegState(s) => (
+                self.check_dump(Dump::Vregs, s.regs().iter()),
+                s.wire_bytes(),
+            ),
+            other => return self.process_plain(&other.to_event(), stats),
+        };
+        // Counted before the verdict, as `check_event` does, so a
+        // divergent dump charges the same stats on either path.
+        stats.events += 1;
+        stats.bytes += wire.len() as u64;
+        checked?;
+        Ok(Verdict::Continue)
     }
 }
 
 /// The multi-core ISA checker.
 ///
 /// A checker owns a contiguous range of core ids starting at its *core
-/// base* (0 for [`Checker::new`]): items whose [`WireItem::core`] falls in
+/// base* (0 for [`Checker::new`]): items whose [`WireItemRef::core`] falls in
 /// `core_base .. core_base + cores` are checked, anything else is reported
 /// as a transport fault. [`Checker::single`] builds a one-core checker
 /// with a non-zero base, which is how the sharded runner gives each worker
@@ -972,32 +960,8 @@ impl Checker {
         }
     }
 
-    /// Processes one wire item (owned: tagged and differenced payloads are
-    /// queued without copying).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Mismatch`] that aborted checking.
-    pub fn process(&mut self, item: WireItem) -> Result<Verdict, Mismatch> {
-        let (core, stats) = self.route(item.core())?;
-        match item {
-            WireItem::Plain { event, .. } => core.process_plain(&event, stats),
-            WireItem::Tagged {
-                tag, token, event, ..
-            }
-            | WireItem::Diff {
-                tag, token, event, ..
-            } => Ok(core
-                .accept_tagged(tag.0, token, event, stats)?
-                .unwrap_or(Verdict::Continue)),
-            WireItem::Fused { fused, .. } => Ok(core
-                .process_fused(&fused, stats)?
-                .unwrap_or(Verdict::Continue)),
-        }
-    }
-
     /// Processes one borrowed wire item straight off the packet bytes —
-    /// the zero-materialization fast path of the streaming consumer.
+    /// the checker's stream entry point, driven by [`crate::Consumer`].
     /// Plain payloads are checked in place (see `process_plain_ref`);
     /// order-tagged payloads materialize because the pending queue must
     /// own them until their checking position is reached.
@@ -1025,8 +989,8 @@ impl Checker {
         }
     }
 
-    /// Drains pending items whose position has been reached (called after
-    /// the final flush). Returns a halt verdict if the trap event was
+    /// Drains pending items whose position has been reached (called by
+    /// [`crate::Consumer::finish_stream`] at a stream boundary). Returns a halt verdict if the trap event was
     /// pending.
     ///
     /// # Errors
@@ -1091,9 +1055,24 @@ impl Checker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{decode_item_ref_body, encode_item_body, DiffCache, WireItem};
+    use difftest_event::wire::Reader;
     use difftest_event::{ArchEvent, OrderTag};
     use difftest_isa::{encode, Reg};
     use difftest_ref::Memory;
+
+    /// Feeds one item through the wire as the stream does: encode its
+    /// body, view it back, check the view.
+    fn process(ck: &mut Checker, item: WireItem) -> Result<Verdict, Mismatch> {
+        let cores = usize::from(item.core()) + 1;
+        let mut body = Vec::new();
+        encode_item_body(&item, &mut DiffCache::new(cores), &mut body);
+        let mut r = Reader::new(&body);
+        let mut mirror = DiffCache::new(cores);
+        let view = decode_item_ref_body(item.wire_kind(), item.core(), &mut mirror, &mut r)
+            .expect("an encoded body decodes");
+        ck.process_ref(view)
+    }
 
     fn ref_with(words: &[u32]) -> RefModel {
         let mut mem = Memory::new();
@@ -1121,13 +1100,13 @@ mod tests {
             core: 0,
             event: commit(Memory::RAM_BASE, w, 10, 7).into(),
         };
-        assert_eq!(ck.process(ok).unwrap(), Verdict::Continue);
+        assert_eq!(process(&mut ck, ok).unwrap(), Verdict::Continue);
 
         let bad = WireItem::Plain {
             core: 0,
             event: commit(Memory::RAM_BASE + 4, w, 10, 8).into(),
         };
-        let m = ck.process(bad).unwrap_err();
+        let m = process(&mut ck, bad).unwrap_err();
         assert_eq!(m.check, "commit.wdata");
         assert_eq!(m.seq, 1);
     }
@@ -1148,7 +1127,7 @@ mod tests {
             ..Default::default()
         };
         let item = WireItem::Fused { core: 0, fused };
-        assert_eq!(ck.process(item).unwrap(), Verdict::Continue);
+        assert_eq!(process(&mut ck, item).unwrap(), Verdict::Continue);
         assert_eq!(ck.seq(0), 3);
     }
 
@@ -1163,7 +1142,7 @@ mod tests {
             int_writes: vec![(10, 99)],
             ..Default::default()
         };
-        let m = ck.process(WireItem::Fused { core: 0, fused }).unwrap_err();
+        let m = process(&mut ck, WireItem::Fused { core: 0, fused }).unwrap_err();
         assert_eq!(m.check, "fused write x10");
     }
 
@@ -1192,7 +1171,7 @@ mod tests {
             }
             .into(),
         };
-        assert_eq!(ck.process(nde).unwrap(), Verdict::Continue);
+        assert_eq!(process(&mut ck, nde).unwrap(), Verdict::Continue);
         assert_eq!(ck.pending_items(), 1);
 
         let fused = FusedCommit {
@@ -1203,7 +1182,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(
-            ck.process(WireItem::Fused { core: 0, fused }).unwrap(),
+            process(&mut ck, WireItem::Fused { core: 0, fused }).unwrap(),
             Verdict::Continue
         );
         assert_eq!(ck.pending_items(), 0);
@@ -1227,7 +1206,7 @@ mod tests {
             }
             .into(),
         };
-        assert_eq!(ck.process(intr).unwrap(), Verdict::Continue);
+        assert_eq!(process(&mut ck, intr).unwrap(), Verdict::Continue);
         assert_eq!(ck.stats().interrupts, 1);
     }
 
@@ -1246,7 +1225,7 @@ mod tests {
             .into(),
         };
         assert_eq!(
-            ck.process(trap).unwrap(),
+            process(&mut ck, trap).unwrap(),
             Verdict::Halt {
                 core: 0,
                 good: true,
@@ -1271,10 +1250,58 @@ mod tests {
             int_writes: vec![(10, 2)],
             ..Default::default()
         };
-        ck.process(WireItem::Fused { core: 0, fused }).unwrap();
+        process(&mut ck, WireItem::Fused { core: 0, fused }).unwrap();
         assert_eq!(ck.seq(0), 2);
         let (from, _to) = ck.revert_for_replay(0).expect("checkpoint exists");
         assert_eq!(from, 5);
         assert_eq!(ck.seq(0), 0);
+    }
+
+    /// Each dump kind has one comparison routine: a divergent dump yields
+    /// the identical `Mismatch` checked off the wire (the stream) and
+    /// checked owned (Replay's `replay_unfused`).
+    #[test]
+    fn dump_divergence_renders_one_mismatch_on_both_paths() {
+        use difftest_event::{ArchFpRegState, ArchIntRegState, ArchVecRegState, CsrState, Token};
+        let words = [encode::nop()];
+        let refm = ref_with(&words);
+        let st = refm.state();
+        let (mut xregs, mut fregs, mut csrs) = (*st.xregs(), *st.fregs(), *st.csrs());
+        xregs[5] ^= 0xdead;
+        fregs[5] ^= 0xdead;
+        csrs[3] ^= 0x40;
+        let mut vregs = [0u64; 64];
+        vregs[9] = 0xbeef;
+        let csr3 = CsrIndex::from_dense(3).map(|c| c.name()).unwrap_or("?");
+        let cases: [(Event, String); 4] = [
+            (ArchIntRegState { regs: xregs }.into(), "xreg x5".into()),
+            (ArchFpRegState { regs: fregs }.into(), "freg f5".into()),
+            (CsrState { csrs }.into(), format!("csr {csr3}")),
+            (ArchVecRegState { regs: vregs }.into(), "vreg half 9".into()),
+        ];
+        for (event, check) in cases {
+            let mut viewed = Checker::new(vec![ref_with(&words)], false);
+            let via_view = process(
+                &mut viewed,
+                WireItem::Plain {
+                    core: 0,
+                    event: event.clone(),
+                },
+            )
+            .expect_err("divergent dump");
+            let monitored = MonitoredEvent {
+                core: 0,
+                cycle: 0,
+                order: OrderTag(0),
+                token: Token(0),
+                event,
+            };
+            let via_owned = Checker::new(vec![ref_with(&words)], false)
+                .replay_unfused(0, &[monitored])
+                .expect("divergent dump");
+            assert_eq!(via_view, via_owned);
+            assert_eq!(via_view.check, check);
+            assert_eq!(viewed.stats().events, 1, "counted before the verdict");
+        }
     }
 }

@@ -20,8 +20,9 @@
 //! server → client   "DTHR" verdict mismatch link-error items stats …     (result blob)
 //! ```
 //!
-//! All integers are little-endian (shared helpers in
-//! [`difftest_ref::wireio`]). Every length prefix is bounds-checked
+//! All integers are little-endian: fixed-size fields parse with the
+//! event codec's [`Reader`], the blocking `io` paths use this module's
+//! private `w_*`/`r_*` helpers. Every length prefix is bounds-checked
 //! *before* any allocation: frames against [`MAX_FRAME_BYTES`], hello
 //! image words against [`MAX_HELLO_WORDS`], so a hostile or
 //! desynchronized stream yields a typed [`ProtoError`], never a panic
@@ -38,7 +39,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 
-use difftest_ref::wireio::{self, r_u32, r_u64, r_u8, w_str, w_u32, w_u64, w_u8};
+use difftest_event::wire::{CodecError, Reader};
 use difftest_ref::Memory;
 use difftest_stats::{
     FlightKind, FlightRecord, FlightSnapshot, Phase, PhaseTimes, SpanBuf, SpanEvent, SpanKind,
@@ -185,8 +186,8 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-impl From<wireio::ShortRead> for ProtoError {
-    fn from(_: wireio::ShortRead) -> Self {
+impl From<CodecError> for ProtoError {
+    fn from(_: CodecError) -> Self {
         ProtoError::Truncated
     }
 }
@@ -278,7 +279,7 @@ fn parse_hello(avail: &[u8]) -> Result<Option<(Hello, usize)>, ProtoError> {
     if avail.len() < HELLO_HEADER {
         return Ok(None);
     }
-    let mut r = wireio::Reader::new(&avail[5..HELLO_HEADER]);
+    let mut r = Reader::new(&avail[5..HELLO_HEADER]);
     let config = DiffConfig::from_wire(r.u8()?).ok_or(ProtoError::BadValue("config"))?;
     let cores = r.u32()?;
     if cores == 0 || cores > MAX_CORES {
@@ -300,7 +301,7 @@ fn parse_hello(avail: &[u8]) -> Result<Option<(Hello, usize)>, ProtoError> {
         return Ok(None);
     }
     let mut words = Vec::with_capacity(len);
-    let mut r = wireio::Reader::new(&avail[HELLO_HEADER..total]);
+    let mut r = Reader::new(&avail[HELLO_HEADER..total]);
     for _ in 0..len {
         words.push(r.u32()?);
     }
@@ -328,7 +329,7 @@ fn parse_frame(avail: &[u8]) -> Result<Option<(ClientMsg, usize)>, ProtoError> {
             if avail.len() < TRANSFER_HEADER {
                 return Ok(None);
             }
-            let mut r = wireio::Reader::new(&avail[1..TRANSFER_HEADER]);
+            let mut r = Reader::new(&avail[1..TRANSFER_HEADER]);
             let core = r.u8()?;
             let items = r.u32()?;
             let len = r.u32()? as usize;
@@ -358,7 +359,7 @@ fn parse_frame(avail: &[u8]) -> Result<Option<(ClientMsg, usize)>, ProtoError> {
             if avail.len() < 5 {
                 return Ok(None);
             }
-            let mut r = wireio::Reader::new(&avail[1..5]);
+            let mut r = Reader::new(&avail[1..5]);
             let produced = r.u32()?;
             Ok(Some((ClientMsg::End { produced }, 5)))
         }
@@ -428,7 +429,7 @@ pub struct ConsumerResult {
     pub spans: Vec<SpanBuf>,
 }
 
-/// Serializes a finished consumer's output as the `DTHR` result blob.
+/// Writes a finished consumer's output as the `DTHR` result blob.
 pub fn write_result<W: Write>(w: &mut W, out: &ConsumerOutput) -> io::Result<()> {
     w.write_all(&RESULT_MAGIC)?;
     match out.verdict {
@@ -692,8 +693,53 @@ fn bad(what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("dth wire: bad {what}"))
 }
 
+fn w_u8<W: Write>(w: &mut W, v: u8) -> io::Result<()> {
+    w.write_all(&[v])
+}
+
+fn w_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
+    w.write_all(&v.to_le_bytes())
+}
+
+fn w_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
+    w.write_all(&v.to_le_bytes())
+}
+
+/// A `u32` length prefix followed by the UTF-8 bytes.
+fn w_str<W: Write>(w: &mut W, s: &str) -> io::Result<()> {
+    w_u32(w, s.len() as u32)?;
+    w.write_all(s.as_bytes())
+}
+
+fn r_u8<R: Read>(r: &mut R) -> io::Result<u8> {
+    let mut b = [0u8; 1];
+    r.read_exact(&mut b)?;
+    Ok(b[0])
+}
+
+fn r_u32<R: Read>(r: &mut R) -> io::Result<u32> {
+    let mut b = [0u8; 4];
+    r.read_exact(&mut b)?;
+    Ok(u32::from_le_bytes(b))
+}
+
+fn r_u64<R: Read>(r: &mut R) -> io::Result<u64> {
+    let mut b = [0u8; 8];
+    r.read_exact(&mut b)?;
+    Ok(u64::from_le_bytes(b))
+}
+
+/// Reads a length-prefixed UTF-8 string, rejecting a prefix beyond
+/// [`MAX_FRAME_BYTES`] (a desynchronized or hostile stream) *before*
+/// allocating.
 fn r_str<R: Read>(r: &mut R) -> io::Result<String> {
-    wireio::r_str(r, MAX_FRAME_BYTES)
+    let len = r_u32(r)? as usize;
+    if len > MAX_FRAME_BYTES {
+        return Err(bad("string length"));
+    }
+    let mut buf = vec![0u8; len];
+    r.read_exact(&mut buf)?;
+    String::from_utf8(buf).map_err(|_| bad("string encoding"))
 }
 
 /// An address the verification service listens on (and a client
@@ -959,6 +1005,28 @@ mod tests {
             assert_eq!(link_error_kind_from_wire(k as u8).unwrap(), k);
         }
         assert!(link_error_kind_from_wire(5).is_err());
+    }
+
+    #[test]
+    fn io_helpers_round_trip() {
+        let mut blob = Vec::new();
+        w_u8(&mut blob, 7).unwrap();
+        w_u32(&mut blob, 42).unwrap();
+        w_u64(&mut blob, u64::MAX).unwrap();
+        w_str(&mut blob, "difftest").unwrap();
+        let mut r = blob.as_slice();
+        assert_eq!(r_u8(&mut r).unwrap(), 7);
+        assert_eq!(r_u32(&mut r).unwrap(), 42);
+        assert_eq!(r_u64(&mut r).unwrap(), u64::MAX);
+        assert_eq!(r_str(&mut r).unwrap(), "difftest");
+    }
+
+    #[test]
+    fn hostile_string_prefix_is_rejected_before_allocation() {
+        let mut blob = Vec::new();
+        w_u32(&mut blob, u32::MAX).unwrap();
+        let err = r_str(&mut blob.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

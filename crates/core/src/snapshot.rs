@@ -21,10 +21,10 @@ use difftest_dut::{BugSpec, Dut, DutConfig};
 use difftest_ref::{Memory, RefModel};
 use difftest_workload::Workload;
 
-use crate::checker::{Checker, Mismatch, Verdict};
-use crate::engine::RunOutcome;
+use crate::checker::{Checker, Mismatch};
+use crate::consume::{Consumer, NoCharge, Step};
+use crate::session::RunOutcome;
 use crate::transport::{AccelUnit, SwUnit, Transfer};
-use crate::wire::WireItem;
 
 /// Outcome and cost accounting of a snapshot-debugged run.
 #[derive(Debug, Clone)]
@@ -47,23 +47,26 @@ pub struct SnapshotReport {
     pub regenerated_events: u64,
 }
 
-/// A decode failure on the in-process perfect link is host-side corruption:
-/// it surfaces as a mismatch at the checker's *current* sequence for the
-/// transfer's routing core — not `seq: 0`, which would incorrectly outrank
-/// every real mismatch under the lowest-(seq, core) aggregation rule.
-fn decode_failure(checker: &Checker, core: u8, err: &str) -> Mismatch {
-    Mismatch {
-        core,
-        seq: checker.seq(core),
-        check: "wire.decode".into(),
-        expected: "well-formed transfer".into(),
-        actual: err.to_owned(),
+/// Ingests `transfers` until the consumer decides the stream; returns how
+/// many it ingested (the rest are dropped with the run).
+fn feed(consumer: &mut Consumer, transfers: &mut Vec<Transfer>) -> u64 {
+    let mut ingested = 0;
+    for t in transfers.drain(..) {
+        ingested += 1;
+        if consumer.ingest(&t, 0, &mut NoCharge) == Step::Stop {
+            break;
+        }
     }
+    ingested
 }
 
 /// Runs a squash-fused co-simulation debugged by periodic whole-DUT
 /// snapshots (interval in cycles), reproducing the prior-work flow of
 /// paper Fig. 10 for comparison against Replay.
+///
+/// Both passes check through the one receive pipeline, [`Consumer`]: the
+/// main run over the fused, packed stream; the re-execution over the
+/// per-event baseline stream, which is what makes it instruction-precise.
 ///
 /// `snapshot_interval == 0` is clamped to 1 (snapshot every cycle) rather
 /// than silently disabling snapshots, which would make `precise`
@@ -87,41 +90,16 @@ pub fn snapshot_debug_run(
 
     let mut dut = Dut::new(dut_cfg, &image, bugs);
     let mut accel = AccelUnit::squash_batch(cores, 4096, 32, false);
-    let mut sw = SwUnit::packed(cores);
     let refs: Vec<RefModel> = (0..cores).map(|_| RefModel::new(image.clone())).collect();
-    let mut checker = Checker::new(refs, false);
+    let mut consumer = Consumer::new(SwUnit::packed(cores), Checker::new(refs, false));
 
     let mut snapshot: Option<(Dut, Vec<(RefModel, u64)>)> = None;
     let mut snapshots_taken = 0u64;
     let mut snapshot_bytes = 0u64;
     let mut transfers: Vec<Transfer> = Vec::new();
     let mut events_buf = Vec::new();
-    let mut coarse = None;
-    let mut halt = None;
 
-    let process = |sw: &mut SwUnit,
-                   checker: &mut Checker,
-                   transfers: &mut Vec<Transfer>|
-     -> Result<Option<Verdict>, Mismatch> {
-        for t in transfers.drain(..) {
-            // The snapshot baseline runs in-process over a perfect link;
-            // a decode failure here means host-side corruption, which
-            // surfaces as a (non-localizable) mismatch on the transfer's
-            // routing core rather than a panic.
-            let items = sw
-                .decode(&t)
-                .map_err(|e| decode_failure(checker, t.core, &e.to_string()))?;
-            for item in items {
-                match checker.process(item)? {
-                    Verdict::Continue => {}
-                    v @ Verdict::Halt { .. } => return Ok(Some(v)),
-                }
-            }
-        }
-        Ok(None)
-    };
-
-    'run: while dut.halted().is_none() && dut.cycles() < max_cycles {
+    while !consumer.stopped() && dut.halted().is_none() && dut.cycles() < max_cycles {
         // Periodic snapshot: quiesce the pipeline first (flush fusion
         // windows and partial packets, check everything) — the structural
         // cost snapshotting imposes on fusion. Cycle 0 is skipped: a
@@ -129,31 +107,18 @@ pub fn snapshot_debug_run(
         // debug flow can rebuild for free.
         if dut.cycles() > 0 && dut.cycles().is_multiple_of(snapshot_interval) {
             accel.flush(&mut transfers);
-            match process(&mut sw, &mut checker, &mut transfers) {
-                Ok(Some(v)) => {
-                    halt = Some(v);
-                    break 'run;
-                }
-                Ok(None) => {}
-                Err(m) => {
-                    coarse = Some(m);
-                    break 'run;
-                }
-            }
-            match checker.finalize() {
-                Ok(Verdict::Continue) => {}
-                Ok(v) => {
-                    halt = Some(v);
-                    break 'run;
-                }
-                Err(m) => {
-                    coarse = Some(m);
-                    break 'run;
-                }
+            feed(&mut consumer, &mut transfers);
+            // The flush just emptied every window and partial packet, so
+            // this is a stream boundary: close it to drain the checker's
+            // due order-tagged items.
+            consumer.finish_stream(None, 0, &mut NoCharge);
+            if consumer.stopped() {
+                break;
             }
             // `snapshot_refs` hands out borrows; the snapshot strategy is
             // the one place that genuinely pays for owned copies.
-            let refs: Vec<_> = checker
+            let refs: Vec<_> = consumer
+                .checker()
                 .snapshot_refs()
                 .into_iter()
                 .map(|(r, s)| (r.clone(), s))
@@ -166,34 +131,15 @@ pub fn snapshot_debug_run(
         events_buf.clear();
         dut.tick_into(&mut events_buf);
         accel.push_cycle(&events_buf, &mut transfers);
-        match process(&mut sw, &mut checker, &mut transfers) {
-            Ok(Some(v)) => {
-                halt = Some(v);
-                break 'run;
-            }
-            Ok(None) => {}
-            Err(m) => {
-                coarse = Some(m);
-                break 'run;
-            }
-        }
+        feed(&mut consumer, &mut transfers);
     }
 
-    if coarse.is_none() && halt.is_none() {
+    if !consumer.stopped() {
         accel.flush(&mut transfers);
-        match process(&mut sw, &mut checker, &mut transfers) {
-            Ok(v) => {
-                halt = v;
-                if halt.is_none() {
-                    match checker.finalize() {
-                        Ok(v) => halt = Some(v),
-                        Err(m) => coarse = Some(m),
-                    }
-                }
-            }
-            Err(m) => coarse = Some(m),
-        }
+        feed(&mut consumer, &mut transfers);
+        consumer.finish_stream(None, 0, &mut NoCharge);
     }
+    let coarse = consumer.mismatch().cloned();
 
     // Debug flow: restore the nearest snapshot and re-execute the whole DUT
     // to regenerate unfused events until the failure reproduces.
@@ -210,41 +156,20 @@ pub fn snapshot_debug_run(
                 .collect();
             (Dut::new(re_cfg, &image, re_bugs), refs)
         });
-        {
-            let mut re_checker = Checker::resume(refs, false);
-            'replay: while re_dut.halted().is_none() && re_dut.cycles() < max_cycles {
-                let out = re_dut.tick();
-                reexecuted_cycles += 1;
-                for ev in out.events {
-                    regenerated_events += 1;
-                    let item = WireItem::Plain {
-                        core: ev.core,
-                        event: ev.event,
-                    };
-                    match re_checker.process(item) {
-                        Ok(_) => {}
-                        Err(m) => {
-                            precise = Some(m);
-                            break 'replay;
-                        }
-                    }
-                }
-            }
+        let mut per_event = AccelUnit::per_event();
+        let mut re_consumer = Consumer::new(SwUnit::per_event(), Checker::resume(refs, false));
+        while !re_consumer.stopped() && re_dut.halted().is_none() && re_dut.cycles() < max_cycles {
+            events_buf.clear();
+            re_dut.tick_into(&mut events_buf);
+            reexecuted_cycles += 1;
+            per_event.push_cycle(&events_buf, &mut transfers);
+            regenerated_events += feed(&mut re_consumer, &mut transfers);
         }
+        precise = re_consumer.mismatch().cloned();
     }
 
-    let outcome = if coarse.is_some() {
-        RunOutcome::Mismatch
-    } else {
-        match halt {
-            Some(Verdict::Halt { good: true, .. }) => RunOutcome::GoodTrap,
-            Some(Verdict::Halt { good: false, .. }) => RunOutcome::BadTrap,
-            _ => RunOutcome::MaxCycles,
-        }
-    };
-
     SnapshotReport {
-        outcome,
+        outcome: RunOutcome::decide(coarse.is_some(), consumer.link_error(), consumer.verdict()),
         coarse,
         precise,
         cycles: dut.cycles(),

@@ -9,8 +9,9 @@
 //! - **squash+batch**: order-decoupled fusion and differencing first, then
 //!   tight packing (paper §4.3 + §4.2).
 //!
-//! [`SwUnit`] is the matching software-side decoder producing
-//! [`WireItem`]s for the checker.
+//! [`SwUnit`] is the matching software-side receiver: it admits a
+//! transfer and streams its items to [`crate::Consumer`] as borrowed
+//! [`WireItemRef`] views.
 
 use difftest_event::wire::{append_crc_frame, verify_crc_frame, CodecError, Reader};
 use difftest_event::{EventKind, EventRef, MonitoredEvent};
@@ -18,7 +19,7 @@ use difftest_event::{EventKind, EventRef, MonitoredEvent};
 use crate::batch::{BatchUnit, PackStats, Packet, Unpacker, DEFAULT_POOL_SLOTS};
 use crate::pool::{BufferPool, PoolStats, PooledBuf};
 use crate::squash::{SquashStats, SquashUnit};
-use crate::wire::{WireItem, WireItemRef};
+use crate::wire::WireItemRef;
 
 /// One hardware→software transfer (one communication startup).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -286,45 +287,6 @@ impl SwUnit {
         }
     }
 
-    /// Decodes one transfer into wire items. Out-of-order packets are
-    /// buffered and released once the sequence gap fills, so a call may
-    /// legitimately return an empty batch (paper §4.5 ordered parsing).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError`] on malformed transfers or stale sequences.
-    pub fn decode(&mut self, transfer: &Transfer) -> Result<Vec<WireItem>, CodecError> {
-        let mut items = Vec::new();
-        self.decode_into(transfer, &mut items)?;
-        Ok(items)
-    }
-
-    /// Allocation-free variant of [`decode`](Self::decode): appends the
-    /// transfer's wire items to `out` (which the caller clears and reuses
-    /// across transfers) and returns how many were appended. The hot
-    /// loops of the threaded runners use this so the steady state per
-    /// transfer performs no heap allocation on the decode side either.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodecError`] on malformed transfers or stale sequences.
-    /// Transfers are validated on admission, so `out` never holds a
-    /// partial batch after an error.
-    pub fn decode_into(
-        &mut self,
-        transfer: &Transfer,
-        out: &mut Vec<WireItem>,
-    ) -> Result<usize, CodecError> {
-        let before = out.len();
-        if let Some(body) = self.admit(transfer)? {
-            self.visit_admitted(body, &mut |item: WireItemRef<'_>| {
-                out.push(item.into_item());
-                true
-            })?;
-        }
-        Ok(out.len() - before)
-    }
-
     /// Admits one transfer: CRC verification, sequence bookkeeping, and
     /// structural validation — everything that can fail — without
     /// materializing a single event. Returns the validated body for
@@ -384,7 +346,20 @@ impl SwUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::WireItem;
     use difftest_event::{Event, InstrCommit, OrderTag, Token};
+
+    /// Admits `t` and materializes the items it releases.
+    fn decode(sw: &mut SwUnit, t: &Transfer) -> Result<Vec<WireItem>, CodecError> {
+        let mut items = Vec::new();
+        if let Some(body) = sw.admit(t)? {
+            sw.visit_admitted(body, &mut |item: WireItemRef<'_>| {
+                items.push(item.into_item());
+                true
+            })?;
+        }
+        Ok(items)
+    }
 
     fn mev(core: u8, seq: u64, pc: u64) -> MonitoredEvent {
         MonitoredEvent {
@@ -408,7 +383,7 @@ mod tests {
         let mut transfers = Vec::new();
         hw.push_cycle(&events, &mut transfers);
         assert_eq!(transfers.len(), 2);
-        let items = sw.decode(&transfers[1]).unwrap();
+        let items = decode(&mut sw, &transfers[1]).unwrap();
         assert_eq!(items.len(), 1);
         match &items[0] {
             WireItem::Plain { core, event } => {
@@ -446,11 +421,11 @@ mod tests {
         let mut bad = transfers[0].clone();
         bad.bytes[3] ^= 0x40;
         assert!(matches!(
-            sw.decode(&bad),
+            decode(&mut sw, &bad),
             Err(CodecError::CrcMismatch { .. })
         ));
         // The pristine transfer still decodes.
-        assert_eq!(sw.decode(&transfers[0]).unwrap().len(), 1);
+        assert_eq!(decode(&mut sw, &transfers[0]).unwrap().len(), 1);
     }
 
     #[test]
@@ -468,7 +443,7 @@ mod tests {
         assert!(transfers.len() < 100, "packing must reduce transfers");
         let got: Vec<Event> = transfers
             .iter()
-            .flat_map(|t| sw.decode(t).unwrap())
+            .flat_map(|t| decode(&mut sw, t).unwrap())
             .map(|i| match i {
                 WireItem::Plain { event, .. } => event,
                 other => panic!("{other:?}"),

@@ -152,8 +152,9 @@ impl WireItemRef<'_> {
         }
     }
 
-    /// Materializes the owned [`WireItem`] (legacy decode paths and
-    /// tests; the hot path checks through the view directly).
+    /// Materializes the owned [`WireItem`] — the codec tests' round-trip
+    /// form ([`Unpacker::unpack`](crate::batch::Unpacker::unpack));
+    /// checking reads the view directly.
     pub fn into_item(self) -> WireItem {
         match self {
             WireItemRef::Plain { core, event } => WireItem::Plain {
@@ -410,54 +411,6 @@ pub(crate) fn encode_tag_token(tag: OrderTag, token: Token, out: &mut Vec<u8>) {
     w.u64(token.0);
 }
 
-/// Decodes one wire item's body given its kind and core.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] on truncated or malformed bodies.
-pub fn decode_item_body(
-    kind: WireKind,
-    core: u8,
-    diff: &mut DiffCache,
-    r: &mut Reader<'_>,
-) -> Result<WireItem, CodecError> {
-    Ok(match kind {
-        WireKind::Plain(k) => {
-            let payload = r.bytes_dyn(k.encoded_len())?;
-            WireItem::Plain {
-                core,
-                event: Event::decode(k, payload)?,
-            }
-        }
-        WireKind::Tagged(k) => {
-            let tag = OrderTag(r.u64()?);
-            let token = Token(r.u64()?);
-            let payload = r.bytes_dyn(k.encoded_len())?;
-            WireItem::Tagged {
-                core,
-                tag,
-                token,
-                event: Event::decode(k, payload)?,
-            }
-        }
-        WireKind::Fused => WireItem::Fused {
-            core,
-            fused: FusedCommit::decode_from(r)?,
-        },
-        WireKind::Diff(k) => {
-            let tag = OrderTag(r.u64()?);
-            let token = Token(r.u64()?);
-            let event = diff.decode(core, k, r)?;
-            WireItem::Diff {
-                core,
-                tag,
-                token,
-                event,
-            }
-        }
-    })
-}
-
 /// Decodes one wire item's body as a borrowed view: Plain/Tagged payloads
 /// are *not* copied out of the packet buffer.
 ///
@@ -630,7 +583,9 @@ mod tests {
             let mut body = Vec::new();
             encode_item_body(&item, &mut diff_enc, &mut body);
             let mut r = Reader::new(&body);
-            let back = decode_item_body(item.wire_kind(), 0, &mut diff_dec, &mut r).unwrap();
+            let back = decode_item_ref_body(item.wire_kind(), 0, &mut diff_dec, &mut r)
+                .unwrap()
+                .into_item();
             r.finish().unwrap();
             assert_eq!(back, item);
         }

@@ -101,16 +101,13 @@ fn receive(plan: FaultPlan, transfers: Vec<Transfer>) -> (Vec<WireItem>, Vec<Lin
     let mut unpacker = Unpacker::new(2);
     let mut delivered = Vec::new();
     let mut errors = Vec::new();
-    let mut scratch = Vec::new();
     for t in &wire {
-        scratch.clear();
-        match unpacker.unpack_bytes_into(&t.bytes, &mut scratch) {
-            Ok(_) => {}
+        // Admission validates a whole packet before releasing any item,
+        // so an error never follows a partial delivery.
+        match unpacker.unpack(&t.bytes) {
+            Ok(items) => delivered.extend(items),
             Err(e) => errors.push(LinkErrorKind::classify(&e)),
         }
-        // Items appended before an error were delivered in order too (the
-        // sequence window only releases consecutive packets).
-        delivered.append(&mut scratch);
     }
     (delivered, errors)
 }
@@ -205,17 +202,13 @@ fn corrupt_frame_rejection_preserves_unpacker_state() {
             let mid = bad.len() / 2;
             bad[mid] ^= 0x10;
             let before = unpacker.expected_seq();
-            let err = unpacker
-                .unpack_bytes_into(&bad, &mut out)
-                .expect_err("corrupt");
+            let err = unpacker.unpack(&bad).expect_err("corrupt");
             assert!(matches!(err, CodecError::CrcMismatch { .. }), "{err}");
             assert_eq!(unpacker.expected_seq(), before, "window must not advance");
 
             // ... and a truncated copy: same story.
             let cut = &t.bytes[..t.bytes.len() - 7];
-            let err = unpacker
-                .unpack_bytes_into(cut, &mut out)
-                .expect_err("truncated");
+            let err = unpacker.unpack(cut).expect_err("truncated");
             assert!(
                 matches!(
                     err,
@@ -226,9 +219,11 @@ fn corrupt_frame_rejection_preserves_unpacker_state() {
             assert_eq!(unpacker.expected_seq(), before);
         }
         // The pristine packet (the "retransmission") decodes normally.
-        unpacker
-            .unpack_bytes_into(&t.bytes, &mut out)
-            .expect("pristine packet decodes after rejected copies");
+        out.extend(
+            unpacker
+                .unpack(&t.bytes)
+                .expect("pristine packet decodes after rejected copies"),
+        );
     }
     assert_eq!(out, items);
 }

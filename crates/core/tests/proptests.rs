@@ -173,7 +173,7 @@ proptest! {
         packer.flush(&mut packets);
         let decoded: Vec<WireItem> = packets
             .iter()
-            .map(|p| unpacker.unpack(p).expect("round-trip"))
+            .map(|p| unpacker.unpack(&p.bytes).expect("round-trip"))
             .collect::<Vec<_>>()
             .concat();
         prop_assert_eq!(decoded, items);
@@ -233,7 +233,7 @@ proptest! {
         packer.flush(&mut packets);
         let decoded: Vec<WireItem> = packets
             .iter()
-            .map(|p| unpacker.unpack(p).expect("round-trip"))
+            .map(|p| unpacker.unpack(&p.bytes).expect("round-trip"))
             .collect::<Vec<_>>()
             .concat();
         // Vacuous diffs (identical consecutive states) are dropped by
@@ -415,7 +415,7 @@ proptest! {
         let mut unpacker = Unpacker::new(2);
         // Either a decode error or a *different* item stream — never a
         // silent identical result.
-        match unpacker.unpack(&corrupted) {
+        match unpacker.unpack(&corrupted.bytes) {
             Err(_) => {}
             Ok(decoded) => prop_assert_ne!(decoded, items),
         }
@@ -489,7 +489,7 @@ fn store_events_are_never_dropped_by_packing() {
     packer.flush(&mut packets);
     let decoded: Vec<WireItem> = packets
         .iter()
-        .map(|p| unpacker.unpack(p).expect("round-trip"))
+        .map(|p| unpacker.unpack(&p.bytes).expect("round-trip"))
         .collect::<Vec<_>>()
         .concat();
     assert_eq!(decoded, items);

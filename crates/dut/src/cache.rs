@@ -5,12 +5,11 @@
 //! the catalog (refills, TLB fills, sbuffer flushes, page-table walks).
 
 use difftest_ref::Memory;
-use serde::{Deserialize, Serialize};
 
 const LINE_BYTES: u64 = 64;
 
 /// A direct-mapped cache tag array (64-byte lines).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     tags: Vec<u64>,
     valid: Vec<bool>,
@@ -63,7 +62,7 @@ impl Cache {
 /// The project runs with `satp = 0` (bare translation), so fills map each
 /// virtual page number to an identical physical page number — an invariant
 /// the checker verifies on every TLB event.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     vpns: Vec<u64>,
     valid: Vec<bool>,

@@ -1,7 +1,6 @@
 //! DUT configurations mirroring the paper's Table 3/4 setups.
 
 use difftest_event::EventKind;
-use serde::{Deserialize, Serialize};
 
 /// How many hardware instances (ports/slots) of each event type exist per
 /// cycle — the provisioning a fixed-offset packing scheme must reserve
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// `slots × (1 + encoded_len)` bytes per kind per cycle regardless of how
 /// many instances are actually valid, which is where the >60% packet
 /// bubbles of paper §4.2 come from.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlotTable {
     slots: Vec<u8>,
 }
@@ -60,7 +59,7 @@ impl SlotTable {
 }
 
 /// Which events the monitor emits and how often (per DUT configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventPolicy {
     /// Emit the architectural state dumps (int/fp/CSR/vector register
     /// files) every N commit-cycles (1 = every commit cycle).
@@ -78,7 +77,7 @@ pub struct EventPolicy {
 }
 
 /// A design-under-test configuration (paper Table 3/4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DutConfig {
     /// Display name.
     pub name: String,
@@ -99,7 +98,7 @@ pub struct DutConfig {
 }
 
 /// Parameters of the deterministic stall model shaping commit density.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineParams {
     /// Probability (×1e6) that a cycle commits nothing (front-end stall).
     pub frontend_stall_ppm: u32,

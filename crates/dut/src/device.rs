@@ -6,14 +6,12 @@
 //! register returns a byte stream derived from device-local state. Both must
 //! therefore be synchronized to the REF as non-deterministic events.
 
-use serde::{Deserialize, Serialize};
-
 pub use difftest_ref::map::{
     CLINT_BASE, CLINT_MSIP, CLINT_MTIME, CLINT_MTIMECMP, UART_BASE, UART_DATA, UART_STATUS,
 };
 
 /// Core-local interrupt controller with a cycle-granularity timer.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Clint {
     mtime: u64,
     mtimecmp: u64,
@@ -73,7 +71,7 @@ impl Clint {
 
 /// A UART whose receive stream depends on device-local state — the
 /// archetypal MMIO non-determinism.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Uart {
     rx_state: u64,
     tx: Vec<u8>,
@@ -119,7 +117,7 @@ impl Uart {
 }
 
 /// The per-core device complex.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Devices {
     /// Timer/software interrupt controller.
     pub clint: Clint,

@@ -5,8 +5,6 @@
 //! approximated by deterministic hash-based draws, so two runs of the same
 //! configuration and workload produce identical cycle-by-cycle behaviour.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::PipelineParams;
 
 /// SplitMix64-style avalanche mix of two words.
@@ -19,7 +17,7 @@ pub fn mix(a: u64, b: u64) -> u64 {
 }
 
 /// Stall decisions derived from [`PipelineParams`] and a per-core seed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StallModel {
     params: PipelineParams,
     seed: u64,

@@ -342,6 +342,23 @@ mod tests {
     }
 
     #[test]
+    fn reader_take_is_bounds_checked() {
+        let mut r = Reader::new(&[1, 2, 3]);
+        assert_eq!(r.bytes_dyn(2).unwrap(), &[1, 2]);
+        assert_eq!(r.remaining(), 1);
+        assert!(matches!(
+            r.u16(),
+            Err(CodecError::UnexpectedEnd {
+                needed: 2,
+                available: 1
+            })
+        ));
+        // A failed take consumes nothing.
+        assert_eq!(r.u8().unwrap(), 3);
+        r.finish().unwrap();
+    }
+
+    #[test]
     fn trailing_bytes_detected() {
         let buf = [0u8; 4];
         let mut r = Reader::new(&buf);

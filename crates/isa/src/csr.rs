@@ -8,8 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Number of CSRs tracked in the dense architectural CSR file.
 pub const CSR_COUNT: usize = 24;
 
@@ -19,7 +17,7 @@ macro_rules! csr_table {
         ///
         /// The discriminants are contiguous in `0..CSR_COUNT` so the type can
         /// index the architectural CSR array directly.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         #[repr(u8)]
         #[allow(missing_docs)]
         pub enum CsrIndex {

@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{FReg, Reg};
 
 /// The operation performed by an instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Op {
     // RV64I: upper immediates and jumps.
@@ -272,7 +270,7 @@ impl Op {
 ///
 /// Operand fields that an operation does not use are left at their decoded
 /// bit-field values and are ignored by the executors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Insn {
     /// The raw 32-bit machine word.
     pub raw: u32,

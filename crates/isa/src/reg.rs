@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An integer (x) register index in `0..32`.
 ///
 /// The type statically guarantees a valid index: constructing a `Reg` from an
 /// out-of-range value is only possible through [`Reg::new`], which masks to
 /// five bits, or through the named constants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(u8);
 
 impl Reg {
@@ -82,7 +80,7 @@ impl From<Reg> for usize {
 }
 
 /// A floating-point (f) register index in `0..32`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FReg(u8);
 
 impl FReg {

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Synchronous exception causes (the subset raised by this project).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Exception {
     /// Instruction address misaligned (cause 0).
@@ -75,7 +73,7 @@ impl fmt::Display for Exception {
 }
 
 /// Asynchronous interrupt causes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Interrupt {
     /// Machine software interrupt (cause 3).
@@ -122,7 +120,7 @@ impl fmt::Display for Interrupt {
 }
 
 /// A trap: either a synchronous exception or an asynchronous interrupt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Trap {
     /// A synchronous exception with its trap value (`mtval`).
     Exception(Exception, u64),

@@ -5,10 +5,8 @@
 //! communication), growing to ≈25% on average with Batch enabled (the
 //! unified hardware/software packing interface is the dominant cost).
 
-use serde::{Deserialize, Serialize};
-
 /// Which verification units are instantiated on the hardware side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AreaFeatures {
     /// Tight-packing (Batch) unit present.
     pub batch: bool,
@@ -39,7 +37,7 @@ impl AreaFeatures {
 }
 
 /// Estimated gate counts of the DUT and each verification unit.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AreaBreakdown {
     /// The design under test itself.
     pub dut_gates: f64,
@@ -75,7 +73,7 @@ impl AreaBreakdown {
 /// Calibrated against the paper: 128 probes per core covering 32 event
 /// types, ≈6% overhead without Batch, ≈25% with Batch across XiangShan
 /// configurations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaModel {
     /// Gates per monitor probe (wiring + capture register).
     pub gates_per_probe: f64,

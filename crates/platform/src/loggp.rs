@@ -11,10 +11,8 @@
 //! simulated seconds, and [`OverheadBreakdown`] keeps the per-phase
 //! attribution that Figure 2 of the paper reports.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of one hardware↔software link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkParams {
     /// Per-invocation synchronization/handshake latency in seconds
     /// (Palladium DPI-C sync, FPGA XDMA descriptor round-trip, ...).
@@ -52,7 +50,7 @@ impl LinkParams {
 }
 
 /// A monotonically advancing simulated clock.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct VirtualClock {
     now_s: f64,
 }
@@ -90,7 +88,7 @@ impl VirtualClock {
 }
 
 /// Per-phase attribution of communication overhead (Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OverheadBreakdown {
     /// Seconds spent in communication startup (handshakes).
     pub startup_s: f64,

@@ -13,12 +13,10 @@
 //! packing/fusion algorithms run over these models. Derivations are noted
 //! inline.
 
-use serde::{Deserialize, Serialize};
-
 use crate::loggp::LinkParams;
 
 /// The deployment class of a platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatformKind {
     /// A hardware emulator (Cadence Palladium class).
     Emulator,
@@ -29,7 +27,7 @@ pub enum PlatformKind {
 }
 
 /// Host-side software processing cost parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostParams {
     /// Seconds to step the REF by one instruction.
     pub ref_step_s: f64,
@@ -40,7 +38,7 @@ pub struct HostParams {
 }
 
 /// A co-simulation deployment platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     name: String,
     kind: PlatformKind,

@@ -18,12 +18,11 @@
 use difftest_isa::csr::CsrIndex;
 use difftest_isa::trap::{Exception, Trap};
 use difftest_isa::{FReg, Insn, Op, Reg};
-use serde::{Deserialize, Serialize};
 
 use crate::{ArchState, Memory};
 
 /// A memory write performed by an instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemWrite {
     /// Byte address of the write.
     pub addr: u64,
@@ -35,7 +34,7 @@ pub struct MemWrite {
 
 /// A memory read performed by an instruction (informational; the loaded
 /// value appears in the register-write field of the effect).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRead {
     /// Byte address of the read.
     pub addr: u64,
@@ -44,7 +43,7 @@ pub struct MemRead {
 }
 
 /// Every architectural mutation one instruction performs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Effect {
     /// The PC of the next instruction.
     pub next_pc: u64,

@@ -23,13 +23,12 @@
 //! the oracle `tests/icache_coherence.rs` holds this one to.
 
 use difftest_isa::Insn;
-use serde::{Deserialize, Serialize};
 
 /// Entries in the direct-mapped array. 4096 × ~48 B keeps the table well
 /// inside L2 while covering the hot loops of every workload preset.
 const SLOTS: usize = 4096;
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     pc: u64,
     raw: u32,
@@ -37,7 +36,7 @@ struct Entry {
 }
 
 /// Hit/miss/invalidation counters, exposed for tests and observability.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeCacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
@@ -60,7 +59,7 @@ impl DecodeCacheStats {
 }
 
 /// The cache itself. See the module docs for the coherence rules.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecodeCache {
     slots: Vec<Option<Entry>>,
     enabled: bool,

@@ -6,12 +6,11 @@
 
 use difftest_isa::csr::CsrIndex;
 use difftest_isa::{FReg, Reg};
-use serde::{Deserialize, Serialize};
 
 use crate::{ArchState, Memory};
 
 /// One recorded mutation: the value a location held *before* the write.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JournalEntry {
     /// Previous program counter.
     Pc(u64),
@@ -41,7 +40,7 @@ pub enum JournalEntry {
 /// The log is disabled by default; the co-simulation engine enables it when
 /// Replay support is requested. While disabled, [`Journal::record`] is a
 /// no-op so the fast path costs one branch.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Journal {
     entries: Vec<JournalEntry>,
     checkpoints: Vec<usize>,

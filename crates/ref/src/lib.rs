@@ -33,6 +33,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// The REF steps inside every checker; a panic there aborts a whole
+// co-simulation. Non-test code is held to the no-unwrap bar mechanically.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod exec;
 mod icache;
@@ -41,7 +44,6 @@ pub mod map;
 mod mem;
 mod model;
 mod state;
-pub mod wireio;
 
 pub use icache::{DecodeCache, DecodeCacheStats};
 pub use journal::{Journal, JournalEntry};

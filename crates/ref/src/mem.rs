@@ -2,8 +2,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 const PAGE_BITS: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_BITS;
 
@@ -13,7 +11,7 @@ const PAGE_SIZE: usize = 1 << PAGE_BITS;
 /// MMIO hole handled by the device models (on the DUT side) or synchronized
 /// from the DUT (on the REF side). Pages are allocated lazily on first write,
 /// so multi-megabyte address spaces cost only what the workload touches.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Memory {
     pages: HashMap<u64, Vec<u8>>,
 }

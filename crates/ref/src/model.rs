@@ -3,7 +3,6 @@
 use difftest_isa::csr::{mstatus, CsrIndex};
 use difftest_isa::trap::{Interrupt, Trap};
 use difftest_isa::{decode, FReg, Insn, Op, Reg};
-use serde::{Deserialize, Serialize};
 
 use crate::exec::{execute, Effect};
 use crate::icache::{DecodeCache, DecodeCacheStats};
@@ -11,7 +10,7 @@ use crate::journal::{Journal, JournalEntry};
 use crate::{ArchState, Memory};
 
 /// What one call to [`RefModel::step`] did.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum StepOutcome {
     /// An instruction retired normally.
     Retired {
@@ -67,7 +66,7 @@ pub enum StepOutcome {
 /// 2. **Uncached interpreter**: the cache disabled
 ///    ([`RefModel::set_decode_cache_enabled`]) — the oracle the lockstep
 ///    coherence suite compares against.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RefModel {
     state: ArchState,
     mem: Memory,

@@ -2,14 +2,13 @@
 
 use difftest_isa::csr::{CsrIndex, CSR_COUNT};
 use difftest_isa::{FReg, Reg};
-use serde::{Deserialize, Serialize};
 
 /// The complete architectural state of one hart.
 ///
 /// Both the reference model and the DUT model carry an `ArchState`; the
 /// checker compares fields of the two after each (fused group of)
 /// instruction(s).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArchState {
     pc: u64,
     xregs: [u64; 32],

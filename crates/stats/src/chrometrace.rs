@@ -38,7 +38,7 @@ fn push_line(out: &mut String, first: &mut bool, line: &str) {
     out.push_str(line);
 }
 
-/// Serializes buffers into Chrome trace-event JSON.
+/// Renders buffers as Chrome trace-event JSON.
 pub fn render(bufs: &[SpanBuf]) -> String {
     let mut out = String::from("{\"traceEvents\":[\n");
     let mut first = true;
@@ -184,7 +184,7 @@ pub fn write_trace(path: &Path, bufs: &[SpanBuf]) -> io::Result<()> {
 
 // ---------------------------------------------------------------------------
 // A minimal JSON value parser: enough to validate our own output (and
-// the JSONL metrics export) without a serde_json dependency.
+// the JSONL metrics export) without an external JSON crate.
 // ---------------------------------------------------------------------------
 
 /// A parsed JSON value.

@@ -13,12 +13,11 @@ use difftest_isa::{encode, FReg, Reg};
 use difftest_ref::map;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::asm::{Asm, BranchOp};
 
 /// The workload families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Preset {
     /// Boot-like: CSR churn, timer interrupts, UART I/O, ecalls, memcpy,
     /// floating point — the paper's "Linux boot" regime (NDE-rich).
@@ -107,7 +106,7 @@ impl WorkloadBuilder {
 }
 
 /// A generated workload program.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
     name: String,
     preset: Preset,

@@ -5,7 +5,7 @@
 //! cargo run --release --example tuning
 //! ```
 
-use difftest_h::core::{Checker, Verdict, WireItem};
+use difftest_h::core::{AccelUnit, Checker, Consumer, NoCharge, Step, SwUnit, Verdict};
 use difftest_h::dut::{Dut, DutConfig};
 use difftest_h::event::Category;
 use difftest_h::ref_model::{Memory, RefModel};
@@ -64,24 +64,33 @@ fn main() {
     );
 
     // --- 3. DUT-decoupled iterative debugging ----------------------------
-    // Drive the verification logic from the trace alone — no DUT run.
-    let mut checker = Checker::new(vec![RefModel::new(image)], false);
+    // Drive the verification logic from the trace alone — no DUT run: the
+    // trace replays through the per-event baseline stream into the same
+    // consumer every runner drives.
+    let mut hw = AccelUnit::per_event();
+    let checker = Checker::new(vec![RefModel::new(image)], false);
+    let mut consumer = Consumer::new(SwUnit::per_event(), checker);
+    let mut transfers = Vec::new();
     let mut counters = Counters::new();
-    for ev in &reloaded {
-        counters.inc("toolkit.events_replayed");
-        counters.add("toolkit.bytes_replayed", ev.encoded_len() as u64);
-        let item = WireItem::Plain {
-            core: ev.core,
-            event: ev.event.clone(),
-        };
-        match checker.process(item).expect("clean trace verifies") {
-            Verdict::Continue => {}
-            Verdict::Halt { good, .. } => {
-                counters.inc("toolkit.good_traps");
-                assert!(good);
-                break;
+    'trace: for cycle in reloaded.chunk_by(|a, b| a.cycle == b.cycle) {
+        hw.push_cycle(cycle, &mut transfers);
+        for t in transfers.drain(..) {
+            counters.inc("toolkit.events_replayed");
+            counters.add("toolkit.bytes_replayed", t.bytes.len() as u64);
+            if consumer.ingest(&t, cycle[0].cycle, &mut NoCharge) == Step::Stop {
+                break 'trace;
             }
         }
+    }
+    consumer.finish_stream(None, 0, &mut NoCharge);
+    assert!(
+        consumer.mismatch().is_none(),
+        "clean trace verifies: {:?}",
+        consumer.mismatch()
+    );
+    if let Some(Verdict::Halt { good, .. }) = consumer.verdict() {
+        counters.inc("toolkit.good_traps");
+        assert!(good);
     }
     println!("trace-driven checking finished:\n{counters}");
 }

@@ -1,9 +1,13 @@
 //! Transport-robustness tests (paper §4.5): the unified packet interface
-//! must never *silently* accept disturbed transfer streams — reordering,
-//! duplication, truncation or corruption must surface as decode errors or
-//! checker mismatches, not as a clean good trap.
+//! must never *silently* accept disturbed transfer streams — reordering
+//! is reassembled, a duplicate is discarded and counted, and loss,
+//! truncation or corruption surface as typed link errors or checker
+//! mismatches, never as a clean good trap. Streams are checked through
+//! [`Consumer`], the receive pipeline every runner drives.
 
-use difftest_h::core::{AccelUnit, Checker, SwUnit, Transfer, Verdict};
+use difftest_h::core::{
+    AccelUnit, Checker, Consumer, ConsumerOutput, NoCharge, Step, SwUnit, Transfer, Verdict,
+};
 use difftest_h::dut::{Dut, DutConfig};
 use difftest_h::ref_model::{Memory, RefModel};
 use difftest_h::workload::Workload;
@@ -25,28 +29,33 @@ fn record_transfers() -> (Memory, Vec<Transfer>) {
     (image, transfers)
 }
 
-/// Feeds a transfer stream to a fresh checker; returns `Ok(halted_good)`
-/// or the first failure (decode error or mismatch) as `Err`.
-fn check(image: &Memory, transfers: &[Transfer]) -> Result<bool, String> {
-    let mut sw = SwUnit::packed(1);
-    let mut checker = Checker::new(vec![RefModel::new(image.clone())], false);
+/// Feeds a transfer stream to a fresh consumer and closes it.
+fn consume(image: &Memory, transfers: &[Transfer]) -> ConsumerOutput {
+    let checker = Checker::new(vec![RefModel::new(image.clone())], false);
+    let mut consumer = Consumer::new(SwUnit::packed(1), checker);
     for t in transfers {
-        let items = sw.decode(t).map_err(|e| format!("decode: {e}"))?;
-        for item in items {
-            match checker.process(item) {
-                Ok(Verdict::Continue) => {}
-                Ok(Verdict::Halt { good, .. }) => return Ok(good),
-                Err(m) => return Err(format!("mismatch: {m}")),
-            }
+        if consumer.ingest(t, 0, &mut NoCharge) == Step::Stop {
+            break;
         }
     }
-    // Drain order-tagged items whose position was reached (the trap event
-    // of a fused stream arrives tagged).
-    match checker.finalize() {
-        Ok(Verdict::Halt { good, .. }) => Ok(good),
-        Ok(Verdict::Continue) => Ok(false),
-        Err(m) => Err(format!("mismatch: {m}")),
+    consumer.finish_stream(None, 0, &mut NoCharge);
+    consumer.finish()
+}
+
+/// Returns `Ok(halted_good)` or the first failure (link error or
+/// mismatch) as `Err`.
+fn check(image: &Memory, transfers: &[Transfer]) -> Result<bool, String> {
+    let out = consume(image, transfers);
+    if let Some(m) = out.mismatch {
+        return Err(format!("mismatch: {m}"));
     }
+    if let Some((kind, seq, core)) = out.link_error {
+        return Err(format!("link: {kind:?} at packet {seq} (core {core})"));
+    }
+    Ok(matches!(
+        out.verdict,
+        Some(Verdict::Halt { good: true, .. })
+    ))
 }
 
 #[test]
@@ -77,12 +86,18 @@ fn heavily_shuffled_window_is_reassembled() {
 
 #[test]
 fn duplicated_packet_never_passes_silently() {
+    // The consumer discards the stale duplicate and counts it — what
+    // every runner does — and the stream still verifies.
     let (image, mut transfers) = record_transfers();
     let dup = transfers[transfers.len() / 2].clone();
     transfers.insert(transfers.len() / 2, dup);
+    let out = consume(&image, &transfers);
+    assert_eq!(out.link.stale_dropped, 1, "the duplicate must be counted");
     assert!(
-        check(&image, &transfers).is_err(),
-        "a duplicated packet must surface as an error"
+        matches!(out.verdict, Some(Verdict::Halt { good: true, .. })),
+        "{:?} {:?}",
+        out.mismatch,
+        out.link_error
     );
 }
 
@@ -123,6 +138,7 @@ fn truncated_packet_is_a_decode_error() {
     let mid = transfers.len() / 2;
     let len = transfers[mid].bytes.len();
     transfers[mid].bytes.truncate(len - 5);
-    let err = check(&image, &transfers).expect_err("truncation must fail");
-    assert!(err.starts_with("decode:"), "got: {err}");
+    let out = consume(&image, &transfers);
+    assert!(out.link_error.is_some(), "truncation must fail the link");
+    assert!(out.mismatch.is_none(), "{:?}", out.mismatch);
 }
