@@ -37,9 +37,6 @@ ablations:
 bench:
 	$(CARGO) bench -p difftest-bench
 
-sharded:
-	$(CARGO) bench -p difftest-bench --bench sharded
-
 # What .github/workflows/ci.yml runs: formatting, lints, the runner-seam
 # check, tier-1 build+test, the lossy-link fault suite, and the gated
 # benchmark's self-test (benchmark/README.md): the perf harness still
@@ -67,20 +64,19 @@ ci: seam
 # sink. The consume side is one state machine: outside consume.rs and
 # checker.rs no library code drives the checker (`process_ref`,
 # `finalize`), and the retired owned decode path and second byte reader
-# stay gone.
+# stay gone. Every runner has one lane and one full-width consumer: the
+# retired sharded runner's per-core routing stays gone.
 RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/threaded.rs \
-	crates/core/src/sharded.rs crates/core/src/socket.rs \
-	crates/core/src/channel.rs
+	crates/core/src/socket.rs
 WIRE_SRCS = crates/core/src/proto.rs crates/core/src/mux.rs
-INPROC_RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/threaded.rs \
-	crates/core/src/sharded.rs crates/core/src/channel.rs
-RUN_ENTRY_POINTS = run_runner run_session run_sharded_session \
-	run_socket_session run_threaded_session
+INPROC_RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/threaded.rs
+RUN_ENTRY_POINTS = run_runner run_session run_socket_session \
+	run_threaded_session
 PRODUCER_SRCS = crates/core/src/replay.rs crates/core/src/transport.rs \
 	crates/core/src/produce.rs crates/core/src/squash.rs
 CONSUME_SRCS = crates/core/src/consume.rs crates/core/src/checker.rs
 seam:
-	@if grep -nE 'use crate::(engine|threaded|sharded|socket)(::|;| )' $(RUNNER_SRCS); then \
+	@if grep -nE 'use crate::(engine|threaded|socket)(::|;| )' $(RUNNER_SRCS); then \
 		echo "runner seam violated: runners must build on session/link/produce/consume only"; \
 		exit 1; \
 	else \
@@ -99,7 +95,7 @@ seam:
 	else \
 		echo "entry-point seam clean: one run_* per runner plus the dispatcher"; \
 	fi
-	@if grep -nE 'use crate::(engine|threaded|sharded|socket)(::|;| )' $(WIRE_SRCS); then \
+	@if grep -nE 'use crate::(engine|threaded|socket)(::|;| )' $(WIRE_SRCS); then \
 		echo "wire seam violated: proto/mux sit below the runners"; \
 		exit 1; \
 	else \
@@ -111,7 +107,7 @@ seam:
 	else \
 		echo "wire seam clean: in-process runners stay off the wire layer"; \
 	fi
-	@if grep -rnE 'difftest_core::(engine|threaded|sharded|socket)(::|;| )' crates/serve/src; then \
+	@if grep -rnE 'difftest_core::(engine|threaded|socket)(::|;| )' crates/serve/src; then \
 		echo "service seam violated: difftest-serve builds on proto/mux only"; \
 		exit 1; \
 	else \
@@ -144,6 +140,13 @@ seam:
 		exit 1; \
 	else \
 		echo "consume seam clean: every stream is checked through Consumer"; \
+	fi
+	@if grep -rnE 'set_route_core|push_cycle_for_route_core|consumer_for_core|send_link_for_core|core_base|with_home_core|RunnerKind::Sharded|pub struct Lane' \
+		crates/*/src; then \
+		echo "lane seam violated: per-core routing was retired with the sharded runner (DESIGN.md §8)"; \
+		exit 1; \
+	else \
+		echo "lane seam clean: one lane, one full-width consumer per runner"; \
 	fi
 
 # Allocation-regression gate: a counting global allocator pins the
@@ -184,7 +187,7 @@ obs:
 # run exports one merged Chrome trace spanning both processes;
 # trace_check holds it to the cross-process bar (matched pack→unpack
 # flow arrows, producer and consumer pids). The observability example
-# then exports and self-validates the engine/sharded traces, and
+# then exports and self-validates the engine/threaded traces, and
 # trace_check re-gates the files from the outside.
 trace:
 	mkdir -p target/trace
@@ -192,7 +195,7 @@ trace:
 	scripts/trace_check --require-flows target/trace/socket.json
 	DIFFTEST_TRACE=target/trace/obs.json $(CARGO) run --release --example observability
 	scripts/trace_check --require-flows target/trace/obs.engine.json
-	scripts/trace_check target/trace/obs.sharded.json
+	scripts/trace_check target/trace/obs.threaded.json
 
 # A.5.1-style quick start: run the co-simulation end to end.
 examples:

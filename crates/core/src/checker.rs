@@ -846,17 +846,13 @@ impl CoreChecker {
 
 /// The multi-core ISA checker.
 ///
-/// A checker owns a contiguous range of core ids starting at its *core
-/// base* (0 for [`Checker::new`]): items whose [`WireItemRef::core`] falls in
-/// `core_base .. core_base + cores` are checked, anything else is reported
-/// as a transport fault. [`Checker::single`] builds a one-core checker
-/// with a non-zero base, which is how the sharded runner gives each worker
-/// its own core without renumbering items on the wire.
+/// A checker owns core ids `0 .. cores`: items whose
+/// [`WireItemRef::core`] falls in that range are checked, anything else
+/// is reported as a transport fault.
 #[derive(Debug)]
 pub struct Checker {
     cores: Vec<CoreChecker>,
     stats: CheckStats,
-    core_base: u8,
 }
 
 impl Checker {
@@ -871,21 +867,6 @@ impl Checker {
         Checker {
             cores,
             stats: CheckStats::default(),
-            core_base: 0,
-        }
-    }
-
-    /// Creates a single-core checker responsible for exactly `core`.
-    ///
-    /// Items for any other core id are rejected as mismatches, so a
-    /// sharded topology (one checker per worker thread) detects routing
-    /// faults the same way the monolithic checker detects corrupted core
-    /// bytes. `replay_support` is as in [`Checker::new`].
-    pub fn single(core: u8, refm: RefModel, replay_support: bool) -> Self {
-        Checker {
-            cores: vec![CoreChecker::new(core, refm, 0, replay_support)],
-            stats: CheckStats::default(),
-            core_base: core,
         }
     }
 
@@ -933,22 +914,20 @@ impl Checker {
         Checker {
             cores,
             stats: CheckStats::default(),
-            core_base: 0,
         }
     }
 
     /// Instructions checked so far on `core`.
     pub fn seq(&self, core: u8) -> u64 {
-        self.cores[(core - self.core_base) as usize].seq
+        self.cores[core as usize].seq
     }
 
     /// The checker that owns wire core id `core`, with the shared stats.
     /// A corrupted transport can smuggle an out-of-range core id; that
     /// surfaces as a checkable failure instead of a panic.
     fn route(&mut self, core: u8) -> Result<(&mut CoreChecker, &mut CheckStats), Mismatch> {
-        let idx = (core as usize).wrapping_sub(self.core_base as usize);
         let n = self.cores.len();
-        match self.cores.get_mut(idx) {
+        match self.cores.get_mut(core as usize) {
             Some(c) => Ok((c, &mut self.stats)),
             None => Err(Mismatch {
                 core,
@@ -1024,7 +1003,7 @@ impl Checker {
     /// `(checkpoint, watermark)` to retransmit, or `None` when no
     /// checkpoint exists (the mismatch is already precise).
     pub fn revert_for_replay(&mut self, core: u8) -> Option<(u64, u64)> {
-        let c = &mut self.cores[(core - self.core_base) as usize];
+        let c = &mut self.cores[core as usize];
         let ckpt = c.ckpt.take()?;
         if !c.refm.revert() {
             return None;
@@ -1038,9 +1017,8 @@ impl Checker {
     /// Reprocesses retransmitted, unfused events in plain mode after a
     /// revert, returning the precise mismatch if one reproduces.
     pub fn replay_unfused(&mut self, core: u8, events: &[MonitoredEvent]) -> Option<Mismatch> {
-        let idx = (core as usize).wrapping_sub(self.core_base as usize);
         let stats = &mut self.stats;
-        let c = self.cores.get_mut(idx)?;
+        let c = self.cores.get_mut(core as usize)?;
         for ev in events.iter().filter(|e| e.core == core) {
             // Monitored events are borrowed from the replay window, not
             // re-owned: the checker only ever reads them.

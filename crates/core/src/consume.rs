@@ -13,7 +13,7 @@
 //! ([`with_retention`](Consumer::with_retention)), decode failures and
 //! terminal gaps first attempt redelivery of the pristine packet,
 //! bounded by [`RECOVERY_BUDGET`] and [`MAX_REDELIVERY_DEPTH`]; without
-//! one (threaded/sharded/socket), they surface directly as typed
+//! one (threaded/socket), they surface directly as typed
 //! [`RunOutcome::LinkError`](crate::RunOutcome::LinkError) material.
 
 use difftest_event::wire::CodecError;
@@ -111,7 +111,6 @@ pub struct Consumer {
     link: LinkStats,
     retention: Option<ReplayBuffer>,
     recovery_budget: u32,
-    home_core: u8,
     spans: SpanSink,
 }
 
@@ -145,7 +144,6 @@ impl Consumer {
             link: LinkStats::default(),
             retention: None,
             recovery_budget: RECOVERY_BUDGET,
-            home_core: 0,
             spans: SpanSink::disabled(),
         }
     }
@@ -168,13 +166,6 @@ impl Consumer {
     /// enabling bounded ARQ recovery (and §4.4 replay for the engine).
     pub fn with_retention(mut self, capacity: usize) -> Self {
         self.retention = Some(ReplayBuffer::new(capacity));
-        self
-    }
-
-    /// Sets the core terminal gaps are attributed to (sharded workers
-    /// pass their shard's core; defaults to 0).
-    pub fn with_home_core(mut self, core: u8) -> Self {
-        self.home_core = core;
         self
     }
 
@@ -400,8 +391,9 @@ impl Consumer {
     /// Closes the stream: any receive-side gap is now permanent —
     /// buffered successors still waiting, or (`produced` known) sent
     /// packets that never arrived. Gaps are recovered from the
-    /// retention ring where possible, otherwise reported; an intact
-    /// stream runs the checker's finalize.
+    /// retention ring where possible, otherwise reported (attributed to
+    /// core 0: the stream interleaves every core); an intact stream
+    /// runs the checker's finalize.
     pub fn finish_stream<O: ChargeObserver>(
         &mut self,
         produced: Option<u32>,
@@ -424,8 +416,8 @@ impl Consumer {
                 return;
             }
             self.link.note(LinkErrorKind::Gap);
-            if !self.redeliver(expected, self.home_core, cycle, 0, obs) {
-                self.fail_link(LinkErrorKind::Gap, self.home_core, cycle);
+            if !self.redeliver(expected, 0, cycle, 0, obs) {
+                self.fail_link(LinkErrorKind::Gap, 0, cycle);
                 return;
             }
         }
@@ -439,7 +431,7 @@ impl Consumer {
             Ok(v @ Verdict::Halt { good, .. }) => {
                 self.flight.record(FlightRecord {
                     kind: FlightKind::Verdict,
-                    core: self.home_core,
+                    core: 0,
                     seq: 0,
                     cycle,
                     value: u64::from(good),
@@ -573,8 +565,8 @@ impl Consumer {
 }
 
 /// Drives a consumer from a [`LinkSource`] until the stream ends or is
-/// decided — the shared receive loop of the threaded, sharded and
-/// socket runners. `on_stop` fires when the consumer decides the stream
+/// decided — the shared receive loop of the threaded and socket
+/// runners. `on_stop` fires when the consumer decides the stream
 /// early (runners broadcast their stop signal there). Returns whether
 /// the source was exhausted (`false` = stopped early).
 pub fn drive<S: LinkSource>(
@@ -618,10 +610,10 @@ mod tests {
 
     /// Runs the producer side to completion, collecting every packet.
     fn produce(session: &Session) -> Vec<Transfer> {
-        let mut p = session.producer(vec![session.lane(None, QueueSink::default())]);
+        let mut p = session.producer(QueueSink::default());
         let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
         p.run(&AtomicBool::new(false), &mut timer, &mut rec);
-        std::mem::take(&mut p.link_mut(0).sink_mut().queue)
+        std::mem::take(&mut p.link_mut().sink_mut().queue)
     }
 
     #[test]

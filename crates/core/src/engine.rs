@@ -494,7 +494,7 @@ impl CoSimulation {
         }
         .with_spans(session.span_sink(PID_CONSUMER, 0, "consumer", "consumer"));
         CoSimulation {
-            producer: session.producer(vec![session.lane(None, QueueSink::default())]),
+            producer: session.producer(QueueSink::default()),
             consumer,
             timing: Timing::new(
                 platform,
@@ -556,7 +556,7 @@ impl CoSimulation {
                 .flush(timer, rec, retain_packets(ring.filter(|_| arq)));
             if !self.process_queued() {
                 let cycle = self.producer.dut().cycles();
-                let produced = self.producer.link_mut(0).produced();
+                let produced = self.producer.link_mut().produced();
                 self.consumer
                     .finish_stream(Some(produced), cycle, &mut self.timing);
             }
@@ -595,14 +595,14 @@ impl CoSimulation {
             overhead: self.timing.overhead,
             invokes: self.timing.invokes,
             bytes: self.timing.bytes,
-            squash: self.producer.accel(0).squash_stats(),
+            squash: self.producer.accel().squash_stats(),
             check: *self.consumer.checker().stats(),
             replay_dropped: self.consumer.retention_dropped(),
         };
         let counters = report.counters();
         report.common.metrics.counters.merge(&counters);
         let spans = [
-            self.producer.link_mut(0).take_spans(),
+            self.producer.link_mut().take_spans(),
             self.consumer.spans_mut().take_buf(),
         ];
         seal_report(
@@ -620,7 +620,7 @@ impl CoSimulation {
     /// shipping cycle); returns `true` when the run must stop.
     fn process_queued(&mut self) -> bool {
         let cycle = self.producer.dut().cycles();
-        let queue = &mut self.producer.link_mut(0).sink_mut().queue;
+        let queue = &mut self.producer.link_mut().sink_mut().queue;
         let stop = queue
             .iter()
             .any(|t| self.consumer.ingest(t, cycle, &mut self.timing) == Step::Stop);

@@ -194,11 +194,6 @@ impl FaultyLink {
         }
     }
 
-    /// The schedule this link follows.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Counters of faults injected so far.
     pub fn stats(&self) -> FaultStats {
         self.stats

@@ -20,9 +20,8 @@
 //!   synchronization and order restoration,
 //! - [`engine`]: the co-simulation engine with LogGP virtual-time
 //!   accounting, blocking and non-blocking (paper §4.5) transmission,
-//! - [`threaded`] / [`sharded`]: the non-blocking architecture on real OS
-//!   threads with bounded queues (wall-clock hardware/software
-//!   parallelism; one consumer, or one per DUT core),
+//! - [`threaded`]: the non-blocking architecture on real OS threads with
+//!   a bounded queue (wall-clock hardware/software parallelism),
 //! - [`prior`]: models of IBI-check, SBS-check and Fromajo for the
 //!   Table 7 comparison.
 //!
@@ -33,18 +32,15 @@
 //! - [`link`]: the [`LinkSink`]/[`LinkSource`] transport seam and the
 //!   shared fault-injecting send path ([`SendLink`]),
 //! - [`produce`]: the send-side state machine ([`Producer`]: tick →
-//!   monitor → pack → feed over one [`Lane`] per link) every runner
-//!   drives,
+//!   monitor → pack → feed) every runner drives,
 //! - [`consume`]: the receive-side state machine ([`Consumer`]: CRC
 //!   verify → unpack → check → bounded ARQ recovery) every runner
 //!   drives,
-//! - [`channel`]: the in-process channel topology the threaded and
-//!   sharded runners share,
 //! - [`proto`]: the DTH wire protocol itself — typed handshake/frame/
 //!   result codecs with incremental, bounded-allocation decoding,
 //! - [`mux`]: push-driven consumer sessions over that protocol and the
 //!   [`SessionRegistry`] a multi-session service accounts them in,
-//! - [`socket`]: the fourth runner — producer and consumer in separate
+//! - [`socket`]: the third runner — producer and consumer in separate
 //!   OS processes speaking [`proto`] over a Unix-domain socket (or to a
 //!   persistent `difftest-serve` daemon, Unix or TCP).
 //!
@@ -76,7 +72,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod batch;
-pub mod channel;
 pub mod checker;
 pub mod consume;
 pub mod engine;
@@ -89,7 +84,6 @@ pub mod produce;
 pub mod proto;
 pub mod replay;
 pub mod session;
-pub mod sharded;
 pub mod snapshot;
 pub mod socket;
 pub mod squash;
@@ -109,13 +103,12 @@ pub use link::{
 };
 pub use mux::{CloseReason, MuxStep, ProtoSession, SessionRegistry, SessionResult};
 pub use pool::{BufferPool, PoolStats, PooledBuf};
-pub use produce::{Lane, Producer, ProducerOutput};
+pub use produce::{Producer, ProducerOutput};
 pub use proto::{ClientMsg, FrameDecoder, Hello, ProtoError, ServeAddr, SERVE_ADDR_ENV};
 pub use replay::{FailureReport, ReplayBuffer, Retransmission};
 pub use session::{
     run_runner, run_session, DiffConfig, RunCommon, RunOutcome, RunnerKind, RunnerReport, Session,
 };
-pub use sharded::{run_sharded_session, ShardedReport, WorkerReport};
 pub use snapshot::{snapshot_debug_run, SnapshotReport};
 pub use socket::{child_entry, run_socket_session, SocketReport, SocketTuning, KILLED_EXIT};
 pub use squash::{FusedCommit, SquashStats, SquashUnit};

@@ -6,17 +6,15 @@
 //! runs whether the link is a virtual LogGP model, a bounded in-process
 //! channel, or a real socket. These two single-method traits are that
 //! seam. [`SendLink`] wraps any sink in the shared send path
-//! (produced-packet accounting, flight records, fault injection), one
-//! per [`Lane`](crate::produce::Lane) of the shared
-//! [`Producer`](crate::produce::Producer), so a runner's transport is
-//! just an adapter:
+//! (produced-packet accounting, flight records, fault injection) inside
+//! the shared [`Producer`](crate::produce::Producer), so a runner's
+//! transport is just an adapter:
 //!
-//! | runner | lanes | sink | source |
-//! |---|---|---|---|
-//! | engine | one, unrouted | [`QueueSink`] (virtual link) | drained in-line |
-//! | threaded | one, unrouted | [`ChannelSink`] | [`ChannelSource`] |
-//! | sharded | one per core, routed | [`ChannelSink`] | [`ChannelSource`] |
-//! | socket | one, unrouted | `StreamSink` (socket frames) | the peer's `ProtoSession` |
+//! | runner | sink | source |
+//! |---|---|---|
+//! | engine | [`QueueSink`] (virtual link) | drained in-line |
+//! | threaded | [`ChannelSink`] | [`ChannelSource`] |
+//! | socket | `StreamSink` (socket frames) | the peer's `ProtoSession` |
 
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -61,9 +59,8 @@ impl LinkSink for QueueSink {
     }
 }
 
-/// Producer end of a bounded crossbeam channel (threaded/sharded
-/// runners). A blocking send models the paper's sending queue with
-/// backpressure.
+/// Producer end of a bounded crossbeam channel (threaded runner). A
+/// blocking send models the paper's sending queue with backpressure.
 pub struct ChannelSink(pub channel::Sender<Transfer>);
 
 impl fmt::Debug for ChannelSink {
@@ -199,11 +196,6 @@ impl<S: LinkSink> SendLink<S> {
         self.produced.load(Ordering::Acquire)
     }
 
-    /// The fault model, when injection is enabled.
-    pub fn fault_link(&self) -> Option<&FaultyLink> {
-        self.fault.as_ref()
-    }
-
     /// Counters of faults injected so far (`None` on a clean link).
     pub fn fault_stats(&self) -> Option<FaultStats> {
         self.fault.as_ref().map(FaultyLink::stats)
@@ -227,7 +219,8 @@ pub struct FusionWatch {
 impl FusionWatch {
     /// Records a fusion watermark advance, if any. `have_transfers`
     /// gates the record to batches that actually produced output, and
-    /// `core` labels the record (the producing shard, 0 unsharded).
+    /// `core` labels the record (the producer passes 0: its stream
+    /// interleaves every core).
     pub fn observe(
         &mut self,
         accel: &AccelUnit,

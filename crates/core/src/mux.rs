@@ -420,17 +420,17 @@ mod tests {
             8,
             None,
         );
-        let mut p = session.producer(vec![session.lane(None, QueueSink::default())]);
+        let mut p = session.producer(QueueSink::default());
         let mut timer = difftest_stats::PhaseTimer::monotonic();
         let mut rec = difftest_stats::FlightRecorder::default();
         p.run(&AtomicBool::new(false), &mut timer, &mut rec);
         let mut bytes = Vec::new();
         write_hello(&mut bytes, &Hello::from_session(&session, 0, w.words())).unwrap();
-        let queued: Vec<_> = p.link_mut(0).sink_mut().queue.drain(..).collect();
+        let queued: Vec<_> = p.link_mut().sink_mut().queue.drain(..).collect();
         for t in queued {
             write_transfer_frame(&mut bytes, &t).unwrap();
         }
-        write_end_frame(&mut bytes, p.link_mut(0).produced()).unwrap();
+        write_end_frame(&mut bytes, p.link_mut().produced()).unwrap();
         (bytes, p.dut().cycles())
     }
 

@@ -8,20 +8,18 @@
 //! acceleration unit matching a [`DiffConfig`], the fault schedule — and
 //! hands each runner pre-wired components:
 //!
-//! - [`Session::lane`] pairs an acceleration unit with the shared
-//!   fault-injection / flight-recording send path over any
-//!   [`LinkSink`](crate::link::LinkSink), and [`Session::producer`]
-//!   puts the DUT in front of them: the send-side state machine
-//!   ([`Producer`](crate::produce::Producer)) running the tick →
-//!   monitor → pack → feed loop,
+//! - [`Session::producer`] puts the DUT and an acceleration unit in
+//!   front of the shared fault-injection / flight-recording send path
+//!   over any [`LinkSink`]: the send-side state machine ([`Producer`])
+//!   running the tick → monitor → pack → feed loop,
 //! - [`Session::consumer`] builds the receive-side state machine
 //!   ([`Consumer`](crate::consume::Consumer)) that performs the actual
 //!   CRC verify → unpack → check → recover loop.
 //!
-//! Runners ([`crate::engine`], [`crate::threaded`], [`crate::sharded`],
-//! [`crate::socket`]) differ only in *where* those two machines run —
-//! one virtual timeline, two threads, N+1 threads, or two processes —
-//! and in what they report on top of the shared [`RunCommon`] core.
+//! Runners ([`crate::engine`], [`crate::threaded`], [`crate::socket`])
+//! differ only in *where* those two machines run — one virtual
+//! timeline, two threads, or two processes — and in what they report on
+//! top of the shared [`RunCommon`] core.
 //! [`run_session`] dispatches a built session onto any of them.
 
 use std::fmt;
@@ -40,7 +38,7 @@ use crate::checker::{Checker, Mismatch, Verdict};
 use crate::consume::Consumer;
 use crate::fault::{FaultPlan, FaultStats, FaultyLink, LinkErrorKind, LinkStats};
 use crate::link::{LinkSink, SendLink};
-use crate::produce::{Lane, Producer};
+use crate::produce::Producer;
 use crate::transport::{AccelUnit, SwUnit};
 
 /// The optimization configurations of the artifact appendix (`DIFF_CONFIG`).
@@ -164,7 +162,7 @@ impl RunOutcome {
 /// The report core every runner shares: verdict, volume, link health and
 /// observability. Runner-specific reports ([`RunReport`](crate::RunReport),
 /// [`ThreadedReport`](crate::ThreadedReport), …) embed one and `Deref` to
-/// it, so `report.outcome` reads the same across all four runners.
+/// it, so `report.outcome` reads the same across all three runners.
 #[derive(Debug, Clone)]
 pub struct RunCommon {
     /// Why the run ended.
@@ -213,7 +211,6 @@ macro_rules! deref_to_common {
 deref_to_common!(
     crate::engine::RunReport,
     crate::threaded::ThreadedReport,
-    crate::sharded::ShardedReport,
     crate::socket::SocketReport
 );
 
@@ -348,7 +345,7 @@ impl Session {
         &self.dut_cfg
     }
 
-    /// Number of DUT cores (= reference models = shards).
+    /// Number of DUT cores (= reference models).
     pub fn cores(&self) -> usize {
         self.dut_cfg.cores as usize
     }
@@ -358,7 +355,7 @@ impl Session {
         self.max_cycles
     }
 
-    /// The bounded in-flight queue depth (per shard where sharded).
+    /// The bounded in-flight queue depth.
     pub fn queue_depth(&self) -> usize {
         self.queue_depth
     }
@@ -426,20 +423,11 @@ impl Session {
         Checker::new(refs, replay)
     }
 
-    /// Builds the receive-side pipeline ([`Consumer`]) for a
-    /// single-consumer runner: full-width decoder and checker, no
-    /// retention ring (report-only link-error handling).
+    /// Builds the receive-side pipeline ([`Consumer`]): full-width
+    /// decoder and checker, no retention ring (report-only link-error
+    /// handling).
     pub fn consumer(&self) -> Consumer {
         Consumer::new(self.sw_unit(), self.checker(false))
-    }
-
-    /// Builds the receive-side pipeline for shard `core`: the decoder
-    /// still tracks the shared sequence space, the checker owns just
-    /// this core's reference model, and tail gaps are attributed to the
-    /// shard.
-    pub fn consumer_for_core(&self, core: u8) -> Consumer {
-        let checker = Checker::single(core, RefModel::new(self.image.clone()), false);
-        Consumer::new(self.sw_unit(), checker).with_home_core(core)
     }
 
     /// Builds the engine's receive-side pipeline: checker compensation
@@ -456,41 +444,15 @@ impl Session {
         SendLink::new(sink, self.fault.map(FaultyLink::new))
     }
 
-    /// Per-shard variant of [`send_link`](Self::send_link): each shard
-    /// gets an independent deterministic link derived from the plan's
-    /// seed (`seed + core`), so a multi-core schedule stays reproducible
-    /// while the shards fail differently.
-    pub fn send_link_for_core<S: LinkSink>(&self, core: u8, sink: S) -> SendLink<S> {
-        let link = self.fault.map(|p| {
-            FaultyLink::new(FaultPlan {
-                seed: p.seed.wrapping_add(core as u64),
-                ..p
-            })
-        });
-        SendLink::new(sink, link)
-    }
-
-    /// Builds one lane of the send side over `sink`. Unrouted
-    /// (`route: None`): every core's events packed into one stream
-    /// under the plan's own fault schedule, traced on the `dut` track.
-    /// Routed (`Some(core)`): only that core's events, stamped with
-    /// its id, under the shard's schedule
-    /// ([`send_link_for_core`](Self::send_link_for_core)), traced on
-    /// the `dut-core<k>` track.
-    pub fn lane<S: LinkSink>(&self, route: Option<u8>, sink: S) -> Lane<S> {
-        // Core 0's unit and schedule are the unrouted ones.
-        let core = route.unwrap_or(0);
-        let track = route.map_or_else(|| "dut".to_owned(), |k| format!("dut-core{k}"));
-        let link = self
-            .send_link_for_core(core, sink)
-            .with_spans(self.span_sink(PID_PRODUCER, u32::from(core), "producer", &track));
-        Lane::new(self.accel(), link, route)
-    }
-
-    /// Builds the send-side pipeline ([`Producer`]): the DUT in front
-    /// of `lanes`, stopping at the session's cycle budget.
-    pub fn producer<S: LinkSink>(&self, lanes: Vec<Lane<S>>) -> Producer<S> {
-        Producer::new(self.dut(), lanes, self.max_cycles)
+    /// Builds the send-side pipeline ([`Producer`]) over `sink`: the
+    /// DUT and every core's events packed into one stream through the
+    /// shared send path, traced on the `dut` track, stopping at the
+    /// session's cycle budget.
+    pub fn producer<S: LinkSink>(&self, sink: S) -> Producer<S> {
+        let link =
+            self.send_link(sink)
+                .with_spans(self.span_sink(PID_PRODUCER, 0, "producer", "dut"));
+        Producer::new(self.dut(), self.accel(), link, self.max_cycles)
     }
 }
 
@@ -547,8 +509,6 @@ pub enum RunnerKind {
     Engine,
     /// Producer + single consumer on OS threads (wall-clock).
     Threaded,
-    /// Producer + one consumer thread per DUT core (wall-clock).
-    Sharded,
     /// Producer and consumer in separate OS processes over a
     /// Unix-domain socket (wall-clock, real bytes across a real
     /// process boundary). The hosting binary must call
@@ -558,19 +518,13 @@ pub enum RunnerKind {
 
 impl RunnerKind {
     /// All runners, in the order the runner matrix documents them.
-    pub const ALL: [RunnerKind; 4] = [
-        RunnerKind::Engine,
-        RunnerKind::Threaded,
-        RunnerKind::Sharded,
-        RunnerKind::Socket,
-    ];
+    pub const ALL: [RunnerKind; 3] = [RunnerKind::Engine, RunnerKind::Threaded, RunnerKind::Socket];
 
     /// Stable lowercase name (matrix rows, bench scenario labels).
     pub fn name(self) -> &'static str {
         match self {
             RunnerKind::Engine => "engine",
             RunnerKind::Threaded => "threaded",
-            RunnerKind::Sharded => "sharded",
             RunnerKind::Socket => "socket",
         }
     }
@@ -593,10 +547,8 @@ impl fmt::Display for RunnerKind {
 pub enum RunnerReport {
     /// Engine report (virtual-time speeds, LogGP overhead breakdown).
     Engine(crate::engine::RunReport),
-    /// Threaded report (wall-clock throughput).
+    /// Threaded report (wall-clock throughput, pool stats).
     Threaded(crate::threaded::ThreadedReport),
-    /// Sharded report (per-worker throughput, pool stats).
-    Sharded(crate::sharded::ShardedReport),
     /// Socket report (cross-process wall-clock throughput).
     Socket(crate::socket::SocketReport),
 }
@@ -608,7 +560,6 @@ impl Deref for RunnerReport {
         match self {
             RunnerReport::Engine(r) => r,
             RunnerReport::Threaded(r) => r,
-            RunnerReport::Sharded(r) => r,
             RunnerReport::Socket(r) => r,
         }
     }
@@ -619,7 +570,6 @@ impl DerefMut for RunnerReport {
         match self {
             RunnerReport::Engine(r) => r,
             RunnerReport::Threaded(r) => r,
-            RunnerReport::Sharded(r) => r,
             RunnerReport::Socket(r) => r,
         }
     }
@@ -634,14 +584,13 @@ impl RunnerReport {
         match self {
             RunnerReport::Engine(_) => None,
             RunnerReport::Threaded(r) => Some((r.wall_s, r.cycles_per_sec)),
-            RunnerReport::Sharded(r) => Some((r.wall_s, r.cycles_per_sec)),
             RunnerReport::Socket(r) => Some((r.wall_s, r.cycles_per_sec)),
         }
     }
 }
 
 /// Runs a built session on the chosen transport substrate — the single
-/// dispatch entry point. All four runners drive the identical
+/// dispatch entry point. All three runners drive the identical
 /// [`Producer`] and [`Consumer`] state machines, so the verdict is
 /// substrate-independent; only the throughput story differs. The engine
 /// runs on the Palladium platform model with Replay on (use
@@ -662,7 +611,6 @@ pub fn run_session(kind: RunnerKind, session: Session) -> RunnerReport {
         RunnerKind::Threaded => {
             RunnerReport::Threaded(crate::threaded::run_threaded_session(session))
         }
-        RunnerKind::Sharded => RunnerReport::Sharded(crate::sharded::run_sharded_session(session)),
         RunnerKind::Socket => RunnerReport::Socket(crate::socket::run_socket_session(
             session,
             None,
@@ -728,16 +676,6 @@ mod tests {
         let plain = session(DiffConfig::Z, None);
         assert!(plain.accel().squash_stats().is_none());
         assert!(plain.sw_unit().expected_seq().is_none());
-    }
-
-    #[test]
-    fn per_core_links_derive_distinct_seeds() {
-        let s = session(DiffConfig::BNSD, Some(FaultPlan::uniform(7, 10)));
-        let l0 = s.send_link_for_core(0, crate::link::QueueSink::default());
-        let l1 = s.send_link_for_core(1, crate::link::QueueSink::default());
-        let seed = |l: &SendLink<crate::link::QueueSink>| l.fault_link().map(|f| f.plan().seed);
-        assert_eq!(seed(&l0), Some(7));
-        assert_eq!(seed(&l1), Some(8));
     }
 
     #[test]

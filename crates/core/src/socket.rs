@@ -126,8 +126,8 @@ pub fn child_entry() {
 /// shared receive-side pipeline in a separate consumer process, joined
 /// by a socket carrying the CRC-framed wire format. The session's fault
 /// plan, if any, applies on the producer side, before the bytes enter
-/// the socket; like the threaded and sharded runners this one has no
-/// retention ring, so decode failures are reported, not recovered.
+/// the socket; like the threaded runner this one has no retention
+/// ring, so decode failures are reported, not recovered.
 ///
 /// The peer is, in order of precedence: the daemon at `addr` (how many
 /// producers share one `difftest-serve` fleet); the daemon
@@ -448,7 +448,7 @@ fn run_producer(
     // From here on the run always produces a real report: the DUT side
     // executes locally even if the consumer dies (that becomes a typed
     // link error, not a setup failure).
-    let mut producer = session.producer(vec![session.lane(None, sink)]);
+    let mut producer = session.producer(sink);
     let mut timer = PhaseTimer::monotonic();
     let mut rec = FlightRecorder::default();
     let mut metrics = Metrics::new();
@@ -468,7 +468,7 @@ fn run_producer(
     // End-of-stream frame carrying the pre-fault produced count (the
     // consumer's tail-loss reference), then half-close so EOF is
     // unambiguous even if the end frame itself was lost to EPIPE.
-    let link = producer.link_mut(0);
+    let link = producer.link_mut();
     let produced = link.produced();
     let w = &mut link.sink_mut().w;
     let _ = write_end_frame(w, produced).and_then(|()| w.flush());
@@ -500,7 +500,7 @@ fn run_producer(
     // One merged timeline: the producer's own track plus the consumer
     // process's tracks (none without a result blob), already shifted
     // onto this clock via the wall-epoch exchanged in the handshake.
-    let mut spans = out.spans;
+    let mut spans = vec![out.spans];
     let mut link = LinkStats::default();
     let (outcome, mismatch, items, consumer_flight) = match result {
         Ok(res) => {

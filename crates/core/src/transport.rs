@@ -27,10 +27,10 @@ pub struct Transfer {
     /// The raw bytes crossing the link. Pooled: dropping the transfer
     /// (after decode) recycles the buffer to its producing [`AccelUnit`].
     pub bytes: PooledBuf,
-    /// Routing core for sharded checking: the DUT core whose events this
-    /// transfer carries. Single-consumer runners ignore it; an unsharded
-    /// multi-core [`AccelUnit`] stamps its configured route core
-    /// (default 0) since its packets interleave all cores.
+    /// The DUT core this transfer is attributed to: the event's own
+    /// core for a per-event transfer, 0 for a packet (its items
+    /// interleave every core and carry their own ids). The DTH frame
+    /// carries it, and link errors and flight records name it.
     pub core: u8,
     /// Communication invocations this transfer costs (always 1; kept
     /// explicit for clarity in the LogGP accounting).
@@ -54,8 +54,6 @@ pub struct AccelUnit {
     /// Buffer pool for the per-event path (packed paths draw from the
     /// [`BatchUnit`]'s pool).
     event_pool: BufferPool,
-    /// Core id stamped on produced transfers (see [`Transfer::core`]).
-    route_core: u8,
 }
 
 impl AccelUnit {
@@ -65,7 +63,6 @@ impl AccelUnit {
             mode: HwMode::PerEvent,
             packet_buf: Vec::new(),
             event_pool: BufferPool::new(DEFAULT_POOL_SLOTS),
-            route_core: 0,
         }
     }
 
@@ -75,7 +72,6 @@ impl AccelUnit {
             mode: HwMode::Batch(BatchUnit::new(cores, packet_bytes)),
             packet_buf: Vec::new(),
             event_pool: BufferPool::new(DEFAULT_POOL_SLOTS),
-            route_core: 0,
         }
     }
 
@@ -104,15 +100,7 @@ impl AccelUnit {
             mode: HwMode::SquashBatch(squash, BatchUnit::new(cores, packet_bytes)),
             packet_buf: Vec::new(),
             event_pool: BufferPool::new(DEFAULT_POOL_SLOTS),
-            route_core: 0,
         }
-    }
-
-    /// Sets the core id stamped on every transfer this unit produces
-    /// (see [`Transfer::core`]). Sharded runners dedicate one unit per
-    /// core and stamp that core's id for O(1) routing.
-    pub fn set_route_core(&mut self, core: u8) {
-        self.route_core = core;
     }
 
     /// The pool transfers draw their payload buffers from.
@@ -146,29 +134,6 @@ impl AccelUnit {
 
     /// Processes one DUT cycle's events, appending completed transfers.
     pub fn push_cycle(&mut self, events: &[MonitoredEvent], out: &mut Vec<Transfer>) {
-        self.push_iter(events.iter(), out);
-    }
-
-    /// Like [`push_cycle`](Self::push_cycle), but only processes events
-    /// belonging to this unit's route core (see
-    /// [`set_route_core`](Self::set_route_core)). The sharded runner runs
-    /// one unit per core over the full event stream; filtering by
-    /// reference here avoids copying the (large) events into per-core
-    /// staging buffers.
-    pub fn push_cycle_for_route_core(
-        &mut self,
-        events: &[MonitoredEvent],
-        out: &mut Vec<Transfer>,
-    ) {
-        let core = self.route_core;
-        self.push_iter(events.iter().filter(move |ev| ev.core == core), out);
-    }
-
-    fn push_iter<'a>(
-        &mut self,
-        events: impl Iterator<Item = &'a MonitoredEvent>,
-        out: &mut Vec<Transfer>,
-    ) {
         match &mut self.mode {
             HwMode::PerEvent => {
                 for ev in events {
@@ -181,9 +146,7 @@ impl AccelUnit {
                     out.push(Transfer {
                         bytes,
                         // Single-event transfers carry exactly one core's
-                        // event, so the routing core is the event's own —
-                        // stamping the unit-wide route core here would lie
-                        // for multi-core per-event streams.
+                        // event, so the transfer's core is the event's own.
                         core: ev.core,
                         invokes: 1,
                         items: 1,
@@ -197,7 +160,7 @@ impl AccelUnit {
                 for ev in events {
                     batch.push_plain(ev.core, &ev.event, &mut self.packet_buf);
                 }
-                drain_packets(&mut self.packet_buf, self.route_core, out);
+                drain_packets(&mut self.packet_buf, out);
             }
             HwMode::SquashBatch(squash, batch) => {
                 // Squash lends each event (and each closed window) to
@@ -208,7 +171,7 @@ impl AccelUnit {
                     squash.push(ev, &mut sink);
                 }
                 squash.on_cycle_end(&mut sink);
-                drain_packets(&mut self.packet_buf, self.route_core, out);
+                drain_packets(&mut self.packet_buf, out);
             }
         }
     }
@@ -219,24 +182,24 @@ impl AccelUnit {
             HwMode::PerEvent => {}
             HwMode::Batch(batch) => {
                 batch.flush(&mut self.packet_buf);
-                drain_packets(&mut self.packet_buf, self.route_core, out);
+                drain_packets(&mut self.packet_buf, out);
             }
             HwMode::SquashBatch(squash, batch) => {
                 squash.flush_all(&mut batch.sink(&mut self.packet_buf));
                 batch.flush(&mut self.packet_buf);
-                drain_packets(&mut self.packet_buf, self.route_core, out);
+                drain_packets(&mut self.packet_buf, out);
             }
         }
     }
 }
 
-fn drain_packets(packets: &mut Vec<Packet>, core: u8, out: &mut Vec<Transfer>) {
+fn drain_packets(packets: &mut Vec<Packet>, out: &mut Vec<Transfer>) {
     for p in packets.drain(..) {
         out.push(Transfer {
             invokes: 1,
             items: p.items,
             bytes: p.bytes,
-            core,
+            core: 0,
         });
     }
 }
@@ -396,11 +359,10 @@ mod tests {
 
     #[test]
     fn per_event_transfers_carry_event_core() {
-        // Regression: per-event mode used to stamp the unit-wide route
-        // core on every transfer, so `Transfer::core` lied for
-        // multi-core Z-config streams.
+        // Regression: per-event mode used to stamp one unit-wide core
+        // on every transfer, so `Transfer::core` lied for multi-core
+        // Z-config streams.
         let mut hw = AccelUnit::per_event();
-        hw.set_route_core(7);
         let events = vec![
             mev(0, 0, 0x8000_0000),
             mev(2, 0, 0x8000_0004),

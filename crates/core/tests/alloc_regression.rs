@@ -63,10 +63,10 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Runs the producer side to completion, collecting every packet.
 fn produce(session: &Session) -> Vec<Transfer> {
-    let mut p = session.producer(vec![session.lane(None, QueueSink::default())]);
+    let mut p = session.producer(QueueSink::default());
     let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
     p.run(&AtomicBool::new(false), &mut timer, &mut rec);
-    std::mem::take(&mut p.link_mut(0).sink_mut().queue)
+    std::mem::take(&mut p.link_mut().sink_mut().queue)
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Cross-runner fault acceptance (deterministic): under seeded
 //! drop/duplicate/reorder/truncate/corrupt schedules, every runner —
-//! virtual-time engine, threaded, and sharded — terminates with a typed
+//! virtual-time engine and threaded — terminates with a typed
 //! [`RunOutcome::LinkError`] or a cleanly recovered verdict, never a
 //! panic and never a phantom mismatch. The engine's BNSD configuration
 //! additionally *recovers*: its packet retention ring retransmits lost
@@ -8,8 +8,7 @@
 //! must surface as errors.
 
 use difftest_core::{
-    run_sharded_session, run_threaded_session, CoSimulation, DiffConfig, FaultPlan, RunOutcome,
-    RunReport, Session,
+    run_threaded_session, CoSimulation, DiffConfig, FaultPlan, RunOutcome, RunReport, Session,
 };
 use difftest_dut::DutConfig;
 use difftest_platform::Platform;
@@ -185,54 +184,6 @@ fn threaded_clean_link_still_passes() {
         DutConfig::nutshell(),
         DiffConfig::BNSD,
         &workload(),
-        Vec::new(),
-        400_000,
-        8,
-        Some(FaultPlan::clean(1)),
-    ));
-    assert_eq!(r.outcome, RunOutcome::GoodTrap);
-    assert_eq!(r.link.total_detected(), 0);
-}
-
-#[test]
-fn sharded_runner_contains_faults() {
-    let w = Workload::linux_boot().seed(9).iterations(120).build();
-    for seed in SEEDS {
-        for rate in RATES {
-            let plan = FaultPlan::uniform(seed, rate);
-            let r = run_sharded_session(Session::new(
-                DutConfig::xiangshan_minimal(),
-                DiffConfig::BNSD,
-                &w,
-                Vec::new(),
-                400_000,
-                8,
-                Some(plan),
-            ));
-            let ctx = format!("sharded seed={seed} rate={rate}‰");
-            assert_contained(r.outcome, &ctx);
-            assert!(r.mismatch.is_none(), "{ctx}: phantom mismatch");
-            if let RunOutcome::LinkError { kind, seq, core } = r.outcome {
-                assert!(r.link.total_detected() > 0, "{ctx}: untyped link error");
-                assert!(
-                    (core as usize) < DutConfig::xiangshan_minimal().cores as usize,
-                    "{ctx}: {kind} attributed to nonexistent core {core}"
-                );
-                assert_flight_diagnosable(r.flight.as_ref(), seq, &ctx);
-            } else {
-                assert!(r.flight.is_none(), "{ctx}: clean run carries a snapshot");
-            }
-        }
-    }
-}
-
-#[test]
-fn sharded_clean_link_still_passes() {
-    let w = Workload::linux_boot().seed(9).iterations(120).build();
-    let r = run_sharded_session(Session::new(
-        DutConfig::xiangshan_minimal(),
-        DiffConfig::BNSD,
-        &w,
         Vec::new(),
         400_000,
         8,

@@ -32,11 +32,11 @@ fn queue_producer_reproduces_the_engine_stream() {
                 let session = Session::new(dut.clone(), config, w, Vec::new(), 300_000, 8, None);
                 let engine = run_session(RunnerKind::Engine, session.clone());
 
-                let mut p = session.producer(vec![session.lane(None, QueueSink::default())]);
+                let mut p = session.producer(QueueSink::default());
                 let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
                 p.run(&AtomicBool::new(false), &mut timer, &mut rec);
-                let produced = p.link_mut(0).produced();
-                let queue = std::mem::take(&mut p.link_mut(0).sink_mut().queue);
+                let produced = p.link_mut().produced();
+                let queue = std::mem::take(&mut p.link_mut().sink_mut().queue);
                 assert_eq!(
                     queue.len() as u32,
                     produced,
@@ -96,7 +96,7 @@ fn dead_receiver_stops_the_producer_and_finish_still_reports() {
         8,
         Some(FaultPlan::clean(1)),
     );
-    let mut p = session.producer(vec![session.lane(None, DyingSink(3))]);
+    let mut p = session.producer(DyingSink(3));
     let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
     p.run(&AtomicBool::new(false), &mut timer, &mut rec);
     assert!(!p.running());

@@ -316,49 +316,40 @@ proptest! {
         window in 1u32..12,
         order_coupled in any::<bool>(),
         differencing in any::<bool>(),
-        routed in any::<bool>(),
     ) {
-        // One lane packing both cores, or one routed lane per core.
-        let lanes: Vec<Option<u8>> = if routed { vec![Some(0), Some(1)] } else { vec![None] };
-        for route in lanes {
-            // Production: Squash lends to the packer inside AccelUnit.
-            let mut accel =
-                AccelUnit::squash_batch_with(2, capacity, window, order_coupled, differencing);
-            accel.set_route_core(route.unwrap_or(0));
-            let mut transfers = Vec::new();
-            // Staged: Squash fills a Vec<WireItem>, the packer takes it.
-            let mut squash = SquashUnit::new(2, window);
-            squash.set_order_coupled(order_coupled);
-            squash.set_differencing(differencing);
-            let mut batch = BatchUnit::new(2, capacity);
-            let (mut items, mut packets) = (Vec::new(), Vec::new());
-            for events in &cycles {
-                match route {
-                    Some(_) => accel.push_cycle_for_route_core(events, &mut transfers),
-                    None => accel.push_cycle(events, &mut transfers),
-                }
-                items.clear();
-                for ev in events.iter().filter(|e| route.is_none_or(|c| e.core == c)) {
-                    squash.push(ev, &mut items);
-                }
-                squash.on_cycle_end(&mut items);
-                batch.push_cycle(&items, &mut packets);
-            }
-            accel.flush(&mut transfers);
+        // Production: Squash lends to the packer inside AccelUnit.
+        let mut accel =
+            AccelUnit::squash_batch_with(2, capacity, window, order_coupled, differencing);
+        let mut transfers = Vec::new();
+        // Staged: Squash fills a Vec<WireItem>, the packer takes it.
+        let mut squash = SquashUnit::new(2, window);
+        squash.set_order_coupled(order_coupled);
+        squash.set_differencing(differencing);
+        let mut batch = BatchUnit::new(2, capacity);
+        let (mut items, mut packets) = (Vec::new(), Vec::new());
+        for events in &cycles {
+            accel.push_cycle(events, &mut transfers);
             items.clear();
-            squash.flush_all(&mut items);
-            batch.push_cycle(&items, &mut packets);
-            batch.flush(&mut packets);
-
-            prop_assert_eq!(transfers.len(), packets.len());
-            for (t, p) in transfers.iter().zip(&packets) {
-                prop_assert_eq!(&t.bytes[..], &p.bytes[..]);
-                prop_assert_eq!(t.items, p.items);
-                prop_assert_eq!(t.core, route.unwrap_or(0));
+            for ev in events {
+                squash.push(ev, &mut items);
             }
-            prop_assert_eq!(accel.squash_stats(), Some(*squash.stats()));
-            prop_assert_eq!(accel.pack_stats(), Some(*batch.stats()));
+            squash.on_cycle_end(&mut items);
+            batch.push_cycle(&items, &mut packets);
         }
+        accel.flush(&mut transfers);
+        items.clear();
+        squash.flush_all(&mut items);
+        batch.push_cycle(&items, &mut packets);
+        batch.flush(&mut packets);
+
+        prop_assert_eq!(transfers.len(), packets.len());
+        for (t, p) in transfers.iter().zip(&packets) {
+            prop_assert_eq!(&t.bytes[..], &p.bytes[..]);
+            prop_assert_eq!(t.items, p.items);
+            prop_assert_eq!(t.core, 0);
+        }
+        prop_assert_eq!(accel.squash_stats(), Some(*squash.stats()));
+        prop_assert_eq!(accel.pack_stats(), Some(*batch.stats()));
     }
 
     #[test]

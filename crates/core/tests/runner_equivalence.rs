@@ -1,9 +1,9 @@
 //! Property tests: every in-process runner is observationally equivalent
-//! through the [`run_runner`] dispatch — the engine, threaded and
-//! sharded substrates drive the identical session pipeline, so verdicts,
+//! through the [`run_runner`] dispatch — the engine and threaded
+//! substrates drive the identical session pipeline, so verdicts,
 //! mismatch identity and typed link errors must be
-//! substrate-independent across workload seeds, bug-injection points
-//! and fault schedules.
+//! substrate-independent across DUT configurations (single- and
+//! dual-core), workload seeds, bug-injection points and fault schedules.
 //!
 //! The socket runner's leg of the same equivalence lives in the
 //! harness-free `tests/socket_runner.rs` of the umbrella crate: it
@@ -16,31 +16,27 @@ use difftest_dut::{BugKind, BugSpec, DutConfig};
 use difftest_workload::Workload;
 use proptest::prelude::*;
 
-/// The three in-process substrates, dispatched through the one entry
-/// point the examples use.
-const KINDS: [RunnerKind; 3] = [
-    RunnerKind::Engine,
-    RunnerKind::Threaded,
-    RunnerKind::Sharded,
-];
+/// The in-process substrates, dispatched through the one entry point
+/// the examples use.
+const KINDS: [RunnerKind; 2] = [RunnerKind::Engine, RunnerKind::Threaded];
+
+/// Every property runs on a single-core DUT and on a dual-core one,
+/// whose single stream interleaves both cores' events.
+fn duts() -> [DutConfig; 2] {
+    let mut dual = DutConfig::xiangshan_minimal();
+    dual.cores = 2;
+    [DutConfig::nutshell(), dual]
+}
 
 fn run(
     kind: RunnerKind,
+    dut: &DutConfig,
     config: DiffConfig,
     w: &Workload,
     bugs: Vec<BugSpec>,
     fault: Option<FaultPlan>,
 ) -> RunnerReport {
-    run_runner(
-        kind,
-        DutConfig::nutshell(),
-        config,
-        w,
-        bugs,
-        500_000,
-        8,
-        fault,
-    )
+    run_runner(kind, dut.clone(), config, w, bugs, 500_000, 8, fault)
 }
 
 proptest! {
@@ -49,13 +45,13 @@ proptest! {
     #[test]
     fn runners_agree_on_clean_runs(seed in 0u64..1_000) {
         let w = Workload::microbench().seed(seed).iterations(40).build();
-        let engine = run(RunnerKind::Engine, DiffConfig::BNSD, &w, Vec::new(), None);
-        prop_assert_eq!(engine.outcome, RunOutcome::GoodTrap);
-        for kind in [RunnerKind::Threaded, RunnerKind::Sharded] {
-            let r = run(kind, DiffConfig::BNSD, &w, Vec::new(), None);
-            prop_assert_eq!(r.outcome, engine.outcome, "{:?}", kind);
-            prop_assert_eq!(r.items, engine.items, "{:?}: same stream, same items", kind);
-            prop_assert_eq!(r.instructions, engine.instructions, "{:?}", kind);
+        for dut in &duts() {
+            let engine = run(RunnerKind::Engine, dut, DiffConfig::BNSD, &w, Vec::new(), None);
+            prop_assert_eq!(engine.outcome, RunOutcome::GoodTrap, "{} core(s)", dut.cores);
+            let r = run(RunnerKind::Threaded, dut, DiffConfig::BNSD, &w, Vec::new(), None);
+            prop_assert_eq!(r.outcome, engine.outcome, "{} core(s)", dut.cores);
+            prop_assert_eq!(r.items, engine.items, "{} core(s): same stream, same items", dut.cores);
+            prop_assert_eq!(r.instructions, engine.instructions, "{} core(s)", dut.cores);
         }
     }
 
@@ -66,16 +62,16 @@ proptest! {
     ) {
         let w = Workload::linux_boot().seed(seed).iterations(300).build();
         let bugs = vec![BugSpec::new(BugKind::RegWriteCorruption, bug_cycle)];
-        let engine = run(RunnerKind::Engine, DiffConfig::BNSD, &w, bugs.clone(), None);
-        for kind in [RunnerKind::Threaded, RunnerKind::Sharded] {
-            let r = run(kind, DiffConfig::BNSD, &w, bugs.clone(), None);
-            prop_assert_eq!(r.outcome, engine.outcome, "{:?}", kind);
-            // Single core: arrival order is identical, so the first
-            // failing check is byte-for-byte the same mismatch on every
-            // substrate.
+        for dut in &duts() {
+            let engine = run(RunnerKind::Engine, dut, DiffConfig::BNSD, &w, bugs.clone(), None);
+            let r = run(RunnerKind::Threaded, dut, DiffConfig::BNSD, &w, bugs.clone(), None);
+            prop_assert_eq!(r.outcome, engine.outcome, "{} core(s)", dut.cores);
+            // One stream, one in-order consumer: arrival order is
+            // identical, so the first failing check is byte-for-byte the
+            // same mismatch on every substrate.
             prop_assert_eq!(
                 r.mismatch.clone(), engine.mismatch.clone(),
-                "{:?}: mismatch identity", kind
+                "{} core(s): mismatch identity", dut.cores
             );
         }
     }
@@ -91,17 +87,20 @@ proptest! {
         // the same link error at the same sequence.
         let w = Workload::microbench().seed(seed).iterations(60).build();
         let plan = Some(FaultPlan::uniform(seed ^ 0x9e37, rate));
-        let engine = run(RunnerKind::Engine, DiffConfig::BN, &w, Vec::new(), plan);
-        prop_assert!(
-            matches!(engine.outcome, RunOutcome::GoodTrap | RunOutcome::LinkError { .. }),
-            "engine: fault must be recovered or typed, got {:?}", engine.outcome
-        );
-        for kind in KINDS {
-            let r = run(kind, DiffConfig::BN, &w, Vec::new(), plan);
-            prop_assert_eq!(r.outcome, engine.outcome, "{:?}", kind);
-            prop_assert!(r.mismatch.is_none(), "{:?}: phantom mismatch", kind);
-            if let RunOutcome::LinkError { .. } = r.outcome {
-                prop_assert!(r.link.total_detected() > 0, "{:?}: untyped link error", kind);
+        for dut in &duts() {
+            let engine = run(RunnerKind::Engine, dut, DiffConfig::BN, &w, Vec::new(), plan);
+            prop_assert!(
+                matches!(engine.outcome, RunOutcome::GoodTrap | RunOutcome::LinkError { .. }),
+                "engine on {} core(s): fault must be recovered or typed, got {:?}",
+                dut.cores, engine.outcome
+            );
+            for kind in KINDS {
+                let r = run(kind, dut, DiffConfig::BN, &w, Vec::new(), plan);
+                prop_assert_eq!(r.outcome, engine.outcome, "{:?} on {} core(s)", kind, dut.cores);
+                prop_assert!(r.mismatch.is_none(), "{:?}: phantom mismatch", kind);
+                if let RunOutcome::LinkError { .. } = r.outcome {
+                    prop_assert!(r.link.total_detected() > 0, "{:?}: untyped link error", kind);
+                }
             }
         }
     }

@@ -16,8 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use difftest_core::{
-    run_sharded_session, run_threaded_session, CoSimulation, DiffConfig, RunOutcome, RunReport,
-    Session,
+    run_threaded_session, CoSimulation, DiffConfig, RunOutcome, RunReport, Session,
 };
 use difftest_dut::{BugKind, BugSpec, DutConfig};
 use difftest_stats::{parse_json, validate_trace, FakeClock, Json, Tracer};
@@ -44,12 +43,6 @@ fn fake_tracer(path: &Path) -> Tracer {
 
 fn session(dut: DutConfig, w: &Workload, bugs: Vec<BugSpec>) -> Session {
     Session::new(dut, DiffConfig::BNSD, w, bugs, 500_000, 8, None)
-}
-
-fn dual_core_minimal() -> DutConfig {
-    let mut cfg = DutConfig::xiangshan_minimal();
-    cfg.cores = 2;
-    cfg
 }
 
 fn engine_report(path: &Path) -> RunReport {
@@ -161,23 +154,6 @@ fn threaded_trace_validates() {
     let _ = std::fs::remove_file(&p);
 }
 
-#[test]
-fn sharded_trace_has_per_core_tracks() {
-    let p = trace_path("sharded");
-    let w = Workload::microbench().seed(5).iterations(40).build();
-    let r = run_sharded_session(
-        session(dual_core_minimal(), &w, Vec::new()).with_tracer(Some(fake_tracer(&p))),
-    );
-    assert_eq!(r.common.outcome, RunOutcome::GoodTrap);
-    assert!(r.common.metrics.counters.get("trace.spans_recorded") > 0);
-    let summary = validate_trace(&std::fs::read_to_string(&p).expect("trace written"))
-        .expect("well-formed trace");
-    // Two producer tracks (dut-core0/1) + two worker tracks.
-    assert_eq!(summary.tracks, 4);
-    assert!(summary.spans > 0 && summary.flows > 0);
-    let _ = std::fs::remove_file(&p);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -209,16 +185,6 @@ proptest! {
         let p = trace_path("prop-threaded");
         let traced = run_threaded_session(
             session(DutConfig::nutshell(), &w, Vec::new()).with_tracer(Some(fake_tracer(&p))),
-        );
-        prop_assert_eq!(traced.common.outcome, base.common.outcome);
-        prop_assert_eq!(traced.common.items, base.common.items);
-        prop_assert_eq!(traced.common.instructions, base.common.instructions);
-        let _ = std::fs::remove_file(&p);
-
-        let base = run_sharded_session(session(dual_core_minimal(), &w, Vec::new()));
-        let p = trace_path("prop-sharded");
-        let traced = run_sharded_session(
-            session(dual_core_minimal(), &w, Vec::new()).with_tracer(Some(fake_tracer(&p))),
         );
         prop_assert_eq!(traced.common.outcome, base.common.outcome);
         prop_assert_eq!(traced.common.items, base.common.items);

@@ -35,6 +35,10 @@
 //! ```
 
 #![warn(missing_docs)]
+// The DUT ticks inside every runner's produce loop; a panic there aborts
+// a whole co-simulation. Non-test code is held to the no-unwrap bar
+// mechanically.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod bugs;
 pub mod cache;

@@ -23,6 +23,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// The LogGP model prices every transfer of the engine's run; non-test
+// code is held to the no-unwrap bar mechanically.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod area;
 mod loggp;

@@ -111,13 +111,13 @@ fn hand_driven(path: &Path, w: &Workload, overlap: &Overlap) -> HandReport {
     .expect("hello");
 
     let sink = FrameSink(BufWriter::new(stream.try_clone().expect("clone stream")));
-    let mut producer = session.producer(vec![session.lane(None, sink)]);
+    let mut producer = session.producer(sink);
     let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
     producer.run(&AtomicBool::new(false), &mut timer, &mut rec);
     if !last {
         overlap.ends.wait();
     }
-    let link = producer.link_mut(0);
+    let link = producer.link_mut();
     let produced = link.produced();
     let w = &mut link.sink_mut().0;
     write_end_frame(w, produced).expect("end frame");

@@ -12,7 +12,8 @@ use std::fmt;
 /// An ordered collection of named `u64` counters.
 ///
 /// Names are usually static strings; dynamically generated names (e.g.
-/// per-worker counters of a sharded run) are accepted as owned strings.
+/// the per-kind `link.err.<kind>` counters) are accepted as owned
+/// strings.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counters {
     values: BTreeMap<Cow<'static, str>, u64>,
@@ -51,8 +52,8 @@ impl Counters {
         self.values.iter().map(|(k, v)| (k.as_ref(), *v))
     }
 
-    /// Merges another counter set into this one (summing). Hot in
-    /// sharded aggregation, so keys are not re-allocated: an existing
+    /// Merges another counter set into this one (summing). Keys are not
+    /// re-allocated: an existing
     /// counter is bumped in place, and a new key clones the source
     /// `Cow` — a static borrow stays a static borrow.
     pub fn merge(&mut self, other: &Counters) {

@@ -6,8 +6,8 @@
 //!   (transmission counts, data volume, fusion ratios, packet utilization),
 //! - [`Metrics`]: the observability registry — counters plus log-bucketed
 //!   [`Histogram`]s, gauges and per-[`Phase`] wall-time attribution,
-//!   merged deterministically across sharded workers and exported as
-//!   JSONL (`DIFFTEST_OBS=<path>`),
+//!   merged deterministically across threads and exported as JSONL
+//!   (`DIFFTEST_OBS=<path>`),
 //! - [`FlightRecorder`]: a bounded free-running ring of structured
 //!   pipeline records, snapshotted into failure reports for post-mortem
 //!   debugging without re-running the DUT,

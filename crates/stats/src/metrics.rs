@@ -24,7 +24,7 @@ use crate::recorder::FlightSnapshot;
 pub const OBS_ENV: &str = "DIFFTEST_OBS";
 
 /// One pipeline phase wall-time is attributed to (per runner, per
-/// sharded worker). The taxonomy is fixed so exports from different
+/// thread of execution). The taxonomy is fixed so exports from different
 /// runners line up column-for-column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
@@ -242,8 +242,8 @@ pub struct HistogramId(usize);
 pub struct GaugeId(usize);
 
 /// The registry a runner carries: counters + gauges + histograms +
-/// phase attribution, merged deterministically across sharded workers
-/// and exported as JSONL.
+/// phase attribution, merged deterministically across threads and
+/// exported as JSONL.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     /// Monotonic named counters (the existing [`Counters`] primitive).
@@ -351,7 +351,7 @@ impl Metrics {
     }
 
     /// Merges another registry into this one. Deterministic regardless
-    /// of worker scheduling: counters and histograms sum (histograms
+    /// of thread scheduling: counters and histograms sum (histograms
     /// matched by name, unknown names appended in the other's
     /// registration order), gauges take the maximum, phases sum.
     pub fn merge(&mut self, other: &Metrics) {

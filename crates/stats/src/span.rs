@@ -5,13 +5,13 @@
 //! phase took in aggregate; spans answer *where a specific packet's
 //! wall-time went* as it crossed producer → link → consumer. Each
 //! runner hands out one [`SpanSink`] per thread of execution (producer
-//! loop, consumer, per-core worker); a sink records complete spans
+//! loop, consumer); a sink records complete spans
 //! (name, start, duration), flow endpoints that link a packet's
 //! pack→transport→unpack→check spans by `seq`, and counter samples.
 //! Everything is keyed to a *track* — a `(pid, tid)` pair plus
 //! human-readable names — so the Chrome-trace export
 //! ([`crate::chrometrace`]) can lay the run out as one timeline per
-//! worker.
+//! thread.
 //!
 //! Tracing is off unless a [`Tracer`] is installed (normally from the
 //! `DIFFTEST_TRACE` environment variable); a disabled sink is a single
@@ -76,7 +76,7 @@ pub struct SpanBuf {
     pub tid: u32,
     /// Human-readable process name ("producer", "consumer").
     pub process: String,
-    /// Human-readable track name ("dut", "worker-3", ...).
+    /// Human-readable track name ("dut", "consumer").
     pub track: String,
     /// The recorded events, in completion order (not start order).
     pub events: Vec<SpanEvent>,
@@ -136,7 +136,7 @@ impl Clock for ZeroClock {
 }
 
 /// A bounded, single-threaded span recorder. One per producer loop /
-/// consumer / worker; never shared across threads (each thread owns
+/// consumer; never shared across threads (each thread owns
 /// its sink and the buffers are gathered after joins).
 pub struct SpanSink {
     enabled: bool,
@@ -421,7 +421,7 @@ pub struct SpanGroup {
 /// One hop of a packet's critical path: where it was, when, for how long.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CriticalStep {
-    /// Track the span ran on ("dut", "consumer", "worker-2", ...).
+    /// Track the span ran on ("dut", "consumer").
     pub track: String,
     /// Span name ("pack", "unpack", "check", ...).
     pub name: String,

@@ -1,8 +1,8 @@
 //! Observability smoke: run every runner with `DIFFTEST_OBS` set and
 //! validate the exported JSONL — all seven phases present, packet
 //! histograms populated, and a flight-recorder snapshot attached to the
-//! fault-injected failure. The engine and sharded runners additionally
-//! export Chrome/Perfetto span traces (DESIGN.md §15) that are
+//! fault-injected failure. The engine run and the lossy-link threaded
+//! run additionally export Chrome/Perfetto span traces (DESIGN.md §15) that are
 //! validated in-process and counted via the `trace.*` counters.
 //!
 //! ```text
@@ -12,15 +12,14 @@
 //!
 //! Without the env vars the example exports to temporary files so
 //! `make obs` is self-contained. `DIFFTEST_TRACE` is treated as a stem:
-//! the two traced runners write `<stem>.engine.json` and
-//! `<stem>.sharded.json`.
+//! the two traced runs write `<stem>.engine.json` and
+//! `<stem>.threaded.json`.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use difftest_h::core::{
-    run_sharded_session, run_threaded_session, CoSimulation, DiffConfig, FaultPlan, RunOutcome,
-    Session,
+    run_threaded_session, CoSimulation, DiffConfig, FaultPlan, RunOutcome, Session,
 };
 use difftest_h::dut::DutConfig;
 use difftest_h::platform::Platform;
@@ -132,12 +131,12 @@ fn main() {
         t.metrics.phases.get(Phase::Check)
     );
 
-    // 3. Sharded runner behind a hostile link: a typed failure with a
+    // 3. Threaded runner behind a hostile link: a typed failure with a
     //    flight snapshot (seed/rate chosen so the grid reliably faults).
-    //    The trace still exports — producer tracks plus whatever the
-    //    workers checked before the link gave out.
-    let sharded_trace = trace_for("sharded");
-    let s = run_sharded_session(
+    //    The trace still exports — the producer track plus whatever the
+    //    consumer checked before the link gave out.
+    let lossy_trace = trace_for("threaded");
+    let s = run_threaded_session(
         Session::new(
             DutConfig::nutshell(),
             DiffConfig::BNSD,
@@ -147,10 +146,10 @@ fn main() {
             8,
             Some(FaultPlan::uniform(4242, 40)),
         )
-        .with_tracer(Some(Tracer::to_path(&sharded_trace))),
+        .with_tracer(Some(Tracer::to_path(&lossy_trace))),
     );
-    println!("sharded (lossy link): {:?}", s.outcome);
-    check_trace("sharded", &sharded_trace, &s.metrics);
+    println!("threaded (lossy link): {:?}", s.outcome);
+    check_trace("threaded", &lossy_trace, &s.metrics);
     if let RunOutcome::LinkError { .. } = s.outcome {
         let snap = s
             .flight
@@ -182,7 +181,7 @@ fn main() {
             }
         }
     }
-    assert_eq!(runs, 3, "three runners must have exported");
+    assert_eq!(runs, 3, "all three runs must have exported");
     for phase in Phase::ALL {
         assert!(
             phases.contains(phase.name()),

@@ -7,7 +7,6 @@
 //! ```text
 //! cargo run --release --example quickstart                    # engine
 //! cargo run --release --example quickstart -- threaded
-//! cargo run --release --example quickstart -- sharded
 //! cargo run --release --example quickstart -- socket
 //! ```
 
@@ -24,10 +23,9 @@ fn main() {
     let kind = match std::env::args().nth(1).as_deref() {
         None | Some("engine") => RunnerKind::Engine,
         Some("threaded") => RunnerKind::Threaded,
-        Some("sharded") => RunnerKind::Sharded,
         Some("socket") => RunnerKind::Socket,
         Some(other) => {
-            eprintln!("unknown runner {other:?}; expected engine|threaded|sharded|socket");
+            eprintln!("unknown runner {other:?}; expected engine|threaded|socket");
             std::process::exit(2);
         }
     };

@@ -4,8 +4,8 @@
 //! unpacks and checks; a bounded link between them is the sending queue
 //! with backpressure. All wall-clock runners are one [`run_session`]
 //! dispatch away from each other — same pipeline, different substrate:
-//! two threads (threaded), one consumer thread per core (sharded), or a
-//! separate consumer process on a Unix socket (socket).
+//! two threads (threaded), or a separate consumer process on a Unix
+//! socket (socket).
 //!
 //! ```text
 //! cargo run --release --example threaded
@@ -23,11 +23,7 @@ fn main() {
     let workload = Workload::linux_boot().seed(17).iterations(2_000).build();
 
     for config in [DiffConfig::BN, DiffConfig::BNSD] {
-        for kind in [
-            RunnerKind::Threaded,
-            RunnerKind::Sharded,
-            RunnerKind::Socket,
-        ] {
+        for kind in [RunnerKind::Threaded, RunnerKind::Socket] {
             let report = run_session(
                 kind,
                 Session::new(

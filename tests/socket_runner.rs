@@ -80,7 +80,7 @@ fn buggy_matches_engine() {
 }
 
 /// Producer-side fault grid: the socket runner is report-only (no
-/// retention ring), exactly like the threaded and sharded runners — on
+/// retention ring), exactly like the threaded runner — on
 /// the report-only BN pipeline its typed outcome must equal the
 /// engine's on every schedule, and a fault must never surface as a
 /// phantom mismatch or a panic.
