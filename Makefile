@@ -64,7 +64,9 @@ ci: seam
 # sink. The consume side is one state machine: outside consume.rs and
 # checker.rs no library code drives the checker (`process_ref`,
 # `finalize`), and the retired owned decode path and second byte reader
-# stay gone. Every runner has one lane and one full-width consumer: the
+# stay gone. The squashed stream is checked in place too: the checker
+# parks payload bytes rather than owned events, and no wire item owns
+# its Diff event or Fused record. Every runner has one lane and one full-width consumer: the
 # retired sharded runner's per-core routing stays gone.
 RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/threaded.rs \
 	crates/core/src/socket.rs
@@ -138,6 +140,14 @@ seam:
 		crates/*/src crates/*/tests crates/*/benches src examples tests vendor; then \
 		echo "consume seam violated: a retired owned decode path or second byte reader is back"; \
 		exit 1; \
+	elif sed -e '/^#\[cfg(test)\]/,$$d' crates/core/src/checker.rs \
+		| grep -nE 'BTreeMap|\(Token, Event\)' | sed 's|^|crates/core/src/checker.rs: |' | grep .; then \
+		echo "consume seam violated: the checker parks payload bytes, not owned events"; \
+		exit 1; \
+	elif sed -e '/^#\[cfg(test)\]/,$$d' crates/core/src/wire.rs \
+		| grep -nE 'large_enum_variant|Result<Event[,>]' | sed 's|^|crates/core/src/wire.rs: |' | grep .; then \
+		echo "consume seam violated: Diff and Fused items are viewed in the decoder's buffers, never owned"; \
+		exit 1; \
 	else \
 		echo "consume seam clean: every stream is checked through Consumer"; \
 	fi
@@ -151,8 +161,9 @@ seam:
 
 # Allocation-regression gate: a counting global allocator pins the
 # packed consume path (admit → view-based streaming check) to zero
-# steady-state heap allocations per packet, and the produce path
-# (retention ring → Squash → Batch) to zero per cycle.
+# steady-state heap allocations per packet, on the Batch-only and the
+# squashed stream (Replay journal on), and the produce path (retention
+# ring → Squash → Batch) to zero per cycle.
 alloc:
 	$(CARGO) test -p difftest-core --test alloc_regression
 

@@ -12,9 +12,9 @@
 //!   at item boundaries so no capacity is wasted (paper §4.2.2 (3)).
 //!
 //! The software side ([`Unpacker`]) walks the metadata, computes each run's
-//! offset from the accumulated lengths, and reconstructs the original
-//! structures — including differenced payloads via the mirrored
-//! [`DiffCache`].
+//! offset from the accumulated lengths, and views each item where its
+//! bytes are — differenced payloads in the mirrored [`DiffCache`], fused
+//! records in one scratch [`FusedCommit`].
 //!
 //! The module also provides the **fixed-offset baseline** of prior work
 //! ([`FixedOffsetPacker`]): every provisioned slot occupies packet space
@@ -351,6 +351,8 @@ pub fn peek_packet_seq(bytes: &[u8]) -> Option<u32> {
 #[derive(Debug)]
 pub struct Unpacker {
     diff: DiffCache,
+    /// Scratch every Fused record is refilled into and viewed from.
+    fused: FusedCommit,
     expected_seq: u32,
     /// Early arrivals waiting for the sequence gap to fill.
     reorder: std::collections::BTreeMap<u32, Vec<u8>>,
@@ -361,6 +363,7 @@ impl Unpacker {
     pub fn new(cores: usize) -> Self {
         Unpacker {
             diff: DiffCache::new(cores),
+            fused: FusedCommit::default(),
             expected_seq: 0,
             reorder: std::collections::BTreeMap::new(),
         }
@@ -533,7 +536,8 @@ impl Unpacker {
             let count = mr.u16()?;
             let kind = WireKind::from_u8(wire_kind)?;
             for _ in 0..count {
-                let item = decode_item_ref_body(kind, core, &mut self.diff, &mut pr)?;
+                let item =
+                    decode_item_ref_body(kind, core, &mut self.diff, &mut self.fused, &mut pr)?;
                 *n += 1;
                 if !visit(item) {
                     return Ok(true);

@@ -3,18 +3,22 @@
 //! The checker consumes wire items ([`WireItemRef`] views over the packet
 //! bytes, fed by [`crate::Consumer`]) in arrival order. In plain mode
 //! (baseline / Batch-only) arrival order *is* checking order. In Squash
-//! mode, order-decoupled items carry [`difftest_event::OrderTag`]s and are queued until the
-//! fused commit covering their position arrives; the checker then restores
-//! the required checking order (paper §4.3 "reordering"): for each fused
-//! instruction it first applies/checks the *pre* events bound to that
-//! sequence number (interrupt entries, MMIO skips, state dumps, TLB and
-//! i-cache fills), steps the REF, then checks the *post* events (stores,
-//! atomics, redirect-class checks).
+//! mode, order-decoupled items carry [`difftest_event::OrderTag`]s and are
+//! parked until the fused commit covering their position arrives; the
+//! checker then restores the required checking order (paper §4.3
+//! "reordering"): for each fused instruction it first applies/checks the
+//! *pre* events bound to that sequence number (interrupt entries, MMIO
+//! skips, state dumps, TLB and i-cache fills), steps the REF, then checks
+//! the *post* events (stores, atomics, redirect-class checks).
+//!
+//! Nothing on this path materializes a big payload: a parked item keeps
+//! only a copy of its payload bytes, in a recycled buffer, and is viewed
+//! again through [`EventRef`] when its position is reached.
 //!
 //! Checkpoints for the Replay mechanism are taken before each fused record
 //! when replay support is enabled.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::fmt;
 
 use difftest_event::{
@@ -90,7 +94,7 @@ pub struct CheckStats {
 
 /// Whether an order-tagged event is checked *before* stepping its tagged
 /// instruction (state it describes precedes the instruction) or *after*.
-fn is_pre(event: &Event) -> bool {
+fn is_pre(event: &EventRef<'_>) -> bool {
     use EventKind as K;
     match event.kind() {
         K::ArchEvent
@@ -109,9 +113,21 @@ fn is_pre(event: &Event) -> bool {
         | K::L2TlbEvent
         | K::PtwEvent => true,
         K::LoadEvent | K::InstrCommit => event.is_nde(), // MMIO skips arm pre-step
-        K::RefillEvent => matches!(event, Event::RefillEvent(r) if r.refill_type != 0),
+        K::RefillEvent => matches!(event, EventRef::RefillEvent(r) if r.refill_type() != 0),
         _ => false,
     }
+}
+
+/// An order-tagged item waiting for its checking position: the payload
+/// bytes it arrived with, copied into a buffer of the spare list.
+#[derive(Debug)]
+struct Parked {
+    tag: u64,
+    token: Token,
+    kind: EventKind,
+    /// [`is_pre`] of the payload, classified once on arrival.
+    pre: bool,
+    bytes: Vec<u8>,
 }
 
 /// A register-file state dump: which REF words it mirrors and how a
@@ -151,7 +167,11 @@ struct CoreChecker {
     /// Sequence number of the next instruction to check.
     seq: u64,
     last_effect: Option<Effect>,
-    pending: BTreeMap<u64, Vec<(Token, Event)>>,
+    /// Parked items, sorted by tag and in arrival (capture) order within
+    /// a tag.
+    pending: VecDeque<Parked>,
+    /// Byte buffers of checked or discarded parked items, for reuse.
+    spare: Vec<Vec<u8>>,
     token_watermark: u64,
     ckpt: Option<Checkpoint>,
     replay_support: bool,
@@ -179,7 +199,8 @@ impl CoreChecker {
             refm,
             seq,
             last_effect: None,
-            pending: BTreeMap::new(),
+            pending: VecDeque::new(),
+            spare: Vec::new(),
             token_watermark: 0,
             ckpt: None,
             replay_support,
@@ -630,24 +651,24 @@ impl CoreChecker {
     }
 
     /// Accepts an order-tagged item: checks it now when its position has
-    /// been reached, queues it otherwise.
+    /// been reached, parks it otherwise.
     fn accept_tagged(
         &mut self,
         tag: u64,
         token: Token,
-        event: Event,
+        event: &EventRef<'_>,
         stats: &mut CheckStats,
     ) -> Result<Option<Verdict>, Mismatch> {
         self.token_watermark = self.token_watermark.max(token.0);
         // Pre events tagged `t` become checkable once seq reaches the tag;
         // post events once instruction `t` has stepped (seq > t). Always
-        // enqueue first so same-tag events are checked in capture (token)
+        // park first so same-tag events are checked in capture (token)
         // order — a newly arrived event must not jump ahead of earlier
         // pending ones (e.g. an interrupt entry must not be applied before
         // the state dumps captured ahead of it are compared).
-        let pre = is_pre(&event);
+        let pre = is_pre(event);
         let ready = if pre { tag <= self.seq } else { tag < self.seq };
-        self.pending.entry(tag).or_default().push((token, event));
+        self.park(tag, token, event, pre);
         if ready {
             if let Some(v) = self.drain_pending(tag, true, stats)? {
                 return Ok(Some(v));
@@ -661,35 +682,82 @@ impl CoreChecker {
         Ok(None)
     }
 
-    /// Drains due pending events. `pre` selects the phase relative to the
-    /// instruction with sequence `seq`.
+    /// Copies `event`'s payload into a spare buffer and parks it behind
+    /// every item of an equal or lower tag. Items arrive nearly in tag
+    /// order, so the walk back from the tail is short.
+    fn park(&mut self, tag: u64, token: Token, event: &EventRef<'_>, pre: bool) {
+        let mut bytes = self.spare.pop().unwrap_or_default();
+        bytes.clear();
+        bytes.extend_from_slice(event.wire_bytes());
+        let at = self
+            .pending
+            .iter()
+            .rposition(|p| p.tag <= tag)
+            .map_or(0, |i| i + 1);
+        self.pending.insert(
+            at,
+            Parked {
+                tag,
+                token,
+                kind: event.kind(),
+                pre,
+                bytes,
+            },
+        );
+    }
+
+    /// Checks the parked events of tag `seq` in the phase `pre` selects
+    /// relative to instruction `seq`, in capture order. A decided item
+    /// (halt or mismatch) ends the stream, and the rest of the tag is
+    /// dropped with it.
     fn drain_pending(
         &mut self,
         seq: u64,
         pre: bool,
         stats: &mut CheckStats,
     ) -> Result<Option<Verdict>, Mismatch> {
-        let Some(mut entries) = self.pending.remove(&seq) else {
-            return Ok(None);
-        };
-        let mut rest = Vec::new();
-        for (token, event) in entries.drain(..) {
-            if is_pre(&event) == pre {
-                if let Event::TrapEvent(t) = &event {
-                    return self.check_trap(t, stats).map(Some);
-                }
-                self.apply_nde_arming(&event, seq, stats);
-                if let Some(v) = self.check_event(&event, stats)? {
-                    return Ok(Some(v));
-                }
-            } else {
-                rest.push((token, event));
+        let start = self.pending.partition_point(|p| p.tag < seq);
+        let mut i = start;
+        while let Some(p) = self.pending.get(i).filter(|p| p.tag == seq) {
+            if p.pre != pre {
+                i += 1;
+                continue;
+            }
+            let Some(p) = self.pending.remove(i) else {
+                break;
+            };
+            let checked = self.check_parked(&p, stats);
+            self.spare.push(p.bytes);
+            if !matches!(checked, Ok(None)) {
+                let end = self.pending.partition_point(|p| p.tag <= seq);
+                self.spare
+                    .extend(self.pending.drain(start..end).map(|p| p.bytes));
+                return checked;
             }
         }
-        if !rest.is_empty() {
-            self.pending.insert(seq, rest);
-        }
         Ok(None)
+    }
+
+    /// Checks one parked event at its position: traps end the stream,
+    /// register dumps compare in place, the small kinds arm their NDE
+    /// synchronization and take the owned path.
+    fn check_parked(
+        &mut self,
+        p: &Parked,
+        stats: &mut CheckStats,
+    ) -> Result<Option<Verdict>, Mismatch> {
+        let Ok(event) = EventRef::parse(p.kind, &p.bytes) else {
+            unreachable!("parked bytes are a validated payload of their kind")
+        };
+        if let EventRef::TrapEvent(t) = event {
+            return self.check_trap(&t.to_owned(), stats).map(Some);
+        }
+        if let Some(checked) = self.check_dump_ref(&event, stats) {
+            return checked.map(|()| None);
+        }
+        let event = event.to_event();
+        self.apply_nde_arming(&event, p.tag, stats);
+        self.check_event(&event, stats)
     }
 
     /// Processes one fused commit record (Squash mode).
@@ -707,8 +775,8 @@ impl CoreChecker {
             self.refm.checkpoint();
             let min_pending = self
                 .pending
-                .values()
-                .flat_map(|v| v.iter().map(|(t, _)| t.0))
+                .iter()
+                .map(|p| p.token.0)
                 .min()
                 .unwrap_or(u64::MAX);
             self.ckpt = Some(Checkpoint {
@@ -729,7 +797,7 @@ impl CoreChecker {
             // common window has nothing pending, and `pending` can only
             // shrink while this loop runs (`accept_tagged` is the only
             // grower), so one emptiness check hoists both per-instruction
-            // BTreeMap probes out of the batch-stepping path.
+            // queue searches out of the batch-stepping path.
             if !self.pending.is_empty() {
                 if let Some(v) = self.drain_pending(self.seq, true, stats)? {
                     return Ok(Some(v));
@@ -799,27 +867,16 @@ impl CoreChecker {
         }
     }
 
-    /// Checks one plain item through its borrowed wire view — the
-    /// zero-materialization fast path. Commits and traps copy their
-    /// small fixed struct off the wire; the big state dumps compare the
-    /// packet bytes against the REF in place through
-    /// [`check_dump`](Self::check_dump); the remaining kinds materialize
-    /// their (small) owned struct and take the standard path.
-    fn process_plain_ref(
-        &mut self,
+    /// Compares a register-file dump view against the REF in place
+    /// through [`check_dump`](Self::check_dump), or returns `None` for
+    /// the kinds that are not register dumps. Shared by plain items
+    /// (viewed in the packet) and parked ones (viewed in their copy).
+    fn check_dump_ref(
+        &self,
         event: &EventRef<'_>,
         stats: &mut CheckStats,
-    ) -> Result<Verdict, Mismatch> {
+    ) -> Option<Result<(), Mismatch>> {
         let (checked, wire) = match event {
-            EventRef::InstrCommit(c) => {
-                let c = (*c).to_owned();
-                self.check_commit(&c, stats)?;
-                return Ok(Verdict::Continue);
-            }
-            EventRef::TrapEvent(t) => {
-                let t = (*t).to_owned();
-                return self.check_trap(&t, stats);
-            }
             EventRef::ArchIntRegState(s) => (
                 self.check_dump(Dump::Xregs, s.regs().iter()),
                 s.wire_bytes(),
@@ -833,14 +890,41 @@ impl CoreChecker {
                 self.check_dump(Dump::Vregs, s.regs().iter()),
                 s.wire_bytes(),
             ),
-            other => return self.process_plain(&other.to_event(), stats),
+            _ => return None,
         };
         // Counted before the verdict, as `check_event` does, so a
         // divergent dump charges the same stats on either path.
         stats.events += 1;
         stats.bytes += wire.len() as u64;
-        checked?;
-        Ok(Verdict::Continue)
+        Some(checked)
+    }
+
+    /// Checks one plain item through its borrowed wire view — the
+    /// zero-materialization fast path. Commits and traps copy their
+    /// small fixed struct off the wire; the big state dumps compare the
+    /// packet bytes against the REF in place
+    /// ([`check_dump_ref`](Self::check_dump_ref)); the remaining kinds
+    /// materialize their (small) owned struct and take the standard path.
+    fn process_plain_ref(
+        &mut self,
+        event: &EventRef<'_>,
+        stats: &mut CheckStats,
+    ) -> Result<Verdict, Mismatch> {
+        match event {
+            EventRef::InstrCommit(c) => {
+                let c = (*c).to_owned();
+                self.check_commit(&c, stats)?;
+                Ok(Verdict::Continue)
+            }
+            EventRef::TrapEvent(t) => {
+                let t = (*t).to_owned();
+                self.check_trap(&t, stats)
+            }
+            other => match self.check_dump_ref(other, stats) {
+                Some(checked) => checked.map(|()| Verdict::Continue),
+                None => self.process_plain(&other.to_event(), stats),
+            },
+        }
     }
 }
 
@@ -942,8 +1026,8 @@ impl Checker {
     /// Processes one borrowed wire item straight off the packet bytes —
     /// the checker's stream entry point, driven by [`crate::Consumer`].
     /// Plain payloads are checked in place (see `process_plain_ref`);
-    /// order-tagged payloads materialize because the pending queue must
-    /// own them until their checking position is reached.
+    /// order-tagged payloads, Tagged and Diff alike, are parked as a copy
+    /// of their payload bytes until their checking position is reached.
     ///
     /// # Errors
     ///
@@ -954,16 +1038,14 @@ impl Checker {
             WireItemRef::Plain { event, .. } => core.process_plain_ref(&event, stats),
             WireItemRef::Tagged {
                 tag, token, event, ..
-            } => Ok(core
-                .accept_tagged(tag.0, token, event.to_event(), stats)?
-                .unwrap_or(Verdict::Continue)),
-            WireItemRef::Diff {
+            }
+            | WireItemRef::Diff {
                 tag, token, event, ..
             } => Ok(core
-                .accept_tagged(tag.0, token, event, stats)?
+                .accept_tagged(tag.0, token, &event, stats)?
                 .unwrap_or(Verdict::Continue)),
             WireItemRef::Fused { fused, .. } => Ok(core
-                .process_fused(&fused, stats)?
+                .process_fused(fused, stats)?
                 .unwrap_or(Verdict::Continue)),
         }
     }
@@ -976,10 +1058,13 @@ impl Checker {
     ///
     /// Returns the [`Mismatch`] that aborted checking.
     pub fn finalize(&mut self) -> Result<Verdict, Mismatch> {
-        for i in 0..self.cores.len() {
-            let core = &mut self.cores[i];
-            let due: Vec<u64> = core.pending.range(..=core.seq).map(|(k, _)| *k).collect();
-            for seq in due {
+        for core in &mut self.cores {
+            // Both phases of the lowest due tag empty it, so the front
+            // advances to the next tag each round.
+            while let Some(seq) = core.pending.front().map(|p| p.tag) {
+                if seq > core.seq {
+                    break;
+                }
                 for pre in [true, false] {
                     if let Some(v) = core.drain_pending(seq, pre, &mut self.stats)? {
                         return Ok(v);
@@ -992,10 +1077,7 @@ impl Checker {
 
     /// Number of pending (not yet checkable) items across cores.
     pub fn pending_items(&self) -> usize {
-        self.cores
-            .iter()
-            .map(|c| c.pending.values().map(Vec::len).sum::<usize>())
-            .sum()
+        self.cores.iter().map(|c| c.pending.len()).sum()
     }
 
     /// Reverts `core`'s REF to the last checkpoint for a replay pass,
@@ -1010,7 +1092,7 @@ impl Checker {
         }
         c.seq = ckpt.seq;
         c.last_effect = None;
-        c.pending.clear();
+        c.spare.extend(c.pending.drain(..).map(|p| p.bytes));
         Some((ckpt.token, c.token_watermark))
     }
 
@@ -1035,7 +1117,7 @@ mod tests {
     use super::*;
     use crate::wire::{decode_item_ref_body, encode_item_body, DiffCache, WireItem};
     use difftest_event::wire::Reader;
-    use difftest_event::{ArchEvent, OrderTag};
+    use difftest_event::{ArchEvent, ArchIntRegState, CsrState, LoadEvent, OrderTag, StoreEvent};
     use difftest_isa::{encode, Reg};
     use difftest_ref::Memory;
 
@@ -1046,8 +1128,9 @@ mod tests {
         let mut body = Vec::new();
         encode_item_body(&item, &mut DiffCache::new(cores), &mut body);
         let mut r = Reader::new(&body);
-        let mut mirror = DiffCache::new(cores);
-        let view = decode_item_ref_body(item.wire_kind(), item.core(), &mut mirror, &mut r)
+        let (mut mirror, mut fused) = (DiffCache::new(cores), FusedCommit::default());
+        let kind = item.wire_kind();
+        let view = decode_item_ref_body(kind, item.core(), &mut mirror, &mut fused, &mut r)
             .expect("an encoded body decodes");
         ck.process_ref(view)
     }
@@ -1232,6 +1315,169 @@ mod tests {
         assert_eq!(ck.seq(0), 2);
         let (from, _to) = ck.revert_for_replay(0).expect("checkpoint exists");
         assert_eq!(from, 5);
+        assert_eq!(ck.seq(0), 0);
+    }
+
+    fn tagged(tag: u64, token: u64, event: Event) -> WireItem {
+        WireItem::Tagged {
+            core: 0,
+            tag: OrderTag(tag),
+            token: Token(token),
+            event,
+        }
+    }
+
+    fn diffed(tag: u64, token: u64, event: Event) -> WireItem {
+        WireItem::Diff {
+            core: 0,
+            tag: OrderTag(tag),
+            token: Token(token),
+            event,
+        }
+    }
+
+    fn fused(count: u32, final_pc: u64, int_writes: Vec<(u8, u64)>) -> WireItem {
+        let fused = FusedCommit {
+            first_seq: 0,
+            count,
+            final_pc,
+            int_writes,
+            ..Default::default()
+        };
+        WireItem::Fused { core: 0, fused }
+    }
+
+    /// Parked items are checked in tag order, not arrival order: the
+    /// loads of two MMIO instructions arrive last-first, and each still
+    /// arms its own instruction's skip.
+    #[test]
+    fn parked_items_are_checked_in_tag_order() {
+        let words = [
+            encode::addi(Reg::A1, Reg::ZERO, 0x100),
+            encode::lw(Reg::A0, Reg::A1, 0),
+            encode::lw(Reg::A2, Reg::A1, 0),
+        ];
+        let mut ck = Checker::new(vec![ref_with(&words)], false);
+        for (tag, data) in [(2, 0xcd), (1, 0xab)] {
+            let load = LoadEvent {
+                pc: Memory::RAM_BASE + 4 * tag,
+                addr: 0x100,
+                data,
+                len: 4,
+                is_mmio: 1,
+                fu_type: 0,
+                op_type: 0,
+            };
+            process(&mut ck, tagged(tag, tag, load.into())).unwrap();
+        }
+        let window = fused(
+            3,
+            Memory::RAM_BASE + 12,
+            vec![(11, 0x100), (10, 0xab), (12, 0xcd)],
+        );
+        assert_eq!(process(&mut ck, window).unwrap(), Verdict::Continue);
+        assert_eq!(ck.stats().skips, 2);
+        assert_eq!(ck.pending_items(), 0);
+    }
+
+    /// Same-tag items keep capture order: an interrupt entry parked after
+    /// the state dumps captured ahead of it is applied only once they
+    /// have compared against the pre-interrupt REF.
+    #[test]
+    fn same_tag_items_keep_capture_order() {
+        let words = [encode::nop(); 17];
+        let trap_vector = Memory::RAM_BASE + 0x40;
+        let setup = || {
+            let mut r = ref_with(&words);
+            r.state_mut().set_csr(CsrIndex::Mtvec, trap_vector);
+            r
+        };
+        let mut probe = setup();
+        probe.step();
+        let st = probe.state();
+        let dumps: [Event; 2] = [
+            ArchIntRegState { regs: *st.xregs() }.into(),
+            CsrState { csrs: *st.csrs() }.into(),
+        ];
+
+        let mut ck = Checker::new(vec![setup()], false);
+        for (token, dump) in (1..).zip(dumps) {
+            process(&mut ck, diffed(1, token, dump)).unwrap();
+        }
+        let interrupt = ArchEvent {
+            pc: Memory::RAM_BASE + 4,
+            cause: (1 << 63) | 7,
+            tval: 0,
+            is_interrupt: 1,
+        };
+        process(&mut ck, tagged(1, 3, interrupt.into())).unwrap();
+        assert_eq!(ck.pending_items(), 3);
+
+        let window = fused(2, trap_vector + 4, Vec::new());
+        assert_eq!(process(&mut ck, window).unwrap(), Verdict::Continue);
+        assert_eq!(ck.stats().interrupts, 1);
+        assert_eq!(ck.pending_items(), 0);
+    }
+
+    /// A post event parked ahead of a same-tag pre event is still checked
+    /// after its instruction steps: instruction 1's store arrives before
+    /// the register dump tagged 1, and compares against the REF's store.
+    #[test]
+    fn post_items_parked_first_wait_for_the_step() {
+        let words = [encode::auipc(Reg::A1, 0), encode::sd(Reg::A1, Reg::A1, 64)];
+        let mut probe = ref_with(&words);
+        probe.step();
+        let xregs = *probe.state().xregs();
+
+        let mut ck = Checker::new(vec![ref_with(&words)], false);
+        let store = StoreEvent {
+            addr: Memory::RAM_BASE + 64,
+            data: Memory::RAM_BASE,
+            mask: 0xff,
+        };
+        process(&mut ck, tagged(1, 1, store.into())).unwrap();
+        let dump = ArchIntRegState { regs: xregs };
+        process(&mut ck, diffed(1, 2, dump.into())).unwrap();
+        assert_eq!(ck.pending_items(), 2);
+
+        let window = fused(2, Memory::RAM_BASE + 8, vec![(11, Memory::RAM_BASE)]);
+        assert_eq!(process(&mut ck, window).unwrap(), Verdict::Continue);
+        assert_eq!(ck.pending_items(), 0);
+        assert_eq!(ck.stats().events, 3);
+    }
+
+    /// A Replay revert empties the parked queue, and the retransmit range
+    /// starts at the oldest parked token when it precedes the window's.
+    #[test]
+    fn revert_for_replay_empties_the_parked_queue() {
+        let words = [
+            encode::addi(Reg::A0, Reg::ZERO, 1),
+            encode::addi(Reg::A0, Reg::A0, 1),
+        ];
+        let mut ck = Checker::new(vec![ref_with(&words)], true);
+        let ahead = ArchIntRegState { regs: [0; 32] };
+        process(&mut ck, diffed(9, 3, ahead.into())).unwrap();
+        let window = FusedCommit {
+            first_seq: 0,
+            count: 2,
+            token_first: 5,
+            token_last: 6,
+            int_writes: vec![(10, 2)],
+            ..Default::default()
+        };
+        process(
+            &mut ck,
+            WireItem::Fused {
+                core: 0,
+                fused: window,
+            },
+        )
+        .unwrap();
+        assert_eq!(ck.pending_items(), 1);
+
+        let (from, _to) = ck.revert_for_replay(0).expect("checkpoint exists");
+        assert_eq!(from, 3);
+        assert_eq!(ck.pending_items(), 0);
         assert_eq!(ck.seq(0), 0);
     }
 

@@ -155,39 +155,31 @@ impl FusedCommit {
         }
     }
 
-    /// Decodes a fused record from the reader.
+    /// Refills this record from the reader. The write-set vectors are
+    /// cleared, never taken, so a decoder refilling one scratch record
+    /// allocates nothing once they have grown to a window's write-set.
+    /// On error the record holds a partial refill.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError`] on a truncated or malformed record.
-    pub fn decode_from(r: &mut Reader<'_>) -> Result<FusedCommit, CodecError> {
-        let first_seq = read_varint(r)?;
-        let count = u32::try_from(read_varint(r)?)
+    pub fn read_from(&mut self, r: &mut Reader<'_>) -> Result<(), CodecError> {
+        self.first_seq = read_varint(r)?;
+        self.count = u32::try_from(read_varint(r)?)
             .map_err(|_| CodecError::Malformed("fused count overruns 32 bits"))?;
-        let final_pc = read_varint(r)?;
-        let token_first = read_varint(r)?;
-        let token_last = read_varint(r)?;
+        self.final_pc = read_varint(r)?;
+        self.token_first = read_varint(r)?;
+        self.token_last = read_varint(r)?;
         let n_int = r.u8()? as usize;
         let n_fp = r.u8()? as usize;
-        let mut int_writes = Vec::with_capacity(n_int);
-        for _ in 0..n_int {
-            let reg = r.u8()?;
-            int_writes.push((reg, read_varint(r)?));
+        for (set, n) in [(&mut self.int_writes, n_int), (&mut self.fp_writes, n_fp)] {
+            set.clear();
+            for _ in 0..n {
+                let reg = r.u8()?;
+                set.push((reg, read_varint(r)?));
+            }
         }
-        let mut fp_writes = Vec::with_capacity(n_fp);
-        for _ in 0..n_fp {
-            let reg = r.u8()?;
-            fp_writes.push((reg, read_varint(r)?));
-        }
-        Ok(FusedCommit {
-            first_seq,
-            count,
-            final_pc,
-            token_first,
-            token_last,
-            int_writes,
-            fp_writes,
-        })
+        Ok(())
     }
 
     /// Advances the reader past one encoded record without materializing
@@ -196,7 +188,7 @@ impl FusedCommit {
     ///
     /// # Errors
     ///
-    /// Returns the same [`CodecError`]s as [`Self::decode_from`].
+    /// Returns the same [`CodecError`]s as [`Self::read_from`].
     pub fn skip_from(r: &mut Reader<'_>) -> Result<(), CodecError> {
         read_varint(r)?; // first_seq
         u32::try_from(read_varint(r)?)
@@ -596,7 +588,8 @@ mod tests {
         f.encode_into(&mut buf);
         assert_eq!(buf.len(), f.encoded_len());
         let mut r = Reader::new(&buf);
-        let back = FusedCommit::decode_from(&mut r).unwrap();
+        let mut back = FusedCommit::default();
+        back.read_from(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, f);
     }

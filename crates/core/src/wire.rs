@@ -89,18 +89,16 @@ impl WireItem {
     }
 }
 
-/// One unit of the stream as a *borrowed view* over validated packet
-/// bytes — the consumer-side zero-materialization type.
+/// One unit of the stream as a *borrowed view* — the consumer-side
+/// zero-materialization type. It owns nothing.
 ///
 /// Plain and Tagged payloads stay in the packet buffer and are read
-/// field-by-field through [`EventRef`]; only the variants whose bodies
-/// have no fixed layout to view carry owned data: Fused records are
-/// varint-coded ([`FusedCommit`]) and Diff events are reconstructed
-/// against the [`DiffCache`] mirror.
-// Boxing the rare owned variants would put an allocation on the
-// per-item hot path the type exists to keep allocation-free; views are
-// consumed immediately by value, never stored in bulk.
-#[allow(clippy::large_enum_variant)]
+/// field-by-field through [`EventRef`]. The two bodies with no fixed
+/// layout to view are viewed in the decoder's own buffers: a Diff event
+/// is reconstructed in place in its [`DiffCache`] mirror slot and viewed
+/// there, and a varint-coded Fused record is refilled into the decoder's
+/// scratch [`FusedCommit`] and borrowed. Either buffer is rewritten by
+/// the next item, so a view lives until the next decode.
 #[derive(Debug, Clone)]
 pub enum WireItemRef<'a> {
     /// An unmodified event in capture order, viewed in place.
@@ -121,14 +119,14 @@ pub enum WireItemRef<'a> {
         /// Borrowed payload view.
         event: EventRef<'a>,
     },
-    /// A fused run of instruction commits (owned: varint-coded).
+    /// A fused run of instruction commits.
     Fused {
         /// Source core.
         core: u8,
-        /// The fusion record.
-        fused: FusedCommit,
+        /// The fusion record, borrowed from the decoder's scratch.
+        fused: &'a FusedCommit,
     },
-    /// A differenced event (owned: reconstructed from the cache mirror).
+    /// A differenced event.
     Diff {
         /// Source core.
         core: u8,
@@ -136,8 +134,8 @@ pub enum WireItemRef<'a> {
         tag: OrderTag,
         /// Replay-buffer token.
         token: Token,
-        /// The reconstructed event.
-        event: Event,
+        /// The reconstructed payload, viewed in its mirror slot.
+        event: EventRef<'a>,
     },
 }
 
@@ -172,7 +170,10 @@ impl WireItemRef<'_> {
                 token,
                 event: event.to_event(),
             },
-            WireItemRef::Fused { core, fused } => WireItem::Fused { core, fused },
+            WireItemRef::Fused { core, fused } => WireItem::Fused {
+                core,
+                fused: fused.clone(),
+            },
             WireItemRef::Diff {
                 core,
                 tag,
@@ -182,7 +183,7 @@ impl WireItemRef<'_> {
                 core,
                 tag,
                 token,
-                event,
+                event: event.to_event(),
             },
         }
     }
@@ -258,11 +259,6 @@ impl DiffCache {
         core as usize * EventKind::COUNT + kind as usize
     }
 
-    fn slot(&mut self, core: u8, kind: EventKind) -> &mut Option<Vec<u8>> {
-        let idx = self.slot_index(core, kind);
-        &mut self.last[idx]
-    }
-
     /// Encodes `event` as a difference against the cached previous payload,
     /// updating the cache, and returns the number of changed 64-bit words
     /// (zero means the event is byte-identical to the previous one and need
@@ -309,19 +305,22 @@ impl DiffCache {
         changed
     }
 
-    /// Decodes a diff body produced by [`DiffCache::encode`], reconstructing
-    /// the full event and updating the cache.
+    /// Decodes a diff body produced by [`DiffCache::encode`]: patches the
+    /// changed words into the mirror slot in place and returns a view of
+    /// the slot, which now holds the full reconstructed payload. Before
+    /// the first payload of a kind the slot reads as all zeroes.
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError`] when the body is truncated or when a word is
-    /// marked unchanged but no previous payload exists.
+    /// Returns [`CodecError`] when the body is truncated; the slot may
+    /// then hold a partial patch. Admission validates every body first,
+    /// so the stream never decodes a truncated one.
     pub fn decode(
         &mut self,
         core: u8,
         kind: EventKind,
         r: &mut Reader<'_>,
-    ) -> Result<Event, CodecError> {
+    ) -> Result<EventRef<'_>, CodecError> {
         let len = kind.encoded_len();
         let words = len.div_ceil(8);
         let bitmap_bytes = words.div_ceil(8);
@@ -330,21 +329,17 @@ impl DiffCache {
         // don't conflict and nothing is copied.
         let bitmap = r.bytes_dyn(bitmap_bytes)?;
 
-        let mut cur = match self.slot(core, kind).take() {
-            Some(p) => p,
-            None => vec![0u8; len],
-        };
+        let idx = self.slot_index(core, kind);
+        let cur = self.last[idx].get_or_insert_with(|| vec![0u8; len]);
         for w in 0..words {
             if bitmap[w / 8] & (1 << (w % 8)) != 0 {
-                let word = r.bytes_dyn(8)?;
+                let word = r.bytes::<8>()?;
                 let lo = w * 8;
                 let hi = (lo + 8).min(len);
                 cur[lo..hi].copy_from_slice(&word[..hi - lo]);
             }
         }
-        let event = Event::decode(kind, &cur)?;
-        *self.slot(core, kind) = Some(cur);
-        Ok(event)
+        EventRef::parse(kind, cur)
     }
 
     /// Advances the reader past one diff body without touching any cache
@@ -412,18 +407,21 @@ pub(crate) fn encode_tag_token(tag: OrderTag, token: Token, out: &mut Vec<u8>) {
 }
 
 /// Decodes one wire item's body as a borrowed view: Plain/Tagged payloads
-/// are *not* copied out of the packet buffer.
+/// are *not* copied out of the packet buffer, a Diff event is viewed in
+/// its `diff` mirror slot and a Fused record is refilled into `fused`,
+/// the decoder's scratch, and borrowed from there.
 ///
 /// # Errors
 ///
 /// Returns [`CodecError`] on truncated or malformed bodies.
 #[inline]
-pub fn decode_item_ref_body<'a>(
+pub fn decode_item_ref_body<'a: 'b, 'b>(
     kind: WireKind,
     core: u8,
-    diff: &mut DiffCache,
+    diff: &'b mut DiffCache,
+    fused: &'b mut FusedCommit,
     r: &mut Reader<'a>,
-) -> Result<WireItemRef<'a>, CodecError> {
+) -> Result<WireItemRef<'b>, CodecError> {
     Ok(match kind {
         WireKind::Plain(k) => {
             let payload = r.bytes_dyn(k.encoded_len())?;
@@ -443,21 +441,16 @@ pub fn decode_item_ref_body<'a>(
                 event: EventRef::parse(k, payload)?,
             }
         }
-        WireKind::Fused => WireItemRef::Fused {
-            core,
-            fused: FusedCommit::decode_from(r)?,
-        },
-        WireKind::Diff(k) => {
-            let tag = OrderTag(r.u64()?);
-            let token = Token(r.u64()?);
-            let event = diff.decode(core, k, r)?;
-            WireItemRef::Diff {
-                core,
-                tag,
-                token,
-                event,
-            }
+        WireKind::Fused => {
+            fused.read_from(r)?;
+            WireItemRef::Fused { core, fused }
         }
+        WireKind::Diff(k) => WireItemRef::Diff {
+            core,
+            tag: OrderTag(r.u64()?),
+            token: Token(r.u64()?),
+            event: diff.decode(core, k, r)?,
+        },
     })
 }
 
@@ -528,7 +521,7 @@ mod tests {
             enc.encode(0, e, &mut body);
             let mut r = Reader::new(&body);
             let back = dec.decode(0, EventKind::ArchIntRegState, &mut r).unwrap();
-            assert_eq!(&back, e, "round {i}");
+            assert_eq!(&back.to_event(), e, "round {i}");
             r.finish().unwrap();
             if i == 1 {
                 // Incremental diff: bitmap (4B) + 2 changed words.
@@ -556,6 +549,7 @@ mod tests {
     fn plain_and_tagged_round_trip() {
         let mut diff_enc = DiffCache::new(1);
         let mut diff_dec = DiffCache::new(1);
+        let mut fused = FusedCommit::default();
         let ev: Event = StoreEvent {
             addr: 0x8000_0000,
             data: 42,
@@ -583,7 +577,7 @@ mod tests {
             let mut body = Vec::new();
             encode_item_body(&item, &mut diff_enc, &mut body);
             let mut r = Reader::new(&body);
-            let back = decode_item_ref_body(item.wire_kind(), 0, &mut diff_dec, &mut r)
+            let back = decode_item_ref_body(item.wire_kind(), 0, &mut diff_dec, &mut fused, &mut r)
                 .unwrap()
                 .into_item();
             r.finish().unwrap();

@@ -5,6 +5,9 @@
 //! allocation per packet in the steady state: events are checked
 //! straight from the packet bytes, no `WireItem` batch is built, and
 //! every ring/histogram the observability layer touches is fixed-size.
+//! That holds on the squashed stream too, with the Replay journal on:
+//! differenced and fused items are viewed in the decoder's own buffers,
+//! and order-tagged items wait as byte copies in recycled buffers.
 //! The produce pipeline mirrors it: the retention ring encodes into
 //! recycled chunks, Squash lends events to the packer, and packets come
 //! from a primed pool. These tests pin both with a counting global
@@ -114,6 +117,56 @@ fn packed_consume_steady_state_allocates_nothing() {
     );
 
     consumer.ingest(transfers.last().unwrap(), 0, &mut NoCharge);
+    let out = consumer.finish();
+    assert!(out.mismatch.is_none(), "{:?}", out.mismatch);
+    assert!(out.link_error.is_none(), "{:?}", out.link_error);
+}
+
+/// The squashed stream through the consumer as the engine runs it
+/// (Replay journal on, retention ring attached): Diff items are viewed in
+/// the mirror slot, Fused records in the decoder's scratch, and parked
+/// items reuse spare byte buffers, so after a warm-up quarter nothing
+/// allocates.
+#[test]
+fn squashed_consume_steady_state_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap();
+    let w = Workload::microbench().seed(3).iterations(4_000).build();
+    let s = Session::new(
+        DutConfig::xiangshan_default(),
+        DiffConfig::BNSD,
+        &w,
+        Vec::new(),
+        20_000,
+        8,
+        None,
+    );
+    let transfers = produce(&s);
+    assert!(
+        transfers.len() >= 64,
+        "need a steady state, got {} packets",
+        transfers.len()
+    );
+
+    let mut consumer = s.consumer_with_retention(true, 1 << 16);
+    let warmup = transfers.len() / 4;
+    for t in &transfers[..warmup] {
+        assert_eq!(consumer.ingest(t, 0, &mut NoCharge), Step::Continue);
+    }
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for t in &transfers[warmup..] {
+        assert_eq!(consumer.ingest(t, 0, &mut NoCharge), Step::Continue);
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state squashed consume path allocated {} times over {} packets",
+        after - before,
+        transfers.len() - warmup
+    );
+    assert!(consumer.checker().stats().fused_records > 0);
+
     let out = consumer.finish();
     assert!(out.mismatch.is_none(), "{:?}", out.mismatch);
     assert!(out.link_error.is_none(), "{:?}", out.link_error);

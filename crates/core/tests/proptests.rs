@@ -374,7 +374,8 @@ proptest! {
         f.encode_into(&mut buf);
         prop_assert_eq!(buf.len(), f.encoded_len());
         let mut r = Reader::new(&buf);
-        let back = FusedCommit::decode_from(&mut r).expect("round-trip");
+        let mut back = FusedCommit::default();
+        back.read_from(&mut r).expect("round-trip");
         r.finish().expect("exact");
         prop_assert_eq!(back, f);
     }

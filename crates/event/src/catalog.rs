@@ -266,9 +266,10 @@ macro_rules! catalog {
         /// over validated wire bytes.
         ///
         /// This is the consumer-side zero-materialization type: checking
-        /// reads fields through it directly from the packet buffer, and
-        /// the owned [`Event`] is only built on the cold paths (mismatch
-        /// reporting, order-decoupled queuing, replay).
+        /// reads fields through it directly from the packet buffer (or,
+        /// for an order-decoupled item, from its parked payload copy),
+        /// and the owned [`Event`] is only built for the small kinds the
+        /// checker compares as structs and on Replay's re-check.
         #[derive(Debug, Clone, Copy)]
         pub enum EventRef<'a> {
             $(

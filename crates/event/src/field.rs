@@ -33,18 +33,29 @@ pub trait WireField: Sized {
     fn view_matches(view: Self::View<'_>, owned: &Self) -> bool;
 }
 
+/// The `N` bytes at `bytes[off..]` as an array. Views only exist over
+/// exact-length payloads, so the slice index, its one check, always
+/// holds; the copy compiles to a plain load.
+#[inline]
+fn array_at<const N: usize>(bytes: &[u8], off: usize) -> [u8; N] {
+    let mut a = [0u8; N];
+    a.copy_from_slice(&bytes[off..off + N]);
+    a
+}
+
 /// A borrowed `[u64; N]` field, decoded lazily from little-endian wire
 /// bytes on each access instead of being copied out up front.
 #[derive(Clone, Copy)]
 pub struct U64ArrayView<'a, const N: usize> {
-    bytes: &'a [u8],
+    /// Exactly `N` little-endian words.
+    words: &'a [[u8; 8]],
 }
 
 impl<'a, const N: usize> U64ArrayView<'a, N> {
     /// Element `i`, decoded from its eight little-endian bytes.
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
-        u64::from_le_bytes(self.bytes[i * 8..i * 8 + 8].try_into().unwrap())
+        u64::from_le_bytes(self.words[i])
     }
 
     /// Number of elements (`N`).
@@ -61,8 +72,7 @@ impl<'a, const N: usize> U64ArrayView<'a, N> {
 
     /// Iterates the decoded elements in order.
     pub fn iter(&self) -> impl Iterator<Item = u64> + 'a {
-        let bytes = self.bytes;
-        (0..N).map(move |i| u64::from_le_bytes(bytes[i * 8..i * 8 + 8].try_into().unwrap()))
+        self.words.iter().map(|w| u64::from_le_bytes(*w))
     }
 
     /// Materializes the owned array.
@@ -118,7 +128,7 @@ impl WireField for u16 {
     }
     #[inline]
     fn view_at(bytes: &[u8], off: usize) -> u16 {
-        u16::from_le_bytes(bytes[off..off + 2].try_into().unwrap())
+        u16::from_le_bytes(array_at(bytes, off))
     }
     fn view_matches(view: u16, owned: &Self) -> bool {
         view == *owned
@@ -137,7 +147,7 @@ impl WireField for u32 {
     }
     #[inline]
     fn view_at(bytes: &[u8], off: usize) -> u32 {
-        u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap())
+        u32::from_le_bytes(array_at(bytes, off))
     }
     fn view_matches(view: u32, owned: &Self) -> bool {
         view == *owned
@@ -156,7 +166,7 @@ impl WireField for u64 {
     }
     #[inline]
     fn view_at(bytes: &[u8], off: usize) -> u64 {
-        u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap())
+        u64::from_le_bytes(array_at(bytes, off))
     }
     fn view_matches(view: u64, owned: &Self) -> bool {
         view == *owned
@@ -175,9 +185,8 @@ impl<const N: usize> WireField for [u64; N] {
     }
     #[inline]
     fn view_at(bytes: &[u8], off: usize) -> U64ArrayView<'_, N> {
-        U64ArrayView {
-            bytes: &bytes[off..off + 8 * N],
-        }
+        let (words, _) = bytes[off..off + 8 * N].as_chunks();
+        U64ArrayView { words }
     }
     fn view_matches(view: U64ArrayView<'_, N>, owned: &Self) -> bool {
         view == *owned
@@ -196,7 +205,9 @@ impl<const N: usize> WireField for [u8; N] {
     }
     #[inline]
     fn view_at(bytes: &[u8], off: usize) -> &[u8; N] {
-        bytes[off..off + N].try_into().unwrap()
+        // The field's exact N bytes split into exactly one N-byte chunk.
+        let (chunks, _) = bytes[off..off + N].as_chunks();
+        &chunks[0]
     }
     fn view_matches(view: &[u8; N], owned: &Self) -> bool {
         view == owned

@@ -29,6 +29,10 @@
 //! ```
 
 #![warn(missing_docs)]
+// Every consumer path reads its fields through these codecs; a panic
+// there aborts a whole co-simulation. Non-test code is held to the
+// no-unwrap bar mechanically.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod catalog;
 mod field;

@@ -133,55 +133,72 @@ impl<'a> Writer<'a> {
 /// Reads fixed-layout little-endian fields from a byte slice.
 #[derive(Debug)]
 pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The bytes not yet consumed.
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
     /// Wraps `buf` for reading from the start.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader { rest: buf }
     }
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::UnexpectedEnd {
-                needed: n,
-                available: self.remaining(),
-            });
+    fn unexpected_end(&self, needed: usize) -> CodecError {
+        CodecError::UnexpectedEnd {
+            needed,
+            available: self.rest.len(),
         }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    }
+
+    /// Consumes the next `n` bytes; a failed take consumes nothing.
+    #[inline]
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+        let Some((head, tail)) = self.rest.split_at_checked(n) else {
+            return Err(self.unexpected_end(n));
+        };
+        self.rest = tail;
+        Ok(head)
+    }
+
+    /// [`take`](Self::take) with the length in the type, so the scalar
+    /// readers convert to their byte arrays without a fallible step.
+    #[inline]
+    fn take_array<const N: usize>(&mut self) -> Result<&'a [u8; N], CodecError> {
+        let Some((head, tail)) = self.rest.split_first_chunk::<N>() else {
+            return Err(self.unexpected_end(N));
+        };
+        self.rest = tail;
+        Ok(head)
     }
 
     /// Reads a `u8`.
     #[inline]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        let [b] = *self.take_array()?;
+        Ok(b)
     }
 
     /// Reads a `u16` little-endian.
     #[inline]
     pub fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(*self.take_array()?))
     }
 
     /// Reads a `u32` little-endian.
     #[inline]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(*self.take_array()?))
     }
 
     /// Reads a `u64` little-endian.
     #[inline]
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(*self.take_array()?))
     }
 
     /// Reads `N` `u64` values.
@@ -197,7 +214,7 @@ impl<'a> Reader<'a> {
     /// Reads `N` raw bytes.
     #[inline]
     pub fn bytes<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
-        Ok(self.take(N)?.try_into().unwrap())
+        Ok(*self.take_array()?)
     }
 
     /// Reads `n` raw bytes with a run-time length.
