@@ -776,6 +776,73 @@ mod tests {
         ));
     }
 
+    /// A packer and unpacker four packets short of the sequence wrap,
+    /// and the packets of 400 commits at 1 KiB each (seq `u32::MAX - 3`
+    /// onward, so packet 4 carries seq 0).
+    fn packets_across_the_wrap() -> (Unpacker, Vec<WireItem>, Vec<Packet>) {
+        let mut packer = BatchUnit::new(1, 1024);
+        let mut unpacker = Unpacker::new(1);
+        packer.next_seq = u32::MAX - 3;
+        unpacker.expected_seq = u32::MAX - 3;
+        let items: Vec<WireItem> = (0..400).map(|i| plain(0, commit(i))).collect();
+        let mut packets = Vec::new();
+        packer.push_cycle(&items, &mut packets);
+        packer.flush(&mut packets);
+        assert!(packets.len() >= 7, "need packets on both sides of the wrap");
+        (unpacker, items, packets)
+    }
+
+    #[test]
+    fn sequence_wraps_in_order() {
+        let (mut unpacker, items, packets) = packets_across_the_wrap();
+        let seqs: Vec<u32> = packets
+            .iter()
+            .map(|p| peek_packet_seq(&p.bytes).unwrap())
+            .collect();
+        assert_eq!(
+            seqs[..6],
+            [u32::MAX - 3, u32::MAX - 2, u32::MAX - 1, u32::MAX, 0, 1]
+        );
+        let decoded: Vec<WireItem> = packets
+            .iter()
+            .flat_map(|p| unpacker.unpack(&p.bytes).unwrap())
+            .collect();
+        assert_eq!(decoded, items);
+        assert_eq!(unpacker.expected_seq(), packets.len() as u32 - 4);
+    }
+
+    #[test]
+    fn early_packets_drain_across_the_wrap_and_pre_wrap_replays_are_stale() {
+        let (mut unpacker, items, packets) = packets_across_the_wrap();
+        let mut decoded = Vec::new();
+        for p in &packets[..3] {
+            decoded.extend(unpacker.unpack(&p.bytes).unwrap());
+        }
+        // Seq u32::MAX goes missing; seqs 0 and 1 arrive early.
+        for p in &packets[4..6] {
+            assert!(unpacker.unpack(&p.bytes).unwrap().is_empty());
+        }
+        assert_eq!(unpacker.buffered_packets(), 2);
+        assert_eq!(unpacker.expected_seq(), u32::MAX);
+        decoded.extend(unpacker.unpack(&packets[3].bytes).unwrap());
+        assert_eq!(unpacker.buffered_packets(), 0);
+        assert_eq!(unpacker.expected_seq(), 2);
+        for p in &packets[6..] {
+            decoded.extend(unpacker.unpack(&p.bytes).unwrap());
+        }
+        assert_eq!(decoded, items);
+
+        // A replay of a packet from before the wrap is behind the window.
+        let expected = unpacker.expected_seq();
+        assert_eq!(
+            unpacker.unpack(&packets[2].bytes).unwrap_err(),
+            CodecError::StaleSequence {
+                expected,
+                got: u32::MAX - 1
+            }
+        );
+    }
+
     #[test]
     fn diff_items_survive_packet_boundaries() {
         // Diff caches on both sides must stay in sync even when diffs land

@@ -468,4 +468,24 @@ mod tests {
         assert_eq!(rb.retransmit_packet(42), Some(&[9u8; 4][..]));
         assert_eq!(rb.retransmit_packet(3), None);
     }
+
+    #[test]
+    fn packet_ring_spans_the_sequence_wrap() {
+        let mut rb = ReplayBuffer::new(16);
+        rb.packet_capacity = 4;
+        let seqs: Vec<u32> = (0..6).map(|i| (u32::MAX - 3).wrapping_add(i)).collect();
+        for (i, &seq) in seqs.iter().enumerate() {
+            rb.record_packet(seq, &[i as u8; 8]);
+        }
+        // Consecutive across the wrap: no reset, two evicted by capacity.
+        assert_eq!(rb.packets_retained(), 4);
+        assert_eq!(rb.packets_evicted(), 2);
+        assert_eq!(rb.next_packet_seq(), Some(2));
+        for (i, &seq) in seqs.iter().enumerate() {
+            let bytes = [i as u8; 8];
+            let want = (i >= 2).then_some(&bytes[..]);
+            assert_eq!(rb.retransmit_packet(seq), want, "seq {seq}");
+        }
+        assert_eq!(rb.retransmit_packet(2), None);
+    }
 }

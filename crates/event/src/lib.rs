@@ -33,6 +33,14 @@
 // there aborts a whole co-simulation. Non-test code is held to the
 // no-unwrap bar mechanically.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// No unsafe code either, except in the CRC's carry-less-multiply kernel
+// (`wire::clmul`, x86_64 only), which opts back in: every unsafe block
+// there states why it is sound, every unsafe fn what its caller owes.
+#![deny(
+    unsafe_code,
+    clippy::undocumented_unsafe_blocks,
+    clippy::missing_safety_doc
+)]
 
 mod catalog;
 mod field;
