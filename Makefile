@@ -67,7 +67,9 @@ ci: seam
 # stay gone. The squashed stream is checked in place too: the checker
 # parks payload bytes rather than owned events, and no wire item owns
 # its Diff event or Fused record. Every runner has one lane and one full-width consumer: the
-# retired sharded runner's per-core routing stays gone.
+# retired sharded runner's per-core routing stays gone. No library code
+# spawns, re-executes or exits a process: the one-shot socket consumer
+# is a thread, and only the difftest-serve binary is a process of its own.
 RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/threaded.rs \
 	crates/core/src/socket.rs
 WIRE_SRCS = crates/core/src/proto.rs crates/core/src/mux.rs
@@ -158,6 +160,13 @@ seam:
 	else \
 		echo "lane seam clean: one lane, one full-width consumer per runner"; \
 	fi
+	@if grep -rnE 'Command::new|current_exe|process::exit|DIFFTEST_SOCKET_' \
+		crates/core/src crates/serve/src/lib.rs; then \
+		echo "process seam violated: library code spawns or exits a process"; \
+		exit 1; \
+	else \
+		echo "process seam clean: no library code spawns or exits a process"; \
+	fi
 
 # Allocation-regression gate: a counting global allocator pins the
 # packed consume path (admit → view-based streaming check) to zero
@@ -171,9 +180,9 @@ alloc:
 faults:
 	$(CARGO) test -p difftest-core --test fault_link --test fault_runners
 
-# Process-separated socket runner smoke: the harness-free end-to-end
-# suite (engine equivalence, fault grid, kill-the-consumer) plus the
-# in-process cross-runner equivalence proptests.
+# Socket runner smoke: the one-shot end-to-end suite (engine
+# equivalence, fault grid, kill-the-consumer, merged trace, concurrent
+# runs) plus the cross-runner equivalence proptests, socket included.
 socket:
 	$(CARGO) test --release --test socket_runner
 	$(CARGO) test --release -p difftest-core --test runner_equivalence
@@ -195,9 +204,9 @@ obs:
 	$(CARGO) run --release --example observability
 
 # Causal span tracing smoke (DESIGN.md §15). The socket example's clean
-# run exports one merged Chrome trace spanning both processes;
-# trace_check holds it to the cross-process bar (matched pack→unpack
-# flow arrows, producer and consumer pids). The observability example
+# run, traced through DIFFTEST_TRACE, exports one Chrome trace merging
+# producer and consumer across the socket; trace_check holds it to the
+# flow bar (matched pack→unpack arrows, producer and consumer pids). The observability example
 # then exports and self-validates the engine/threaded traces, and
 # trace_check re-gates the files from the outside.
 trace:

@@ -776,20 +776,65 @@ mod tests {
         ));
     }
 
-    /// A packer and unpacker four packets short of the sequence wrap,
-    /// and the packets of 400 commits at 1 KiB each (seq `u32::MAX - 3`
-    /// onward, so packet 4 carries seq 0).
-    fn packets_across_the_wrap() -> (Unpacker, Vec<WireItem>, Vec<Packet>) {
+    /// A packer and unpacker four packets short of the sequence wrap
+    /// (seq `u32::MAX - 3` onward, so packet 4 carries seq 0).
+    fn pair_at_the_wrap() -> (BatchUnit, Unpacker) {
         let mut packer = BatchUnit::new(1, 1024);
         let mut unpacker = Unpacker::new(1);
         packer.next_seq = u32::MAX - 3;
         unpacker.expected_seq = u32::MAX - 3;
+        (packer, unpacker)
+    }
+
+    /// [`pair_at_the_wrap`] and the packets of 400 commits at 1 KiB each.
+    fn packets_across_the_wrap() -> (Unpacker, Vec<WireItem>, Vec<Packet>) {
+        let (mut packer, unpacker) = pair_at_the_wrap();
         let items: Vec<WireItem> = (0..400).map(|i| plain(0, commit(i))).collect();
         let mut packets = Vec::new();
         packer.push_cycle(&items, &mut packets);
         packer.flush(&mut packets);
         assert!(packets.len() >= 7, "need packets on both sides of the wrap");
         (unpacker, items, packets)
+    }
+
+    #[test]
+    fn reorder_window_overflows_at_the_wrap_and_recovers() {
+        // One commit per packet: 1 026 packets, seq u32::MAX - 3 to 1 021.
+        let (mut packer, mut unpacker) = pair_at_the_wrap();
+        let items: Vec<WireItem> = (0..1026).map(|i| plain(0, commit(i))).collect();
+        let mut packets = Vec::new();
+        for item in &items {
+            packer.push_cycle(std::slice::from_ref(item), &mut packets);
+            packer.flush(&mut packets);
+        }
+        assert_eq!(peek_packet_seq(&packets[1025].bytes), Some(1021));
+
+        // Seq u32::MAX - 3 is held back; the next 1 024 straddle 0 and
+        // fill the reorder window.
+        for p in &packets[1..1025] {
+            assert!(unpacker.unpack(&p.bytes).unwrap().is_empty());
+        }
+        assert_eq!(unpacker.buffered_packets(), 1024);
+        assert_eq!(
+            unpacker.unpack(&packets[1025].bytes).unwrap_err(),
+            CodecError::ReorderOverflow {
+                missing: u32::MAX - 3
+            }
+        );
+        assert_eq!(
+            unpacker.buffered_packets(),
+            1024,
+            "the overflow is not admitted"
+        );
+
+        // The held packet drains the window in order across 0, and the
+        // rejected packet then decodes as the next in line.
+        let mut decoded = unpacker.unpack(&packets[0].bytes).unwrap();
+        assert_eq!(decoded, items[..1025]);
+        assert_eq!(unpacker.buffered_packets(), 0);
+        assert_eq!(unpacker.expected_seq(), 1021);
+        decoded.extend(unpacker.unpack(&packets[1025].bytes).unwrap());
+        assert_eq!(decoded, items);
     }
 
     #[test]

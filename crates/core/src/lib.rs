@@ -40,9 +40,9 @@
 //!   result codecs with incremental, bounded-allocation decoding,
 //! - [`mux`]: push-driven consumer sessions over that protocol and the
 //!   [`SessionRegistry`] a multi-session service accounts them in,
-//! - [`socket`]: the third runner — producer and consumer in separate
-//!   OS processes speaking [`proto`] over a Unix-domain socket (or to a
-//!   persistent `difftest-serve` daemon, Unix or TCP).
+//! - [`socket`]: the third runner — producer and consumer speaking
+//!   [`proto`] over a Unix-domain socket pair (or to a persistent
+//!   `difftest-serve` daemon process, Unix or TCP).
 //!
 //! # Quick start
 //!
@@ -110,7 +110,7 @@ pub use session::{
     run_runner, run_session, DiffConfig, RunCommon, RunOutcome, RunnerKind, RunnerReport, Session,
 };
 pub use snapshot::{snapshot_debug_run, SnapshotReport};
-pub use socket::{child_entry, run_socket_session, SocketReport, SocketTuning, KILLED_EXIT};
+pub use socket::{child_entry, run_socket_session, SocketReport, SocketTuning};
 pub use squash::{FusedCommit, SquashStats, SquashUnit};
 pub use threaded::{run_threaded_session, ThreadedReport};
 pub use transport::{AccelUnit, SwUnit, Transfer};

@@ -2,21 +2,20 @@
 //! drivable incrementally from partial frames, and a [`SessionRegistry`]
 //! that namespaces many of them behind one service.
 //!
-//! The one-shot socket consumer drives the shared pipeline with a
-//! blocking reader ([`crate::consume::drive`]). A daemon cannot block on
-//! any single connection, so this layer inverts control: bytes are
-//! *pushed* into a session as they arrive ([`ProtoSession::feed`]), the
-//! embedded [`FrameDecoder`] surfaces whole messages, and each message
-//! advances the same `Consumer` state machine the blocking path uses.
-//! The verdict-relevant semantics are identical by construction:
+//! A daemon cannot block on any single connection, so this layer
+//! inverts control: bytes are *pushed* into a session as they arrive
+//! ([`ProtoSession::feed`]) — by the daemon's poll loop, or by the
+//! one-shot socket consumer's blocking reads — the embedded
+//! [`FrameDecoder`] surfaces whole messages, and each message advances
+//! the same `Consumer` state machine every runner drives. Both callers
+//! share these semantics:
 //!
 //! - the kill knob fires *before* the n-th transfer is ingested,
 //! - an early consumer stop ([`MuxStep::Decided`]) seals the result
-//!   immediately (the caller half-closes its read side, mirroring the
-//!   one-shot consumer's `shutdown(Read)`),
-//! - a post-hello codec error is treated as end-of-stream — the
-//!   one-shot consumer's reader returned `None` on a malformed frame,
-//!   and the pipeline judges what the truncation means,
+//!   immediately (the caller half-closes its read side so the
+//!   producer's writes fail fast),
+//! - a post-hello codec error is treated as end-of-stream, and the
+//!   pipeline judges what the truncation means,
 //! - EOF without an end frame finishes the stream with an unknown
 //!   produced count (tail-loss attribution unchanged).
 
@@ -117,7 +116,7 @@ impl ProtoSession {
     /// `Err` is only returned for a *pre-hello* protocol violation (bad
     /// magic/version/bounds): there is no session to report, the caller
     /// should drop the connection. Post-hello damage is folded into
-    /// end-of-stream, matching the blocking consumer.
+    /// end-of-stream.
     pub fn feed(&mut self, bytes: &[u8]) -> Result<MuxStep, ProtoError> {
         if self.done {
             return Ok(self.terminal_step());
@@ -165,10 +164,8 @@ impl ProtoSession {
                         self.done = true;
                         return Err(e);
                     }
-                    // Post-hello codec damage: the blocking consumer's
-                    // reader treated a malformed frame as end-of-stream
-                    // and let the pipeline judge the truncation. Same
-                    // here.
+                    // Post-hello codec damage is end-of-stream: the
+                    // pipeline judges what the truncation means.
                     return Ok(self.seal(None, false));
                 }
             };
@@ -183,8 +180,7 @@ impl ProtoSession {
                     r.delivered += 1;
                     if r.kill_after != 0 && r.delivered >= r.kill_after {
                         // The knob kills *before* the n-th transfer is
-                        // ingested, exactly like the one-shot consumer
-                        // (which exited inside its reader).
+                        // ingested.
                         self.done = true;
                         return Ok(MuxStep::Killed);
                     }
@@ -204,7 +200,7 @@ impl ProtoSession {
     /// the memory image the reference models boot from. Bugs, cycle
     /// budget and fault plans live producer-side. Tracing config comes
     /// from the handshake, never this process's environment:
-    /// `with_tracer(None)` keeps a consumer process (or daemon) from
+    /// `with_tracer(None)` keeps a socket consumer (or daemon) from
     /// clobbering the producer's merged trace file.
     fn start(&mut self, h: Hello) {
         let mut dut_cfg = DutConfig::nutshell();

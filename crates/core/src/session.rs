@@ -259,8 +259,9 @@ impl Session {
     }
 
     /// Creates a session over an already-loaded memory image. This is
-    /// the entry point for receive-only processes (the socket consumer)
-    /// that get the image over the wire instead of from a [`Workload`].
+    /// the entry point for receive-only sides (the socket consumer, a
+    /// daemon session) that get the image over the wire instead of from
+    /// a [`Workload`].
     #[allow(clippy::too_many_arguments)]
     pub fn from_image(
         dut_cfg: DutConfig,
@@ -289,9 +290,11 @@ impl Session {
     }
 
     /// Overrides the span tracer (default: [`Tracer::from_env`], i.e.
-    /// `DIFFTEST_TRACE=<path>`). Pass `None` to force tracing off — the
-    /// socket consumer process does this so the inherited environment
-    /// never makes the child clobber the producer's merged trace file.
+    /// `DIFFTEST_TRACE=<path>`). Tests inject a tracer here rather than
+    /// setting the variable, which parallel test threads would race on.
+    /// Pass `None` to force tracing off — every socket consumer does
+    /// this, so the environment never makes it clobber the producer's
+    /// merged trace file.
     pub fn with_tracer(mut self, tracer: Option<Tracer>) -> Self {
         self.tracer = tracer;
         self
@@ -509,10 +512,9 @@ pub enum RunnerKind {
     Engine,
     /// Producer + single consumer on OS threads (wall-clock).
     Threaded,
-    /// Producer and consumer in separate OS processes over a
-    /// Unix-domain socket (wall-clock, real bytes across a real
-    /// process boundary). The hosting binary must call
-    /// [`crate::socket::child_entry`] first thing in `main`.
+    /// Producer and consumer threads joined by a Unix-domain socket
+    /// pair (wall-clock, real framed bytes through the kernel), or a
+    /// producer dialing a `difftest-serve` daemon process.
     Socket,
 }
 
@@ -549,7 +551,7 @@ pub enum RunnerReport {
     Engine(crate::engine::RunReport),
     /// Threaded report (wall-clock throughput, pool stats).
     Threaded(crate::threaded::ThreadedReport),
-    /// Socket report (cross-process wall-clock throughput).
+    /// Socket report (wall-clock throughput across the socket).
     Socket(crate::socket::SocketReport),
 }
 
@@ -596,7 +598,7 @@ impl RunnerReport {
 /// runs on the Palladium platform model with Replay on (use
 /// [`CoSimulation::builder`](crate::engine::CoSimulation::builder) for
 /// anything else); the socket runner dials `DIFFTEST_SERVE_ADDR` when
-/// set and spawns its consumer otherwise.
+/// set and runs its consumer on a socket pair otherwise.
 ///
 /// # Panics
 ///

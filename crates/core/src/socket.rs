@@ -1,33 +1,33 @@
-//! The process-separated runner: producer and consumer in different OS
-//! processes exchanging the [`crate::proto`] wire format over a socket.
+//! The socket runner: producer and consumer exchanging the
+//! [`crate::proto`] wire format over a kernel socket.
 //!
-//! The other runners share an address space, so "transport" is a queue
-//! or channel of [`Transfer`]s. Here the packet bytes genuinely leave
-//! the process. Two peer arrangements exist, both speaking the same
-//! protocol module:
+//! The other runners hand [`Transfer`]s across a queue or channel. Here
+//! the packet bytes genuinely leave the producer as length-prefixed
+//! frames and are decoded back on the far end of a socket. Two peer
+//! arrangements exist, both speaking the same protocol module:
 //!
-//! - **spawned child** (the default): the producer re-executes the
-//!   current binary as a one-shot consumer process (the host binary
-//!   must call [`child_entry`] first thing in `main`), joined by a
-//!   Unix-domain socket;
+//! - **one-shot pair** (the default): `UnixStream::pair()` joins the
+//!   producer, on a scoped thread, to a consumer loop on the calling
+//!   thread — real kernel-socket bytes and socket-buffer backpressure,
+//!   one process;
 //! - **external daemon**: with `DIFFTEST_SERVE_ADDR=unix:<path>` or
 //!   `tcp:<host:port>` set (or an explicit address passed to
 //!   [`run_socket_session`]), the producer connects to a persistent
-//!   `difftest-serve` service multiplexing many concurrent sessions
-//!   (see the `difftest-serve` crate).
+//!   `difftest-serve` process multiplexing many concurrent sessions
+//!   (see the `difftest-serve` crate). This is the arrangement for
+//!   process isolation.
 //!
-//! Either way the producer streams length-prefixed frames and reads
-//! back a serialized verdict; both sides are the same shared pipeline —
-//! the [`Session`]'s [`Producer`](crate::produce::Producer) over a
-//! frame-writing sink here, a
-//! [`ProtoSession`](crate::mux::ProtoSession) state machine on the
-//! consumer — so verdicts are identical to the in-process runners.
+//! Either way the producer streams frames and reads back a serialized
+//! verdict; both sides are the same shared pipeline — the [`Session`]'s
+//! [`Producer`](crate::produce::Producer) over a frame-writing sink here,
+//! a [`ProtoSession`] state machine on the consumer — so verdicts are
+//! identical to the in-process runners.
 //!
-//! Failure semantics: consumer-process death mid-run (EPIPE on the
-//! frame stream, EOF or a short read on the result blob) surfaces as a
-//! typed [`RunOutcome::LinkError`] with [`LinkErrorKind::Gap`], never a
-//! panic. [`SocketTuning::kill_consumer_after`] exists to test exactly
-//! that path.
+//! Failure semantics: consumer death mid-run (EPIPE on the frame stream,
+//! EOF or a short read on the result blob) surfaces as a typed
+//! [`RunOutcome::LinkError`] with [`LinkErrorKind::Gap`], never a panic.
+//! [`SocketTuning::kill_consumer_after`] exists to test exactly that
+//! path.
 //!
 //! One observability deviation: packet-size histograms
 //! (`packet.bytes`/`packet.items`) are recorded producer-side here
@@ -42,15 +42,11 @@
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
-use std::process::{Child, Command};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::os::unix::net::UnixStream;
+use std::thread;
 use std::time::{Duration, Instant};
 
-use difftest_stats::{
-    wall_epoch_ns, FlightKind, FlightRecord, FlightRecorder, Metrics, PhaseTimer,
-};
+use difftest_stats::{FlightKind, FlightRecord, FlightRecorder, Metrics, PhaseTimer};
 
 use crate::fault::{LinkErrorKind, LinkStats};
 use crate::link::LinkSink;
@@ -62,13 +58,8 @@ use crate::proto::{
 use crate::session::{seal_report, RunCommon, RunOutcome, RunnerKind, Session};
 use crate::transport::Transfer;
 
-/// Environment variable marking a process as a spawned socket consumer.
-const ROLE_ENV: &str = "DIFFTEST_SOCKET_ROLE";
-/// Environment variable carrying the socket path to the consumer.
-const PATH_ENV: &str = "DIFFTEST_SOCKET_PATH";
-
-const ACCEPT_TIMEOUT: Duration = Duration::from_secs(10);
-const CHILD_WAIT_TIMEOUT: Duration = Duration::from_secs(10);
+/// How long connecting to a daemon may take.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long the consumer waits for the handshake before concluding the
 /// peer is dead. Applied only until the hello decodes — mid-run reads
 /// may legitimately block while the producer computes between frames.
@@ -77,23 +68,22 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// The consumer is at most one socket buffer behind, so a healthy peer
 /// answers in well under a second; only a hung peer trips this.
 const RESULT_TIMEOUT: Duration = Duration::from_secs(60);
-/// Exit code of a consumer killed by [`SocketTuning::kill_consumer_after`].
-pub const KILLED_EXIT: i32 = 86;
 
 /// Test/diagnostic knobs for the socket runner.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SocketTuning {
-    /// When `Some(n)` with `n >= 1`, the consumer process exits abruptly
-    /// (no result blob, no socket teardown) right after delivering its
-    /// `n`-th transfer frame — simulating consumer death mid-run so
-    /// tests can exercise the producer's typed
-    /// [`RunOutcome::LinkError`] path. `None` (or `Some(0)`) disables
-    /// the kill.
+    /// When `Some(n)` with `n >= 1`, the consumer abandons the run
+    /// abruptly when its `n`-th transfer frame arrives, before ingesting
+    /// it: no result blob, its socket end simply closed — simulating
+    /// consumer death mid-run so tests can exercise the producer's typed
+    /// [`RunOutcome::LinkError`] path. The knob travels in the handshake,
+    /// so a daemon honours it too. `None` (or `Some(0)`) disables the
+    /// kill.
     pub kill_consumer_after: Option<u32>,
 }
 
 /// Result of a socket run: the shared [`RunCommon`] core plus
-/// wall-clock throughput and the consumer process's exit status.
+/// wall-clock throughput.
 #[derive(Debug, Clone)]
 pub struct SocketReport {
     /// The report core shared by every runner (verdict, volume, link
@@ -103,44 +93,34 @@ pub struct SocketReport {
     pub wall_s: f64,
     /// Host-side throughput in DUT cycles per wall-clock second.
     pub cycles_per_sec: f64,
-    /// Consumer process exit code (`None` if it had to be killed, never
-    /// ran, or belongs to an external daemon this run does not own).
-    pub consumer_exit: Option<i32>,
 }
 
-/// Hands the process over to the socket consumer when the environment
-/// marks it as one, and returns immediately otherwise. Every binary
-/// that may host the socket runner (examples, benches, harness-free
-/// tests) must call this first thing in `main`: the runner re-executes
-/// the current binary to obtain its consumer process, and this is where
-/// that process diverges from the host's own `main`. Never returns in a
-/// consumer process.
-pub fn child_entry() {
-    if std::env::var(ROLE_ENV).as_deref() != Ok("consumer") {
-        return;
-    }
-    std::process::exit(consumer_main());
-}
+/// A no-op. The one-shot consumer is a thread of the calling process,
+/// so no binary needs to divert anything first thing in `main` any more.
+/// It stays only because the gated benchmark still calls it; the
+/// benchmark-only re-baseline (ROADMAP item 1) deletes it.
+#[doc(hidden)]
+pub fn child_entry() {}
 
-/// Runs a co-simulation with the producer in this process and the
-/// shared receive-side pipeline in a separate consumer process, joined
-/// by a socket carrying the CRC-framed wire format. The session's fault
-/// plan, if any, applies on the producer side, before the bytes enter
-/// the socket; like the threaded runner this one has no retention
-/// ring, so decode failures are reported, not recovered.
+/// Runs a co-simulation with the producer and the shared receive-side
+/// pipeline joined by a socket carrying the CRC-framed wire format. The
+/// session's fault plan, if any, applies on the producer side, before
+/// the bytes enter the socket; like the threaded runner this one has no
+/// retention ring, so decode failures are reported, not recovered.
 ///
 /// The peer is, in order of precedence: the daemon at `addr` (how many
 /// producers share one `difftest-serve` fleet); the daemon
 /// `DIFFTEST_SERVE_ADDR` names (a malformed address is a setup failure,
-/// not a silent fallback); otherwise a consumer child this call spawns
-/// and reaps. `consumer_exit` is `None` against a daemon — it outlives
-/// the run. `tuning` lets tests kill the consumer mid-run.
+/// not a silent fallback); otherwise a consumer on the calling thread,
+/// joined to a scoped producer thread by `UnixStream::pair()`. `tuning`
+/// lets tests kill the consumer mid-run.
 ///
 /// # Panics
 ///
 /// Panics when the configuration is blocking (`Z`/`B`), like the other
-/// parallel runners; never on link or process failures — those surface
-/// as [`RunOutcome::LinkError`].
+/// parallel runners, or if the producer thread dies (a poisoned internal
+/// invariant); never on link failures — those surface as
+/// [`RunOutcome::LinkError`].
 pub fn run_socket_session(
     session: Session,
     addr: Option<&ServeAddr>,
@@ -151,54 +131,40 @@ pub fn run_socket_session(
     let env_addr = match (addr, std::env::var(SERVE_ADDR_ENV)) {
         (None, Ok(env)) => match ServeAddr::parse(&env) {
             Some(parsed) => Some(parsed),
-            None => return setup_failure_report(start, SetupFail::new(LinkErrorKind::Malformed)),
+            None => return setup_failure_report(start, LinkErrorKind::Malformed),
         },
         _ => None,
     };
     let report = match addr.or(env_addr.as_ref()) {
         Some(addr) => {
-            connect_remote(addr).and_then(|conn| run_producer(&session, tuning, start, conn, None))
+            connect_remote(addr).and_then(|conn| run_producer(&session, tuning, start, conn))
         }
-        // Anti-fork-bomb guard: a consumer process must never spawn
-        // another generation of consumers, even if a test calls the
-        // runner from one.
-        None if std::env::var_os(ROLE_ENV).is_some() => {
-            Err(SetupFail::new(LinkErrorKind::Malformed))
-        }
-        None => spawn_consumer().and_then(|(stream, guard)| {
-            run_producer(
-                &session,
-                tuning,
-                start,
-                ConnStream::Unix(stream),
-                Some(guard),
-            )
-        }),
+        None => run_paired(&session, tuning, start),
     };
-    report.unwrap_or_else(|fail| setup_failure_report(start, fail))
+    report.unwrap_or_else(|kind| setup_failure_report(start, kind))
 }
 
-/// A failure before the DUT ever ran (bind/spawn/accept/handshake):
-/// there is nothing to report beyond the typed link error.
-struct SetupFail {
-    kind: LinkErrorKind,
-    consumer_exit: Option<i32>,
+/// The one-shot topology: the producer on a scoped thread, the consumer
+/// on the calling thread, one socket pair between them.
+fn run_paired(
+    session: &Session,
+    tuning: SocketTuning,
+    start: Instant,
+) -> Result<SocketReport, LinkErrorKind> {
+    let (ours, theirs) = UnixStream::pair().map_err(|_| LinkErrorKind::Malformed)?;
+    thread::scope(|s| {
+        let producer =
+            s.spawn(move || run_producer(session, tuning, start, ConnStream::Unix(ours)));
+        consume(theirs);
+        producer
+            .join()
+            .unwrap_or_else(|p| std::panic::resume_unwind(p))
+    })
 }
 
-impl SetupFail {
-    fn new(kind: LinkErrorKind) -> Self {
-        SetupFail {
-            kind,
-            consumer_exit: None,
-        }
-    }
-}
-
-fn setup_failure_report(start: Instant, fail: SetupFail) -> SocketReport {
-    let SetupFail {
-        kind,
-        consumer_exit,
-    } = fail;
+/// A failure before the DUT ever ran (connect/handshake): there is
+/// nothing to report beyond the typed link error.
+fn setup_failure_report(start: Instant, kind: LinkErrorKind) -> SocketReport {
     let mut link = LinkStats::default();
     link.note(kind);
     SocketReport {
@@ -219,67 +185,13 @@ fn setup_failure_report(start: Instant, fail: SetupFail) -> SocketReport {
         },
         wall_s: start.elapsed().as_secs_f64(),
         cycles_per_sec: 0.0,
-        consumer_exit,
     }
-}
-
-/// Owns the spawned consumer and the socket file; `Drop` reaps both so
-/// every early-return path cleans up.
-struct ChildGuard {
-    child: Child,
-    path: PathBuf,
-}
-
-impl ChildGuard {
-    /// Waits for the consumer to exit (bounded), killing it on timeout.
-    fn wait_exit(&mut self) -> Option<i32> {
-        let deadline = Instant::now() + CHILD_WAIT_TIMEOUT;
-        loop {
-            match self.child.try_wait() {
-                Ok(Some(status)) => return status.code(),
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                _ => {
-                    let _ = self.child.kill();
-                    let _ = self.child.wait();
-                    return None;
-                }
-            }
-        }
-    }
-}
-
-impl Drop for ChildGuard {
-    fn drop(&mut self) {
-        if let Ok(None) = self.child.try_wait() {
-            let _ = self.child.kill();
-            let _ = self.child.wait();
-        }
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-/// Distinguishes runs within one process sharing a temp directory.
-static PATH_SALT: AtomicU64 = AtomicU64::new(0);
-
-/// A socket path no concurrent run can collide with: pid (distinct
-/// processes), wall-clock nanos (pid-reuse across test binaries), and a
-/// process-local counter (runs within one process, including several in
-/// the same nanosecond). Stale files from crashed runs are additionally
-/// unlinked before bind.
-fn socket_path() -> PathBuf {
-    let salt = PATH_SALT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "difftest-{}-{:x}-{salt}.sock",
-        std::process::id(),
-        wall_epoch_ns()
-    ))
 }
 
 /// Either transport the producer can speak, behind one Read/Write face.
 enum ConnStream {
-    /// A Unix-domain stream (spawned child, or a daemon's unix listener).
+    /// A Unix-domain stream (the one-shot pair, or a daemon's unix
+    /// listener).
     Unix(UnixStream),
     /// A TCP stream to a daemon.
     Tcp(TcpStream),
@@ -333,72 +245,20 @@ impl Write for ConnStream {
     }
 }
 
-/// Binds a fresh socket, re-executes the current binary as the
-/// consumer, and accepts its connection (bounded: a consumer that never
-/// connects must not hang the run).
-fn spawn_consumer() -> Result<(UnixStream, ChildGuard), SetupFail> {
-    let path = socket_path();
-    let _ = std::fs::remove_file(&path);
-    let listener =
-        UnixListener::bind(&path).map_err(|_| SetupFail::new(LinkErrorKind::Malformed))?;
-    if listener.set_nonblocking(true).is_err() {
-        let _ = std::fs::remove_file(&path);
-        return Err(SetupFail::new(LinkErrorKind::Malformed));
-    }
-    let exe = std::env::current_exe().map_err(|_| {
-        let _ = std::fs::remove_file(&path);
-        SetupFail::new(LinkErrorKind::Malformed)
-    })?;
-    let child = Command::new(exe)
-        .env(ROLE_ENV, "consumer")
-        .env(PATH_ENV, &path)
-        .spawn()
-        .map_err(|_| {
-            let _ = std::fs::remove_file(&path);
-            SetupFail::new(LinkErrorKind::Gap)
-        })?;
-    let mut guard = ChildGuard { child, path };
-
-    let accept_from = Instant::now();
-    let stream = loop {
-        match listener.accept() {
-            Ok((s, _)) => break s,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    && accept_from.elapsed() <= ACCEPT_TIMEOUT =>
-            {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                return Err(SetupFail {
-                    kind: LinkErrorKind::Gap,
-                    consumer_exit: guard.wait_exit(),
-                });
-            }
-        }
-    };
-    // The accepted stream must block: frame writes are the runner's
-    // backpressure, the socket buffer its bounded queue.
-    if stream.set_nonblocking(false).is_err() {
-        return Err(SetupFail::new(LinkErrorKind::Malformed));
-    }
-    Ok((stream, guard))
-}
-
 /// Connects to an external daemon.
-fn connect_remote(addr: &ServeAddr) -> Result<ConnStream, SetupFail> {
+fn connect_remote(addr: &ServeAddr) -> Result<ConnStream, LinkErrorKind> {
     match addr {
         ServeAddr::Unix(path) => UnixStream::connect(path)
             .map(ConnStream::Unix)
-            .map_err(|_| SetupFail::new(LinkErrorKind::Gap)),
+            .map_err(|_| LinkErrorKind::Gap),
         ServeAddr::Tcp(spec) => {
             let sa = spec
                 .to_socket_addrs()
                 .ok()
                 .and_then(|mut addrs| addrs.next())
-                .ok_or_else(|| SetupFail::new(LinkErrorKind::Malformed))?;
-            let stream = TcpStream::connect_timeout(&sa, ACCEPT_TIMEOUT)
-                .map_err(|_| SetupFail::new(LinkErrorKind::Gap))?;
+                .ok_or(LinkErrorKind::Malformed)?;
+            let stream =
+                TcpStream::connect_timeout(&sa, CONNECT_TIMEOUT).map_err(|_| LinkErrorKind::Gap)?;
             // Frames are latency-sensitive and already batched; never
             // let Nagle hold them back.
             let _ = stream.set_nodelay(true);
@@ -425,11 +285,8 @@ fn run_producer(
     tuning: SocketTuning,
     start: Instant,
     stream: ConnStream,
-    mut guard: Option<ChildGuard>,
-) -> Result<SocketReport, SetupFail> {
-    let writer = stream
-        .try_clone()
-        .map_err(|_| SetupFail::new(LinkErrorKind::Malformed))?;
+) -> Result<SocketReport, LinkErrorKind> {
+    let writer = stream.try_clone().map_err(|_| LinkErrorKind::Malformed)?;
     let mut sink = StreamSink {
         w: BufWriter::new(writer),
     };
@@ -439,10 +296,7 @@ fn run_producer(
         session.words(),
     );
     if write_hello(&mut sink.w, &hello).is_err() {
-        return Err(SetupFail {
-            kind: LinkErrorKind::Gap,
-            consumer_exit: guard.as_mut().and_then(ChildGuard::wait_exit),
-        });
+        return Err(LinkErrorKind::Gap);
     }
 
     // From here on the run always produces a real report: the DUT side
@@ -480,11 +334,10 @@ fn run_producer(
     // a hung daemon must not hang the producer.
     let _ = stream.set_read_timeout(Some(RESULT_TIMEOUT));
     let result = read_result(&mut BufReader::new(stream));
-    let consumer_exit = guard.as_mut().and_then(ChildGuard::wait_exit);
     let wall_s = start.elapsed().as_secs_f64();
 
     if result.is_err() {
-        // The consumer process died without a verdict: everything it
+        // The consumer died without a verdict: everything it
         // had not acknowledged is gone. Typed link error, attributed
         // to the produced count (the last sequence we know left).
         rec.record(FlightRecord {
@@ -497,8 +350,8 @@ fn run_producer(
     }
     let out = producer.finish(&timer, &rec);
     metrics.phases = out.phases;
-    // One merged timeline: the producer's own track plus the consumer
-    // process's tracks (none without a result blob), already shifted
+    // One merged timeline: the producer's own track plus the consumer's
+    // tracks (none without a result blob), already shifted
     // onto this clock via the wall-epoch exchanged in the handshake.
     let mut spans = vec![out.spans];
     let mut link = LinkStats::default();
@@ -537,8 +390,8 @@ fn run_producer(
         metrics,
         flight: None,
     };
-    // Producer-side context (sends, fusion) first, then the consumer
-    // process's view of arrivals and the verdict — same ordering as the
+    // Producer-side context (sends, fusion) first, then the consumer's
+    // view of arrivals and the verdict — same ordering as the
     // threaded runner.
     let mut flight = out.flight;
     seal_report(
@@ -557,88 +410,68 @@ fn run_producer(
         cycles_per_sec: common.cycles as f64 / wall_s.max(1e-9),
         common,
         wall_s,
-        consumer_exit,
     })
 }
 
-/// The spawned consumer process: connect back and drive one
-/// [`ProtoSession`] off the socket with blocking reads, then serialize
-/// the verdict. Exit codes are diagnostics only (the producer treats
-/// any missing/short result blob as a link error).
-fn consumer_main() -> i32 {
-    let Some(path) = std::env::var_os(PATH_ENV) else {
-        return 2;
-    };
-    let Ok(mut stream) = UnixStream::connect(&path) else {
-        return 3;
-    };
-    let Ok(result_handle) = stream.try_clone() else {
-        return 3;
-    };
+/// The one-shot consumer: drives one [`ProtoSession`] off its end of the
+/// pair with blocking reads, then writes the verdict back. Every early
+/// return is a consumer death as the producer sees it: dropping the
+/// stream closes this end, so its frame writes fail with EPIPE and its
+/// result read hits EOF.
+fn consume(stream: UnixStream) {
     // A dead or wedged peer must not hang setup forever: bounded reads
     // until the handshake decodes, unbounded after (the producer may
     // legitimately compute for a long time between frames).
     if stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err() {
-        return 3;
+        return;
     }
     let mut sess = ProtoSession::new();
     let mut buf = [0u8; 64 * 1024];
     let mut hello_handled = false;
-    let outcome = loop {
-        match stream.read(&mut buf) {
-            Ok(0) => break sess.eof(),
-            Ok(n) => {
-                let step = match sess.feed(&buf[..n]) {
-                    Ok(step) => step,
-                    // Pre-hello protocol violation: nothing to report.
-                    Err(_) => return 4,
-                };
-                match step {
-                    MuxStep::Running => {
-                        if !hello_handled && sess.hello_seen() {
-                            hello_handled = true;
-                            let _ = stream.set_read_timeout(None);
-                        }
-                    }
-                    // Tuning knob: die abruptly mid-stream, exercising
-                    // the producer's EPIPE/short-result handling.
-                    MuxStep::Killed => std::process::exit(KILLED_EXIT),
-                    MuxStep::Decided => {
-                        // Early stop (mismatch/trap decided the run):
-                        // half-close the read side so the producer's
-                        // blocked frame writes fail with EPIPE instead
-                        // of stuffing a dead pipe.
-                        let _ = result_handle.shutdown(Shutdown::Read);
-                        break MuxStep::Decided;
-                    }
-                    other => break other,
-                }
-            }
+    loop {
+        let step = match (&stream).read(&mut buf) {
+            Ok(0) => sess.eof(),
+            Ok(n) => match sess.feed(&buf[..n]) {
+                Ok(step) => step,
+                // Pre-hello protocol violation: nothing to report.
+                Err(_) => return,
+            },
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            // Handshake never arrived within the deadline.
             Err(e)
                 if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                // Handshake never arrived within the deadline.
-                return 4;
+                return
             }
             // Peer vanished: decide with what arrived (the result write
-            // below will usually fail, which is fine — exit codes are
-            // diagnostics).
-            Err(_) => break sess.eof(),
+            // below will usually fail, which is fine).
+            Err(_) => sess.eof(),
+        };
+        match step {
+            MuxStep::Running => {
+                if !hello_handled && sess.hello_seen() {
+                    hello_handled = true;
+                    let _ = stream.set_read_timeout(None);
+                }
+            }
+            // The tuning knob (die abruptly mid-stream, exercising the
+            // producer's EPIPE/short-result handling), or a stream that
+            // ended before its hello: nothing to report.
+            MuxStep::Killed | MuxStep::NoSession => return,
+            MuxStep::Decided => {
+                // Early stop (mismatch/trap decided the run): half-close
+                // the read side so the producer's blocked frame writes
+                // fail with EPIPE instead of stuffing a dead pipe.
+                let _ = stream.shutdown(Shutdown::Read);
+                break;
+            }
+            MuxStep::Finished => break,
         }
-    };
-    if outcome == MuxStep::NoSession {
-        return 4;
     }
-    let Some(res) = sess.take_result() else {
-        return 4;
-    };
-    let mut w = BufWriter::new(result_handle);
-    if w.write_all(&res.blob).and_then(|()| w.flush()).is_err() {
-        return 5;
+    if let Some(res) = sess.take_result() {
+        let _ = (&stream).write_all(&res.blob);
     }
-    0
 }

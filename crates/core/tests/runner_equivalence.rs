@@ -1,24 +1,18 @@
-//! Property tests: every in-process runner is observationally equivalent
-//! through the [`run_runner`] dispatch — the engine and threaded
+//! Property tests: every runner is observationally equivalent through
+//! the [`run_runner`] dispatch — the engine, threaded and socket
 //! substrates drive the identical session pipeline, so verdicts,
 //! mismatch identity and typed link errors must be
 //! substrate-independent across DUT configurations (single- and
 //! dual-core), workload seeds, bug-injection points and fault schedules.
-//!
-//! The socket runner's leg of the same equivalence lives in the
-//! harness-free `tests/socket_runner.rs` of the umbrella crate: it
-//! re-executes the current binary as its consumer process, which the
-//! default libtest harness (whose `main` never reaches `child_entry`)
-//! cannot host.
 
 use difftest_core::{run_runner, DiffConfig, FaultPlan, RunOutcome, RunnerKind, RunnerReport};
 use difftest_dut::{BugKind, BugSpec, DutConfig};
 use difftest_workload::Workload;
 use proptest::prelude::*;
 
-/// The in-process substrates, dispatched through the one entry point
-/// the examples use.
-const KINDS: [RunnerKind; 2] = [RunnerKind::Engine, RunnerKind::Threaded];
+/// Every substrate, dispatched through the one entry point the examples
+/// use.
+const KINDS: [RunnerKind; 3] = [RunnerKind::Engine, RunnerKind::Threaded, RunnerKind::Socket];
 
 /// Every property runs on a single-core DUT and on a dual-core one,
 /// whose single stream interleaves both cores' events.
@@ -48,10 +42,18 @@ proptest! {
         for dut in &duts() {
             let engine = run(RunnerKind::Engine, dut, DiffConfig::BNSD, &w, Vec::new(), None);
             prop_assert_eq!(engine.outcome, RunOutcome::GoodTrap, "{} core(s)", dut.cores);
-            let r = run(RunnerKind::Threaded, dut, DiffConfig::BNSD, &w, Vec::new(), None);
-            prop_assert_eq!(r.outcome, engine.outcome, "{} core(s)", dut.cores);
-            prop_assert_eq!(r.items, engine.items, "{} core(s): same stream, same items", dut.cores);
-            prop_assert_eq!(r.instructions, engine.instructions, "{} core(s)", dut.cores);
+            for kind in KINDS {
+                let r = run(kind, dut, DiffConfig::BNSD, &w, Vec::new(), None);
+                prop_assert_eq!(r.outcome, engine.outcome, "{:?} on {} core(s)", kind, dut.cores);
+                prop_assert_eq!(
+                    r.items, engine.items,
+                    "{:?} on {} core(s): same stream, same items", kind, dut.cores
+                );
+                prop_assert_eq!(
+                    r.instructions, engine.instructions,
+                    "{:?} on {} core(s)", kind, dut.cores
+                );
+            }
         }
     }
 
@@ -64,15 +66,17 @@ proptest! {
         let bugs = vec![BugSpec::new(BugKind::RegWriteCorruption, bug_cycle)];
         for dut in &duts() {
             let engine = run(RunnerKind::Engine, dut, DiffConfig::BNSD, &w, bugs.clone(), None);
-            let r = run(RunnerKind::Threaded, dut, DiffConfig::BNSD, &w, bugs.clone(), None);
-            prop_assert_eq!(r.outcome, engine.outcome, "{} core(s)", dut.cores);
-            // One stream, one in-order consumer: arrival order is
-            // identical, so the first failing check is byte-for-byte the
-            // same mismatch on every substrate.
-            prop_assert_eq!(
-                r.mismatch.clone(), engine.mismatch.clone(),
-                "{} core(s): mismatch identity", dut.cores
-            );
+            for kind in KINDS {
+                let r = run(kind, dut, DiffConfig::BNSD, &w, bugs.clone(), None);
+                prop_assert_eq!(r.outcome, engine.outcome, "{:?} on {} core(s)", kind, dut.cores);
+                // One stream, one in-order consumer: arrival order is
+                // identical, so the first failing check is byte-for-byte
+                // the same mismatch on every substrate.
+                prop_assert_eq!(
+                    r.mismatch.clone(), engine.mismatch.clone(),
+                    "{:?} on {} core(s): mismatch identity", kind, dut.cores
+                );
+            }
         }
     }
 

@@ -6,9 +6,9 @@
 //!
 //! Tracers are injected through the session/builder seam rather than
 //! `DIFFTEST_TRACE` — libtest runs these cases on parallel threads, so
-//! process-global env mutation would race. The socket runner's env-var
-//! leg lives in the harness-free `tests/socket_runner.rs` of the
-//! umbrella crate.
+//! process-global env mutation would race. The socket runner's merged
+//! trace is tested in the umbrella crate's `tests/socket_runner.rs`,
+//! and the env-var path by `make trace`.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};

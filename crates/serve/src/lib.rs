@@ -402,7 +402,7 @@ fn pump_conn(
                     }
                     Ok(MuxStep::Killed) => {
                         // Diagnostic kill knob: drop with no result, as
-                        // the one-shot consumer process dies abruptly.
+                        // the one-shot consumer abandons its socket end.
                         reg.close(conn.sid, CloseReason::Killed);
                         return Fate::Drop(true);
                     }

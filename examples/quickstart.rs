@@ -16,10 +16,6 @@ use difftest_h::stats::fmt_hz;
 use difftest_h::workload::Workload;
 
 fn main() {
-    // MUST be first: the socket runner re-executes this binary as its
-    // consumer process, which diverges here.
-    difftest_h::core::child_entry();
-
     let kind = match std::env::args().nth(1).as_deref() {
         None | Some("engine") => RunnerKind::Engine,
         Some("threaded") => RunnerKind::Threaded,

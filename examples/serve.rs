@@ -3,8 +3,8 @@
 //! and the per-session observability trail that multiplexing keeps
 //! intact.
 //!
-//! The one-shot socket runner pays a consumer-process spawn per run;
-//! here the consumer side is resident and producers just dial it —
+//! The one-shot socket runner builds a consumer inside each run; here
+//! the consumer side is resident in the service and producers dial it —
 //! two over the Unix listener, one over TCP. Every verdict must equal
 //! the single-process engine on the same workload, and the drain
 //! summary plus the `DIFFTEST_OBS` JSONL must show the daemon's

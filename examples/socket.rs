@@ -1,34 +1,32 @@
-//! Process-separated co-simulation: the DUT producer and the checking
-//! consumer live in different OS processes, joined by a Unix-domain
-//! socket carrying the CRC-framed wire format.
+//! Co-simulation over the wire: the DUT producer and the checking
+//! consumer are joined by a Unix-domain socket pair carrying the
+//! CRC-framed, length-prefixed wire format, and the verdict comes back
+//! as a serialized result blob.
 //!
-//! The isolation is the point: a consumer that crashes — simulated here
-//! with [`SocketTuning::kill_consumer_after`] — takes down its own
-//! address space only, and the producer reports a typed
-//! [`RunOutcome::LinkError`] with the child's exit code instead of
-//! panicking or wedging.
+//! A consumer that dies mid-run — simulated here with
+//! [`SocketTuning::kill_consumer_after`] — shows up at the producer as a
+//! typed [`RunOutcome::LinkError`] instead of a panic or a hang.
 //!
 //! ```text
 //! cargo run --release --example socket
 //! ```
 //!
+//! Both ends run in this process. For a consumer in a process of its
+//! own, start the `difftest-serve` daemon and point the runner at it
+//! with `DIFFTEST_SERVE_ADDR=unix:<path>` (or `tcp:<host:port>`); the
+//! same calls below then check every session in the daemon.
+//!
 //! With `DIFFTEST_TRACE=<path>` the clean run exports one merged
-//! Chrome/Perfetto trace spanning both processes: the handshake carries
+//! Chrome/Perfetto trace of producer and consumer: the handshake carries
 //! the producer's clock epoch, so the consumer's spans land on the same
 //! timeline (`make trace` gates this through `scripts/trace_check`).
 
-use difftest_h::core::{
-    run_socket_session, DiffConfig, RunOutcome, Session, SocketTuning, KILLED_EXIT,
-};
+use difftest_h::core::{run_socket_session, DiffConfig, RunOutcome, Session, SocketTuning};
 use difftest_h::dut::DutConfig;
 use difftest_h::stats::TRACE_ENV;
 use difftest_h::workload::Workload;
 
 fn main() {
-    // MUST be first: the runner re-executes this binary as its consumer
-    // process, which diverges here and never returns.
-    difftest_h::core::child_entry();
-
     let workload = Workload::linux_boot().seed(42).iterations(1_000).build();
     let session = || {
         Session::new(
@@ -42,8 +40,8 @@ fn main() {
         )
     };
 
-    // A healthy run: verdict-identical to the in-process runners, but
-    // every packet genuinely crossed a process boundary.
+    // A healthy run: verdict-identical to the engine and threaded
+    // runners, but every packet crossed a kernel socket as framed bytes.
     let report = run_socket_session(session(), None, SocketTuning::default());
     assert_eq!(report.outcome, RunOutcome::GoodTrap);
     println!("== clean run ==");
@@ -57,17 +55,16 @@ fn main() {
         report.cycles_per_sec / 1e3,
     );
     println!(
-        "consumer process exited {:?}; checker saw {} transfers, {} bytes",
-        report.consumer_exit,
+        "checker saw {} transfers, {} bytes",
         report.metrics.counters.get("obs.transfers"),
         report.metrics.counters.get("obs.bytes"),
     );
 
     if let Some(p) = std::env::var_os(TRACE_ENV) {
-        // The clean run above wrote one merged trace covering both
-        // processes. Clear the var so the kill-run below — whose child
-        // dies mid-stream — doesn't truncate it with a producer-only
-        // export.
+        // The clean run above wrote one merged trace covering producer
+        // and consumer. Clear the var so the kill-run below — whose
+        // consumer dies mid-stream — doesn't truncate it with a
+        // producer-only export.
         std::env::remove_var(TRACE_ENV);
         println!(
             "merged socket trace written to {}",
@@ -75,7 +72,8 @@ fn main() {
         );
     }
 
-    // The same run with the consumer process dying after two packets.
+    // The same run with the consumer dying when its second packet
+    // arrives.
     let report = run_socket_session(
         session(),
         None,
@@ -83,11 +81,11 @@ fn main() {
             kill_consumer_after: Some(2),
         },
     );
-    println!("\n== consumer killed after 2 packets ==");
+    println!("\n== consumer killed as its 2nd packet arrives ==");
     match report.outcome {
         RunOutcome::LinkError { kind, seq, .. } => println!(
-            "typed outcome: {kind} at seq {seq} (consumer exit {:?}, expected {KILLED_EXIT})",
-            report.consumer_exit,
+            "typed outcome: {kind} at seq {seq} after {} cycles",
+            report.cycles
         ),
         other => panic!("consumer death must surface as a link error, got {other:?}"),
     }

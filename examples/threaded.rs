@@ -4,8 +4,8 @@
 //! unpacks and checks; a bounded link between them is the sending queue
 //! with backpressure. All wall-clock runners are one [`run_session`]
 //! dispatch away from each other — same pipeline, different substrate:
-//! two threads (threaded), or a separate consumer process on a Unix
-//! socket (socket).
+//! two threads on a bounded channel (threaded), or two threads on a
+//! Unix socket pair carrying framed bytes (socket).
 //!
 //! ```text
 //! cargo run --release --example threaded
@@ -16,10 +16,6 @@ use difftest_h::dut::DutConfig;
 use difftest_h::workload::Workload;
 
 fn main() {
-    // MUST be first: the socket runner re-executes this binary as its
-    // consumer process, which diverges here.
-    difftest_h::core::child_entry();
-
     let workload = Workload::linux_boot().seed(17).iterations(2_000).build();
 
     for config in [DiffConfig::BN, DiffConfig::BNSD] {
@@ -52,7 +48,8 @@ fn main() {
     println!(
         "Squash hands the checker far fewer items for the same cycles — \
          the software-side win that non-blocking transmission then overlaps. \
-         The socket runner pays real IPC for its isolation: a dead consumer \
-         is a typed link error, never a wedged address space."
+         The socket runner pays for framing every packet through a kernel \
+         socket: the protocol a difftest-serve daemon speaks, and a dead \
+         consumer is a typed link error."
     );
 }

@@ -8,7 +8,7 @@
 //! cargo run --release --example trace_check -- [--require-flows] <trace.json>...
 //! ```
 //!
-//! `--require-flows` additionally demands cross-process causality: at
+//! `--require-flows` additionally demands producer→consumer causality: at
 //! least one matched pack→unpack flow arrow and events on at least two
 //! pids (producer and consumer) — the acceptance bar for the socket
 //! runner's merged trace.

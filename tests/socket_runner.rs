@@ -1,24 +1,20 @@
-//! End-to-end acceptance for the process-separated socket runner.
-//!
-//! This test is harness-free (`harness = false` in Cargo.toml) because
-//! the runner re-executes the current binary as its consumer process:
-//! under the default libtest harness that re-exec would re-run the whole
-//! suite recursively. Instead `main` hands consumer processes over to
-//! [`difftest_h::core::child_entry`] first, then runs the checks below
-//! sequentially, libtest-style.
+//! End-to-end acceptance for the socket runner's one-shot path: the
+//! producer and a consumer on the two ends of a Unix socket pair,
+//! speaking the framed wire protocol.
 //!
 //! Coverage: clean and buggy runs are verdict-identical to the engine,
 //! the producer-side fault grid stays typed (never a panic, never a
-//! phantom mismatch), a consumer process killed mid-run surfaces as
-//! [`RunOutcome::LinkError`] with the kill's exit code, and a consumer
-//! process can never spawn a second generation of consumers.
+//! phantom mismatch), a consumer killed mid-run surfaces as
+//! [`RunOutcome::LinkError`] and stops the producer, the merged span
+//! trace links both sides, and concurrent one-shot runs keep their own
+//! verdicts.
 
 use difftest_h::core::{
     run_runner, run_socket_session, DiffConfig, LinkErrorKind, RunOutcome, RunnerKind,
-    RunnerReport, Session, SocketTuning, KILLED_EXIT,
+    RunnerReport, Session, SocketReport, SocketTuning,
 };
 use difftest_h::dut::{BugKind, BugSpec, DutConfig};
-use difftest_h::stats::{parse_json, validate_trace, FlightKind, Json, TRACE_ENV};
+use difftest_h::stats::{parse_json, validate_trace, FlightKind, Json, Tracer};
 use difftest_h::workload::Workload;
 
 const MAX_CYCLES: u64 = 400_000;
@@ -37,9 +33,22 @@ fn run(kind: RunnerKind, config: DiffConfig, w: &Workload, bugs: Vec<BugSpec>) -
     )
 }
 
+fn session(config: DiffConfig, w: &Workload, bugs: Vec<BugSpec>) -> Session {
+    Session::new(
+        DutConfig::nutshell(),
+        config,
+        w,
+        bugs,
+        MAX_CYCLES,
+        QUEUE_DEPTH,
+        None,
+    )
+}
+
 /// Clean runs: the socket runner must reach the same verdict, check the
 /// same item volume and commit the same instruction count as the
 /// virtual-time engine — the transport is the only thing that changed.
+#[test]
 fn clean_matches_engine() {
     let w = Workload::microbench().seed(11).iterations(40).build();
     for config in [DiffConfig::BN, DiffConfig::BNSD] {
@@ -57,8 +66,9 @@ fn clean_matches_engine() {
 }
 
 /// Buggy runs: an injected DUT bug must produce byte-for-byte the same
-/// first mismatch on both sides of the process boundary (single core,
-/// so arrival order is identical).
+/// first mismatch on both ends of the socket (single core, so arrival
+/// order is identical).
+#[test]
 fn buggy_matches_engine() {
     let w = Workload::linux_boot().seed(7).iterations(300).build();
     let bugs = vec![BugSpec::new(BugKind::RegWriteCorruption, 2_000)];
@@ -84,6 +94,7 @@ fn buggy_matches_engine() {
 /// the report-only BN pipeline its typed outcome must equal the
 /// engine's on every schedule, and a fault must never surface as a
 /// phantom mismatch or a panic.
+#[test]
 fn fault_grid_matches_engine() {
     use difftest_h::core::FaultPlan;
     let w = Workload::microbench().seed(3).iterations(60).build();
@@ -133,22 +144,19 @@ fn fault_grid_matches_engine() {
     }
 }
 
-/// Consumer-process death mid-run is a typed outcome, not a panic: the
-/// producer sees EPIPE on the frame stream (or a short result blob),
-/// reports [`LinkErrorKind::Gap`] attributed to the produced count, and
-/// still reaps the child's exit code.
+/// Consumer death mid-run is a typed outcome, not a panic: the producer
+/// sees EPIPE on the frame stream (or a short result blob), stops, and
+/// reports [`LinkErrorKind::Gap`] attributed to the produced count.
+#[test]
 fn killed_consumer_is_a_typed_link_error() {
     let w = Workload::linux_boot().seed(7).iterations(300).build();
+    let clean = run_socket_session(
+        session(DiffConfig::BNSD, &w, Vec::new()),
+        None,
+        SocketTuning::default(),
+    );
     let r = run_socket_session(
-        Session::new(
-            DutConfig::nutshell(),
-            DiffConfig::BNSD,
-            &w,
-            Vec::new(),
-            MAX_CYCLES,
-            QUEUE_DEPTH,
-            None,
-        ),
+        session(DiffConfig::BNSD, &w, Vec::new()),
         None,
         SocketTuning {
             kill_consumer_after: Some(2),
@@ -160,13 +168,14 @@ fn killed_consumer_is_a_typed_link_error() {
         }
         other => panic!("consumer death must be typed, got {other:?}"),
     }
-    assert_eq!(
-        r.consumer_exit,
-        Some(KILLED_EXIT),
-        "producer reaps the killed consumer's exit code"
-    );
     assert!(r.mismatch.is_none(), "no phantom mismatch from a dead pipe");
     assert!(r.cycles > 0, "the DUT side still ran");
+    assert!(
+        r.cycles < clean.cycles,
+        "the producer stops on EPIPE: {} cycles killed vs {} clean",
+        r.cycles,
+        clean.cycles
+    );
     let snap = r
         .flight
         .as_ref()
@@ -177,67 +186,23 @@ fn killed_consumer_is_a_typed_link_error() {
     );
 }
 
-/// A process already marked as a socket consumer must refuse to start a
-/// producer (which would spawn a consumer, which could spawn...): the
-/// guard reports a typed setup failure instead.
-fn consumer_processes_cannot_spawn_consumers() {
-    let w = Workload::microbench().seed(1).iterations(5).build();
-    std::env::set_var("DIFFTEST_SOCKET_ROLE", "stale");
-    let r = run_socket_session(
-        Session::new(
-            DutConfig::nutshell(),
-            DiffConfig::BN,
-            &w,
-            Vec::new(),
-            10_000,
-            QUEUE_DEPTH,
-            None,
-        ),
-        None,
-        SocketTuning::default(),
-    );
-    std::env::remove_var("DIFFTEST_SOCKET_ROLE");
-    assert!(
-        matches!(
-            r.outcome,
-            RunOutcome::LinkError {
-                kind: LinkErrorKind::Malformed,
-                ..
-            }
-        ),
-        "fork-bomb guard must trip, got {:?}",
-        r.outcome
-    );
-    assert_eq!(r.cycles, 0, "guard trips before the DUT runs");
-}
-
-/// `DIFFTEST_TRACE` on the socket runner produces ONE merged
-/// Chrome/Perfetto trace: the handshake ships the producer's clock
-/// epoch to the child, the result blob ships the child's span buffers
-/// back, and the export interleaves both processes' tracks. This test
-/// is env-var-driven on purpose — it lives in this harness-free binary
-/// (single-threaded `main`), where process-global `set_var` cannot race
-/// another test thread.
+/// A traced socket run produces ONE merged Chrome/Perfetto trace: the
+/// handshake ships the producer's clock epoch to the consumer, the
+/// result blob ships the consumer's span buffers back, and the export
+/// interleaves both sides' tracks. The tracer is injected rather than
+/// set through `DIFFTEST_TRACE`, which parallel test threads would race
+/// on; `make trace` covers the environment-driven path.
+#[test]
 fn trace_env_merges_both_processes() {
     let path =
         std::env::temp_dir().join(format!("difftest-socket-trace-{}.json", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    std::env::set_var(TRACE_ENV, &path);
     let w = Workload::microbench().seed(11).iterations(40).build();
     let r = run_socket_session(
-        Session::new(
-            DutConfig::nutshell(),
-            DiffConfig::BNSD,
-            &w,
-            Vec::new(),
-            MAX_CYCLES,
-            QUEUE_DEPTH,
-            None,
-        ),
+        session(DiffConfig::BNSD, &w, Vec::new()).with_tracer(Some(Tracer::to_path(&path))),
         None,
         SocketTuning::default(),
     );
-    std::env::remove_var(TRACE_ENV);
     assert_eq!(r.outcome, RunOutcome::GoodTrap);
     assert!(
         r.metrics.counters.get("trace.spans_recorded") > 0,
@@ -250,10 +215,10 @@ fn trace_env_merges_both_processes() {
     assert!(summary.spans > 0, "no duration events");
     assert!(
         summary.flows > 0,
-        "no matched pack→unpack flows across the process boundary"
+        "no matched pack→unpack flows across the socket"
     );
 
-    // Both processes contributed: pack spans and flow starts on the
+    // Both sides contributed: pack spans and flow starts on the
     // producer pid, unpack/check spans and flow ends on the consumer
     // pid — causally linked per sequence number.
     let root = parse_json(&text).expect("parse");
@@ -290,7 +255,7 @@ fn trace_env_merges_both_processes() {
     assert!(!pack_ids.is_empty(), "producer contributed no pack spans");
     assert_eq!(
         pack_ids, unpack_ids,
-        "every packed seq is unpacked in the other process"
+        "every packed seq is unpacked on the other end"
     );
     let _ = std::fs::remove_file(&path);
 }
@@ -299,6 +264,7 @@ fn trace_env_merges_both_processes() {
 /// phases, the producer's tick/pack/transport among them, and the
 /// monitor phase exactly where a monitor hook ran (the engine's
 /// retention ring).
+#[test]
 fn runners_share_one_phase_attribution() {
     use difftest_h::stats::Phase;
     let w = Workload::microbench().seed(11).iterations(40).build();
@@ -321,40 +287,53 @@ fn runners_share_one_phase_attribution() {
     }
 }
 
-fn main() {
-    // MUST be first: a spawned consumer process diverges here and never
-    // reaches the test list below.
-    difftest_h::core::child_entry();
-
-    let tests: &[(&str, fn())] = &[
-        ("clean_matches_engine", clean_matches_engine),
+/// The one-shot path holds no process-global state: four runs started
+/// together on parallel threads, three clean and one with a DUT bug,
+/// each reach their own engine verdict and mismatch.
+#[test]
+fn concurrent_one_shot_runs_keep_their_own_verdicts() {
+    let clean = |seed| {
         (
-            "trace_env_merges_both_processes",
-            trace_env_merges_both_processes,
-        ),
-        ("buggy_matches_engine", buggy_matches_engine),
-        ("fault_grid_matches_engine", fault_grid_matches_engine),
-        (
-            "killed_consumer_is_a_typed_link_error",
-            killed_consumer_is_a_typed_link_error,
-        ),
-        (
-            "consumer_processes_cannot_spawn_consumers",
-            consumer_processes_cannot_spawn_consumers,
-        ),
-        (
-            "runners_share_one_phase_attribution",
-            runners_share_one_phase_attribution,
-        ),
+            Workload::microbench().seed(seed).iterations(40).build(),
+            Vec::new(),
+        )
+    };
+    let boot = Workload::linux_boot().seed(7).iterations(300).build();
+    let cases: Vec<(Workload, Vec<BugSpec>)> = vec![
+        clean(11),
+        clean(12),
+        clean(13),
+        (boot, vec![BugSpec::new(BugKind::RegWriteCorruption, 2_000)]),
     ];
-    println!("\nrunning {} socket runner tests", tests.len());
-    for (name, test) in tests {
-        print!("test {name} ... ");
-        test();
-        println!("ok");
+    let gate = std::sync::Barrier::new(cases.len());
+    let reports: Vec<SocketReport> = std::thread::scope(|s| {
+        let runs: Vec<_> = cases
+            .iter()
+            .map(|(w, bugs)| {
+                let gate = &gate;
+                s.spawn(move || {
+                    gate.wait();
+                    run_socket_session(
+                        session(DiffConfig::BNSD, w, bugs.clone()),
+                        None,
+                        SocketTuning::default(),
+                    )
+                })
+            })
+            .collect();
+        runs.into_iter()
+            .map(|h| h.join().expect("socket run panicked"))
+            .collect()
+    });
+    for (i, ((w, bugs), r)) in cases.iter().zip(&reports).enumerate() {
+        let e = run(RunnerKind::Engine, DiffConfig::BNSD, w, bugs.clone());
+        let expected = if bugs.is_empty() {
+            RunOutcome::GoodTrap
+        } else {
+            RunOutcome::Mismatch
+        };
+        assert_eq!(r.outcome, expected, "run {i}");
+        assert_eq!(r.outcome, e.outcome, "run {i}");
+        assert_eq!(r.mismatch, e.mismatch, "run {i}: mismatch identity");
     }
-    println!(
-        "\ntest result: ok. {} passed; 0 failed (socket_runner)\n",
-        tests.len()
-    );
 }
