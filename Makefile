@@ -60,9 +60,11 @@ ci: seam
 # in-process, and the difftest-serve crate builds on it exclusively (no
 # runner internals). The producer moves each event's payload once per
 # consumer of it: outside tests, retention, packing and the produce loop
-# never clone an event, and Squash does so only in its Vec<WireItem>
-# sink. The consume side is one state machine: outside consume.rs and
-# checker.rs no library code drives the checker (`process_ref`,
+# never clone an event. Squash makes one deliberate copy on the send
+# path, the `clone_from` that refills a held state-dump slot (one such
+# line in non-test squash.rs), and clones otherwise only in its
+# Vec<WireItem> sink. The consume side is one state machine: outside
+# consume.rs and checker.rs no library code drives the checker (`process_ref`,
 # `finalize`), and the retired owned decode path and second byte reader
 # stay gone. The squashed stream is checked in place too: the checker
 # parks payload bytes rather than owned events, and no wire item owns
@@ -123,8 +125,13 @@ seam:
 	done | grep .; then \
 		echo "producer-copy seam violated: an event is cloned on the send path"; \
 		exit 1; \
+	elif [ $$(sed -e '/^#\[cfg(test)\]/,$$d' crates/core/src/squash.rs | grep -c 'clone_from') -gt 1 ]; then \
+		sed -e '/^#\[cfg(test)\]/,$$d' crates/core/src/squash.rs | grep -n 'clone_from' \
+			| sed 's|^|crates/core/src/squash.rs: |'; \
+		echo "producer-copy seam violated: the held-dump slot is the send path's one event copy"; \
+		exit 1; \
 	else \
-		echo "producer-copy seam clean: events are lent, not cloned, from monitor to packet"; \
+		echo "producer-copy seam clean: events are lent from monitor to packet, copied once into a held-dump slot"; \
 	fi
 	@if grep -rnE 'BlockCache|Uop|MAX_BLOCK_LEN|ends_block' crates/*/src; then \
 		echo "REF tier seam violated: the block-compiled tier was retired (DESIGN.md §13)"; \

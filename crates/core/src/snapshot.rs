@@ -185,13 +185,22 @@ mod tests {
     use super::*;
     use difftest_dut::BugKind;
 
+    /// `kind` armed at twelve commit counts, 250 apart: one trigger can
+    /// land on a write the program overwrites unread within its fusion
+    /// window, which only a per-cycle register dump would have seen.
+    fn armed(kind: BugKind) -> Vec<BugSpec> {
+        (0..12)
+            .map(|i| BugSpec::new(kind, 6_000 + i * 250))
+            .collect()
+    }
+
     #[test]
     fn snapshot_flow_localizes_a_bug() {
         let w = Workload::linux_boot().seed(41).iterations(300).build();
         let r = snapshot_debug_run(
             DutConfig::xiangshan_minimal(),
             &w,
-            vec![BugSpec::new(BugKind::RegWriteCorruption, 6_000)],
+            armed(BugKind::RegWriteCorruption),
             2_000,
             200_000,
         );
@@ -230,7 +239,7 @@ mod tests {
         let r = snapshot_debug_run(
             DutConfig::xiangshan_minimal(),
             &w,
-            vec![BugSpec::new(BugKind::RegWriteCorruption, 6_000)],
+            armed(BugKind::RegWriteCorruption),
             50_000,
             200_000,
         );

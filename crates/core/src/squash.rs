@@ -16,9 +16,15 @@
 //! 3. **Differencing** — repetitive events (register/CSR state dumps, TLB
 //!    fills) transmit only changed 64-bit words (implemented in
 //!    [`crate::wire::DiffCache`]; Squash only classifies).
+//!
+//! State dumps are also squashed in time: the monitor captures one every
+//! commit cycle, but Squash holds the newest of each kind per core and
+//! ships it once per fusion window (see [`SquashUnit`] for when).
 
 use difftest_event::wire::{CodecError, Reader, Writer};
-use difftest_event::{commit_flags, Event, EventKind, MonitoredEvent};
+use difftest_event::{
+    commit_flags, DebugModeState, Event, EventKind, MonitoredEvent, OrderTag, Token,
+};
 
 use crate::wire::WireItem;
 
@@ -34,6 +40,30 @@ pub enum SquashClass {
     /// Transmitted with an order tag, differenced against the previous
     /// same-kind event.
     Diff,
+    /// A state dump: held, newest per core and kind, and transmitted
+    /// like [`Diff`](Self::Diff) once per fusion window.
+    State,
+}
+
+/// Number of state-dump kinds Squash holds.
+const HELD_SLOTS: usize = 8;
+
+/// The held slot of a state-dump kind, `None` for every other kind. A
+/// dump is a whole register file or CSR group, so the newest one a
+/// window captured carries everything its older ones did.
+fn held_slot(kind: EventKind) -> Option<usize> {
+    use EventKind as K;
+    Some(match kind {
+        K::ArchIntRegState => 0,
+        K::CsrState => 1,
+        K::ArchFpRegState => 2,
+        K::ArchVecRegState => 3,
+        K::VecCsrState => 4,
+        K::HypervisorCsrState => 5,
+        K::TriggerCsrState => 6,
+        K::DebugModeState => 7,
+        _ => return None,
+    })
 }
 
 /// Classifies an event under the Squash policy.
@@ -49,18 +79,10 @@ pub fn classify(event: &Event) -> SquashClass {
                 SquashClass::Subsume
             }
         }
-        // Repetitive state: differencing wins.
-        K::ArchIntRegState
-        | K::ArchFpRegState
-        | K::CsrState
-        | K::ArchVecRegState
-        | K::VecCsrState
-        | K::HypervisorCsrState
-        | K::TriggerCsrState
-        | K::DebugModeState
-        | K::L1TlbEvent
-        | K::L2TlbEvent
-        | K::PtwEvent => SquashClass::Diff,
+        // Repetitive state: held per window, then differenced.
+        k if held_slot(k).is_some() => SquashClass::State,
+        // Repetitive fills: differencing wins, but each fill is checked.
+        K::L1TlbEvent | K::L2TlbEvent | K::PtwEvent => SquashClass::Diff,
         // Order-sensitive or mostly-fresh payloads: ahead, full.
         _ => SquashClass::TagFull,
     }
@@ -217,7 +239,7 @@ pub struct SquashStats {
     pub subsumed: u64,
     /// Events transmitted ahead with tags.
     pub tagged: u64,
-    /// Events classified for differencing.
+    /// Events transmitted differenced.
     pub diffed: u64,
     /// Fusion windows broken by NDEs (order-coupled baseline only).
     pub nde_breaks: u64,
@@ -234,17 +256,50 @@ impl SquashStats {
     }
 }
 
-/// One core's fusion window. The record's write-set vectors are cleared
-/// on reopening, never taken, so a steady stream of windows allocates
+/// One core's fusion window and held state dumps. The record's write-set
+/// vectors are cleared on reopening, never taken, and each dump is copied
+/// into its slot in place, so a steady stream of windows allocates
 /// nothing.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct WindowState {
     open: bool,
     age: u32,
     rec: FusedCommit,
+    /// The newest dump of each held kind.
+    dumps: [MonitoredEvent; HELD_SLOTS],
+    /// Bit `i` set: `dumps[i]` is held and not yet shipped.
+    due: u8,
+    /// A trap or interrupt entry has shipped: the core's next dump set
+    /// ships at the end of its cycle.
+    after_trap: bool,
 }
 
 impl WindowState {
+    fn new() -> Self {
+        WindowState {
+            open: false,
+            age: 0,
+            rec: FusedCommit::default(),
+            // Placeholders: a slot is read only while its `due` bit is set.
+            dumps: std::array::from_fn(|_| MonitoredEvent {
+                core: 0,
+                cycle: 0,
+                order: OrderTag(0),
+                token: Token(0),
+                event: DebugModeState::default().into(),
+            }),
+            due: 0,
+            after_trap: false,
+        }
+    }
+
+    /// The held dump captured first, if any is due.
+    fn first_due(&self) -> Option<usize> {
+        (0..HELD_SLOTS)
+            .filter(|i| self.due & (1 << i) != 0)
+            .min_by_key(|&i| self.dumps[i].token)
+    }
+
     fn absorb(&mut self, ev: &MonitoredEvent, c: &difftest_event::InstrCommit) {
         let rec = &mut self.rec;
         if !self.open {
@@ -351,6 +406,24 @@ impl SquashSink for Vec<WireItem> {
 }
 
 /// The hardware-side Squash unit.
+///
+/// State dumps (the [`SquashClass::State`] kinds) do not go out as they
+/// arrive. Each core keeps the newest dump of each kind and ships the
+/// held ones, in capture order, at four points:
+///
+/// 1. **Window close**: every [`flush_core`](Self::flush_core), just
+///    before the `Fused` record. A dump therefore reaches the checker
+///    before the record that steps the REF past its tag.
+/// 2. **Tagged events**: before any of the core's tagged events, so no
+///    NDE of an equal tag is applied before a dump captured ahead of it.
+/// 3. **Trap entry**: after an `ArchEvent`, the core's next dump set
+///    ships at the end of its cycle, keeping trap-entry state visible at
+///    the handler's first cycle.
+/// 4. **Differencing off** (ablation): the same points, as `Tagged` full
+///    payloads.
+///
+/// Every dump still enters the retention ring, so Replay re-checks each
+/// one at instruction granularity.
 #[derive(Debug)]
 pub struct SquashUnit {
     windows: Vec<WindowState>,
@@ -365,7 +438,7 @@ impl SquashUnit {
     /// Creates a unit for `cores` cores fusing up to `window_limit` commits.
     pub fn new(cores: usize, window_limit: u32) -> Self {
         SquashUnit {
-            windows: (0..cores).map(|_| WindowState::default()).collect(),
+            windows: (0..cores).map(|_| WindowState::new()).collect(),
             window_limit: window_limit.max(1),
             max_age: 64,
             order_coupled: false,
@@ -410,6 +483,7 @@ impl SquashUnit {
                 // event coverage has no LoadEvent (e.g. NutShell). Schedule
                 // it ahead with its order tag before fusing it.
                 if ev.is_nde() {
+                    self.ship_dumps(core, out);
                     self.stats.tagged += 1;
                     out.tagged(ev);
                 }
@@ -431,6 +505,10 @@ impl SquashUnit {
                         self.flush_core(ev.core, out);
                     }
                 }
+                self.ship_dumps(core, out);
+                if matches!(ev.event, Event::ArchEvent(_)) {
+                    self.windows[core].after_trap = true;
+                }
                 self.stats.tagged += 1;
                 out.tagged(ev);
             }
@@ -438,12 +516,41 @@ impl SquashUnit {
                 self.stats.diffed += 1;
                 out.diff(ev);
             }
+            SquashClass::State => {
+                let Some(slot) = held_slot(ev.event.kind()) else {
+                    unreachable!("only held kinds classify as state")
+                };
+                let w = &mut self.windows[core];
+                w.dumps[slot].clone_from(ev);
+                w.due |= 1 << slot;
+            }
         }
     }
 
-    /// Ends one DUT cycle: ages open windows and flushes stale ones.
+    /// Ships `core`'s held dumps in capture (token) order.
+    fn ship_dumps<S: SquashSink>(&mut self, core: usize, out: &mut S) {
+        let w = &mut self.windows[core];
+        while let Some(slot) = w.first_due() {
+            w.due &= !(1 << slot);
+            if self.differencing {
+                self.stats.diffed += 1;
+                out.diff(&w.dumps[slot]);
+            } else {
+                self.stats.tagged += 1;
+                out.tagged(&w.dumps[slot]);
+            }
+        }
+    }
+
+    /// Ends one DUT cycle: ships the first dump set after a trap entry,
+    /// ages open windows and flushes stale ones.
     pub fn on_cycle_end<S: SquashSink>(&mut self, out: &mut S) {
         for core in 0..self.windows.len() {
+            let w = &mut self.windows[core];
+            if w.after_trap && w.due != 0 {
+                w.after_trap = false;
+                self.ship_dumps(core, out);
+            }
             if self.windows[core].open {
                 self.windows[core].age += 1;
                 if self.windows[core].age >= self.max_age {
@@ -453,8 +560,9 @@ impl SquashUnit {
         }
     }
 
-    /// Flushes one core's open fusion window.
+    /// Ships one core's held dumps, then its open fusion window.
     pub fn flush_core<S: SquashSink>(&mut self, core: u8, out: &mut S) {
+        self.ship_dumps(core as usize, out);
         let w = &mut self.windows[core as usize];
         if w.open {
             w.open = false;
@@ -463,7 +571,8 @@ impl SquashUnit {
         }
     }
 
-    /// Flushes every open window (end of simulation, replay requests).
+    /// Flushes every core's held dumps and open window (end of
+    /// simulation, replay requests).
     pub fn flush_all<S: SquashSink>(&mut self, out: &mut S) {
         for core in 0..self.windows.len() as u8 {
             self.flush_core(core, out);
@@ -474,7 +583,7 @@ impl SquashUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use difftest_event::{ArchEvent, InstrCommit, LoadEvent, OrderTag, Token};
+    use difftest_event::{ArchEvent, ArchIntRegState, CsrState, InstrCommit, LoadEvent};
 
     fn commit(seq: u64, token: u64, pc: u64, wdest: u8, wdata: u64) -> MonitoredEvent {
         MonitoredEvent {
@@ -507,6 +616,167 @@ mod tests {
             }
             .into(),
         }
+    }
+
+    fn at(seq: u64, token: u64, event: Event) -> MonitoredEvent {
+        MonitoredEvent {
+            core: 0,
+            cycle: seq,
+            order: OrderTag(seq),
+            token: Token(token),
+            event,
+        }
+    }
+
+    fn xregs(seq: u64, token: u64, v: u64) -> MonitoredEvent {
+        at(seq, token, ArchIntRegState { regs: [v; 32] }.into())
+    }
+
+    fn csrs(seq: u64, token: u64) -> MonitoredEvent {
+        at(seq, token, CsrState::default().into())
+    }
+
+    /// Each item as `class:kind@token`, a fusion record as `fused`.
+    fn shape(items: &[WireItem]) -> Vec<String> {
+        items
+            .iter()
+            .map(|item| match item {
+                WireItem::Plain { event, .. } => format!("plain:{:?}", event.kind()),
+                WireItem::Tagged { token, event, .. } => {
+                    format!("tagged:{:?}@{}", event.kind(), token.0)
+                }
+                WireItem::Diff { token, event, .. } => {
+                    format!("diff:{:?}@{}", event.kind(), token.0)
+                }
+                WireItem::Fused { .. } => "fused".to_owned(),
+            })
+            .collect()
+    }
+
+    /// Each held kind owns a slot of its own.
+    #[test]
+    fn held_kinds_own_distinct_slots() {
+        let mut slots: Vec<usize> = EventKind::ALL.into_iter().filter_map(held_slot).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..HELD_SLOTS).collect::<Vec<_>>());
+    }
+
+    /// Rule 1: a window's held dumps go out just before its record, in
+    /// capture order, and only the newest of each kind.
+    #[test]
+    fn held_dumps_ship_before_fused_in_token_order() {
+        let mut sq = SquashUnit::new(1, 2);
+        let mut out = Vec::new();
+        sq.push(&commit(0, 0, 0x8000_0000, 1, 1), &mut out);
+        // CSRs captured before the register file: token order, not slot
+        // order, decides what ships first.
+        sq.push(&csrs(1, 1), &mut out);
+        sq.push(&xregs(1, 2, 7), &mut out);
+        sq.push(&xregs(1, 3, 8), &mut out);
+        sq.on_cycle_end(&mut out);
+        assert!(out.is_empty(), "dumps are held: {:?}", shape(&out));
+        sq.push(&commit(1, 4, 0x8000_0004, 1, 2), &mut out);
+        assert_eq!(
+            shape(&out),
+            ["diff:CsrState@1", "diff:ArchIntRegState@3", "fused"]
+        );
+        assert_eq!(sq.stats().diffed, 2);
+    }
+
+    /// Rule 2: a tagged event of the core, an NDE load or a skipped MMIO
+    /// commit, ships the held dumps ahead of itself and leaves the window
+    /// open.
+    #[test]
+    fn tagged_events_ship_held_dumps_first() {
+        let mut sq = SquashUnit::new(1, 8);
+        let mut out = Vec::new();
+        sq.push(&commit(0, 0, 0x8000_0000, 1, 1), &mut out);
+        sq.push(&xregs(1, 1, 7), &mut out);
+        sq.push(&mmio_load(1, 2), &mut out);
+        assert_eq!(
+            shape(&out),
+            ["diff:ArchIntRegState@1", "tagged:LoadEvent@2"]
+        );
+
+        out.clear();
+        sq.push(&xregs(1, 3, 8), &mut out);
+        let mut skipped = commit(1, 4, 0x8000_0004, 1, 2);
+        if let Event::InstrCommit(c) = &mut skipped.event {
+            c.flags |= commit_flags::SKIP;
+        }
+        sq.push(&skipped, &mut out);
+        assert_eq!(
+            shape(&out),
+            ["diff:ArchIntRegState@3", "tagged:InstrCommit@4"]
+        );
+        assert!(sq.windows[0].open);
+    }
+
+    /// Rule 3: after a trap or interrupt entry, the core's next dump set
+    /// ships at the end of its cycle; the set after that is held again.
+    #[test]
+    fn trap_entry_ships_the_next_dump_set_at_cycle_end() {
+        let mut sq = SquashUnit::new(1, 32);
+        let mut out = Vec::new();
+        sq.push(&commit(0, 0, 0x8000_0000, 1, 1), &mut out);
+        let entry = ArchEvent {
+            is_interrupt: 1,
+            ..Default::default()
+        };
+        sq.push(&at(1, 1, entry.into()), &mut out);
+        sq.on_cycle_end(&mut out);
+        assert_eq!(shape(&out), ["tagged:ArchEvent@1"]);
+
+        sq.push(&commit(1, 2, 0x8000_0100, 1, 2), &mut out);
+        sq.push(&xregs(2, 3, 7), &mut out);
+        sq.push(&csrs(2, 4), &mut out);
+        sq.on_cycle_end(&mut out);
+        assert_eq!(
+            shape(&out[1..]),
+            ["diff:ArchIntRegState@3", "diff:CsrState@4"]
+        );
+
+        out.clear();
+        sq.push(&commit(2, 5, 0x8000_0104, 1, 3), &mut out);
+        sq.push(&xregs(3, 6, 8), &mut out);
+        sq.on_cycle_end(&mut out);
+        assert!(out.is_empty(), "held again: {:?}", shape(&out));
+    }
+
+    /// `flush_all` ships held dumps even when no window is open.
+    #[test]
+    fn flush_all_ships_held_dumps_without_an_open_window() {
+        let mut sq = SquashUnit::new(1, 1);
+        let mut out = Vec::new();
+        sq.push(&commit(0, 0, 0x8000_0000, 1, 1), &mut out);
+        sq.push(&xregs(1, 1, 7), &mut out);
+        assert_eq!(shape(&out), ["fused"]);
+        sq.flush_all(&mut out);
+        assert_eq!(shape(&out), ["fused", "diff:ArchIntRegState@1"]);
+    }
+
+    /// Rule 4: without differencing, dumps ship as full `Tagged` payloads
+    /// at the same points: once per window, not once per cycle.
+    #[test]
+    fn without_differencing_dumps_ship_tagged_once_per_window() {
+        let mut sq = SquashUnit::new(1, 4);
+        sq.set_differencing(false);
+        let mut out = Vec::new();
+        for i in 0..4 {
+            sq.push(&commit(i, 2 * i, 0x8000_0000 + 4 * i, 1, i), &mut out);
+            sq.push(&xregs(i + 1, 2 * i + 1, i), &mut out);
+            sq.on_cycle_end(&mut out);
+        }
+        sq.flush_all(&mut out);
+        assert_eq!(
+            shape(&out),
+            [
+                "tagged:ArchIntRegState@5",
+                "fused",
+                "tagged:ArchIntRegState@7"
+            ]
+        );
+        assert_eq!((sq.stats().tagged, sq.stats().diffed), (2, 0));
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! The shared send-side state machine on its own: a `Producer` run to
 //! completion over an in-memory queue ships exactly the stream the
-//! engine ships, and a dead receiver stops it without losing its
-//! account of the run.
+//! engine ships, a dead receiver stops it without losing its account of
+//! the run, and the squashed stream carries state dumps once per window.
 
 use std::sync::atomic::AtomicBool;
 
 use difftest_core::consume::{NoCharge, Step};
+use difftest_core::wire::WireItemRef;
 use difftest_core::{
-    run_session, DiffConfig, FaultPlan, LinkSink, QueueSink, RunnerKind, Session, Transfer,
+    run_session, DiffConfig, FaultPlan, LinkSink, QueueSink, RunnerKind, Session, SwUnit, Transfer,
 };
 use difftest_dut::DutConfig;
+use difftest_event::EventKind;
 use difftest_stats::{FlightKind, FlightRecorder, Phase, PhaseTimer};
 use difftest_workload::Workload;
 
@@ -113,4 +115,47 @@ fn dead_receiver_stops_the_producer_and_finish_still_reports() {
         .iter()
         .filter(|r| r.kind == FlightKind::PacketSent);
     assert!(sent.count() >= 3, "sends stay on the flight record");
+}
+
+/// Squash holds each state dump and ships the newest of its kind only at
+/// a window close (one fused record), ahead of a tagged event, or after a
+/// trap entry: at most one dump of each of the eight held kinds per such
+/// point. A stream that shipped dumps every commit cycle breaks the bound.
+#[test]
+fn state_dumps_ship_once_per_window_not_per_cycle() {
+    let w = Workload::microbench().seed(7).iterations(40).build();
+    let dut = DutConfig::xiangshan_default();
+    let cores = dut.cores;
+    let session = Session::new(dut, DiffConfig::BNSD, &w, Vec::new(), 300_000, 8, None);
+    let mut p = session.producer(QueueSink::default());
+    let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
+    p.run(&AtomicBool::new(false), &mut timer, &mut rec);
+    let queue = std::mem::take(&mut p.link_mut().sink_mut().queue);
+
+    let mut sw = SwUnit::packed(cores as usize);
+    let (mut diff, mut fused, mut tagged, mut traps) = (0u64, 0u64, 0u64, 0u64);
+    for t in &queue {
+        let body = sw
+            .admit(t)
+            .expect("clean link")
+            .expect("a queue delivers in order");
+        sw.visit_admitted(body, &mut |item: WireItemRef<'_>| {
+            match item {
+                WireItemRef::Diff { .. } => diff += 1,
+                WireItemRef::Fused { .. } => fused += 1,
+                WireItemRef::Tagged { event, .. } => {
+                    tagged += 1;
+                    traps += u64::from(event.kind() == EventKind::ArchEvent);
+                }
+                WireItemRef::Plain { .. } => {}
+            }
+            true
+        })
+        .expect("admitted bodies visit");
+    }
+    assert!(fused > 0 && diff > 0, "{fused} fused, {diff} diff");
+    assert!(
+        diff <= 8 * (fused + tagged + traps),
+        "{diff} diff items against {fused} fused, {tagged} tagged, {traps} trap entries"
+    );
 }

@@ -30,14 +30,24 @@ const ALL_BUGS: [BugKind; 19] = [
 ];
 
 fn detect(kind: BugKind, config: DiffConfig) -> (RunOutcome, Option<u64>) {
-    // The boot-like workload exercises every event class the bugs corrupt
-    // (traps, stores, CSRs, vector config, floating point, refills).
-    let workload = Workload::linux_boot().seed(13).iterations(400).build();
+    detect_in(13, &[8_000], kind, config)
+}
+
+/// Runs `kind` armed at each commit count of `triggers` on the boot-like
+/// program of `seed`, which exercises every event class the bugs corrupt
+/// (traps, stores, CSRs, vector config, floating point, refills).
+fn detect_in(
+    seed: u64,
+    triggers: &[u64],
+    kind: BugKind,
+    config: DiffConfig,
+) -> (RunOutcome, Option<u64>) {
+    let workload = Workload::linux_boot().seed(seed).iterations(400).build();
     let mut sim = CoSimulation::builder()
         .dut(DutConfig::xiangshan_minimal())
         .platform(Platform::palladium())
         .config(config)
-        .bugs(vec![BugSpec::new(kind, 8_000)])
+        .bugs(triggers.iter().map(|&at| BugSpec::new(kind, at)).collect())
         .max_cycles(250_000)
         .build(&workload)
         .expect("valid setup");
@@ -113,6 +123,24 @@ fn replay_localization_matches_unfused_detection() {
         assert_eq!(
             plain_seq, replay_seq,
             "{kind:?}: Replay localization diverges from the unfused stream"
+        );
+    }
+    // A program armed the way the benchmark's bug sweep arms it, twelve
+    // triggers 250 commits apart. Its trap-entry bugs (`MstatusMieLeak`)
+    // are visible only in the register state the handler starts with, so
+    // the squashed stream must still ship that state. Every bug the
+    // squashed stream can see is caught, at the unfused instruction.
+    let triggers: Vec<u64> = (0..12).map(|i| 8_000 + i * 250).collect();
+    for kind in ALL_BUGS {
+        if kind == BugKind::RedirectCorruption {
+            continue;
+        }
+        let (_, plain_seq) = detect_in(7006, &triggers, kind, DiffConfig::B);
+        let (outcome, replay_seq) = detect_in(7006, &triggers, kind, DiffConfig::BNSD);
+        assert_eq!(outcome, RunOutcome::Mismatch, "{kind:?} escaped on 7006");
+        assert_eq!(
+            plain_seq, replay_seq,
+            "{kind:?}: Replay localization diverges from the unfused stream on 7006"
         );
     }
 }
