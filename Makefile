@@ -58,7 +58,10 @@ ci: seam
 # The wire layer (proto/mux) has its own rules: it sits below every
 # runner (imports none of them), only the socket runner speaks it
 # in-process, and the difftest-serve crate builds on it exclusively (no
-# runner internals). The producer moves each event's payload once per
+# runner internals). There is one socket consumer loop, mux.rs's
+# serve_connection, which the one-shot runner and every daemon session
+# thread call: outside tests, no other core or serve source drives a
+# session step by step (names `MuxStep::`). The producer moves each event's payload once per
 # consumer of it: outside tests, retention, packing and the produce loop
 # never clone an event. Squash makes one deliberate copy on the send
 # path, the `clone_from` that refills a held state-dump slot (one such
@@ -118,6 +121,14 @@ seam:
 		exit 1; \
 	else \
 		echo "service seam clean: difftest-serve reaches no runner internals"; \
+	fi
+	@if for f in $(filter-out crates/core/src/mux.rs,$(wildcard crates/core/src/*.rs crates/serve/src/*.rs)); do \
+		sed -e '/^#\[cfg(test)\]/,$$d' $$f | grep -nE 'MuxStep::' | sed "s|^|$$f: |"; \
+	done | grep .; then \
+		echo "consumer-loop seam violated: only mux.rs's serve_connection steps a session"; \
+		exit 1; \
+	else \
+		echo "consumer-loop seam clean: one socket consumer loop, in mux.rs"; \
 	fi
 	@if for f in $(PRODUCER_SRCS); do \
 		sed -e '/^#\[cfg(test)\]/,$$d' -e '/^impl SquashSink for Vec<WireItem>/,/^}/d' $$f \

@@ -99,8 +99,3 @@ pub fn run(
 /// Default cycle budget for bench runs: long enough for representative
 /// event mixes, short enough to keep `cargo bench` minutes-scale.
 pub const BENCH_CYCLES: u64 = 150_000;
-
-/// Formats `ours` with the paper's reference value for the same cell.
-pub fn vs_paper(ours: String, paper: &str) -> String {
-    format!("{ours} (paper {paper})")
-}

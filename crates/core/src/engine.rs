@@ -267,11 +267,6 @@ impl RunReport {
         }
     }
 
-    /// Speedup of this run over another (e.g. over the baseline).
-    pub fn speedup_over(&self, other: &RunReport) -> f64 {
-        self.speed_hz / other.speed_hz
-    }
-
     /// Exports the run's statistics as named performance counters
     /// (paper §5 "performance evaluation support").
     pub fn counters(&self) -> difftest_stats::Counters {

@@ -301,11 +301,6 @@ impl FaultyLink {
             out.push(t);
         }
     }
-
-    /// Transfers currently held back for reordering.
-    pub fn held_transfers(&self) -> usize {
-        self.held.len()
-    }
 }
 
 /// Classification of a link failure for [`RunOutcome::LinkError`]

@@ -38,7 +38,8 @@
 //!   drives,
 //! - [`proto`]: the DTH wire protocol itself — typed handshake/frame/
 //!   result codecs with incremental, bounded-allocation decoding,
-//! - [`mux`]: push-driven consumer sessions over that protocol and the
+//! - [`mux`]: push-driven consumer sessions over that protocol, the one
+//!   socket consumer loop ([`serve_connection`]) and the
 //!   [`SessionRegistry`] a multi-session service accounts them in,
 //! - [`socket`]: the third runner — producer and consumer speaking
 //!   [`proto`] over a Unix-domain socket pair (or to a persistent
@@ -101,7 +102,10 @@ pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyLink, LinkErrorKind, Lin
 pub use link::{
     ChannelSink, ChannelSource, FusionWatch, LinkSink, LinkSource, QueueSink, SendLink,
 };
-pub use mux::{CloseReason, MuxStep, ProtoSession, SessionRegistry, SessionResult};
+pub use mux::{
+    serve_connection, CloseReason, Conn, MuxStep, ProtoSession, Served, SessionRegistry,
+    SessionResult,
+};
 pub use pool::{BufferPool, PoolStats, PooledBuf};
 pub use produce::{Producer, ProducerOutput};
 pub use proto::{ClientMsg, FrameDecoder, Hello, ProtoError, ServeAddr, SERVE_ADDR_ENV};

@@ -1,26 +1,32 @@
-//! Multiplex-ready sessions: one [`ProtoSession`] per client stream,
-//! drivable incrementally from partial frames, and a [`SessionRegistry`]
-//! that namespaces many of them behind one service.
+//! Consumer sessions over the DTH wire protocol: one [`ProtoSession`]
+//! per client stream, drivable incrementally from partial frames; the
+//! one socket consumer loop that drives it, [`serve_connection`]; and a
+//! [`SessionRegistry`] that accounts many of them behind one service.
 //!
-//! A daemon cannot block on any single connection, so this layer
-//! inverts control: bytes are *pushed* into a session as they arrive
-//! ([`ProtoSession::feed`]) — by the daemon's poll loop, or by the
-//! one-shot socket consumer's blocking reads — the embedded
-//! [`FrameDecoder`] surfaces whole messages, and each message advances
-//! the same `Consumer` state machine every runner drives. Both callers
-//! share these semantics:
+//! Bytes are *pushed* into a session as they arrive
+//! ([`ProtoSession::feed`]), the embedded [`FrameDecoder`] surfaces whole
+//! messages, and each message advances the same `Consumer` state machine
+//! every runner drives. [`serve_connection`] is the only code that reads
+//! a socket into a session: the one-shot socket runner calls it on its
+//! calling thread, and `difftest-serve` on one thread per accepted
+//! connection. Both therefore share these semantics:
 //!
+//! - the hello must decode within an absolute deadline; after it, reads
+//!   block without a timeout,
 //! - the kill knob fires *before* the n-th transfer is ingested,
 //! - an early consumer stop ([`MuxStep::Decided`]) seals the result
-//!   immediately (the caller half-closes its read side so the
-//!   producer's writes fail fast),
+//!   immediately and makes the producer's writes fail fast (Unix) or
+//!   drains them (TCP),
 //! - a post-hello codec error is treated as end-of-stream, and the
 //!   pipeline judges what the truncation means,
 //! - EOF without an end frame finishes the stream with an unknown
 //!   produced count (tail-loss attribution unchanged).
 
-use std::collections::HashMap;
+use std::io::{self, Read, Write};
+use std::net::{Shutdown, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use difftest_dut::DutConfig;
 use difftest_ref::Memory;
@@ -30,6 +36,9 @@ use difftest_stats::{wall_epoch_ns, GaugeId, Metrics, MonotonicClock, SpanSink, 
 use crate::consume::{Consumer, ConsumerOutput, NoCharge, Step};
 use crate::proto::{write_result, ClientMsg, FrameDecoder, Hello, ProtoError};
 use crate::session::Session;
+
+/// How many bytes one read of [`serve_connection`] hands to its session.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Where a session stands after a [`ProtoSession::feed`] / `eof` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,7 +292,8 @@ pub enum CloseReason {
     Rejected,
     /// No hello within the service's deadline; connection dropped.
     HelloTimeout,
-    /// The peer vanished mid-stream (read or result-write failure).
+    /// The peer vanished before a result was sealed (EOF before the
+    /// hello, or a read error).
     ProducerLost,
 }
 
@@ -301,15 +311,179 @@ impl CloseReason {
     }
 }
 
-/// Many concurrent [`ProtoSession`]s keyed by session id, plus the
-/// service-level metrics registry (`serve.sessions.*` lifecycle
-/// counters, the `serve.sessions.active` gauge and its high-water
-/// mark). The service owns connection-level counters; everything
-/// session-lifecycle lives here so in-process embedders (tests, the
-/// example) and the daemon binary account identically.
+/// Either transport a DTH byte stream runs over.
+#[derive(Debug)]
+pub enum Conn {
+    /// A Unix-domain stream: the one-shot pair, or a daemon's Unix
+    /// listener.
+    Unix(UnixStream),
+    /// A TCP stream to or from a daemon.
+    Tcp(TcpStream),
+}
+
+impl Conn {
+    /// A second handle on the same socket.
+    pub fn try_clone(&self) -> io::Result<Conn> {
+        match self {
+            Conn::Unix(s) => s.try_clone().map(Conn::Unix),
+            Conn::Tcp(s) => s.try_clone().map(Conn::Tcp),
+        }
+    }
+
+    /// Shuts down the read half, the write half, or both.
+    pub fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+        match self {
+            Conn::Unix(s) => s.shutdown(how),
+            Conn::Tcp(s) => s.shutdown(how),
+        }
+    }
+
+    /// Bounds every later read by `dur` (`None`: block indefinitely).
+    pub fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+        match self {
+            Conn::Unix(s) => s.set_read_timeout(dur),
+            Conn::Tcp(s) => s.set_read_timeout(dur),
+        }
+    }
+}
+
+impl Read for Conn {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self {
+            Conn::Unix(s) => s.read(buf),
+            Conn::Tcp(s) => s.read(buf),
+        }
+    }
+}
+
+impl Write for Conn {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            Conn::Unix(s) => s.write(buf),
+            Conn::Tcp(s) => s.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            Conn::Unix(s) => s.flush(),
+            Conn::Tcp(s) => s.flush(),
+        }
+    }
+}
+
+/// How one connection ended, for the caller's accounting.
+#[derive(Debug)]
+pub struct Served {
+    /// Why the session closed.
+    pub reason: CloseReason,
+    /// The sealed result (`Finished` and `EarlyStop` only).
+    pub result: Option<SessionResult>,
+    /// Whether the result blob was written back in full.
+    pub delivered: bool,
+    /// Bytes read off the connection, drained ones included.
+    pub bytes_read: u64,
+}
+
+/// The one socket consumer loop: drives a [`ProtoSession`] off `conn`
+/// with blocking reads until it closes, then writes the result blob
+/// back.
+///
+/// The hello must decode within `hello_within` of the call. That is an
+/// absolute deadline, so a peer dribbling bytes cannot hold a session
+/// open; after the hello, reads block without a timeout (the producer
+/// may compute for a long time between frames). An early stop over Unix
+/// half-closes the read side and then delivers, so the producer's next
+/// frame write fails with EPIPE. Over TCP, closing with unread inbound
+/// data would reset the connection and lose the blob, so the loop
+/// delivers first and then discards inbound bytes until the producer's
+/// EOF. Returning drops `conn`; for a killed or rejected session that
+/// close is all the producer sees.
+pub fn serve_connection(mut conn: Conn, hello_within: Duration) -> Served {
+    let deadline = Instant::now() + hello_within;
+    let mut sess = ProtoSession::new();
+    let mut buf = [0u8; READ_CHUNK];
+    let mut bytes_read = 0u64;
+    let mut awaiting_hello = true;
+    let reason = loop {
+        if awaiting_hello {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+                break CloseReason::HelloTimeout;
+            }
+        }
+        let step = match conn.read(&mut buf) {
+            Ok(0) => sess.eof(),
+            Ok(n) => {
+                bytes_read += n as u64;
+                match sess.feed(&buf[..n]) {
+                    Ok(step) => step,
+                    Err(_) => break CloseReason::Rejected,
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e)
+                if awaiting_hello
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+            {
+                break CloseReason::HelloTimeout
+            }
+            Err(_) => break CloseReason::ProducerLost,
+        };
+        if awaiting_hello && sess.hello_seen() {
+            awaiting_hello = false;
+            let _ = conn.set_read_timeout(None);
+        }
+        match step {
+            MuxStep::Running => {}
+            MuxStep::Finished => break CloseReason::Finished,
+            MuxStep::Decided => break CloseReason::EarlyStop,
+            MuxStep::Killed => break CloseReason::Killed,
+            // EOF before the hello: nothing to report.
+            MuxStep::NoSession => break CloseReason::ProducerLost,
+        }
+    };
+    let result = sess.take_result();
+    let early = reason == CloseReason::EarlyStop;
+    let unix = matches!(conn, Conn::Unix(_));
+    if early && unix {
+        let _ = conn.shutdown(Shutdown::Read);
+    }
+    let delivered = result.as_ref().is_some_and(|res| {
+        conn.write_all(&res.blob)
+            .and_then(|()| conn.flush())
+            .is_ok()
+    });
+    if early && !unix {
+        loop {
+            match conn.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => bytes_read += n as u64,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break,
+            }
+        }
+    }
+    Served {
+        reason,
+        result,
+        delivered,
+        bytes_read,
+    }
+}
+
+/// Lifecycle accounting for the sessions of one service: session ids
+/// plus the service-level metrics registry (`serve.sessions.*` lifecycle
+/// counters, the `serve.sessions.active` gauge and its high-water mark).
+/// The sessions themselves live with whoever runs [`serve_connection`];
+/// everything session-lifecycle is counted here so in-process embedders
+/// (tests, the example) and the daemon binary account identically.
 pub struct SessionRegistry {
     next_id: u64,
-    sessions: HashMap<u64, ProtoSession>,
+    active: usize,
     metrics: Metrics,
     g_active: GaugeId,
     g_active_max: GaugeId,
@@ -329,7 +503,7 @@ impl SessionRegistry {
         let g_active_max = metrics.register_gauge("serve.sessions.active.max");
         SessionRegistry {
             next_id: 0,
-            sessions: HashMap::new(),
+            active: 0,
             metrics,
             g_active,
             g_active_max,
@@ -341,45 +515,28 @@ impl SessionRegistry {
     /// `serve.s<id>`).
     pub fn open(&mut self) -> u64 {
         self.next_id += 1;
-        let id = self.next_id;
-        self.sessions.insert(id, ProtoSession::new());
+        self.active += 1;
         self.metrics.counters.add("serve.sessions.opened", 1);
-        let active = self.sessions.len() as u64;
-        self.metrics.set(self.g_active, active);
-        self.metrics.set_max(self.g_active_max, active);
-        id
-    }
-
-    /// The session with this id, while it is open.
-    pub fn session(&mut self, id: u64) -> Option<&mut ProtoSession> {
-        self.sessions.get_mut(&id)
+        self.metrics.set(self.g_active, self.active as u64);
+        self.metrics.set_max(self.g_active_max, self.active as u64);
+        self.next_id
     }
 
     /// Closes a session: updates lifecycle counters and the active
-    /// gauge, folds the session's volume into the service totals, and
-    /// hands back the sealed result (when the session produced one) so
-    /// the caller can deliver the blob and export per-session metrics.
-    pub fn close(&mut self, id: u64, reason: CloseReason) -> Option<SessionResult> {
-        let mut sess = self.sessions.remove(&id)?;
-        self.metrics.set(self.g_active, self.sessions.len() as u64);
+    /// gauge, and folds the sealed result's volume (when the session
+    /// produced one) into the service totals.
+    pub fn close(&mut self, reason: CloseReason, result: Option<&SessionResult>) {
+        self.active = self.active.saturating_sub(1);
+        self.metrics.set(self.g_active, self.active as u64);
         self.metrics.counters.add(reason.counter(), 1);
-        let result = sess.take_result();
-        if let Some(res) = &result {
+        if let Some(res) = result {
             self.metrics.counters.add("serve.items", res.output.items);
         }
-        result
     }
 
     /// Open sessions right now.
     pub fn active(&self) -> usize {
-        self.sessions.len()
-    }
-
-    /// Session ids currently open (sorted, for deterministic polling).
-    pub fn ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.sessions.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.active
     }
 
     /// The service-level metrics registry.
@@ -398,7 +555,7 @@ impl SessionRegistry {
 mod tests {
     use super::*;
     use crate::link::QueueSink;
-    use crate::proto::{write_end_frame, write_hello, write_transfer_frame};
+    use crate::proto::{read_result, write_end_frame, write_hello, write_transfer_frame};
     use crate::session::DiffConfig;
     use crate::session::RunOutcome;
     use difftest_workload::Workload;
@@ -461,16 +618,19 @@ mod tests {
     #[test]
     fn registry_tracks_lifecycle_counters() {
         let mut reg = SessionRegistry::new();
-        let a = reg.open();
-        let b = reg.open();
+        reg.open();
+        reg.open();
         assert_eq!(reg.active(), 2);
         assert_eq!(reg.metrics().gauge("serve.sessions.active.max"), 2);
 
         let (bytes, _) = stream_for(3);
-        let step = reg.session(a).unwrap().feed(&bytes).unwrap();
+        let mut sess = ProtoSession::new();
+        let step = sess.feed(&bytes).unwrap();
         assert_eq!(step, MuxStep::Finished);
-        assert!(reg.close(a, CloseReason::Finished).is_some());
-        assert!(reg.close(b, CloseReason::HelloTimeout).is_none());
+        let res = sess.take_result();
+        assert!(res.is_some());
+        reg.close(CloseReason::Finished, res.as_ref());
+        reg.close(CloseReason::HelloTimeout, None);
         assert_eq!(reg.active(), 0);
         let m = reg.metrics();
         assert_eq!(m.counters.get("serve.sessions.opened"), 2);
@@ -478,6 +638,76 @@ mod tests {
         assert_eq!(m.counters.get("serve.sessions.hello_timeout"), 1);
         assert_eq!(m.gauge("serve.sessions.active"), 0);
         assert!(m.counters.get("serve.items") > 0);
+    }
+
+    /// A one-word program's hello: enough to open a session.
+    fn tiny_hello() -> Hello {
+        Hello {
+            config: DiffConfig::BNSD,
+            cores: 1,
+            kill_after: 0,
+            trace: false,
+            epoch_wall_ns: 0,
+            words: vec![0x13; 16],
+        }
+    }
+
+    /// A transfer whose payload fails CRC admission: ingesting it
+    /// decides the run.
+    fn garbage_transfer(len: usize) -> crate::transport::Transfer {
+        crate::transport::Transfer {
+            bytes: crate::pool::PooledBuf::detached(vec![0xA5; len]),
+            core: 0,
+            invokes: 1,
+            items: 1,
+        }
+    }
+
+    #[test]
+    fn early_stop_on_unix_fails_the_next_write_and_still_delivers() {
+        let (mut ours, theirs) = UnixStream::pair().unwrap();
+        // Kept open so the consumer's close cannot turn the failed write
+        // below into a connection reset: only its half-close is seen.
+        let _held = theirs.try_clone().unwrap();
+        let consumer = std::thread::spawn(move || {
+            serve_connection(Conn::Unix(theirs), Duration::from_secs(10))
+        });
+        write_hello(&mut ours, &tiny_hello()).unwrap();
+        // 16 MiB of frames: far more than the socket buffers, so a
+        // consumer that keeps reading after its stop would take them all.
+        let frame = garbage_transfer(4096);
+        let err = (0..4096).find_map(|_| write_transfer_frame(&mut ours, &frame).err());
+        let _ = ours.shutdown(Shutdown::Write);
+        let res = read_result(&mut ours).unwrap();
+        let served = consumer.join().unwrap();
+        assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::BrokenPipe));
+        assert_eq!(served.reason, CloseReason::EarlyStop);
+        assert!(served.delivered);
+        assert!(res.link_error.is_some());
+    }
+
+    #[test]
+    fn hello_deadline_is_absolute() {
+        let (mut ours, theirs) = UnixStream::pair().unwrap();
+        let consumer = std::thread::spawn(move || {
+            let start = Instant::now();
+            let served = serve_connection(Conn::Unix(theirs), Duration::from_millis(100));
+            (served, start.elapsed())
+        });
+        let mut hello = Vec::new();
+        write_hello(&mut hello, &tiny_hello()).unwrap();
+        // One byte every 20 ms, never the whole hello: each read is well
+        // inside 100 ms, the hello as a whole is not.
+        for b in &hello[..hello.len() - 1] {
+            if consumer.is_finished() || ours.write_all(&[*b]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        let (served, took) = consumer.join().unwrap();
+        assert_eq!(served.reason, CloseReason::HelloTimeout);
+        assert!(served.result.is_none());
+        assert!(took < Duration::from_millis(300), "closed after {took:?}");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! The socket runner buried this format in its own module; extracting
 //! it lets every transport speak the same bytes — the one-shot
-//! [`crate::socket`] runner (spawn a consumer child per run) and the
-//! persistent `difftest-serve` daemon (many concurrent sessions over
-//! one poll loop) are both thin clients of this module.
+//! [`crate::socket`] runner (a consumer thread per run) and the
+//! persistent `difftest-serve` daemon (a thread per concurrent session)
+//! are both thin clients of this module.
 //!
 //! # Wire format
 //!
@@ -81,7 +81,7 @@ const HELLO_HEADER: usize = 4 + 1 + 1 + 4 + 4 + 1 + 8 + 4;
 const TRANSFER_HEADER: usize = 1 + 1 + 4 + 4;
 
 /// Environment variable naming an external daemon for the socket runner
-/// to connect to instead of spawning a consumer child
+/// to connect to instead of pairing with an in-process consumer
 /// (`unix:<path>` or `tcp:<host:port>`, see [`ServeAddr`]).
 pub const SERVE_ADDR_ENV: &str = "DIFFTEST_SERVE_ADDR";
 

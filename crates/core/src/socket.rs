@@ -7,21 +7,21 @@
 //! arrangements exist, both speaking the same protocol module:
 //!
 //! - **one-shot pair** (the default): `UnixStream::pair()` joins the
-//!   producer, on a scoped thread, to a consumer loop on the calling
-//!   thread — real kernel-socket bytes and socket-buffer backpressure,
-//!   one process;
+//!   producer, on a scoped thread, to the consumer loop
+//!   ([`serve_connection`]) on the calling thread — real kernel-socket
+//!   bytes and socket-buffer backpressure, one process;
 //! - **external daemon**: with `DIFFTEST_SERVE_ADDR=unix:<path>` or
 //!   `tcp:<host:port>` set (or an explicit address passed to
 //!   [`run_socket_session`]), the producer connects to a persistent
-//!   `difftest-serve` process multiplexing many concurrent sessions
-//!   (see the `difftest-serve` crate). This is the arrangement for
-//!   process isolation.
+//!   `difftest-serve` process running that same loop for many
+//!   concurrent sessions (see the `difftest-serve` crate). This is the
+//!   arrangement for process isolation.
 //!
 //! Either way the producer streams frames and reads back a serialized
 //! verdict; both sides are the same shared pipeline — the [`Session`]'s
 //! [`Producer`](crate::produce::Producer) over a frame-writing sink here,
-//! a [`ProtoSession`] state machine on the consumer — so verdicts are
-//! identical to the in-process runners.
+//! [`serve_connection`] on the consumer — so verdicts are identical to
+//! the in-process runners.
 //!
 //! Failure semantics: consumer death mid-run (EPIPE on the frame stream,
 //! EOF or a short read on the result blob) surfaces as a typed
@@ -40,7 +40,7 @@
 // layer) — never on another runner's internals (enforced by `make ci`'s
 // grep).
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::thread;
@@ -50,7 +50,7 @@ use difftest_stats::{FlightKind, FlightRecord, FlightRecorder, Metrics, PhaseTim
 
 use crate::fault::{LinkErrorKind, LinkStats};
 use crate::link::LinkSink;
-use crate::mux::{MuxStep, ProtoSession};
+use crate::mux::{serve_connection, Conn};
 use crate::proto::{
     read_result, write_end_frame, write_hello, write_transfer_frame, Hello, ServeAddr,
     SERVE_ADDR_ENV,
@@ -60,9 +60,10 @@ use crate::transport::Transfer;
 
 /// How long connecting to a daemon may take.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
-/// How long the consumer waits for the handshake before concluding the
-/// peer is dead. Applied only until the hello decodes — mid-run reads
-/// may legitimately block while the producer computes between frames.
+/// How long the one-shot consumer waits for the handshake before
+/// concluding the peer is dead. Applied only until the hello decodes —
+/// mid-run reads may legitimately block while the producer computes
+/// between frames.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long the producer waits for the result blob after its end frame.
 /// The consumer is at most one socket buffer behind, so a healthy peer
@@ -153,9 +154,8 @@ fn run_paired(
 ) -> Result<SocketReport, LinkErrorKind> {
     let (ours, theirs) = UnixStream::pair().map_err(|_| LinkErrorKind::Malformed)?;
     thread::scope(|s| {
-        let producer =
-            s.spawn(move || run_producer(session, tuning, start, ConnStream::Unix(ours)));
-        consume(theirs);
+        let producer = s.spawn(move || run_producer(session, tuning, start, Conn::Unix(ours)));
+        serve_connection(Conn::Unix(theirs), HANDSHAKE_TIMEOUT);
         producer
             .join()
             .unwrap_or_else(|p| std::panic::resume_unwind(p))
@@ -188,68 +188,11 @@ fn setup_failure_report(start: Instant, kind: LinkErrorKind) -> SocketReport {
     }
 }
 
-/// Either transport the producer can speak, behind one Read/Write face.
-enum ConnStream {
-    /// A Unix-domain stream (the one-shot pair, or a daemon's unix
-    /// listener).
-    Unix(UnixStream),
-    /// A TCP stream to a daemon.
-    Tcp(TcpStream),
-}
-
-impl ConnStream {
-    fn try_clone(&self) -> io::Result<ConnStream> {
-        match self {
-            ConnStream::Unix(s) => s.try_clone().map(ConnStream::Unix),
-            ConnStream::Tcp(s) => s.try_clone().map(ConnStream::Tcp),
-        }
-    }
-
-    fn shutdown(&self, how: Shutdown) -> io::Result<()> {
-        match self {
-            ConnStream::Unix(s) => s.shutdown(how),
-            ConnStream::Tcp(s) => s.shutdown(how),
-        }
-    }
-
-    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
-        match self {
-            ConnStream::Unix(s) => s.set_read_timeout(dur),
-            ConnStream::Tcp(s) => s.set_read_timeout(dur),
-        }
-    }
-}
-
-impl Read for ConnStream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ConnStream::Unix(s) => s.read(buf),
-            ConnStream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ConnStream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ConnStream::Unix(s) => s.write(buf),
-            ConnStream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ConnStream::Unix(s) => s.flush(),
-            ConnStream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// Connects to an external daemon.
-fn connect_remote(addr: &ServeAddr) -> Result<ConnStream, LinkErrorKind> {
+fn connect_remote(addr: &ServeAddr) -> Result<Conn, LinkErrorKind> {
     match addr {
         ServeAddr::Unix(path) => UnixStream::connect(path)
-            .map(ConnStream::Unix)
+            .map(Conn::Unix)
             .map_err(|_| LinkErrorKind::Gap),
         ServeAddr::Tcp(spec) => {
             let sa = spec
@@ -262,7 +205,7 @@ fn connect_remote(addr: &ServeAddr) -> Result<ConnStream, LinkErrorKind> {
             // Frames are latency-sensitive and already batched; never
             // let Nagle hold them back.
             let _ = stream.set_nodelay(true);
-            Ok(ConnStream::Tcp(stream))
+            Ok(Conn::Tcp(stream))
         }
     }
 }
@@ -284,7 +227,7 @@ fn run_producer(
     session: &Session,
     tuning: SocketTuning,
     start: Instant,
-    stream: ConnStream,
+    stream: Conn,
 ) -> Result<SocketReport, LinkErrorKind> {
     let writer = stream.try_clone().map_err(|_| LinkErrorKind::Malformed)?;
     let mut sink = StreamSink {
@@ -411,67 +354,4 @@ fn run_producer(
         common,
         wall_s,
     })
-}
-
-/// The one-shot consumer: drives one [`ProtoSession`] off its end of the
-/// pair with blocking reads, then writes the verdict back. Every early
-/// return is a consumer death as the producer sees it: dropping the
-/// stream closes this end, so its frame writes fail with EPIPE and its
-/// result read hits EOF.
-fn consume(stream: UnixStream) {
-    // A dead or wedged peer must not hang setup forever: bounded reads
-    // until the handshake decodes, unbounded after (the producer may
-    // legitimately compute for a long time between frames).
-    if stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).is_err() {
-        return;
-    }
-    let mut sess = ProtoSession::new();
-    let mut buf = [0u8; 64 * 1024];
-    let mut hello_handled = false;
-    loop {
-        let step = match (&stream).read(&mut buf) {
-            Ok(0) => sess.eof(),
-            Ok(n) => match sess.feed(&buf[..n]) {
-                Ok(step) => step,
-                // Pre-hello protocol violation: nothing to report.
-                Err(_) => return,
-            },
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            // Handshake never arrived within the deadline.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                return
-            }
-            // Peer vanished: decide with what arrived (the result write
-            // below will usually fail, which is fine).
-            Err(_) => sess.eof(),
-        };
-        match step {
-            MuxStep::Running => {
-                if !hello_handled && sess.hello_seen() {
-                    hello_handled = true;
-                    let _ = stream.set_read_timeout(None);
-                }
-            }
-            // The tuning knob (die abruptly mid-stream, exercising the
-            // producer's EPIPE/short-result handling), or a stream that
-            // ended before its hello: nothing to report.
-            MuxStep::Killed | MuxStep::NoSession => return,
-            MuxStep::Decided => {
-                // Early stop (mismatch/trap decided the run): half-close
-                // the read side so the producer's blocked frame writes
-                // fail with EPIPE instead of stuffing a dead pipe.
-                let _ = stream.shutdown(Shutdown::Read);
-                break;
-            }
-            MuxStep::Finished => break,
-        }
-    }
-    if let Some(res) = sess.take_result() {
-        let _ = (&stream).write_all(&res.blob);
-    }
 }

@@ -172,11 +172,6 @@ impl DutCore {
         self.seq
     }
 
-    /// Returns `true` once any injected bug has fired.
-    pub fn bugs_fired(&self) -> bool {
-        self.injector.any_fired()
-    }
-
     /// Runs cycle `out.cycle`, capturing its events through the monitor
     /// port. Returns the number of instructions committed.
     pub fn tick(&mut self, out: &mut MonitorPort<'_>) -> u32 {

@@ -1,6 +1,6 @@
 //! The multi-core design under test with its monitor wrapper.
 
-use difftest_event::{MonitoredEvent, TrapEvent};
+use difftest_event::MonitoredEvent;
 use difftest_ref::Memory;
 
 use crate::bugs::{BugInjector, BugSpec};
@@ -178,13 +178,5 @@ impl Dut {
         } else {
             self.total_commits as f64 / (self.cycle as f64 * self.cores.len() as f64)
         }
-    }
-}
-
-/// Convenience: the terminating trap of core `core`, if halted.
-impl Dut {
-    /// The trap event of the given core, once halted.
-    pub fn trap_of(&self, core: usize) -> Option<&TrapEvent> {
-        self.cores.get(core).and_then(|c| c.halt())
     }
 }

@@ -58,11 +58,6 @@ impl Journal {
         self.enabled = enabled;
     }
 
-    /// Returns `true` when recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records a mutation's old value (no-op while disabled).
     #[inline]
     pub fn record(&mut self, entry: JournalEntry) {

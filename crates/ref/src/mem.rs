@@ -124,13 +124,6 @@ impl Memory {
         }
     }
 
-    /// Loads raw bytes starting at `base`.
-    pub fn load_bytes(&mut self, base: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(base + i as u64, *b);
-        }
-    }
-
     /// Number of resident (allocated) pages; used by tests and stats.
     pub fn resident_pages(&self) -> usize {
         self.pages.len()

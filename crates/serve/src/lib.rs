@@ -1,26 +1,28 @@
-//! The persistent verification daemon: one consumer service multiplexing
+//! The persistent verification daemon: one consumer service serving
 //! many concurrent producer sessions over the DTH wire protocol.
 //!
-//! The one-shot socket runner pays a process spawn, a handshake and a
-//! teardown per run. This crate keeps the consumer side resident: a
-//! single-threaded poll loop accepts producer connections on a
-//! Unix-domain and/or TCP listener, drives one
-//! [`ProtoSession`](difftest_core::ProtoSession) per connection from
-//! whatever bytes have arrived, and writes each session's DTHR result
-//! blob back on its own connection. Producers are the unmodified socket
-//! runner pointed at the daemon (`DIFFTEST_SERVE_ADDR` or an address
-//! passed to [`run_socket_session`](difftest_core::run_socket_session));
-//! verdicts are byte-identical to the spawned-child arrangement because both
-//! sides share the same protocol and consumer pipeline.
+//! The one-shot socket runner builds a consumer inside each run. This
+//! crate keeps the consumer side resident: an accept thread polls a
+//! Unix-domain and/or TCP listener and hands every producer connection
+//! to a thread of its own, which runs the one socket consumer loop
+//! ([`serve_connection`](difftest_core::serve_connection)) the one-shot
+//! runner runs too, and writes the session's DTHR result blob back on
+//! its connection. Producers are the unmodified socket runner pointed at
+//! the daemon (`DIFFTEST_SERVE_ADDR` or an address passed to
+//! [`run_socket_session`](difftest_core::run_socket_session)); verdicts
+//! are byte-identical to the one-shot arrangement because both share
+//! the same protocol, loop and consumer pipeline.
 //!
 //! # Backpressure
 //!
-//! The loop reads at most [`ServeConfig::read_budget`] bytes per
-//! connection per poll round and never buffers beyond the frame
-//! decoder's current frame. A producer that outruns the service simply
-//! fills the kernel socket buffer and stalls in its blocking frame
-//! writes — producer-visible backoff with bounded daemon memory, the
-//! same flow control the one-shot runner gets from a busy child.
+//! Each session thread reads as fast as its own session checks and
+//! never buffers beyond the frame decoder's current frame. A producer
+//! that outruns its session fills the kernel socket buffer and stalls in
+//! its blocking frame writes — producer-visible backoff with bounded
+//! daemon memory, the same flow control the one-shot runner gets. A slow
+//! session stalls only its own producer. At most
+//! [`ServeConfig::max_sessions`] run at once; further connections wait
+//! in the kernel accept backlog.
 //!
 //! # Drain
 //!
@@ -35,16 +37,22 @@
 // dropped connections, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread;
+use std::time::Duration;
 
-use difftest_core::{CloseReason, MuxStep, ServeAddr, SessionRegistry};
+use difftest_core::{serve_connection, CloseReason, Conn, ServeAddr, Served, SessionRegistry};
 use difftest_stats::{export_to_env, Metrics};
+
+/// How long the accept thread sleeps when no connection is pending
+/// (or the service is at capacity) before polling its listeners and the
+/// shutdown flag again.
+const ACCEPT_POLL: Duration = Duration::from_micros(500);
 
 /// Tuning for one service instance.
 #[derive(Debug, Clone)]
@@ -57,16 +65,10 @@ pub struct ServeConfig {
     /// Maximum concurrent producer connections; excess connections wait
     /// in the kernel accept backlog.
     pub max_sessions: usize,
-    /// Read budget per connection per poll round, in bytes. This is the
-    /// backpressure knob: smaller budgets make the daemon rotate between
-    /// sessions more fairly and push slow-consumer stalls back into the
-    /// producers sooner.
-    pub read_budget: usize,
-    /// How long a fresh connection may sit without a decodable
-    /// handshake before it is dropped (`serve.sessions.hello_timeout`).
+    /// How long a fresh connection may take to deliver a decodable
+    /// handshake, counted from accept, before it is dropped
+    /// (`serve.sessions.hello_timeout`).
     pub hello_timeout: Duration,
-    /// Sleep between poll rounds that made no progress.
-    pub idle_sleep: Duration,
 }
 
 impl Default for ServeConfig {
@@ -75,9 +77,7 @@ impl Default for ServeConfig {
             unix_path: None,
             tcp_addr: None,
             max_sessions: 64,
-            read_budget: 256 * 1024,
             hello_timeout: Duration::from_secs(10),
-            idle_sleep: Duration::from_micros(500),
         }
     }
 }
@@ -161,113 +161,58 @@ impl ServeSummary {
     }
 }
 
-/// Either transport a producer connection arrived on.
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Stream {
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_nonblocking(nb),
-            Stream::Tcp(s) => s.set_nonblocking(nb),
-        }
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-/// One producer connection and its session binding.
-struct Conn {
-    stream: Stream,
-    sid: u64,
-    opened: Instant,
-    /// After an early stop the result is already delivered but the
-    /// producer may still be writing frames; keep reading and
-    /// discarding until EOF so a TCP close cannot RST the result blob
-    /// out from under the peer.
-    discard: bool,
-}
-
-/// What a poll round decided about one connection.
-enum Fate {
-    Keep(bool),
-    Drop(bool),
-}
-
-/// Runs the service loop until `shutdown` is observed **and** every
+/// Runs the service until `shutdown` is observed **and** every
 /// in-flight session has drained. Returns the final accounting; also
 /// exports it (and a per-session export as each session closes) through
 /// `DIFFTEST_OBS` when that is set.
 ///
+/// The calling thread accepts, in connect order, and opens each session
+/// in the registry before handing its connection to a session thread;
+/// that thread does the rest of the accounting when the session closes.
+///
 /// # Errors
 ///
 /// Only setup-shaped failures (none today) — peer misbehavior never
-/// errors the loop; it is counted and the connection dropped.
+/// errors the service; it is counted and the connection dropped.
 pub fn serve(bound: Bound, shutdown: &AtomicBool) -> io::Result<ServeSummary> {
-    let cfg = bound.cfg.clone();
-    let mut reg = SessionRegistry::new();
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut buf = vec![0u8; 64 * 1024];
-    let mut draining = false;
-    loop {
-        let mut progress = false;
-        if !draining && shutdown.load(Ordering::SeqCst) {
-            draining = true;
-            reg.metrics_mut().counters.add("serve.drains", 1);
-        }
-        if !draining {
-            progress |= accept_round(&bound, &mut reg, &mut conns, &cfg);
-        }
-        let mut i = 0;
-        while i < conns.len() {
-            match pump_conn(&mut conns[i], &mut reg, &cfg, &mut buf) {
-                Fate::Keep(p) => {
-                    progress |= p;
-                    i += 1;
-                }
-                Fate::Drop(p) => {
-                    progress |= p;
-                    conns.swap_remove(i);
-                }
+    let hello_timeout = bound.cfg.hello_timeout;
+    let reg = &Mutex::new(SessionRegistry::new());
+    thread::scope(|s| {
+        while !shutdown.load(Ordering::SeqCst) {
+            let pending = if lock(reg).active() < bound.cfg.max_sessions {
+                accept(&bound)
+            } else {
+                None
+            };
+            let Some((conn, transport)) = pending else {
+                thread::sleep(ACCEPT_POLL);
+                continue;
+            };
+            let sid = {
+                let mut reg = lock(reg);
+                let sid = reg.open();
+                reg.metrics_mut().counters.add("serve.conns.accepted", 1);
+                reg.metrics_mut().counters.add(transport, 1);
+                sid
+            };
+            let spawned = thread::Builder::new()
+                .name(format!("difftest-serve-s{sid}"))
+                .spawn_scoped(s, move || {
+                    close(reg, sid, serve_connection(conn, hello_timeout));
+                });
+            if spawned.is_err() {
+                // No thread to serve it on: the connection was dropped
+                // with the failed spawn.
+                lock(reg).close(CloseReason::Rejected, None);
             }
         }
-        if draining && conns.is_empty() {
-            break;
-        }
-        if !progress {
-            std::thread::sleep(cfg.idle_sleep);
-        }
-    }
+        lock(reg).metrics_mut().counters.add("serve.drains", 1);
+    });
     if let Some(path) = &bound.unix_path {
         let _ = std::fs::remove_file(path);
     }
     let summary = ServeSummary {
-        metrics: reg.metrics().clone(),
+        metrics: lock(reg).metrics().clone(),
     };
     if let Err(e) = export_to_env("serve", &summary.metrics, None) {
         eprintln!(
@@ -278,175 +223,39 @@ pub fn serve(bound: Bound, shutdown: &AtomicBool) -> io::Result<ServeSummary> {
     Ok(summary)
 }
 
-/// Accepts whatever is pending on both listeners, up to capacity.
-fn accept_round(
-    bound: &Bound,
-    reg: &mut SessionRegistry,
-    conns: &mut Vec<Conn>,
-    cfg: &ServeConfig,
-) -> bool {
-    let mut progress = false;
-    if let Some(l) = &bound.unix {
-        while conns.len() < cfg.max_sessions {
-            match l.accept() {
-                Ok((s, _)) => {
-                    if s.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    progress = true;
-                    admit(reg, conns, Stream::Unix(s), "serve.conns.unix");
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
+/// Takes one pending connection off either listener, as a blocking
+/// [`Conn`] plus the counter naming its transport.
+fn accept(bound: &Bound) -> Option<(Conn, &'static str)> {
+    // The listeners are nonblocking, and BSD and macOS hand that flag
+    // on to accepted streams: clear it, the session loop blocks.
+    if let Some((s, _)) = bound.unix.as_ref().and_then(|l| l.accept().ok()) {
+        return s
+            .set_nonblocking(false)
+            .ok()
+            .map(|()| (Conn::Unix(s), "serve.conns.unix"));
     }
-    if let Some(l) = &bound.tcp {
-        while conns.len() < cfg.max_sessions {
-            match l.accept() {
-                Ok((s, _)) => {
-                    if s.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    // Result blobs and backpressure care about latency,
-                    // not about coalescing tiny segments.
-                    let _ = s.set_nodelay(true);
-                    progress = true;
-                    admit(reg, conns, Stream::Tcp(s), "serve.conns.tcp");
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    }
-    progress
+    let (s, _) = bound.tcp.as_ref()?.accept().ok()?;
+    // Result blobs and backpressure care about latency, not about
+    // coalescing tiny segments.
+    let _ = s.set_nodelay(true);
+    s.set_nonblocking(false)
+        .ok()
+        .map(|()| (Conn::Tcp(s), "serve.conns.tcp"))
 }
 
-fn admit(
-    reg: &mut SessionRegistry,
-    conns: &mut Vec<Conn>,
-    stream: Stream,
-    transport: &'static str,
-) {
-    let sid = reg.open();
-    reg.metrics_mut().counters.add("serve.conns.accepted", 1);
-    reg.metrics_mut().counters.add(transport, 1);
-    conns.push(Conn {
-        stream,
-        sid,
-        opened: Instant::now(),
-        discard: false,
-    });
-}
-
-/// Reads up to the round's budget from one connection and advances its
-/// session, handling every terminal step.
-fn pump_conn(
-    conn: &mut Conn,
-    reg: &mut SessionRegistry,
-    cfg: &ServeConfig,
-    buf: &mut [u8],
-) -> Fate {
-    let mut progress = false;
-    let mut spent = 0usize;
-    while spent < cfg.read_budget {
-        match conn.stream.read(buf) {
-            Ok(0) => {
-                if conn.discard {
-                    return Fate::Drop(true);
-                }
-                let step = match reg.session(conn.sid) {
-                    Some(s) => s.eof(),
-                    None => return Fate::Drop(true),
-                };
-                return match step {
-                    // EOF is how a clean stream ends when the end frame
-                    // was lost, and how an early-stopped stream ends
-                    // after the producer notices EPIPE; both sealed a
-                    // result to deliver.
-                    MuxStep::Finished | MuxStep::Decided => {
-                        close_deliver(conn, reg, CloseReason::Finished);
-                        Fate::Drop(true)
-                    }
-                    _ => {
-                        reg.close(conn.sid, CloseReason::ProducerLost);
-                        Fate::Drop(true)
-                    }
-                };
-            }
-            Ok(n) => {
-                progress = true;
-                spent += n;
-                reg.metrics_mut().counters.add("serve.bytes.read", n as u64);
-                if conn.discard {
-                    continue;
-                }
-                let step = match reg.session(conn.sid) {
-                    Some(s) => s.feed(&buf[..n]),
-                    None => return Fate::Drop(true),
-                };
-                match step {
-                    Ok(MuxStep::Running) => {}
-                    Ok(MuxStep::Finished) => {
-                        // Producer half-closed after its end frame, so
-                        // nothing more is inbound: deliver and close.
-                        close_deliver(conn, reg, CloseReason::Finished);
-                        return Fate::Drop(true);
-                    }
-                    Ok(MuxStep::Decided) => {
-                        // Early stop: deliver now, then drain the
-                        // producer's remaining frames to EOF.
-                        close_deliver(conn, reg, CloseReason::EarlyStop);
-                        conn.discard = true;
-                        return Fate::Keep(true);
-                    }
-                    Ok(MuxStep::Killed) => {
-                        // Diagnostic kill knob: drop with no result, as
-                        // the one-shot consumer abandons its socket end.
-                        reg.close(conn.sid, CloseReason::Killed);
-                        return Fate::Drop(true);
-                    }
-                    Ok(MuxStep::NoSession) | Err(_) => {
-                        reg.close(conn.sid, CloseReason::Rejected);
-                        return Fate::Drop(true);
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(_) => {
-                reg.close(conn.sid, CloseReason::ProducerLost);
-                return Fate::Drop(progress);
-            }
-        }
-    }
-    let hello_pending = reg.session(conn.sid).is_some_and(|s| !s.hello_seen());
-    if hello_pending && conn.opened.elapsed() > cfg.hello_timeout {
-        reg.close(conn.sid, CloseReason::HelloTimeout);
-        return Fate::Drop(progress);
-    }
-    Fate::Keep(progress)
-}
-
-/// Closes the session, writes its result blob back (blocking just for
-/// the write), and exports the session's own metrics under a
-/// `serve.s<id>` label.
-fn close_deliver(conn: &mut Conn, reg: &mut SessionRegistry, reason: CloseReason) {
-    let sid = conn.sid;
-    let Some(res) = reg.close(sid, reason) else {
+/// Closes a served session: lifecycle counters, bytes read, undelivered
+/// results and the `serve.s<id>` export, all under the registry lock so
+/// exports never interleave.
+fn close(reg: &Mutex<SessionRegistry>, sid: u64, served: Served) {
+    let mut reg = lock(reg);
+    reg.close(served.reason, served.result.as_ref());
+    let counters = &mut reg.metrics_mut().counters;
+    counters.add("serve.bytes.read", served.bytes_read);
+    let Some(res) = served.result else {
         return;
     };
-    let _ = conn.stream.set_nonblocking(false);
-    let delivered = conn
-        .stream
-        .write_all(&res.blob)
-        .and_then(|()| conn.stream.flush())
-        .is_ok();
-    let _ = conn.stream.set_nonblocking(true);
-    if !delivered {
-        reg.metrics_mut()
-            .counters
-            .add("serve.results.undelivered", 1);
+    if !served.delivered {
+        counters.add("serve.results.undelivered", 1);
     }
     if let Err(e) = export_to_env(&format!("serve.s{sid}"), &res.output.metrics, None) {
         eprintln!(
@@ -454,6 +263,13 @@ fn close_deliver(conn: &mut Conn, reg: &mut SessionRegistry, reason: CloseReason
             difftest_stats::OBS_ENV
         );
     }
+}
+
+/// The registry, even if a session thread panicked while holding it:
+/// every update under the lock is a whole counter or gauge write, so the
+/// accounting of every other session stays valid.
+fn lock(reg: &Mutex<SessionRegistry>) -> MutexGuard<'_, SessionRegistry> {
+    reg.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A daemon running on a background thread, for embedding in tests and

@@ -1,16 +1,15 @@
 //! End-to-end acceptance for the persistent verification daemon.
 //!
-//! Unlike the one-shot socket runner's suite this one needs no
-//! harness-free `main`: producers connect to an in-process (or
-//! spawned-binary) daemon instead of re-executing the test binary, so
-//! the default libtest harness — and its thread-per-test parallelism —
-//! is exactly what multiplexing needs exercised.
+//! Producers connect to an in-process (or spawned-binary) daemon, one
+//! libtest thread each, so the default harness's thread-per-test
+//! parallelism is exactly what serving many sessions needs exercised.
 //!
 //! Coverage: many concurrent sessions reach verdicts byte-identical to
 //! the single-process engine over both transports, one mismatching
-//! session cannot disturb its neighbors, hostile or vanished clients
-//! are contained as counters, and drain (flag or SIGTERM on the real
-//! binary) finishes in-flight sessions before exiting.
+//! session cannot disturb its neighbors, an early stop over Unix stops
+//! its producer at once, hostile or vanished clients are contained as
+//! counters, and drain (flag or SIGTERM on the real binary) finishes
+//! in-flight sessions before exiting.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::Shutdown;
@@ -245,6 +244,35 @@ fn tcp_mismatch_is_contained_to_its_session() {
     assert_eq!(summary.counter("serve.sessions.finished"), 3);
     assert_eq!(summary.counter("serve.sessions.early_stop"), 1);
     assert_eq!(summary.counter("serve.conns.tcp"), 4);
+}
+
+/// An early stop over the Unix listener half-closes the session's read
+/// side, as the one-shot consumer does: the producer's next frame write
+/// fails, so it stops right away instead of running out its cycle budget
+/// into a session that has already decided.
+#[test]
+fn unix_early_stop_stops_the_producer() {
+    let handle = spawn(ServeConfig {
+        unix_path: Some(unix_sock("early")),
+        ..ServeConfig::default()
+    })
+    .expect("bind daemon");
+    let addr = handle.unix_addr().expect("unix addr").clone();
+    let bugs = vec![BugSpec::new(BugKind::RegWriteCorruption, 2_000)];
+    let w = Workload::linux_boot().seed(7).iterations(300).build();
+    let rep = via_daemon(&addr, &w, bugs.clone());
+    let e = engine(&w, bugs);
+    let clean = engine(&w, Vec::new());
+    assert_eq!(rep.outcome, RunOutcome::Mismatch);
+    assert_eq!(rep.mismatch, e.mismatch, "mismatch identity");
+    assert!(
+        rep.cycles < clean.cycles,
+        "producer ran {} cycles; the clean run takes {}",
+        rep.cycles,
+        clean.cycles
+    );
+    let summary = handle.drain().expect("drain");
+    assert_eq!(summary.counter("serve.sessions.early_stop"), 1);
 }
 
 /// Hostile and vanished raw clients: garbage magic is rejected, silence

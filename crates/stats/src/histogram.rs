@@ -160,15 +160,6 @@ impl Histogram {
             self.max = self.max.max(other.max);
         }
     }
-
-    /// Iterates the non-empty buckets as `(range_upper_bound, count)`.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (bucket_upper(i), n))
-    }
 }
 
 impl std::fmt::Debug for Histogram {
