@@ -75,17 +75,18 @@ ci: seam
 # retired sharded runner's per-core routing stays gone. No library code
 # spawns, re-executes or exits a process: the one-shot socket consumer
 # is a thread, and only the difftest-serve binary is a process of its own.
-RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/threaded.rs \
-	crates/core/src/socket.rs
+# Two runners remain, the engine and the socket runner: the retired
+# threaded runner, its channel adapters and the crossbeam dependency stay
+# gone (DESIGN.md §8).
+RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/socket.rs
 WIRE_SRCS = crates/core/src/proto.rs crates/core/src/mux.rs
-INPROC_RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/threaded.rs
-RUN_ENTRY_POINTS = run_runner run_session run_socket_session \
-	run_threaded_session
+INPROC_RUNNER_SRCS = crates/core/src/engine.rs
+RUN_ENTRY_POINTS = run_runner run_session run_socket_session
 PRODUCER_SRCS = crates/core/src/replay.rs crates/core/src/transport.rs \
 	crates/core/src/produce.rs crates/core/src/squash.rs
 CONSUME_SRCS = crates/core/src/consume.rs crates/core/src/checker.rs
 seam:
-	@if grep -nE 'use crate::(engine|threaded|socket)(::|;| )' $(RUNNER_SRCS); then \
+	@if grep -nE 'use crate::(engine|socket)(::|;| )' $(RUNNER_SRCS); then \
 		echo "runner seam violated: runners must build on session/link/produce/consume only"; \
 		exit 1; \
 	else \
@@ -104,7 +105,7 @@ seam:
 	else \
 		echo "entry-point seam clean: one run_* per runner plus the dispatcher"; \
 	fi
-	@if grep -nE 'use crate::(engine|threaded|socket)(::|;| )' $(WIRE_SRCS); then \
+	@if grep -nE 'use crate::(engine|socket)(::|;| )' $(WIRE_SRCS); then \
 		echo "wire seam violated: proto/mux sit below the runners"; \
 		exit 1; \
 	else \
@@ -116,7 +117,7 @@ seam:
 	else \
 		echo "wire seam clean: in-process runners stay off the wire layer"; \
 	fi
-	@if grep -rnE 'difftest_core::(engine|threaded|socket)(::|;| )' crates/serve/src; then \
+	@if grep -rnE 'difftest_core::(engine|socket)(::|;| )' crates/serve/src; then \
 		echo "service seam violated: difftest-serve builds on proto/mux only"; \
 		exit 1; \
 	else \
@@ -185,6 +186,13 @@ seam:
 	else \
 		echo "process seam clean: no library code spawns or exits a process"; \
 	fi
+	@if grep -rnE 'crossbeam|ChannelSink|ChannelSource|LinkSource|run_threaded_session|RunnerKind::Threaded' \
+		crates/*/src src examples Cargo.toml crates/*/Cargo.toml; then \
+		echo "runner-count seam violated: the threaded runner was retired (DESIGN.md §8)"; \
+		exit 1; \
+	else \
+		echo "runner-count seam clean: two runners, engine and socket"; \
+	fi
 
 # Allocation-regression gate: a counting global allocator pins the
 # packed consume path (admit → view-based streaming check) to zero
@@ -224,16 +232,17 @@ obs:
 # Causal span tracing smoke (DESIGN.md §15). The socket example's clean
 # run, traced through DIFFTEST_TRACE, exports one Chrome trace merging
 # producer and consumer across the socket; trace_check holds it to the
-# flow bar (matched pack→unpack arrows, producer and consumer pids). The observability example
-# then exports and self-validates the engine/threaded traces, and
-# trace_check re-gates the files from the outside.
+# flow bar (matched pack→unpack arrows, producer and consumer pids). The
+# observability example then exports and self-validates the engine trace
+# and the lossy-link socket trace, and trace_check re-gates the files
+# from the outside.
 trace:
 	mkdir -p target/trace
 	DIFFTEST_TRACE=target/trace/socket.json $(CARGO) run --release --example socket
 	scripts/trace_check --require-flows target/trace/socket.json
 	DIFFTEST_TRACE=target/trace/obs.json $(CARGO) run --release --example observability
 	scripts/trace_check --require-flows target/trace/obs.engine.json
-	scripts/trace_check target/trace/obs.threaded.json
+	scripts/trace_check target/trace/obs.socket.json
 
 # A.5.1-style quick start: run the co-simulation end to end.
 examples:
@@ -241,7 +250,6 @@ examples:
 	$(CARGO) run --release --example linux_boot
 	$(CARGO) run --release --example bug_hunt
 	$(CARGO) run --release --example tuning
-	$(CARGO) run --release --example threaded
 	$(CARGO) run --release --example socket
 
 # Regenerate the committed reference outputs.

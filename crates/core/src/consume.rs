@@ -5,15 +5,16 @@
 //! [`ingest`](Consumer::ingest), close the stream with
 //! [`finish_stream`](Consumer::finish_stream), and read the verdict.
 //! Transport differences stay outside — a runner only decides *where*
-//! this state machine executes (in-line, on a thread, in another
-//! process) and what [`ChargeObserver`] accounts each transfer (the
-//! engine's LogGP virtual-time model; nothing for wall-clock runners).
+//! this state machine executes (in-line, or behind a socket on a thread
+//! or in a daemon) and what [`ChargeObserver`] accounts each transfer
+//! (the engine's LogGP virtual-time model; nothing for the wall-clock
+//! socket runner).
 //!
 //! Recovery is opt-in: with a retention ring
 //! ([`with_retention`](Consumer::with_retention)), decode failures and
 //! terminal gaps first attempt redelivery of the pristine packet,
 //! bounded by [`RECOVERY_BUDGET`] and [`MAX_REDELIVERY_DEPTH`]; without
-//! one (threaded/socket), they surface directly as typed
+//! one (the socket runner), they surface directly as typed
 //! [`RunOutcome::LinkError`](crate::RunOutcome::LinkError) material.
 
 use difftest_event::wire::CodecError;
@@ -25,7 +26,6 @@ use difftest_stats::{
 use crate::batch::peek_packet_seq;
 use crate::checker::{CheckStats, Checker, Mismatch, Verdict};
 use crate::fault::{LinkErrorKind, LinkStats};
-use crate::link::LinkSource;
 use crate::pool::PooledBuf;
 use crate::replay::ReplayBuffer;
 use crate::transport::{SwUnit, Transfer};
@@ -564,25 +564,6 @@ impl Consumer {
     }
 }
 
-/// Drives a consumer from a [`LinkSource`] until the stream ends or is
-/// decided — the shared receive loop of the threaded and socket
-/// runners. `on_stop` fires when the consumer decides the stream
-/// early (runners broadcast their stop signal there). Returns whether
-/// the source was exhausted (`false` = stopped early).
-pub fn drive<S: LinkSource>(
-    source: &mut S,
-    consumer: &mut Consumer,
-    mut on_stop: impl FnMut(),
-) -> bool {
-    while let Some(t) = source.recv() {
-        if consumer.ingest(&t, 0, &mut NoCharge) == Step::Stop {
-            on_stop();
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,7 +571,6 @@ mod tests {
     use crate::session::{DiffConfig, Session};
     use difftest_dut::DutConfig;
     use difftest_workload::Workload;
-    use std::sync::atomic::AtomicBool;
 
     /// Small workload + small packets: several sequenced transfers, yet
     /// few enough that none fall out of the packet-retention ring.
@@ -612,7 +592,7 @@ mod tests {
     fn produce(session: &Session) -> Vec<Transfer> {
         let mut p = session.producer(QueueSink::default());
         let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
-        p.run(&AtomicBool::new(false), &mut timer, &mut rec);
+        p.run(&mut timer, &mut rec, |_| {});
         std::mem::take(&mut p.link_mut().sink_mut().queue)
     }
 

@@ -20,8 +20,6 @@
 //!   synchronization and order restoration,
 //! - [`engine`]: the co-simulation engine with LogGP virtual-time
 //!   accounting, blocking and non-blocking (paper §4.5) transmission,
-//! - [`threaded`]: the non-blocking architecture on real OS threads with
-//!   a bounded queue (wall-clock hardware/software parallelism),
 //! - [`prior`]: models of IBI-check, SBS-check and Fromajo for the
 //!   Table 7 comparison.
 //!
@@ -29,8 +27,8 @@
 //!
 //! - [`session`]: the shared setup layer ([`Session`]) plus the
 //!   [`RunnerKind`]/[`run_session`] dispatch entry point,
-//! - [`link`]: the [`LinkSink`]/[`LinkSource`] transport seam and the
-//!   shared fault-injecting send path ([`SendLink`]),
+//! - [`link`]: the [`LinkSink`] transport seam and the shared
+//!   fault-injecting send path ([`SendLink`]),
 //! - [`produce`]: the send-side state machine ([`Producer`]: tick →
 //!   monitor → pack → feed) every runner drives,
 //! - [`consume`]: the receive-side state machine ([`Consumer`]: CRC
@@ -41,9 +39,11 @@
 //! - [`mux`]: push-driven consumer sessions over that protocol, the one
 //!   socket consumer loop ([`serve_connection`]) and the
 //!   [`SessionRegistry`] a multi-session service accounts them in,
-//! - [`socket`]: the third runner — producer and consumer speaking
-//!   [`proto`] over a Unix-domain socket pair (or to a persistent
-//!   `difftest-serve` daemon process, Unix or TCP).
+//! - [`socket`]: the wall-clock runner — producer and consumer threads
+//!   speaking [`proto`] over a Unix-domain socket pair (or a producer
+//!   dialing a persistent `difftest-serve` daemon process, Unix or TCP):
+//!   the paper's hardware/software parallelism behind a bounded sending
+//!   queue (§4.5), with real bytes through the kernel.
 //!
 //! # Quick start
 //!
@@ -88,20 +88,16 @@ pub mod session;
 pub mod snapshot;
 pub mod socket;
 pub mod squash;
-pub mod threaded;
 pub mod transport;
 pub mod wire;
 
 pub use checker::{CheckStats, Checker, Mismatch, Verdict};
 pub use consume::{
-    drive, ChargeObserver, Consumer, ConsumerOutput, NoCharge, Step, MAX_REDELIVERY_DEPTH,
-    RECOVERY_BUDGET,
+    ChargeObserver, Consumer, ConsumerOutput, NoCharge, Step, MAX_REDELIVERY_DEPTH, RECOVERY_BUDGET,
 };
 pub use engine::{BuildError, CoSimulation, CoSimulationBuilder, RunReport};
 pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyLink, LinkErrorKind, LinkStats};
-pub use link::{
-    ChannelSink, ChannelSource, FusionWatch, LinkSink, LinkSource, QueueSink, SendLink,
-};
+pub use link::{FusionWatch, LinkSink, QueueSink, SendLink};
 pub use mux::{
     serve_connection, CloseReason, Conn, MuxStep, ProtoSession, Served, SessionRegistry,
     SessionResult,
@@ -116,6 +112,5 @@ pub use session::{
 pub use snapshot::{snapshot_debug_run, SnapshotReport};
 pub use socket::{child_entry, run_socket_session, SocketReport, SocketTuning};
 pub use squash::{FusedCommit, SquashStats, SquashUnit};
-pub use threaded::{run_threaded_session, ThreadedReport};
 pub use transport::{AccelUnit, SwUnit, Transfer};
 pub use wire::{WireItem, WireKind};

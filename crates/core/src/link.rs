@@ -1,26 +1,19 @@
-//! Transport seams: every runner's link is a [`LinkSink`] on the
-//! producer side and a [`LinkSource`] on the consumer side.
+//! Transport seam: every runner's link is a [`LinkSink`] on the
+//! producer side.
 //!
 //! The paper's architecture keeps the verification pipeline
 //! transport-agnostic: the same pack → transmit → unpack → check flow
-//! runs whether the link is a virtual LogGP model, a bounded in-process
-//! channel, or a real socket. These two single-method traits are that
-//! seam. [`SendLink`] wraps any sink in the shared send path
-//! (produced-packet accounting, flight records, fault injection) inside
-//! the shared [`Producer`](crate::produce::Producer), so a runner's
-//! transport is just an adapter:
+//! runs whether the link is a virtual LogGP model or a real socket. This
+//! single-method trait is that seam. [`SendLink`] wraps any sink in the
+//! shared send path (produced-packet accounting, flight records, fault
+//! injection) inside the shared [`Producer`](crate::produce::Producer),
+//! so a runner's transport is just an adapter:
 //!
-//! | runner | sink | source |
+//! | runner | sink | receive side |
 //! |---|---|---|
 //! | engine | [`QueueSink`] (virtual link) | drained in-line |
-//! | threaded | [`ChannelSink`] | [`ChannelSource`] |
 //! | socket | `StreamSink` (socket frames) | the peer's `ProtoSession` |
 
-use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
-
-use crossbeam::channel;
 use difftest_stats::{FlightKind, FlightRecord, FlightRecorder, SpanBuf, SpanSink};
 
 use crate::batch::peek_packet_seq;
@@ -30,16 +23,8 @@ use crate::transport::{AccelUnit, Transfer};
 /// The producer side of a link: accepts transfers for delivery.
 pub trait LinkSink {
     /// Offers one transfer to the link. Returns `false` once the
-    /// receiver is gone (disconnected channel, broken pipe); the caller
-    /// stops producing.
+    /// receiver is gone (broken pipe); the caller stops producing.
     fn send(&mut self, t: Transfer) -> bool;
-}
-
-/// The consumer side of a link: yields delivered transfers.
-pub trait LinkSource {
-    /// Receives the next transfer, blocking while the link is open.
-    /// `None` means end of stream (producer closed the link).
-    fn recv(&mut self) -> Option<Transfer>;
 }
 
 /// The engine's virtual link: transfers queue in memory, and the LogGP
@@ -59,37 +44,6 @@ impl LinkSink for QueueSink {
     }
 }
 
-/// Producer end of a bounded crossbeam channel (threaded runner). A
-/// blocking send models the paper's sending queue with backpressure.
-pub struct ChannelSink(pub channel::Sender<Transfer>);
-
-impl fmt::Debug for ChannelSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ChannelSink").finish_non_exhaustive()
-    }
-}
-
-impl LinkSink for ChannelSink {
-    fn send(&mut self, t: Transfer) -> bool {
-        self.0.send(t).is_ok()
-    }
-}
-
-/// Consumer end of a bounded crossbeam channel.
-pub struct ChannelSource(pub channel::Receiver<Transfer>);
-
-impl fmt::Debug for ChannelSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ChannelSource").finish_non_exhaustive()
-    }
-}
-
-impl LinkSource for ChannelSource {
-    fn recv(&mut self) -> Option<Transfer> {
-        self.0.recv().ok()
-    }
-}
-
 /// The shared send path in front of any [`LinkSink`]: counts every
 /// packet *produced* (pre-fault, so the consumer can detect tail loss),
 /// records `PacketSent` flight records, and perturbs the stream through
@@ -99,7 +53,7 @@ pub struct SendLink<S: LinkSink> {
     sink: S,
     fault: Option<FaultyLink>,
     /// Packets offered to the link, counted before fault injection.
-    produced: Arc<AtomicU32>,
+    produced: u32,
     /// Scratch for what emerges on the far side of the fault model.
     wire: Vec<Transfer>,
     /// Producer-side span track; disabled (one branch per packet)
@@ -113,7 +67,7 @@ impl<S: LinkSink> SendLink<S> {
         SendLink {
             sink,
             fault,
-            produced: Arc::new(AtomicU32::new(0)),
+            produced: 0,
             wire: Vec::new(),
             spans: SpanSink::disabled(),
         }
@@ -140,8 +94,7 @@ impl<S: LinkSink> SendLink<S> {
         rec: &mut FlightRecorder,
         cycle: u64,
     ) -> bool {
-        self.produced
-            .fetch_add(transfers.len() as u32, Ordering::AcqRel);
+        self.produced = self.produced.wrapping_add(transfers.len() as u32);
         let mut ok = true;
         for t in transfers.drain(..) {
             let seq = peek_packet_seq(&t.bytes).unwrap_or(0);
@@ -185,15 +138,9 @@ impl<S: LinkSink> SendLink<S> {
         }
     }
 
-    /// Shared handle to the produced-packet counter (tail-loss
-    /// detection on the consumer side).
-    pub fn produced_handle(&self) -> Arc<AtomicU32> {
-        Arc::clone(&self.produced)
-    }
-
     /// Packets produced so far (pre-fault).
     pub fn produced(&self) -> u32 {
-        self.produced.load(Ordering::Acquire)
+        self.produced
     }
 
     /// Counters of faults injected so far (`None` on a clean link).
@@ -302,17 +249,5 @@ mod tests {
         assert_eq!(link.sink_mut().queue.len(), 0, "held for reordering");
         assert!(link.finish());
         assert_eq!(link.sink_mut().queue.len(), 1, "released at end of stream");
-    }
-
-    #[test]
-    fn channel_adapters_round_trip_and_close() {
-        let (tx, rx) = channel::bounded::<Transfer>(4);
-        let mut sink = ChannelSink(tx);
-        let mut source = ChannelSource(rx);
-        assert!(sink.send(transfer(9)));
-        let got = source.recv().unwrap();
-        assert_eq!(got.bytes[0], 9);
-        drop(sink);
-        assert!(source.recv().is_none(), "closed channel ends the stream");
     }
 }

@@ -559,7 +559,6 @@ mod tests {
     use crate::session::DiffConfig;
     use crate::session::RunOutcome;
     use difftest_workload::Workload;
-    use std::sync::atomic::AtomicBool;
 
     /// Produces a full clean stream (hello + frames + end) for `seed`.
     fn stream_for(seed: u64) -> (Vec<u8>, u64) {
@@ -576,7 +575,7 @@ mod tests {
         let mut p = session.producer(QueueSink::default());
         let mut timer = difftest_stats::PhaseTimer::monotonic();
         let mut rec = difftest_stats::FlightRecorder::default();
-        p.run(&AtomicBool::new(false), &mut timer, &mut rec);
+        p.run(&mut timer, &mut rec, |_| {});
         let mut bytes = Vec::new();
         write_hello(&mut bytes, &Hello::from_session(&session, 0, w.words())).unwrap();
         let queued: Vec<_> = p.link_mut().sink_mut().queue.drain(..).collect();

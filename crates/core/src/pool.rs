@@ -1,13 +1,15 @@
 //! Lock-free buffer recycling for the hot transfer path.
 //!
-//! The threaded runners move packet payloads from a producer (DUT +
-//! [`AccelUnit`](crate::AccelUnit)) to consumer checkers as owned byte
-//! buffers. Allocating a fresh `Vec<u8>` per packet puts the allocator on
-//! the critical path of every `tick → pack → send → decode` iteration.
+//! The producer (DUT + [`AccelUnit`](crate::AccelUnit)) packs every
+//! packet into an owned byte buffer: the engine drains it from its
+//! in-memory queue, the socket runner drops it once its frame is written.
+//! Allocating a fresh `Vec<u8>` per packet puts the allocator on the
+//! critical path of every `tick → pack → send → decode` iteration.
 //! [`BufferPool`] removes it: packet buffers are acquired from a shared
 //! free list and returned automatically when the last owner drops the
-//! [`PooledBuf`] — on whichever thread that happens — so the steady state
-//! performs zero heap allocations for payload bytes.
+//! [`PooledBuf`] — on whichever thread that happens, since a
+//! [`Transfer`](crate::Transfer) is `Send` — so the steady state performs
+//! zero heap allocations for payload bytes.
 //!
 //! The free list is a fixed array of atomic slots rather than a linked
 //! stack: `acquire` `swap`s a buffer pointer out and `release` stores one

@@ -13,10 +13,7 @@
 //! [`PhaseTimer`] and [`FlightRecorder`] it writes to, the way
 //! [`SendLink::feed`] does: the engine lends its consumer's, so
 //! producer and consumer phases land on one interleaved timeline; the
-//! wall-clock runners lend a pair local to the producing thread.
-
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+//! socket runner lends a pair local to the producing thread.
 
 use difftest_dut::Dut;
 use difftest_event::MonitoredEvent;
@@ -24,7 +21,6 @@ use difftest_stats::{FlightRecorder, FlightSnapshot, Phase, PhaseTimer, PhaseTim
 
 use crate::fault::FaultStats;
 use crate::link::{FusionWatch, LinkSink, SendLink};
-use crate::pool::PoolStats;
 use crate::transport::{AccelUnit, Transfer};
 
 /// What a finished [`Producer`] hands back to its runner.
@@ -34,8 +30,6 @@ pub struct ProducerOutput {
     pub cycles: u64,
     /// Instructions committed by the DUT.
     pub instructions: u64,
-    /// Buffer-pool statistics of the acceleration unit.
-    pub pool: PoolStats,
     /// Injected-fault counters (`None` on a clean link).
     pub fault: Option<FaultStats>,
     /// Phase attribution of the lent timer.
@@ -55,7 +49,7 @@ pub struct ProducerOutput {
 /// [`feed`](Self::feed), while [`running`](Self::running); then one
 /// [`flush`](Self::flush), then [`finish`](Self::finish) (dropping the
 /// producer closes the sink: end of stream). [`run`](Self::run) is that
-/// loop with no hooks.
+/// loop with a send tap and no monitor hook.
 #[derive(Debug)]
 pub struct Producer<S: LinkSink> {
     dut: Dut,
@@ -104,12 +98,6 @@ impl<S: LinkSink> Producer<S> {
     /// The send path (its sink, produced count, fault model).
     pub fn link_mut(&mut self) -> &mut SendLink<S> {
         &mut self.link
-    }
-
-    /// Shared handle to the link's produced-packet counter (the
-    /// consumer's tail-loss reference once the stream closes).
-    pub fn produced_handle(&self) -> Arc<AtomicU32> {
-        self.link.produced_handle()
     }
 
     /// Injected-fault counters (`None` on a clean link).
@@ -196,15 +184,21 @@ impl<S: LinkSink> Producer<S> {
         alive
     }
 
-    /// Steps until the run ends or `stop` is raised (the consumer
-    /// decided the stream early), then flushes.
-    pub fn run(&mut self, stop: &AtomicBool, timer: &mut PhaseTimer, rec: &mut FlightRecorder) {
-        while self.running() && !stop.load(Ordering::Acquire) {
+    /// Steps until the run ends (a receiver that decided the stream
+    /// early ends it by going away), then flushes. `tap` sees every
+    /// transfer about to be sent, as in [`feed`](Self::feed).
+    pub fn run(
+        &mut self,
+        timer: &mut PhaseTimer,
+        rec: &mut FlightRecorder,
+        mut tap: impl FnMut(&Transfer),
+    ) {
+        while self.running() {
             self.tick(timer);
             self.pack(timer);
-            self.feed(timer, rec, |_| {});
+            self.feed(timer, rec, &mut tap);
         }
-        self.flush(timer, rec, |_| {});
+        self.flush(timer, rec, &mut tap);
     }
 
     /// Tears the producer down into its runner-facing output, reading
@@ -214,7 +208,6 @@ impl<S: LinkSink> Producer<S> {
         ProducerOutput {
             cycles: self.dut.cycles(),
             instructions: self.dut.total_commits(),
-            pool: self.accel.pool_stats(),
             fault: self.link.fault_stats(),
             phases: timer.times(),
             flight: rec.snapshot(),

@@ -16,10 +16,10 @@
 //!   ([`Consumer`](crate::consume::Consumer)) that performs the actual
 //!   CRC verify → unpack → check → recover loop.
 //!
-//! Runners ([`crate::engine`], [`crate::threaded`], [`crate::socket`])
-//! differ only in *where* those two machines run — one virtual
-//! timeline, two threads, or two processes — and in what they report on
-//! top of the shared [`RunCommon`] core.
+//! The two runners ([`crate::engine`], [`crate::socket`]) differ only in
+//! *where* those two machines run — one virtual timeline, or two threads
+//! (or processes) joined by a socket — and in what they report on top of
+//! the shared [`RunCommon`] core.
 //! [`run_session`] dispatches a built session onto any of them.
 
 use std::fmt;
@@ -161,8 +161,8 @@ impl RunOutcome {
 
 /// The report core every runner shares: verdict, volume, link health and
 /// observability. Runner-specific reports ([`RunReport`](crate::RunReport),
-/// [`ThreadedReport`](crate::ThreadedReport), …) embed one and `Deref` to
-/// it, so `report.outcome` reads the same across all three runners.
+/// [`SocketReport`](crate::SocketReport)) embed one and `Deref` to it, so
+/// `report.outcome` reads the same across both runners.
 #[derive(Debug, Clone)]
 pub struct RunCommon {
     /// Why the run ended.
@@ -208,15 +208,11 @@ macro_rules! deref_to_common {
     )+};
 }
 
-deref_to_common!(
-    crate::engine::RunReport,
-    crate::threaded::ThreadedReport,
-    crate::socket::SocketReport
-);
+deref_to_common!(crate::engine::RunReport, crate::socket::SocketReport);
 
 /// One co-simulation session: the transport-independent setup shared by
-/// every runner. Cloneable and `Send`, so threaded runners can move one
-/// copy into each thread and build their components locally.
+/// every runner. Cloneable and `Sync`, so the socket runner's producer
+/// thread can borrow it and build its components locally.
 #[derive(Debug, Clone)]
 pub struct Session {
     dut_cfg: DutConfig,
@@ -510,8 +506,6 @@ pub(crate) fn seal_report(
 pub enum RunnerKind {
     /// Virtual-time LogGP engine (one timeline, simulated speed).
     Engine,
-    /// Producer + single consumer on OS threads (wall-clock).
-    Threaded,
     /// Producer and consumer threads joined by a Unix-domain socket
     /// pair (wall-clock, real framed bytes through the kernel), or a
     /// producer dialing a `difftest-serve` daemon process.
@@ -520,13 +514,12 @@ pub enum RunnerKind {
 
 impl RunnerKind {
     /// All runners, in the order the runner matrix documents them.
-    pub const ALL: [RunnerKind; 3] = [RunnerKind::Engine, RunnerKind::Threaded, RunnerKind::Socket];
+    pub const ALL: [RunnerKind; 2] = [RunnerKind::Engine, RunnerKind::Socket];
 
     /// Stable lowercase name (matrix rows, bench scenario labels).
     pub fn name(self) -> &'static str {
         match self {
             RunnerKind::Engine => "engine",
-            RunnerKind::Threaded => "threaded",
             RunnerKind::Socket => "socket",
         }
     }
@@ -549,8 +542,6 @@ impl fmt::Display for RunnerKind {
 pub enum RunnerReport {
     /// Engine report (virtual-time speeds, LogGP overhead breakdown).
     Engine(crate::engine::RunReport),
-    /// Threaded report (wall-clock throughput, pool stats).
-    Threaded(crate::threaded::ThreadedReport),
     /// Socket report (wall-clock throughput across the socket).
     Socket(crate::socket::SocketReport),
 }
@@ -561,7 +552,6 @@ impl Deref for RunnerReport {
     fn deref(&self) -> &RunCommon {
         match self {
             RunnerReport::Engine(r) => r,
-            RunnerReport::Threaded(r) => r,
             RunnerReport::Socket(r) => r,
         }
     }
@@ -571,7 +561,6 @@ impl DerefMut for RunnerReport {
     fn deref_mut(&mut self) -> &mut RunCommon {
         match self {
             RunnerReport::Engine(r) => r,
-            RunnerReport::Threaded(r) => r,
             RunnerReport::Socket(r) => r,
         }
     }
@@ -585,14 +574,13 @@ impl RunnerReport {
     pub fn wall(&self) -> Option<(f64, f64)> {
         match self {
             RunnerReport::Engine(_) => None,
-            RunnerReport::Threaded(r) => Some((r.wall_s, r.cycles_per_sec)),
             RunnerReport::Socket(r) => Some((r.wall_s, r.cycles_per_sec)),
         }
     }
 }
 
 /// Runs a built session on the chosen transport substrate — the single
-/// dispatch entry point. All three runners drive the identical
+/// dispatch entry point. Both runners drive the identical
 /// [`Producer`] and [`Consumer`] state machines, so the verdict is
 /// substrate-independent; only the throughput story differs. The engine
 /// runs on the Palladium platform model with Replay on (use
@@ -602,17 +590,14 @@ impl RunnerReport {
 ///
 /// # Panics
 ///
-/// Panics when `kind` is a parallel runner and the session's
+/// Panics when `kind` is the socket runner and the session's
 /// configuration is blocking (`Z`/`B`), mirroring the underlying
-/// runners.
+/// runner.
 pub fn run_session(kind: RunnerKind, session: Session) -> RunnerReport {
     match kind {
         RunnerKind::Engine => RunnerReport::Engine(
             crate::engine::CoSimulation::from_session(session, Platform::palladium()).run(),
         ),
-        RunnerKind::Threaded => {
-            RunnerReport::Threaded(crate::threaded::run_threaded_session(session))
-        }
         RunnerKind::Socket => RunnerReport::Socket(crate::socket::run_socket_session(
             session,
             None,

@@ -1,8 +1,8 @@
 //! The socket runner: producer and consumer exchanging the
 //! [`crate::proto`] wire format over a kernel socket.
 //!
-//! The other runners hand [`Transfer`]s across a queue or channel. Here
-//! the packet bytes genuinely leave the producer as length-prefixed
+//! The engine hands [`Transfer`]s across an in-memory queue. Here the
+//! packet bytes genuinely leave the producer as length-prefixed
 //! frames and are decoded back on the far end of a socket. Two peer
 //! arrangements exist, both speaking the same protocol module:
 //!
@@ -21,7 +21,7 @@
 //! verdict; both sides are the same shared pipeline — the [`Session`]'s
 //! [`Producer`](crate::produce::Producer) over a frame-writing sink here,
 //! [`serve_connection`] on the consumer — so verdicts are identical to
-//! the in-process runners.
+//! the engine's.
 //!
 //! Failure semantics: consumer death mid-run (EPIPE on the frame stream,
 //! EOF or a short read on the result blob) surfaces as a typed
@@ -33,7 +33,7 @@
 //! (`packet.bytes`/`packet.items`) are recorded producer-side here
 //! (pre-fault), because histograms are not part of the serialized
 //! result; counters, gauges, phase times and flight records cross the
-//! socket and match the in-process runners.
+//! socket and match the engine's.
 //
 // Seam rule: runner modules build on `session`/`link`/`produce`/
 // `consume` (and, uniquely for this runner, the `proto`/`mux` wire
@@ -106,7 +106,7 @@ pub fn child_entry() {}
 /// Runs a co-simulation with the producer and the shared receive-side
 /// pipeline joined by a socket carrying the CRC-framed wire format. The
 /// session's fault plan, if any, applies on the producer side, before
-/// the bytes enter the socket; like the threaded runner this one has no
+/// the bytes enter the socket; unlike the engine this runner has no
 /// retention ring, so decode failures are reported, not recovered.
 ///
 /// The peer is, in order of precedence: the daemon at `addr` (how many
@@ -118,10 +118,10 @@ pub fn child_entry() {}
 ///
 /// # Panics
 ///
-/// Panics when the configuration is blocking (`Z`/`B`), like the other
-/// parallel runners, or if the producer thread dies (a poisoned internal
-/// invariant); never on link failures — those surface as
-/// [`RunOutcome::LinkError`].
+/// Panics when the configuration is blocking (`Z`/`B`), which would
+/// serialize producer and consumer, or if the producer thread dies (a
+/// poisoned internal invariant); never on link failures — those surface
+/// as [`RunOutcome::LinkError`].
 pub fn run_socket_session(
     session: Session,
     addr: Option<&ServeAddr>,
@@ -212,7 +212,7 @@ fn connect_remote(addr: &ServeAddr) -> Result<Conn, LinkErrorKind> {
 
 /// Producer-side frame writer behind the shared send path: a failed
 /// write means the consumer is gone, which [`SendLink`](crate::link::SendLink)
-/// reports to the producer loop exactly like a closed channel.
+/// reports to the producer loop as a receiver gone.
 struct StreamSink<W: Write> {
     w: BufWriter<W>,
 }
@@ -251,16 +251,10 @@ fn run_producer(
     let mut metrics = Metrics::new();
     let h_bytes = metrics.register_histogram("packet.bytes");
     let h_items = metrics.register_histogram("packet.items");
-    let mut sizes = |t: &Transfer| {
+    producer.run(&mut timer, &mut rec, |t| {
         metrics.record(h_bytes, t.bytes.len() as u64);
         metrics.record(h_items, u64::from(t.items));
-    };
-    while producer.running() {
-        producer.tick(&mut timer);
-        producer.pack(&mut timer);
-        producer.feed(&mut timer, &mut rec, &mut sizes);
-    }
-    producer.flush(&mut timer, &mut rec, &mut sizes);
+    });
 
     // End-of-stream frame carrying the pre-fault produced count (the
     // consumer's tail-loss reference), then half-close so EOF is
@@ -334,8 +328,7 @@ fn run_producer(
         flight: None,
     };
     // Producer-side context (sends, fusion) first, then the consumer's
-    // view of arrivals and the verdict — same ordering as the
-    // threaded runner.
+    // view of arrivals and the verdict.
     let mut flight = out.flight;
     seal_report(
         RunnerKind::Socket,

@@ -16,7 +16,7 @@
 //! must allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use difftest_core::consume::{NoCharge, Step};
@@ -68,7 +68,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 fn produce(session: &Session) -> Vec<Transfer> {
     let mut p = session.producer(QueueSink::default());
     let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
-    p.run(&AtomicBool::new(false), &mut timer, &mut rec);
+    p.run(&mut timer, &mut rec, |_| {});
     std::mem::take(&mut p.link_mut().sink_mut().queue)
 }
 

@@ -1,14 +1,15 @@
 //! Cross-runner fault acceptance (deterministic): under seeded
 //! drop/duplicate/reorder/truncate/corrupt schedules, every runner —
-//! virtual-time engine and threaded — terminates with a typed
+//! virtual-time engine and socket — terminates with a typed
 //! [`RunOutcome::LinkError`] or a cleanly recovered verdict, never a
 //! panic and never a phantom mismatch. The engine's BNSD configuration
 //! additionally *recovers*: its packet retention ring retransmits lost
-//! or damaged packets, masking fault schedules the report-only runners
-//! must surface as errors.
+//! or damaged packets, masking fault schedules the report-only socket
+//! runner must surface as errors.
 
 use difftest_core::{
-    run_threaded_session, CoSimulation, DiffConfig, FaultPlan, RunOutcome, RunReport, Session,
+    run_socket_session, CoSimulation, DiffConfig, FaultPlan, RunOutcome, RunReport, Session,
+    SocketReport, SocketTuning,
 };
 use difftest_dut::DutConfig;
 use difftest_platform::Platform;
@@ -146,22 +147,27 @@ fn engine_clean_plan_changes_nothing() {
     assert_eq!(clean.instructions, bare.instructions);
 }
 
+/// The socket runner, BNSD on the shared workload, behind `plan`.
+fn socket_run(w: &Workload, plan: FaultPlan) -> SocketReport {
+    let session = Session::new(
+        DutConfig::nutshell(),
+        DiffConfig::BNSD,
+        w,
+        Vec::new(),
+        400_000,
+        8,
+        Some(plan),
+    );
+    run_socket_session(session, None, SocketTuning::default())
+}
+
 #[test]
-fn threaded_runner_contains_faults() {
+fn socket_runner_contains_faults() {
     let w = workload();
     for seed in SEEDS {
         for rate in RATES {
-            let plan = FaultPlan::uniform(seed, rate);
-            let r = run_threaded_session(Session::new(
-                DutConfig::nutshell(),
-                DiffConfig::BNSD,
-                &w,
-                Vec::new(),
-                400_000,
-                8,
-                Some(plan),
-            ));
-            let ctx = format!("threaded seed={seed} rate={rate}‰");
+            let r = socket_run(&w, FaultPlan::uniform(seed, rate));
+            let ctx = format!("socket seed={seed} rate={rate}‰");
             assert_contained(r.outcome, &ctx);
             assert!(r.mismatch.is_none(), "{ctx}: phantom mismatch");
             if let RunOutcome::LinkError { seq, .. } = r.outcome {
@@ -179,16 +185,8 @@ fn threaded_runner_contains_faults() {
 }
 
 #[test]
-fn threaded_clean_link_still_passes() {
-    let r = run_threaded_session(Session::new(
-        DutConfig::nutshell(),
-        DiffConfig::BNSD,
-        &workload(),
-        Vec::new(),
-        400_000,
-        8,
-        Some(FaultPlan::clean(1)),
-    ));
+fn socket_clean_link_still_passes() {
+    let r = socket_run(&workload(), FaultPlan::clean(1));
     assert_eq!(r.outcome, RunOutcome::GoodTrap);
     assert_eq!(r.link.total_detected(), 0);
 }

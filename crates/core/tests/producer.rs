@@ -1,9 +1,8 @@
 //! The shared send-side state machine on its own: a `Producer` run to
 //! completion over an in-memory queue ships exactly the stream the
 //! engine ships, a dead receiver stops it without losing its account of
-//! the run, and the squashed stream carries state dumps once per window.
-
-use std::sync::atomic::AtomicBool;
+//! the run, the squashed stream carries state dumps once per window, and
+//! payload buffers recycle through the pool once the receiver drops them.
 
 use difftest_core::consume::{NoCharge, Step};
 use difftest_core::wire::WireItemRef;
@@ -36,7 +35,7 @@ fn queue_producer_reproduces_the_engine_stream() {
 
                 let mut p = session.producer(QueueSink::default());
                 let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
-                p.run(&AtomicBool::new(false), &mut timer, &mut rec);
+                p.run(&mut timer, &mut rec, |_| {});
                 let produced = p.link_mut().produced();
                 let queue = std::mem::take(&mut p.link_mut().sink_mut().queue);
                 assert_eq!(
@@ -100,7 +99,7 @@ fn dead_receiver_stops_the_producer_and_finish_still_reports() {
     );
     let mut p = session.producer(DyingSink(3));
     let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
-    p.run(&AtomicBool::new(false), &mut timer, &mut rec);
+    p.run(&mut timer, &mut rec, |_| {});
     assert!(!p.running());
     assert!(
         p.dut().halted().is_none() && p.dut().cycles() < 300_000,
@@ -129,7 +128,7 @@ fn state_dumps_ship_once_per_window_not_per_cycle() {
     let session = Session::new(dut, DiffConfig::BNSD, &w, Vec::new(), 300_000, 8, None);
     let mut p = session.producer(QueueSink::default());
     let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
-    p.run(&AtomicBool::new(false), &mut timer, &mut rec);
+    p.run(&mut timer, &mut rec, |_| {});
     let queue = std::mem::take(&mut p.link_mut().sink_mut().queue);
 
     let mut sw = SwUnit::packed(cores as usize);
@@ -157,5 +156,45 @@ fn state_dumps_ship_once_per_window_not_per_cycle() {
     assert!(
         diff <= 8 * (fused + tagged + traps),
         "{diff} diff items against {fused} fused, {tagged} tagged, {traps} trap entries"
+    );
+}
+
+/// A receiver that drops each transfer soon after it arrives, the way the
+/// engine drains its queue every cycle, hands every payload buffer back:
+/// past the warmup (at most one cycle's packets in flight), the producer
+/// draws payloads from the pool, not the allocator.
+#[test]
+fn pool_recycles_after_warmup() {
+    // Long enough that the bounded warmup allocations are under 5% of
+    // total acquisitions.
+    let w = Workload::microbench().seed(2).iterations(1500).build();
+    let session = Session::new(
+        DutConfig::nutshell(),
+        DiffConfig::BNSD,
+        &w,
+        Vec::new(),
+        5_000_000,
+        8,
+        None,
+    );
+    let mut p = session.producer(QueueSink::default());
+    let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
+    while p.running() {
+        p.tick(&mut timer);
+        p.pack(&mut timer);
+        p.feed(&mut timer, &mut rec, |_| {});
+        p.link_mut().sink_mut().queue.clear();
+    }
+    p.flush(&mut timer, &mut rec, |_| {});
+    assert!(p.dut().halted().is_some(), "the workload ran to its trap");
+    let s = p.accel().pool_stats();
+    assert!(
+        s.hits + s.misses > 0,
+        "producer must draw payloads from the pool"
+    );
+    assert!(
+        s.hit_rate() >= 0.95,
+        "steady-state recycle rate {} below 95% ({s:?})",
+        s.hit_rate()
     );
 }

@@ -1,9 +1,9 @@
 //! Property tests: every runner is observationally equivalent through
-//! the [`run_runner`] dispatch — the engine, threaded and socket
-//! substrates drive the identical session pipeline, so verdicts,
-//! mismatch identity and typed link errors must be
-//! substrate-independent across DUT configurations (single- and
-//! dual-core), workload seeds, bug-injection points and fault schedules.
+//! the [`run_runner`] dispatch — the engine and socket substrates drive
+//! the identical session pipeline, so verdicts, mismatch identity and
+//! typed link errors must be substrate-independent across DUT
+//! configurations (single- and dual-core), workload seeds, bug-injection
+//! points and fault schedules.
 
 use difftest_core::{run_runner, DiffConfig, FaultPlan, RunOutcome, RunnerKind, RunnerReport};
 use difftest_dut::{BugKind, BugSpec, DutConfig};
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 /// Every substrate, dispatched through the one entry point the examples
 /// use.
-const KINDS: [RunnerKind; 3] = [RunnerKind::Engine, RunnerKind::Threaded, RunnerKind::Socket];
+const KINDS: [RunnerKind; 2] = [RunnerKind::Engine, RunnerKind::Socket];
 
 /// Every property runs on a single-core DUT and on a dual-core one,
 /// whose single stream interleaves both cores' events.

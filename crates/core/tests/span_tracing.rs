@@ -16,7 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use difftest_core::{
-    run_threaded_session, CoSimulation, DiffConfig, RunOutcome, RunReport, Session,
+    run_socket_session, CoSimulation, DiffConfig, RunOutcome, RunReport, Session, SocketReport,
+    SocketTuning,
 };
 use difftest_dut::{BugKind, BugSpec, DutConfig};
 use difftest_stats::{parse_json, validate_trace, FakeClock, Json, Tracer};
@@ -43,6 +44,10 @@ fn fake_tracer(path: &Path) -> Tracer {
 
 fn session(dut: DutConfig, w: &Workload, bugs: Vec<BugSpec>) -> Session {
     Session::new(dut, DiffConfig::BNSD, w, bugs, 500_000, 8, None)
+}
+
+fn socket(session: Session) -> SocketReport {
+    run_socket_session(session, None, SocketTuning::default())
 }
 
 fn engine_report(path: &Path) -> RunReport {
@@ -138,28 +143,12 @@ fn engine_trace_is_deterministic_and_causally_linked() {
     let _ = std::fs::remove_file(&p2);
 }
 
-#[test]
-fn threaded_trace_validates() {
-    let p = trace_path("threaded");
-    let w = Workload::microbench().seed(3).iterations(40).build();
-    let r = run_threaded_session(
-        session(DutConfig::nutshell(), &w, Vec::new()).with_tracer(Some(fake_tracer(&p))),
-    );
-    assert_eq!(r.common.outcome, RunOutcome::GoodTrap);
-    assert!(r.common.metrics.counters.get("trace.spans_recorded") > 0);
-    let summary = validate_trace(&std::fs::read_to_string(&p).expect("trace written"))
-        .expect("well-formed trace");
-    assert_eq!(summary.tracks, 2);
-    assert!(summary.spans > 0 && summary.flows > 0);
-    let _ = std::fs::remove_file(&p);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Tracing is observation only: a traced run and an untraced run of
-    /// the same session agree on verdict, items and instructions for
-    /// every in-process substrate.
+    /// the same session agree on verdict, items and instructions on
+    /// both runners.
     #[test]
     fn tracing_never_changes_clean_verdicts(seed in 0u64..1_000) {
         let w = Workload::microbench().seed(seed).iterations(40).build();
@@ -181,9 +170,9 @@ proptest! {
         prop_assert_eq!(traced.common.instructions, base.common.instructions);
         let _ = std::fs::remove_file(&p);
 
-        let base = run_threaded_session(session(DutConfig::nutshell(), &w, Vec::new()));
-        let p = trace_path("prop-threaded");
-        let traced = run_threaded_session(
+        let base = socket(session(DutConfig::nutshell(), &w, Vec::new()));
+        let p = trace_path("prop-socket");
+        let traced = socket(
             session(DutConfig::nutshell(), &w, Vec::new()).with_tracer(Some(fake_tracer(&p))),
         );
         prop_assert_eq!(traced.common.outcome, base.common.outcome);
@@ -201,9 +190,9 @@ proptest! {
     ) {
         let w = Workload::linux_boot().seed(seed).iterations(300).build();
         let bugs = vec![BugSpec::new(BugKind::RegWriteCorruption, bug_cycle)];
-        let base = run_threaded_session(session(DutConfig::nutshell(), &w, bugs.clone()));
+        let base = socket(session(DutConfig::nutshell(), &w, bugs.clone()));
         let p = trace_path("prop-bug");
-        let traced = run_threaded_session(
+        let traced = socket(
             session(DutConfig::nutshell(), &w, bugs).with_tracer(Some(fake_tracer(&p))),
         );
         prop_assert_eq!(traced.common.outcome, base.common.outcome);

@@ -16,7 +16,7 @@ use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
@@ -112,7 +112,7 @@ fn hand_driven(path: &Path, w: &Workload, overlap: &Overlap) -> HandReport {
     let sink = FrameSink(BufWriter::new(stream.try_clone().expect("clone stream")));
     let mut producer = session.producer(sink);
     let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
-    producer.run(&AtomicBool::new(false), &mut timer, &mut rec);
+    producer.run(&mut timer, &mut rec, |_| {});
     if !last {
         overlap.ends.wait();
     }

@@ -1,9 +1,9 @@
 //! Observability smoke: run every runner with `DIFFTEST_OBS` set and
 //! validate the exported JSONL — all seven phases present, packet
 //! histograms populated, and a flight-recorder snapshot attached to the
-//! fault-injected failure. The engine run and the lossy-link threaded
-//! run additionally export Chrome/Perfetto span traces (DESIGN.md §15) that are
-//! validated in-process and counted via the `trace.*` counters.
+//! fault-injected failure. The engine run and the lossy-link socket run
+//! additionally export Chrome/Perfetto span traces (DESIGN.md §15) that
+//! are validated in-process and counted via the `trace.*` counters.
 //!
 //! ```text
 //! DIFFTEST_OBS=metrics.jsonl DIFFTEST_TRACE=trace.json \
@@ -13,13 +13,13 @@
 //! Without the env vars the example exports to temporary files so
 //! `make obs` is self-contained. `DIFFTEST_TRACE` is treated as a stem:
 //! the two traced runs write `<stem>.engine.json` and
-//! `<stem>.threaded.json`.
+//! `<stem>.socket.json`.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use difftest_h::core::{
-    run_threaded_session, CoSimulation, DiffConfig, FaultPlan, RunOutcome, Session,
+    run_socket_session, CoSimulation, DiffConfig, FaultPlan, RunOutcome, Session, SocketTuning,
 };
 use difftest_h::dut::DutConfig;
 use difftest_h::platform::Platform;
@@ -68,7 +68,7 @@ fn main() {
     // Per-runner trace paths. The stem comes from `DIFFTEST_TRACE` when
     // set; the var is then cleared and tracers are injected through the
     // session seam instead, so the runners don't truncate one shared
-    // file (and the untraced threaded leg stays dormant).
+    // file (and the untraced socket leg stays dormant).
     let trace_stem = match std::env::var_os(TRACE_ENV) {
         Some(p) if !p.is_empty() => {
             std::env::remove_var(TRACE_ENV);
@@ -107,18 +107,22 @@ fn main() {
     let engine_summary = check_trace("engine", &engine_trace, &engine.metrics);
     assert_eq!(engine_summary.tracks, 2, "engine: producer + consumer");
 
-    // 2. Threaded runner: clean run, wall-clock phase attribution.
-    let t = run_threaded_session(Session::new(
-        DutConfig::nutshell(),
-        DiffConfig::BNSD,
-        &w,
-        Vec::new(),
-        400_000,
-        8,
+    // 2. Socket runner: clean run, wall-clock phase attribution.
+    let t = run_socket_session(
+        Session::new(
+            DutConfig::nutshell(),
+            DiffConfig::BNSD,
+            &w,
+            Vec::new(),
+            400_000,
+            8,
+            None,
+        ),
         None,
-    ));
+        SocketTuning::default(),
+    );
     assert_eq!(t.outcome, RunOutcome::GoodTrap);
-    // No tracer injected and the env var is cleared: the threaded leg
+    // No tracer injected and the env var is cleared: the socket leg
     // demonstrates the dormant path — zero spans accounted.
     assert_eq!(
         t.metrics.counters.get("trace.spans_recorded"),
@@ -126,17 +130,17 @@ fn main() {
         "untraced run must not account spans"
     );
     println!(
-        "threaded: {:?}, check phase {} ns (untraced: 0 spans)",
+        "socket:   {:?}, check phase {} ns (untraced: 0 spans)",
         t.outcome,
         t.metrics.phases.get(Phase::Check)
     );
 
-    // 3. Threaded runner behind a hostile link: a typed failure with a
+    // 3. Socket runner behind a hostile link: a typed failure with a
     //    flight snapshot (seed/rate chosen so the grid reliably faults).
     //    The trace still exports — the producer track plus whatever the
     //    consumer checked before the link gave out.
-    let lossy_trace = trace_for("threaded");
-    let s = run_threaded_session(
+    let lossy_trace = trace_for("socket");
+    let s = run_socket_session(
         Session::new(
             DutConfig::nutshell(),
             DiffConfig::BNSD,
@@ -147,9 +151,11 @@ fn main() {
             Some(FaultPlan::uniform(4242, 40)),
         )
         .with_tracer(Some(Tracer::to_path(&lossy_trace))),
+        None,
+        SocketTuning::default(),
     );
-    println!("threaded (lossy link): {:?}", s.outcome);
-    check_trace("threaded", &lossy_trace, &s.metrics);
+    println!("socket (lossy link): {:?}", s.outcome);
+    check_trace("socket", &lossy_trace, &s.metrics);
     if let RunOutcome::LinkError { .. } = s.outcome {
         let snap = s
             .flight

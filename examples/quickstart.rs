@@ -6,7 +6,6 @@
 //!
 //! ```text
 //! cargo run --release --example quickstart                    # engine
-//! cargo run --release --example quickstart -- threaded
 //! cargo run --release --example quickstart -- socket
 //! ```
 
@@ -18,10 +17,9 @@ use difftest_h::workload::Workload;
 fn main() {
     let kind = match std::env::args().nth(1).as_deref() {
         None | Some("engine") => RunnerKind::Engine,
-        Some("threaded") => RunnerKind::Threaded,
         Some("socket") => RunnerKind::Socket,
         Some(other) => {
-            eprintln!("unknown runner {other:?}; expected engine|threaded|socket");
+            eprintln!("unknown runner {other:?}; expected engine|socket");
             std::process::exit(2);
         }
     };

@@ -40,8 +40,8 @@ fn main() {
         )
     };
 
-    // A healthy run: verdict-identical to the engine and threaded
-    // runners, but every packet crossed a kernel socket as framed bytes.
+    // A healthy run: verdict-identical to the engine, but every packet
+    // crossed a kernel socket as framed bytes.
     let report = run_socket_session(session(), None, SocketTuning::default());
     assert_eq!(report.outcome, RunOutcome::GoodTrap);
     println!("== clean run ==");

@@ -90,10 +90,9 @@ fn buggy_matches_engine() {
 }
 
 /// Producer-side fault grid: the socket runner is report-only (no
-/// retention ring), exactly like the threaded runner — on
-/// the report-only BN pipeline its typed outcome must equal the
-/// engine's on every schedule, and a fault must never surface as a
-/// phantom mismatch or a panic.
+/// retention ring) — on the report-only BN pipeline its typed outcome
+/// must equal the engine's on every schedule, and a fault must never
+/// surface as a phantom mismatch or a panic.
 #[test]
 fn fault_grid_matches_engine() {
     use difftest_h::core::FaultPlan;
