@@ -5,7 +5,7 @@
 CARGO ?= cargo
 
 .PHONY: all build test bench examples table5 table7 figures ablations doc clean ci faults obs \
-	socket seam trace alloc serve
+	socket seam trace alloc serve loc
 
 all: build
 
@@ -77,7 +77,9 @@ ci: seam
 # is a thread, and only the difftest-serve binary is a process of its own.
 # Two runners remain, the engine and the socket runner: the retired
 # threaded runner, its channel adapters and the crossbeam dependency stay
-# gone (DESIGN.md §8).
+# gone (DESIGN.md §8). Transfer buffers have one owner at a time: each
+# packer keeps a plain free list, and difftest-core has no unsafe code,
+# so the retired lock-free pool's atomics and raw boxes stay gone too.
 RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/socket.rs
 WIRE_SRCS = crates/core/src/proto.rs crates/core/src/mux.rs
 INPROC_RUNNER_SRCS = crates/core/src/engine.rs
@@ -193,6 +195,21 @@ seam:
 	else \
 		echo "runner-count seam clean: two runners, engine and socket"; \
 	fi
+	@if grep -rnE 'BufferPool|PooledBuf|AtomicPtr|Box::from_raw|unsafe[ {]' crates/core/src; then \
+		echo "single-owner buffers seam violated: the lock-free pool was retired and difftest-core forbids unsafe (DESIGN.md §8)"; \
+		exit 1; \
+	else \
+		echo "single-owner buffers seam clean: one free list per packer, no unsafe in difftest-core"; \
+	fi
+
+# Non-test Rust line count, as simplicity changes report it: every .rs
+# under the named trees outside */tests/, cut at its first #[cfg(test)].
+loc:
+	@for d in "crates vendor" crates/core/src; do \
+		n=$$(find $$d -name '*.rs' -not -path '*/tests/*' -print0 | sort -z \
+			| xargs -0 awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n }'); \
+		echo "$$n non-test Rust lines in $$d"; \
+	done
 
 # Allocation-regression gate: a counting global allocator pins the
 # packed consume path (admit → view-based streaming check) to zero

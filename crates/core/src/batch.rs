@@ -26,7 +26,6 @@ use difftest_event::wire::{
 };
 use difftest_event::{Event, EventKind, MonitoredEvent};
 
-use crate::pool::{BufferPool, PooledBuf};
 use crate::squash::{FusedCommit, SquashSink};
 use crate::wire::{
     decode_item_ref_body, encode_item_body, encode_tag_token, validate_item_body, DiffCache,
@@ -56,10 +55,9 @@ pub struct Packet {
     /// the out-of-order delivery non-blocking links can exhibit
     /// (paper §4.5 "ordered parsing"), and the CRC32 trailer covers
     /// everything before it so in-flight corruption or truncation is
-    /// *detected* rather than misdecoded. The buffer is pooled: once every
-    /// owner is done (typically after the consumer decodes it), it
-    /// returns to the packer's [`BufferPool`] for the next packet.
-    pub bytes: PooledBuf,
+    /// *detected* rather than misdecoded. Whoever spends the buffer hands
+    /// it back through [`BatchUnit::recycle`] for a later packet.
+    pub bytes: Vec<u8>,
     /// Number of wire items inside.
     pub items: u32,
 }
@@ -121,10 +119,63 @@ impl PackStats {
     }
 }
 
-/// Idle packet buffers a packer's default pool retains. Sized to cover a
-/// deep in-flight queue (producer → channel → consumer) with headroom so
-/// the steady state never allocates.
+/// Idle buffers a packer's free list retains. Only one cycle's packets
+/// (plus the fault model's reorder holds) are ever out at once; the cap
+/// bounds what a burst of returns can pin.
 pub const DEFAULT_POOL_SLOTS: usize = 64;
+
+/// Counters of a packer's free list.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Buffers served by a recycled one.
+    pub hits: u64,
+    /// Buffers that had to allocate.
+    pub misses: u64,
+    /// Buffers handed back and kept.
+    pub returns: u64,
+    /// Buffers handed back to a full list, left to the allocator.
+    pub discards: u64,
+}
+
+impl PoolStats {
+    /// Fraction of buffers served without allocating.
+    pub fn hit_rate(&self) -> f64 {
+        self.hits as f64 / (self.hits + self.misses).max(1) as f64
+    }
+}
+
+/// One packer's spent transfer buffers, waiting to carry the next
+/// transfer. Single-owner: the packer takes from it and the producer
+/// that owns the packer hands spent buffers back, on one thread.
+#[derive(Debug, Default)]
+pub(crate) struct FreeList {
+    free: Vec<Vec<u8>>,
+    pub(crate) stats: PoolStats,
+}
+
+impl FreeList {
+    /// An empty buffer, with a recycled one's capacity when any is free.
+    pub(crate) fn take(&mut self) -> Vec<u8> {
+        let Some(buf) = self.free.pop() else {
+            self.stats.misses += 1;
+            return Vec::new();
+        };
+        self.stats.hits += 1;
+        buf
+    }
+
+    /// Keeps a spent buffer (cleared, capacity kept) unless the list is
+    /// full.
+    pub(crate) fn recycle(&mut self, mut buf: Vec<u8>) {
+        if self.free.len() < DEFAULT_POOL_SLOTS {
+            buf.clear();
+            self.free.push(buf);
+            self.stats.returns += 1;
+        } else {
+            self.stats.discards += 1;
+        }
+    }
+}
 
 /// The hardware-side tight packer (cycle + transmission levels).
 #[derive(Debug)]
@@ -138,27 +189,17 @@ pub struct BatchUnit {
     items: u32,
     next_seq: u32,
     stats: PackStats,
-    pool: BufferPool,
+    free: FreeList,
 }
 
 impl BatchUnit {
     /// Creates a packer emitting packets of at most `capacity` bytes,
-    /// recycling buffers through a private pool.
+    /// drawing their buffers from its own free list.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` cannot hold one maximal item (≤ 1 KiB).
     pub fn new(cores: usize, capacity: usize) -> Self {
-        Self::with_pool(cores, capacity, BufferPool::new(DEFAULT_POOL_SLOTS))
-    }
-
-    /// Creates a packer drawing packet buffers from a caller-supplied
-    /// (possibly shared) pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` cannot hold one maximal item (≤ 1 KiB).
-    pub fn with_pool(cores: usize, capacity: usize, pool: BufferPool) -> Self {
         assert!(capacity >= 1024, "packet capacity too small: {capacity}");
         BatchUnit {
             capacity,
@@ -169,7 +210,7 @@ impl BatchUnit {
             items: 0,
             next_seq: 0,
             stats: PackStats::default(),
-            pool,
+            free: FreeList::default(),
         }
     }
 
@@ -178,9 +219,14 @@ impl BatchUnit {
         &self.stats
     }
 
-    /// The buffer pool packets are drawn from.
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
+    /// Hands a spent packet buffer back for a later packet.
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        self.free.recycle(buf);
+    }
+
+    /// Counters of the packet free list.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.free.stats
     }
 
     fn current_len(&self) -> usize {
@@ -272,7 +318,7 @@ impl BatchUnit {
     }
 
     fn flush_packet(&mut self, out: &mut Vec<Packet>) {
-        let mut bytes = self.pool.acquire();
+        let mut bytes = self.free.take();
         bytes.reserve(self.current_len());
         let mut w = Writer::new(&mut bytes);
         w.u32(self.next_seq);
@@ -944,5 +990,39 @@ mod tests {
         assert_eq!(back[0].1, events[0].event);
         // 2 of 8 slots valid: bubbles dominate.
         assert!(p.bubble_ratio() > 0.5, "bubbles {}", p.bubble_ratio());
+    }
+
+    #[test]
+    fn recycles_returned_capacity() {
+        let mut free = FreeList::default();
+        let mut b = free.take();
+        b.extend_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        let cap = b.capacity();
+        assert!(cap >= 8);
+        free.recycle(b);
+
+        let b2 = free.take();
+        assert!(b2.is_empty(), "recycled buffers come back cleared");
+        assert!(b2.capacity() >= cap, "capacity survives the round trip");
+        let s = free.stats;
+        assert_eq!((s.hits, s.misses, s.returns), (1, 1, 1));
+    }
+
+    #[test]
+    fn grows_past_capacity_and_discards_excess() {
+        let mut free = FreeList::default();
+        let bufs: Vec<Vec<u8>> = (0..DEFAULT_POOL_SLOTS + 3).map(|_| free.take()).collect();
+        assert_eq!(
+            free.stats.misses,
+            DEFAULT_POOL_SLOTS as u64 + 3,
+            "cold list allocates"
+        );
+        bufs.into_iter().for_each(|b| free.recycle(b));
+        let s = free.stats;
+        assert_eq!(
+            s.returns, DEFAULT_POOL_SLOTS as u64,
+            "list keeps only its cap"
+        );
+        assert_eq!(s.discards, 3, "excess buffers go to the allocator");
     }
 }

@@ -26,7 +26,6 @@ use difftest_stats::{
 use crate::batch::peek_packet_seq;
 use crate::checker::{CheckStats, Checker, Mismatch, Verdict};
 use crate::fault::{LinkErrorKind, LinkStats};
-use crate::pool::PooledBuf;
 use crate::replay::ReplayBuffer;
 use crate::transport::{SwUnit, Transfer};
 
@@ -363,9 +362,8 @@ impl Consumer {
             value: pristine.len() as u64,
         });
         let rt = Transfer {
-            bytes: PooledBuf::detached(pristine),
+            bytes: pristine,
             core,
-            invokes: 1,
             items: 0,
         };
         self.ingest_at(&rt, cycle, depth + 1, obs);

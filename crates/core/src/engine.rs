@@ -434,7 +434,7 @@ impl Timing {
 
 impl ChargeObserver for Timing {
     fn transfer_done(&mut self, t: &Transfer, before: &CheckStats, after: &CheckStats) {
-        self.charge(t.invokes, t.bytes.len() as u64, before, after);
+        self.charge(1, t.bytes.len() as u64, before, after);
     }
 }
 
@@ -610,16 +610,19 @@ impl CoSimulation {
         report
     }
 
-    /// Feeds queued transfers through the shared pipeline, draining the
-    /// virtual link's queue in place (its buffer is reused every
-    /// shipping cycle); returns `true` when the run must stop.
+    /// Feeds queued transfers through the shared pipeline and hands
+    /// each buffer back to the packer, draining the virtual link's
+    /// queue (its `Vec` goes back too, reused every shipping cycle);
+    /// returns `true` when the run must stop.
     fn process_queued(&mut self) -> bool {
         let cycle = self.producer.dut().cycles();
-        let queue = &mut self.producer.link_mut().sink_mut().queue;
-        let stop = queue
-            .iter()
-            .any(|t| self.consumer.ingest(t, cycle, &mut self.timing) == Step::Stop);
-        queue.clear();
+        let mut queue = std::mem::take(&mut self.producer.link_mut().sink_mut().queue);
+        let mut stop = false;
+        for t in queue.drain(..) {
+            stop = stop || self.consumer.ingest(&t, cycle, &mut self.timing) == Step::Stop;
+            self.producer.recycle(t);
+        }
+        self.producer.link_mut().sink_mut().queue = queue;
         stop
     }
 
@@ -659,5 +662,28 @@ impl CoSimulation {
             replayed_events: events.len(),
             partial: !complete,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The engine hands every ingested transfer's buffer back to the
+    /// packer, so past the first cycle's packets nothing allocates.
+    #[test]
+    fn engine_recycles_every_ingested_buffer() {
+        let w = Workload::linux_boot().seed(9).iterations(300).build();
+        for config in [DiffConfig::BN, DiffConfig::BNSD] {
+            let mut sim = CoSimulation::builder()
+                .dut(DutConfig::nutshell())
+                .config(config)
+                .max_cycles(300_000)
+                .build(&w)
+                .unwrap();
+            assert_eq!(sim.run().outcome, RunOutcome::GoodTrap, "{config:?}");
+            let s = sim.producer.accel().pool_stats();
+            assert!(s.hit_rate() >= 0.99, "{config:?}: {s:?}");
+        }
     }
 }

@@ -403,13 +403,11 @@ impl LinkStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::PooledBuf;
 
     fn transfer(tag: u8, len: usize) -> Transfer {
         Transfer {
-            bytes: PooledBuf::detached(vec![tag; len]),
+            bytes: vec![tag; len],
             core: 0,
-            invokes: 1,
             items: 1,
         }
     }

@@ -7,7 +7,8 @@
 //!
 //! - [`batch`]: **Batch** — tight packing of structurally diverse events
 //!   with meta-guided dynamic unpacking (paper §4.2), plus the
-//!   fixed-offset baseline of prior work,
+//!   fixed-offset baseline of prior work; each packer owns the free
+//!   list its transfer buffers return to,
 //! - [`squash`]: **Squash** — order-decoupled fusion of instruction
 //!   commits, NDE scheduling with order tags, and XOR differencing
 //!   (paper §4.3), plus the order-coupled baseline,
@@ -28,7 +29,8 @@
 //! - [`session`]: the shared setup layer ([`Session`]) plus the
 //!   [`RunnerKind`]/[`run_session`] dispatch entry point,
 //! - [`link`]: the [`LinkSink`] transport seam and the shared
-//!   fault-injecting send path ([`SendLink`]),
+//!   fault-injecting send path ([`SendLink`]), which hands the buffers
+//!   a sink has written back to the packer,
 //! - [`produce`]: the send-side state machine ([`Producer`]: tick →
 //!   monitor → pack → feed) every runner drives,
 //! - [`consume`]: the receive-side state machine ([`Consumer`]: CRC
@@ -39,11 +41,12 @@
 //! - [`mux`]: push-driven consumer sessions over that protocol, the one
 //!   socket consumer loop ([`serve_connection`]) and the
 //!   [`SessionRegistry`] a multi-session service accounts them in,
-//! - [`socket`]: the wall-clock runner — producer and consumer threads
-//!   speaking [`proto`] over a Unix-domain socket pair (or a producer
-//!   dialing a persistent `difftest-serve` daemon process, Unix or TCP):
-//!   the paper's hardware/software parallelism behind a bounded sending
-//!   queue (§4.5), with real bytes through the kernel.
+//! - [`socket`]: the wall-clock runner — a producer thread and a
+//!   consumer on the calling thread speaking [`proto`] over a
+//!   Unix-domain socket pair (or a producer dialing a persistent
+//!   `difftest-serve` daemon process, Unix or TCP): the paper's
+//!   hardware/software parallelism behind a bounded sending queue
+//!   (§4.5), with real bytes through the kernel.
 //!
 //! # Quick start
 //!
@@ -66,6 +69,7 @@
 //! # Ok::<(), difftest_core::BuildError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // A panic in the decode/check path aborts a whole co-simulation; link
 // faults must surface as typed outcomes instead. Non-test code is held
@@ -79,7 +83,6 @@ pub mod engine;
 pub mod fault;
 pub mod link;
 pub mod mux;
-pub mod pool;
 pub mod prior;
 pub mod produce;
 pub mod proto;
@@ -91,6 +94,7 @@ pub mod squash;
 pub mod transport;
 pub mod wire;
 
+pub use batch::PoolStats;
 pub use checker::{CheckStats, Checker, Mismatch, Verdict};
 pub use consume::{
     ChargeObserver, Consumer, ConsumerOutput, NoCharge, Step, MAX_REDELIVERY_DEPTH, RECOVERY_BUDGET,
@@ -102,7 +106,6 @@ pub use mux::{
     serve_connection, CloseReason, Conn, MuxStep, ProtoSession, Served, SessionRegistry,
     SessionResult,
 };
-pub use pool::{BufferPool, PoolStats, PooledBuf};
 pub use produce::{Producer, ProducerOutput};
 pub use proto::{ClientMsg, FrameDecoder, Hello, ProtoError, ServeAddr, SERVE_ADDR_ENV};
 pub use replay::{FailureReport, ReplayBuffer, Retransmission};

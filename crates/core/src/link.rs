@@ -9,10 +9,10 @@
 //! injection) inside the shared [`Producer`](crate::produce::Producer),
 //! so a runner's transport is just an adapter:
 //!
-//! | runner | sink | receive side |
-//! |---|---|---|
-//! | engine | [`QueueSink`] (virtual link) | drained in-line |
-//! | socket | `StreamSink` (socket frames) | the peer's `ProtoSession` |
+//! | runner | sink | receive side | buffer back to the packer |
+//! |---|---|---|---|
+//! | engine | [`QueueSink`] (virtual link) | drained in-line | after ingest |
+//! | socket | `StreamSink` (socket frames) | the peer's `ProtoSession` | after the write |
 
 use difftest_stats::{FlightKind, FlightRecord, FlightRecorder, SpanBuf, SpanSink};
 
@@ -22,15 +22,18 @@ use crate::transport::{AccelUnit, Transfer};
 
 /// The producer side of a link: accepts transfers for delivery.
 pub trait LinkSink {
-    /// Offers one transfer to the link. Returns `false` once the
-    /// receiver is gone (broken pipe); the caller stops producing.
-    fn send(&mut self, t: Transfer) -> bool;
+    /// Offers one transfer to the link. A sink done with the bytes once
+    /// this returns pushes the buffer onto `spent`, for the packer to
+    /// reuse. Returns `false` once the receiver is gone (broken pipe);
+    /// the caller stops producing.
+    fn send(&mut self, t: Transfer, spent: &mut Vec<Vec<u8>>) -> bool;
 }
 
 /// The engine's virtual link: transfers queue in memory, and the LogGP
 /// [`Timing`](crate::engine) model charges their wire time. Always
 /// accepts (the bounded in-flight queue is modelled in virtual time,
-/// not here).
+/// not here). The bytes are still unread when `send` returns: the
+/// engine hands each buffer back after ingesting it.
 #[derive(Debug, Default)]
 pub struct QueueSink {
     /// Delivered transfers awaiting in-line consumption.
@@ -38,7 +41,7 @@ pub struct QueueSink {
 }
 
 impl LinkSink for QueueSink {
-    fn send(&mut self, t: Transfer) -> bool {
+    fn send(&mut self, t: Transfer, _spent: &mut Vec<Vec<u8>>) -> bool {
         self.queue.push(t);
         true
     }
@@ -56,6 +59,8 @@ pub struct SendLink<S: LinkSink> {
     produced: u32,
     /// Scratch for what emerges on the far side of the fault model.
     wire: Vec<Transfer>,
+    /// Buffers the sink is done with, until [`reclaim`](Self::reclaim).
+    spent: Vec<Vec<u8>>,
     /// Producer-side span track; disabled (one branch per packet)
     /// unless a tracer is installed.
     spans: SpanSink,
@@ -69,6 +74,7 @@ impl<S: LinkSink> SendLink<S> {
             fault,
             produced: 0,
             wire: Vec::new(),
+            spent: Vec::new(),
             spans: SpanSink::disabled(),
         }
     }
@@ -131,10 +137,17 @@ impl<S: LinkSink> SendLink<S> {
 
     fn drain_wire(&mut self, ok: &mut bool) {
         for t in self.wire.drain(..) {
-            if *ok && !self.sink.send(t) {
+            if *ok && !self.sink.send(t, &mut self.spent) {
                 // Receiver gone: drop the rest of this batch.
                 *ok = false;
             }
+        }
+    }
+
+    /// Hands the buffers the sink has finished with back to `accel`.
+    pub fn reclaim(&mut self, accel: &mut AccelUnit) {
+        for buf in self.spent.drain(..) {
+            accel.recycle(buf);
         }
     }
 
@@ -198,13 +211,11 @@ impl FusionWatch {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use crate::pool::PooledBuf;
 
     fn transfer(tag: u8) -> Transfer {
         Transfer {
-            bytes: PooledBuf::detached(vec![tag; 16]),
+            bytes: vec![tag; 16],
             core: 0,
-            invokes: 1,
             items: 1,
         }
     }

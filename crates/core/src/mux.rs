@@ -655,9 +655,8 @@ mod tests {
     /// decides the run.
     fn garbage_transfer(len: usize) -> crate::transport::Transfer {
         crate::transport::Transfer {
-            bytes: crate::pool::PooledBuf::detached(vec![0xA5; len]),
+            bytes: vec![0xA5; len],
             core: 0,
-            invokes: 1,
             items: 1,
         }
     }
@@ -728,9 +727,8 @@ mod tests {
         write_hello(&mut bytes, &Hello::from_session(&session, 1, w.words())).unwrap();
         for i in 0..4u8 {
             let t = crate::transport::Transfer {
-                bytes: crate::pool::PooledBuf::detached(vec![i; 8]),
+                bytes: vec![i; 8],
                 core: 0,
-                invokes: 1,
                 items: 1,
             };
             write_transfer_frame(&mut bytes, &t).unwrap();

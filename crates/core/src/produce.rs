@@ -180,8 +180,15 @@ impl<S: LinkSink> Producer<S> {
         self.fusion.observe(&self.accel, true, 0, cycle, rec);
         self.staging.iter().for_each(tap);
         let alive = self.link.feed(&mut self.staging, rec, cycle);
+        self.link.reclaim(&mut self.accel);
         timer.stop(Phase::Transport, t0);
         alive
+    }
+
+    /// Hands a transfer the receiver has finished with back to the
+    /// packer, for its buffer to carry a later transfer.
+    pub fn recycle(&mut self, t: Transfer) {
+        self.accel.recycle(t.bytes);
     }
 
     /// Steps until the run ends (a receiver that decided the stream

@@ -48,7 +48,6 @@ use difftest_stats::{
 use crate::checker::{Mismatch, Verdict};
 use crate::consume::ConsumerOutput;
 use crate::fault::{LinkErrorKind, LinkStats};
-use crate::pool::PooledBuf;
 use crate::session::{DiffConfig, Session};
 use crate::transport::Transfer;
 
@@ -346,12 +345,7 @@ fn parse_frame(avail: &[u8]) -> Result<Option<(ClientMsg, usize)>, ProtoError> {
             }
             let bytes = avail[TRANSFER_HEADER..total].to_vec();
             Ok(Some((
-                ClientMsg::Transfer(Transfer {
-                    bytes: PooledBuf::detached(bytes),
-                    core,
-                    invokes: 1,
-                    items,
-                }),
+                ClientMsg::Transfer(Transfer { bytes, core, items }),
                 total,
             )))
         }
@@ -937,9 +931,8 @@ mod tests {
         let mut stream = Vec::new();
         write_hello(&mut stream, &Hello::from_session(&session, 0, w.words())).unwrap();
         let t = Transfer {
-            bytes: PooledBuf::detached(vec![1, 2, 3, 4, 5]),
+            bytes: vec![1, 2, 3, 4, 5],
             core: 0,
-            invokes: 1,
             items: 2,
         };
         write_transfer_frame(&mut stream, &t).unwrap();

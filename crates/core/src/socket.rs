@@ -212,14 +212,17 @@ fn connect_remote(addr: &ServeAddr) -> Result<Conn, LinkErrorKind> {
 
 /// Producer-side frame writer behind the shared send path: a failed
 /// write means the consumer is gone, which [`SendLink`](crate::link::SendLink)
-/// reports to the producer loop as a receiver gone.
+/// reports to the producer loop as a receiver gone. The frame holds a
+/// copy of the bytes, so the buffer is spent once written.
 struct StreamSink<W: Write> {
     w: BufWriter<W>,
 }
 
 impl<W: Write> LinkSink for StreamSink<W> {
-    fn send(&mut self, t: Transfer) -> bool {
-        write_transfer_frame(&mut self.w, &t).is_ok()
+    fn send(&mut self, t: Transfer, spent: &mut Vec<Vec<u8>>) -> bool {
+        let ok = write_transfer_frame(&mut self.w, &t).is_ok();
+        spent.push(t.bytes);
+        ok
     }
 }
 
@@ -347,4 +350,42 @@ fn run_producer(
         common,
         wall_s,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use difftest_dut::DutConfig;
+    use difftest_workload::Workload;
+
+    use super::*;
+    use crate::session::DiffConfig;
+
+    /// The frame writer hands each buffer back once its frame is
+    /// written, so past the first cycle's packets nothing allocates.
+    #[test]
+    fn stream_sink_recycles_every_written_buffer() {
+        let w = Workload::linux_boot().seed(9).iterations(300).build();
+        for config in [DiffConfig::BN, DiffConfig::BNSD] {
+            let session = Session::new(
+                DutConfig::nutshell(),
+                config,
+                &w,
+                Vec::new(),
+                300_000,
+                8,
+                None,
+            );
+            let mut producer = session.producer(StreamSink {
+                w: BufWriter::new(Vec::new()),
+            });
+            let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
+            producer.run(&mut timer, &mut rec, |_| {});
+            assert!(
+                producer.dut().halted().is_some(),
+                "{config:?} ran to its trap"
+            );
+            let s = producer.accel().pool_stats();
+            assert!(s.hit_rate() >= 0.99, "{config:?}: {s:?}");
+        }
+    }
 }

@@ -16,32 +16,30 @@
 use difftest_event::wire::{append_crc_frame, verify_crc_frame, CodecError, Reader};
 use difftest_event::{EventKind, EventRef, MonitoredEvent};
 
-use crate::batch::{BatchUnit, PackStats, Packet, Unpacker, DEFAULT_POOL_SLOTS};
-use crate::pool::{BufferPool, PoolStats, PooledBuf};
+use crate::batch::{BatchUnit, FreeList, PackStats, Packet, PoolStats, Unpacker};
 use crate::squash::{SquashStats, SquashUnit};
 use crate::wire::WireItemRef;
 
 /// One hardware→software transfer (one communication startup).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transfer {
-    /// The raw bytes crossing the link. Pooled: dropping the transfer
-    /// (after decode) recycles the buffer to its producing [`AccelUnit`].
-    pub bytes: PooledBuf,
+    /// The raw bytes crossing the link. Once they are written or
+    /// checked, [`AccelUnit::recycle`] takes the buffer back for a later
+    /// transfer.
+    pub bytes: Vec<u8>,
     /// The DUT core this transfer is attributed to: the event's own
     /// core for a per-event transfer, 0 for a packet (its items
     /// interleave every core and carry their own ids). The DTH frame
     /// carries it, and link errors and flight records name it.
     pub core: u8,
-    /// Communication invocations this transfer costs (always 1; kept
-    /// explicit for clarity in the LogGP accounting).
-    pub invokes: u64,
     /// Decoded wire items (count), for statistics.
     pub items: u32,
 }
 
 #[derive(Debug)]
 enum HwMode {
-    PerEvent,
+    /// Per-event transfers draw their buffers from this free list.
+    PerEvent(FreeList),
     Batch(BatchUnit),
     SquashBatch(SquashUnit, BatchUnit),
 }
@@ -51,18 +49,14 @@ enum HwMode {
 pub struct AccelUnit {
     mode: HwMode,
     packet_buf: Vec<Packet>,
-    /// Buffer pool for the per-event path (packed paths draw from the
-    /// [`BatchUnit`]'s pool).
-    event_pool: BufferPool,
 }
 
 impl AccelUnit {
     /// Baseline: one transfer per verification event.
     pub fn per_event() -> Self {
         AccelUnit {
-            mode: HwMode::PerEvent,
+            mode: HwMode::PerEvent(FreeList::default()),
             packet_buf: Vec::new(),
-            event_pool: BufferPool::new(DEFAULT_POOL_SLOTS),
         }
     }
 
@@ -71,7 +65,6 @@ impl AccelUnit {
         AccelUnit {
             mode: HwMode::Batch(BatchUnit::new(cores, packet_bytes)),
             packet_buf: Vec::new(),
-            event_pool: BufferPool::new(DEFAULT_POOL_SLOTS),
         }
     }
 
@@ -99,21 +92,24 @@ impl AccelUnit {
         AccelUnit {
             mode: HwMode::SquashBatch(squash, BatchUnit::new(cores, packet_bytes)),
             packet_buf: Vec::new(),
-            event_pool: BufferPool::new(DEFAULT_POOL_SLOTS),
         }
     }
 
-    /// The pool transfers draw their payload buffers from.
-    pub fn pool(&self) -> &BufferPool {
-        match &self.mode {
-            HwMode::PerEvent => &self.event_pool,
-            HwMode::Batch(b) | HwMode::SquashBatch(_, b) => b.pool(),
+    /// Hands a spent transfer buffer back to the free list its
+    /// transfers are drawn from.
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        match &mut self.mode {
+            HwMode::PerEvent(free) => free.recycle(buf),
+            HwMode::Batch(b) | HwMode::SquashBatch(_, b) => b.recycle(buf),
         }
     }
 
-    /// Buffer-recycling statistics of [`pool`](Self::pool).
+    /// Buffer-recycling counters of that free list.
     pub fn pool_stats(&self) -> PoolStats {
-        self.pool().stats()
+        match &self.mode {
+            HwMode::PerEvent(free) => free.stats,
+            HwMode::Batch(b) | HwMode::SquashBatch(_, b) => b.pool_stats(),
+        }
     }
 
     /// Squash statistics, when the unit fuses.
@@ -128,16 +124,16 @@ impl AccelUnit {
     pub fn pack_stats(&self) -> Option<PackStats> {
         match &self.mode {
             HwMode::Batch(b) | HwMode::SquashBatch(_, b) => Some(*b.stats()),
-            HwMode::PerEvent => None,
+            HwMode::PerEvent(_) => None,
         }
     }
 
     /// Processes one DUT cycle's events, appending completed transfers.
     pub fn push_cycle(&mut self, events: &[MonitoredEvent], out: &mut Vec<Transfer>) {
         match &mut self.mode {
-            HwMode::PerEvent => {
+            HwMode::PerEvent(free) => {
                 for ev in events {
-                    let mut bytes = self.event_pool.acquire();
+                    let mut bytes = free.take();
                     bytes.reserve(2 + ev.encoded_len() + 4);
                     bytes.push(ev.core);
                     bytes.push(ev.event.kind() as u8);
@@ -148,7 +144,6 @@ impl AccelUnit {
                         // Single-event transfers carry exactly one core's
                         // event, so the transfer's core is the event's own.
                         core: ev.core,
-                        invokes: 1,
                         items: 1,
                     });
                 }
@@ -179,7 +174,7 @@ impl AccelUnit {
     /// Flushes all buffered state (fusion windows, partial packets).
     pub fn flush(&mut self, out: &mut Vec<Transfer>) {
         match &mut self.mode {
-            HwMode::PerEvent => {}
+            HwMode::PerEvent(_) => {}
             HwMode::Batch(batch) => {
                 batch.flush(&mut self.packet_buf);
                 drain_packets(&mut self.packet_buf, out);
@@ -196,7 +191,6 @@ impl AccelUnit {
 fn drain_packets(packets: &mut Vec<Packet>, out: &mut Vec<Transfer>) {
     for p in packets.drain(..) {
         out.push(Transfer {
-            invokes: 1,
             items: p.items,
             bytes: p.bytes,
             core: 0,

@@ -9,10 +9,11 @@
 //! differenced and fused items are viewed in the decoder's own buffers,
 //! and order-tagged items wait as byte copies in recycled buffers.
 //! The produce pipeline mirrors it: the retention ring encodes into
-//! recycled chunks, Squash lends events to the packer, and packets come
-//! from a primed pool. These tests pin both with a counting global
+//! recycled chunks, Squash lends events to the packer, and each packet
+//! is written into a buffer an earlier packet handed back to the
+//! packer's free list. These tests pin both with a counting global
 //! allocator: after a warmup prefix (REF page first-touch, ring fill,
-//! pool growth, metric registration), the remaining packets or cycles
+//! free-list fill, metric registration), the remaining packets or cycles
 //! must allocate nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -200,15 +201,21 @@ fn produce_steady_state_allocates_nothing() {
     let warmup = stream.len() * 3 / 4;
 
     // The ring fills (and starts recycling chunks) well inside the
-    // warmup; every cycle's transfers are dropped, which is what primes
-    // the packet pool.
+    // warmup; every cycle's transfers cross the engine's virtual link
+    // and their buffers go back to the packer, as the engine hands them
+    // back after ingest.
     let mut ring = ReplayBuffer::new(n_events / 8);
     let mut accel = s.accel();
+    let mut link = s.send_link(QueueSink::default());
+    let mut rec = FlightRecorder::default();
     let mut transfers: Vec<Transfer> = Vec::new();
     let mut cycle = |events: &[MonitoredEvent]| {
         ring.push_slice(events);
         accel.push_cycle(events, &mut transfers);
-        transfers.clear();
+        link.feed(&mut transfers, &mut rec, 0);
+        for t in link.sink_mut().queue.drain(..) {
+            accel.recycle(t.bytes);
+        }
     };
     stream[..warmup].iter().for_each(|events| cycle(events));
     let before = ALLOCS.load(Ordering::Relaxed);

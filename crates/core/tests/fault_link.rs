@@ -80,7 +80,6 @@ fn pack(items: &[WireItem], capacity: usize) -> Vec<Transfer> {
             Transfer {
                 bytes: p.bytes,
                 core: 0,
-                invokes: 1,
                 items,
             }
         })

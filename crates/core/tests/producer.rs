@@ -2,7 +2,8 @@
 //! completion over an in-memory queue ships exactly the stream the
 //! engine ships, a dead receiver stops it without losing its account of
 //! the run, the squashed stream carries state dumps once per window, and
-//! payload buffers recycle through the pool once the receiver drops them.
+//! payload buffers recycle through the packer's free list once the
+//! receiver hands them back.
 
 use difftest_core::consume::{NoCharge, Step};
 use difftest_core::wire::WireItemRef;
@@ -79,7 +80,7 @@ fn queue_producer_reproduces_the_engine_stream() {
 struct DyingSink(u32);
 
 impl LinkSink for DyingSink {
-    fn send(&mut self, _t: Transfer) -> bool {
+    fn send(&mut self, _t: Transfer, _spent: &mut Vec<Vec<u8>>) -> bool {
         self.0 = self.0.saturating_sub(1);
         self.0 > 0
     }
@@ -159,10 +160,10 @@ fn state_dumps_ship_once_per_window_not_per_cycle() {
     );
 }
 
-/// A receiver that drops each transfer soon after it arrives, the way the
-/// engine drains its queue every cycle, hands every payload buffer back:
-/// past the warmup (at most one cycle's packets in flight), the producer
-/// draws payloads from the pool, not the allocator.
+/// A receiver that hands each transfer back soon after it arrives, the
+/// way the engine drains its queue every cycle: past the warmup (at most
+/// one cycle's packets in flight), the producer draws payloads from its
+/// free list, not the allocator.
 #[test]
 fn pool_recycles_after_warmup() {
     // Long enough that the bounded warmup allocations are under 5% of
@@ -183,7 +184,9 @@ fn pool_recycles_after_warmup() {
         p.tick(&mut timer);
         p.pack(&mut timer);
         p.feed(&mut timer, &mut rec, |_| {});
-        p.link_mut().sink_mut().queue.clear();
+        for t in std::mem::take(&mut p.link_mut().sink_mut().queue) {
+            p.recycle(t);
+        }
     }
     p.flush(&mut timer, &mut rec, |_| {});
     assert!(p.dut().halted().is_some(), "the workload ran to its trap");

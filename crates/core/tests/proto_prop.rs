@@ -7,7 +7,6 @@
 //! [`ProtoError`]s or a need-more-bytes stall — never a panic, and
 //! never an allocation sized by an attacker-controlled length prefix.
 
-use difftest_core::pool::PooledBuf;
 use difftest_core::proto::{
     write_end_frame, write_hello, write_transfer_frame, MAX_FRAME_BYTES, MAX_HELLO_WORDS,
 };
@@ -30,9 +29,8 @@ fn valid_stream(words: &[u32], payloads: &[Vec<u8>]) -> Vec<u8> {
     write_hello(&mut out, &hello).expect("vec write");
     for (i, p) in payloads.iter().enumerate() {
         let t = Transfer {
-            bytes: PooledBuf::detached(p.clone()),
+            bytes: p.clone(),
             core: 0,
-            invokes: 1,
             items: i as u32,
         };
         write_transfer_frame(&mut out, &t).expect("vec write");

@@ -67,8 +67,10 @@ fn via_daemon(addr: &ServeAddr, w: &Workload, bugs: Vec<BugSpec>) -> SocketRepor
 struct FrameSink(BufWriter<UnixStream>);
 
 impl LinkSink for FrameSink {
-    fn send(&mut self, t: Transfer) -> bool {
-        write_transfer_frame(&mut self.0, &t).is_ok()
+    fn send(&mut self, t: Transfer, spent: &mut Vec<Vec<u8>>) -> bool {
+        let ok = write_transfer_frame(&mut self.0, &t).is_ok();
+        spent.push(t.bytes);
+        ok
     }
 }
 
