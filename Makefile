@@ -37,17 +37,25 @@ ablations:
 bench:
 	$(CARGO) bench -p difftest-bench
 
-# What .github/workflows/ci.yml runs: formatting, lints, the runner-seam
-# check, tier-1 build+test, the lossy-link fault suite, and the gated
-# benchmark's self-test (benchmark/README.md): the perf harness still
-# compiles against the public surface and reproduces its exact counts.
+# What .github/workflows/ci.yml runs, in its order: formatting, lints,
+# the seam check, tier-1 build+test, the event crate's tests in the
+# optimized build, the lossy-link fault suite, the allocation gate, the
+# socket, daemon and span-tracing smokes, the bench harnesses' build, the
+# gated benchmark's self-test (benchmark/README.md: the perf harness
+# still compiles against the public surface and reproduces its exact
+# counts) and the observability smoke. CI's aarch64 `cargo check` of
+# difftest-event is left out: it needs `rustup target add`, a download.
 ci: seam
 	$(CARGO) fmt --all -- --check
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 	$(CARGO) build --release
 	$(CARGO) test -q
+	$(CARGO) test --release -p difftest-event
 	$(CARGO) test -p difftest-core --test fault_link --test fault_runners
+	$(MAKE) alloc socket serve trace
+	$(CARGO) build -p difftest-bench --benches
 	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check
+	$(CARGO) run --release --example observability
 
 # Runner modules build on the shared session/link/produce/consume layer
 # only — one runner reaching into another's internals is the coupling
@@ -80,6 +88,10 @@ ci: seam
 # gone (DESIGN.md §8). Transfer buffers have one owner at a time: each
 # packer keeps a plain free list, and difftest-core has no unsafe code,
 # so the retired lock-free pool's atomics and raw boxes stay gone too.
+# A monitored event has one record layout, difftest_event::record: the
+# Replay ring and the trace file both use it, so no other crate defines
+# a record header, and the trace file's second codec and old magic stay
+# gone.
 RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/socket.rs
 WIRE_SRCS = crates/core/src/proto.rs crates/core/src/mux.rs
 INPROC_RUNNER_SRCS = crates/core/src/engine.rs
@@ -200,6 +212,13 @@ seam:
 		exit 1; \
 	else \
 		echo "single-owner buffers seam clean: one free list per packer, no unsafe in difftest-core"; \
+	fi
+	@if grep -rnE 'const RECORD_HEADER' $(filter-out crates/event/src,$(wildcard crates/*/src)) \
+		|| grep -rnE 'TraceReader|fn read_fully|DTHTRC01' crates/*/src; then \
+		echo "record seam violated: difftest_event::record is the one record layout (DESIGN.md §3.4)"; \
+		exit 1; \
+	else \
+		echo "record seam clean: one record layout, in difftest-event"; \
 	fi
 
 # Non-test Rust line count, as simplicity changes report it: every .rs

@@ -74,7 +74,7 @@ struct Running {
     consumer: Consumer,
     trace: bool,
     producer_epoch: u64,
-    child_epoch: u64,
+    consumer_epoch: u64,
     kill_after: u32,
     delivered: u32,
 }
@@ -219,12 +219,12 @@ impl ProtoSession {
         let session =
             Session::from_image(dut_cfg, h.config, image, Vec::new(), 0, 1, None).with_tracer(None);
         let mut consumer = session.consumer();
-        let mut child_epoch = 0u64;
+        let mut consumer_epoch = 0u64;
         if h.trace {
             // Own clock, origin now; the matching wall epoch lets the
             // spans be shifted onto the producer's timeline before
             // shipping.
-            child_epoch = wall_epoch_ns();
+            consumer_epoch = wall_epoch_ns();
             consumer = consumer.with_spans(SpanSink::on_track(
                 Arc::new(MonotonicClock::default()),
                 DEFAULT_SPAN_CAPACITY,
@@ -238,7 +238,7 @@ impl ProtoSession {
             consumer,
             trace: h.trace,
             producer_epoch: h.epoch_wall_ns,
-            child_epoch,
+            consumer_epoch,
             kill_after: h.kill_after,
             delivered: 0,
         });
@@ -259,11 +259,12 @@ impl ProtoSession {
         }
         let mut out = r.consumer.finish();
         if r.trace {
-            // Producer timeline = wall - producer_epoch; ours = wall -
-            // child_epoch. Shifting by (child - producer) maps our
-            // spans onto the producer's clock.
+            // Producer timeline = wall - producer_epoch; consumer
+            // timeline = wall - consumer_epoch. Shifting by (consumer -
+            // producer) maps the consumer's spans onto the producer's
+            // clock.
             out.spans
-                .shift_ts(r.child_epoch as i64 - r.producer_epoch as i64);
+                .shift_ts(r.consumer_epoch as i64 - r.producer_epoch as i64);
         }
         let mut blob = Vec::new();
         if write_result(&mut blob, &out).is_err() {

@@ -99,8 +99,8 @@ pub struct Hello {
     /// ships them back in the result blob.
     pub trace: bool,
     /// The producer's wall-clock nanoseconds at its trace clock origin;
-    /// the consumer shifts its spans by the epoch delta so both
-    /// processes land on one merged timeline.
+    /// the consumer shifts its spans by the epoch delta so producer and
+    /// consumer land on one merged timeline.
     pub epoch_wall_ns: u64,
     /// The workload memory image, loaded at `Memory::RAM_BASE`.
     pub words: Vec<u32>,
@@ -418,7 +418,7 @@ pub struct ConsumerResult {
     pub g_pending: u64,
     /// The consumer's flight-recorder snapshot.
     pub flight: FlightSnapshot,
-    /// Consumer-process span tracks (timestamps already shifted onto
+    /// Consumer-side span tracks (timestamps already shifted onto
     /// the producer's clock), empty when tracing was off.
     pub spans: Vec<SpanBuf>,
 }

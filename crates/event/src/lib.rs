@@ -11,6 +11,8 @@
 //!   motivates semantic-aware packing),
 //! - [`MonitoredEvent`] / [`OrderTag`] / [`Token`]: monitor-side stamps for
 //!   order-decoupled fusion (Squash) and range-selected replay,
+//! - [`record`]: the one byte layout of a monitored event, shared by the
+//!   Replay ring and the trace file,
 //! - [`wire`]: the little-endian fixed-layout codec primitives.
 //!
 //! # Examples
@@ -45,6 +47,7 @@
 mod catalog;
 mod field;
 mod monitor;
+pub mod record;
 pub mod wire;
 
 pub use catalog::{

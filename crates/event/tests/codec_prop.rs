@@ -1,9 +1,12 @@
 //! Property tests: every event kind's codec is total over exact-length
 //! inputs, encode∘decode is the identity on the byte level, and the
 //! borrowed [`EventRef`] view family agrees with the materializing
-//! decode path — field reads, matching, and error behavior alike.
+//! decode path — field reads, matching, and error behavior alike. The
+//! record codec round-trips every kind with its monitor stamps, and a
+//! cut or malformed record is a typed error, never a panic.
 
-use difftest_event::{Event, EventKind, EventRef};
+use difftest_event::record::{encode_record, RecordHeader, Records, RECORD_HEADER_BYTES};
+use difftest_event::{CodecError, Event, EventKind, EventRef, MonitoredEvent, OrderTag, Token};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random payload of the kind's exact length.
@@ -99,5 +102,72 @@ proptest! {
         let owned = Event::decode(kind, &bytes).expect_err("wrong length rejected");
         let view = EventRef::parse(kind, &bytes).expect_err("wrong length rejected");
         prop_assert_eq!(view, owned);
+    }
+}
+
+/// A monitored event of `kind` with a pseudo-random payload and stamps.
+fn monitored(kind: EventKind, seed: u64, core: u8) -> MonitoredEvent {
+    MonitoredEvent {
+        core,
+        cycle: seed.rotate_left(7),
+        order: OrderTag(seed.rotate_left(23)),
+        token: Token(!seed),
+        event: Event::decode(kind, &payload(kind, seed)).expect("exact length decodes"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn record_round_trips_every_kind(seed in any::<u64>(), core in any::<u8>()) {
+        for kind in EventKind::ALL {
+            let ev = monitored(kind, seed, core);
+            let mut bytes = Vec::new();
+            encode_record(&ev, &mut bytes);
+            let (header, len) = RecordHeader::read(&bytes).expect("whole header reads");
+            prop_assert_eq!(len, bytes.len());
+            prop_assert_eq!(len, RECORD_HEADER_BYTES + kind.encoded_len());
+            prop_assert_eq!(header.kind, kind);
+            let walked: Vec<_> = Records::new(&bytes).collect();
+            prop_assert_eq!(walked.len(), 1);
+            let record = walked[0].as_ref().expect("whole record walks");
+            prop_assert_eq!(record.header, header);
+            prop_assert_eq!(record.to_monitored(), ev);
+        }
+    }
+
+    #[test]
+    fn truncated_record_is_unexpected_end(seed in any::<u64>()) {
+        for kind in EventKind::ALL {
+            let mut bytes = Vec::new();
+            encode_record(&monitored(kind, seed, 1), &mut bytes);
+            prop_assert!(Records::new(&bytes[..0]).next().is_none());
+            for cut in 1..bytes.len() {
+                let mut walk = Records::new(&bytes[..cut]);
+                let first = walk.next();
+                prop_assert!(
+                    matches!(first, Some(Err(CodecError::UnexpectedEnd { .. }))),
+                    "{:?} cut at {}: {:?}", kind, cut, first
+                );
+                prop_assert!(walk.next().is_none());
+                // The header alone reads once it is whole.
+                let header = RecordHeader::read(&bytes[..cut]);
+                prop_assert_eq!(header.is_ok(), cut >= RECORD_HEADER_BYTES);
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_kind_is_bad_kind(seed in any::<u64>(), bad in 32u8..=255) {
+        prop_assert_eq!(EventKind::COUNT, 32);
+        let kind = EventKind::ALL[(seed % 32) as usize];
+        let mut bytes = Vec::new();
+        encode_record(&monitored(kind, seed, 0), &mut bytes);
+        bytes[1] = bad;
+        prop_assert_eq!(RecordHeader::read(&bytes).err(), Some(CodecError::BadKind(bad)));
+        let mut walk = Records::new(&bytes);
+        prop_assert_eq!(walk.next().map(|r| r.err()), Some(Some(CodecError::BadKind(bad))));
+        prop_assert!(walk.next().is_none());
     }
 }

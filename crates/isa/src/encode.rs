@@ -382,11 +382,6 @@ pub fn zext_h(rd: Reg, rs1: Reg) -> u32 {
     r_type(0x3b, rd, 4, rs1, Reg::ZERO, 0x04)
 }
 
-/// `lr.w rd, (rs1)`.
-pub fn lr_w(rd: Reg, rs1: Reg) -> u32 {
-    r_type(0x2f, rd, 2, rs1, Reg::ZERO, 0x02 << 2)
-}
-
 /// `lr.d rd, (rs1)`.
 pub fn lr_d(rd: Reg, rs1: Reg) -> u32 {
     r_type(0x2f, rd, 3, rs1, Reg::ZERO, 0x02 << 2)
@@ -411,18 +406,6 @@ pub fn fmv_d_x(frd: FReg, rs1: Reg) -> u32 {
         rs1,
         Reg::ZERO,
         0b1111001,
-    )
-}
-
-/// `fmv.x.d rd, frs1` — move floating-point bits into an integer register.
-pub fn fmv_x_d(rd: Reg, frs1: FReg) -> u32 {
-    r_type(
-        0x53,
-        rd,
-        0,
-        Reg::new(frs1.index() as u8),
-        Reg::ZERO,
-        0b1110001,
     )
 }
 

@@ -13,9 +13,8 @@
 //!   debugging without re-running the DUT,
 //! - [`Table`] and the `fmt_*` helpers: the plain-text renderer every
 //!   benchmark harness uses to print paper-shaped tables,
-//! - [`trace`]: DUT-trace dump/reload (streaming via
-//!   [`trace::TraceReader`]) for DUT-decoupled iterative debugging of
-//!   the verification logic,
+//! - [`trace`]: DUT-trace dump/reload for DUT-decoupled iterative
+//!   debugging of the verification logic,
 //! - [`TraceQuery`]: typed filter/group/aggregate analysis over reloaded
 //!   traces (the substitution for the paper's SQL backend — see
 //!   `DESIGN.md` §1),

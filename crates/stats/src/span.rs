@@ -29,9 +29,9 @@ pub const TRACE_ENV: &str = "DIFFTEST_TRACE";
 
 /// Trace process id for producer-side tracks (DUT loop, send path).
 pub const PID_PRODUCER: u32 = 1;
-/// Trace process id for consumer-side tracks. Only the socket runner
-/// has a real second OS process, but every runner uses this pid for its
-/// consume-side tracks so timelines read the same across runners.
+/// Trace process id for consumer-side tracks. The consumer is a thread
+/// in every runner, but its tracks take their own pid so producer and
+/// consumer read as two lanes on every runner's timeline.
 pub const PID_CONSUMER: u32 = 2;
 
 /// Default per-sink event capacity; past it, events are counted as

@@ -2,20 +2,17 @@
 //!
 //! Re-running the whole DUT to debug the *verification logic* is wasteful,
 //! so DiffTest-H can dump the monitored event stream (the "DUT trace") and
-//! later drive the checking pipeline from the trace alone. The binary
-//! format reuses the event catalog codec: each record is
-//!
-//! ```text
-//! core:u8  cycle:u64  order:u64  token:u64  kind:u8  payload[kind-length]
-//! ```
+//! later drive the checking pipeline from the trace alone. A trace is an
+//! 8-byte magic followed by [`difftest_event::record`]s, the layout the
+//! Replay ring retains its events in.
 
 use std::io::{self, Read, Write};
 
-use difftest_event::wire::{Reader, Writer};
-use difftest_event::{CodecError, Event, EventKind, MonitoredEvent, OrderTag, Token};
+use difftest_event::record::{encode_record, Records};
+use difftest_event::{CodecError, MonitoredEvent};
 
 /// Magic prefix of a trace file.
-const MAGIC: &[u8; 8] = b"DTHTRC01";
+const MAGIC: &[u8; 8] = b"DTHTRC02";
 
 /// Errors from trace reload.
 #[derive(Debug)]
@@ -60,139 +57,33 @@ pub fn dump<W: Write>(mut w: W, events: &[MonitoredEvent]) -> Result<(), TraceEr
     let mut buf = Vec::new();
     for ev in events {
         buf.clear();
-        let mut wr = Writer::new(&mut buf);
-        wr.u8(ev.core);
-        wr.u64(ev.cycle);
-        wr.u64(ev.order.0);
-        wr.u64(ev.token.0);
-        wr.u8(ev.event.kind() as u8);
-        ev.event.encode_into(&mut buf);
+        encode_record(ev, &mut buf);
         w.write_all(&buf)?;
     }
     Ok(())
 }
 
-/// Bytes of the fixed record header: `core:u8 cycle:u64 order:u64
-/// token:u64 kind:u8`.
-const RECORD_HEADER: usize = 1 + 8 + 8 + 8 + 1;
-
-/// Fills `buf` from `r`, tolerating short reads. Returns how many bytes
-/// were read — less than `buf.len()` only at end of stream.
-fn read_fully<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(filled)
+/// The records of a trace held in memory, after its magic.
+fn records(bytes: &[u8]) -> Result<Records<'_>, TraceError> {
+    bytes
+        .strip_prefix(MAGIC)
+        .map(Records::new)
+        .ok_or(TraceError::BadMagic)
 }
 
-/// A streaming trace reader: decodes one [`MonitoredEvent`] at a time
-/// from any [`Read`], holding only a single record in memory. Large
-/// traces can be filtered or aggregated without ever materializing the
-/// whole event vector ([`reload`] is now a thin `collect` over this).
-pub struct TraceReader<R: Read> {
-    r: R,
-    payload: Vec<u8>,
-    done: bool,
-}
-
-impl<R: Read> TraceReader<R> {
-    /// Opens a trace stream, consuming and checking the magic prefix.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::BadMagic`] when the stream does not start with a
-    /// complete trace magic; [`TraceError::Io`] on read failure.
-    pub fn new(mut r: R) -> Result<Self, TraceError> {
-        let mut magic = [0u8; MAGIC.len()];
-        let n = read_fully(&mut r, &mut magic)?;
-        if n < magic.len() || &magic != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        Ok(TraceReader {
-            r,
-            payload: Vec::new(),
-            done: false,
-        })
-    }
-
-    fn read_record(&mut self) -> Result<Option<MonitoredEvent>, TraceError> {
-        let mut header = [0u8; RECORD_HEADER];
-        let n = read_fully(&mut self.r, &mut header)?;
-        if n == 0 {
-            return Ok(None); // clean end of stream at a record boundary
-        }
-        if n < header.len() {
-            return Err(CodecError::UnexpectedEnd {
-                needed: header.len(),
-                available: n,
-            }
-            .into());
-        }
-        let mut rd = Reader::new(&header);
-        let core = rd.u8()?;
-        let cycle = rd.u64()?;
-        let order = rd.u64()?;
-        let token = rd.u64()?;
-        let kind = EventKind::from_u8(rd.u8()?)?;
-        let len = kind.encoded_len();
-        self.payload.resize(len, 0);
-        let got = read_fully(&mut self.r, &mut self.payload)?;
-        if got < len {
-            return Err(CodecError::UnexpectedEnd {
-                needed: len,
-                available: got,
-            }
-            .into());
-        }
-        let event = Event::decode(kind, &self.payload)?;
-        Ok(Some(MonitoredEvent {
-            core,
-            cycle,
-            order: OrderTag(order),
-            token: Token(token),
-            event,
-        }))
-    }
-}
-
-impl<R: Read> Iterator for TraceReader<R> {
-    type Item = Result<MonitoredEvent, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.read_record() {
-            Ok(Some(ev)) => Some(Ok(ev)),
-            Ok(None) => {
-                self.done = true;
-                None
-            }
-            Err(e) => {
-                // An error is terminal: the stream offset is unreliable.
-                self.done = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-/// Reads an entire trace back into memory (a `collect` over
-/// [`TraceReader`]; use the reader directly to stream large traces).
-pub fn reload<R: Read>(r: R) -> Result<Vec<MonitoredEvent>, TraceError> {
-    TraceReader::new(r)?.collect()
+/// Reads an entire trace back into memory.
+pub fn reload<R: Read>(mut r: R) -> Result<Vec<MonitoredEvent>, TraceError> {
+    let mut bytes = Vec::new();
+    r.read_to_end(&mut bytes)?;
+    records(&bytes)?
+        .map(|rec| Ok(rec?.to_monitored()))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use difftest_event::{InstrCommit, StoreEvent};
+    use difftest_event::{InstrCommit, OrderTag, StoreEvent, Token};
 
     fn sample() -> Vec<MonitoredEvent> {
         vec![
@@ -241,6 +132,11 @@ mod tests {
     }
 
     #[test]
+    fn streaming_reader_rejects_short_magic() {
+        assert!(matches!(reload(&b"DTH"[..]), Err(TraceError::BadMagic)));
+    }
+
+    #[test]
     fn truncated_record_rejected() {
         let mut buf = Vec::new();
         dump(&mut buf, &sample()).unwrap();
@@ -253,37 +149,5 @@ mod tests {
         let mut buf = Vec::new();
         dump(&mut buf, &[]).unwrap();
         assert!(reload(&buf[..]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn streaming_reader_matches_reload() {
-        let events = sample();
-        let mut buf = Vec::new();
-        dump(&mut buf, &events).unwrap();
-        let streamed: Vec<MonitoredEvent> = TraceReader::new(&buf[..])
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(streamed, events);
-    }
-
-    #[test]
-    fn streaming_reader_stops_after_error() {
-        let mut buf = Vec::new();
-        dump(&mut buf, &sample()).unwrap();
-        buf.truncate(buf.len() - 3);
-        let mut rd = TraceReader::new(&buf[..]).unwrap();
-        // First record is intact, the second is truncated mid-payload.
-        assert!(rd.next().unwrap().is_ok());
-        assert!(matches!(rd.next(), Some(Err(TraceError::Codec(_)))));
-        assert!(rd.next().is_none(), "errors are terminal");
-    }
-
-    #[test]
-    fn streaming_reader_rejects_short_magic() {
-        assert!(matches!(
-            TraceReader::new(&b"DTH"[..]).err(),
-            Some(TraceError::BadMagic)
-        ));
     }
 }
