@@ -43,7 +43,8 @@ bench:
 # socket, daemon and span-tracing smokes, the bench harnesses' build, the
 # gated benchmark's self-test (benchmark/README.md: the perf harness
 # still compiles against the public surface and reproduces its exact
-# counts) and the observability smoke. CI's aarch64 `cargo check` of
+# counts), the observability smoke and the warnings-as-errors rustdoc
+# build. CI's aarch64 `cargo check` of
 # difftest-event is left out: it needs `rustup target add`, a download.
 ci: seam
 	$(CARGO) fmt --all -- --check
@@ -56,6 +57,7 @@ ci: seam
 	$(CARGO) build -p difftest-bench --benches
 	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check
 	$(CARGO) run --release --example observability
+	$(MAKE) doc
 
 # Runner modules build on the shared session/link/produce/consume layer
 # only — one runner reaching into another's internals is the coupling
@@ -91,7 +93,10 @@ ci: seam
 # A monitored event has one record layout, difftest_event::record: the
 # Replay ring and the trace file both use it, so no other crate defines
 # a record header, and the trace file's second codec and old magic stay
-# gone.
+# gone. Each side owns its instruments: outside tests, only produce.rs
+# and consume.rs build a phase timer or a flight ring, and no code lends
+# them out again (`lend`, `spans_mut`); runners merge the two sides'
+# observations with one Obs::absorb (DESIGN.md §12.1).
 RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/socket.rs
 WIRE_SRCS = crates/core/src/proto.rs crates/core/src/mux.rs
 INPROC_RUNNER_SRCS = crates/core/src/engine.rs
@@ -220,6 +225,15 @@ seam:
 	else \
 		echo "record seam clean: one record layout, in difftest-event"; \
 	fi
+	@if for f in $(filter-out crates/core/src/produce.rs crates/core/src/consume.rs,$(wildcard crates/core/src/*.rs)); do \
+		sed -e '/^#\[cfg(test)\]/,$$d' $$f \
+			| grep -nE 'PhaseTimer::|FlightRecorder::(default|new)' | sed "s|^|$$f: |"; \
+	done | grep . || grep -nE 'fn (lend|spans_mut)\(' crates/core/src/*.rs; then \
+		echo "instrument seam violated: producer and consumer each own their instruments (DESIGN.md §12.1)"; \
+		exit 1; \
+	else \
+		echo "instrument seam clean: one owner per instrument, merged by one Obs::absorb"; \
+	fi
 
 # Non-test Rust line count, as simplicity changes report it: every .rs
 # under the named trees outside */tests/, cut at its first #[cfg(test)].
@@ -295,8 +309,10 @@ reference:
 		$(CARGO) bench -p difftest-bench --bench $$b 2>/dev/null | tail -n +2 > reference/$$b.txt; \
 	done
 
+# Rustdoc with warnings as errors: a broken or ambiguous intra-doc link
+# fails the build.
 doc:
-	$(CARGO) doc --workspace --no-deps
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps
 
 clean:
 	$(CARGO) clean

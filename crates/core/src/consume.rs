@@ -10,6 +10,12 @@
 //! (the engine's LogGP virtual-time model; nothing for the wall-clock
 //! socket runner).
 //!
+//! The consumer owns its instruments — metrics registry, phase timer,
+//! flight ring and span sink — as plain fields, and hands them back as
+//! one [`Obs`] ([`Consumer::obs`]). It also owns the §4.4 Replay flow
+//! ([`Consumer::localize`]), which needs its timer, retention ring and
+//! checker together.
+//!
 //! Recovery is opt-in: with a retention ring
 //! ([`with_retention`](Consumer::with_retention)), decode failures and
 //! terminal gaps first attempt redelivery of the pristine packet,
@@ -19,14 +25,14 @@
 
 use difftest_event::wire::CodecError;
 use difftest_stats::{
-    FlightKind, FlightRecord, FlightRecorder, FlightSnapshot, GaugeId, HistogramId, Metrics, Phase,
-    PhaseTimer, SpanBuf, SpanSink,
+    FlightKind, FlightRecord, FlightRecorder, GaugeId, HistogramId, Metrics, Obs, Phase,
+    PhaseTimer, SpanSink,
 };
 
 use crate::batch::peek_packet_seq;
 use crate::checker::{CheckStats, Checker, Mismatch, Verdict};
 use crate::fault::{LinkErrorKind, LinkStats};
-use crate::replay::ReplayBuffer;
+use crate::replay::{FailureReport, ReplayBuffer, Retransmission};
 use crate::transport::{SwUnit, Transfer};
 
 /// Retransmissions a run may issue before a link failure is reported
@@ -79,13 +85,10 @@ pub struct ConsumerOutput {
     pub link_error: Option<(LinkErrorKind, u32, u8)>,
     /// Link failure / recovery counters.
     pub link: LinkStats,
-    /// The consumer's metrics (histograms, gauges, `obs.*` counters and
-    /// its phase attribution).
-    pub metrics: Metrics,
-    /// Flight records, oldest first.
-    pub flight: FlightSnapshot,
-    /// Consume-side span buffer (empty when tracing is off).
-    pub spans: SpanBuf,
+    /// What the consumer observed: its metrics (histograms, gauges,
+    /// `obs.*` and `decode.*` counters, phase times), flight records
+    /// and span track.
+    pub obs: Obs,
 }
 
 /// The shared receive-side pipeline: decoder, checker, observability
@@ -153,12 +156,6 @@ impl Consumer {
     pub fn with_spans(mut self, spans: SpanSink) -> Self {
         self.spans = spans;
         self
-    }
-
-    /// The consume-side span sink (the engine takes its buffer while
-    /// staying runnable).
-    pub fn spans_mut(&mut self) -> &mut SpanSink {
-        &mut self.spans
     }
 
     /// Attaches a packet/event retention ring of `capacity` entries,
@@ -496,35 +493,54 @@ impl Consumer {
         self.retention.as_ref().map_or(0, ReplayBuffer::dropped)
     }
 
-    /// The flight ring (producer phases of single-threaded runners
-    /// record into the same ring to keep records chronological).
+    /// The flight ring. Not part of the surface: kept only because the
+    /// gated benchmark's layer pass still records its sends into it; the
+    /// benchmark-only re-baseline (ROADMAP item 1) moves that call.
+    #[doc(hidden)]
     pub fn flight_mut(&mut self) -> &mut FlightRecorder {
         &mut self.flight
     }
 
-    /// Disjoint borrows for the engine, which runs on this consumer's
-    /// timeline: its producer phases write the timer and flight ring
-    /// and fill the retention ring, and its §4.4 replay flow reverts
-    /// the checker and reads the ring back.
-    pub fn lend(
-        &mut self,
-    ) -> (
-        &mut PhaseTimer,
-        &mut FlightRecorder,
-        Option<&mut ReplayBuffer>,
-        &mut Checker,
-    ) {
-        (
-            &mut self.timer,
-            &mut self.flight,
-            self.retention.as_mut(),
-            &mut self.checker,
-        )
-    }
-
-    /// Snapshot of the flight ring.
-    pub fn flight_snapshot(&self) -> FlightSnapshot {
-        self.flight.snapshot()
+    /// Replay localization (paper §4.4) of a mismatch on `coarse`'s
+    /// core: revert the checker to the last fused window's start,
+    /// retransmit that window's unfused events from the retention ring
+    /// and re-check them one by one, timed as the ARQ phase. Returns the
+    /// failure report and, when a replay ran, what the retransmission
+    /// cost: its bytes (one request plus the unfused payload) and the
+    /// checker stats before it, for a virtual-time charge against the
+    /// stats after. Without a ring or a fused window to revert, the
+    /// mismatch is already precise.
+    pub fn localize(&mut self, coarse: Mismatch) -> (FailureReport, Option<(u64, CheckStats)>) {
+        let t0 = self.timer.start();
+        let Consumer {
+            retention, checker, ..
+        } = self;
+        let window = retention
+            .as_ref()
+            .and_then(|rb| Some((rb, checker.revert_for_replay(coarse.core)?)));
+        let Some((rb, (from, to))) = window else {
+            let report = FailureReport {
+                precise: Some(coarse.clone()),
+                coarse,
+                token_range: (0, 0),
+                replayed_events: 0,
+                partial: false,
+            };
+            return (report, None);
+        };
+        let Retransmission { events, complete } = rb.retransmit(coarse.core, from, to);
+        let bytes: usize = events.iter().map(|e| 2 + e.encoded_len()).sum();
+        let before = *checker.stats();
+        let precise = checker.replay_unfused(coarse.core, &events);
+        self.timer.stop(Phase::Arq, t0);
+        let report = FailureReport {
+            coarse,
+            precise,
+            token_range: (from, to),
+            replayed_events: events.len(),
+            partial: !complete,
+        };
+        (report, Some((bytes as u64, before)))
     }
 
     /// The consumer's metrics with its deferred counters
@@ -546,18 +562,27 @@ impl Consumer {
         m
     }
 
+    /// What the consumer observed so far: [`metrics_snapshot`](Self::metrics_snapshot),
+    /// a snapshot of its flight ring, and its span track (taken, so a
+    /// second call carries none). Non-consuming: the engine stays
+    /// runnable.
+    pub fn obs(&mut self) -> Obs {
+        Obs::new(
+            self.metrics_snapshot(),
+            self.flight.snapshot(),
+            self.spans.take_buf(),
+        )
+    }
+
     /// Tears the consumer down into its runner-facing output.
-    pub fn finish(self) -> ConsumerOutput {
-        let metrics = self.metrics_snapshot();
+    pub fn finish(mut self) -> ConsumerOutput {
         ConsumerOutput {
+            obs: self.obs(),
             items: self.items,
             verdict: self.verdict,
             mismatch: self.mismatch,
             link_error: self.link_error,
             link: self.link,
-            metrics,
-            flight: self.flight.snapshot(),
-            spans: self.spans.into_buf(),
         }
     }
 }
@@ -589,8 +614,7 @@ mod tests {
     /// Runs the producer side to completion, collecting every packet.
     fn produce(session: &Session) -> Vec<Transfer> {
         let mut p = session.producer(QueueSink::default());
-        let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
-        p.run(&mut timer, &mut rec, |_| {});
+        p.run();
         std::mem::take(&mut p.link_mut().sink_mut().queue)
     }
 
@@ -618,7 +642,8 @@ mod tests {
         }
         assert!(out.link.count(LinkErrorKind::Gap) > 0);
         assert!(
-            out.flight
+            out.obs
+                .flight
                 .find(FlightKind::LinkError, produced - 1)
                 .is_some(),
             "gap must leave a flight record"

@@ -23,16 +23,16 @@ use std::fmt;
 
 use difftest_dut::{BugSpec, Dut, DutConfig};
 use difftest_platform::{OverheadBreakdown, Platform};
-use difftest_stats::{Phase, Tracer, PID_CONSUMER};
+use difftest_stats::{Metrics, Tracer, PID_CONSUMER};
 use difftest_workload::Workload;
 
 use crate::batch::peek_packet_seq;
-use crate::checker::{CheckStats, Mismatch};
+use crate::checker::CheckStats;
 use crate::consume::{ChargeObserver, Consumer, Step};
 use crate::fault::{FaultPlan, LinkErrorKind};
 use crate::link::QueueSink;
 use crate::produce::Producer;
-use crate::replay::{FailureReport, ReplayBuffer, Retransmission};
+use crate::replay::{FailureReport, ReplayBuffer};
 use crate::session::{seal_report, RunCommon, RunnerKind, Session};
 use crate::squash::SquashStats;
 use crate::transport::Transfer;
@@ -456,8 +456,7 @@ pub struct CoSimulation {
     /// in-memory queue the engine drains in-line every cycle.
     producer: Producer<QueueSink>,
     /// The shared receive-side pipeline (decode, check, ARQ recovery,
-    /// observability). It lends the producer its timer and flight ring,
-    /// so both sides share one interleaved timeline.
+    /// Replay localization, observability).
     consumer: Consumer,
     config: DiffConfig,
     timing: Timing,
@@ -529,15 +528,14 @@ impl CoSimulation {
         let arq = self.producer.fault_stats().is_some() && self.config.batch();
 
         while self.producer.running() {
-            let (timer, rec, mut ring, _) = self.consumer.lend();
-            self.producer.tick(timer);
+            self.producer.tick();
             self.timing.on_cycle();
+            let mut ring = self.consumer.retention_mut();
             if let Some(rb) = ring.as_deref_mut() {
-                self.producer.monitor(timer, |events| rb.push_slice(events));
+                self.producer.monitor(|events| rb.push_slice(events));
             }
-            self.producer.pack(timer);
-            self.producer
-                .feed(timer, rec, retain_packets(ring.filter(|_| arq)));
+            self.producer.pack();
+            self.producer.feed(retain_packets(ring.filter(|_| arq)));
             if self.process_queued() {
                 break;
             }
@@ -546,9 +544,9 @@ impl CoSimulation {
         // Drain: flush fusion windows, partial packets and the link's
         // reorder holds, then pending transfers, then any terminal gaps.
         if !self.consumer.stopped() {
-            let (timer, rec, ring, _) = self.consumer.lend();
-            self.producer
-                .flush(timer, rec, retain_packets(ring.filter(|_| arq)));
+            self.producer.flush(retain_packets(
+                self.consumer.retention_mut().filter(|_| arq),
+            ));
             if !self.process_queued() {
                 let cycle = self.producer.dut().cycles();
                 let produced = self.producer.link_mut().produced();
@@ -557,8 +555,13 @@ impl CoSimulation {
             }
         }
         if self.failure.is_none() {
-            if let Some(m) = self.consumer.mismatch().cloned() {
-                self.on_mismatch(m);
+            if let Some(coarse) = self.consumer.mismatch().cloned() {
+                let (failure, replay) = self.consumer.localize(coarse);
+                if let Some((bytes, before)) = replay {
+                    let after = self.consumer.checker().stats();
+                    self.timing.charge(1, bytes, &before, after);
+                }
+                self.failure = Some(failure);
             }
         }
 
@@ -578,9 +581,8 @@ impl CoSimulation {
                 items: self.consumer.items(),
                 link: self.consumer.link_stats(),
                 fault: self.producer.fault_stats(),
-                // Snapshot the registry into the report (`self` stays
-                // runnable); completed with the run counters below.
-                metrics: self.consumer.metrics_snapshot(),
+                // Filled by `seal_report` from both sides' observations.
+                metrics: Metrics::new(),
                 flight: None,
             },
             failure: self.failure.clone(),
@@ -594,18 +596,15 @@ impl CoSimulation {
             check: *self.consumer.checker().stats(),
             replay_dropped: self.consumer.retention_dropped(),
         };
-        let counters = report.counters();
-        report.common.metrics.counters.merge(&counters);
-        let spans = [
-            self.producer.link_mut().take_spans(),
-            self.consumer.spans_mut().take_buf(),
-        ];
+        report.common.metrics.counters = report.counters();
+        // Snapshots (`self` stays runnable): producer context first.
+        let mut obs = self.producer.obs();
+        obs.absorb(self.consumer.obs());
         seal_report(
             RunnerKind::Engine,
             &mut report.common,
             self.tracer.as_ref(),
-            spans,
-            || self.consumer.flight_snapshot(),
+            obs,
         );
         report
     }
@@ -624,44 +623,6 @@ impl CoSimulation {
         }
         self.producer.link_mut().sink_mut().queue = queue;
         stop
-    }
-
-    /// Replay flow (paper §4.4): revert, retransmit, reprocess. The
-    /// consumer already recorded the `Mismatch` flight at detection.
-    fn on_mismatch(&mut self, coarse: Mismatch) {
-        let core = coarse.core;
-        let (timer, _, retention, checker) = self.consumer.lend();
-        let t0 = timer.start();
-        let replay = retention.and_then(|rb| Some((rb, checker.revert_for_replay(core)?)));
-        let Some((rb, (from, to))) = replay else {
-            // Unfused configurations keep no ring, and an unfused window
-            // leaves nothing to revert: the mismatch is already precise.
-            self.failure = Some(FailureReport {
-                precise: Some(coarse.clone()),
-                coarse,
-                token_range: (0, 0),
-                replayed_events: 0,
-                partial: false,
-            });
-            return;
-        };
-
-        let Retransmission { events, complete } = rb.retransmit(core, from, to);
-        // Charge the retransmission: one request plus the unfused payload.
-        let replay_bytes: usize = events.iter().map(|e| 2 + e.encoded_len()).sum();
-        let before = *checker.stats();
-        let precise = checker.replay_unfused(core, &events);
-        timer.stop(Phase::Arq, t0);
-        self.timing
-            .charge(1, replay_bytes as u64, &before, checker.stats());
-
-        self.failure = Some(FailureReport {
-            coarse,
-            precise,
-            token_range: (from, to),
-            replayed_events: events.len(),
-            partial: !complete,
-        });
     }
 }
 

@@ -263,8 +263,9 @@ impl ProtoSession {
             // timeline = wall - consumer_epoch. Shifting by (consumer -
             // producer) maps the consumer's spans onto the producer's
             // clock.
-            out.spans
-                .shift_ts(r.consumer_epoch as i64 - r.producer_epoch as i64);
+            for b in &mut out.obs.spans {
+                b.shift_ts(r.consumer_epoch as i64 - r.producer_epoch as i64);
+            }
         }
         let mut blob = Vec::new();
         if write_result(&mut blob, &out).is_err() {
@@ -296,6 +297,8 @@ pub enum CloseReason {
     /// The peer vanished before a result was sealed (EOF before the
     /// hello, or a read error).
     ProducerLost,
+    /// The session panicked; its connection dropped with the unwind.
+    Panicked,
 }
 
 impl CloseReason {
@@ -308,6 +311,7 @@ impl CloseReason {
             CloseReason::Rejected => "serve.sessions.rejected",
             CloseReason::HelloTimeout => "serve.sessions.hello_timeout",
             CloseReason::ProducerLost => "serve.sessions.producer_lost",
+            CloseReason::Panicked => "serve.sessions.panicked",
         }
     }
 }
@@ -574,9 +578,7 @@ mod tests {
             None,
         );
         let mut p = session.producer(QueueSink::default());
-        let mut timer = difftest_stats::PhaseTimer::monotonic();
-        let mut rec = difftest_stats::FlightRecorder::default();
-        p.run(&mut timer, &mut rec, |_| {});
+        p.run();
         let mut bytes = Vec::new();
         write_hello(&mut bytes, &Hello::from_session(&session, 0, w.words())).unwrap();
         let queued: Vec<_> = p.link_mut().sink_mut().queue.drain(..).collect();

@@ -9,15 +9,15 @@
 //! exposes each phase as its own call so a runner is reduced to a
 //! topology — where the producer runs and what the sink is.
 //!
-//! The producer owns no instruments. Every phase borrows the
-//! [`PhaseTimer`] and [`FlightRecorder`] it writes to, the way
-//! [`SendLink::feed`] does: the engine lends its consumer's, so
-//! producer and consumer phases land on one interleaved timeline; the
-//! socket runner lends a pair local to the producing thread.
+//! The producer owns its instruments, as the consumer owns its own: a
+//! [`PhaseTimer`] for its phases and a [`FlightRecorder`] for its sends
+//! and fusion watermarks (its span track lives in the [`SendLink`]).
+//! [`obs`](Producer::obs) hands them back as one [`Obs`], which a
+//! runner joins with the consumer's by one [`Obs::absorb`].
 
 use difftest_dut::Dut;
 use difftest_event::MonitoredEvent;
-use difftest_stats::{FlightRecorder, FlightSnapshot, Phase, PhaseTimer, PhaseTimes, SpanBuf};
+use difftest_stats::{FlightRecorder, Metrics, Obs, Phase, PhaseTimer};
 
 use crate::fault::FaultStats;
 use crate::link::{FusionWatch, LinkSink, SendLink};
@@ -32,16 +32,13 @@ pub struct ProducerOutput {
     pub instructions: u64,
     /// Injected-fault counters (`None` on a clean link).
     pub fault: Option<FaultStats>,
-    /// Phase attribution of the lent timer.
-    pub phases: PhaseTimes,
-    /// The lent flight ring, oldest first.
-    pub flight: FlightSnapshot,
-    /// The producer-side span buffer (empty when tracing is off).
-    pub spans: SpanBuf,
+    /// What the producer observed: its phase times, flight records and
+    /// span track.
+    pub obs: Obs,
 }
 
 /// The shared send-side pipeline: DUT, acceleration unit, send path,
-/// event scratch and stop conditions. Built by
+/// event scratch, stop conditions and instruments. Built by
 /// [`Session::producer`](crate::Session::producer).
 ///
 /// Phase contract, per DUT cycle: [`tick`](Self::tick), optionally
@@ -49,7 +46,7 @@ pub struct ProducerOutput {
 /// [`feed`](Self::feed), while [`running`](Self::running); then one
 /// [`flush`](Self::flush), then [`finish`](Self::finish) (dropping the
 /// producer closes the sink: end of stream). [`run`](Self::run) is that
-/// loop with a send tap and no monitor hook.
+/// loop with no monitor hook and no send tap.
 #[derive(Debug)]
 pub struct Producer<S: LinkSink> {
     dut: Dut,
@@ -63,6 +60,10 @@ pub struct Producer<S: LinkSink> {
     max_cycles: u64,
     /// Cleared once the sink reports its receiver gone.
     alive: bool,
+    /// Times the tick, monitor, pack and transport phases.
+    timer: PhaseTimer,
+    /// Records fusion watermarks and packets sent.
+    flight: FlightRecorder,
 }
 
 impl<S: LinkSink> Producer<S> {
@@ -76,6 +77,8 @@ impl<S: LinkSink> Producer<S> {
             events: Vec::new(),
             max_cycles,
             alive: true,
+            timer: PhaseTimer::monotonic(),
+            flight: FlightRecorder::default(),
         }
     }
 
@@ -106,26 +109,26 @@ impl<S: LinkSink> Producer<S> {
     }
 
     /// Advances the DUT one cycle, capturing its monitored events.
-    pub fn tick(&mut self, timer: &mut PhaseTimer) {
-        let t0 = timer.start();
+    pub fn tick(&mut self) {
+        let t0 = self.timer.start();
         self.events.clear();
         self.dut.tick_into(&mut self.events);
-        timer.stop(Phase::Tick, t0);
+        self.timer.stop(Phase::Tick, t0);
     }
 
     /// Runs `hook` over the cycle's events, timed as the monitor phase
     /// (the engine retains them for Replay here). Runners without a
     /// monitor-side consumer of the events skip this call.
-    pub fn monitor(&mut self, timer: &mut PhaseTimer, hook: impl FnOnce(&[MonitoredEvent])) {
-        timer.time(Phase::Monitor, || hook(&self.events));
+    pub fn monitor(&mut self, hook: impl FnOnce(&[MonitoredEvent])) {
+        self.timer.time(Phase::Monitor, || hook(&self.events));
     }
 
     /// Streams the cycle's events through the acceleration unit;
     /// completed transfers are staged for [`feed`](Self::feed).
-    pub fn pack(&mut self, timer: &mut PhaseTimer) {
-        let t0 = timer.start();
+    pub fn pack(&mut self) {
+        let t0 = self.timer.start();
         self.accel.push_cycle(&self.events, &mut self.staging);
-        timer.stop(Phase::Pack, t0);
+        self.timer.stop(Phase::Pack, t0);
     }
 
     /// Moves staged transfers across the link: the fusion watermark
@@ -133,13 +136,8 @@ impl<S: LinkSink> Producer<S> {
     /// (pre-fault), then the send path. A blocking sink is the sending
     /// queue with backpressure. Returns `false` once the receiver is
     /// gone — it already decided the run.
-    pub fn feed(
-        &mut self,
-        timer: &mut PhaseTimer,
-        rec: &mut FlightRecorder,
-        tap: impl FnMut(&Transfer),
-    ) -> bool {
-        if !self.ship(timer, rec, tap) {
+    pub fn feed(&mut self, tap: impl FnMut(&Transfer)) -> bool {
+        if !self.ship(tap) {
             self.alive = false;
         }
         self.alive
@@ -148,40 +146,31 @@ impl<S: LinkSink> Producer<S> {
     /// End of stream: flushes fusion windows and partial packets, feeds
     /// them (through `tap`, like [`feed`](Self::feed)), and releases
     /// transfers the fault model still holds for reordering.
-    pub fn flush(
-        &mut self,
-        timer: &mut PhaseTimer,
-        rec: &mut FlightRecorder,
-        tap: impl FnMut(&Transfer),
-    ) {
-        let t0 = timer.start();
+    pub fn flush(&mut self, tap: impl FnMut(&Transfer)) {
+        let t0 = self.timer.start();
         self.accel.flush(&mut self.staging);
-        timer.stop(Phase::Pack, t0);
-        if self.ship(timer, rec, tap) {
-            let t0 = timer.start();
+        self.timer.stop(Phase::Pack, t0);
+        if self.ship(tap) {
+            let t0 = self.timer.start();
             self.link.finish();
-            timer.stop(Phase::Transport, t0);
+            self.timer.stop(Phase::Transport, t0);
         }
     }
 
     /// Feeds the staged transfers to the send path. Returns `false`
     /// once the receiver is gone.
-    fn ship(
-        &mut self,
-        timer: &mut PhaseTimer,
-        rec: &mut FlightRecorder,
-        tap: impl FnMut(&Transfer),
-    ) -> bool {
+    fn ship(&mut self, tap: impl FnMut(&Transfer)) -> bool {
         if self.staging.is_empty() {
             return true;
         }
-        let t0 = timer.start();
+        let t0 = self.timer.start();
         let cycle = self.dut.cycles();
-        self.fusion.observe(&self.accel, true, 0, cycle, rec);
+        self.fusion
+            .observe(&self.accel, true, 0, cycle, &mut self.flight);
         self.staging.iter().for_each(tap);
-        let alive = self.link.feed(&mut self.staging, rec, cycle);
+        let alive = self.link.feed(&mut self.staging, &mut self.flight, cycle);
         self.link.reclaim(&mut self.accel);
-        timer.stop(Phase::Transport, t0);
+        self.timer.stop(Phase::Transport, t0);
         alive
     }
 
@@ -192,33 +181,33 @@ impl<S: LinkSink> Producer<S> {
     }
 
     /// Steps until the run ends (a receiver that decided the stream
-    /// early ends it by going away), then flushes. `tap` sees every
-    /// transfer about to be sent, as in [`feed`](Self::feed).
-    pub fn run(
-        &mut self,
-        timer: &mut PhaseTimer,
-        rec: &mut FlightRecorder,
-        mut tap: impl FnMut(&Transfer),
-    ) {
+    /// early ends it by going away), then flushes.
+    pub fn run(&mut self) {
         while self.running() {
-            self.tick(timer);
-            self.pack(timer);
-            self.feed(timer, rec, &mut tap);
+            self.tick();
+            self.pack();
+            self.feed(|_| {});
         }
-        self.flush(timer, rec, &mut tap);
+        self.flush(|_| {});
     }
 
-    /// Tears the producer down into its runner-facing output, reading
-    /// phases and flight records off the instruments it was lent.
-    /// Dropping the send path closes the sink: end of stream.
-    pub fn finish(mut self, timer: &PhaseTimer, rec: &FlightRecorder) -> ProducerOutput {
+    /// What the producer observed so far: its phase times, a snapshot
+    /// of its flight ring, and its span track (taken, so a second call
+    /// carries none). Non-consuming: the engine stays runnable.
+    pub fn obs(&mut self) -> Obs {
+        let mut metrics = Metrics::new();
+        metrics.phases = self.timer.times();
+        Obs::new(metrics, self.flight.snapshot(), self.link.take_spans())
+    }
+
+    /// Tears the producer down into its runner-facing output. Dropping
+    /// the send path closes the sink: end of stream.
+    pub fn finish(mut self) -> ProducerOutput {
         ProducerOutput {
             cycles: self.dut.cycles(),
             instructions: self.dut.total_commits(),
             fault: self.link.fault_stats(),
-            phases: timer.times(),
-            flight: rec.snapshot(),
-            spans: self.link.take_spans(),
+            obs: self.obs(),
         }
     }
 }

@@ -17,16 +17,17 @@
 //! client → server   "DTH1" ver config cores kill trace epoch len words   (hello)
 //!                   [ 0x00 core items len bytes ]*                       (transfer frames)
 //!                   0x01 produced                                        (end frame)
-//! server → client   "DTHR" verdict mismatch link-error items stats …     (result blob)
+//! server → client   "DTHR" verdict mismatch link-error items link obs     (result blob)
 //! ```
 //!
 //! All integers are little-endian: fixed-size fields parse with the
 //! event codec's [`Reader`], the blocking `io` paths use this module's
 //! private `w_*`/`r_*` helpers. Every length prefix is bounds-checked
 //! *before* any allocation: frames against [`MAX_FRAME_BYTES`], hello
-//! image words against [`MAX_HELLO_WORDS`], so a hostile or
-//! desynchronized stream yields a typed [`ProtoError`], never a panic
-//! or an unbounded buffer.
+//! image words against [`MAX_HELLO_WORDS`], the result blob's [`Obs`]
+//! counts against what one consumer can hold ([`Obs::read_from`]), so
+//! a hostile or desynchronized stream yields a typed error, never a
+//! panic or an unbounded buffer.
 //!
 //! The version byte ([`PROTO_VERSION`]) right after the magic is new
 //! with this layer: both ends of a difftest build always agree on it,
@@ -34,16 +35,13 @@
 //! [`ProtoError::BadVersion`] instead of misparsing the fields that
 //! follow.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 
 use difftest_event::wire::{CodecError, Reader};
 use difftest_ref::Memory;
-use difftest_stats::{
-    FlightKind, FlightRecord, FlightSnapshot, Phase, PhaseTimes, SpanBuf, SpanEvent, SpanKind,
-};
+use difftest_stats::Obs;
 
 use crate::checker::{Mismatch, Verdict};
 use crate::consume::ConsumerOutput;
@@ -56,9 +54,11 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"DTH1";
 /// Magic opening every result blob.
 pub const RESULT_MAGIC: [u8; 4] = *b"DTHR";
 /// Protocol revision carried right after the handshake magic. Version 2
-/// is version 1 (the implicit, pre-extraction format) plus this very
-/// byte.
-pub const PROTO_VERSION: u8 = 2;
+/// was version 1 (the implicit, pre-extraction format) plus this very
+/// byte; version 3 ends the result blob with the consumer's whole
+/// [`Obs`] instead of hand-picked phases, gauges, counters, flight
+/// records and spans.
+pub const PROTO_VERSION: u8 = 3;
 
 /// Frame type: a [`Transfer`] packet.
 pub const FRAME_TRANSFER: u8 = 0;
@@ -392,36 +392,10 @@ pub fn write_end_frame<W: Write>(w: &mut W, produced: u32) -> io::Result<()> {
     w_u32(w, produced)
 }
 
-/// The consumer's serialized verdict, as the producer reconstructs it
-/// from the `DTHR` blob.
-#[derive(Debug)]
-pub struct ConsumerResult {
-    /// The verified halt, if the stream reached one.
-    pub verdict: Option<Verdict>,
-    /// The first detected DUT/REF divergence, if any.
-    pub mismatch: Option<Mismatch>,
-    /// The first unmaskable link failure, if any.
-    pub link_error: Option<(LinkErrorKind, u32, u8)>,
-    /// Wire items checked.
-    pub items: u64,
-    /// Link failure counters accumulated by the receive side.
-    pub link: LinkStats,
-    /// Consumer-side phase times, merged into the producer's.
-    pub phases: PhaseTimes,
-    /// Transfers the consumer observed.
-    pub obs_transfers: u64,
-    /// Bytes the consumer observed.
-    pub obs_bytes: u64,
-    /// High-water mark of the reorder buffer.
-    pub g_reorder: u64,
-    /// High-water mark of the checker's pending queue.
-    pub g_pending: u64,
-    /// The consumer's flight-recorder snapshot.
-    pub flight: FlightSnapshot,
-    /// Consumer-side span tracks (timestamps already shifted onto
-    /// the producer's clock), empty when tracing was off.
-    pub spans: Vec<SpanBuf>,
-}
+/// The consumer's output as the producer reads it back from the `DTHR`
+/// blob: the same fields, its span tracks shifted onto the producer's
+/// clock.
+pub type ConsumerResult = ConsumerOutput;
 
 /// Writes a finished consumer's output as the `DTHR` result blob.
 pub fn write_result<W: Write>(w: &mut W, out: &ConsumerOutput) -> io::Result<()> {
@@ -464,97 +438,7 @@ pub fn write_result<W: Write>(w: &mut W, out: &ConsumerOutput) -> io::Result<()>
     w_u64(w, out.link.recovered)?;
     w_u64(w, out.link.retransmits)?;
     w_u64(w, out.link.retransmit_bytes)?;
-    for (_, nanos) in out.metrics.phases.iter() {
-        w_u64(w, nanos)?;
-    }
-    w_u64(w, out.metrics.counters.get("obs.transfers"))?;
-    w_u64(w, out.metrics.counters.get("obs.bytes"))?;
-    w_u64(w, out.metrics.gauge("reorder.buffered.max"))?;
-    w_u64(w, out.metrics.gauge("checker.pending.max"))?;
-    w_u32(w, out.flight.records.len() as u32)?;
-    for r in &out.flight.records {
-        w_u8(w, flight_kind_wire(r.kind))?;
-        w_u8(w, r.core)?;
-        w_u32(w, r.seq)?;
-        w_u64(w, r.cycle)?;
-        w_u64(w, r.value)?;
-    }
-    w_u64(w, out.flight.evicted)?;
-    if out.spans.is_empty() {
-        w_u32(w, 0)
-    } else {
-        w_u32(w, 1)?;
-        write_span_buf(w, &out.spans)
-    }
-}
-
-fn write_span_buf<W: Write>(w: &mut W, b: &SpanBuf) -> io::Result<()> {
-    w_u32(w, b.pid)?;
-    w_u32(w, b.tid)?;
-    w_str(w, &b.process)?;
-    w_str(w, &b.track)?;
-    w_u64(w, b.recorded)?;
-    w_u64(w, b.dropped)?;
-    w_u32(w, b.events.len() as u32)?;
-    for e in &b.events {
-        w_u8(w, span_kind_wire(e.kind))?;
-        w_str(w, &e.name)?;
-        w_u64(w, e.ts_ns)?;
-        w_u64(w, e.dur_ns)?;
-        w_u64(w, e.id)?;
-    }
-    Ok(())
-}
-
-fn read_span_buf<R: Read>(r: &mut R) -> io::Result<SpanBuf> {
-    let pid = r_u32(r)?;
-    let tid = r_u32(r)?;
-    let process = r_str(r)?;
-    let track = r_str(r)?;
-    let recorded = r_u64(r)?;
-    let dropped = r_u64(r)?;
-    let n = r_u32(r)? as usize;
-    if n > MAX_FRAME_BYTES {
-        return Err(bad("span count"));
-    }
-    let mut events = Vec::with_capacity(n);
-    for _ in 0..n {
-        events.push(SpanEvent {
-            kind: span_kind_from_wire(r_u8(r)?)?,
-            name: Cow::Owned(r_str(r)?),
-            ts_ns: r_u64(r)?,
-            dur_ns: r_u64(r)?,
-            id: r_u64(r)?,
-        });
-    }
-    Ok(SpanBuf {
-        pid,
-        tid,
-        process,
-        track,
-        events,
-        recorded,
-        dropped,
-    })
-}
-
-fn span_kind_wire(k: SpanKind) -> u8 {
-    match k {
-        SpanKind::Span => 0,
-        SpanKind::FlowOut => 1,
-        SpanKind::FlowIn => 2,
-        SpanKind::Counter => 3,
-    }
-}
-
-fn span_kind_from_wire(b: u8) -> io::Result<SpanKind> {
-    match b {
-        0 => Ok(SpanKind::Span),
-        1 => Ok(SpanKind::FlowOut),
-        2 => Ok(SpanKind::FlowIn),
-        3 => Ok(SpanKind::Counter),
-        _ => Err(bad("span kind")),
-    }
+    out.obs.write_to(w)
 }
 
 /// Reads a `DTHR` result blob back (the producer side). Any truncation
@@ -604,76 +488,14 @@ pub fn read_result<R: Read>(r: &mut R) -> io::Result<ConsumerResult> {
     link.recovered = r_u64(r)?;
     link.retransmits = r_u64(r)?;
     link.retransmit_bytes = r_u64(r)?;
-    let mut phases = PhaseTimes::default();
-    for p in Phase::ALL {
-        phases.add(p, r_u64(r)?);
-    }
-    let obs_transfers = r_u64(r)?;
-    let obs_bytes = r_u64(r)?;
-    let g_reorder = r_u64(r)?;
-    let g_pending = r_u64(r)?;
-    let n = r_u32(r)? as usize;
-    if n > MAX_FRAME_BYTES {
-        return Err(bad("flight count"));
-    }
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        records.push(FlightRecord {
-            kind: flight_kind_from_wire(r_u8(r)?)?,
-            core: r_u8(r)?,
-            seq: r_u32(r)?,
-            cycle: r_u64(r)?,
-            value: r_u64(r)?,
-        });
-    }
-    let evicted = r_u64(r)?;
-    let nbufs = r_u32(r)? as usize;
-    if nbufs > 4096 {
-        return Err(bad("span buf count"));
-    }
-    let mut spans = Vec::with_capacity(nbufs);
-    for _ in 0..nbufs {
-        spans.push(read_span_buf(r)?);
-    }
-    Ok(ConsumerResult {
+    Ok(ConsumerOutput {
         verdict,
         mismatch,
         link_error,
         items,
         link,
-        phases,
-        obs_transfers,
-        obs_bytes,
-        g_reorder,
-        g_pending,
-        flight: FlightSnapshot { records, evicted },
-        spans,
+        obs: Obs::read_from(r)?,
     })
-}
-
-fn flight_kind_wire(k: FlightKind) -> u8 {
-    match k {
-        FlightKind::PacketSent => 0,
-        FlightKind::PacketReceived => 1,
-        FlightKind::Fusion => 2,
-        FlightKind::Retransmit => 3,
-        FlightKind::LinkError => 4,
-        FlightKind::Mismatch => 5,
-        FlightKind::Verdict => 6,
-    }
-}
-
-fn flight_kind_from_wire(b: u8) -> io::Result<FlightKind> {
-    match b {
-        0 => Ok(FlightKind::PacketSent),
-        1 => Ok(FlightKind::PacketReceived),
-        2 => Ok(FlightKind::Fusion),
-        3 => Ok(FlightKind::Retransmit),
-        4 => Ok(FlightKind::LinkError),
-        5 => Ok(FlightKind::Mismatch),
-        6 => Ok(FlightKind::Verdict),
-        _ => Err(bad("flight kind")),
-    }
 }
 
 fn link_error_kind_from_wire(b: u8) -> io::Result<LinkErrorKind> {
@@ -778,8 +600,11 @@ mod tests {
     use crate::transport::SwUnit;
     use difftest_dut::DutConfig;
     use difftest_ref::RefModel;
-    use difftest_stats::{MonotonicClock, PID_CONSUMER};
+    use difftest_stats::{
+        FlightKind, FlightRecord, MonotonicClock, SpanBuf, SpanEvent, SpanKind, PID_CONSUMER,
+    };
     use difftest_workload::Workload;
+    use std::borrow::Cow;
     use std::sync::Arc;
 
     #[test]
@@ -800,14 +625,18 @@ mod tests {
         });
         out.link_error = Some((LinkErrorKind::Gap, 9, 1));
         out.link.note(LinkErrorKind::Gap);
-        out.flight.records.push(FlightRecord {
+        out.obs.metrics.counters.set("decode.hits", 4055);
+        let h = out.obs.metrics.register_histogram("packet.bytes");
+        out.obs.metrics.record(h, 17);
+        out.obs.metrics.record(h, 4096);
+        out.obs.flight.records.push(FlightRecord {
             kind: FlightKind::Mismatch,
             core: 1,
             seq: 9,
             cycle: 1234,
             value: 7,
         });
-        out.spans = SpanBuf {
+        out.obs.spans = vec![SpanBuf {
             pid: PID_CONSUMER,
             tid: 0,
             process: "consumer".into(),
@@ -830,7 +659,7 @@ mod tests {
             ],
             recorded: 2,
             dropped: 0,
-        };
+        }];
         let mut blob = Vec::new();
         write_result(&mut blob, &out).unwrap();
         let res = read_result(&mut blob.as_slice()).unwrap();
@@ -840,10 +669,14 @@ mod tests {
         assert_eq!(m.actual, "0x80000004");
         assert_eq!(res.link_error, Some((LinkErrorKind::Gap, 9, 1)));
         assert_eq!(res.link.count(LinkErrorKind::Gap), 1);
-        assert_eq!(res.flight.records.len(), 1);
-        assert_eq!(res.flight.records[0].kind, FlightKind::Mismatch);
-        assert_eq!(res.flight.records[0].cycle, 1234);
-        assert_eq!(res.spans, vec![out.spans]);
+        assert_eq!(res.obs.flight.records.len(), 1);
+        assert_eq!(res.obs.flight.records[0].kind, FlightKind::Mismatch);
+        assert_eq!(res.obs.flight.records[0].cycle, 1234);
+        assert_eq!(res.obs.spans, out.obs.spans);
+        assert_eq!(res.obs.metrics.counters.get("decode.hits"), 4055);
+        let h = res.obs.metrics.histogram("packet.bytes").unwrap();
+        assert_eq!((h.count(), h.max()), (2, 4096));
+        assert_eq!(res.obs, out.obs);
     }
 
     #[test]
@@ -857,7 +690,7 @@ mod tests {
         let mut blob = Vec::new();
         write_result(&mut blob, &out).unwrap();
         let res = read_result(&mut blob.as_slice()).unwrap();
-        assert!(res.spans.is_empty());
+        assert!(res.obs.spans.is_empty());
     }
 
     #[test]
@@ -982,18 +815,29 @@ mod tests {
 
     #[test]
     fn flight_kinds_survive_the_wire() {
-        for k in [
-            FlightKind::PacketSent,
-            FlightKind::PacketReceived,
-            FlightKind::Fusion,
-            FlightKind::Retransmit,
-            FlightKind::LinkError,
-            FlightKind::Mismatch,
-            FlightKind::Verdict,
-        ] {
-            assert_eq!(flight_kind_from_wire(flight_kind_wire(k)).unwrap(), k);
+        let consumer = crate::consume::Consumer::new(
+            SwUnit::packed(1),
+            Checker::new(vec![RefModel::new(Memory::new())], false),
+        );
+        let mut out = consumer.finish();
+        for (seq, kind) in FlightKind::ALL.into_iter().enumerate() {
+            out.obs.flight.records.push(FlightRecord {
+                kind,
+                core: 0,
+                seq: seq as u32,
+                cycle: 0,
+                value: 0,
+            });
         }
-        assert!(flight_kind_from_wire(7).is_err());
+        let mut blob = Vec::new();
+        write_result(&mut blob, &out).unwrap();
+        let res = read_result(&mut blob.as_slice()).unwrap();
+        assert_eq!(res.obs.flight, out.obs.flight);
+        // The first record's kind byte: after the flight count, which
+        // follows the trailing evicted count and empty span section.
+        let kind_at = blob.len() - 8 - 4 - 22 * FlightKind::ALL.len();
+        blob[kind_at] = 7;
+        assert!(read_result(&mut blob.as_slice()).is_err());
         for k in LinkErrorKind::ALL {
             assert_eq!(link_error_kind_from_wire(k as u8).unwrap(), k);
         }

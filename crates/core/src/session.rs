@@ -13,8 +13,8 @@
 //!   over any [`LinkSink`]: the send-side state machine ([`Producer`])
 //!   running the tick → monitor → pack → feed loop,
 //! - [`Session::consumer`] builds the receive-side state machine
-//!   ([`Consumer`](crate::consume::Consumer)) that performs the actual
-//!   CRC verify → unpack → check → recover loop.
+//!   ([`Consumer`]) that performs the actual CRC verify → unpack →
+//!   check → recover loop.
 //!
 //! The two runners ([`crate::engine`], [`crate::socket`]) differ only in
 //! *where* those two machines run — one virtual timeline, or two threads
@@ -30,7 +30,7 @@ use difftest_dut::{BugSpec, Dut, DutConfig};
 use difftest_platform::Platform;
 use difftest_ref::{Memory, RefModel};
 use difftest_stats::{
-    chrometrace, export_to_env, FlightSnapshot, Metrics, SpanBuf, SpanSink, Tracer, PID_PRODUCER,
+    chrometrace, export_to_env, FlightSnapshot, Metrics, Obs, SpanSink, Tracer, PID_PRODUCER,
 };
 use difftest_workload::Workload;
 
@@ -456,34 +456,33 @@ impl Session {
 }
 
 /// The report epilogue every runner shares, run once the outcome is
-/// decided and the metrics are merged: stamps the `hw.*` volume
-/// counters; when tracing is on, folds the gathered span buffers'
-/// totals into `trace.spans_recorded` / `trace.spans_dropped` and
-/// writes them (producer tracks first) as Chrome trace-event JSON;
-/// attaches the flight snapshot `flight` builds on
-/// [`RunOutcome::Mismatch`] / [`RunOutcome::LinkError`] — producer
-/// context first, then the deciding consumer's view — and writes the
+/// decided: merges `obs` (both sides' observations, producer first)
+/// into the report's metrics and stamps the `hw.*` volume counters;
+/// when tracing is on, folds the span tracks' totals into
+/// `trace.spans_recorded` / `trace.spans_dropped` and writes them as
+/// Chrome trace-event JSON; attaches the flight snapshot on
+/// [`RunOutcome::Mismatch`] / [`RunOutcome::LinkError`]; and writes the
 /// `DIFFTEST_OBS` export under the runner's name.
 pub(crate) fn seal_report(
     kind: RunnerKind,
     common: &mut RunCommon,
     tracer: Option<&Tracer>,
-    spans: impl IntoIterator<Item = SpanBuf>,
-    flight: impl FnOnce() -> FlightSnapshot,
+    obs: Obs,
 ) {
+    common.metrics.merge(&obs.metrics);
     let counters = &mut common.metrics.counters;
     counters.set("hw.cycles", common.cycles);
     counters.set("hw.instructions", common.instructions);
     // Trace counters exist only when tracing is on, so dormant runs
     // stay byte-identical.
     if let Some(tracer) = tracer {
-        let bufs: Vec<SpanBuf> = spans.into_iter().filter(|b| !b.is_empty()).collect();
+        let bufs = &obs.spans;
         counters.add(
             "trace.spans_recorded",
             bufs.iter().map(|b| b.recorded).sum(),
         );
         counters.add("trace.spans_dropped", bufs.iter().map(|b| b.dropped).sum());
-        if let Err(e) = chrometrace::write_trace(tracer.path(), &bufs) {
+        if let Err(e) = chrometrace::write_trace(tracer.path(), bufs) {
             eprintln!(
                 "difftest: failed to write trace {}: {e}",
                 tracer.path().display()
@@ -494,7 +493,7 @@ pub(crate) fn seal_report(
         common.outcome,
         RunOutcome::Mismatch | RunOutcome::LinkError { .. }
     ) {
-        common.flight = Some(flight());
+        common.flight = Some(obs.flight);
     }
     if let Err(e) = export_to_env(kind.name(), &common.metrics, common.flight.as_ref()) {
         eprintln!("difftest: {} export failed: {e}", difftest_stats::OBS_ENV);

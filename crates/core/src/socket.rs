@@ -29,11 +29,10 @@
 //! [`SocketTuning::kill_consumer_after`] exists to test exactly that
 //! path.
 //!
-//! One observability deviation: packet-size histograms
-//! (`packet.bytes`/`packet.items`) are recorded producer-side here
-//! (pre-fault), because histograms are not part of the serialized
-//! result; counters, gauges, phase times and flight records cross the
-//! socket and match the engine's.
+//! Observability crosses the socket whole: the result blob carries the
+//! consumer's [`Obs`](difftest_stats::Obs) — metrics (histograms and
+//! `decode.*` included), flight records, span tracks — and the runner
+//! joins it to the producer's with one `absorb`, as the engine does.
 //
 // Seam rule: runner modules build on `session`/`link`/`produce`/
 // `consume` (and, uniquely for this runner, the `proto`/`mux` wire
@@ -46,7 +45,7 @@ use std::os::unix::net::UnixStream;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use difftest_stats::{FlightKind, FlightRecord, FlightRecorder, Metrics, PhaseTimer};
+use difftest_stats::{FlightKind, FlightRecord, Metrics};
 
 use crate::fault::{LinkErrorKind, LinkStats};
 use crate::link::LinkSink;
@@ -249,15 +248,7 @@ fn run_producer(
     // executes locally even if the consumer dies (that becomes a typed
     // link error, not a setup failure).
     let mut producer = session.producer(sink);
-    let mut timer = PhaseTimer::monotonic();
-    let mut rec = FlightRecorder::default();
-    let mut metrics = Metrics::new();
-    let h_bytes = metrics.register_histogram("packet.bytes");
-    let h_items = metrics.register_histogram("packet.items");
-    producer.run(&mut timer, &mut rec, |t| {
-        metrics.record(h_bytes, t.bytes.len() as u64);
-        metrics.record(h_items, u64::from(t.items));
-    });
+    producer.run();
 
     // End-of-stream frame carrying the pre-fault produced count (the
     // consumer's tail-loss reference), then half-close so EOF is
@@ -276,47 +267,39 @@ fn run_producer(
     let result = read_result(&mut BufReader::new(stream));
     let wall_s = start.elapsed().as_secs_f64();
 
-    if result.is_err() {
-        // The consumer died without a verdict: everything it
-        // had not acknowledged is gone. Typed link error, attributed
-        // to the produced count (the last sequence we know left).
-        rec.record(FlightRecord {
-            kind: FlightKind::LinkError,
-            core: 0,
-            seq: produced,
-            cycle: producer.dut().cycles(),
-            value: LinkErrorKind::Gap as u64,
-        });
-    }
-    let out = producer.finish(&timer, &rec);
-    metrics.phases = out.phases;
-    // One merged timeline: the producer's own track plus the consumer's
-    // tracks (none without a result blob), already shifted
-    // onto this clock via the wall-epoch exchanged in the handshake.
-    let mut spans = vec![out.spans];
+    let mut out = producer.finish();
     let mut link = LinkStats::default();
-    let (outcome, mismatch, items, consumer_flight) = match result {
+    let (outcome, mismatch, items) = match result {
         Ok(res) => {
-            metrics.phases.merge(&res.phases);
-            metrics.counters.set("obs.transfers", res.obs_transfers);
-            metrics.counters.set("obs.bytes", res.obs_bytes);
-            metrics.counters.set("obs.items", res.items);
-            metrics.set_gauge("reorder.buffered.max", res.g_reorder);
-            metrics.set_gauge("checker.pending.max", res.g_pending);
-            spans.extend(res.spans);
+            // The consumer's spans are already shifted onto this clock
+            // via the wall-epoch exchanged in the handshake.
+            out.obs.absorb(res.obs);
             link = res.link;
             (
                 RunOutcome::decide(res.mismatch.is_some(), res.link_error, res.verdict),
                 res.mismatch,
                 res.items,
-                Some(res.flight),
             )
         }
         Err(_) => {
+            // The consumer died without a verdict: everything it had
+            // not acknowledged is gone. Typed link error, attributed to
+            // the produced count (the last sequence we know left).
             let kind = LinkErrorKind::Gap;
+            out.obs.flight.records.push(FlightRecord {
+                kind: FlightKind::LinkError,
+                core: 0,
+                seq: produced,
+                cycle: out.cycles,
+                value: kind as u64,
+            });
             link.note(kind);
-            let seq = produced;
-            (RunOutcome::LinkError { kind, seq, core: 0 }, None, 0, None)
+            let outcome = RunOutcome::LinkError {
+                kind,
+                seq: produced,
+                core: 0,
+            };
+            (outcome, None, 0)
         }
     };
     let mut common = RunCommon {
@@ -327,24 +310,10 @@ fn run_producer(
         items,
         link,
         fault: out.fault,
-        metrics,
+        metrics: Metrics::new(),
         flight: None,
     };
-    // Producer-side context (sends, fusion) first, then the consumer's
-    // view of arrivals and the verdict.
-    let mut flight = out.flight;
-    seal_report(
-        RunnerKind::Socket,
-        &mut common,
-        session.tracer(),
-        spans,
-        || {
-            if let Some(theirs) = &consumer_flight {
-                flight.append(theirs);
-            }
-            flight
-        },
-    );
+    seal_report(RunnerKind::Socket, &mut common, session.tracer(), out.obs);
     Ok(SocketReport {
         cycles_per_sec: common.cycles as f64 / wall_s.max(1e-9),
         common,
@@ -378,8 +347,7 @@ mod tests {
             let mut producer = session.producer(StreamSink {
                 w: BufWriter::new(Vec::new()),
             });
-            let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
-            producer.run(&mut timer, &mut rec, |_| {});
+            producer.run();
             assert!(
                 producer.dut().halted().is_some(),
                 "{config:?} ran to its trap"

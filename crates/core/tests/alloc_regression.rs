@@ -27,7 +27,7 @@ use difftest_core::transport::Transfer;
 use difftest_core::ReplayBuffer;
 use difftest_dut::DutConfig;
 use difftest_event::MonitoredEvent;
-use difftest_stats::{FlightRecorder, PhaseTimer};
+use difftest_stats::FlightRecorder;
 use difftest_workload::Workload;
 
 /// Counts every allocation and reallocation crossing the global
@@ -68,8 +68,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// Runs the producer side to completion, collecting every packet.
 fn produce(session: &Session) -> Vec<Transfer> {
     let mut p = session.producer(QueueSink::default());
-    let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
-    p.run(&mut timer, &mut rec, |_| {});
+    p.run();
     std::mem::take(&mut p.link_mut().sink_mut().queue)
 }
 

@@ -12,7 +12,7 @@ use difftest_core::{
 };
 use difftest_dut::DutConfig;
 use difftest_event::EventKind;
-use difftest_stats::{FlightKind, FlightRecorder, Phase, PhaseTimer};
+use difftest_stats::{FlightKind, Phase};
 use difftest_workload::Workload;
 
 fn dual_core_minimal() -> DutConfig {
@@ -35,8 +35,7 @@ fn queue_producer_reproduces_the_engine_stream() {
                 let engine = run_session(RunnerKind::Engine, session.clone());
 
                 let mut p = session.producer(QueueSink::default());
-                let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
-                p.run(&mut timer, &mut rec, |_| {});
+                p.run();
                 let produced = p.link_mut().produced();
                 let queue = std::mem::take(&mut p.link_mut().sink_mut().queue);
                 assert_eq!(
@@ -44,13 +43,20 @@ fn queue_producer_reproduces_the_engine_stream() {
                     produced,
                     "{ctx}: clean link delivers all"
                 );
-                let out = p.finish(&timer, &rec);
+                let out = p.finish();
                 assert_eq!(out.cycles, engine.cycles, "{ctx}");
                 assert_eq!(out.instructions, engine.instructions, "{ctx}");
                 for phase in [Phase::Tick, Phase::Pack, Phase::Transport] {
-                    assert!(out.phases.get(phase) > 0, "{ctx}: {phase} untimed");
+                    assert!(
+                        out.obs.metrics.phases.get(phase) > 0,
+                        "{ctx}: {phase} untimed"
+                    );
                 }
-                assert_eq!(out.phases.get(Phase::Monitor), 0, "{ctx}: no hook ran");
+                assert_eq!(
+                    out.obs.metrics.phases.get(Phase::Monitor),
+                    0,
+                    "{ctx}: no hook ran"
+                );
 
                 // The same receive side the engine drives, fed the
                 // producer's stream, must account the same volume.
@@ -66,7 +72,7 @@ fn queue_producer_reproduces_the_engine_stream() {
                 assert_eq!(got.items, engine.items, "{ctx}");
                 for key in ["obs.bytes", "obs.transfers"] {
                     assert_eq!(
-                        got.metrics.counters.get(key),
+                        got.obs.metrics.counters.get(key),
                         engine.metrics.counters.get(key),
                         "{ctx}: {key}"
                     );
@@ -99,17 +105,17 @@ fn dead_receiver_stops_the_producer_and_finish_still_reports() {
         Some(FaultPlan::clean(1)),
     );
     let mut p = session.producer(DyingSink(3));
-    let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
-    p.run(&mut timer, &mut rec, |_| {});
+    p.run();
     assert!(!p.running());
     assert!(
         p.dut().halted().is_none() && p.dut().cycles() < 300_000,
         "the dead receiver, not the workload, ended the run"
     );
-    let out = p.finish(&timer, &rec);
+    let out = p.finish();
     assert!(out.cycles > 0 && out.instructions > 0);
     assert!(out.fault.is_some_and(|f| f.delivered >= 3));
     let sent = out
+        .obs
         .flight
         .records
         .iter()
@@ -128,8 +134,7 @@ fn state_dumps_ship_once_per_window_not_per_cycle() {
     let cores = dut.cores;
     let session = Session::new(dut, DiffConfig::BNSD, &w, Vec::new(), 300_000, 8, None);
     let mut p = session.producer(QueueSink::default());
-    let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
-    p.run(&mut timer, &mut rec, |_| {});
+    p.run();
     let queue = std::mem::take(&mut p.link_mut().sink_mut().queue);
 
     let mut sw = SwUnit::packed(cores as usize);
@@ -179,16 +184,15 @@ fn pool_recycles_after_warmup() {
         None,
     );
     let mut p = session.producer(QueueSink::default());
-    let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
     while p.running() {
-        p.tick(&mut timer);
-        p.pack(&mut timer);
-        p.feed(&mut timer, &mut rec, |_| {});
+        p.tick();
+        p.pack();
+        p.feed(|_| {});
         for t in std::mem::take(&mut p.link_mut().sink_mut().queue) {
             p.recycle(t);
         }
     }
-    p.flush(&mut timer, &mut rec, |_| {});
+    p.flush(|_| {});
     assert!(p.dut().halted().is_some(), "the workload ran to its trap");
     let s = p.accel().pool_stats();
     assert!(

@@ -5,9 +5,8 @@
 //! crate keeps the consumer side resident: an accept thread polls a
 //! Unix-domain and/or TCP listener and hands every producer connection
 //! to a thread of its own, which runs the one socket consumer loop
-//! ([`serve_connection`](difftest_core::serve_connection)) the one-shot
-//! runner runs too, and writes the session's DTHR result blob back on
-//! its connection. Producers are the unmodified socket runner pointed at
+//! ([`serve_connection`]) the one-shot runner runs too, and writes the
+//! session's DTHR result blob back on its connection. Producers are the unmodified socket runner pointed at
 //! the daemon (`DIFFTEST_SERVE_ADDR` or an address passed to
 //! [`run_socket_session`](difftest_core::run_socket_session)); verdicts
 //! are byte-identical to the one-shot arrangement because both share
@@ -40,6 +39,7 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -175,6 +175,19 @@ impl ServeSummary {
 /// Only setup-shaped failures (none today) — peer misbehavior never
 /// errors the service; it is counted and the connection dropped.
 pub fn serve(bound: Bound, shutdown: &AtomicBool) -> io::Result<ServeSummary> {
+    serve_with(bound, shutdown, serve_connection)
+}
+
+/// [`serve`] over any session function. A session that panics closes
+/// alone, as [`CloseReason::Panicked`]: its connection drops with the
+/// unwind (its producer sees EOF, a typed link error) and every other
+/// session keeps running.
+fn serve_with(
+    bound: Bound,
+    shutdown: &AtomicBool,
+    session: impl Fn(Conn, Duration) -> Served + Sync,
+) -> io::Result<ServeSummary> {
+    let session = &session;
     let hello_timeout = bound.cfg.hello_timeout;
     let reg = &Mutex::new(SessionRegistry::new());
     thread::scope(|s| {
@@ -198,7 +211,10 @@ pub fn serve(bound: Bound, shutdown: &AtomicBool) -> io::Result<ServeSummary> {
             let spawned = thread::Builder::new()
                 .name(format!("difftest-serve-s{sid}"))
                 .spawn_scoped(s, move || {
-                    close(reg, sid, serve_connection(conn, hello_timeout));
+                    match catch_unwind(AssertUnwindSafe(|| session(conn, hello_timeout))) {
+                        Ok(served) => close(reg, sid, served),
+                        Err(_) => lock(reg).close(CloseReason::Panicked, None),
+                    }
                 });
             if spawned.is_err() {
                 // No thread to serve it on: the connection was dropped
@@ -257,7 +273,7 @@ fn close(reg: &Mutex<SessionRegistry>, sid: u64, served: Served) {
     if !served.delivered {
         counters.add("serve.results.undelivered", 1);
     }
-    if let Err(e) = export_to_env(&format!("serve.s{sid}"), &res.output.metrics, None) {
+    if let Err(e) = export_to_env(&format!("serve.s{sid}"), &res.output.obs.metrics, None) {
         eprintln!(
             "difftest-serve: {} export failed: {e}",
             difftest_stats::OBS_ENV
@@ -334,4 +350,71 @@ pub fn spawn(cfg: ServeConfig) -> io::Result<ServeHandle> {
         unix,
         tcp,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use difftest_core::{
+        run_session, run_socket_session, DiffConfig, RunOutcome, RunnerKind, Session, SocketTuning,
+    };
+    use difftest_dut::DutConfig;
+    use difftest_workload::Workload;
+
+    /// One session's panic costs that session alone: its producer gets a
+    /// typed link error, the sessions after it reach the engine's
+    /// verdict, and the drain returns `Ok` with the panic counted.
+    #[test]
+    fn a_panicking_session_closes_alone() {
+        let path =
+            std::env::temp_dir().join(format!("difftest-serve-panic-{}.sock", std::process::id()));
+        let bound = bind(ServeConfig {
+            unix_path: Some(path),
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = bound.unix_addr().unwrap();
+        let w = Workload::microbench().seed(5).iterations(10).build();
+        let session = || {
+            Session::new(
+                DutConfig::nutshell(),
+                DiffConfig::BNSD,
+                &w,
+                Vec::new(),
+                200_000,
+                8,
+                None,
+            )
+        };
+        let engine = run_session(RunnerKind::Engine, session());
+        let (shutdown, first) = (AtomicBool::new(false), AtomicBool::new(true));
+        thread::scope(|s| {
+            let server = s.spawn(|| {
+                serve_with(bound, &shutdown, |conn, hello| {
+                    if first.swap(false, Ordering::SeqCst) {
+                        panic!("injected session panic");
+                    }
+                    serve_connection(conn, hello)
+                })
+            });
+            let socket = || run_socket_session(session(), Some(&addr), SocketTuning::default());
+            let lost = socket();
+            assert!(
+                matches!(lost.outcome, RunOutcome::LinkError { .. }),
+                "{:?}",
+                lost.outcome
+            );
+            let neighbours = [s.spawn(socket), s.spawn(socket)];
+            for n in neighbours {
+                let r = n.join().unwrap();
+                assert_eq!((r.outcome, r.items), (engine.outcome, engine.items));
+            }
+            shutdown.store(true, Ordering::SeqCst);
+            let summary = server.join().unwrap().expect("drain returns Ok");
+            assert_eq!(summary.counter("serve.sessions.panicked"), 1);
+            assert_eq!(summary.counter("serve.sessions.finished"), 2);
+            assert_eq!(summary.counter("serve.sessions.opened"), 3);
+            assert_eq!(summary.metrics.gauge("serve.sessions.active"), 0);
+        });
+    }
 }

@@ -27,7 +27,6 @@ use difftest_core::{
 };
 use difftest_dut::{BugKind, BugSpec, DutConfig};
 use difftest_serve::{spawn, ServeConfig};
-use difftest_stats::{FlightRecorder, PhaseTimer};
 use difftest_workload::Workload;
 
 const MAX_CYCLES: u64 = 400_000;
@@ -113,8 +112,7 @@ fn hand_driven(path: &Path, w: &Workload, overlap: &Overlap) -> HandReport {
 
     let sink = FrameSink(BufWriter::new(stream.try_clone().expect("clone stream")));
     let mut producer = session.producer(sink);
-    let (mut timer, mut rec) = (PhaseTimer::monotonic(), FlightRecorder::default());
-    producer.run(&mut timer, &mut rec, |_| {});
+    producer.run();
     if !last {
         overlap.ends.wait();
     }
@@ -131,7 +129,7 @@ fn hand_driven(path: &Path, w: &Workload, overlap: &Overlap) -> HandReport {
     HandReport {
         outcome: RunOutcome::decide(res.mismatch.is_some(), res.link_error, res.verdict),
         items: res.items,
-        instructions: producer.finish(&timer, &rec).instructions,
+        instructions: producer.finish().instructions,
     }
 }
 

@@ -11,6 +11,9 @@
 //! - [`FlightRecorder`]: a bounded free-running ring of structured
 //!   pipeline records, snapshotted into failure reports for post-mortem
 //!   debugging without re-running the DUT,
+//! - [`Obs`]: what one side of a run observed (metrics, flight
+//!   snapshot, span tracks), joined across sides with one
+//!   [`Obs::absorb`] and carried whole by its wire codec,
 //! - [`Table`] and the `fmt_*` helpers: the plain-text renderer every
 //!   benchmark harness uses to print paper-shaped tables,
 //! - [`trace`]: DUT-trace dump/reload for DUT-decoupled iterative
@@ -45,6 +48,7 @@ pub mod chrometrace;
 mod counter;
 mod histogram;
 mod metrics;
+mod obs;
 mod query;
 mod recorder;
 pub mod span;
@@ -58,6 +62,7 @@ pub use metrics::{
     export_to_env, Clock, FakeClock, GaugeId, HistogramId, Metrics, MonotonicClock, Phase,
     PhaseTimer, PhaseTimes, OBS_ENV,
 };
+pub use obs::Obs;
 pub use query::{GroupStats, TraceQuery};
 pub use recorder::{FlightKind, FlightRecord, FlightRecorder, FlightSnapshot};
 pub use span::{

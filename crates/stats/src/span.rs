@@ -51,6 +51,17 @@ pub enum SpanKind {
     Counter,
 }
 
+impl SpanKind {
+    /// Every kind, in declaration order: a kind's wire byte is its
+    /// index here.
+    pub const ALL: [SpanKind; 4] = [
+        SpanKind::Span,
+        SpanKind::FlowOut,
+        SpanKind::FlowIn,
+        SpanKind::Counter,
+    ];
+}
+
 /// One recorded event on a track.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {

@@ -283,6 +283,24 @@ fn runners_share_one_phase_attribution() {
             kind == RunnerKind::Engine,
             "{kind}: monitor phase"
         );
+        // One observation bundle per side, merged the same way: the
+        // consumer's counters and histograms cross the socket whole.
+        let (m, e) = (&r.metrics, &engine.metrics);
+        for key in ["obs.items", "obs.transfers", "obs.bytes"] {
+            assert_eq!(m.counters.get(key), e.counters.get(key), "{kind}: {key}");
+        }
+        let decoded = |m: &difftest_h::stats::Metrics| {
+            m.counters.get("decode.hits") + m.counters.get("decode.misses")
+        };
+        assert!(decoded(e) > 0, "engine: decode cache never probed");
+        assert_eq!(
+            decoded(m),
+            decoded(e),
+            "{kind}: decode.hits + decode.misses"
+        );
+        let packets =
+            |m: &difftest_h::stats::Metrics| m.histogram("packet.bytes").map(|h| h.count());
+        assert_eq!(packets(m), packets(e), "{kind}: packet.bytes count");
     }
 }
 
