@@ -96,7 +96,11 @@ ci: seam
 # gone. Each side owns its instruments: outside tests, only produce.rs
 # and consume.rs build a phase timer or a flight ring, and no code lends
 # them out again (`lend`, `spans_mut`); runners merge the two sides'
-# observations with one Obs::absorb (DESIGN.md §12.1).
+# observations with one Obs::absorb (DESIGN.md §12.1). There is one
+# compare path: the checker checks every event through its EventRef view,
+# and Replay re-checks the ring's records in place, so outside tests the
+# checker, the consumer and the ring materialize no owned event and the
+# retired owned arms stay gone (DESIGN.md §3.4).
 RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/socket.rs
 WIRE_SRCS = crates/core/src/proto.rs crates/core/src/mux.rs
 INPROC_RUNNER_SRCS = crates/core/src/engine.rs
@@ -104,6 +108,7 @@ RUN_ENTRY_POINTS = run_runner run_session run_socket_session
 PRODUCER_SRCS = crates/core/src/replay.rs crates/core/src/transport.rs \
 	crates/core/src/produce.rs crates/core/src/squash.rs
 CONSUME_SRCS = crates/core/src/consume.rs crates/core/src/checker.rs
+COMPARE_SRCS = crates/core/src/checker.rs crates/core/src/consume.rs crates/core/src/replay.rs
 seam:
 	@if grep -nE 'use crate::(engine|socket)(::|;| )' $(RUNNER_SRCS); then \
 		echo "runner seam violated: runners must build on session/link/produce/consume only"; \
@@ -233,6 +238,16 @@ seam:
 		exit 1; \
 	else \
 		echo "instrument seam clean: one owner per instrument, merged by one Obs::absorb"; \
+	fi
+	@if for f in $(COMPARE_SRCS); do \
+		sed -e '/^#\[cfg(test)\]/,$$d' $$f \
+			| grep -nE '\.to_event\(|\.to_monitored\(|fn process_plain\(|fn check_dump_ref\(' \
+			| sed "s|^|$$f: |"; \
+	done | grep .; then \
+		echo "compare-path seam violated: the checker checks every event through its view (DESIGN.md §3.4)"; \
+		exit 1; \
+	else \
+		echo "compare-path seam clean: one compare path, Replay re-checks the ring's records in place"; \
 	fi
 
 # Non-test Rust line count, as simplicity changes report it: every .rs

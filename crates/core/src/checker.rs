@@ -11,9 +11,11 @@
 //! skips, state dumps, TLB and i-cache fills), steps the REF, then checks
 //! the *post* events (stores, atomics, redirect-class checks).
 //!
-//! Nothing on this path materializes a big payload: a parked item keeps
-//! only a copy of its payload bytes, in a recycled buffer, and is viewed
-//! again through [`EventRef`] when its position is reached.
+//! Every event is checked through its [`EventRef`] view, by one compare
+//! routine whatever route it took: a plain item is viewed in its packet, a
+//! Replay record in the retention ring, and a parked item in a copy of its
+//! payload bytes, kept in a recycled buffer until its position is reached.
+//! Only commits copy their small fixed struct off the view.
 //!
 //! Checkpoints for the Replay mechanism are taken before each fused record
 //! when replay support is enabled.
@@ -21,9 +23,8 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use difftest_event::{
-    commit_flags, Event, EventKind, EventRef, InstrCommit, MonitoredEvent, Token,
-};
+use difftest_event::record::RecordRef;
+use difftest_event::{commit_flags, EventKind, EventRef, InstrCommit, Token};
 use difftest_isa::csr::CsrIndex;
 use difftest_isa::trap::Interrupt;
 use difftest_ref::exec::Effect;
@@ -116,6 +117,12 @@ fn is_pre(event: &EventRef<'_>) -> bool {
         K::RefillEvent => matches!(event, EventRef::RefillEvent(r) if r.refill_type() != 0),
         _ => false,
     }
+}
+
+/// Whether a commit's flags mark an MMIO load whose value the REF must
+/// skip to rather than compute.
+fn is_skip_load(flags: u8) -> bool {
+    flags & commit_flags::SKIP != 0 && flags & commit_flags::LOAD != 0
 }
 
 /// An order-tagged item waiting for its checking position: the payload
@@ -229,8 +236,6 @@ impl CoreChecker {
 
     /// Checks one plain instruction commit: PC, step, destination value.
     fn check_commit(&mut self, c: &InstrCommit, stats: &mut CheckStats) -> Result<(), Mismatch> {
-        stats.events += 1;
-        stats.bytes += InstrCommit::ENCODED_LEN as u64;
         self.ensure(
             self.refm.state().pc() == c.pc,
             "commit.pc",
@@ -238,7 +243,7 @@ impl CoreChecker {
             c.pc,
         )?;
 
-        if c.flags & commit_flags::SKIP != 0 && c.flags & commit_flags::LOAD != 0 {
+        if is_skip_load(c.flags) {
             self.refm.skip_next(c.wdata);
             stats.skips += 1;
         }
@@ -273,10 +278,9 @@ impl CoreChecker {
         Ok(())
     }
 
-    /// Compares one register-file dump against the REF: the single
-    /// comparison routine of each dump kind, shared by the owned (replay)
-    /// and view (stream) paths. It compares first and renders the check
-    /// name only on failure, so a clean dump costs no allocation.
+    /// Compares one register-file dump against the REF. It compares
+    /// first and renders the check name only on failure, so a clean dump
+    /// costs no allocation.
     fn check_dump(&self, dump: Dump, dut: impl IntoIterator<Item = u64>) -> Result<(), Mismatch> {
         let st = self.refm.state();
         let diverged = match dump {
@@ -300,35 +304,55 @@ impl CoreChecker {
         self.ensure(false, check, want, got)
     }
 
-    /// Checks one non-commit event against the current REF state.
+    /// Checks one event view against the current REF state: the
+    /// checker's one compare routine, for every kind on every route. A
+    /// plain item is viewed in its packet, a Replay record in the ring,
+    /// and a parked item in its copy, with `tag` its order tag. The event
+    /// is counted before the verdict, so a divergent one charges the same
+    /// stats on every route. Commits copy their small fixed struct off
+    /// the view; every other kind reads its fields in place.
     fn check_event(
         &mut self,
-        ev: &Event,
+        ev: &EventRef<'_>,
+        tag: Option<u64>,
         stats: &mut CheckStats,
     ) -> Result<Option<Verdict>, Mismatch> {
         stats.events += 1;
-        stats.bytes += ev.encoded_len() as u64;
+        stats.bytes += ev.wire_bytes().len() as u64;
         let refm = &self.refm;
-        match ev {
-            Event::InstrCommit(_) => {
-                // Only order-tagged skip-commits reach this path; their
-                // synchronization happened in `apply_nde_arming` and the
-                // fused window performs the architectural step.
+        match *ev {
+            EventRef::InstrCommit(c) => match tag {
+                // An order-tagged skip-commit only arms its
+                // synchronization; the fused window performs the
+                // architectural step.
+                Some(tag) => {
+                    if is_skip_load(c.flags()) {
+                        self.arm_skip(tag, c.wdata(), stats);
+                    }
+                }
+                None => self.check_commit(&c.to_owned(), stats)?,
+            },
+            EventRef::TrapEvent(t) => {
+                // Simulation end.
+                let pc = self.refm.state().pc();
+                self.ensure(pc == t.pc(), "trap.pc", pc, t.pc())?;
+                return Ok(Some(Verdict::Halt {
+                    core: self.core,
+                    good: t.code() == 0,
+                    pc: t.pc(),
+                }));
             }
-            Event::TrapEvent(_) => {
-                unreachable!("handled by dedicated paths")
-            }
-            Event::ArchEvent(a) => {
-                if a.is_interrupt != 0 {
+            EventRef::ArchEvent(a) => {
+                if a.is_interrupt() != 0 {
                     // NDE synchronization: force the REF to take the DUT's
                     // interrupt at this boundary.
                     self.ensure(
-                        refm.state().pc() == a.pc,
+                        refm.state().pc() == a.pc(),
                         "interrupt.pc",
                         refm.state().pc(),
-                        a.pc,
+                        a.pc(),
                     )?;
-                    let code = a.cause & 0x3ff;
+                    let code = a.cause() & 0x3ff;
                     let Some(intr) = Interrupt::from_code(code) else {
                         mismatch!(self, "interrupt.cause (unknown)", 7u64, code);
                     };
@@ -338,25 +362,25 @@ impl CoreChecker {
                     // Exception: the REF must trap identically.
                     match self.refm.step() {
                         StepOutcome::Trapped { pc, trap } => {
-                            self.ensure(pc == a.pc, "exception.pc", pc, a.pc)?;
+                            self.ensure(pc == a.pc(), "exception.pc", pc, a.pc())?;
                             self.ensure(
-                                trap.mcause() == a.cause,
+                                trap.mcause() == a.cause(),
                                 "exception.cause",
                                 trap.mcause(),
-                                a.cause,
+                                a.cause(),
                             )?;
                             self.ensure(
-                                trap.mtval() == a.tval,
+                                trap.mtval() == a.tval(),
                                 "exception.tval",
                                 trap.mtval(),
-                                a.tval,
+                                a.tval(),
                             )?;
                         }
                         other => {
                             mismatch!(
                                 self,
                                 format!("exception: REF outcome {other:?}"),
-                                a.cause,
+                                a.cause(),
                                 0u64
                             )
                         }
@@ -364,99 +388,103 @@ impl CoreChecker {
                     stats.exceptions += 1;
                 }
             }
-            Event::ArchIntRegState(s) => self.check_dump(Dump::Xregs, s.regs)?,
-            Event::ArchFpRegState(s) => self.check_dump(Dump::Fregs, s.regs)?,
-            Event::CsrState(s) => self.check_dump(Dump::Csrs, s.csrs)?,
-            Event::ArchVecRegState(s) => self.check_dump(Dump::Vregs, s.regs)?,
-            Event::VecCsrState(s) => {
+            EventRef::ArchIntRegState(s) => self.check_dump(Dump::Xregs, s.regs().iter())?,
+            EventRef::ArchFpRegState(s) => self.check_dump(Dump::Fregs, s.regs().iter())?,
+            EventRef::CsrState(s) => self.check_dump(Dump::Csrs, s.csrs().iter())?,
+            EventRef::ArchVecRegState(s) => self.check_dump(Dump::Vregs, s.regs().iter())?,
+            EventRef::VecCsrState(s) => {
                 let st = refm.state();
                 self.ensure(
-                    s.vstart == st.csr(CsrIndex::Vstart),
+                    s.vstart() == st.csr(CsrIndex::Vstart),
                     "vstart",
                     st.csr(CsrIndex::Vstart),
-                    s.vstart,
+                    s.vstart(),
                 )?;
                 self.ensure(
-                    s.vl == st.csr(CsrIndex::Vl),
+                    s.vl() == st.csr(CsrIndex::Vl),
                     "vl",
                     st.csr(CsrIndex::Vl),
-                    s.vl,
+                    s.vl(),
                 )?;
                 self.ensure(
-                    s.vtype == st.csr(CsrIndex::Vtype),
+                    s.vtype() == st.csr(CsrIndex::Vtype),
                     "vtype",
                     st.csr(CsrIndex::Vtype),
-                    s.vtype,
+                    s.vtype(),
                 )?;
                 self.ensure(
-                    s.vcsr == st.csr(CsrIndex::Vcsr),
+                    s.vcsr() == st.csr(CsrIndex::Vcsr),
                     "vcsr",
                     st.csr(CsrIndex::Vcsr),
-                    s.vcsr,
+                    s.vcsr(),
                 )?;
             }
-            Event::HypervisorCsrState(s) => {
+            EventRef::HypervisorCsrState(s) => {
                 let st = refm.state();
+                let csrs = s.csrs();
                 self.ensure(
-                    s.csrs[0] == st.csr(CsrIndex::Hstatus),
+                    csrs.get(0) == st.csr(CsrIndex::Hstatus),
                     "hstatus",
                     st.csr(CsrIndex::Hstatus),
-                    s.csrs[0],
+                    csrs.get(0),
                 )?;
                 self.ensure(
-                    s.csrs[1] == st.csr(CsrIndex::Hedeleg),
+                    csrs.get(1) == st.csr(CsrIndex::Hedeleg),
                     "hedeleg",
                     st.csr(CsrIndex::Hedeleg),
-                    s.csrs[1],
+                    csrs.get(1),
                 )?;
             }
-            Event::TriggerCsrState(s) => {
-                self.ensure(s.tselect == 0, "tselect", 0u64, s.tselect)?;
+            EventRef::TriggerCsrState(s) => {
+                self.ensure(s.tselect() == 0, "tselect", 0u64, s.tselect())?;
             }
-            Event::DebugModeState(s) => {
-                self.ensure(s.debug_mode == 0, "debug_mode", 0u8, s.debug_mode)?;
+            EventRef::DebugModeState(s) => {
+                self.ensure(s.debug_mode() == 0, "debug_mode", 0u8, s.debug_mode())?;
             }
-            Event::IntWriteback(w) => {
-                let want = refm.state().xreg(difftest_isa::Reg::new(w.idx));
-                if w.data != want {
-                    self.ensure(false, format!("int writeback x{}", w.idx), want, w.data)?;
+            EventRef::IntWriteback(w) => {
+                let want = refm.state().xreg(difftest_isa::Reg::new(w.idx()));
+                if w.data() != want {
+                    self.ensure(false, format!("int writeback x{}", w.idx()), want, w.data())?;
                 }
             }
-            Event::FpWriteback(w) => {
-                let want = refm.state().freg(difftest_isa::FReg::new(w.idx));
-                if w.data != want {
-                    self.ensure(false, format!("fp writeback f{}", w.idx), want, w.data)?;
+            EventRef::FpWriteback(w) => {
+                let want = refm.state().freg(difftest_isa::FReg::new(w.idx()));
+                if w.data() != want {
+                    self.ensure(false, format!("fp writeback f{}", w.idx()), want, w.data())?;
                 }
             }
-            Event::LoadEvent(l) => {
-                if l.is_mmio != 0 {
-                    // Plain mode: the commit's SKIP flag already armed and
-                    // consumed the synchronization; the event itself is
-                    // informational here. (In Squash mode MMIO loads arrive
-                    // through the tagged path, which arms the skip before
-                    // dispatching here — see `apply_nde_arming`.)
+            EventRef::LoadEvent(l) => {
+                if l.is_mmio() != 0 {
+                    // On the stream the commit's SKIP flag arms and
+                    // consumes the synchronization, and the event itself
+                    // is informational. An order-tagged MMIO load (Squash
+                    // mode) arms the skip of the instruction it is tagged
+                    // to.
+                    if let Some(tag) = tag {
+                        self.arm_skip(tag, l.data(), stats);
+                    }
                 } else if let Some(eff) = &self.last_effect {
                     if let Some(m) = eff.memr {
-                        self.ensure(l.addr == m.addr, "load.addr", m.addr, l.addr)?;
+                        self.ensure(l.addr() == m.addr, "load.addr", m.addr, l.addr())?;
                     }
                     if let Some((_, v)) = eff.xw.or(eff
                         .fw
                         .map(|(r, v)| (difftest_isa::Reg::new(r.index() as u8), v)))
                     {
-                        self.ensure(l.data == v, "load.data", v, l.data)?;
+                        self.ensure(l.data() == v, "load.data", v, l.data())?;
                     }
                 }
             }
-            Event::StoreEvent(s) => {
+            EventRef::StoreEvent(s) => {
                 let Some(w) = self.last_effect.as_ref().and_then(|e| e.memw) else {
-                    mismatch!(self, "store event without REF store", 0u64, s.addr);
+                    mismatch!(self, "store event without REF store", 0u64, s.addr());
                 };
                 let base = w.addr & !7;
                 let off = (w.addr - base) as u32;
                 let mask = (((1u16 << w.len) - 1) as u8) << off;
                 let data = w.value << (8 * off);
-                self.ensure(s.addr == base, "store.addr", base, s.addr)?;
-                self.ensure(s.mask == mask, "store.mask", mask, s.mask)?;
+                self.ensure(s.addr() == base, "store.addr", base, s.addr())?;
+                self.ensure(s.mask() == mask, "store.mask", mask, s.mask())?;
                 // Compare only the bytes the mask enables.
                 let mut bitmask = 0u64;
                 for b in 0..8 {
@@ -465,188 +493,159 @@ impl CoreChecker {
                     }
                 }
                 self.ensure(
-                    s.data & bitmask == data & bitmask,
+                    s.data() & bitmask == data & bitmask,
                     "store.data",
                     data & bitmask,
-                    s.data & bitmask,
+                    s.data() & bitmask,
                 )?;
             }
-            Event::AtomicEvent(a) => {
+            EventRef::AtomicEvent(a) => {
                 let Some(w) = self.last_effect.as_ref().and_then(|e| e.memw) else {
-                    mismatch!(self, "atomic event without REF store", 0u64, a.addr);
+                    mismatch!(self, "atomic event without REF store", 0u64, a.addr());
                 };
-                self.ensure(a.addr == w.addr, "atomic.addr", w.addr, a.addr)?;
+                self.ensure(a.addr() == w.addr, "atomic.addr", w.addr, a.addr())?;
                 if let Some((_, v)) = self.last_effect.as_ref().and_then(|e| e.xw) {
-                    self.ensure(a.out == v, "atomic.out", v, a.out)?;
+                    self.ensure(a.out() == v, "atomic.out", v, a.out())?;
                 }
             }
-            Event::LrScEvent(l) => {
-                if l.valid != 0 {
+            EventRef::LrScEvent(l) => {
+                if l.valid() != 0 {
                     let want = self
                         .last_effect
                         .as_ref()
                         .and_then(|e| e.xw)
                         .map(|(_, v)| (v == 0) as u8)
                         .unwrap_or(0);
-                    self.ensure(l.success == want, "sc.success", want, l.success)?;
+                    self.ensure(l.success() == want, "sc.success", want, l.success())?;
                 }
             }
-            Event::SbufferEvent(s) => {
+            EventRef::SbufferEvent(s) => {
+                let (addr, mask, data) = (s.addr(), s.mask(), s.data());
                 for b in 0..64u64 {
-                    if s.mask & (1 << b) != 0 {
-                        let want = self.refm.mem().read_u8(s.addr + b);
-                        let got = s.data[b as usize];
+                    if mask & (1 << b) != 0 {
+                        let want = self.refm.mem().read_u8(addr + b);
+                        let got = data[b as usize];
                         if got != want {
                             self.ensure(false, format!("sbuffer byte {b}"), want, got)?;
                         }
-                    } else if s.data[b as usize] != 0 {
-                        self.ensure(
-                            false,
-                            format!("sbuffer bubble {b}"),
-                            0u8,
-                            s.data[b as usize],
-                        )?;
+                    } else if data[b as usize] != 0 {
+                        self.ensure(false, format!("sbuffer bubble {b}"), 0u8, data[b as usize])?;
                     }
                 }
             }
-            Event::RefillEvent(r) => {
-                let line = r.addr & !63;
-                for (i, beat) in r.data.iter().enumerate() {
+            EventRef::RefillEvent(r) => {
+                let line = r.addr() & !63;
+                for (i, beat) in r.data().iter().enumerate() {
                     let want = self.refm.mem().read(line + 8 * i as u64, 8);
-                    if *beat != want {
-                        self.ensure(false, format!("refill beat {i}"), want, *beat)?;
+                    if beat != want {
+                        self.ensure(false, format!("refill beat {i}"), want, beat)?;
                     }
                 }
             }
-            Event::L1TlbEvent(t) => {
-                if t.valid != 0 {
-                    self.ensure(t.ppn == t.vpn, "l1tlb identity", t.vpn, t.ppn)?;
+            EventRef::L1TlbEvent(t) => {
+                if t.valid() != 0 {
+                    self.ensure(t.ppn() == t.vpn(), "l1tlb identity", t.vpn(), t.ppn())?;
                     let satp = self.refm.state().csr(CsrIndex::Satp);
-                    self.ensure(t.satp == satp, "l1tlb.satp", satp, t.satp)?;
+                    self.ensure(t.satp() == satp, "l1tlb.satp", satp, t.satp())?;
                 }
             }
-            Event::L2TlbEvent(t) => {
-                if t.valid != 0 {
-                    for (i, p) in t.ppns.iter().enumerate() {
-                        if *p != t.vpn + i as u64 {
-                            self.ensure(false, format!("l2tlb ppn {i}"), t.vpn + i as u64, *p)?;
+            EventRef::L2TlbEvent(t) => {
+                if t.valid() != 0 {
+                    let vpn = t.vpn();
+                    for (i, p) in t.ppns().iter().enumerate() {
+                        if p != vpn + i as u64 {
+                            self.ensure(false, format!("l2tlb ppn {i}"), vpn + i as u64, p)?;
                         }
                     }
                 }
             }
-            Event::PtwEvent(p) => {
-                self.ensure(p.pf == 0, "ptw.pf", 0u8, p.pf)?;
-                self.ensure(p.levels[3] == p.vpn, "ptw leaf", p.vpn, p.levels[3])?;
+            EventRef::PtwEvent(p) => {
+                let leaf = p.levels().get(3);
+                self.ensure(p.pf() == 0, "ptw.pf", 0u8, p.pf())?;
+                self.ensure(leaf == p.vpn(), "ptw leaf", p.vpn(), leaf)?;
             }
-            Event::Redirect(r) => {
+            EventRef::Redirect(r) => {
                 let want = self.refm.state().pc();
-                self.ensure(r.target == want, "redirect.target", want, r.target)?;
+                self.ensure(r.target() == want, "redirect.target", want, r.target())?;
             }
-            Event::RunaheadEvent(r) => {
-                if r.valid != 0 {
+            EventRef::RunaheadEvent(r) => {
+                if r.valid() != 0 {
                     let want = (self.seq.wrapping_sub(1) & 0xffff) as u16;
                     self.ensure(
-                        r.checkpoint_id == want,
+                        r.checkpoint_id() == want,
                         "runahead.id",
                         want,
-                        r.checkpoint_id,
+                        r.checkpoint_id(),
                     )?;
                 }
             }
-            Event::FpCsrUpdate(u) => {
+            EventRef::FpCsrUpdate(u) => {
                 let want = self.refm.state().csr(CsrIndex::Fcsr);
-                self.ensure(u.data == want, "fcsr.data", want, u.data)?;
+                self.ensure(u.data() == want, "fcsr.data", want, u.data())?;
                 self.ensure(
-                    u.fflags as u64 == want & 0x1f,
+                    u.fflags() as u64 == want & 0x1f,
                     "fcsr.fflags",
                     want & 0x1f,
-                    u.fflags as u64,
+                    u.fflags() as u64,
                 )?;
             }
-            Event::VecConfig(v) => {
+            EventRef::VecConfig(v) => {
                 let st = refm.state();
                 self.ensure(
-                    v.vl == st.csr(CsrIndex::Vl),
+                    v.vl() == st.csr(CsrIndex::Vl),
                     "vecconfig.vl",
                     st.csr(CsrIndex::Vl),
-                    v.vl,
+                    v.vl(),
                 )?;
                 self.ensure(
-                    v.vtype == st.csr(CsrIndex::Vtype),
+                    v.vtype() == st.csr(CsrIndex::Vtype),
                     "vecconfig.vtype",
                     st.csr(CsrIndex::Vtype),
-                    v.vtype,
+                    v.vtype(),
                 )?;
             }
-            Event::HCsrUpdate(h) => {
-                if let Some(c) = CsrIndex::from_address(h.addr) {
+            EventRef::HCsrUpdate(h) => {
+                if let Some(c) = CsrIndex::from_address(h.addr()) {
                     let want = self.refm.state().csr(c);
-                    self.ensure(h.data == want, format!("hcsr {}", c.name()), want, h.data)?;
+                    self.ensure(
+                        h.data() == want,
+                        format!("hcsr {}", c.name()),
+                        want,
+                        h.data(),
+                    )?;
                 }
             }
             // Rarely-emitted extension events: structural validity only.
-            Event::VecWriteback(_) | Event::VecLoad(_) | Event::VecStore(_) => {}
-            Event::VirtualInterrupt(v) => {
+            EventRef::VecWriteback(_) | EventRef::VecLoad(_) | EventRef::VecStore(_) => {}
+            EventRef::VirtualInterrupt(v) => {
                 self.ensure(
-                    v.valid == 0,
+                    v.valid() == 0,
                     "virtual interrupt (unsupported)",
                     0u8,
-                    v.valid,
+                    v.valid(),
                 )?;
             }
-            Event::GuestPageFault(g) => {
+            EventRef::GuestPageFault(g) => {
                 self.ensure(
-                    g.fault_type == 0,
+                    g.fault_type() == 0,
                     "guest page fault (unsupported)",
                     0u8,
-                    g.fault_type,
+                    g.fault_type(),
                 )?;
             }
         }
         Ok(None)
     }
 
-    /// Handles a trap event (simulation end).
-    fn check_trap(
-        &mut self,
-        t: &difftest_event::TrapEvent,
-        stats: &mut CheckStats,
-    ) -> Result<Verdict, Mismatch> {
-        stats.events += 1;
-        self.ensure(
-            self.refm.state().pc() == t.pc,
-            "trap.pc",
-            self.refm.state().pc(),
-            t.pc,
-        )?;
-        Ok(Verdict::Halt {
-            core: self.core,
-            good: t.code == 0,
-            pc: t.pc,
-        })
-    }
-
-    /// Arms NDE synchronization carried by an order-tagged event before it
-    /// is dispatched for checking: an MMIO load's observed value becomes the
-    /// skip value of the instruction it is tagged to. Arming only applies
-    /// when the tagged instruction is the next to step; a stale event (the
-    /// instruction already stepped) must not poison a later one.
-    fn apply_nde_arming(&mut self, event: &Event, tag: u64, stats: &mut CheckStats) {
-        if tag != self.seq {
-            return;
-        }
-        match event {
-            Event::LoadEvent(l) if l.is_mmio != 0 => {
-                self.refm.skip_next(l.data);
-                stats.skips += 1;
-            }
-            Event::InstrCommit(c)
-                if c.flags & commit_flags::SKIP != 0 && c.flags & commit_flags::LOAD != 0 =>
-            {
-                self.refm.skip_next(c.wdata);
-                stats.skips += 1;
-            }
-            _ => {}
+    /// Arms the NDE synchronization an order-tagged event carries: an
+    /// MMIO load's observed value becomes the skip value of the
+    /// instruction it is tagged to. Arming only applies when the tagged
+    /// instruction is the next to step; a stale event (the instruction
+    /// already stepped) must not poison a later one.
+    fn arm_skip(&mut self, tag: u64, value: u64, stats: &mut CheckStats) {
+        if tag == self.seq {
+            self.refm.skip_next(value);
+            stats.skips += 1;
         }
     }
 
@@ -738,9 +737,7 @@ impl CoreChecker {
         Ok(None)
     }
 
-    /// Checks one parked event at its position: traps end the stream,
-    /// register dumps compare in place, the small kinds arm their NDE
-    /// synchronization and take the owned path.
+    /// Checks one parked event at its position, viewed in its copy.
     fn check_parked(
         &mut self,
         p: &Parked,
@@ -749,15 +746,7 @@ impl CoreChecker {
         let Ok(event) = EventRef::parse(p.kind, &p.bytes) else {
             unreachable!("parked bytes are a validated payload of their kind")
         };
-        if let EventRef::TrapEvent(t) = event {
-            return self.check_trap(&t.to_owned(), stats).map(Some);
-        }
-        if let Some(checked) = self.check_dump_ref(&event, stats) {
-            return checked.map(|()| None);
-        }
-        let event = event.to_event();
-        self.apply_nde_arming(&event, p.tag, stats);
-        self.check_event(&event, stats)
+        self.check_event(&event, Some(p.tag), stats)
     }
 
     /// Processes one fused commit record (Squash mode).
@@ -849,82 +838,16 @@ impl CoreChecker {
         Ok(None)
     }
 
-    /// Checks one plain (unfused, untagged) event by reference. Shared by
-    /// the view path's small-struct fallback and the replay path, which
-    /// re-checks monitored events it does not own.
-    fn process_plain(
-        &mut self,
-        event: &Event,
-        stats: &mut CheckStats,
-    ) -> Result<Verdict, Mismatch> {
-        match event {
-            Event::InstrCommit(c) => {
-                self.check_commit(c, stats)?;
-                Ok(Verdict::Continue)
-            }
-            Event::TrapEvent(t) => self.check_trap(t, stats),
-            other => Ok(self.check_event(other, stats)?.unwrap_or(Verdict::Continue)),
-        }
-    }
-
-    /// Compares a register-file dump view against the REF in place
-    /// through [`check_dump`](Self::check_dump), or returns `None` for
-    /// the kinds that are not register dumps. Shared by plain items
-    /// (viewed in the packet) and parked ones (viewed in their copy).
-    fn check_dump_ref(
-        &self,
-        event: &EventRef<'_>,
-        stats: &mut CheckStats,
-    ) -> Option<Result<(), Mismatch>> {
-        let (checked, wire) = match event {
-            EventRef::ArchIntRegState(s) => (
-                self.check_dump(Dump::Xregs, s.regs().iter()),
-                s.wire_bytes(),
-            ),
-            EventRef::ArchFpRegState(s) => (
-                self.check_dump(Dump::Fregs, s.regs().iter()),
-                s.wire_bytes(),
-            ),
-            EventRef::CsrState(s) => (self.check_dump(Dump::Csrs, s.csrs().iter()), s.wire_bytes()),
-            EventRef::ArchVecRegState(s) => (
-                self.check_dump(Dump::Vregs, s.regs().iter()),
-                s.wire_bytes(),
-            ),
-            _ => return None,
-        };
-        // Counted before the verdict, as `check_event` does, so a
-        // divergent dump charges the same stats on either path.
-        stats.events += 1;
-        stats.bytes += wire.len() as u64;
-        Some(checked)
-    }
-
-    /// Checks one plain item through its borrowed wire view — the
-    /// zero-materialization fast path. Commits and traps copy their
-    /// small fixed struct off the wire; the big state dumps compare the
-    /// packet bytes against the REF in place
-    /// ([`check_dump_ref`](Self::check_dump_ref)); the remaining kinds
-    /// materialize their (small) owned struct and take the standard path.
+    /// Checks one plain (unfused, untagged) item in stream order: an
+    /// item viewed in its packet, or a Replay record viewed in the ring.
     fn process_plain_ref(
         &mut self,
         event: &EventRef<'_>,
         stats: &mut CheckStats,
     ) -> Result<Verdict, Mismatch> {
-        match event {
-            EventRef::InstrCommit(c) => {
-                let c = (*c).to_owned();
-                self.check_commit(&c, stats)?;
-                Ok(Verdict::Continue)
-            }
-            EventRef::TrapEvent(t) => {
-                let t = (*t).to_owned();
-                self.check_trap(&t, stats)
-            }
-            other => match self.check_dump_ref(other, stats) {
-                Some(checked) => checked.map(|()| Verdict::Continue),
-                None => self.process_plain(&other.to_event(), stats),
-            },
-        }
+        Ok(self
+            .check_event(event, None, stats)?
+            .unwrap_or(Verdict::Continue))
     }
 }
 
@@ -1083,9 +1006,10 @@ impl Checker {
     /// Reverts `core`'s REF to the last checkpoint for a replay pass,
     /// clearing its pending queue. Returns the token range
     /// `(checkpoint, watermark)` to retransmit, or `None` when no
-    /// checkpoint exists (the mismatch is already precise).
+    /// checkpoint exists or `core` is out of range (the mismatch is
+    /// already precise).
     pub fn revert_for_replay(&mut self, core: u8) -> Option<(u64, u64)> {
-        let c = &mut self.cores[core as usize];
+        let c = self.cores.get_mut(core as usize)?;
         let ckpt = c.ckpt.take()?;
         if !c.refm.revert() {
             return None;
@@ -1096,15 +1020,14 @@ impl Checker {
         Some((ckpt.token, c.token_watermark))
     }
 
-    /// Reprocesses retransmitted, unfused events in plain mode after a
-    /// revert, returning the precise mismatch if one reproduces.
-    pub fn replay_unfused(&mut self, core: u8, events: &[MonitoredEvent]) -> Option<Mismatch> {
+    /// Re-checks retransmitted, unfused records in plain mode after a
+    /// revert, viewed in the ring, returning the precise mismatch if one
+    /// reproduces.
+    pub fn replay_unfused(&mut self, core: u8, records: &[RecordRef<'_>]) -> Option<Mismatch> {
         let stats = &mut self.stats;
         let c = self.cores.get_mut(core as usize)?;
-        for ev in events.iter().filter(|e| e.core == core) {
-            // Monitored events are borrowed from the replay window, not
-            // re-owned: the checker only ever reads them.
-            if let Err(m) = c.process_plain(&ev.event, stats) {
+        for rec in records.iter().filter(|r| r.header.core == core) {
+            if let Err(m) = c.process_plain_ref(&rec.payload, stats) {
                 return Some(m);
             }
         }
@@ -1117,7 +1040,10 @@ mod tests {
     use super::*;
     use crate::wire::{decode_item_ref_body, encode_item_body, DiffCache, WireItem};
     use difftest_event::wire::Reader;
-    use difftest_event::{ArchEvent, ArchIntRegState, CsrState, LoadEvent, OrderTag, StoreEvent};
+    use difftest_event::{
+        ArchEvent, ArchIntRegState, CsrState, Event, LoadEvent, MonitoredEvent, OrderTag,
+        StoreEvent,
+    };
     use difftest_isa::{encode, Reg};
     use difftest_ref::Memory;
 
@@ -1481,12 +1407,26 @@ mod tests {
         assert_eq!(ck.seq(0), 0);
     }
 
-    /// Each dump kind has one comparison routine: a divergent dump yields
-    /// the identical `Mismatch` checked off the wire (the stream) and
-    /// checked owned (Replay's `replay_unfused`).
+    /// Replay on a checker whose core id is out of range finds no
+    /// checkpoint to revert to: the "wire.core out of range" mismatch
+    /// stays precise instead of panicking.
+    #[test]
+    fn revert_for_replay_of_an_unknown_core_is_none() {
+        let mut ck = Checker::new(vec![ref_with(&[encode::nop()])], true);
+        assert_eq!(ck.revert_for_replay(5), None);
+    }
+
+    /// Every kind has one comparison routine: a divergent event yields the
+    /// identical `Mismatch` and stats checked on the stream (viewed in its
+    /// packet) and re-checked by Replay (viewed in a ring record); a pre
+    /// kind parked at its tag renders the same text again.
     #[test]
     fn dump_divergence_renders_one_mismatch_on_both_paths() {
-        use difftest_event::{ArchFpRegState, ArchIntRegState, ArchVecRegState, CsrState, Token};
+        use difftest_event::record::{encode_record, Records};
+        use difftest_event::{
+            ArchFpRegState, ArchVecRegState, FpCsrUpdate, HypervisorCsrState, IntWriteback,
+            Redirect, VecCsrState,
+        };
         let words = [encode::nop()];
         let refm = ref_with(&words);
         let st = refm.state();
@@ -1497,35 +1437,97 @@ mod tests {
         let mut vregs = [0u64; 64];
         vregs[9] = 0xbeef;
         let csr3 = CsrIndex::from_dense(3).map(|c| c.name()).unwrap_or("?");
-        let cases: [(Event, String); 4] = [
+        let mut hcsrs = [0u64; 11];
+        hcsrs[0] = st.csr(CsrIndex::Hstatus);
+        hcsrs[1] = st.csr(CsrIndex::Hedeleg) ^ 1;
+        let cases: [(Event, String); 9] = [
             (ArchIntRegState { regs: xregs }.into(), "xreg x5".into()),
             (ArchFpRegState { regs: fregs }.into(), "freg f5".into()),
             (CsrState { csrs }.into(), format!("csr {csr3}")),
             (ArchVecRegState { regs: vregs }.into(), "vreg half 9".into()),
+            (
+                Redirect {
+                    pc: st.pc(),
+                    target: st.pc() + 4,
+                    taken: 1,
+                    branch_type: 0,
+                }
+                .into(),
+                "redirect.target".into(),
+            ),
+            (
+                FpCsrUpdate {
+                    fflags: 0,
+                    frm: 0,
+                    data: st.csr(CsrIndex::Fcsr) ^ 0x20,
+                }
+                .into(),
+                "fcsr.data".into(),
+            ),
+            (
+                VecCsrState {
+                    vstart: st.csr(CsrIndex::Vstart),
+                    vl: st.csr(CsrIndex::Vl) ^ 4,
+                    vtype: st.csr(CsrIndex::Vtype),
+                    vcsr: st.csr(CsrIndex::Vcsr),
+                    vlenb: 0,
+                    vill: 0,
+                }
+                .into(),
+                "vl".into(),
+            ),
+            (
+                HypervisorCsrState {
+                    csrs: hcsrs,
+                    virt_mode: 0,
+                }
+                .into(),
+                "hedeleg".into(),
+            ),
+            (
+                IntWriteback {
+                    idx: 5,
+                    data: st.xreg(Reg::new(5)) ^ 0xdead,
+                }
+                .into(),
+                "int writeback x5".into(),
+            ),
         ];
         for (event, check) in cases {
             let mut viewed = Checker::new(vec![ref_with(&words)], false);
-            let via_view = process(
-                &mut viewed,
-                WireItem::Plain {
-                    core: 0,
-                    event: event.clone(),
-                },
-            )
-            .expect_err("divergent dump");
+            let plain = WireItem::Plain {
+                core: 0,
+                event: event.clone(),
+            };
+            let via_view = process(&mut viewed, plain).expect_err("divergent event");
+            assert_eq!(via_view.check, check);
+            assert_eq!(viewed.stats().events, 1, "counted before the verdict");
+
+            let mut record = Vec::new();
             let monitored = MonitoredEvent {
                 core: 0,
                 cycle: 0,
                 order: OrderTag(0),
                 token: Token(0),
-                event,
+                event: event.clone(),
             };
-            let via_owned = Checker::new(vec![ref_with(&words)], false)
-                .replay_unfused(0, &[monitored])
-                .expect("divergent dump");
-            assert_eq!(via_view, via_owned);
-            assert_eq!(via_view.check, check);
-            assert_eq!(viewed.stats().events, 1, "counted before the verdict");
+            encode_record(&monitored, &mut record);
+            let rec = Records::new(&record)
+                .next()
+                .expect("one record")
+                .expect("a well-formed record");
+            let mut replayed = Checker::new(vec![ref_with(&words)], false);
+            let via_record = replayed.replay_unfused(0, &[rec]).expect("divergent event");
+            assert_eq!(via_view, via_record, "{check}");
+            assert_eq!(viewed.stats(), replayed.stats(), "{check}");
+
+            if is_pre(&rec.payload) {
+                let mut parked = Checker::new(vec![ref_with(&words)], false);
+                let via_parked =
+                    process(&mut parked, tagged(0, 0, event)).expect_err("divergent event");
+                assert_eq!(via_view, via_parked, "{check}");
+                assert_eq!(viewed.stats(), parked.stats(), "{check}");
+            }
         }
     }
 }

@@ -503,13 +503,13 @@ impl Consumer {
 
     /// Replay localization (paper §4.4) of a mismatch on `coarse`'s
     /// core: revert the checker to the last fused window's start,
-    /// retransmit that window's unfused events from the retention ring
-    /// and re-check them one by one, timed as the ARQ phase. Returns the
-    /// failure report and, when a replay ran, what the retransmission
-    /// cost: its bytes (one request plus the unfused payload) and the
-    /// checker stats before it, for a virtual-time charge against the
-    /// stats after. Without a ring or a fused window to revert, the
-    /// mismatch is already precise.
+    /// retransmit that window's unfused records from the retention ring
+    /// and re-check them one by one, viewed in the ring, timed as the ARQ
+    /// phase. Returns the failure report and, when a replay ran, what the
+    /// retransmission cost: its bytes (a 2-byte request per record plus
+    /// its payload) and the checker stats before it, for a virtual-time
+    /// charge against the stats after. Without a ring or a fused window
+    /// to revert on that core, the mismatch is already precise.
     pub fn localize(&mut self, coarse: Mismatch) -> (FailureReport, Option<(u64, CheckStats)>) {
         let t0 = self.timer.start();
         let Consumer {
@@ -528,16 +528,19 @@ impl Consumer {
             };
             return (report, None);
         };
-        let Retransmission { events, complete } = rb.retransmit(coarse.core, from, to);
-        let bytes: usize = events.iter().map(|e| 2 + e.encoded_len()).sum();
+        let Retransmission { records, complete } = rb.retransmit(coarse.core, from, to);
+        let bytes: usize = records
+            .iter()
+            .map(|r| 2 + r.payload.wire_bytes().len())
+            .sum();
         let before = *checker.stats();
-        let precise = checker.replay_unfused(coarse.core, &events);
+        let precise = checker.replay_unfused(coarse.core, &records);
         self.timer.stop(Phase::Arq, t0);
         let report = FailureReport {
             coarse,
             precise,
             token_range: (from, to),
-            replayed_events: events.len(),
+            replayed_events: records.len(),
             partial: !complete,
         };
         (report, Some((bytes as u64, before)))

@@ -5,13 +5,16 @@
 //! token-indexed ring; when the software detects a mismatch on the fused
 //! stream it reverts the REF to the last checkpoint (compensation log, see
 //! `difftest_ref::Journal`), requests retransmission of the token range
-//! around the failure, and reprocesses the unfused events to localize the
-//! exact instruction and event.
+//! around the failure, and re-checks the unfused events to localize the
+//! exact instruction and event. The retransmission hands the checker the
+//! ring's records as they lie, viewed in place.
 
 use std::collections::VecDeque;
 use std::fmt;
 
-use difftest_event::record::{encode_record, RecordHeader, Records, RECORD_HEADER_BYTES};
+use difftest_event::record::{
+    encode_record, RecordHeader, RecordRef, Records, RECORD_HEADER_BYTES,
+};
 use difftest_event::MonitoredEvent;
 
 use crate::checker::Mismatch;
@@ -24,14 +27,15 @@ const DEFAULT_PACKET_RETENTION: usize = 512;
 /// wastes at most one maximal record (538 B, under 1%) at its tail.
 const CHUNK_BYTES: usize = 64 << 10;
 
-/// The result of an event-range retransmission request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Retransmission {
-    /// The buffered events with tokens in the requested range, in
-    /// arrival order.
-    pub events: Vec<MonitoredEvent>,
+/// The result of an event-range retransmission request, borrowed from
+/// the ring.
+#[derive(Debug, Clone)]
+pub struct Retransmission<'a> {
+    /// The buffered records with tokens in the requested range, in
+    /// arrival order, viewed in the ring.
+    pub records: Vec<RecordRef<'a>>,
     /// `false` when part of the requested range was already evicted
-    /// from the ring, so `events` silently misses the oldest tokens.
+    /// from the ring, so `records` silently misses the oldest tokens.
     pub complete: bool,
 }
 
@@ -152,21 +156,22 @@ impl ReplayBuffer {
     }
 
     /// Retransmits the buffered events with tokens in `[from, to]`, for one
-    /// core, in arrival order (which is token order per core), decoding
-    /// them from the ring on demand. Tokens also filter out unrelated
+    /// core, in arrival order (which is token order per core), as the
+    /// ring's records: each equals its captured event under
+    /// [`RecordRef::to_monitored`]. Tokens also filter out unrelated
     /// events that arrived between the failure and the replay request
     /// (paper §4.4). The result is marked incomplete when the requested
     /// range overlaps tokens already evicted from the ring — the caller
     /// must then treat any localization as partial rather than silently
     /// trusting a truncated replay.
-    pub fn retransmit(&self, core: u8, from: u64, to: u64) -> Retransmission {
-        let mut events = Vec::new();
+    pub fn retransmit(&self, core: u8, from: u64, to: u64) -> Retransmission<'_> {
+        let mut records = Vec::new();
         let mut at = self.head;
         for chunk in &self.chunks {
-            let records = Records::new(chunk.get(at..).unwrap_or_default());
-            for rec in records.map_while(Result::ok) {
+            let walk = Records::new(chunk.get(at..).unwrap_or_default());
+            for rec in walk.map_while(Result::ok) {
                 if rec.header.core == core && (from..=to).contains(&rec.header.token.0) {
-                    events.push(rec.to_monitored());
+                    records.push(rec);
                 }
             }
             at = 0;
@@ -177,7 +182,7 @@ impl ReplayBuffer {
             Some(watermark) => from > watermark,
             None => true,
         };
-        Retransmission { events, complete }
+        Retransmission { records, complete }
     }
 
     /// Retains a pristine copy of an outgoing packet for link-level
@@ -311,16 +316,15 @@ mod tests {
             self.ring.push_back(ev.clone());
         }
 
-        fn retransmit_all(&self, core: u8) -> Retransmission {
-            Retransmission {
-                events: self
-                    .ring
+        fn retransmit_all(&self, core: u8) -> (Vec<MonitoredEvent>, bool) {
+            (
+                self.ring
                     .iter()
                     .filter(|e| e.core == core)
                     .cloned()
                     .collect(),
-                complete: self.watermark[core as usize].is_none(),
-            }
+                self.watermark[core as usize].is_none(),
+            )
         }
     }
 
@@ -352,6 +356,10 @@ mod tests {
                     assert_eq!(rb.dropped(), model.dropped, "cap {cap}");
                     for core in 0..2 {
                         let got = rb.retransmit(core, 0, u64::MAX);
+                        let got = (
+                            got.records.iter().map(RecordRef::to_monitored).collect(),
+                            got.complete,
+                        );
                         assert_eq!(got, model.retransmit_all(core), "cap {cap} core {core}");
                     }
                 }
@@ -367,7 +375,11 @@ mod tests {
         }
         let got = rb.retransmit(0, 4, 12);
         assert!(got.complete);
-        let tokens: Vec<u64> = got.events.iter().map(|e| e.token.0).collect();
+        let tokens: Vec<u64> = got
+            .records
+            .iter()
+            .map(|r| r.to_monitored().token.0)
+            .collect();
         assert_eq!(tokens, vec![4, 6, 8, 10, 12]);
     }
 
@@ -379,8 +391,8 @@ mod tests {
         }
         assert_eq!(rb.len(), 4);
         assert_eq!(rb.dropped(), 6);
-        assert!(rb.retransmit(0, 0, 5).events.is_empty());
-        assert_eq!(rb.retransmit(0, 6, 9).events.len(), 4);
+        assert!(rb.retransmit(0, 0, 5).records.is_empty());
+        assert_eq!(rb.retransmit(0, 6, 9).records.len(), 4);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 use std::collections::VecDeque;
 
 use difftest_core::batch::{BatchUnit, Unpacker};
-use difftest_core::{
-    AccelUnit, FusedCommit, ReplayBuffer, Retransmission, SquashUnit, WireItem, WireKind,
-};
+use difftest_core::{AccelUnit, FusedCommit, ReplayBuffer, SquashUnit, WireItem, WireKind};
+use difftest_event::record::RecordRef;
 use difftest_event::wire::Reader;
 use difftest_event::{
     commit_flags, ArchIntRegState, CsrState, Event, EventKind, InstrCommit, MonitoredEvent,
@@ -71,16 +70,15 @@ impl RingModel {
         self.ring.push_back(ev.clone());
     }
 
-    fn retransmit(&self, core: u8, from: u64, to: u64) -> Retransmission {
-        Retransmission {
-            events: self
-                .ring
+    fn retransmit(&self, core: u8, from: u64, to: u64) -> (Vec<MonitoredEvent>, bool) {
+        (
+            self.ring
                 .iter()
                 .filter(|e| e.core == core && (from..=to).contains(&e.token.0))
                 .cloned()
                 .collect(),
-            complete: self.watermark[core as usize].is_none_or(|w| from > w),
-        }
+            self.watermark[core as usize].is_none_or(|w| from > w),
+        )
     }
 }
 
@@ -299,8 +297,13 @@ proptest! {
             let (lo, hi) = (probe.0 % (token + 2), probe.1 % (token + 2));
             for core in 0..2 {
                 for (from, to) in [(0, u64::MAX), (lo.min(hi), lo.max(hi))] {
+                    let got = ring.retransmit(core, from, to);
+                    let got = (
+                        got.records.iter().map(RecordRef::to_monitored).collect::<Vec<_>>(),
+                        got.complete,
+                    );
                     prop_assert_eq!(
-                        ring.retransmit(core, from, to),
+                        got,
                         model.retransmit(core, from, to),
                         "core {} tokens [{}, {}]", core, from, to
                     );

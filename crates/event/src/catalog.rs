@@ -265,11 +265,10 @@ macro_rules! catalog {
         /// A borrowed verification event: one of the 32 catalog views
         /// over validated wire bytes.
         ///
-        /// This is the consumer-side zero-materialization type: checking
-        /// reads fields through it directly from the packet buffer (or,
-        /// for an order-decoupled item, from its parked payload copy),
-        /// and the owned [`Event`] is only built for the small kinds the
-        /// checker compares as structs and on Replay's re-check.
+        /// This is the consumer-side zero-materialization type: the
+        /// checker reads every kind's fields through it, in the packet
+        /// buffer, an order-decoupled item's parked payload copy, or a
+        /// Replay ring record. Checking never builds the owned [`Event`].
         #[derive(Debug, Clone, Copy)]
         pub enum EventRef<'a> {
             $(
