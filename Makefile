@@ -71,12 +71,14 @@ ci: seam
 # runner internals). There is one socket consumer loop, mux.rs's
 # serve_connection, which the one-shot runner and every daemon session
 # thread call: outside tests, no other core or serve source drives a
-# session step by step (names `MuxStep::`). The producer moves each event's payload once per
-# consumer of it: outside tests, retention, packing and the produce loop
-# never clone an event. Squash makes one deliberate copy on the send
-# path, the `clone_from` that refills a held state-dump slot (one such
-# line in non-test squash.rs), and clones otherwise only in its
-# Vec<WireItem> sink. The consume side is one state machine: outside
+# session step by step (names `MuxStep::`). A monitored event has one
+# representation on the send path, the record the DUT's monitor appends
+# to the capture arena: outside tests, the typed benchmark shims (shim.rs)
+# and the fixed-offset baseline packer, no send-path source names
+# `MonitoredEvent`, encodes an event or a record (`.encode_into(`, bar a
+# FusedCommit's, `encode_record(`), ticks the typed view (`tick_into(`)
+# or refills a held slot with `clone_from`: retention copies the arena,
+# and Squash and Batch read its records in place. The consume side is one state machine: outside
 # consume.rs and checker.rs no library code drives the checker (`process_ref`,
 # `finalize`), and the retired owned decode path and second byte reader
 # stay gone. The squashed stream is checked in place too: the checker
@@ -105,8 +107,8 @@ RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/socket.rs
 WIRE_SRCS = crates/core/src/proto.rs crates/core/src/mux.rs
 INPROC_RUNNER_SRCS = crates/core/src/engine.rs
 RUN_ENTRY_POINTS = run_runner run_session run_socket_session
-PRODUCER_SRCS = crates/core/src/replay.rs crates/core/src/transport.rs \
-	crates/core/src/produce.rs crates/core/src/squash.rs
+SEND_SRCS = $(addprefix crates/core/src/,produce.rs engine.rs socket.rs replay.rs transport.rs \
+	squash.rs batch.rs snapshot.rs)
 CONSUME_SRCS = crates/core/src/consume.rs crates/core/src/checker.rs
 COMPARE_SRCS = crates/core/src/checker.rs crates/core/src/consume.rs crates/core/src/replay.rs
 seam:
@@ -116,7 +118,7 @@ seam:
 	else \
 		echo "runner seam clean: no runner imports another runner's internals"; \
 	fi
-	@if grep -nE 'tick_into\(|Phase::Tick' $(RUNNER_SRCS); then \
+	@if grep -nE 'tick_records\(|tick_into\(|Phase::Tick' $(RUNNER_SRCS); then \
 		echo "producer seam violated: only produce.rs ticks the DUT"; \
 		exit 1; \
 	else \
@@ -155,19 +157,16 @@ seam:
 	else \
 		echo "consumer-loop seam clean: one socket consumer loop, in mux.rs"; \
 	fi
-	@if for f in $(PRODUCER_SRCS); do \
-		sed -e '/^#\[cfg(test)\]/,$$d' -e '/^impl SquashSink for Vec<WireItem>/,/^}/d' $$f \
-			| grep -nE '\.event\.clone\(\)|\.cloned\(\)' | sed "s|^|$$f: |"; \
+	@if for f in $(SEND_SRCS); do \
+		sed -e '/^#\[cfg(test)\]/,$$d' -e '/^pub struct FixedOffsetPacker/,/^}/d' \
+			-e '/^impl FixedOffsetPacker/,/^}/d' $$f \
+			| grep -nE 'MonitoredEvent|\.encode_into\(|encode_record\(|tick_into\(|clone_from' \
+			| grep -vE 'fused\.encode_into\(' | sed "s|^|$$f: |"; \
 	done | grep .; then \
-		echo "producer-copy seam violated: an event is cloned on the send path"; \
-		exit 1; \
-	elif [ $$(sed -e '/^#\[cfg(test)\]/,$$d' crates/core/src/squash.rs | grep -c 'clone_from') -gt 1 ]; then \
-		sed -e '/^#\[cfg(test)\]/,$$d' crates/core/src/squash.rs | grep -n 'clone_from' \
-			| sed 's|^|crates/core/src/squash.rs: |'; \
-		echo "producer-copy seam violated: the held-dump slot is the send path's one event copy"; \
+		echo "send-path seam violated: the monitor's record is the one event representation from capture to packet"; \
 		exit 1; \
 	else \
-		echo "producer-copy seam clean: events are lent from monitor to packet, copied once into a held-dump slot"; \
+		echo "send-path seam clean: one send-path representation, records read in place"; \
 	fi
 	@if grep -rnE 'BlockCache|Uop|MAX_BLOCK_LEN|ends_block' crates/*/src; then \
 		echo "REF tier seam violated: the block-compiled tier was retired (DESIGN.md §13)"; \

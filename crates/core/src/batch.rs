@@ -21,15 +21,16 @@
 //! whether valid or not, producing the >60% bubbles of paper §4.2.1.
 
 use difftest_dut::SlotTable;
+use difftest_event::record::RecordRef;
 use difftest_event::wire::{
     append_crc_frame, verify_crc_frame, CodecError, Reader, Writer, CRC_TRAILER_BYTES,
 };
-use difftest_event::{Event, EventKind, MonitoredEvent};
+use difftest_event::{Event, EventKind, EventRef};
 
 use crate::squash::{FusedCommit, SquashSink};
 use crate::wire::{
     decode_item_ref_body, encode_item_body, encode_tag_token, validate_item_body, DiffCache,
-    WireItem, WireItemRef, WireKind,
+    WireItem, WireItemRef, WireKind, TAG_TOKEN_BYTES,
 };
 
 /// One metadata record: `count` items of `wire_kind` from `core`.
@@ -290,20 +291,18 @@ impl BatchUnit {
         }
     }
 
-    /// Packs one Plain event straight into the packet's payload buffer —
-    /// the producer-side zero-materialization fast path. The fixed layout
-    /// means the item's size is known *before* encoding, so the flush
-    /// check runs first and the bytes are then written in place: no
-    /// [`WireItem`] is built, no per-item body scratch is filled and
-    /// copied.
+    /// Packs one payload as a Plain item, copying its bytes straight
+    /// into the packet's payload buffer. The fixed layout means the
+    /// item's size is known up front, so the flush check runs first: no
+    /// [`WireItem`] is built, no per-item body scratch is filled.
     #[inline]
-    pub fn push_plain(&mut self, core: u8, event: &Event, out: &mut Vec<Packet>) {
-        let kind = WireKind::Plain(event.kind());
-        self.admit(core, kind, event.encoded_len(), out);
-        event.encode_into(&mut self.payload);
+    pub fn push_payload(&mut self, core: u8, event: EventRef<'_>, out: &mut Vec<Packet>) {
+        let bytes = event.wire_bytes();
+        self.admit(core, WireKind::Plain(event.kind()), bytes.len(), out);
+        self.payload.extend_from_slice(bytes);
     }
 
-    /// This packer as Squash's output: what `SquashUnit` lends is encoded
+    /// This packer as Squash's output: what `SquashUnit` lends is packed
     /// on the spot, the same bytes [`push_cycle`](Self::push_cycle) makes
     /// of the equivalent [`WireItem`]s.
     pub(crate) fn sink<'a>(&'a mut self, out: &'a mut Vec<Packet>) -> PackSink<'a> {
@@ -355,21 +354,21 @@ pub(crate) struct PackSink<'a> {
 }
 
 impl SquashSink for PackSink<'_> {
-    fn tagged(&mut self, ev: &MonitoredEvent) {
-        let kind = WireKind::Tagged(ev.event.kind());
-        self.batch.push_encoded(ev.core, kind, self.out, |_, body| {
-            encode_tag_token(ev.order, ev.token, body);
-            ev.event.encode_into(body);
-            true
-        });
+    fn tagged(&mut self, ev: &RecordRef<'_>) {
+        let (h, payload) = (ev.header, ev.payload.wire_bytes());
+        let batch = &mut *self.batch;
+        let len = TAG_TOKEN_BYTES + payload.len();
+        batch.admit(h.core, WireKind::Tagged(h.kind), len, self.out);
+        encode_tag_token(h.order, h.token, &mut batch.payload);
+        batch.payload.extend_from_slice(payload);
     }
 
-    fn diff(&mut self, ev: &MonitoredEvent) {
-        let kind = WireKind::Diff(ev.event.kind());
+    fn diff(&mut self, ev: &RecordRef<'_>) {
+        let (h, payload) = (ev.header, ev.payload.wire_bytes());
         self.batch
-            .push_encoded(ev.core, kind, self.out, |diff, body| {
-                encode_tag_token(ev.order, ev.token, body);
-                diff.encode(ev.core, &ev.event, body) > 0
+            .push_encoded(h.core, WireKind::Diff(h.kind), self.out, |diff, body| {
+                encode_tag_token(h.order, h.token, body);
+                diff.diff(h.core, h.kind, payload, body) > 0
             });
     }
 
@@ -396,6 +395,8 @@ pub fn peek_packet_seq(bytes: &[u8]) -> Option<u32> {
 /// sequence-based reassembly of out-of-order packets (paper §4.5).
 #[derive(Debug)]
 pub struct Unpacker {
+    /// Cores of the session: a meta entry naming another is malformed.
+    cores: usize,
     diff: DiffCache,
     /// Scratch every Fused record is refilled into and viewed from.
     fused: FusedCommit,
@@ -408,6 +409,7 @@ impl Unpacker {
     /// Creates an unpacker mirroring `cores` diff caches.
     pub fn new(cores: usize) -> Self {
         Unpacker {
+            cores,
             diff: DiffCache::new(cores),
             fused: FusedCommit::default(),
             expected_seq: 0,
@@ -482,7 +484,7 @@ impl Unpacker {
                 got: seq,
             });
         }
-        Self::validate_body(&body[4..])?;
+        Self::validate_body(&body[4..], self.cores)?;
         if seq != self.expected_seq {
             // Bound the reassembly window: a gap that outlives this many
             // packets means the link lost one, which must surface rather
@@ -528,18 +530,21 @@ impl Unpacker {
         Ok(n)
     }
 
-    /// Validates one packet body structurally (meta table plus every
-    /// item's byte extent) without materializing anything or touching
-    /// the diff mirror. Fixed-layout runs are skipped in O(1) per run —
-    /// this is all the per-byte work the admission path does beyond the
-    /// CRC.
-    fn validate_body(bytes: &[u8]) -> Result<(), CodecError> {
+    /// Validates one packet body structurally (meta table, each run's
+    /// core below `cores`, and every item's byte extent) without
+    /// materializing anything or touching the diff mirror. Fixed-layout
+    /// runs are skipped in O(1) per run — this is all the per-byte work
+    /// the admission path does beyond the CRC.
+    fn validate_body(bytes: &[u8], cores: usize) -> Result<(), CodecError> {
         let mut r = Reader::new(bytes);
         let n_meta = r.u16()? as usize;
         let payload_at = 2 + n_meta * META_ENTRY_BYTES;
         let mut pr = Reader::new(bytes.get(payload_at..).unwrap_or_default());
         for _ in 0..n_meta {
-            let _core = r.u8()?;
+            let core = r.u8()?;
+            if core as usize >= cores {
+                return Err(CodecError::BadCore { core, cores });
+            }
             let wire_kind = r.u8()?;
             let count = r.u16()? as usize;
             match WireKind::from_u8(wire_kind)? {
@@ -548,7 +553,7 @@ impl Unpacker {
                     pr.bytes_dyn(count * k.encoded_len())?;
                 }
                 WireKind::Tagged(k) => {
-                    pr.bytes_dyn(count * (16 + k.encoded_len()))?;
+                    pr.bytes_dyn(count * (TAG_TOKEN_BYTES + k.encoded_len()))?;
                 }
                 // Self-describing bodies must be walked item by item.
                 kind => {
@@ -629,7 +634,7 @@ impl FixedOffsetPacker {
     ///
     /// Events beyond a kind's slot count are dropped (hardware would have
     /// back-pressured; the DUT model already respects the budget).
-    pub fn pack_cycle(&mut self, events: &[MonitoredEvent]) -> Vec<u8> {
+    pub fn pack_cycle(&mut self, events: &[difftest_event::MonitoredEvent]) -> Vec<u8> {
         let mut bytes = Vec::with_capacity(self.cycle_layout_bytes());
         let pairs: Vec<(EventKind, u8)> = self.slots.iter().collect();
         for core in 0..self.cores as u8 {
@@ -693,7 +698,7 @@ impl FixedOffsetPacker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use difftest_event::{InstrCommit, IntWriteback, OrderTag, StoreEvent, Token};
+    use difftest_event::{InstrCommit, IntWriteback, MonitoredEvent, OrderTag, StoreEvent, Token};
 
     fn plain(core: u8, event: Event) -> WireItem {
         WireItem::Plain { core, event }
@@ -932,6 +937,28 @@ mod tests {
                 got: u32::MAX - 1
             }
         );
+    }
+
+    /// A meta entry naming a core the unpacker was not built for is
+    /// rejected at admission, before the diff mirror is indexed by it.
+    #[test]
+    fn a_core_beyond_the_session_is_rejected_at_admission() {
+        let mut packer = BatchUnit::new(8, 4096);
+        let mut unpacker = Unpacker::new(1);
+        let item = WireItem::Diff {
+            core: 5,
+            tag: OrderTag(0),
+            token: Token(0),
+            event: difftest_event::ArchIntRegState { regs: [1; 32] }.into(),
+        };
+        let mut out = Vec::new();
+        packer.push_cycle(&[item], &mut out);
+        packer.flush(&mut out);
+        assert_eq!(
+            unpacker.unpack(&out[0].bytes),
+            Err(CodecError::BadCore { core: 5, cores: 1 })
+        );
+        assert_eq!(unpacker.expected_seq(), 0, "no state was touched");
     }
 
     #[test]

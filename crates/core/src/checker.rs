@@ -30,7 +30,7 @@ use difftest_isa::trap::Interrupt;
 use difftest_ref::exec::Effect;
 use difftest_ref::{DecodeCacheStats, RefModel, StepOutcome};
 
-use crate::squash::FusedCommit;
+use crate::squash::{FusedCommit, MAX_PARKED, MAX_TAG_LEAD};
 use crate::wire::WireItemRef;
 
 /// A detected divergence between the DUT and the REF.
@@ -234,6 +234,15 @@ impl CoreChecker {
         }
     }
 
+    /// Checks named DUT CSR values against the REF's, in order.
+    fn check_csrs<const N: usize>(&self, csrs: [(&str, CsrIndex, u64); N]) -> Result<(), Mismatch> {
+        for (name, csr, dut) in csrs {
+            let want = self.refm.state().csr(csr);
+            self.ensure(dut == want, name, want, dut)?;
+        }
+        Ok(())
+    }
+
     /// Checks one plain instruction commit: PC, step, destination value.
     fn check_commit(&mut self, c: &InstrCommit, stats: &mut CheckStats) -> Result<(), Mismatch> {
         self.ensure(
@@ -392,49 +401,16 @@ impl CoreChecker {
             EventRef::ArchFpRegState(s) => self.check_dump(Dump::Fregs, s.regs().iter())?,
             EventRef::CsrState(s) => self.check_dump(Dump::Csrs, s.csrs().iter())?,
             EventRef::ArchVecRegState(s) => self.check_dump(Dump::Vregs, s.regs().iter())?,
-            EventRef::VecCsrState(s) => {
-                let st = refm.state();
-                self.ensure(
-                    s.vstart() == st.csr(CsrIndex::Vstart),
-                    "vstart",
-                    st.csr(CsrIndex::Vstart),
-                    s.vstart(),
-                )?;
-                self.ensure(
-                    s.vl() == st.csr(CsrIndex::Vl),
-                    "vl",
-                    st.csr(CsrIndex::Vl),
-                    s.vl(),
-                )?;
-                self.ensure(
-                    s.vtype() == st.csr(CsrIndex::Vtype),
-                    "vtype",
-                    st.csr(CsrIndex::Vtype),
-                    s.vtype(),
-                )?;
-                self.ensure(
-                    s.vcsr() == st.csr(CsrIndex::Vcsr),
-                    "vcsr",
-                    st.csr(CsrIndex::Vcsr),
-                    s.vcsr(),
-                )?;
-            }
-            EventRef::HypervisorCsrState(s) => {
-                let st = refm.state();
-                let csrs = s.csrs();
-                self.ensure(
-                    csrs.get(0) == st.csr(CsrIndex::Hstatus),
-                    "hstatus",
-                    st.csr(CsrIndex::Hstatus),
-                    csrs.get(0),
-                )?;
-                self.ensure(
-                    csrs.get(1) == st.csr(CsrIndex::Hedeleg),
-                    "hedeleg",
-                    st.csr(CsrIndex::Hedeleg),
-                    csrs.get(1),
-                )?;
-            }
+            EventRef::VecCsrState(s) => self.check_csrs([
+                ("vstart", CsrIndex::Vstart, s.vstart()),
+                ("vl", CsrIndex::Vl, s.vl()),
+                ("vtype", CsrIndex::Vtype, s.vtype()),
+                ("vcsr", CsrIndex::Vcsr, s.vcsr()),
+            ])?,
+            EventRef::HypervisorCsrState(s) => self.check_csrs([
+                ("hstatus", CsrIndex::Hstatus, s.csrs().get(0)),
+                ("hedeleg", CsrIndex::Hedeleg, s.csrs().get(1)),
+            ])?,
             EventRef::TriggerCsrState(s) => {
                 self.ensure(s.tselect() == 0, "tselect", 0u64, s.tselect())?;
             }
@@ -589,21 +565,10 @@ impl CoreChecker {
                     u.fflags() as u64,
                 )?;
             }
-            EventRef::VecConfig(v) => {
-                let st = refm.state();
-                self.ensure(
-                    v.vl() == st.csr(CsrIndex::Vl),
-                    "vecconfig.vl",
-                    st.csr(CsrIndex::Vl),
-                    v.vl(),
-                )?;
-                self.ensure(
-                    v.vtype() == st.csr(CsrIndex::Vtype),
-                    "vecconfig.vtype",
-                    st.csr(CsrIndex::Vtype),
-                    v.vtype(),
-                )?;
-            }
+            EventRef::VecConfig(v) => self.check_csrs([
+                ("vecconfig.vl", CsrIndex::Vl, v.vl()),
+                ("vecconfig.vtype", CsrIndex::Vtype, v.vtype()),
+            ])?,
             EventRef::HCsrUpdate(h) => {
                 if let Some(c) = CsrIndex::from_address(h.addr()) {
                     let want = self.refm.state().csr(c);
@@ -658,6 +623,10 @@ impl CoreChecker {
         event: &EventRef<'_>,
         stats: &mut CheckStats,
     ) -> Result<Option<Verdict>, Mismatch> {
+        let limit = self.seq.saturating_add(MAX_TAG_LEAD);
+        self.ensure(tag <= limit, "wire.tag out of range", limit, tag)?;
+        let n = self.pending.len();
+        self.ensure(n < MAX_PARKED, "wire.parked over cap", MAX_PARKED, n + 1)?;
         self.token_watermark = self.token_watermark.max(token.0);
         // Pre events tagged `t` become checkable once seq reaches the tag;
         // post events once instruction `t` has stepped (seq > t). Always
@@ -1271,6 +1240,19 @@ mod tests {
             ..Default::default()
         };
         WireItem::Fused { core: 0, fused }
+    }
+
+    /// A tag further ahead of the core's position than any window can
+    /// lead is a mismatch on the stream, not an item parked forever.
+    #[test]
+    fn a_far_future_tag_is_a_mismatch_not_a_park() {
+        let mut ck = Checker::new(vec![ref_with(&[encode::ebreak()])], false);
+        let edge = tagged(MAX_TAG_LEAD, 0, StoreEvent::default().into());
+        assert_eq!(process(&mut ck, edge).unwrap(), Verdict::Continue);
+        let far = tagged(MAX_TAG_LEAD + 1, 1, StoreEvent::default().into());
+        let m = process(&mut ck, far).unwrap_err();
+        assert_eq!(m.check, "wire.tag out of range");
+        assert_eq!(ck.pending_items(), 1, "only the in-range item parked");
     }
 
     /// Parked items are checked in tag order, not arrival order: the

@@ -709,6 +709,39 @@ mod tests {
         assert_eq!(again.counters.get("decode.hits"), hits);
     }
 
+    /// A CRC-valid packet naming a core the session does not have is a
+    /// malformed transfer, not a panic in the diff mirror.
+    #[test]
+    fn a_packet_naming_an_absent_core_is_malformed() {
+        use crate::batch::BatchUnit;
+        use crate::wire::WireItem;
+        use difftest_event::{ArchIntRegState, OrderTag, Token};
+
+        let mut wide = BatchUnit::new(8, 4096);
+        let item = WireItem::Diff {
+            core: 5,
+            tag: OrderTag(0),
+            token: Token(0),
+            event: ArchIntRegState { regs: [1; 32] }.into(),
+        };
+        let mut packets = Vec::new();
+        wide.push_cycle(&[item], &mut packets);
+        wide.flush(&mut packets);
+        let t = Transfer {
+            bytes: packets.remove(0).bytes,
+            core: 0,
+            items: 1,
+        };
+
+        let mut c = session().consumer();
+        assert_eq!(c.ingest(&t, 0, &mut NoCharge), Step::Stop);
+        assert!(matches!(
+            c.link_error(),
+            Some((LinkErrorKind::Malformed, 0, _))
+        ));
+        assert_eq!(c.items(), 0, "nothing reached the checker");
+    }
+
     #[test]
     fn stale_duplicates_are_dropped_silently() {
         let s = session();

@@ -532,7 +532,7 @@ impl CoSimulation {
             self.timing.on_cycle();
             let mut ring = self.consumer.retention_mut();
             if let Some(rb) = ring.as_deref_mut() {
-                self.producer.monitor(|events| rb.push_slice(events));
+                self.producer.monitor(|records| rb.push_records(records));
             }
             self.producer.pack();
             self.producer.feed(retain_packets(ring.filter(|_| arq)));

@@ -341,9 +341,10 @@ impl LinkErrorKind {
             CodecError::StaleSequence { .. } => LinkErrorKind::Stale,
             CodecError::ReorderOverflow { .. } => LinkErrorKind::Gap,
             CodecError::UnexpectedEnd { .. } => LinkErrorKind::Truncated,
-            CodecError::BadKind(_) | CodecError::TrailingBytes(_) | CodecError::Malformed(_) => {
-                LinkErrorKind::Malformed
-            }
+            CodecError::BadKind(_)
+            | CodecError::TrailingBytes(_)
+            | CodecError::Malformed(_)
+            | CodecError::BadCore { .. } => LinkErrorKind::Malformed,
         }
     }
 

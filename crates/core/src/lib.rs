@@ -88,6 +88,8 @@ pub mod produce;
 pub mod proto;
 pub mod replay;
 pub mod session;
+#[doc(hidden)]
+pub mod shim;
 pub mod snapshot;
 pub mod socket;
 pub mod squash;

@@ -5,9 +5,12 @@
 //! sending queue, §4) whatever platform sits behind it. [`Producer`] is
 //! that pipeline, symmetric to [`Consumer`](crate::consume::Consumer):
 //! it owns the DUT, the acceleration unit, the send path in front of the
-//! link's sink, the per-cycle event scratch and the stop conditions, and
+//! link's sink, the per-cycle capture arena and the stop conditions, and
 //! exposes each phase as its own call so a runner is reduced to a
 //! topology — where the producer runs and what the sink is.
+//! A monitored event has one representation on this side, the record
+//! the DUT's monitor appends to the capture arena: retention copies it
+//! and the acceleration unit reads it in place.
 //!
 //! The producer owns its instruments, as the consumer owns its own: a
 //! [`PhaseTimer`] for its phases and a [`FlightRecorder`] for its sends
@@ -16,7 +19,6 @@
 //! runner joins with the consumer's by one [`Obs::absorb`].
 
 use difftest_dut::Dut;
-use difftest_event::MonitoredEvent;
 use difftest_stats::{FlightRecorder, Metrics, Obs, Phase, PhaseTimer};
 
 use crate::fault::FaultStats;
@@ -38,7 +40,7 @@ pub struct ProducerOutput {
 }
 
 /// The shared send-side pipeline: DUT, acceleration unit, send path,
-/// event scratch, stop conditions and instruments. Built by
+/// capture arena, stop conditions and instruments. Built by
 /// [`Session::producer`](crate::Session::producer).
 ///
 /// Phase contract, per DUT cycle: [`tick`](Self::tick), optionally
@@ -55,8 +57,9 @@ pub struct Producer<S: LinkSink> {
     link: SendLink<S>,
     /// Transfers packed but not yet fed.
     staging: Vec<Transfer>,
-    /// The current cycle's monitored events.
-    events: Vec<MonitoredEvent>,
+    /// The current cycle's capture arena: its monitored events, as
+    /// records back to back.
+    records: Vec<u8>,
     max_cycles: u64,
     /// Cleared once the sink reports its receiver gone.
     alive: bool,
@@ -74,7 +77,7 @@ impl<S: LinkSink> Producer<S> {
             fusion: FusionWatch::default(),
             link,
             staging: Vec::new(),
-            events: Vec::new(),
+            records: Vec::new(),
             max_cycles,
             alive: true,
             timer: PhaseTimer::monotonic(),
@@ -108,26 +111,27 @@ impl<S: LinkSink> Producer<S> {
         self.link.fault_stats()
     }
 
-    /// Advances the DUT one cycle, capturing its monitored events.
+    /// Advances the DUT one cycle, capturing its monitored events into
+    /// the arena.
     pub fn tick(&mut self) {
         let t0 = self.timer.start();
-        self.events.clear();
-        self.dut.tick_into(&mut self.events);
+        self.records.clear();
+        self.dut.tick_records(&mut self.records);
         self.timer.stop(Phase::Tick, t0);
     }
 
-    /// Runs `hook` over the cycle's events, timed as the monitor phase
-    /// (the engine retains them for Replay here). Runners without a
-    /// monitor-side consumer of the events skip this call.
-    pub fn monitor(&mut self, hook: impl FnOnce(&[MonitoredEvent])) {
-        self.timer.time(Phase::Monitor, || hook(&self.events));
+    /// Runs `hook` over the cycle's capture arena, timed as the monitor
+    /// phase (the engine retains its records for Replay here). Runners
+    /// without a monitor-side consumer of the events skip this call.
+    pub fn monitor(&mut self, hook: impl FnOnce(&[u8])) {
+        self.timer.time(Phase::Monitor, || hook(&self.records));
     }
 
-    /// Streams the cycle's events through the acceleration unit;
+    /// Streams the cycle's records through the acceleration unit;
     /// completed transfers are staged for [`feed`](Self::feed).
     pub fn pack(&mut self) {
         let t0 = self.timer.start();
-        self.accel.push_cycle(&self.events, &mut self.staging);
+        self.accel.push_records(&self.records, &mut self.staging);
         self.timer.stop(Phase::Pack, t0);
     }
 

@@ -6,16 +6,14 @@
 //! stream it reverts the REF to the last checkpoint (compensation log, see
 //! `difftest_ref::Journal`), requests retransmission of the token range
 //! around the failure, and re-checks the unfused events to localize the
-//! exact instruction and event. The retransmission hands the checker the
-//! ring's records as they lie, viewed in place.
+//! exact instruction and event. The ring retains the monitor's records
+//! by copying their bytes, and the retransmission hands the checker those
+//! records as they lie, viewed in place.
 
 use std::collections::VecDeque;
 use std::fmt;
 
-use difftest_event::record::{
-    encode_record, RecordHeader, RecordRef, Records, RECORD_HEADER_BYTES,
-};
-use difftest_event::MonitoredEvent;
+use difftest_event::record::{RecordHeader, RecordRef, Records};
 
 use crate::checker::Mismatch;
 
@@ -40,11 +38,11 @@ pub struct Retransmission<'a> {
 }
 
 /// The hardware-side token-indexed ring of original events (paper §4.4:
-/// a ring of raw event bytes). Each event is retained as one
-/// [`difftest_event::record`] — header plus payload, about 165 B on a
-/// XiangShan stream against 552 B for the value — appended to
-/// fixed-size chunks that are recycled as eviction empties them, so a
-/// full ring allocates nothing.
+/// a ring of raw event bytes). Each event is retained as the monitor
+/// captured it, one [`difftest_event::record`] — header plus payload,
+/// about 165 B on a XiangShan stream — copied into fixed-size chunks
+/// that are recycled as eviction empties them, so a full ring allocates
+/// nothing.
 #[derive(Debug, Default)]
 pub struct ReplayBuffer {
     /// Chunks holding records, oldest first.
@@ -79,34 +77,27 @@ impl ReplayBuffer {
         }
     }
 
-    /// Buffers one captured event (before any optimization touches it).
-    pub fn push(&mut self, ev: MonitoredEvent) {
-        self.retain(&ev);
-    }
-
-    /// Buffers one cycle's captured events — what the engine's monitor
-    /// phase runs every cycle. Equivalent to calling
-    /// [`push`](Self::push) once per event.
-    pub fn push_slice(&mut self, events: &[MonitoredEvent]) {
-        for ev in events {
-            self.retain(ev);
-        }
-    }
-
-    /// Encodes `ev` at the tail, evicting the oldest event when full.
-    fn retain(&mut self, ev: &MonitoredEvent) {
-        if self.len == self.capacity {
-            self.evict_oldest();
-        }
-        let need = RECORD_HEADER_BYTES + ev.encoded_len();
-        if !matches!(self.chunks.back(), Some(c) if c.len() + need <= CHUNK_BYTES) {
-            let fresh = self.spare.pop();
-            self.chunks
-                .push_back(fresh.unwrap_or_else(|| Vec::with_capacity(CHUNK_BYTES)));
-        }
-        if let Some(chunk) = self.chunks.back_mut() {
-            encode_record(ev, chunk);
-            self.len += 1;
+    /// Retains one cycle's capture arena: each record, before any
+    /// optimization touches it, copied to the tail as it lies, evicting
+    /// the oldest when full. The walk reads headers only, for lengths.
+    pub fn push_records(&mut self, mut records: &[u8]) {
+        while let Ok((_, len)) = RecordHeader::read(records) {
+            let Some((record, rest)) = records.split_at_checked(len) else {
+                return;
+            };
+            records = rest;
+            if self.len == self.capacity {
+                self.evict_oldest();
+            }
+            if !matches!(self.chunks.back(), Some(c) if c.len() + len <= CHUNK_BYTES) {
+                let fresh = self.spare.pop();
+                self.chunks
+                    .push_back(fresh.unwrap_or_else(|| Vec::with_capacity(CHUNK_BYTES)));
+            }
+            if let Some(chunk) = self.chunks.back_mut() {
+                chunk.extend_from_slice(record);
+                self.len += 1;
+            }
         }
     }
 
@@ -284,7 +275,7 @@ impl fmt::Display for FailureReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use difftest_event::{InstrCommit, OrderTag, Token};
+    use difftest_event::{InstrCommit, MonitoredEvent, OrderTag, Token};
 
     fn ev(core: u8, token: u64) -> MonitoredEvent {
         MonitoredEvent {

@@ -407,7 +407,7 @@ impl Session {
     /// Builds the software-side decoder matching [`accel`](Self::accel).
     pub fn sw_unit(&self) -> SwUnit {
         match self.config {
-            DiffConfig::Z => SwUnit::per_event(),
+            DiffConfig::Z => SwUnit::per_event(self.cores()),
             _ => SwUnit::packed(self.cores()),
         }
     }

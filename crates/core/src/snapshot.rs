@@ -97,7 +97,7 @@ pub fn snapshot_debug_run(
     let mut snapshots_taken = 0u64;
     let mut snapshot_bytes = 0u64;
     let mut transfers: Vec<Transfer> = Vec::new();
-    let mut events_buf = Vec::new();
+    let mut records = Vec::new();
 
     while !consumer.stopped() && dut.halted().is_none() && dut.cycles() < max_cycles {
         // Periodic snapshot: quiesce the pipeline first (flush fusion
@@ -128,9 +128,9 @@ pub fn snapshot_debug_run(
             snapshot_bytes = dut.snapshot_footprint();
         }
 
-        events_buf.clear();
-        dut.tick_into(&mut events_buf);
-        accel.push_cycle(&events_buf, &mut transfers);
+        records.clear();
+        dut.tick_records(&mut records);
+        accel.push_records(&records, &mut transfers);
         feed(&mut consumer, &mut transfers);
     }
 
@@ -157,12 +157,12 @@ pub fn snapshot_debug_run(
             (Dut::new(re_cfg, &image, re_bugs), refs)
         });
         let mut per_event = AccelUnit::per_event();
-        let mut re_consumer = Consumer::new(SwUnit::per_event(), Checker::resume(refs, false));
+        let mut re_consumer = Consumer::new(SwUnit::per_event(cores), Checker::resume(refs, false));
         while !re_consumer.stopped() && re_dut.halted().is_none() && re_dut.cycles() < max_cycles {
-            events_buf.clear();
-            re_dut.tick_into(&mut events_buf);
+            records.clear();
+            re_dut.tick_records(&mut records);
             reexecuted_cycles += 1;
-            per_event.push_cycle(&events_buf, &mut transfers);
+            per_event.push_records(&records, &mut transfers);
             regenerated_events += feed(&mut re_consumer, &mut transfers);
         }
         precise = re_consumer.mismatch().cloned();

@@ -20,13 +20,15 @@
 //! State dumps are also squashed in time: the monitor captures one every
 //! commit cycle, but Squash holds the newest of each kind per core and
 //! ships it once per fusion window (see [`SquashUnit`] for when).
+//!
+//! Squash reads the monitor's records in place: it classifies each by
+//! kind and its [`EventRef`] view, fuses commits from their
+//! [`InstrCommitRef`] fields, and holds a state dump as a copy of its
+//! record's bytes.
 
+use difftest_event::record::{RecordHeader, RecordRef, Records};
 use difftest_event::wire::{CodecError, Reader, Writer};
-use difftest_event::{
-    commit_flags, DebugModeState, Event, EventKind, MonitoredEvent, OrderTag, Token,
-};
-
-use crate::wire::WireItem;
+use difftest_event::{commit_flags, EventKind, EventRef, InstrCommitRef};
 
 /// How Squash treats each event kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +50,21 @@ pub enum SquashClass {
 /// Number of state-dump kinds Squash holds.
 const HELD_SLOTS: usize = 8;
 
+/// Cycles a fusion window stays open, however few commits it holds.
+pub const MAX_WINDOW_AGE: u32 = 64;
+
+/// How far an order tag can lead its core's checker. Squash sends a
+/// tagged or differenced item while its window is open, behind every
+/// fused record closed before it, so the item leads by at most the
+/// window's commits: [`MAX_WINDOW_AGE`] cycles of at most 6 (the widest
+/// preset's commit group), whatever the window's commit limit.
+pub const MAX_TAG_LEAD: u64 = MAX_WINDOW_AGE as u64 * 6;
+/// How many items a core's checker parks at most: an item waits for the
+/// record of its own window or, captured in a stall before that window
+/// opened, of the next; two windows' cycles of at most 88 events (the
+/// widest preset's slots per core and cycle).
+pub const MAX_PARKED: usize = 2 * MAX_WINDOW_AGE as usize * 88;
+
 /// The held slot of a state-dump kind, `None` for every other kind. A
 /// dump is a whole register file or CSR group, so the newest one a
 /// window captured carries everything its older ones did.
@@ -67,7 +84,7 @@ fn held_slot(kind: EventKind) -> Option<usize> {
 }
 
 /// Classifies an event under the Squash policy.
-pub fn classify(event: &Event) -> SquashClass {
+pub fn classify(event: &EventRef<'_>) -> SquashClass {
     use EventKind as K;
     match event.kind() {
         K::InstrCommit => SquashClass::Fuse,
@@ -257,16 +274,16 @@ impl SquashStats {
 }
 
 /// One core's fusion window and held state dumps. The record's write-set
-/// vectors are cleared on reopening, never taken, and each dump is copied
-/// into its slot in place, so a steady stream of windows allocates
-/// nothing.
+/// vectors are cleared on reopening, never taken, and each dump's record
+/// bytes are copied into its slot's buffer in place, so a steady stream
+/// of windows allocates nothing.
 #[derive(Debug)]
 struct WindowState {
     open: bool,
     age: u32,
     rec: FusedCommit,
-    /// The newest dump of each held kind.
-    dumps: [MonitoredEvent; HELD_SLOTS],
+    /// The newest dump of each held kind, as its record's bytes.
+    dumps: [Vec<u8>; HELD_SLOTS],
     /// Bit `i` set: `dumps[i]` is held and not yet shipped.
     due: u8,
     /// A trap or interrupt entry has shipped: the core's next dump set
@@ -280,14 +297,8 @@ impl WindowState {
             open: false,
             age: 0,
             rec: FusedCommit::default(),
-            // Placeholders: a slot is read only while its `due` bit is set.
-            dumps: std::array::from_fn(|_| MonitoredEvent {
-                core: 0,
-                cycle: 0,
-                order: OrderTag(0),
-                token: Token(0),
-                event: DebugModeState::default().into(),
-            }),
+            // A slot is read only while its `due` bit is set.
+            dumps: Default::default(),
             due: 0,
             after_trap: false,
         }
@@ -297,35 +308,41 @@ impl WindowState {
     fn first_due(&self) -> Option<usize> {
         (0..HELD_SLOTS)
             .filter(|i| self.due & (1 << i) != 0)
-            .min_by_key(|&i| self.dumps[i].token)
+            .min_by_key(|&i| RecordHeader::read(&self.dumps[i]).ok().map(|h| h.0.token))
     }
 
-    fn absorb(&mut self, ev: &MonitoredEvent, c: &difftest_event::InstrCommit) {
+    fn absorb(&mut self, ev: &RecordRef<'_>, c: InstrCommitRef<'_>) {
         let rec = &mut self.rec;
         if !self.open {
             self.open = true;
             self.age = 0;
-            rec.first_seq = ev.order.0;
+            rec.first_seq = ev.header.order.0;
             rec.count = 0;
-            rec.token_first = ev.token.0;
+            rec.token_first = ev.header.token.0;
             rec.int_writes.clear();
             rec.fp_writes.clear();
         }
         rec.count += 1;
-        rec.token_last = ev.token.0;
+        rec.token_last = ev.header.token.0;
         rec.final_pc = next_pc_of(c);
-        if c.wen != 0 {
-            let set = if c.flags & commit_flags::FP_WEN != 0 {
+        if c.wen() != 0 {
+            let set = if c.flags() & commit_flags::FP_WEN != 0 {
                 &mut rec.fp_writes
             } else {
                 &mut rec.int_writes
             };
-            match set.iter_mut().find(|(r, _)| *r == c.wdest) {
-                Some(slot) => slot.1 = c.wdata,
-                None => set.push((c.wdest, c.wdata)),
+            let (dest, data) = (c.wdest(), c.wdata());
+            match set.iter_mut().find(|(r, _)| *r == dest) {
+                Some(slot) => slot.1 = data,
+                None => set.push((dest, data)),
             }
         }
     }
+}
+
+/// The record a held slot's bytes hold.
+fn held(bytes: &[u8]) -> Option<RecordRef<'_>> {
+    Records::new(bytes).next()?.ok()
 }
 
 /// PC after a committed instruction: the branch/jump target when taken,
@@ -334,14 +351,14 @@ impl WindowState {
 /// through — but the *last* one may redirect, and the hardware knows the
 /// target from the next fetch. We reconstruct it the same way the RTL
 /// monitor does: from the commit record itself.
-fn next_pc_of(c: &difftest_event::InstrCommit) -> u64 {
-    if c.flags & commit_flags::BRANCH_TAKEN != 0 || is_jump(c.instr) {
+fn next_pc_of(c: InstrCommitRef<'_>) -> u64 {
+    if c.flags() & commit_flags::BRANCH_TAKEN != 0 || is_jump(c.instr()) {
         // Taken control flow: the target is the next sequential fetch PC,
         // which the monitor records as the *link* for jal/jalr (wdata) or
         // recomputes from the immediate for branches/jumps.
         decode_target(c)
     } else {
-        c.pc.wrapping_add(4)
+        c.pc().wrapping_add(4)
     }
 }
 
@@ -349,12 +366,12 @@ fn is_jump(raw: u32) -> bool {
     matches!(raw & 0x7f, 0x6f | 0x67) || raw == 0x3020_0073 // jal/jalr/mret
 }
 
-fn decode_target(c: &difftest_event::InstrCommit) -> u64 {
+fn decode_target(c: InstrCommitRef<'_>) -> u64 {
     use difftest_isa::{decode, Op};
-    let insn = decode(c.instr);
+    let insn = decode(c.instr());
     match insn.op {
         Op::Jal | Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu => {
-            c.pc.wrapping_add(insn.imm as u64)
+            c.pc().wrapping_add(insn.imm as u64)
         }
         // jalr/mret targets depend on register/CSR state the commit record
         // does not carry; the monitor marks them with a zero final PC and
@@ -364,45 +381,17 @@ fn decode_target(c: &difftest_event::InstrCommit) -> u64 {
 }
 
 /// Where Squash's output goes: the one seam between classification and
-/// fusion on this side and encoding on the other. Events and the fusion
+/// fusion on this side and encoding on the other. Records and the fusion
 /// record are lent, never moved, so a sink that encodes (the packer
 /// inside [`AccelUnit`](crate::AccelUnit)) copies each payload once,
-/// into its packet, and only a sink that keeps items (`Vec<WireItem>`)
-/// pays for a clone.
+/// into its packet.
 pub trait SquashSink {
-    /// An event scheduled ahead with its order tag, full payload.
-    fn tagged(&mut self, ev: &MonitoredEvent);
-    /// An event to difference against the previous one of its kind.
-    fn diff(&mut self, ev: &MonitoredEvent);
+    /// A record scheduled ahead with its order tag, full payload.
+    fn tagged(&mut self, ev: &RecordRef<'_>);
+    /// A record to difference against the previous one of its kind.
+    fn diff(&mut self, ev: &RecordRef<'_>);
     /// A closed fusion window of `core`.
     fn fused(&mut self, core: u8, fused: &FusedCommit);
-}
-
-impl SquashSink for Vec<WireItem> {
-    fn tagged(&mut self, ev: &MonitoredEvent) {
-        self.push(WireItem::Tagged {
-            core: ev.core,
-            tag: ev.order,
-            token: ev.token,
-            event: ev.event.clone(),
-        });
-    }
-
-    fn diff(&mut self, ev: &MonitoredEvent) {
-        self.push(WireItem::Diff {
-            core: ev.core,
-            tag: ev.order,
-            token: ev.token,
-            event: ev.event.clone(),
-        });
-    }
-
-    fn fused(&mut self, core: u8, fused: &FusedCommit) {
-        self.push(WireItem::Fused {
-            core,
-            fused: fused.clone(),
-        });
-    }
 }
 
 /// The hardware-side Squash unit.
@@ -428,7 +417,6 @@ impl SquashSink for Vec<WireItem> {
 pub struct SquashUnit {
     windows: Vec<WindowState>,
     window_limit: u32,
-    max_age: u32,
     order_coupled: bool,
     differencing: bool,
     stats: SquashStats,
@@ -440,7 +428,6 @@ impl SquashUnit {
         SquashUnit {
             windows: (0..cores).map(|_| WindowState::new()).collect(),
             window_limit: window_limit.max(1),
-            max_age: 64,
             order_coupled: false,
             differencing: true,
             stats: SquashStats::default(),
@@ -465,24 +452,24 @@ impl SquashUnit {
         &self.stats
     }
 
-    /// Processes one monitored event, handing what it puts on the wire
+    /// Processes one monitored record, handing what it puts on the wire
     /// to `out`.
-    pub fn push<S: SquashSink>(&mut self, ev: &MonitoredEvent, out: &mut S) {
-        let core = ev.core as usize;
-        let mut class = classify(&ev.event);
+    pub fn push_record<S: SquashSink>(&mut self, ev: &RecordRef<'_>, out: &mut S) {
+        let core = ev.header.core as usize;
+        let mut class = classify(&ev.payload);
         if class == SquashClass::Diff && !self.differencing {
             class = SquashClass::TagFull;
         }
         match class {
             SquashClass::Fuse => {
-                let Event::InstrCommit(c) = &ev.event else {
+                let EventRef::InstrCommit(c) = ev.payload else {
                     unreachable!("only commits fuse")
                 };
                 // A skipped (MMIO) commit is itself an NDE: its observed
                 // value must reach the checker even on configurations whose
                 // event coverage has no LoadEvent (e.g. NutShell). Schedule
                 // it ahead with its order tag before fusing it.
-                if ev.is_nde() {
+                if ev.payload.is_nde() {
                     self.ship_dumps(core, out);
                     self.stats.tagged += 1;
                     out.tagged(ev);
@@ -490,23 +477,23 @@ impl SquashUnit {
                 self.windows[core].absorb(ev, c);
                 self.stats.commits_fused += 1;
                 if self.windows[core].rec.count >= self.window_limit {
-                    self.flush_core(ev.core, out);
+                    self.flush_core(ev.header.core, out);
                 }
             }
             SquashClass::Subsume => {
                 self.stats.subsumed += 1;
             }
             SquashClass::TagFull => {
-                if self.order_coupled && ev.is_nde() {
+                if self.order_coupled && ev.payload.is_nde() {
                     // Prior work: an NDE forces the fused window out first
                     // so transmission order equals checking order.
                     if self.windows[core].open {
                         self.stats.nde_breaks += 1;
-                        self.flush_core(ev.core, out);
+                        self.flush_core(ev.header.core, out);
                     }
                 }
                 self.ship_dumps(core, out);
-                if matches!(ev.event, Event::ArchEvent(_)) {
+                if ev.header.kind == EventKind::ArchEvent {
                     self.windows[core].after_trap = true;
                 }
                 self.stats.tagged += 1;
@@ -517,11 +504,12 @@ impl SquashUnit {
                 out.diff(ev);
             }
             SquashClass::State => {
-                let Some(slot) = held_slot(ev.event.kind()) else {
+                let Some(slot) = held_slot(ev.header.kind) else {
                     unreachable!("only held kinds classify as state")
                 };
                 let w = &mut self.windows[core];
-                w.dumps[slot].clone_from(ev);
+                w.dumps[slot].clear();
+                w.dumps[slot].extend_from_slice(ev.bytes());
                 w.due |= 1 << slot;
             }
         }
@@ -532,12 +520,15 @@ impl SquashUnit {
         let w = &mut self.windows[core];
         while let Some(slot) = w.first_due() {
             w.due &= !(1 << slot);
+            let Some(dump) = held(&w.dumps[slot]) else {
+                continue;
+            };
             if self.differencing {
                 self.stats.diffed += 1;
-                out.diff(&w.dumps[slot]);
+                out.diff(&dump);
             } else {
                 self.stats.tagged += 1;
-                out.tagged(&w.dumps[slot]);
+                out.tagged(&dump);
             }
         }
     }
@@ -553,7 +544,7 @@ impl SquashUnit {
             }
             if self.windows[core].open {
                 self.windows[core].age += 1;
-                if self.windows[core].age >= self.max_age {
+                if self.windows[core].age >= MAX_WINDOW_AGE {
                     self.flush_core(core as u8, out);
                 }
             }
@@ -583,7 +574,11 @@ impl SquashUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use difftest_event::{ArchEvent, ArchIntRegState, CsrState, InstrCommit, LoadEvent};
+    use crate::wire::WireItem;
+    use difftest_event::{
+        ArchEvent, ArchIntRegState, CsrState, Event, InstrCommit, LoadEvent, MonitoredEvent,
+        OrderTag, Token,
+    };
 
     fn commit(seq: u64, token: u64, pc: u64, wdest: u8, wdata: u64) -> MonitoredEvent {
         MonitoredEvent {
@@ -634,6 +629,13 @@ mod tests {
 
     fn csrs(seq: u64, token: u64) -> MonitoredEvent {
         at(seq, token, CsrState::default().into())
+    }
+
+    /// `event`'s payload, viewed.
+    fn view(event: &Event) -> EventRef<'static> {
+        let mut bytes = Vec::new();
+        event.encode_into(&mut bytes);
+        EventRef::parse(event.kind(), bytes.leak()).unwrap()
     }
 
     /// Each item as `class:kind@token`, a fusion record as `fused`.
@@ -871,8 +873,8 @@ mod tests {
             ..Default::default()
         }
         .into();
-        assert_eq!(classify(&ev), SquashClass::TagFull);
+        assert_eq!(classify(&view(&ev)), SquashClass::TagFull);
         let plain_load: Event = LoadEvent::default().into();
-        assert_eq!(classify(&plain_load), SquashClass::Subsume);
+        assert_eq!(classify(&view(&plain_load)), SquashClass::Subsume);
     }
 }

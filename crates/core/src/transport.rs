@@ -9,12 +9,17 @@
 //! - **squash+batch**: order-decoupled fusion and differencing first, then
 //!   tight packing (paper §4.3 + §4.2).
 //!
+//! Its input is one DUT cycle's capture arena of
+//! [`difftest_event::record`]s, read in place: every mode copies (or
+//! differences) payload bytes it already has, none re-encodes an event.
+//!
 //! [`SwUnit`] is the matching software-side receiver: it admits a
 //! transfer and streams its items to [`crate::Consumer`] as borrowed
 //! [`WireItemRef`] views.
 
+use difftest_event::record::Records;
 use difftest_event::wire::{append_crc_frame, verify_crc_frame, CodecError, Reader};
-use difftest_event::{EventKind, EventRef, MonitoredEvent};
+use difftest_event::{EventKind, EventRef};
 
 use crate::batch::{BatchUnit, FreeList, PackStats, Packet, PoolStats, Unpacker};
 use crate::squash::{SquashStats, SquashUnit};
@@ -128,42 +133,45 @@ impl AccelUnit {
         }
     }
 
-    /// Processes one DUT cycle's events, appending completed transfers.
-    pub fn push_cycle(&mut self, events: &[MonitoredEvent], out: &mut Vec<Transfer>) {
+    /// Processes one DUT cycle's records, appending completed transfers.
+    pub fn push_records(&mut self, records: &[u8], out: &mut Vec<Transfer>) {
+        let records = Records::new(records).map_while(Result::ok);
         match &mut self.mode {
             HwMode::PerEvent(free) => {
-                for ev in events {
+                // A transfer is the record's core and kind bytes, its
+                // payload and the CRC trailer.
+                for rec in records {
+                    let payload = rec.payload.wire_bytes();
                     let mut bytes = free.take();
-                    bytes.reserve(2 + ev.encoded_len() + 4);
-                    bytes.push(ev.core);
-                    bytes.push(ev.event.kind() as u8);
-                    ev.event.encode_into(&mut bytes);
+                    bytes.reserve(2 + payload.len() + 4);
+                    bytes.push(rec.header.core);
+                    bytes.push(rec.header.kind as u8);
+                    bytes.extend_from_slice(payload);
                     append_crc_frame(&mut bytes);
                     out.push(Transfer {
                         bytes,
                         // Single-event transfers carry exactly one core's
                         // event, so the transfer's core is the event's own.
-                        core: ev.core,
+                        core: rec.header.core,
                         items: 1,
                     });
                 }
             }
             HwMode::Batch(batch) => {
-                // Zero-materialization fast path: each event encodes
-                // straight into the packer's payload buffer — no
-                // WireItem staging, no event clone.
-                for ev in events {
-                    batch.push_plain(ev.core, &ev.event, &mut self.packet_buf);
+                // Each payload is copied straight into the packer's
+                // payload buffer: no WireItem staging.
+                for rec in records {
+                    batch.push_payload(rec.header.core, rec.payload, &mut self.packet_buf);
                 }
                 drain_packets(&mut self.packet_buf, out);
             }
             HwMode::SquashBatch(squash, batch) => {
-                // Squash lends each event (and each closed window) to
-                // the packer, which encodes it in place: no WireItem
-                // staging, no event clone.
+                // Squash lends each record (and each closed window) to
+                // the packer, which packs it in place: no WireItem
+                // staging.
                 let mut sink = batch.sink(&mut self.packet_buf);
-                for ev in events {
-                    squash.push(ev, &mut sink);
+                for rec in records {
+                    squash.push_record(&rec, &mut sink);
                 }
                 squash.on_cycle_end(&mut sink);
                 drain_packets(&mut self.packet_buf, out);
@@ -200,7 +208,8 @@ fn drain_packets(packets: &mut Vec<Packet>, out: &mut Vec<Transfer>) {
 
 #[derive(Debug)]
 enum SwMode {
-    PerEvent,
+    /// Per-event transfers from a session of this many cores.
+    PerEvent(usize),
     Packed(Unpacker),
 }
 
@@ -211,10 +220,10 @@ pub struct SwUnit {
 }
 
 impl SwUnit {
-    /// Receiver for the per-event baseline.
-    pub fn per_event() -> Self {
+    /// Receiver for the per-event baseline from `cores` cores.
+    pub fn per_event(cores: usize) -> Self {
         SwUnit {
-            mode: SwMode::PerEvent,
+            mode: SwMode::PerEvent(cores),
         }
     }
 
@@ -228,7 +237,7 @@ impl SwUnit {
     /// Packets held back waiting for a sequence gap (packed mode only).
     pub fn buffered_packets(&self) -> usize {
         match &self.mode {
-            SwMode::PerEvent => 0,
+            SwMode::PerEvent(_) => 0,
             SwMode::Packed(u) => u.buffered_packets(),
         }
     }
@@ -239,14 +248,15 @@ impl SwUnit {
     /// waiting on.
     pub fn expected_seq(&self) -> Option<u32> {
         match &self.mode {
-            SwMode::PerEvent => None,
+            SwMode::PerEvent(_) => None,
             SwMode::Packed(u) => Some(u.expected_seq()),
         }
     }
 
     /// Admits one transfer: CRC verification, sequence bookkeeping, and
-    /// structural validation — everything that can fail — without
-    /// materializing a single event. Returns the validated body for
+    /// structural validation, each item's core included — everything
+    /// that can fail — without materializing a single event. Returns the
+    /// validated body for
     /// [`visit_admitted`](Self::visit_admitted), or `None` when a packed
     /// transfer arrived early and was buffered.
     ///
@@ -255,13 +265,13 @@ impl SwUnit {
     /// Returns [`CodecError`] on corrupt, malformed, or stale transfers.
     pub fn admit<'a>(&mut self, transfer: &'a Transfer) -> Result<Option<&'a [u8]>, CodecError> {
         match &mut self.mode {
-            SwMode::PerEvent => {
+            SwMode::PerEvent(cores) => {
                 let body = verify_crc_frame(&transfer.bytes)?;
-                let mut r = Reader::new(body);
-                let _core = r.u8()?;
-                let kind = EventKind::from_u8(r.u8()?)?;
-                r.bytes_dyn(kind.encoded_len())?;
-                r.finish()?;
+                let core = per_event_item(body)?.core();
+                if core as usize >= *cores {
+                    let cores = *cores;
+                    return Err(CodecError::BadCore { core, cores });
+                }
                 Ok(Some(body))
             }
             SwMode::Packed(unpacker) => unpacker.admit(&transfer.bytes),
@@ -283,16 +293,8 @@ impl SwUnit {
         F: FnMut(WireItemRef<'_>) -> bool,
     {
         match &mut self.mode {
-            SwMode::PerEvent => {
-                let mut r = Reader::new(body);
-                let core = r.u8()?;
-                let kind = EventKind::from_u8(r.u8()?)?;
-                let payload = r.bytes_dyn(kind.encoded_len())?;
-                r.finish()?;
-                visit(WireItemRef::Plain {
-                    core,
-                    event: EventRef::parse(kind, payload)?,
-                });
+            SwMode::PerEvent(_) => {
+                visit(per_event_item(body)?);
                 Ok(1)
             }
             SwMode::Packed(unpacker) => unpacker.visit_admitted(body, visit),
@@ -300,11 +302,21 @@ impl SwUnit {
     }
 }
 
+/// The one item of a per-event transfer's body: core, kind, payload.
+fn per_event_item(body: &[u8]) -> Result<WireItemRef<'_>, CodecError> {
+    let mut r = Reader::new(body);
+    let core = r.u8()?;
+    let kind = EventKind::from_u8(r.u8()?)?;
+    let event = EventRef::parse(kind, r.bytes_dyn(kind.encoded_len())?)?;
+    r.finish()?;
+    Ok(WireItemRef::Plain { core, event })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::WireItem;
-    use difftest_event::{Event, InstrCommit, OrderTag, Token};
+    use difftest_event::{Event, InstrCommit, MonitoredEvent, OrderTag, Token};
 
     /// Admits `t` and materializes the items it releases.
     fn decode(sw: &mut SwUnit, t: &Transfer) -> Result<Vec<WireItem>, CodecError> {
@@ -335,7 +347,7 @@ mod tests {
     #[test]
     fn per_event_round_trip() {
         let mut hw = AccelUnit::per_event();
-        let mut sw = SwUnit::per_event();
+        let mut sw = SwUnit::per_event(2);
         let events = vec![mev(0, 0, 0x8000_0000), mev(1, 0, 0x8000_0004)];
         let mut transfers = Vec::new();
         hw.push_cycle(&events, &mut transfers);
@@ -371,7 +383,7 @@ mod tests {
     #[test]
     fn per_event_corruption_detected() {
         let mut hw = AccelUnit::per_event();
-        let mut sw = SwUnit::per_event();
+        let mut sw = SwUnit::per_event(1);
         let mut transfers = Vec::new();
         hw.push_cycle(&[mev(0, 0, 0x8000_0000)], &mut transfers);
         let mut bad = transfers[0].clone();

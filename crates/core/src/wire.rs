@@ -237,9 +237,7 @@ impl WireKind {
 #[derive(Debug, Clone, Default)]
 pub struct DiffCache {
     last: Vec<Option<Vec<u8>>>, // indexed core * COUNT + kind
-    cores: usize,
-    // Encode-side scratch for the current payload; swapped with the cache
-    // slot after differencing, so steady-state encoding allocates nothing.
+    // Scratch an owned event is encoded into before it is differenced.
     scratch: Vec<u8>,
 }
 
@@ -248,26 +246,32 @@ impl DiffCache {
     pub fn new(cores: usize) -> Self {
         DiffCache {
             last: vec![None; cores * EventKind::COUNT],
-            cores,
             scratch: Vec::new(),
         }
     }
 
     #[inline]
-    fn slot_index(&self, core: u8, kind: EventKind) -> usize {
-        debug_assert!((core as usize) < self.cores);
+    fn slot_index(core: u8, kind: EventKind) -> usize {
         core as usize * EventKind::COUNT + kind as usize
     }
 
-    /// Encodes `event` as a difference against the cached previous payload,
-    /// updating the cache, and returns the number of changed 64-bit words
-    /// (zero means the event is byte-identical to the previous one and need
-    /// not be transmitted at all).
+    /// Encodes an owned `event` as a difference: its payload goes through
+    /// a scratch buffer into [`diff`](Self::diff).
     pub fn encode(&mut self, core: u8, event: &Event, out: &mut Vec<u8>) -> usize {
-        let idx = self.slot_index(core, event.kind());
-        let cur = &mut self.scratch;
+        let mut cur = std::mem::take(&mut self.scratch);
         cur.clear();
-        event.encode_into(cur);
+        event.encode_into(&mut cur);
+        let changed = self.diff(core, event.kind(), &cur, out);
+        self.scratch = cur;
+        changed
+    }
+
+    /// Appends `cur`, a payload of `kind`, as a difference against the
+    /// cached previous payload, then caches `cur`. Returns the number of
+    /// changed 64-bit words (zero means the payload is byte-identical to
+    /// the previous one and need not be transmitted at all).
+    pub fn diff(&mut self, core: u8, kind: EventKind, cur: &[u8], out: &mut Vec<u8>) -> usize {
+        let idx = Self::slot_index(core, kind);
         let words = cur.len().div_ceil(8);
         let bitmap_bytes = words.div_ceil(8);
         let prev = &mut self.last[idx];
@@ -296,16 +300,14 @@ impl DiffCache {
             out.resize(out.len() + 8 - tail.len(), 0);
             changed += 1;
         }
-        // The slot takes the current payload; its old buffer becomes the
-        // next call's scratch.
-        match prev {
-            Some(p) => std::mem::swap(p, cur),
-            None => *prev = Some(std::mem::take(cur)),
-        }
+        // The slot takes a copy of the current payload, in its own buffer.
+        let slot = prev.get_or_insert_with(Vec::new);
+        slot.clear();
+        slot.extend_from_slice(cur);
         changed
     }
 
-    /// Decodes a diff body produced by [`DiffCache::encode`]: patches the
+    /// Decodes a diff body produced by [`DiffCache::diff`]: patches the
     /// changed words into the mirror slot in place and returns a view of
     /// the slot, which now holds the full reconstructed payload. Before
     /// the first payload of a kind the slot reads as all zeroes.
@@ -329,7 +331,7 @@ impl DiffCache {
         // don't conflict and nothing is copied.
         let bitmap = r.bytes_dyn(bitmap_bytes)?;
 
-        let idx = self.slot_index(core, kind);
+        let idx = Self::slot_index(core, kind);
         let cur = self.last[idx].get_or_insert_with(|| vec![0u8; len]);
         for w in 0..words {
             if bitmap[w / 8] & (1 << (w % 8)) != 0 {
@@ -398,8 +400,11 @@ pub fn encode_item_body(item: &WireItem, diff: &mut DiffCache, out: &mut Vec<u8>
     }
 }
 
+/// Bytes of the order tag and token that prefix Tagged and Diff bodies.
+pub(crate) const TAG_TOKEN_BYTES: usize = 16;
+
 /// Appends the prefix Tagged and Diff bodies share (the packer writes it
-/// straight into the packet when Squash hands it an event by reference).
+/// straight into the packet when Squash hands it a record by reference).
 pub(crate) fn encode_tag_token(tag: OrderTag, token: Token, out: &mut Vec<u8>) {
     let mut w = Writer::new(out);
     w.u64(tag.0);

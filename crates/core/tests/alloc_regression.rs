@@ -8,8 +8,9 @@
 //! That holds on the squashed stream too, with the Replay journal on:
 //! differenced and fused items are viewed in the decoder's own buffers,
 //! and order-tagged items wait as byte copies in recycled buffers.
-//! The produce pipeline mirrors it: the retention ring encodes into
-//! recycled chunks, Squash lends events to the packer, and each packet
+//! The produce pipeline mirrors it: the retention ring copies the
+//! monitor's records into recycled chunks, Squash lends records to the
+//! packer, and each packet
 //! is written into a buffer an earlier packet handed back to the
 //! packer's free list. These tests pin both with a counting global
 //! allocator: after a warmup prefix (REF page first-touch, ring fill,
@@ -26,7 +27,7 @@ use difftest_core::session::{DiffConfig, Session};
 use difftest_core::transport::Transfer;
 use difftest_core::ReplayBuffer;
 use difftest_dut::DutConfig;
-use difftest_event::MonitoredEvent;
+use difftest_event::record::Records;
 use difftest_stats::FlightRecorder;
 use difftest_workload::Workload;
 
@@ -187,16 +188,17 @@ fn produce_steady_state_allocates_nothing() {
         None,
     );
 
-    // Pre-capture the stream, so the gated loop below runs retention and
-    // packing alone.
+    // Pre-capture the stream, one record arena per cycle, so the gated
+    // loop below runs retention and packing alone.
     let mut dut = s.dut();
-    let mut stream: Vec<Vec<MonitoredEvent>> = Vec::new();
+    let mut stream: Vec<Vec<u8>> = Vec::new();
+    let mut n_events = 0;
     while dut.halted().is_none() && dut.cycles() < CYCLES {
-        let mut events = Vec::new();
-        dut.tick_into(&mut events);
-        stream.push(events);
+        let mut records = Vec::new();
+        dut.tick_records(&mut records);
+        n_events += Records::new(&records).count();
+        stream.push(records);
     }
-    let n_events: usize = stream.iter().map(Vec::len).sum();
     let warmup = stream.len() * 3 / 4;
 
     // The ring fills (and starts recycling chunks) well inside the
@@ -208,39 +210,39 @@ fn produce_steady_state_allocates_nothing() {
     let mut link = s.send_link(QueueSink::default());
     let mut rec = FlightRecorder::default();
     let mut transfers: Vec<Transfer> = Vec::new();
-    let mut cycle = |events: &[MonitoredEvent]| {
-        ring.push_slice(events);
-        accel.push_cycle(events, &mut transfers);
+    let mut cycle = |records: &[u8]| {
+        ring.push_records(records);
+        accel.push_records(records, &mut transfers);
         link.feed(&mut transfers, &mut rec, 0);
         for t in link.sink_mut().queue.drain(..) {
             accel.recycle(t.bytes);
         }
     };
-    stream[..warmup].iter().for_each(|events| cycle(events));
+    stream[..warmup].iter().for_each(|records| cycle(records));
     let before = ALLOCS.load(Ordering::Relaxed);
-    stream[warmup..].iter().for_each(|events| cycle(events));
+    stream[warmup..].iter().for_each(|records| cycle(records));
     let produce_allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert!(ring.dropped() > 0 && accel.pool_stats().hit_rate() > 0.0);
 
     // Reported, not gated: what the DUT model itself allocates per cycle
-    // into a reused buffer over the same steady-state cycles.
+    // into a reused arena over the same steady-state cycles.
     let mut dut = s.dut();
-    let mut events = Vec::new();
+    let mut records = Vec::new();
     let mut before = 0;
     while dut.halted().is_none() && dut.cycles() < CYCLES {
         if dut.cycles() == warmup as u64 {
             before = ALLOCS.load(Ordering::Relaxed);
         }
-        events.clear();
-        dut.tick_into(&mut events);
+        records.clear();
+        dut.tick_records(&mut records);
     }
     let tail = stream.len() - warmup;
     let tick_allocs = (ALLOCS.load(Ordering::Relaxed) - before) as f64 / tail as f64;
-    eprintln!("Dut::tick_into: {tick_allocs:.3} allocations per cycle over {tail} cycles");
+    eprintln!("Dut::tick_records: {tick_allocs:.3} allocations per cycle over {tail} cycles");
 
     assert_eq!(
         produce_allocs, 0,
-        "steady-state push_slice + push_cycle allocated {produce_allocs} times over {tail} \
-         cycles (Dut::tick_into, not gated: {tick_allocs:.3} per cycle)"
+        "steady-state push_records (ring + accel) allocated {produce_allocs} times over {tail} \
+         cycles (Dut::tick_records, not gated: {tick_allocs:.3} per cycle)"
     );
 }

@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 
 use difftest_core::batch::{BatchUnit, Unpacker};
 use difftest_core::{AccelUnit, FusedCommit, ReplayBuffer, SquashUnit, WireItem, WireKind};
-use difftest_event::record::RecordRef;
+use difftest_event::record::{encode_record, RecordRef};
 use difftest_event::wire::Reader;
 use difftest_event::{
     commit_flags, ArchIntRegState, CsrState, Event, EventKind, InstrCommit, MonitoredEvent,
@@ -320,7 +320,8 @@ proptest! {
         order_coupled in any::<bool>(),
         differencing in any::<bool>(),
     ) {
-        // Production: Squash lends to the packer inside AccelUnit.
+        // Production: Squash lends each record of the cycle's arena to
+        // the packer inside AccelUnit.
         let mut accel =
             AccelUnit::squash_batch_with(2, capacity, window, order_coupled, differencing);
         let mut transfers = Vec::new();
@@ -330,8 +331,11 @@ proptest! {
         squash.set_differencing(differencing);
         let mut batch = BatchUnit::new(2, capacity);
         let (mut items, mut packets) = (Vec::new(), Vec::new());
+        let mut records = Vec::new();
         for events in &cycles {
-            accel.push_cycle(events, &mut transfers);
+            records.clear();
+            events.iter().for_each(|ev| encode_record(ev, &mut records));
+            accel.push_records(&records, &mut transfers);
             items.clear();
             for ev in events {
                 squash.push(ev, &mut items);

@@ -9,6 +9,7 @@
 //! detect), while every architectural side effect flows through the monitor
 //! as verification events.
 
+use difftest_event::record::encode_record;
 use difftest_event::{
     commit_flags, ArchEvent, ArchFpRegState, ArchIntRegState, ArchVecRegState, AtomicEvent,
     CsrState, DebugModeState, Event, EventKind, FpCsrUpdate, FpWriteback, HCsrUpdate,
@@ -67,13 +68,13 @@ impl CycleBudget {
 
 /// The monitor port a core's cycle writes through: each captured event is
 /// stamped with core, cycle, order tag and the next replay token and
-/// moved once, straight into the caller's buffer.
+/// appended to the caller's arena as one [`difftest_event::record`].
 #[derive(Debug)]
 pub struct MonitorPort<'a> {
     /// The cycle being captured.
     pub cycle: u64,
-    /// Where stamped events land, in token order.
-    pub out: &'a mut Vec<MonitoredEvent>,
+    /// Where the stamped records land, back to back in token order.
+    pub out: &'a mut Vec<u8>,
     /// The replay-token counter all cores share.
     pub next_token: &'a mut u64,
 }
@@ -82,13 +83,14 @@ impl MonitorPort<'_> {
     fn capture(&mut self, core: u8, seq: u64, event: Event) {
         let token = Token(*self.next_token);
         *self.next_token += 1;
-        self.out.push(MonitoredEvent {
+        let ev = MonitoredEvent {
             core,
             cycle: self.cycle,
             order: OrderTag(seq),
             token,
             event,
-        });
+        };
+        encode_record(&ev, self.out);
     }
 }
 

@@ -1,5 +1,6 @@
 //! The multi-core design under test with its monitor wrapper.
 
+use difftest_event::record::Records;
 use difftest_event::MonitoredEvent;
 use difftest_ref::Memory;
 
@@ -31,8 +32,8 @@ pub struct CycleOutput {
     pub commits: u32,
 }
 
-/// The scalar part of one DUT cycle (events are appended to a caller
-/// buffer by [`Dut::tick_into`]).
+/// The scalar part of one DUT cycle (its records are appended to a
+/// caller arena by [`Dut::tick_records`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CycleSummary {
     /// The cycle index.
@@ -106,8 +107,8 @@ impl Dut {
 
     /// Runs one cycle of every core and returns the monitored events.
     ///
-    /// Convenience wrapper over [`Dut::tick_into`]; hot loops should pass
-    /// a reused buffer to `tick_into` instead.
+    /// Convenience wrapper over [`Dut::tick_records`]; hot loops should
+    /// pass a reused arena to `tick_records` instead.
     pub fn tick(&mut self) -> CycleOutput {
         let mut events = Vec::new();
         let summary = self.tick_into(&mut events);
@@ -118,9 +119,20 @@ impl Dut {
         }
     }
 
-    /// Runs one cycle of every core, appending monitored events to `out`
-    /// (which the caller clears and reuses to avoid per-cycle allocation).
+    /// Runs one cycle of every core, appending its monitored events to
+    /// `out` as values: the cycle's records, decoded.
     pub fn tick_into(&mut self, out: &mut Vec<MonitoredEvent>) -> CycleSummary {
+        let mut records = Vec::new();
+        let summary = self.tick_records(&mut records);
+        let events = Records::new(&records).map_while(Result::ok);
+        out.extend(events.map(|r| r.to_monitored()));
+        summary
+    }
+
+    /// Runs one cycle of every core, appending each monitored event to
+    /// `out` as one [`difftest_event::record`] in token order (the caller
+    /// clears and reuses the arena to avoid per-cycle allocation).
+    pub fn tick_records(&mut self, out: &mut Vec<u8>) -> CycleSummary {
         let cycle = self.cycle;
         self.cycle += 1;
         let mut commits = 0u32;
@@ -151,8 +163,10 @@ impl Dut {
     /// Runs until halted or `max_cycles`, discarding events (useful for
     /// workload smoke tests and IPC calibration).
     pub fn run_to_halt(&mut self, max_cycles: u64) -> u64 {
+        let mut records = Vec::new();
         while self.halted.is_none() && self.cycle < max_cycles {
-            self.tick();
+            records.clear();
+            self.tick_records(&mut records);
         }
         self.cycle
     }

@@ -2,6 +2,7 @@
 //! produce plausible event streams.
 
 use difftest_dut::{Dut, DutConfig};
+use difftest_event::record::Records;
 use difftest_event::{Event, EventKind};
 use difftest_ref::{Memory, RefModel, StepOutcome};
 use difftest_workload::Workload;
@@ -134,7 +135,10 @@ fn tick_and_tick_into_are_equivalent() {
     let image = image_of(w.words());
     let mut a = Dut::new(DutConfig::xiangshan_minimal(), &image, Vec::new());
     let mut b = Dut::new(DutConfig::xiangshan_minimal(), &image, Vec::new());
+    // The record leg: the capture arena, decoded, is the typed view.
+    let mut c = Dut::new(DutConfig::xiangshan_minimal(), &image, Vec::new());
     let mut buf = Vec::new();
+    let mut records = Vec::new();
     while a.halted().is_none() && a.cycles() < 100_000 {
         let out = a.tick();
         buf.clear();
@@ -142,8 +146,15 @@ fn tick_and_tick_into_are_equivalent() {
         assert_eq!(out.cycle, summary.cycle);
         assert_eq!(out.commits, summary.commits);
         assert_eq!(out.events, buf);
+        records.clear();
+        assert_eq!(c.tick_records(&mut records), summary);
+        let decoded: Vec<_> = Records::new(&records)
+            .map(|r| r.expect("a captured record decodes").to_monitored())
+            .collect();
+        assert_eq!(decoded, buf);
     }
     assert_eq!(a.halted(), b.halted());
+    assert_eq!(a.halted(), c.halted());
 }
 
 #[test]

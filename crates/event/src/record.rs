@@ -88,6 +88,8 @@ pub struct RecordRef<'a> {
     pub header: RecordHeader,
     /// The payload, viewed in place.
     pub payload: EventRef<'a>,
+    /// The whole record, header included.
+    bytes: &'a [u8],
 }
 
 impl<'a> RecordRef<'a> {
@@ -104,7 +106,19 @@ impl<'a> RecordRef<'a> {
             });
         };
         let payload = EventRef::parse(header.kind, &record[RECORD_HEADER_BYTES..])?;
-        Ok((RecordRef { header, payload }, rest))
+        let record = RecordRef {
+            header,
+            payload,
+            bytes: record,
+        };
+        Ok((record, rest))
+    }
+
+    /// The record's bytes as they lie, header and payload: what a holder
+    /// of a record copies instead of re-encoding it.
+    #[inline]
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
     }
 
     /// Materializes the owned event.

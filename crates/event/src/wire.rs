@@ -45,6 +45,13 @@ pub enum CodecError {
     },
     /// A structurally invalid field (e.g. an overlong varint).
     Malformed(&'static str),
+    /// A transfer named a core the session does not have.
+    BadCore {
+        /// The core id the transfer carried.
+        core: u8,
+        /// Cores the session has.
+        cores: usize,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -69,6 +76,9 @@ impl fmt::Display for CodecError {
                 )
             }
             CodecError::Malformed(what) => write!(f, "malformed field: {what}"),
+            CodecError::BadCore { core, cores } => {
+                write!(f, "core {core} out of range for a {cores}-core session")
+            }
         }
     }
 }

@@ -116,23 +116,6 @@ impl SpanBuf {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Folds `other` into this buffer: the identity (pid/tid/names) is
-    /// taken from the first non-default buffer absorbed, events append
-    /// in arrival order, and the recorded/dropped tallies sum. The
-    /// interval runner collects the short-lived per-interval link sinks
-    /// of one recording track into a single buffer this way.
-    pub fn absorb(&mut self, other: SpanBuf) {
-        if self.process.is_empty() && self.track.is_empty() {
-            self.pid = other.pid;
-            self.tid = other.tid;
-            self.process = other.process;
-            self.track = other.track;
-        }
-        self.events.extend(other.events);
-        self.recorded += other.recorded;
-        self.dropped += other.dropped;
-    }
 }
 
 /// The zero clock backing disabled sinks; never read on the hot path
@@ -663,25 +646,6 @@ mod tests {
         assert_eq!(buf.events[0].ts_ns, 50);
         buf.shift_ts(-100);
         assert_eq!(buf.events[0].ts_ns, 0, "saturates at zero");
-    }
-
-    #[test]
-    fn absorb_folds_buffers_keeping_first_identity() {
-        let clock = Arc::new(FakeClock::default());
-        let mk = |name: &'static str| {
-            let mut sink = SpanSink::on_track(clock.clone(), 8, 1, 2, "producer", "record");
-            let t0 = sink.start();
-            clock.advance(10);
-            sink.end(name, t0, 1);
-            sink.into_buf()
-        };
-        let mut acc = SpanBuf::default();
-        acc.absorb(mk("pack"));
-        acc.absorb(mk("pack"));
-        assert_eq!((acc.pid, acc.tid), (1, 2));
-        assert_eq!(acc.track, "record");
-        assert_eq!(acc.events.len(), 2);
-        assert_eq!(acc.recorded, 2);
     }
 
     fn span(name: &'static str, ts: u64, dur: u64, id: u64) -> SpanEvent {

@@ -69,7 +69,7 @@ fn main() {
     // consumer every runner drives.
     let mut hw = AccelUnit::per_event();
     let checker = Checker::new(vec![RefModel::new(image)], false);
-    let mut consumer = Consumer::new(SwUnit::per_event(), checker);
+    let mut consumer = Consumer::new(SwUnit::per_event(1), checker);
     let mut transfers = Vec::new();
     let mut counters = Counters::new();
     'trace: for cycle in reloaded.chunk_by(|a, b| a.cycle == b.cycle) {

@@ -2,7 +2,9 @@
 //! same workloads to the same good trap, checking the same instruction
 //! stream — optimizations change communication, never semantics.
 
-use difftest_h::core::{CoSimulation, DiffConfig, RunOutcome};
+use difftest_h::core::squash::{MAX_PARKED, MAX_TAG_LEAD, MAX_WINDOW_AGE};
+use difftest_h::core::wire::WireItemRef;
+use difftest_h::core::{CoSimulation, DiffConfig, QueueSink, RunOutcome, Session, Verdict};
 use difftest_h::dut::DutConfig;
 use difftest_h::platform::Platform;
 use difftest_h::workload::Workload;
@@ -126,4 +128,88 @@ fn max_cycles_is_respected() {
     let (outcome, cycles, _) = run_one(&w, DutConfig::nutshell(), DiffConfig::BNSD);
     assert_eq!(outcome, RunOutcome::MaxCycles);
     assert_eq!(cycles, 400_000);
+}
+
+/// The largest order-tag lead over its core's checked position, and the
+/// largest parked count, that `session`'s honest stream shows a checker
+/// fed item by item (admit, view, check) as `Consumer` feeds it.
+fn parked_peaks(session: &Session) -> (u64, usize) {
+    let mut producer = session.producer(QueueSink::default());
+    producer.run();
+    let transfers = std::mem::take(&mut producer.link_mut().sink_mut().queue);
+    let (mut sw, mut checker) = (session.sw_unit(), session.checker(false));
+    let mut peaks = (0u64, 0usize);
+    for t in &transfers {
+        let Some(body) = sw.admit(t).expect("an honest transfer admits") else {
+            continue;
+        };
+        sw.visit_admitted(body, &mut |item| {
+            if let WireItemRef::Tagged { core, tag, .. } | WireItemRef::Diff { core, tag, .. } =
+                &item
+            {
+                peaks.0 = peaks.0.max(tag.0.saturating_sub(checker.seq(*core)));
+            }
+            let verdict = checker.process_ref(item).expect("an honest stream checks");
+            peaks.1 = peaks.1.max(checker.pending_items());
+            verdict == Verdict::Continue
+        })
+        .expect("an admitted body visits");
+    }
+    peaks
+}
+
+/// The parked-queue bounds hold on every honest stream: the largest tag
+/// lead and parked count across the matrix above, plus a 128-commit
+/// fusion window on the widest preset, stay under `MAX_TAG_LEAD` and
+/// `MAX_PARKED`, whose derivation every preset's commit width and slot
+/// table satisfy.
+#[test]
+fn parked_queue_bounds_hold_on_every_honest_stream() {
+    for dut in [
+        DutConfig::nutshell(),
+        DutConfig::xiangshan_minimal(),
+        DutConfig::xiangshan_default(),
+        DutConfig::xiangshan_dual(),
+    ] {
+        let window_commits = u64::from(MAX_WINDOW_AGE) * u64::from(dut.commit_width);
+        assert!(window_commits <= MAX_TAG_LEAD, "{}", dut.name);
+        let per_cycle: usize = dut.slots.iter().map(|(_, n)| usize::from(n)).sum();
+        let two_windows = 2 * MAX_WINDOW_AGE as usize * per_cycle;
+        assert!(two_windows <= MAX_PARKED, "{}: {per_cycle}", dut.name);
+    }
+
+    let workloads = [
+        Workload::microbench().seed(3).iterations(60).build(),
+        Workload::linux_boot().seed(3).iterations(60).build(),
+        Workload::spec_like().seed(3).iterations(60).build(),
+        Workload::mmio_heavy().seed(3).iterations(120).build(),
+        Workload::trap_heavy().seed(3).iterations(120).build(),
+    ];
+    let mut sessions: Vec<Session> = workloads
+        .iter()
+        .flat_map(|w| {
+            DiffConfig::ALL.map(|config| {
+                let dut = DutConfig::xiangshan_minimal();
+                Session::new(dut, config, w, Vec::new(), 400_000, 8, None)
+            })
+        })
+        .collect();
+    let w = Workload::linux_boot().seed(3).iterations(200).build();
+    let dut = DutConfig::xiangshan_default();
+    sessions.push(
+        Session::new(dut, DiffConfig::BNSD, &w, Vec::new(), 400_000, 8, None)
+            .with_fusion_window(128),
+    );
+
+    let observed = sessions
+        .iter()
+        .map(parked_peaks)
+        .fold((0, 0), |a, b| (a.0.max(b.0), a.1.max(b.1)));
+    eprintln!(
+        "parked peaks: lead {} of {MAX_TAG_LEAD}, parked {} of {MAX_PARKED}",
+        observed.0, observed.1
+    );
+    assert!(observed.0 > 0 && observed.1 > 0, "the matrix parks items");
+    assert!(observed.0 <= MAX_TAG_LEAD, "lead {}", observed.0);
+    assert!(observed.1 <= MAX_PARKED, "parked {}", observed.1);
 }

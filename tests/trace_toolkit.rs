@@ -45,7 +45,7 @@ fn record(iterations: u32) -> (Memory, Vec<MonitoredEvent>) {
 fn replay(image: &Memory, events: &[MonitoredEvent]) -> ConsumerOutput {
     let mut hw = AccelUnit::per_event();
     let checker = Checker::new(vec![RefModel::new(image.clone())], false);
-    let mut consumer = Consumer::new(SwUnit::per_event(), checker);
+    let mut consumer = Consumer::new(SwUnit::per_event(1), checker);
     let mut transfers = Vec::new();
     'trace: for cycle in events.chunk_by(|a, b| a.cycle == b.cycle) {
         hw.push_cycle(cycle, &mut transfers);
