@@ -318,7 +318,9 @@ impl BatchUnit {
 
     fn flush_packet(&mut self, out: &mut Vec<Packet>) {
         let mut bytes = self.free.take();
-        bytes.reserve(self.current_len());
+        // Room for the largest packet, not just this one: a recycled
+        // buffer then never grows when a later packet is a byte longer.
+        bytes.reserve(self.capacity.max(self.current_len()));
         let mut w = Writer::new(&mut bytes);
         w.u32(self.next_seq);
         self.next_seq = self.next_seq.wrapping_add(1);

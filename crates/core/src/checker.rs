@@ -972,6 +972,14 @@ impl Checker {
         self.cores.iter().map(|c| c.pending.len()).sum()
     }
 
+    /// `core`'s replay floor: the first token a localization started now
+    /// would retransmit (its last checkpoint's), or `None` before its
+    /// first checkpoint or without Replay support. Retained events below
+    /// it can no longer be asked for.
+    pub fn replay_floor(&self, core: u8) -> Option<u64> {
+        Some(self.cores.get(core as usize)?.ckpt?.token)
+    }
+
     /// Reverts `core`'s REF to the last checkpoint for a replay pass,
     /// clearing its pending queue. Returns the token range
     /// `(checkpoint, watermark)` to retransmit, or `None` when no

@@ -167,9 +167,17 @@ impl Consumer {
 
     /// Feeds one delivered transfer through decode → check → recover.
     /// `cycle` stamps flight records (0 on consumers without a cycle
-    /// view); `obs` accounts the transfer once its fate is known.
+    /// view); `obs` accounts the transfer once its fate is known. While
+    /// the stream goes on, the retention ring then releases what the
+    /// checker's checkpoints have passed; a stop leaves it whole for
+    /// [`localize`](Self::localize).
     pub fn ingest<O: ChargeObserver>(&mut self, t: &Transfer, cycle: u64, obs: &mut O) -> Step {
-        self.ingest_at(t, cycle, 0, obs)
+        let step = self.ingest_at(t, cycle, 0, obs);
+        if let (Step::Continue, Some(rb)) = (step, &mut self.retention) {
+            let checker = &self.checker;
+            rb.release(|core| checker.replay_floor(core));
+        }
+        step
     }
 
     fn ingest_at(
@@ -488,9 +496,10 @@ impl Consumer {
         self.retention.as_mut()
     }
 
-    /// Events evicted from the retention ring before use.
-    pub fn retention_dropped(&self) -> u64 {
-        self.retention.as_ref().map_or(0, ReplayBuffer::dropped)
+    /// The retention ring, when recovery is enabled (its `dropped` and
+    /// `high_water` counters).
+    pub fn retention(&self) -> Option<&ReplayBuffer> {
+        self.retention.as_ref()
     }
 
     /// The flight ring. Not part of the surface: kept only because the

@@ -253,6 +253,10 @@ pub struct RunReport {
     /// `replay.dropped` counter): when non-zero, a localization over an
     /// old token range may be partial.
     pub replay_dropped: u64,
+    /// The most events the replay ring held at once (the
+    /// `replay.high_water` counter): the working set a localization can
+    /// still ask for, against the ring's overflow ceiling.
+    pub replay_high_water: u64,
 }
 
 impl RunReport {
@@ -301,6 +305,7 @@ impl RunReport {
         c.set("link.retransmits", self.link.retransmits);
         c.set("link.retransmit_bytes", self.link.retransmit_bytes);
         c.set("replay.dropped", self.replay_dropped);
+        c.set("replay.high_water", self.replay_high_water);
         if let Some(f) = self.fault {
             c.set("fault.delivered", f.delivered);
             c.set("fault.dropped", f.dropped);
@@ -482,6 +487,10 @@ impl CoSimulation {
     fn assemble(session: Session, platform: Platform, replay: bool) -> CoSimulation {
         let config = session.config();
         let consumer = if replay && config.squash() {
+            // A memory ceiling, not the working set: the consumer
+            // releases the ring's chunks as the checker's checkpoints
+            // pass them, so `replay.high_water` stays at a few thousand
+            // records.
             session.consumer_with_retention(true, 1 << 16)
         } else {
             session.consumer()
@@ -568,6 +577,7 @@ impl CoSimulation {
         let dut = self.producer.dut();
         let cycles = dut.cycles();
         let sim_time_s = self.timing.total();
+        let ring = self.consumer.retention();
         let mut report = RunReport {
             common: RunCommon {
                 outcome: RunOutcome::decide(
@@ -594,7 +604,8 @@ impl CoSimulation {
             bytes: self.timing.bytes,
             squash: self.producer.accel().squash_stats(),
             check: *self.consumer.checker().stats(),
-            replay_dropped: self.consumer.retention_dropped(),
+            replay_dropped: ring.map_or(0, ReplayBuffer::dropped),
+            replay_high_water: ring.map_or(0, |rb| rb.high_water() as u64),
         };
         report.common.metrics.counters = report.counters();
         // Snapshots (`self` stays runnable): producer context first.

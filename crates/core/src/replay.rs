@@ -9,6 +9,13 @@
 //! exact instruction and event. The ring retains the monitor's records
 //! by copying their bytes, and the retransmission hands the checker those
 //! records as they lie, viewed in place.
+//!
+//! Only the tokens from the checker's last checkpoint on can ever be
+//! retransmitted, so the ring holds just those: once the checkpoint of
+//! every core a chunk holds has passed all of its records, the consumer
+//! [`release`](ReplayBuffer::release)s the whole chunk, as §4.4's
+//! hardware frees entries once software has moved on. The capacity is
+//! only a memory ceiling, evicting the oldest record on overflow.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -37,22 +44,39 @@ pub struct Retransmission<'a> {
     pub complete: bool,
 }
 
+/// One fixed-size block of the ring, with what release needs to know
+/// of its records without walking them.
+#[derive(Debug, Default)]
+struct Chunk {
+    bytes: Vec<u8>,
+    /// Records still in the chunk: overflow eviction takes them from
+    /// the front one at a time.
+    live: usize,
+    /// Newest token the chunk holds, per core.
+    newest: Vec<Option<u64>>,
+}
+
 /// The hardware-side token-indexed ring of original events (paper §4.4:
 /// a ring of raw event bytes). Each event is retained as the monitor
 /// captured it, one [`difftest_event::record`] — header plus payload,
-/// about 165 B on a XiangShan stream — copied into fixed-size chunks
-/// that are recycled as eviction empties them, so a full ring allocates
-/// nothing.
+/// about 165 B on a XiangShan stream — copied into fixed-size chunks.
+/// It holds what a localization can still request: whole chunks are
+/// [`release`](Self::release)d once every core's checkpoint has passed
+/// them, and the capacity is an overflow ceiling that evicts the oldest
+/// record. Released and emptied chunks are recycled, metadata and all,
+/// so a steady-state ring allocates nothing.
 #[derive(Debug, Default)]
 pub struct ReplayBuffer {
     /// Chunks holding records, oldest first.
-    chunks: VecDeque<Vec<u8>>,
+    chunks: VecDeque<Chunk>,
     /// Offset of the oldest record in the front chunk.
     head: usize,
     /// Emptied chunks awaiting reuse.
-    spare: Vec<Vec<u8>>,
+    spare: Vec<Chunk>,
     /// Number of buffered events.
     len: usize,
+    /// The largest `len` so far (the `replay.high_water` counter).
+    high_water: usize,
     capacity: usize,
     dropped: u64,
     /// Highest token evicted from the ring, per core — lets
@@ -68,7 +92,9 @@ pub struct ReplayBuffer {
 }
 
 impl ReplayBuffer {
-    /// Creates a ring retaining the most recent `capacity` events.
+    /// Creates a ring retaining at most the `capacity` most recent
+    /// events: a memory ceiling, not the working set, which
+    /// [`release`](Self::release) keeps far below it.
     pub fn new(capacity: usize) -> Self {
         ReplayBuffer {
             capacity: capacity.max(1),
@@ -79,40 +105,43 @@ impl ReplayBuffer {
 
     /// Retains one cycle's capture arena: each record, before any
     /// optimization touches it, copied to the tail as it lies, evicting
-    /// the oldest when full. The walk reads headers only, for lengths.
+    /// the oldest when full. The walk reads headers only, for lengths,
+    /// cores and tokens.
     pub fn push_records(&mut self, mut records: &[u8]) {
-        while let Ok((_, len)) = RecordHeader::read(records) {
+        while let Ok((header, len)) = RecordHeader::read(records) {
             let Some((record, rest)) = records.split_at_checked(len) else {
-                return;
+                break;
             };
             records = rest;
             if self.len == self.capacity {
                 self.evict_oldest();
             }
-            if !matches!(self.chunks.back(), Some(c) if c.len() + len <= CHUNK_BYTES) {
-                let fresh = self.spare.pop();
-                self.chunks
-                    .push_back(fresh.unwrap_or_else(|| Vec::with_capacity(CHUNK_BYTES)));
+            if !matches!(self.chunks.back(), Some(c) if c.bytes.len() + len <= CHUNK_BYTES) {
+                let fresh = self.spare.pop().unwrap_or_else(|| Chunk {
+                    bytes: Vec::with_capacity(CHUNK_BYTES),
+                    ..Chunk::default()
+                });
+                self.chunks.push_back(fresh);
             }
             if let Some(chunk) = self.chunks.back_mut() {
-                chunk.extend_from_slice(record);
+                chunk.bytes.extend_from_slice(record);
+                chunk.live += 1;
+                raise(&mut chunk.newest, header.core, header.token.0);
                 self.len += 1;
             }
         }
+        self.high_water = self.high_water.max(self.len);
     }
 
     /// Drops the front record, reading its header only: the kind gives
     /// the length, core and token feed the watermark.
     fn evict_oldest(&mut self) {
-        while let Some(chunk) = self.chunks.front() {
+        while let Some(chunk) = self.chunks.front_mut() {
             let head = self.head;
-            if let Ok((old, len)) = RecordHeader::read(chunk.get(head..).unwrap_or_default()) {
-                let idx = old.core as usize;
-                if self.evicted_watermark.len() <= idx {
-                    self.evicted_watermark.resize(idx + 1, None);
-                }
-                let slot = &mut self.evicted_watermark[idx];
-                *slot = Some(slot.map_or(old.token.0, |w| w.max(old.token.0)));
+            if let Ok((old, len)) = RecordHeader::read(chunk.bytes.get(head..).unwrap_or_default())
+            {
+                chunk.live -= 1;
+                raise(&mut self.evicted_watermark, old.core, old.token.0);
                 // From the local, not `+=` on the field: that form let
                 // the head and len updates fuse into one 16-byte load and
                 // store, measured slower on xs_squash_engine's retain.
@@ -122,11 +151,48 @@ impl ReplayBuffer {
                 return;
             }
             // The front chunk is spent: recycle it.
-            self.head = 0;
-            if let Some(mut spent) = self.chunks.pop_front() {
-                spent.clear();
-                self.spare.push(spent);
+            self.recycle_front();
+        }
+    }
+
+    /// Releases the front chunks a localization can no longer ask for:
+    /// those whose records of every core lie below that core's `floor`
+    /// (the token its replay would start from, `None` before its first
+    /// checkpoint). The chunk being filled stays, and a chunk holding
+    /// records of a core without a floor stays. Each released core's
+    /// eviction watermark rises to the chunk's newest token, so a
+    /// retransmission from a floor that ever moved backwards reports
+    /// itself incomplete. Not an overflow: [`dropped`](Self::dropped)
+    /// stays as it is.
+    pub fn release(&mut self, floor: impl Fn(u8) -> Option<u64>) {
+        while self.chunks.len() > 1 {
+            let Some(chunk) = self.chunks.front() else {
+                return;
+            };
+            let passed = chunk.newest.iter().enumerate().all(|(core, newest)| {
+                newest.is_none_or(|t| floor(core as u8).is_some_and(|f| t < f))
+            });
+            if !passed {
+                return;
             }
+            for (core, newest) in chunk.newest.iter().enumerate() {
+                if let Some(t) = *newest {
+                    raise(&mut self.evicted_watermark, core as u8, t);
+                }
+            }
+            self.len -= chunk.live;
+            self.recycle_front();
+        }
+    }
+
+    /// Moves the front chunk, emptied, to the spares.
+    fn recycle_front(&mut self) {
+        self.head = 0;
+        if let Some(mut spent) = self.chunks.pop_front() {
+            spent.bytes.clear();
+            spent.live = 0;
+            spent.newest.fill(None);
+            self.spare.push(spent);
         }
     }
 
@@ -141,9 +207,15 @@ impl ReplayBuffer {
     }
 
     /// Events evicted because the ring overflowed (the `replay.dropped`
-    /// counter).
+    /// counter); [`release`](Self::release)d events are not counted.
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// The most events the ring has held at once (the
+    /// `replay.high_water` counter).
+    pub fn high_water(&self) -> usize {
+        self.high_water
     }
 
     /// Retransmits the buffered events with tokens in `[from, to]`, for one
@@ -159,7 +231,7 @@ impl ReplayBuffer {
         let mut records = Vec::new();
         let mut at = self.head;
         for chunk in &self.chunks {
-            let walk = Records::new(chunk.get(at..).unwrap_or_default());
+            let walk = Records::new(chunk.bytes.get(at..).unwrap_or_default());
             for rec in walk.map_while(Result::ok) {
                 if rec.header.core == core && (from..=to).contains(&rec.header.token.0) {
                     records.push(rec);
@@ -229,6 +301,15 @@ impl ReplayBuffer {
     pub fn packets_retained(&self) -> usize {
         self.packet_ring.len()
     }
+}
+
+/// Raises `core`'s entry of a per-core token maximum to `token`.
+fn raise(per_core: &mut Vec<Option<u64>>, core: u8, token: u64) {
+    let idx = core as usize;
+    if per_core.len() <= idx {
+        per_core.resize(idx + 1, None);
+    }
+    per_core[idx] = per_core[idx].max(Some(token));
 }
 
 /// The outcome of a Replay pass: the coarse (fused-stream) mismatch and the
@@ -401,6 +482,49 @@ mod tests {
         // Eviction on core 0 does not taint core 1 requests.
         rb.push(ev(1, 100));
         assert!(rb.retransmit(1, 90, 110).complete);
+    }
+
+    #[test]
+    fn release_frees_passed_chunks_but_never_the_back_one() {
+        let mut rb = ReplayBuffer::new(1 << 20);
+        let mut t = 0;
+        while rb.chunks.len() < 4 {
+            rb.push(ev((t % 2) as u8, t));
+            t += 1;
+        }
+        let len = rb.len();
+        let first_of = |rb: &ReplayBuffer, chunk: usize| {
+            Records::new(&rb.chunks[chunk].bytes)
+                .map_while(Result::ok)
+                .map(|r| r.header.token.0)
+                .min()
+                .unwrap()
+        };
+        // Core 1 has no checkpoint yet, then a floor inside the front
+        // chunk: nothing can go.
+        rb.release(|core| (core == 0).then_some(u64::MAX));
+        let inside = first_of(&rb, 0) + 2;
+        rb.release(|_| Some(inside));
+        assert_eq!((rb.len(), rb.chunks.len()), (len, 4));
+        // Floors at the third chunk's first token free the two before it.
+        let floor = first_of(&rb, 2);
+        rb.release(|_| Some(floor));
+        assert_eq!((rb.chunks.len(), rb.spare.len()), (2, 2));
+        assert!(rb.retransmit(0, floor, u64::MAX).complete);
+        assert!(!rb.retransmit(0, floor - 3, u64::MAX).complete);
+        // Floors past everything: all but the back chunk go, as
+        // releases, not drops, and the high-water mark stays.
+        rb.release(|_| Some(u64::MAX));
+        assert_eq!(rb.chunks.len(), 1);
+        let kept = (0..2).map(|core| rb.retransmit(core, 0, t).records.len());
+        assert_eq!(rb.len(), kept.sum::<usize>());
+        assert_eq!((rb.dropped(), rb.high_water()), (0, len));
+        // The recycled chunks take the next records.
+        while rb.chunks.len() < 4 {
+            rb.push(ev((t % 2) as u8, t));
+            t += 1;
+        }
+        assert!(rb.spare.is_empty());
     }
 
     #[test]

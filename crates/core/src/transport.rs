@@ -135,12 +135,16 @@ impl AccelUnit {
 
     /// Processes one DUT cycle's records, appending completed transfers.
     pub fn push_records(&mut self, records: &[u8], out: &mut Vec<Transfer>) {
-        let records = Records::new(records).map_while(Result::ok);
+        // `Records` ends after its first error, so each arm walks it
+        // with `while let Some(Ok(..))`: the same stop as
+        // `map_while(Result::ok)`, without an adapter whose `next` the
+        // optimizer may leave out of line.
+        let mut records = Records::new(records);
         match &mut self.mode {
             HwMode::PerEvent(free) => {
                 // A transfer is the record's core and kind bytes, its
                 // payload and the CRC trailer.
-                for rec in records {
+                while let Some(Ok(rec)) = records.next() {
                     let payload = rec.payload.wire_bytes();
                     let mut bytes = free.take();
                     bytes.reserve(2 + payload.len() + 4);
@@ -160,7 +164,7 @@ impl AccelUnit {
             HwMode::Batch(batch) => {
                 // Each payload is copied straight into the packer's
                 // payload buffer: no WireItem staging.
-                for rec in records {
+                while let Some(Ok(rec)) = records.next() {
                     batch.push_payload(rec.header.core, rec.payload, &mut self.packet_buf);
                 }
                 drain_packets(&mut self.packet_buf, out);
@@ -170,7 +174,7 @@ impl AccelUnit {
                 // the packer, which packs it in place: no WireItem
                 // staging.
                 let mut sink = batch.sink(&mut self.packet_buf);
-                for rec in records {
+                while let Some(Ok(rec)) = records.next() {
                     squash.push_record(&rec, &mut sink);
                 }
                 squash.on_cycle_end(&mut sink);

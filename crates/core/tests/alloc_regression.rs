@@ -246,3 +246,70 @@ fn produce_steady_state_allocates_nothing() {
          cycles (Dut::tick_records, not gated: {tick_allocs:.3} per cycle)"
     );
 }
+
+/// The engine's loop with the consumer's ring in it: each cycle's arena
+/// is retained in the consumer's ring, its transfers are ingested, and
+/// each ingest releases the chunks the checker's checkpoints have
+/// passed. Released chunks, metadata included, come back through the
+/// ring's spares, so after a warm-up quarter nothing allocates.
+#[test]
+fn release_steady_state_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap();
+    const CYCLES: u64 = 20_000;
+    let w = Workload::microbench().seed(3).iterations(4_000).build();
+    let s = Session::new(
+        DutConfig::xiangshan_default(),
+        DiffConfig::BNSD,
+        &w,
+        Vec::new(),
+        CYCLES,
+        8,
+        None,
+    );
+    let mut dut = s.dut();
+    let mut stream: Vec<Vec<u8>> = Vec::new();
+    let mut n_events = 0;
+    while dut.halted().is_none() && dut.cycles() < CYCLES {
+        let mut records = Vec::new();
+        dut.tick_records(&mut records);
+        n_events += Records::new(&records).count();
+        stream.push(records);
+    }
+    let warmup = stream.len() / 4;
+
+    let mut consumer = s.consumer_with_retention(true, 1 << 16);
+    let mut accel = s.accel();
+    let mut link = s.send_link(QueueSink::default());
+    let mut rec = FlightRecorder::default();
+    let mut transfers: Vec<Transfer> = Vec::new();
+    let mut cycle = |records: &[u8]| {
+        if let Some(rb) = consumer.retention_mut() {
+            rb.push_records(records);
+        }
+        accel.push_records(records, &mut transfers);
+        link.feed(&mut transfers, &mut rec, 0);
+        for t in link.sink_mut().queue.drain(..) {
+            assert_eq!(consumer.ingest(&t, 0, &mut NoCharge), Step::Continue);
+            accel.recycle(t.bytes);
+        }
+    };
+    stream[..warmup].iter().for_each(|records| cycle(records));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    stream[warmup..].iter().for_each(|records| cycle(records));
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+
+    let ring = consumer.retention().expect("ring attached");
+    assert_eq!(ring.dropped(), 0);
+    assert!(
+        ring.high_water() < n_events / 8,
+        "ring held {} of {n_events} records: nothing was released",
+        ring.high_water()
+    );
+    assert_eq!(
+        allocs,
+        0,
+        "steady-state retain + ingest + release allocated {allocs} times over {} cycles",
+        stream.len() - warmup
+    );
+    assert!(consumer.checker().stats().fused_records > 0);
+}

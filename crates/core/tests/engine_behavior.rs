@@ -134,3 +134,29 @@ fn coarse_detection_seq_is_no_earlier_than_precise() {
     let precise = f.precise.expect("localized");
     assert!(f.coarse.seq >= precise.seq);
 }
+
+#[test]
+fn long_clean_runs_release_the_replay_ring_instead_of_wrapping_it() {
+    // The engine's ring ceiling, in records. Every commit is captured as
+    // at least one record, so this run retains several ceilings' worth.
+    const CEILING: u64 = 1 << 16;
+    let w = Workload::microbench().seed(7).iterations(1_000_000).build();
+    let mut sim = CoSimulation::builder()
+        .dut(DutConfig::xiangshan_default())
+        .config(DiffConfig::BNSD)
+        .max_cycles(300_000)
+        .build(&w)
+        .expect("valid");
+    let r = sim.run();
+    assert_eq!(r.outcome, RunOutcome::MaxCycles);
+    assert!(r.instructions > 4 * CEILING, "{} commits", r.instructions);
+    // Released chunks are not overflow: nothing a localization could
+    // ask for was evicted, and the working set is a few packets' worth.
+    assert_eq!(r.replay_dropped, 0);
+    let high_water = r.counters().get("replay.high_water");
+    assert_eq!(high_water, r.replay_high_water);
+    assert!(
+        high_water > 0 && high_water < CEILING / 8,
+        "replay.high_water {high_water}"
+    );
+}

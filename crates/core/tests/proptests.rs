@@ -1,7 +1,8 @@
 //! Property tests on the communication pipeline's core invariants:
 //! pack/unpack is the identity, differencing round-trips across packet
 //! boundaries, the fused-commit codec is self-inverse, the byte
-//! retention ring behaves as a deque of event values, and Squash's two
+//! retention ring behaves as a deque of event values and its release
+//! keeps everything a localization can still ask for, and Squash's two
 //! output sinks make the same bytes.
 
 use std::collections::VecDeque;
@@ -308,6 +309,79 @@ proptest! {
                         "core {} tokens [{}, {}]", core, from, to
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn release_keeps_what_a_localization_can_ask_for(
+        stream in proptest::collection::vec((any_event(), 0u8..2, 0u64..3), 1..2500),
+        capacity in prop_oneof![Just(usize::MAX), 600usize..=4096],
+        steps in proptest::collection::vec((1usize..400, 0u64..600, 0u64..600, 0u8..4), 1..24),
+    ) {
+        // Two-core pushes interleaved with releases at per-core floors
+        // that only rise, and start unset. The model is every event
+        // pushed; a small capacity adds overflow evictions on top.
+        let mut token = 0u64;
+        let events: Vec<MonitoredEvent> = stream
+            .into_iter()
+            .map(|(event, core, gap)| {
+                token += 1 + gap;
+                MonitoredEvent { core, cycle: token, order: OrderTag(token), token: Token(token), event }
+            })
+            .collect();
+        let mut ring = ReplayBuffer::new(capacity);
+        let mut model: Vec<MonitoredEvent> = Vec::new();
+        let mut floors: [Option<u64>; 2] = [None; 2];
+        let mut rest = events.as_slice();
+        for (n, d0, d1, advance) in steps.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, tail) = rest.split_at((*n).min(rest.len()));
+            rest = tail;
+            ring.push_slice(batch);
+            model.extend_from_slice(batch);
+            for (core, d) in [d0, d1].into_iter().enumerate() {
+                if advance & (1 << core) != 0 {
+                    floors[core] = Some(floors[core].unwrap_or(0) + d);
+                }
+            }
+            let dropped = ring.dropped();
+            ring.release(|core| floors[core as usize]);
+            prop_assert_eq!(ring.dropped(), dropped, "release counted as overflow");
+
+            // The record just pushed stays: release never takes the
+            // chunk being filled.
+            let newest = model.last().expect("pushed");
+            let got = ring.retransmit(newest.core, newest.token.0, newest.token.0);
+            prop_assert_eq!(got.records.len(), 1);
+            let mut above = 0;
+            for core in 0..2u8 {
+                let floor = floors[core as usize].unwrap_or(0);
+                let want = |from: u64| -> Vec<MonitoredEvent> {
+                    model
+                        .iter()
+                        .filter(|e| e.core == core && e.token.0 >= from)
+                        .cloned()
+                        .collect()
+                };
+                above += want(floor).len();
+                for from in [floor, 0] {
+                    let got = ring.retransmit(core, from, u64::MAX);
+                    // Without an overflow, everything from the floor on is
+                    // there; below it, a release must show as incomplete.
+                    if ring.dropped() == 0 && from == floor {
+                        prop_assert!(got.complete, "core {} from floor {}", core, floor);
+                    }
+                    if got.complete {
+                        let got: Vec<_> = got.records.iter().map(RecordRef::to_monitored).collect();
+                        prop_assert_eq!(got, want(from), "core {} from {}", core, from);
+                    }
+                }
+            }
+            if ring.dropped() == 0 {
+                prop_assert!(ring.len() >= above, "len {} < {} above the floors", ring.len(), above);
             }
         }
     }

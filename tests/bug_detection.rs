@@ -157,3 +157,35 @@ fn bug_free_runs_stay_clean_with_replay_enabled() {
         .expect("valid setup");
     assert_eq!(sim.run().outcome, RunOutcome::GoodTrap);
 }
+
+#[test]
+fn replay_ranges_are_never_released_before_localization() {
+    // The ring releases whole chunks once the checker's checkpoints have
+    // passed them: every range a localization asks for must still be
+    // whole, on one core and on two.
+    let workload = Workload::linux_boot().seed(13).iterations(400).build();
+    for dut in [DutConfig::xiangshan_minimal(), DutConfig::xiangshan_dual()] {
+        let (mut localized, mut high_water) = (0, 0);
+        for kind in ALL_BUGS {
+            let mut sim = CoSimulation::builder()
+                .dut(dut.clone())
+                .platform(Platform::palladium())
+                .config(DiffConfig::BNSD)
+                .bugs(vec![BugSpec::new(kind, 8_000)])
+                .max_cycles(250_000)
+                .build(&workload)
+                .expect("valid setup");
+            let report = sim.run();
+            high_water = high_water.max(report.replay_high_water);
+            if let Some(f) = &report.failure {
+                assert!(!f.partial, "{kind:?} on {} cores: {f}", dut.cores);
+                localized += usize::from(f.replayed_events > 0);
+            }
+        }
+        assert!(localized > 0, "no Replay ran on {} cores", dut.cores);
+        eprintln!(
+            "{} cores: {localized} localized, replay.high_water {high_water}",
+            dut.cores
+        );
+    }
+}
