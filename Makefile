@@ -62,8 +62,11 @@ ci: seam
 # Runner modules build on the shared session/link/produce/consume layer
 # only — one runner reaching into another's internals is the coupling
 # this refactor removed, so it fails CI if it ever comes back. The one
-# produce loop lives in produce.rs: no runner ticks the DUT or times the
-# tick phase itself, and the public `run_*` surface is pinned to one
+# produce loop is produce.rs's Producer::run: no runner ticks the DUT or
+# times the tick phase itself, and none drains a collecting QueueSink or
+# taps the send path (process_queued, retain_packets): a receiver on the
+# producer's thread is a sink with deliver/retention hooks (DESIGN.md
+# §12.1). The public `run_*` surface is pinned to one
 # entry point per runner plus the dispatcher (and its by-parts form).
 # The wire layer (proto/mux) has its own rules: it sits below every
 # runner (imports none of them), only the socket runner speaks it
@@ -118,8 +121,8 @@ seam:
 	else \
 		echo "runner seam clean: no runner imports another runner's internals"; \
 	fi
-	@if grep -nE 'tick_records\(|tick_into\(|Phase::Tick' $(RUNNER_SRCS); then \
-		echo "producer seam violated: only produce.rs ticks the DUT"; \
+	@if grep -nE 'tick_records\(|tick_into\(|Phase::Tick|QueueSink|process_queued|retain_packets' $(RUNNER_SRCS); then \
+		echo "producer seam violated: only Producer::run drives the producer; a runner neither ticks, drains a queue nor taps the send path"; \
 		exit 1; \
 	else \
 		echo "producer seam clean: no runner carries a produce loop of its own"; \

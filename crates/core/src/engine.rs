@@ -13,9 +13,10 @@
 //!
 //! Real bytes flow through real pack/fuse/parse code; only *time* is
 //! virtual, so every reported speedup derives from genuinely reduced
-//! invocations, bytes and checks. The receive side is the shared
-//! [`Consumer`] pipeline; the engine contributes its virtual link
-//! ([`QueueSink`] drained in-line) and a [`ChargeObserver`] that prices
+//! invocations, bytes and checks. Both sides are the shared pipelines:
+//! [`Producer::run`] drives the send side, and the engine's link is a
+//! [`LinkSink`] that hands each cycle's transfers to the shared
+//! [`Consumer`] on the same thread, with a [`ChargeObserver`] that prices
 //! every transfer on the LogGP timeline.
 
 use std::collections::VecDeque;
@@ -26,16 +27,15 @@ use difftest_platform::{OverheadBreakdown, Platform};
 use difftest_stats::{Metrics, Tracer, PID_CONSUMER};
 use difftest_workload::Workload;
 
-use crate::batch::peek_packet_seq;
 use crate::checker::CheckStats;
 use crate::consume::{ChargeObserver, Consumer, Step};
 use crate::fault::{FaultPlan, LinkErrorKind};
-use crate::link::QueueSink;
+use crate::link::LinkSink;
 use crate::produce::Producer;
 use crate::replay::{FailureReport, ReplayBuffer};
 use crate::session::{seal_report, RunCommon, RunnerKind, Session};
 use crate::squash::SquashStats;
-use crate::transport::Transfer;
+use crate::transport::{AccelUnit, Transfer};
 
 pub use crate::session::{DiffConfig, RunOutcome};
 
@@ -443,28 +443,49 @@ impl ChargeObserver for Timing {
     }
 }
 
-/// The pre-fault tap of the engine's feed phase: while fault injection
-/// is active, retains a pristine copy of every packet about to cross
-/// the link, so ARQ recovery can retransmit it.
-fn retain_packets(mut ring: Option<&mut ReplayBuffer>) -> impl FnMut(&Transfer) + '_ {
-    move |t| {
-        if let (Some(rb), Some(seq)) = (ring.as_deref_mut(), peek_packet_seq(&t.bytes)) {
-            rb.record_packet(seq, &t.bytes);
+/// The engine's virtual link: [`deliver`](LinkSink::deliver) ingests each
+/// cycle's queued transfers through the shared [`Consumer`], priced by
+/// the LogGP [`Timing`] model, and hands every buffer back to the packer.
+#[derive(Debug)]
+struct Inline {
+    queue: Vec<Transfer>,
+    consumer: Consumer,
+    timing: Timing,
+    /// The last DUT cycle charged to the virtual clock.
+    cycles: u64,
+}
+
+impl LinkSink for Inline {
+    fn send(&mut self, t: Transfer, _spent: &mut Vec<Vec<u8>>) -> bool {
+        self.queue.push(t);
+        true
+    }
+
+    fn retention(&mut self) -> Option<&mut ReplayBuffer> {
+        self.consumer.retention_mut()
+    }
+
+    fn deliver(&mut self, cycle: u64, accel: &mut AccelUnit) -> bool {
+        if cycle > self.cycles {
+            self.cycles = cycle;
+            self.timing.on_cycle();
         }
+        let mut stop = false;
+        for t in self.queue.drain(..) {
+            stop = stop || self.consumer.ingest(&t, cycle, &mut self.timing) == Step::Stop;
+            accel.recycle(t.bytes);
+        }
+        !stop
     }
 }
 
 /// A runnable co-simulation.
 #[derive(Debug)]
 pub struct CoSimulation {
-    /// The shared send-side pipeline over the virtual link: an
-    /// in-memory queue the engine drains in-line every cycle.
-    producer: Producer<QueueSink>,
-    /// The shared receive-side pipeline (decode, check, ARQ recovery,
-    /// Replay localization, observability).
-    consumer: Consumer,
+    /// The shared send side, whose sink holds the shared receive side
+    /// (decode, check, ARQ, Replay localization) and the LogGP clock.
+    producer: Producer<Inline>,
     config: DiffConfig,
-    timing: Timing,
     failure: Option<FailureReport>,
     /// Span-trace configuration, when `DIFFTEST_TRACE` (or a builder
     /// override) enabled tracing.
@@ -496,19 +517,23 @@ impl CoSimulation {
             session.consumer()
         }
         .with_spans(session.span_sink(PID_CONSUMER, 0, "consumer", "consumer"));
+        let timing = Timing::new(
+            platform,
+            session.dut_cfg().gates,
+            match config {
+                DiffConfig::Z => TimingMode::BlockingStep,
+                DiffConfig::B => TimingMode::Blocking,
+                DiffConfig::BN | DiffConfig::BNSD => TimingMode::Pipelined,
+            },
+            session.queue_depth(),
+        );
         CoSimulation {
-            producer: session.producer(QueueSink::default()),
-            consumer,
-            timing: Timing::new(
-                platform,
-                session.dut_cfg().gates,
-                match config {
-                    DiffConfig::Z => TimingMode::BlockingStep,
-                    DiffConfig::B => TimingMode::Blocking,
-                    DiffConfig::BN | DiffConfig::BNSD => TimingMode::Pipelined,
-                },
-                session.queue_depth(),
-            ),
+            producer: session.producer(Inline {
+                queue: Vec::new(),
+                consumer,
+                timing,
+                cycles: 0,
+            }),
             config,
             failure: None,
             tracer: session.tracer().cloned(),
@@ -527,70 +552,50 @@ impl CoSimulation {
 
     /// The ISA checker (statistics, per-core progress).
     pub fn checker(&self) -> &crate::checker::Checker {
-        self.consumer.checker()
+        self.producer.link().sink().consumer.checker()
     }
 
     /// Runs to completion (trap, mismatch or cycle budget) and reports.
     pub fn run(&mut self) -> RunReport {
-        // Pristine packets are worth retaining only where the link can
-        // damage them and they carry the sequence numbers ARQ asks by.
-        let arq = self.producer.fault_stats().is_some() && self.config.batch();
-
-        while self.producer.running() {
-            self.producer.tick();
-            self.timing.on_cycle();
-            let mut ring = self.consumer.retention_mut();
-            if let Some(rb) = ring.as_deref_mut() {
-                self.producer.monitor(|records| rb.push_records(records));
-            }
-            self.producer.pack();
-            self.producer.feed(retain_packets(ring.filter(|_| arq)));
-            if self.process_queued() {
-                break;
-            }
-        }
-
-        // Drain: flush fusion windows, partial packets and the link's
-        // reorder holds, then pending transfers, then any terminal gaps.
-        if !self.consumer.stopped() {
-            self.producer.flush(retain_packets(
-                self.consumer.retention_mut().filter(|_| arq),
-            ));
-            if !self.process_queued() {
-                let cycle = self.producer.dut().cycles();
-                let produced = self.producer.link_mut().produced();
-                self.consumer
-                    .finish_stream(Some(produced), cycle, &mut self.timing);
-            }
+        self.producer.run();
+        let dut = self.producer.dut();
+        let (cycles, instructions) = (dut.cycles(), dut.total_commits());
+        let gates = dut.config().gates;
+        let squash = self.producer.accel().squash_stats();
+        let link = self.producer.link_mut();
+        let (produced, fault) = (link.produced(), link.fault_stats());
+        let Inline {
+            consumer, timing, ..
+        } = link.sink_mut();
+        // Terminal gaps: sent packets that never arrived.
+        if !consumer.stopped() {
+            consumer.finish_stream(Some(produced), cycles, timing);
         }
         if self.failure.is_none() {
-            if let Some(coarse) = self.consumer.mismatch().cloned() {
-                let (failure, replay) = self.consumer.localize(coarse);
+            if let Some(coarse) = consumer.mismatch().cloned() {
+                let (failure, replay) = consumer.localize(coarse);
                 if let Some((bytes, before)) = replay {
-                    let after = self.consumer.checker().stats();
-                    self.timing.charge(1, bytes, &before, after);
+                    timing.charge(1, bytes, &before, consumer.checker().stats());
                 }
                 self.failure = Some(failure);
             }
         }
 
-        let dut = self.producer.dut();
-        let cycles = dut.cycles();
-        let sim_time_s = self.timing.total();
-        let ring = self.consumer.retention();
+        let sim_time_s = timing.total();
+        let ring = consumer.retention();
         let mut report = RunReport {
             common: RunCommon {
                 outcome: RunOutcome::decide(
                     self.failure.is_some(),
-                    self.consumer.link_error(),
-                    self.consumer.verdict(),
+                    consumer.link_error(),
+                    consumer.verdict(),
                 ),
                 mismatch: self.failure.as_ref().map(|f| f.coarse.clone()),
                 cycles,
-                instructions: dut.total_commits(),
-                items: self.consumer.items(),
-                link: self.consumer.link_stats(),
-                fault: self.producer.fault_stats(),
+                instructions,
+                items: consumer.items(),
+                link: consumer.link_stats(),
+                fault,
                 // Filled by `seal_report` from both sides' observations.
                 metrics: Metrics::new(),
                 flight: None,
@@ -598,19 +603,19 @@ impl CoSimulation {
             failure: self.failure.clone(),
             sim_time_s,
             speed_hz: cycles as f64 / sim_time_s.max(1e-12),
-            dut_only_hz: self.timing.platform.dut_only_hz(dut.config().gates),
-            overhead: self.timing.overhead,
-            invokes: self.timing.invokes,
-            bytes: self.timing.bytes,
-            squash: self.producer.accel().squash_stats(),
-            check: *self.consumer.checker().stats(),
+            dut_only_hz: timing.platform.dut_only_hz(gates),
+            overhead: timing.overhead,
+            invokes: timing.invokes,
+            bytes: timing.bytes,
+            squash,
+            check: *consumer.checker().stats(),
             replay_dropped: ring.map_or(0, ReplayBuffer::dropped),
             replay_high_water: ring.map_or(0, |rb| rb.high_water() as u64),
         };
         report.common.metrics.counters = report.counters();
         // Snapshots (`self` stays runnable): producer context first.
         let mut obs = self.producer.obs();
-        obs.absorb(self.consumer.obs());
+        obs.absorb(self.producer.link_mut().sink_mut().consumer.obs());
         seal_report(
             RunnerKind::Engine,
             &mut report.common,
@@ -618,22 +623,6 @@ impl CoSimulation {
             obs,
         );
         report
-    }
-
-    /// Feeds queued transfers through the shared pipeline and hands
-    /// each buffer back to the packer, draining the virtual link's
-    /// queue (its `Vec` goes back too, reused every shipping cycle);
-    /// returns `true` when the run must stop.
-    fn process_queued(&mut self) -> bool {
-        let cycle = self.producer.dut().cycles();
-        let mut queue = std::mem::take(&mut self.producer.link_mut().sink_mut().queue);
-        let mut stop = false;
-        for t in queue.drain(..) {
-            stop = stop || self.consumer.ingest(&t, cycle, &mut self.timing) == Step::Stop;
-            self.producer.recycle(t);
-        }
-        self.producer.link_mut().sink_mut().queue = queue;
-        stop
     }
 }
 

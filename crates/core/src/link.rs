@@ -4,20 +4,22 @@
 //! The paper's architecture keeps the verification pipeline
 //! transport-agnostic: the same pack → transmit → unpack → check flow
 //! runs whether the link is a virtual LogGP model or a real socket. This
-//! single-method trait is that seam. [`SendLink`] wraps any sink in the
+//! trait is that seam. [`SendLink`] wraps any sink in the
 //! shared send path (produced-packet accounting, flight records, fault
 //! injection) inside the shared [`Producer`](crate::produce::Producer),
 //! so a runner's transport is just an adapter:
 //!
 //! | runner | sink | receive side | buffer back to the packer |
 //! |---|---|---|---|
-//! | engine | [`QueueSink`] (virtual link) | drained in-line | after ingest |
+//! | engine | `Inline` (virtual link) | [`deliver`](LinkSink::deliver), each cycle | after ingest |
 //! | socket | `StreamSink` (socket frames) | the peer's `ProtoSession` | after the write |
+//! | tests, layer pass | [`QueueSink`] (collects) | driven by hand | by the caller |
 
 use difftest_stats::{FlightKind, FlightRecord, FlightRecorder, SpanBuf, SpanSink};
 
 use crate::batch::peek_packet_seq;
 use crate::fault::{FaultStats, FaultyLink};
+use crate::replay::ReplayBuffer;
 use crate::transport::{AccelUnit, Transfer};
 
 /// The producer side of a link: accepts transfers for delivery.
@@ -27,16 +29,28 @@ pub trait LinkSink {
     /// reuse. Returns `false` once the receiver is gone (broken pipe);
     /// the caller stops producing.
     fn send(&mut self, t: Transfer, spent: &mut Vec<Vec<u8>>) -> bool;
+
+    /// The receiver's retention ring, if it keeps one: it gets each
+    /// cycle's capture arena, and each packet a fault model may damage.
+    fn retention(&mut self) -> Option<&mut ReplayBuffer> {
+        None
+    }
+
+    /// Called once per DUT cycle after its sends, and once after the
+    /// final flush: a receiver on the producer's thread takes what was
+    /// sent, hands each buffer back to `accel`, and returns `false` once
+    /// it has decided the run.
+    fn deliver(&mut self, cycle: u64, accel: &mut AccelUnit) -> bool {
+        let _ = (cycle, accel);
+        true
+    }
 }
 
-/// The engine's virtual link: transfers queue in memory, and the LogGP
-/// [`Timing`](crate::engine) model charges their wire time. Always
-/// accepts (the bounded in-flight queue is modelled in virtual time,
-/// not here). The bytes are still unread when `send` returns: the
-/// engine hands each buffer back after ingesting it.
+/// A collecting sink for a caller that drives the receive side by hand
+/// (tests, the benchmark's layer pass). Always accepts.
 #[derive(Debug, Default)]
 pub struct QueueSink {
-    /// Delivered transfers awaiting in-line consumption.
+    /// Sent transfers, in order.
     pub queue: Vec<Transfer>,
 }
 
@@ -50,7 +64,8 @@ impl LinkSink for QueueSink {
 /// The shared send path in front of any [`LinkSink`]: counts every
 /// packet *produced* (pre-fault, so the consumer can detect tail loss),
 /// records `PacketSent` flight records, and perturbs the stream through
-/// the optional [`FaultyLink`].
+/// the optional [`FaultyLink`], retaining a pristine copy of each packet
+/// in the sink's ring first, for ARQ to retransmit.
 #[derive(Debug)]
 pub struct SendLink<S: LinkSink> {
     sink: S,
@@ -103,7 +118,8 @@ impl<S: LinkSink> SendLink<S> {
         self.produced = self.produced.wrapping_add(transfers.len() as u32);
         let mut ok = true;
         for t in transfers.drain(..) {
-            let seq = peek_packet_seq(&t.bytes).unwrap_or(0);
+            let sequenced = peek_packet_seq(&t.bytes);
+            let seq = sequenced.unwrap_or(0);
             rec.record(FlightRecord {
                 kind: FlightKind::PacketSent,
                 core: t.core,
@@ -113,7 +129,12 @@ impl<S: LinkSink> SendLink<S> {
             });
             let t0 = self.spans.start();
             match &mut self.fault {
-                Some(l) => l.transmit(t, &mut self.wire),
+                Some(l) => {
+                    if let (Some(rb), Some(seq)) = (self.sink.retention(), sequenced) {
+                        rb.record_packet(seq, &t.bytes);
+                    }
+                    l.transmit(t, &mut self.wire)
+                }
                 None => self.wire.push(t),
             }
             self.drain_wire(&mut ok);
@@ -161,8 +182,12 @@ impl<S: LinkSink> SendLink<S> {
         self.fault.as_ref().map(FaultyLink::stats)
     }
 
-    /// The wrapped sink (the engine drains its [`QueueSink`] through
-    /// this).
+    /// The wrapped sink.
+    pub fn sink(&self) -> &S {
+        &self.sink
+    }
+
+    /// The wrapped sink, mutably.
     pub fn sink_mut(&mut self) -> &mut S {
         &mut self.sink
     }

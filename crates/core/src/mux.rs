@@ -22,6 +22,9 @@
 //! - EOF without an end frame finishes the stream with an unknown
 //!   produced count (tail-loss attribution unchanged).
 
+// Peer bytes reach this module: every read of them is checked.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
@@ -421,7 +424,7 @@ pub fn serve_connection(mut conn: Conn, hello_within: Duration) -> Served {
             Ok(0) => sess.eof(),
             Ok(n) => {
                 bytes_read += n as u64;
-                match sess.feed(&buf[..n]) {
+                match sess.feed(buf.get(..n).unwrap_or_default()) {
                     Ok(step) => step,
                     Err(_) => break CloseReason::Rejected,
                 }

@@ -1,13 +1,13 @@
 //! The send-side state machine every runner drives: tick → monitor →
-//! pack → feed.
+//! pack → feed → deliver.
 //!
 //! The paper has one hardware-side pipeline (monitor → Squash → Batch →
 //! sending queue, §4) whatever platform sits behind it. [`Producer`] is
 //! that pipeline, symmetric to [`Consumer`](crate::consume::Consumer):
 //! it owns the DUT, the acceleration unit, the send path in front of the
 //! link's sink, the per-cycle capture arena and the stop conditions, and
-//! exposes each phase as its own call so a runner is reduced to a
-//! topology — where the producer runs and what the sink is.
+//! [`run`](Producer::run) is the one loop over its phases, so a runner is
+//! reduced to a topology — where the producer runs and what the sink is.
 //! A monitored event has one representation on this side, the record
 //! the DUT's monitor appends to the capture arena: retention copies it
 //! and the acceleration unit reads it in place.
@@ -43,12 +43,9 @@ pub struct ProducerOutput {
 /// capture arena, stop conditions and instruments. Built by
 /// [`Session::producer`](crate::Session::producer).
 ///
-/// Phase contract, per DUT cycle: [`tick`](Self::tick), optionally
-/// [`monitor`](Self::monitor), [`pack`](Self::pack),
-/// [`feed`](Self::feed), while [`running`](Self::running); then one
-/// [`flush`](Self::flush), then [`finish`](Self::finish) (dropping the
-/// producer closes the sink: end of stream). [`run`](Self::run) is that
-/// loop with no monitor hook and no send tap.
+/// [`run`](Self::run) drives it to the end of the stream, then
+/// [`finish`](Self::finish) hands back its account of the run (dropping
+/// the producer closes the sink: end of stream).
 #[derive(Debug)]
 pub struct Producer<S: LinkSink> {
     dut: Dut,
@@ -61,7 +58,7 @@ pub struct Producer<S: LinkSink> {
     /// records back to back.
     records: Vec<u8>,
     max_cycles: u64,
-    /// Cleared once the sink reports its receiver gone.
+    /// Cleared once the receiver is gone or has decided the run.
     alive: bool,
     /// Times the tick, monitor, pack and transport phases.
     timer: PhaseTimer,
@@ -102,68 +99,62 @@ impl<S: LinkSink> Producer<S> {
     }
 
     /// The send path (its sink, produced count, fault model).
+    pub fn link(&self) -> &SendLink<S> {
+        &self.link
+    }
+
+    /// The send path, mutably.
     pub fn link_mut(&mut self) -> &mut SendLink<S> {
         &mut self.link
     }
 
-    /// Injected-fault counters (`None` on a clean link).
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.link.fault_stats()
+    /// Steps until the run ends, then flushes — unless a failed send or
+    /// a [`deliver`](LinkSink::deliver) that decided the run stopped it.
+    pub fn run(&mut self) {
+        while self.running() {
+            self.tick();
+            self.monitor();
+            self.pack();
+            self.alive = self.feed() && self.deliver();
+        }
+        if self.alive {
+            self.flush();
+        }
     }
 
     /// Advances the DUT one cycle, capturing its monitored events into
     /// the arena.
-    pub fn tick(&mut self) {
+    fn tick(&mut self) {
         let t0 = self.timer.start();
         self.records.clear();
         self.dut.tick_records(&mut self.records);
         self.timer.stop(Phase::Tick, t0);
     }
 
-    /// Runs `hook` over the cycle's capture arena, timed as the monitor
-    /// phase (the engine retains its records for Replay here). Runners
-    /// without a monitor-side consumer of the events skip this call.
-    pub fn monitor(&mut self, hook: impl FnOnce(&[u8])) {
-        self.timer.time(Phase::Monitor, || hook(&self.records));
+    /// Copies the cycle's capture arena into the receiver's retention
+    /// ring, timed as the monitor phase. Without a ring the phase reads
+    /// zero.
+    fn monitor(&mut self) {
+        if let Some(rb) = self.link.sink_mut().retention() {
+            let t0 = self.timer.start();
+            rb.push_records(&self.records);
+            self.timer.stop(Phase::Monitor, t0);
+        }
     }
 
     /// Streams the cycle's records through the acceleration unit;
     /// completed transfers are staged for [`feed`](Self::feed).
-    pub fn pack(&mut self) {
+    fn pack(&mut self) {
         let t0 = self.timer.start();
         self.accel.push_records(&self.records, &mut self.staging);
         self.timer.stop(Phase::Pack, t0);
     }
 
     /// Moves staged transfers across the link: the fusion watermark
-    /// record first, then `tap` over each transfer about to be sent
-    /// (pre-fault), then the send path. A blocking sink is the sending
+    /// record first, then the send path. A blocking sink is the sending
     /// queue with backpressure. Returns `false` once the receiver is
-    /// gone — it already decided the run.
-    pub fn feed(&mut self, tap: impl FnMut(&Transfer)) -> bool {
-        if !self.ship(tap) {
-            self.alive = false;
-        }
-        self.alive
-    }
-
-    /// End of stream: flushes fusion windows and partial packets, feeds
-    /// them (through `tap`, like [`feed`](Self::feed)), and releases
-    /// transfers the fault model still holds for reordering.
-    pub fn flush(&mut self, tap: impl FnMut(&Transfer)) {
-        let t0 = self.timer.start();
-        self.accel.flush(&mut self.staging);
-        self.timer.stop(Phase::Pack, t0);
-        if self.ship(tap) {
-            let t0 = self.timer.start();
-            self.link.finish();
-            self.timer.stop(Phase::Transport, t0);
-        }
-    }
-
-    /// Feeds the staged transfers to the send path. Returns `false`
-    /// once the receiver is gone.
-    fn ship(&mut self, tap: impl FnMut(&Transfer)) -> bool {
+    /// gone.
+    fn feed(&mut self) -> bool {
         if self.staging.is_empty() {
             return true;
         }
@@ -171,28 +162,31 @@ impl<S: LinkSink> Producer<S> {
         let cycle = self.dut.cycles();
         self.fusion
             .observe(&self.accel, true, 0, cycle, &mut self.flight);
-        self.staging.iter().for_each(tap);
         let alive = self.link.feed(&mut self.staging, &mut self.flight, cycle);
         self.link.reclaim(&mut self.accel);
         self.timer.stop(Phase::Transport, t0);
         alive
     }
 
-    /// Hands a transfer the receiver has finished with back to the
-    /// packer, for its buffer to carry a later transfer.
-    pub fn recycle(&mut self, t: Transfer) {
-        self.accel.recycle(t.bytes);
+    /// Lets the sink take what was sent, outside every phase timer.
+    fn deliver(&mut self) -> bool {
+        let cycle = self.dut.cycles();
+        self.link.sink_mut().deliver(cycle, &mut self.accel)
     }
 
-    /// Steps until the run ends (a receiver that decided the stream
-    /// early ends it by going away), then flushes.
-    pub fn run(&mut self) {
-        while self.running() {
-            self.tick();
-            self.pack();
-            self.feed(|_| {});
+    /// End of stream: flushes fusion windows and partial packets, feeds
+    /// them, releases transfers the fault model still holds for
+    /// reordering, and delivers once more.
+    fn flush(&mut self) {
+        let t0 = self.timer.start();
+        self.accel.flush(&mut self.staging);
+        self.timer.stop(Phase::Pack, t0);
+        if self.feed() {
+            let t0 = self.timer.start();
+            let sent = self.link.finish();
+            self.timer.stop(Phase::Transport, t0);
+            self.alive = sent && self.deliver();
         }
-        self.flush(|_| {});
     }
 
     /// What the producer observed so far: its phase times, a snapshot

@@ -35,6 +35,9 @@
 //! [`ProtoError::BadVersion`] instead of misparsing the fields that
 //! follow.
 
+// Peer bytes reach this module: every read of them is checked.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
@@ -245,7 +248,7 @@ impl FrameDecoder {
         if self.ended {
             return Ok(None);
         }
-        let avail = &self.buf[self.pos..];
+        let avail = self.buf.get(self.pos..).unwrap_or_default();
         let parsed = if self.hello_done {
             parse_frame(avail)?
         } else {
@@ -268,17 +271,16 @@ impl FrameDecoder {
 /// Validation is as eager as the bytes allow: a wrong magic prefix or
 /// version byte is rejected without waiting for the rest.
 fn parse_hello(avail: &[u8]) -> Result<Option<(Hello, usize)>, ProtoError> {
-    let n = avail.len().min(4);
-    if avail[..n] != HANDSHAKE_MAGIC[..n] {
+    if !HANDSHAKE_MAGIC.starts_with(avail.get(..4).unwrap_or(avail)) {
         return Err(ProtoError::BadMagic);
     }
-    if avail.len() >= 5 && avail[4] != PROTO_VERSION {
-        return Err(ProtoError::BadVersion(avail[4]));
+    if let Some(&v) = avail.get(4).filter(|&&v| v != PROTO_VERSION) {
+        return Err(ProtoError::BadVersion(v));
     }
-    if avail.len() < HELLO_HEADER {
+    let Some(header) = avail.get(5..HELLO_HEADER) else {
         return Ok(None);
-    }
-    let mut r = Reader::new(&avail[5..HELLO_HEADER]);
+    };
+    let mut r = Reader::new(header);
     let config = DiffConfig::from_wire(r.u8()?).ok_or(ProtoError::BadValue("config"))?;
     let cores = r.u32()?;
     if cores == 0 || cores > MAX_CORES {
@@ -296,11 +298,11 @@ fn parse_hello(avail: &[u8]) -> Result<Option<(Hello, usize)>, ProtoError> {
         });
     }
     let total = HELLO_HEADER + len * 4;
-    if avail.len() < total {
+    let Some(image) = avail.get(HELLO_HEADER..total) else {
         return Ok(None);
-    }
+    };
     let mut words = Vec::with_capacity(len);
-    let mut r = Reader::new(&avail[HELLO_HEADER..total]);
+    let mut r = Reader::new(image);
     for _ in 0..len {
         words.push(r.u32()?);
     }
@@ -325,10 +327,10 @@ fn parse_frame(avail: &[u8]) -> Result<Option<(ClientMsg, usize)>, ProtoError> {
     };
     match ty {
         FRAME_TRANSFER => {
-            if avail.len() < TRANSFER_HEADER {
+            let Some(header) = avail.get(1..TRANSFER_HEADER) else {
                 return Ok(None);
-            }
-            let mut r = Reader::new(&avail[1..TRANSFER_HEADER]);
+            };
+            let mut r = Reader::new(header);
             let core = r.u8()?;
             let items = r.u32()?;
             let len = r.u32()? as usize;
@@ -340,20 +342,23 @@ fn parse_frame(avail: &[u8]) -> Result<Option<(ClientMsg, usize)>, ProtoError> {
                 });
             }
             let total = TRANSFER_HEADER + len;
-            if avail.len() < total {
+            let Some(bytes) = avail.get(TRANSFER_HEADER..total) else {
                 return Ok(None);
-            }
-            let bytes = avail[TRANSFER_HEADER..total].to_vec();
+            };
             Ok(Some((
-                ClientMsg::Transfer(Transfer { bytes, core, items }),
+                ClientMsg::Transfer(Transfer {
+                    bytes: bytes.to_vec(),
+                    core,
+                    items,
+                }),
                 total,
             )))
         }
         FRAME_END => {
-            if avail.len() < 5 {
+            let Some(body) = avail.get(1..5) else {
                 return Ok(None);
-            }
-            let mut r = Reader::new(&avail[1..5]);
+            };
+            let mut r = Reader::new(body);
             let produced = r.u32()?;
             Ok(Some((ClientMsg::End { produced }, 5)))
         }

@@ -8,8 +8,8 @@
 //! types, with constants anchored to the paper's measured DUT-only speeds.
 //!
 //! - [`Platform`]: Palladium / FPGA / Verilator capacity + link + host models,
-//! - [`LinkParams`] / [`VirtualClock`] / [`OverheadBreakdown`]: the LogGP
-//!   accounting primitives used by the co-simulation engine,
+//! - [`LinkParams`] / [`OverheadBreakdown`]: the LogGP accounting
+//!   primitives used by the co-simulation engine,
 //! - [`AreaModel`]: the gate-count model behind Figure 15.
 //!
 //! # Examples
@@ -32,5 +32,5 @@ mod loggp;
 mod platform;
 
 pub use area::{AreaBreakdown, AreaFeatures, AreaModel};
-pub use loggp::{LinkParams, OverheadBreakdown, VirtualClock};
+pub use loggp::{LinkParams, OverheadBreakdown};
 pub use platform::{HostParams, Platform, PlatformKind};

@@ -1,4 +1,4 @@
-//! LogGP-style communication cost model and virtual clocks (paper §3).
+//! LogGP-style communication cost model (paper §3).
 //!
 //! The paper models hardware/software communication overhead as
 //!
@@ -7,9 +7,10 @@
 //! ```
 //!
 //! This module implements the equation as explicit types: [`LinkParams`]
-//! charges startup and transmission time, [`VirtualClock`] accumulates
-//! simulated seconds, and [`OverheadBreakdown`] keeps the per-phase
-//! attribution that Figure 2 of the paper reports.
+//! charges startup and transmission time, and [`OverheadBreakdown`] keeps
+//! the per-phase attribution that Figure 2 of the paper reports. The
+//! engine's LogGP timing model advances its own simulated clocks with
+//! them.
 
 /// Parameters of one hardware↔software link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,44 +50,6 @@ impl LinkParams {
     }
 }
 
-/// A monotonically advancing simulated clock.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct VirtualClock {
-    now_s: f64,
-}
-
-impl VirtualClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        VirtualClock::default()
-    }
-
-    /// Current simulated time in seconds.
-    #[inline]
-    pub fn now(&self) -> f64 {
-        self.now_s
-    }
-
-    /// Advances the clock by `dt` seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds when `dt` is negative or NaN.
-    #[inline]
-    pub fn advance(&mut self, dt: f64) {
-        debug_assert!(dt >= 0.0, "negative clock advance: {dt}");
-        self.now_s += dt;
-    }
-
-    /// Moves the clock forward to `t` if `t` is later; no-op otherwise.
-    #[inline]
-    pub fn advance_to(&mut self, t: f64) {
-        if t > self.now_s {
-            self.now_s = t;
-        }
-    }
-}
-
 /// Per-phase attribution of communication overhead (Figure 2).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OverheadBreakdown {
@@ -118,13 +81,6 @@ impl OverheadBreakdown {
             ]
         }
     }
-
-    /// Accumulates another breakdown into this one.
-    pub fn accumulate(&mut self, other: &OverheadBreakdown) {
-        self.startup_s += other.startup_s;
-        self.transmission_s += other.transmission_s;
-        self.software_s += other.software_s;
-    }
 }
 
 #[cfg(test)]
@@ -140,18 +96,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_advances() {
-        let mut c = VirtualClock::new();
-        c.advance(1.5);
-        c.advance(0.5);
-        assert_eq!(c.now(), 2.0);
-        c.advance_to(1.0); // earlier: no-op
-        assert_eq!(c.now(), 2.0);
-        c.advance_to(3.0);
-        assert_eq!(c.now(), 3.0);
-    }
-
-    #[test]
     fn breakdown_fractions() {
         let b = OverheadBreakdown {
             startup_s: 2.0,
@@ -161,21 +105,5 @@ mod tests {
         assert_eq!(b.total(), 4.0);
         assert_eq!(b.fractions(), [0.5, 0.25, 0.25]);
         assert_eq!(OverheadBreakdown::default().fractions(), [0.0; 3]);
-    }
-
-    #[test]
-    fn breakdown_accumulate() {
-        let mut a = OverheadBreakdown {
-            startup_s: 1.0,
-            ..Default::default()
-        };
-        a.accumulate(&OverheadBreakdown {
-            startup_s: 1.0,
-            transmission_s: 2.0,
-            software_s: 3.0,
-        });
-        assert_eq!(a.startup_s, 2.0);
-        assert_eq!(a.transmission_s, 2.0);
-        assert_eq!(a.software_s, 3.0);
     }
 }
