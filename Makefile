@@ -73,10 +73,13 @@ ci: seam
 # in-process, and the difftest-serve crate builds on it exclusively (no
 # runner internals). There is one socket consumer loop, mux.rs's
 # serve_connection, which the one-shot runner and every daemon session
-# thread call: outside tests, no other core or serve source drives a
-# session step by step (names `MuxStep::`). A monitored event has one
-# representation on the send path, the record the DUT's monitor appends
-# to the capture arena: outside tests, the typed benchmark shims (shim.rs)
+# thread call: outside tests, no core or serve source but proto.rs (which
+# defines it) and mux.rs decodes client frames (`next_msg(`), and none
+# names the retired push-driven session (`ProtoSession`, `MuxStep`) or
+# the consumer kill knob (`SocketTuning`, `kill_consumer_after`). A
+# monitored event has one representation on the send path, the record
+# the DUT's monitor appends to the capture arena: outside tests, the
+# typed benchmark shims (shim.rs)
 # and the fixed-offset baseline packer, no send-path source names
 # `MonitoredEvent`, encodes an event or a record (`.encode_into(`, bar a
 # FusedCommit's, `encode_record(`), ticks the typed view (`tick_into(`)
@@ -152,10 +155,12 @@ seam:
 	else \
 		echo "service seam clean: difftest-serve reaches no runner internals"; \
 	fi
-	@if for f in $(filter-out crates/core/src/mux.rs,$(wildcard crates/core/src/*.rs crates/serve/src/*.rs)); do \
-		sed -e '/^#\[cfg(test)\]/,$$d' $$f | grep -nE 'MuxStep::' | sed "s|^|$$f: |"; \
+	@if for f in $(filter-out $(WIRE_SRCS),$(wildcard crates/core/src/*.rs crates/serve/src/*.rs)); do \
+		sed -e '/^#\[cfg(test)\]/,$$d' $$f \
+			| grep -nE 'next_msg\(|ProtoSession|MuxStep|SocketTuning|kill_consumer_after' \
+			| sed "s|^|$$f: |"; \
 	done | grep .; then \
-		echo "consumer-loop seam violated: only mux.rs's serve_connection steps a session"; \
+		echo "consumer-loop seam violated: only mux.rs's serve_connection turns client frames into a verdict"; \
 		exit 1; \
 	else \
 		echo "consumer-loop seam clean: one socket consumer loop, in mux.rs"; \
@@ -274,8 +279,9 @@ faults:
 	$(CARGO) test -p difftest-core --test fault_link --test fault_runners
 
 # Socket runner smoke: the one-shot end-to-end suite (engine
-# equivalence, fault grid, kill-the-consumer, merged trace, concurrent
-# runs) plus the cross-runner equivalence proptests, socket included.
+# equivalence, fault grid, a consumer dying mid-run, merged trace,
+# concurrent runs) plus the cross-runner equivalence proptests, socket
+# included.
 socket:
 	$(CARGO) test --release --test socket_runner
 	$(CARGO) test --release -p difftest-core --test runner_equivalence

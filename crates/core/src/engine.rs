@@ -29,11 +29,11 @@ use difftest_workload::Workload;
 
 use crate::checker::CheckStats;
 use crate::consume::{ChargeObserver, Consumer, Step};
-use crate::fault::{FaultPlan, LinkErrorKind};
+use crate::fault::FaultPlan;
 use crate::link::LinkSink;
 use crate::produce::Producer;
 use crate::replay::{FailureReport, ReplayBuffer};
-use crate::session::{seal_report, RunCommon, RunnerKind, Session};
+use crate::session::{link_counters, seal_report, RunCommon, RunnerKind, Session};
 use crate::squash::SquashStats;
 use crate::transport::{AccelUnit, Transfer};
 
@@ -294,26 +294,9 @@ impl RunReport {
             c.set("squash.diffed", s.diffed);
             c.set("squash.nde_breaks", s.nde_breaks);
         }
-        for kind in LinkErrorKind::ALL {
-            c.set(
-                format!("link.err.{}", kind.counter_name()),
-                self.link.count(kind),
-            );
-        }
-        c.set("link.stale_dropped", self.link.stale_dropped);
-        c.set("link.recovered", self.link.recovered);
-        c.set("link.retransmits", self.link.retransmits);
-        c.set("link.retransmit_bytes", self.link.retransmit_bytes);
+        link_counters(&self.link, self.fault, &mut c);
         c.set("replay.dropped", self.replay_dropped);
         c.set("replay.high_water", self.replay_high_water);
-        if let Some(f) = self.fault {
-            c.set("fault.delivered", f.delivered);
-            c.set("fault.dropped", f.dropped);
-            c.set("fault.duplicated", f.duplicated);
-            c.set("fault.reordered", f.reordered);
-            c.set("fault.truncated", f.truncated);
-            c.set("fault.corrupted", f.corrupted);
-        }
         c
     }
 }
@@ -499,13 +482,10 @@ impl CoSimulation {
     }
 
     /// Wires a built session onto the engine's virtual link, timed by
-    /// `platform`'s LogGP model, with Replay on where the configuration
-    /// fuses ([`builder`](Self::builder) is the validated front door).
-    pub fn from_session(session: Session, platform: Platform) -> CoSimulation {
-        CoSimulation::assemble(session, platform, true)
-    }
-
-    fn assemble(session: Session, platform: Platform, replay: bool) -> CoSimulation {
+    /// `platform`'s LogGP model, with Replay on where `replay` asks for
+    /// it and the configuration fuses ([`builder`](Self::builder) is the
+    /// validated front door).
+    pub(crate) fn assemble(session: Session, platform: Platform, replay: bool) -> CoSimulation {
         let config = session.config();
         let consumer = if replay && config.squash() {
             // A memory ceiling, not the working set: the consumer

@@ -104,10 +104,7 @@ pub use consume::{
 pub use engine::{BuildError, CoSimulation, CoSimulationBuilder, RunReport};
 pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyLink, LinkErrorKind, LinkStats};
 pub use link::{FusionWatch, LinkSink, QueueSink, SendLink};
-pub use mux::{
-    serve_connection, CloseReason, Conn, MuxStep, ProtoSession, Served, SessionRegistry,
-    SessionResult,
-};
+pub use mux::{serve_connection, CloseReason, Conn, Served, SessionRegistry};
 pub use produce::{Producer, ProducerOutput};
 pub use proto::{ClientMsg, FrameDecoder, Hello, ProtoError, ServeAddr, SERVE_ADDR_ENV};
 pub use replay::{FailureReport, ReplayBuffer, Retransmission};
@@ -115,7 +112,7 @@ pub use session::{
     run_runner, run_session, DiffConfig, RunCommon, RunOutcome, RunnerKind, RunnerReport, Session,
 };
 pub use snapshot::{snapshot_debug_run, SnapshotReport};
-pub use socket::{child_entry, run_socket_session, SocketReport, SocketTuning};
+pub use socket::{child_entry, run_socket_session, SocketReport};
 pub use squash::{FusedCommit, SquashStats, SquashUnit};
 pub use transport::{AccelUnit, SwUnit, Transfer};
 pub use wire::{WireItem, WireKind};

@@ -1,22 +1,20 @@
-//! Consumer sessions over the DTH wire protocol: one [`ProtoSession`]
-//! per client stream, drivable incrementally from partial frames; the
-//! one socket consumer loop that drives it, [`serve_connection`]; and a
-//! [`SessionRegistry`] that accounts many of them behind one service.
+//! The one socket consumer loop over the DTH wire protocol,
+//! [`serve_connection`], and a [`SessionRegistry`] that accounts many of
+//! its sessions behind one service.
 //!
-//! Bytes are *pushed* into a session as they arrive
-//! ([`ProtoSession::feed`]), the embedded [`FrameDecoder`] surfaces whole
-//! messages, and each message advances the same `Consumer` state machine
-//! every runner drives. [`serve_connection`] is the only code that reads
-//! a socket into a session: the one-shot socket runner calls it on its
-//! calling thread, and `difftest-serve` on one thread per accepted
-//! connection. Both therefore share these semantics:
+//! [`serve_connection`] reads a client stream into a [`FrameDecoder`],
+//! builds a `Consumer` when the hello decodes, and ingests each transfer
+//! frame into it: the same state machine every runner drives. It is the
+//! only code that turns a socket's frames into a verdict: the one-shot
+//! socket runner calls it on its calling thread, and `difftest-serve` on
+//! one thread per accepted connection. Both therefore share these
+//! semantics:
 //!
 //! - the hello must decode within an absolute deadline; after it, reads
 //!   block without a timeout,
-//! - the kill knob fires *before* the n-th transfer is ingested,
-//! - an early consumer stop ([`MuxStep::Decided`]) seals the result
-//!   immediately and makes the producer's writes fail fast (Unix) or
-//!   drains them (TCP),
+//! - an early consumer stop ([`CloseReason::EarlyStop`]) seals the
+//!   result immediately and makes the producer's writes fail fast (Unix)
+//!   or drains them (TCP),
 //! - a post-hello codec error is treated as end-of-stream, and the
 //!   pipeline judges what the truncation means,
 //! - EOF without an end frame finishes the stream with an unknown
@@ -37,251 +35,59 @@ use difftest_stats::span::DEFAULT_SPAN_CAPACITY;
 use difftest_stats::{wall_epoch_ns, GaugeId, Metrics, MonotonicClock, SpanSink, PID_CONSUMER};
 
 use crate::consume::{Consumer, ConsumerOutput, NoCharge, Step};
-use crate::proto::{write_result, ClientMsg, FrameDecoder, Hello, ProtoError};
+use crate::proto::{write_result, ClientMsg, FrameDecoder, Hello};
 use crate::session::Session;
 
-/// How many bytes one read of [`serve_connection`] hands to its session.
+/// How many bytes one read of [`serve_connection`] takes off the socket.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Where a session stands after a [`ProtoSession::feed`] / `eof` call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MuxStep {
-    /// Mid-stream: keep feeding bytes.
-    Running,
-    /// The consumer decided the run early (mismatch/trap/link error):
-    /// the result is sealed — stop reading, deliver the blob, close.
-    Decided,
-    /// The stream completed (end frame or orderly EOF): result sealed.
-    Finished,
-    /// The hello's kill knob fired: abandon the connection abruptly —
-    /// no result blob, no teardown (the tuning knob simulates consumer
-    /// death mid-run).
-    Killed,
-    /// The stream ended before a handshake arrived: nothing to report.
-    NoSession,
+/// Builds a session's pipeline from its decoded hello, with the shift
+/// that maps the consumer's span timestamps onto the producer's clock.
+/// The consumer only needs what the receive side uses: core count and
+/// the memory image the reference models boot from. Bugs, cycle budget
+/// and fault plans live producer-side. Tracing config comes from the
+/// handshake, never this process's environment: `with_tracer(None)`
+/// keeps a socket consumer (or daemon) from clobbering the producer's
+/// merged trace file.
+fn start(h: Hello) -> (Consumer, i64) {
+    let mut dut_cfg = DutConfig::nutshell();
+    dut_cfg.cores = h.cores;
+    let mut image = Memory::new();
+    image.load_words(Memory::RAM_BASE, &h.words);
+    let session =
+        Session::from_image(dut_cfg, h.config, image, Vec::new(), 0, 1, None).with_tracer(None);
+    let consumer = session.consumer();
+    if !h.trace {
+        return (consumer, 0);
+    }
+    // Own clock, origin now. Producer timeline = wall - producer epoch;
+    // consumer timeline = wall - consumer epoch. Shifting by (consumer -
+    // producer) maps the consumer's spans onto the producer's clock.
+    let shift = wall_epoch_ns() as i64 - h.epoch_wall_ns as i64;
+    let spans = SpanSink::on_track(
+        Arc::new(MonotonicClock::default()),
+        DEFAULT_SPAN_CAPACITY,
+        PID_CONSUMER,
+        0,
+        "consumer",
+        "consumer",
+    );
+    (consumer.with_spans(spans), shift)
 }
 
-/// A sealed session's deliverables: the serialized `DTHR` blob to send
-/// back, and the structured output for service-side accounting and
-/// per-session observability export.
-#[derive(Debug)]
-pub struct SessionResult {
-    /// The `DTHR` result blob, ready to write to the peer.
-    pub blob: Vec<u8>,
-    /// The consumer's structured output (items, verdict, metrics, …).
-    pub output: ConsumerOutput,
-}
-
-/// The running half of a session, created when the hello decodes.
-struct Running {
-    consumer: Consumer,
-    trace: bool,
-    producer_epoch: u64,
-    consumer_epoch: u64,
-    kill_after: u32,
-    delivered: u32,
-}
-
-/// One client stream's incremental state machine: decoder + consumer.
-///
-/// Feed bytes in any fragmentation; the returned [`MuxStep`] says when
-/// the session has sealed a result (fetch it with
-/// [`take_result`](Self::take_result)). After any terminal step
-/// (`Decided`/`Finished`/`Killed`/`NoSession`) or error the session is
-/// done and further feeds are inert.
-pub struct ProtoSession {
-    dec: FrameDecoder,
-    run: Option<Running>,
-    result: Option<SessionResult>,
-    done: bool,
-}
-
-impl Default for ProtoSession {
-    fn default() -> Self {
-        ProtoSession::new()
+/// Seals a session: finishes the stream (unless the consumer already
+/// stopped) and moves its spans onto the producer's clock. The produced
+/// count, when the end frame brought one, exposes tail loss the
+/// sequence window cannot see.
+fn seal(mut consumer: Consumer, span_shift: i64, produced: Option<u32>) -> ConsumerOutput {
+    if !consumer.stopped() {
+        consumer.finish_stream(produced, 0, &mut NoCharge);
     }
-}
-
-impl ProtoSession {
-    /// A session expecting the start of a client stream.
-    pub fn new() -> ProtoSession {
-        ProtoSession {
-            dec: FrameDecoder::new(),
-            run: None,
-            result: None,
-            done: false,
-        }
+    let mut out = consumer.finish();
+    for b in &mut out.obs.spans {
+        b.shift_ts(span_shift);
     }
-
-    /// Whether the handshake has been decoded.
-    pub fn hello_seen(&self) -> bool {
-        self.dec.hello_seen()
-    }
-
-    /// Whether the session has reached a terminal state.
-    pub fn done(&self) -> bool {
-        self.done
-    }
-
-    /// Pushes newly received bytes and advances the state machine.
-    ///
-    /// `Err` is only returned for a *pre-hello* protocol violation (bad
-    /// magic/version/bounds): there is no session to report, the caller
-    /// should drop the connection. Post-hello damage is folded into
-    /// end-of-stream.
-    pub fn feed(&mut self, bytes: &[u8]) -> Result<MuxStep, ProtoError> {
-        if self.done {
-            return Ok(self.terminal_step());
-        }
-        self.dec.push(bytes);
-        self.pump()
-    }
-
-    /// Signals end-of-stream (peer closed or read error): finishes the
-    /// stream with whatever arrived.
-    pub fn eof(&mut self) -> MuxStep {
-        if self.done {
-            return self.terminal_step();
-        }
-        if self.run.is_none() {
-            self.done = true;
-            return MuxStep::NoSession;
-        }
-        self.seal(None, false)
-    }
-
-    /// Takes the sealed result, once a terminal step reported one.
-    pub fn take_result(&mut self) -> Option<SessionResult> {
-        self.result.take()
-    }
-
-    /// The step to repeat once `done` (feeds after a terminal state).
-    fn terminal_step(&self) -> MuxStep {
-        if self.result.is_some() {
-            MuxStep::Finished
-        } else if self.run.is_none() && !self.dec.hello_seen() {
-            MuxStep::NoSession
-        } else {
-            MuxStep::Killed
-        }
-    }
-
-    fn pump(&mut self) -> Result<MuxStep, ProtoError> {
-        loop {
-            let msg = match self.dec.next_msg() {
-                Ok(Some(m)) => m,
-                Ok(None) => return Ok(MuxStep::Running),
-                Err(e) => {
-                    if self.run.is_none() {
-                        self.done = true;
-                        return Err(e);
-                    }
-                    // Post-hello codec damage is end-of-stream: the
-                    // pipeline judges what the truncation means.
-                    return Ok(self.seal(None, false));
-                }
-            };
-            match msg {
-                ClientMsg::Hello(h) => self.start(h),
-                ClientMsg::Transfer(t) => {
-                    let Some(r) = self.run.as_mut() else {
-                        // Unreachable: the decoder only yields frames
-                        // after the hello. Treat as stream damage.
-                        return Ok(self.seal(None, false));
-                    };
-                    r.delivered += 1;
-                    if r.kill_after != 0 && r.delivered >= r.kill_after {
-                        // The knob kills *before* the n-th transfer is
-                        // ingested.
-                        self.done = true;
-                        return Ok(MuxStep::Killed);
-                    }
-                    if r.consumer.ingest(&t, 0, &mut NoCharge) == Step::Stop {
-                        return Ok(self.seal(None, true));
-                    }
-                }
-                ClientMsg::End { produced } => {
-                    return Ok(self.seal(Some(produced), false));
-                }
-            }
-        }
-    }
-
-    /// Builds the per-session pipeline from a decoded hello. The
-    /// consumer only needs what the receive side uses: core count and
-    /// the memory image the reference models boot from. Bugs, cycle
-    /// budget and fault plans live producer-side. Tracing config comes
-    /// from the handshake, never this process's environment:
-    /// `with_tracer(None)` keeps a socket consumer (or daemon) from
-    /// clobbering the producer's merged trace file.
-    fn start(&mut self, h: Hello) {
-        let mut dut_cfg = DutConfig::nutshell();
-        dut_cfg.cores = h.cores;
-        let mut image = Memory::new();
-        image.load_words(Memory::RAM_BASE, &h.words);
-        let session =
-            Session::from_image(dut_cfg, h.config, image, Vec::new(), 0, 1, None).with_tracer(None);
-        let mut consumer = session.consumer();
-        let mut consumer_epoch = 0u64;
-        if h.trace {
-            // Own clock, origin now; the matching wall epoch lets the
-            // spans be shifted onto the producer's timeline before
-            // shipping.
-            consumer_epoch = wall_epoch_ns();
-            consumer = consumer.with_spans(SpanSink::on_track(
-                Arc::new(MonotonicClock::default()),
-                DEFAULT_SPAN_CAPACITY,
-                PID_CONSUMER,
-                0,
-                "consumer",
-                "consumer",
-            ));
-        }
-        self.run = Some(Running {
-            consumer,
-            trace: h.trace,
-            producer_epoch: h.epoch_wall_ns,
-            consumer_epoch,
-            kill_after: h.kill_after,
-            delivered: 0,
-        });
-    }
-
-    /// Seals the session: finish the stream (unless the consumer already
-    /// stopped), serialize the result blob, record the terminal step.
-    fn seal(&mut self, produced: Option<u32>, early: bool) -> MuxStep {
-        let Some(mut r) = self.run.take() else {
-            self.done = true;
-            return MuxStep::NoSession;
-        };
-        self.done = true;
-        if !r.consumer.stopped() {
-            // EOF/end frame: the produced count (when it arrived)
-            // exposes tail loss the sequence window cannot see.
-            r.consumer.finish_stream(produced, 0, &mut NoCharge);
-        }
-        let mut out = r.consumer.finish();
-        if r.trace {
-            // Producer timeline = wall - producer_epoch; consumer
-            // timeline = wall - consumer_epoch. Shifting by (consumer -
-            // producer) maps the consumer's spans onto the producer's
-            // clock.
-            for b in &mut out.obs.spans {
-                b.shift_ts(r.consumer_epoch as i64 - r.producer_epoch as i64);
-            }
-        }
-        let mut blob = Vec::new();
-        if write_result(&mut blob, &out).is_err() {
-            // Vec writes cannot fail; keep the typed path anyway.
-            blob.clear();
-        }
-        self.result = Some(SessionResult { blob, output: out });
-        if early {
-            MuxStep::Decided
-        } else {
-            MuxStep::Finished
-        }
-    }
+    out
 }
 
 /// Why a session left the registry.
@@ -291,8 +97,6 @@ pub enum CloseReason {
     Finished,
     /// Consumer decided early; result delivered, read side dropped.
     EarlyStop,
-    /// The hello's kill knob fired (diagnostic tooling).
-    Killed,
     /// Pre-hello protocol violation; connection dropped.
     Rejected,
     /// No hello within the service's deadline; connection dropped.
@@ -310,7 +114,6 @@ impl CloseReason {
         match self {
             CloseReason::Finished => "serve.sessions.finished",
             CloseReason::EarlyStop => "serve.sessions.early_stop",
-            CloseReason::Killed => "serve.sessions.killed",
             CloseReason::Rejected => "serve.sessions.rejected",
             CloseReason::HelloTimeout => "serve.sessions.hello_timeout",
             CloseReason::ProducerLost => "serve.sessions.producer_lost",
@@ -385,17 +188,18 @@ impl Write for Conn {
 pub struct Served {
     /// Why the session closed.
     pub reason: CloseReason,
-    /// The sealed result (`Finished` and `EarlyStop` only).
-    pub result: Option<SessionResult>,
+    /// The sealed consumer output (`Finished` and `EarlyStop` only),
+    /// whose `DTHR` blob was written back to the peer.
+    pub result: Option<ConsumerOutput>,
     /// Whether the result blob was written back in full.
     pub delivered: bool,
     /// Bytes read off the connection, drained ones included.
     pub bytes_read: u64,
 }
 
-/// The one socket consumer loop: drives a [`ProtoSession`] off `conn`
-/// with blocking reads until it closes, then writes the result blob
-/// back.
+/// The one socket consumer loop: reads `conn` with blocking reads,
+/// ingests each decoded transfer into the session's consumer until the
+/// stream closes, then writes the result blob back.
 ///
 /// The hello must decode within `hello_within` of the call. That is an
 /// absolute deadline, so a peer dribbling bytes cannot hold a session
@@ -405,63 +209,78 @@ pub struct Served {
 /// frame write fails with EPIPE. Over TCP, closing with unread inbound
 /// data would reset the connection and lose the blob, so the loop
 /// delivers first and then discards inbound bytes until the producer's
-/// EOF. Returning drops `conn`; for a killed or rejected session that
+/// EOF. Returning drops `conn`; for a rejected or lost session that
 /// close is all the producer sees.
 pub fn serve_connection(mut conn: Conn, hello_within: Duration) -> Served {
     let deadline = Instant::now() + hello_within;
-    let mut sess = ProtoSession::new();
+    let mut dec = FrameDecoder::new();
+    let mut session: Option<(Consumer, i64)> = None;
     let mut buf = [0u8; READ_CHUNK];
     let mut bytes_read = 0u64;
-    let mut awaiting_hello = true;
-    let reason = loop {
-        if awaiting_hello {
+    let (reason, produced) = 'serve: loop {
+        if session.is_none() {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
-                break CloseReason::HelloTimeout;
+                break (CloseReason::HelloTimeout, None);
             }
         }
-        let step = match conn.read(&mut buf) {
-            Ok(0) => sess.eof(),
+        match conn.read(&mut buf) {
+            // EOF: after the hello it ends the stream with an unknown
+            // produced count; before it there is nothing to report.
+            Ok(0) if session.is_some() => break (CloseReason::Finished, None),
+            Ok(0) => break (CloseReason::ProducerLost, None),
             Ok(n) => {
                 bytes_read += n as u64;
-                match sess.feed(buf.get(..n).unwrap_or_default()) {
-                    Ok(step) => step,
-                    Err(_) => break CloseReason::Rejected,
-                }
+                dec.push(buf.get(..n).unwrap_or_default());
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e)
-                if awaiting_hello
+                if session.is_none()
                     && matches!(
                         e.kind(),
                         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                     ) =>
             {
-                break CloseReason::HelloTimeout
+                break (CloseReason::HelloTimeout, None)
             }
-            Err(_) => break CloseReason::ProducerLost,
-        };
-        if awaiting_hello && sess.hello_seen() {
-            awaiting_hello = false;
-            let _ = conn.set_read_timeout(None);
+            Err(_) => break (CloseReason::ProducerLost, None),
         }
-        match step {
-            MuxStep::Running => {}
-            MuxStep::Finished => break CloseReason::Finished,
-            MuxStep::Decided => break CloseReason::EarlyStop,
-            MuxStep::Killed => break CloseReason::Killed,
-            // EOF before the hello: nothing to report.
-            MuxStep::NoSession => break CloseReason::ProducerLost,
+        loop {
+            match (dec.next_msg(), session.as_mut()) {
+                (Ok(None), _) => break,
+                (Ok(Some(ClientMsg::Hello(h))), _) => {
+                    session = Some(start(h));
+                    let _ = conn.set_read_timeout(None);
+                }
+                (Ok(Some(ClientMsg::Transfer(t))), Some((consumer, _))) => {
+                    if consumer.ingest(&t, 0, &mut NoCharge) == Step::Stop {
+                        break 'serve (CloseReason::EarlyStop, None);
+                    }
+                }
+                (Ok(Some(ClientMsg::End { produced })), Some(_)) => {
+                    break 'serve (CloseReason::Finished, Some(produced));
+                }
+                // Post-hello codec damage is end-of-stream: the pipeline
+                // judges what the truncation means.
+                (Err(_), Some(_)) => break 'serve (CloseReason::Finished, None),
+                // A pre-hello protocol violation (the decoder yields no
+                // frame before the hello): there is no session to report.
+                (_, None) => break 'serve (CloseReason::Rejected, None),
+            }
         }
     };
-    let result = sess.take_result();
+    let result = session
+        .filter(|_| matches!(reason, CloseReason::Finished | CloseReason::EarlyStop))
+        .map(|(consumer, span_shift)| seal(consumer, span_shift, produced));
     let early = reason == CloseReason::EarlyStop;
     let unix = matches!(conn, Conn::Unix(_));
     if early && unix {
         let _ = conn.shutdown(Shutdown::Read);
     }
-    let delivered = result.as_ref().is_some_and(|res| {
-        conn.write_all(&res.blob)
+    let delivered = result.as_ref().is_some_and(|out| {
+        let mut blob = Vec::new();
+        write_result(&mut blob, out)
+            .and_then(|()| conn.write_all(&blob))
             .and_then(|()| conn.flush())
             .is_ok()
     });
@@ -533,12 +352,12 @@ impl SessionRegistry {
     /// Closes a session: updates lifecycle counters and the active
     /// gauge, and folds the sealed result's volume (when the session
     /// produced one) into the service totals.
-    pub fn close(&mut self, reason: CloseReason, result: Option<&SessionResult>) {
+    pub fn close(&mut self, reason: CloseReason, result: Option<&ConsumerOutput>) {
         self.active = self.active.saturating_sub(1);
         self.metrics.set(self.g_active, self.active as u64);
         self.metrics.counters.add(reason.counter(), 1);
         if let Some(res) = result {
-            self.metrics.counters.add("serve.items", res.output.items);
+            self.metrics.counters.add("serve.items", res.items);
         }
     }
 
@@ -592,6 +411,26 @@ mod tests {
         (bytes, p.dut().cycles())
     }
 
+    /// Serves `bytes`, written in `chunk`-byte writes, over a socket
+    /// pair; returns what `serve_connection` reports and the bytes it
+    /// wrote back.
+    fn serve_bytes(bytes: &[u8], chunk: usize) -> (Served, Vec<u8>) {
+        let (mut ours, theirs) = UnixStream::pair().unwrap();
+        std::thread::scope(|s| {
+            let consumer =
+                s.spawn(|| serve_connection(Conn::Unix(theirs), Duration::from_secs(10)));
+            for part in bytes.chunks(chunk) {
+                if ours.write_all(part).is_err() {
+                    break;
+                }
+            }
+            let _ = ours.shutdown(Shutdown::Write);
+            let mut back = Vec::new();
+            let _ = ours.read_to_end(&mut back);
+            (consumer.join().unwrap(), back)
+        })
+    }
+
     #[test]
     fn incremental_session_matches_engine_verdict() {
         let (bytes, _) = stream_for(7);
@@ -605,19 +444,17 @@ mod tests {
             8,
             None,
         );
-        let mut sess = ProtoSession::new();
         // Ragged chunking across the whole stream.
-        let mut step = MuxStep::Running;
-        for chunk in bytes.chunks(193) {
-            step = sess.feed(chunk).unwrap();
-        }
-        assert_eq!(step, MuxStep::Finished);
-        let res = sess.take_result().unwrap();
-        assert!(res.output.mismatch.is_none());
-        assert!(res.output.link_error.is_none());
+        let (served, back) = serve_bytes(&bytes, 193);
+        assert_eq!(served.reason, CloseReason::Finished);
+        assert!(served.delivered);
+        let out = served.result.unwrap();
+        assert!(out.mismatch.is_none());
+        assert!(out.link_error.is_none());
         assert_eq!(engine.outcome, RunOutcome::GoodTrap);
-        assert_eq!(res.output.items, engine.items);
-        assert!(!res.blob.is_empty());
+        assert_eq!(out.items, engine.items);
+        let res = read_result(&mut back.as_slice()).unwrap();
+        assert_eq!(res.items, engine.items);
     }
 
     #[test]
@@ -629,12 +466,10 @@ mod tests {
         assert_eq!(reg.metrics().gauge("serve.sessions.active.max"), 2);
 
         let (bytes, _) = stream_for(3);
-        let mut sess = ProtoSession::new();
-        let step = sess.feed(&bytes).unwrap();
-        assert_eq!(step, MuxStep::Finished);
-        let res = sess.take_result();
-        assert!(res.is_some());
-        reg.close(CloseReason::Finished, res.as_ref());
+        let (served, _) = serve_bytes(&bytes, bytes.len());
+        assert_eq!(served.reason, CloseReason::Finished);
+        assert!(served.result.is_some());
+        reg.close(served.reason, served.result.as_ref());
         reg.close(CloseReason::HelloTimeout, None);
         assert_eq!(reg.active(), 0);
         let m = reg.metrics();
@@ -650,7 +485,6 @@ mod tests {
         Hello {
             config: DiffConfig::BNSD,
             cores: 1,
-            kill_after: 0,
             trace: false,
             epoch_wall_ns: 0,
             words: vec![0x13; 16],
@@ -715,41 +549,10 @@ mod tests {
     }
 
     #[test]
-    fn kill_knob_fires_before_nth_transfer() {
-        let w = Workload::microbench().seed(5).iterations(10).build();
-        let session = Session::new(
-            DutConfig::nutshell(),
-            DiffConfig::BNSD,
-            &w,
-            Vec::new(),
-            200_000,
-            8,
-            None,
-        );
-        let mut bytes = Vec::new();
-        // kill_after = 1: the knob must fire before even the first
-        // transfer is ingested (the payloads below would otherwise
-        // trip CRC admission and stop the run early).
-        write_hello(&mut bytes, &Hello::from_session(&session, 1, w.words())).unwrap();
-        for i in 0..4u8 {
-            let t = crate::transport::Transfer {
-                bytes: vec![i; 8],
-                core: 0,
-                items: 1,
-            };
-            write_transfer_frame(&mut bytes, &t).unwrap();
-        }
-        let mut sess = ProtoSession::new();
-        assert_eq!(sess.feed(&bytes).unwrap(), MuxStep::Killed);
-        assert!(sess.done());
-        assert!(sess.take_result().is_none());
-    }
-
-    #[test]
     fn eof_before_hello_is_no_session() {
-        let mut sess = ProtoSession::new();
-        assert_eq!(sess.feed(b"DT").unwrap(), MuxStep::Running);
-        assert_eq!(sess.eof(), MuxStep::NoSession);
-        assert!(sess.take_result().is_none());
+        let (served, back) = serve_bytes(b"DT", 2);
+        assert_eq!(served.reason, CloseReason::ProducerLost);
+        assert!(served.result.is_none());
+        assert!(back.is_empty());
     }
 }

@@ -14,7 +14,7 @@
 //! result blob:
 //!
 //! ```text
-//! client → server   "DTH1" ver config cores kill trace epoch len words   (hello)
+//! client → server   "DTH1" ver config cores trace epoch len words        (hello)
 //!                   [ 0x00 core items len bytes ]*                       (transfer frames)
 //!                   0x01 produced                                        (end frame)
 //! server → client   "DTHR" verdict mismatch link-error items link obs     (result blob)
@@ -60,8 +60,8 @@ pub const RESULT_MAGIC: [u8; 4] = *b"DTHR";
 /// was version 1 (the implicit, pre-extraction format) plus this very
 /// byte; version 3 ends the result blob with the consumer's whole
 /// [`Obs`] instead of hand-picked phases, gauges, counters, flight
-/// records and spans.
-pub const PROTO_VERSION: u8 = 3;
+/// records and spans; version 4 drops the hello's consumer kill knob.
+pub const PROTO_VERSION: u8 = 4;
 
 /// Frame type: a [`Transfer`] packet.
 pub const FRAME_TRANSFER: u8 = 0;
@@ -76,9 +76,9 @@ pub const MAX_HELLO_WORDS: usize = (Memory::RAM_SIZE / 4) as usize;
 /// Upper bound on the hello's advertised core count.
 pub const MAX_CORES: u32 = 1024;
 
-/// Fixed-size prefix of the hello: magic, version, config, cores,
-/// kill-after, trace flag, wall epoch, image word count.
-const HELLO_HEADER: usize = 4 + 1 + 1 + 4 + 4 + 1 + 8 + 4;
+/// Fixed-size prefix of the hello: magic, version, config, cores, trace
+/// flag, wall epoch, image word count.
+const HELLO_HEADER: usize = 4 + 1 + 1 + 4 + 1 + 8 + 4;
 /// Fixed-size prefix of a transfer frame: type, core, items, byte length.
 const TRANSFER_HEADER: usize = 1 + 1 + 4 + 4;
 
@@ -94,10 +94,6 @@ pub struct Hello {
     pub config: DiffConfig,
     /// DUT core count (= reference models on the consumer).
     pub cores: u32,
-    /// Consumer self-kill knob (0 = disabled): exit abruptly right
-    /// after delivering the n-th transfer frame, exercising the
-    /// producer's typed link-error path.
-    pub kill_after: u32,
     /// Span tracing requested: the consumer records its own tracks and
     /// ships them back in the result blob.
     pub trace: bool,
@@ -111,12 +107,13 @@ pub struct Hello {
 
 impl Hello {
     /// The hello describing `session` (configuration, tracing) with the
-    /// given workload image and kill knob.
-    pub fn from_session(session: &Session, kill_after: u32, words: &[u32]) -> Hello {
+    /// given workload image. The second argument is ignored: it set the
+    /// retired consumer kill knob, and stays only for callers that still
+    /// pass it.
+    pub fn from_session(session: &Session, _ignored: u32, words: &[u32]) -> Hello {
         Hello {
             config: session.config(),
             cores: session.dut_cfg().cores,
-            kill_after,
             trace: session.tracer().is_some(),
             epoch_wall_ns: session.tracer().map_or(0, |t| t.epoch_wall_ns()),
             words: words.to_vec(),
@@ -286,7 +283,6 @@ fn parse_hello(avail: &[u8]) -> Result<Option<(Hello, usize)>, ProtoError> {
     if cores == 0 || cores > MAX_CORES {
         return Err(ProtoError::BadValue("core count"));
     }
-    let kill_after = r.u32()?;
     let trace = r.u8()? != 0;
     let epoch_wall_ns = r.u64()?;
     let len = r.u32()? as usize;
@@ -310,7 +306,6 @@ fn parse_hello(avail: &[u8]) -> Result<Option<(Hello, usize)>, ProtoError> {
         Hello {
             config,
             cores,
-            kill_after,
             trace,
             epoch_wall_ns,
             words,
@@ -372,7 +367,6 @@ pub fn write_hello<W: Write>(w: &mut W, hello: &Hello) -> io::Result<()> {
     w_u8(w, PROTO_VERSION)?;
     w_u8(w, hello.config.to_wire())?;
     w_u32(w, hello.cores)?;
-    w_u32(w, hello.kill_after)?;
     w_u8(w, u8::from(hello.trace))?;
     w_u64(w, hello.epoch_wall_ns)?;
     w_u32(w, hello.words.len() as u32)?;
@@ -710,7 +704,7 @@ mod tests {
             8,
             None,
         );
-        let hello = Hello::from_session(&session, 5, w.words());
+        let hello = Hello::from_session(&session, 0, w.words());
         let mut blob = Vec::new();
         write_hello(&mut blob, &hello).unwrap();
         let mut dec = FrameDecoder::new();
@@ -719,7 +713,6 @@ mod tests {
             panic!("expected a decoded hello");
         };
         assert_eq!(hs, hello);
-        assert_eq!(hs.kill_after, 5);
         assert!(dec.hello_seen());
         assert_eq!(dec.buffered(), 0);
     }

@@ -278,20 +278,6 @@ impl ReplayBuffer {
         self.packet_ring.get(offset).map(Vec::as_slice)
     }
 
-    /// The sequence number after the newest retained packet — i.e. how
-    /// far the sender's packet stream has advanced. At end of stream, a
-    /// receiver expecting less than this has lost tail packets.
-    pub fn next_packet_seq(&self) -> Option<u32> {
-        if self.packet_ring.is_empty() {
-            None
-        } else {
-            Some(
-                self.packet_first_seq
-                    .wrapping_add(self.packet_ring.len() as u32),
-            )
-        }
-    }
-
     /// Packets no longer available for retransmission.
     pub fn packets_evicted(&self) -> u64 {
         self.packets_evicted
@@ -555,7 +541,6 @@ mod tests {
         // Consecutive across the wrap: no reset, two evicted by capacity.
         assert_eq!(rb.packets_retained(), 4);
         assert_eq!(rb.packets_evicted(), 2);
-        assert_eq!(rb.next_packet_seq(), Some(2));
         for (i, &seq) in seqs.iter().enumerate() {
             let bytes = [i as u8; 8];
             let want = (i >= 2).then_some(&bytes[..]);

@@ -30,7 +30,8 @@ use difftest_dut::{BugSpec, Dut, DutConfig};
 use difftest_platform::Platform;
 use difftest_ref::{Memory, RefModel};
 use difftest_stats::{
-    chrometrace, export_to_env, FlightSnapshot, Metrics, Obs, SpanSink, Tracer, PID_PRODUCER,
+    chrometrace, export_to_env, Counters, FlightSnapshot, Metrics, Obs, SpanSink, Tracer,
+    PID_PRODUCER,
 };
 use difftest_workload::Workload;
 
@@ -469,6 +470,7 @@ pub(crate) fn seal_report(
     tracer: Option<&Tracer>,
     obs: Obs,
 ) {
+    link_counters(&common.link, common.fault, &mut common.metrics.counters);
     common.metrics.merge(&obs.metrics);
     let counters = &mut common.metrics.counters;
     counters.set("hw.cycles", common.cycles);
@@ -497,6 +499,30 @@ pub(crate) fn seal_report(
     }
     if let Err(e) = export_to_env(kind.name(), &common.metrics, common.flight.as_ref()) {
         eprintln!("difftest: {} export failed: {e}", difftest_stats::OBS_ENV);
+    }
+}
+
+/// Writes the link-health rows every runner reports: one
+/// `link.err.<kind>` per [`LinkErrorKind`], the ARQ recovery counters,
+/// and, when a fault plan ran, the `fault.*` injection tallies.
+pub(crate) fn link_counters(link: &LinkStats, fault: Option<FaultStats>, c: &mut Counters) {
+    for kind in LinkErrorKind::ALL {
+        c.set(
+            format!("link.err.{}", kind.counter_name()),
+            link.count(kind),
+        );
+    }
+    c.set("link.stale_dropped", link.stale_dropped);
+    c.set("link.recovered", link.recovered);
+    c.set("link.retransmits", link.retransmits);
+    c.set("link.retransmit_bytes", link.retransmit_bytes);
+    if let Some(f) = fault {
+        c.set("fault.delivered", f.delivered);
+        c.set("fault.dropped", f.dropped);
+        c.set("fault.duplicated", f.duplicated);
+        c.set("fault.reordered", f.reordered);
+        c.set("fault.truncated", f.truncated);
+        c.set("fault.corrupted", f.corrupted);
     }
 }
 
@@ -595,13 +621,11 @@ impl RunnerReport {
 pub fn run_session(kind: RunnerKind, session: Session) -> RunnerReport {
     match kind {
         RunnerKind::Engine => RunnerReport::Engine(
-            crate::engine::CoSimulation::from_session(session, Platform::palladium()).run(),
+            crate::engine::CoSimulation::assemble(session, Platform::palladium(), true).run(),
         ),
-        RunnerKind::Socket => RunnerReport::Socket(crate::socket::run_socket_session(
-            session,
-            None,
-            crate::socket::SocketTuning::default(),
-        )),
+        RunnerKind::Socket => {
+            RunnerReport::Socket(crate::socket::run_socket_session(session, None))
+        }
     }
 }
 

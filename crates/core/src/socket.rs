@@ -26,8 +26,6 @@
 //! Failure semantics: consumer death mid-run (EPIPE on the frame stream,
 //! EOF or a short read on the result blob) surfaces as a typed
 //! [`RunOutcome::LinkError`] with [`LinkErrorKind::Gap`], never a panic.
-//! [`SocketTuning::kill_consumer_after`] exists to test exactly that
-//! path.
 //!
 //! Observability crosses the socket whole: the result blob carries the
 //! consumer's [`Obs`](difftest_stats::Obs) — metrics (histograms and
@@ -69,19 +67,6 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 /// answers in well under a second; only a hung peer trips this.
 const RESULT_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Test/diagnostic knobs for the socket runner.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SocketTuning {
-    /// When `Some(n)` with `n >= 1`, the consumer abandons the run
-    /// abruptly when its `n`-th transfer frame arrives, before ingesting
-    /// it: no result blob, its socket end simply closed — simulating
-    /// consumer death mid-run so tests can exercise the producer's typed
-    /// [`RunOutcome::LinkError`] path. The knob travels in the handshake,
-    /// so a daemon honours it too. `None` (or `Some(0)`) disables the
-    /// kill.
-    pub kill_consumer_after: Option<u32>,
-}
-
 /// Result of a socket run: the shared [`RunCommon`] core plus
 /// wall-clock throughput.
 #[derive(Debug, Clone)]
@@ -112,8 +97,7 @@ pub fn child_entry() {}
 /// producers share one `difftest-serve` fleet); the daemon
 /// `DIFFTEST_SERVE_ADDR` names (a malformed address is a setup failure,
 /// not a silent fallback); otherwise a consumer on the calling thread,
-/// joined to a scoped producer thread by `UnixStream::pair()`. `tuning`
-/// lets tests kill the consumer mid-run.
+/// joined to a scoped producer thread by `UnixStream::pair()`.
 ///
 /// # Panics
 ///
@@ -121,11 +105,7 @@ pub fn child_entry() {}
 /// serialize producer and consumer, or if the producer thread dies (a
 /// poisoned internal invariant); never on link failures — those surface
 /// as [`RunOutcome::LinkError`].
-pub fn run_socket_session(
-    session: Session,
-    addr: Option<&ServeAddr>,
-    tuning: SocketTuning,
-) -> SocketReport {
+pub fn run_socket_session(session: Session, addr: Option<&ServeAddr>) -> SocketReport {
     session.require_nonblock("socket");
     let start = Instant::now();
     let env_addr = match (addr, std::env::var(SERVE_ADDR_ENV)) {
@@ -136,24 +116,18 @@ pub fn run_socket_session(
         _ => None,
     };
     let report = match addr.or(env_addr.as_ref()) {
-        Some(addr) => {
-            connect_remote(addr).and_then(|conn| run_producer(&session, tuning, start, conn))
-        }
-        None => run_paired(&session, tuning, start),
+        Some(addr) => connect_remote(addr).and_then(|conn| run_producer(&session, start, conn)),
+        None => run_paired(&session, start),
     };
     report.unwrap_or_else(|kind| setup_failure_report(start, kind))
 }
 
 /// The one-shot topology: the producer on a scoped thread, the consumer
 /// on the calling thread, one socket pair between them.
-fn run_paired(
-    session: &Session,
-    tuning: SocketTuning,
-    start: Instant,
-) -> Result<SocketReport, LinkErrorKind> {
+fn run_paired(session: &Session, start: Instant) -> Result<SocketReport, LinkErrorKind> {
     let (ours, theirs) = UnixStream::pair().map_err(|_| LinkErrorKind::Malformed)?;
     thread::scope(|s| {
-        let producer = s.spawn(move || run_producer(session, tuning, start, Conn::Unix(ours)));
+        let producer = s.spawn(move || run_producer(session, start, Conn::Unix(ours)));
         serve_connection(Conn::Unix(theirs), HANDSHAKE_TIMEOUT);
         producer
             .join()
@@ -227,7 +201,6 @@ impl<W: Write> LinkSink for StreamSink<W> {
 
 fn run_producer(
     session: &Session,
-    tuning: SocketTuning,
     start: Instant,
     stream: Conn,
 ) -> Result<SocketReport, LinkErrorKind> {
@@ -235,11 +208,7 @@ fn run_producer(
     let mut sink = StreamSink {
         w: BufWriter::new(writer),
     };
-    let hello = Hello::from_session(
-        session,
-        tuning.kill_consumer_after.unwrap_or(0),
-        session.words(),
-    );
+    let hello = Hello::from_session(session, 0, session.words());
     if write_hello(&mut sink.w, &hello).is_err() {
         return Err(LinkErrorKind::Gap);
     }

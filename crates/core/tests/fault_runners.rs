@@ -8,8 +8,8 @@
 //! runner must surface as errors.
 
 use difftest_core::{
-    run_socket_session, CoSimulation, DiffConfig, FaultPlan, RunOutcome, RunReport, Session,
-    SocketReport, SocketTuning,
+    run_socket_session, CoSimulation, DiffConfig, FaultPlan, LinkErrorKind, RunOutcome, RunReport,
+    Session, SocketReport,
 };
 use difftest_dut::DutConfig;
 use difftest_platform::Platform;
@@ -158,7 +158,7 @@ fn socket_run(w: &Workload, plan: FaultPlan) -> SocketReport {
         8,
         Some(plan),
     );
-    run_socket_session(session, None, SocketTuning::default())
+    run_socket_session(session, None)
 }
 
 #[test]
@@ -181,6 +181,40 @@ fn socket_runner_contains_faults() {
                 assert!(r.flight.is_none(), "{ctx}: clean run carries a snapshot");
             }
         }
+    }
+}
+
+/// A socket report exports the engine's link-health rows: one
+/// `link.err.<kind>` per kind and the `fault.*` tallies, each equal to
+/// the report's own `link` and `fault` fields.
+#[test]
+fn socket_report_exports_link_and_fault_counters() {
+    let session = Session::new(
+        DutConfig::nutshell(),
+        DiffConfig::BN,
+        &workload(),
+        Vec::new(),
+        400_000,
+        8,
+        Some(FaultPlan::uniform(11, 20)),
+    );
+    let r = run_socket_session(session, None);
+    let c = &r.metrics.counters;
+    assert!(r.link.total_detected() > 0, "the plan must fault the link");
+    for kind in LinkErrorKind::ALL {
+        let name = format!("link.err.{}", kind.counter_name());
+        assert_eq!(c.get(&name), r.link.count(kind), "{name}");
+    }
+    let f = r.fault.expect("plan set");
+    for (name, v) in [
+        ("fault.delivered", f.delivered),
+        ("fault.dropped", f.dropped),
+        ("fault.duplicated", f.duplicated),
+        ("fault.reordered", f.reordered),
+        ("fault.truncated", f.truncated),
+        ("fault.corrupted", f.corrupted),
+    ] {
+        assert_eq!(c.get(name), v, "{name}");
     }
 }
 

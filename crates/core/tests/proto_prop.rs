@@ -8,7 +8,10 @@
 //! never an allocation sized by an attacker-controlled length prefix.
 
 use std::borrow::Cow;
-use std::io::ErrorKind;
+use std::io::{ErrorKind, Read, Write};
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 use difftest_core::consume::{ConsumerOutput, NoCharge, Step};
 use difftest_core::proto::{
@@ -16,8 +19,8 @@ use difftest_core::proto::{
     MAX_HELLO_WORDS,
 };
 use difftest_core::{
-    ClientMsg, DiffConfig, FrameDecoder, Hello, ProtoError, ProtoSession, QueueSink, Session,
-    Transfer,
+    serve_connection, ClientMsg, CloseReason, Conn, DiffConfig, FrameDecoder, Hello, ProtoError,
+    QueueSink, Served, Session, Transfer,
 };
 use difftest_dut::DutConfig;
 use difftest_stats::{SpanBuf, SpanEvent, SpanKind, PID_CONSUMER};
@@ -30,7 +33,6 @@ fn valid_stream(words: &[u32], payloads: &[Vec<u8>]) -> Vec<u8> {
     let hello = Hello {
         config: DiffConfig::BNSD,
         cores: 1,
-        kill_after: 0,
         trace: false,
         epoch_wall_ns: 42,
         words: words.to_vec(),
@@ -74,6 +76,24 @@ fn decode_all(bytes: &[u8], chunk: usize) -> (Vec<String>, Option<ProtoError>) {
     (seen, None)
 }
 
+/// Serves `bytes`, written in `chunk`-byte writes, through the socket
+/// consumer loop on one end of a socket pair, and reads back whatever it
+/// answers.
+fn serve_bytes(bytes: &[u8], chunk: usize) -> Served {
+    let (mut ours, theirs) = UnixStream::pair().expect("socket pair");
+    std::thread::scope(|s| {
+        let consumer = s.spawn(|| serve_connection(Conn::Unix(theirs), Duration::from_secs(10)));
+        for part in bytes.chunks(chunk.max(1)) {
+            if ours.write_all(part).is_err() {
+                break;
+            }
+        }
+        let _ = ours.shutdown(Shutdown::Write);
+        let _ = ours.read_to_end(&mut Vec::new());
+        consumer.join().expect("serve_connection panicked")
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -99,7 +119,7 @@ proptest! {
     }
 
     /// A single flipped bit anywhere in the stream must never panic the
-    /// decoder or a push-driven session: it decodes up to the damage
+    /// decoder or the socket consumer loop: it decodes up to the damage
     /// and then yields a typed error, stalls, or (post-hello, where the
     /// CRC owns integrity) decides the stream like the consumer would.
     #[test]
@@ -115,34 +135,23 @@ proptest! {
         let len = bytes.len();
         bytes[pos as usize % len] ^= 1 << bit;
         let (_, _) = decode_all(&bytes, chunk);
-        // The session layer on top must be exactly as calm about it.
-        let mut sess = ProtoSession::new();
-        for part in bytes.chunks(chunk) {
-            if sess.feed(part).is_err() || sess.done() {
-                break;
-            }
-        }
-        sess.eof();
+        // The consumer loop on top must be exactly as calm about it.
+        let served = serve_bytes(&bytes, chunk);
+        let sealed = matches!(served.reason, CloseReason::Finished | CloseReason::EarlyStop);
+        prop_assert_eq!(served.result.is_some(), sealed, "{:?}", served.reason);
     }
 
-    /// Arbitrary garbage fed to a fresh session is rejected or stalls;
-    /// it never panics and never produces a result blob.
+    /// Arbitrary garbage fed to a fresh session is rejected or stalls
+    /// until EOF; it never panics and never produces a result blob.
     #[test]
     fn garbage_never_yields_a_result(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
         chunk in 1usize..64,
     ) {
-        let mut sess = ProtoSession::new();
-        let mut rejected = false;
-        for part in bytes.chunks(chunk) {
-            if sess.feed(part).is_err() {
-                rejected = true;
-                break;
-            }
-        }
-        if !rejected && !sess.hello_seen() {
-            prop_assert_eq!(sess.eof(), difftest_core::MuxStep::NoSession);
-            prop_assert!(sess.take_result().is_none());
+        let served = serve_bytes(&bytes, chunk);
+        if served.reason != CloseReason::Rejected {
+            prop_assert_eq!(served.reason, CloseReason::ProducerLost);
+            prop_assert!(served.result.is_none());
         }
     }
 
@@ -162,7 +171,6 @@ proptest! {
         hello.push(difftest_core::proto::PROTO_VERSION);
         hello.push(3); // BNSD
         hello.extend_from_slice(&1u32.to_le_bytes()); // cores
-        hello.extend_from_slice(&0u32.to_le_bytes()); // kill_after
         hello.push(0); // trace
         hello.extend_from_slice(&42u64.to_le_bytes()); // epoch
         let bad_words = MAX_HELLO_WORDS as u32 + words_excess;

@@ -17,7 +17,6 @@ use std::sync::Arc;
 
 use difftest_core::{
     run_socket_session, CoSimulation, DiffConfig, RunOutcome, RunReport, Session, SocketReport,
-    SocketTuning,
 };
 use difftest_dut::{BugKind, BugSpec, DutConfig};
 use difftest_stats::{parse_json, validate_trace, FakeClock, Json, Tracer};
@@ -47,7 +46,7 @@ fn session(dut: DutConfig, w: &Workload, bugs: Vec<BugSpec>) -> Session {
 }
 
 fn socket(session: Session) -> SocketReport {
-    run_socket_session(session, None, SocketTuning::default())
+    run_socket_session(session, None)
 }
 
 fn engine_report(path: &Path) -> RunReport {

@@ -273,7 +273,7 @@ fn close(reg: &Mutex<SessionRegistry>, sid: u64, served: Served) {
     if !served.delivered {
         counters.add("serve.results.undelivered", 1);
     }
-    if let Err(e) = export_to_env(&format!("serve.s{sid}"), &res.output.obs.metrics, None) {
+    if let Err(e) = export_to_env(&format!("serve.s{sid}"), &res.obs.metrics, None) {
         eprintln!(
             "difftest-serve: {} export failed: {e}",
             difftest_stats::OBS_ENV
@@ -356,7 +356,7 @@ pub fn spawn(cfg: ServeConfig) -> io::Result<ServeHandle> {
 mod tests {
     use super::*;
     use difftest_core::{
-        run_session, run_socket_session, DiffConfig, RunOutcome, RunnerKind, Session, SocketTuning,
+        run_session, run_socket_session, DiffConfig, RunOutcome, RunnerKind, Session,
     };
     use difftest_dut::DutConfig;
     use difftest_workload::Workload;
@@ -397,7 +397,7 @@ mod tests {
                     serve_connection(conn, hello)
                 })
             });
-            let socket = || run_socket_session(session(), Some(&addr), SocketTuning::default());
+            let socket = || run_socket_session(session(), Some(&addr));
             let lost = socket();
             assert!(
                 matches!(lost.outcome, RunOutcome::LinkError { .. }),

@@ -23,7 +23,7 @@ use std::time::Duration;
 use difftest_core::proto::{read_result, write_end_frame, write_hello, write_transfer_frame};
 use difftest_core::{
     run_runner, run_socket_session, DiffConfig, Hello, LinkSink, RunOutcome, RunnerKind,
-    RunnerReport, ServeAddr, Session, SocketReport, SocketTuning, Transfer,
+    RunnerReport, ServeAddr, Session, SocketReport, Transfer,
 };
 use difftest_dut::{BugKind, BugSpec, DutConfig};
 use difftest_serve::{spawn, ServeConfig};
@@ -58,7 +58,7 @@ fn session(w: &Workload, bugs: Vec<BugSpec>) -> Session {
 }
 
 fn via_daemon(addr: &ServeAddr, w: &Workload, bugs: Vec<BugSpec>) -> SocketReport {
-    run_socket_session(session(w, bugs), Some(addr), SocketTuning::default())
+    run_socket_session(session(w, bugs), Some(addr))
 }
 
 /// The producer end of a hand-driven daemon connection: every transfer
@@ -310,7 +310,6 @@ fn hostile_and_lost_clients_are_contained() {
         &Hello {
             config: DiffConfig::BNSD,
             cores: 1,
-            kill_after: 0,
             trace: false,
             epoch_wall_ns: 0,
             words: vec![0x13],

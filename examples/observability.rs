@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use difftest_h::core::{
-    run_socket_session, CoSimulation, DiffConfig, FaultPlan, RunOutcome, Session, SocketTuning,
+    run_socket_session, CoSimulation, DiffConfig, FaultPlan, RunOutcome, Session,
 };
 use difftest_h::dut::DutConfig;
 use difftest_h::platform::Platform;
@@ -119,7 +119,6 @@ fn main() {
             None,
         ),
         None,
-        SocketTuning::default(),
     );
     assert_eq!(t.outcome, RunOutcome::GoodTrap);
     // No tracer injected and the env var is cleared: the socket leg
@@ -152,7 +151,6 @@ fn main() {
         )
         .with_tracer(Some(Tracer::to_path(&lossy_trace))),
         None,
-        SocketTuning::default(),
     );
     println!("socket (lossy link): {:?}", s.outcome);
     check_trace("socket", &lossy_trace, &s.metrics);

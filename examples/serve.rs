@@ -19,7 +19,6 @@ use std::sync::Arc;
 
 use difftest_h::core::{
     run_session, run_socket_session, DiffConfig, RunOutcome, RunnerKind, ServeAddr, Session,
-    SocketTuning,
 };
 use difftest_h::dut::DutConfig;
 use difftest_h::serve::{spawn, ServeConfig};
@@ -40,7 +39,7 @@ fn session(addr: &ServeAddr, seed: u64) -> (u64, RunOutcome, u64) {
         QUEUE_DEPTH,
         None,
     );
-    let rep = run_socket_session(session.clone(), Some(addr), SocketTuning::default());
+    let rep = run_socket_session(session.clone(), Some(addr));
     let engine = run_session(RunnerKind::Engine, session);
     assert_eq!(rep.outcome, engine.outcome, "seed {seed}: daemon vs engine");
     assert_eq!(rep.items, engine.items, "seed {seed}: item volume");

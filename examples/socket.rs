@@ -3,10 +3,6 @@
 //! CRC-framed, length-prefixed wire format, and the verdict comes back
 //! as a serialized result blob.
 //!
-//! A consumer that dies mid-run — simulated here with
-//! [`SocketTuning::kill_consumer_after`] — shows up at the producer as a
-//! typed [`RunOutcome::LinkError`] instead of a panic or a hang.
-//!
 //! ```text
 //! cargo run --release --example socket
 //! ```
@@ -21,7 +17,7 @@
 //! the producer's clock epoch, so the consumer's spans land on the same
 //! timeline (`make trace` gates this through `scripts/trace_check`).
 
-use difftest_h::core::{run_socket_session, DiffConfig, RunOutcome, Session, SocketTuning};
+use difftest_h::core::{run_socket_session, DiffConfig, RunOutcome, Session};
 use difftest_h::dut::DutConfig;
 use difftest_h::stats::TRACE_ENV;
 use difftest_h::workload::Workload;
@@ -42,7 +38,7 @@ fn main() {
 
     // A healthy run: verdict-identical to the engine, but every packet
     // crossed a kernel socket as framed bytes.
-    let report = run_socket_session(session(), None, SocketTuning::default());
+    let report = run_socket_session(session(), None);
     assert_eq!(report.outcome, RunOutcome::GoodTrap);
     println!("== clean run ==");
     println!(
@@ -61,40 +57,9 @@ fn main() {
     );
 
     if let Some(p) = std::env::var_os(TRACE_ENV) {
-        // The clean run above wrote one merged trace covering producer
-        // and consumer. Clear the var so the kill-run below — whose
-        // consumer dies mid-stream — doesn't truncate it with a
-        // producer-only export.
-        std::env::remove_var(TRACE_ENV);
         println!(
             "merged socket trace written to {}",
             std::path::PathBuf::from(p).display()
         );
     }
-
-    // The same run with the consumer dying when its second packet
-    // arrives.
-    let report = run_socket_session(
-        session(),
-        None,
-        SocketTuning {
-            kill_consumer_after: Some(2),
-        },
-    );
-    println!("\n== consumer killed as its 2nd packet arrives ==");
-    match report.outcome {
-        RunOutcome::LinkError { kind, seq, .. } => println!(
-            "typed outcome: {kind} at seq {seq} after {} cycles",
-            report.cycles
-        ),
-        other => panic!("consumer death must surface as a link error, got {other:?}"),
-    }
-    let snapshot = report
-        .flight
-        .as_ref()
-        .expect("failure carries flight records");
-    println!(
-        "flight recorder kept {} records for the post-mortem",
-        snapshot.records.len()
-    );
 }

@@ -9,9 +9,12 @@
 //! trace links both sides, and concurrent one-shot runs keep their own
 //! verdicts.
 
+use std::io::Read;
+use std::os::unix::net::UnixListener;
+
 use difftest_h::core::{
-    run_runner, run_socket_session, DiffConfig, LinkErrorKind, RunOutcome, RunnerKind,
-    RunnerReport, Session, SocketReport, SocketTuning,
+    run_runner, run_socket_session, DiffConfig, FrameDecoder, LinkErrorKind, RunOutcome,
+    RunnerKind, RunnerReport, ServeAddr, Session, SocketReport,
 };
 use difftest_h::dut::{BugKind, BugSpec, DutConfig};
 use difftest_h::stats::{parse_json, validate_trace, FlightKind, Json, Tracer};
@@ -143,24 +146,46 @@ fn fault_grid_matches_engine() {
     }
 }
 
+/// A consumer that dies mid-run: a Unix listener that reads the hello
+/// and `frames` transfer frames, then drops the connection without a
+/// result blob.
+fn dying_consumer(frames: usize) -> (ServeAddr, std::thread::JoinHandle<()>) {
+    let path = std::env::temp_dir().join(format!(
+        "difftest-dying-consumer-{}.sock",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let listener = UnixListener::bind(&path).expect("bind");
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().expect("accept");
+        let mut dec = FrameDecoder::new();
+        let mut buf = [0u8; 4096];
+        let mut msgs = 0;
+        while msgs < 1 + frames {
+            let n = conn.read(&mut buf).expect("read");
+            assert!(n > 0, "producer closed early");
+            dec.push(&buf[..n]);
+            while msgs < 1 + frames && dec.next_msg().expect("decode").is_some() {
+                msgs += 1;
+            }
+        }
+    });
+    (ServeAddr::Unix(path), peer)
+}
+
 /// Consumer death mid-run is a typed outcome, not a panic: the producer
 /// sees EPIPE on the frame stream (or a short result blob), stops, and
 /// reports [`LinkErrorKind::Gap`] attributed to the produced count.
 #[test]
 fn killed_consumer_is_a_typed_link_error() {
     let w = Workload::linux_boot().seed(7).iterations(300).build();
-    let clean = run_socket_session(
-        session(DiffConfig::BNSD, &w, Vec::new()),
-        None,
-        SocketTuning::default(),
-    );
-    let r = run_socket_session(
-        session(DiffConfig::BNSD, &w, Vec::new()),
-        None,
-        SocketTuning {
-            kill_consumer_after: Some(2),
-        },
-    );
+    let clean = run_socket_session(session(DiffConfig::BNSD, &w, Vec::new()), None);
+    let (addr, peer) = dying_consumer(2);
+    let r = run_socket_session(session(DiffConfig::BNSD, &w, Vec::new()), Some(&addr));
+    peer.join().expect("dying consumer");
+    if let ServeAddr::Unix(path) = &addr {
+        let _ = std::fs::remove_file(path);
+    }
     match r.outcome {
         RunOutcome::LinkError { kind, .. } => {
             assert_eq!(kind, LinkErrorKind::Gap, "death mid-run is a gap")
@@ -200,7 +225,6 @@ fn trace_env_merges_both_processes() {
     let r = run_socket_session(
         session(DiffConfig::BNSD, &w, Vec::new()).with_tracer(Some(Tracer::to_path(&path))),
         None,
-        SocketTuning::default(),
     );
     assert_eq!(r.outcome, RunOutcome::GoodTrap);
     assert!(
@@ -330,11 +354,7 @@ fn concurrent_one_shot_runs_keep_their_own_verdicts() {
                 let gate = &gate;
                 s.spawn(move || {
                     gate.wait();
-                    run_socket_session(
-                        session(DiffConfig::BNSD, w, bugs.clone()),
-                        None,
-                        SocketTuning::default(),
-                    )
+                    run_socket_session(session(DiffConfig::BNSD, w, bugs.clone()), None)
                 })
             })
             .collect();
