@@ -5,7 +5,7 @@
 CARGO ?= cargo
 
 .PHONY: all build test bench examples table5 table7 figures ablations doc clean ci faults obs \
-	socket seam trace alloc serve loc
+	socket seam trace alloc loc
 
 all: build
 
@@ -40,7 +40,7 @@ bench:
 # What .github/workflows/ci.yml runs, in its order: formatting, lints,
 # the seam check, tier-1 build+test, the event crate's tests in the
 # optimized build, the lossy-link fault suite, the allocation gate, the
-# socket, daemon and span-tracing smokes, the bench harnesses' build, the
+# socket and span-tracing smokes, the bench harnesses' build, the
 # gated benchmark's self-test (benchmark/README.md: the perf harness
 # still compiles against the public surface and reproduces its exact
 # counts), the observability smoke and the warnings-as-errors rustdoc
@@ -53,7 +53,7 @@ ci: seam
 	$(CARGO) test -q
 	$(CARGO) test --release -p difftest-event
 	$(CARGO) test -p difftest-core --test fault_link --test fault_runners
-	$(MAKE) alloc socket serve trace
+	$(MAKE) alloc socket trace
 	$(CARGO) build -p difftest-bench --benches
 	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check
 	$(CARGO) run --release --example observability
@@ -69,14 +69,18 @@ ci: seam
 # §12.1). The public `run_*` surface is pinned to one
 # entry point per runner plus the dispatcher (and its by-parts form).
 # The wire layer (proto/mux) has its own rules: it sits below every
-# runner (imports none of them), only the socket runner speaks it
-# in-process, and the difftest-serve crate builds on it exclusively (no
-# runner internals). There is one socket consumer loop, mux.rs's
-# serve_connection, which the one-shot runner and every daemon session
-# thread call: outside tests, no core or serve source but proto.rs (which
-# defines it) and mux.rs decodes client frames (`next_msg(`), and none
-# names the retired push-driven session (`ProtoSession`, `MuxStep`) or
-# the consumer kill knob (`SocketTuning`, `kill_consumer_after`). A
+# runner (imports none of them) and only the socket runner speaks it.
+# There is one socket consumer loop, mux.rs's serve_connection, which
+# the socket runner calls: outside tests, no core source but proto.rs
+# (which defines it) and mux.rs decodes client frames (`next_msg(`), and
+# none names the retired push-driven session (`ProtoSession`, `MuxStep`)
+# or the consumer kill knob (`SocketTuning`, `kill_consumer_after`). One
+# process, one direction: the verification daemon (crates/serve) stays
+# gone, and no library source dials or names a remote peer (`TcpStream`,
+# `ServeAddr`, `SERVE_ADDR_ENV`, `SessionRegistry`) or writes or reads a
+# result blob back across the socket (`RESULT_MAGIC`, `write_result`,
+# `read_result`, and the histogram codec `write_sparse`/`read_sparse`):
+# the runner takes the consumer's output from serve_connection itself. A
 # monitored event has one representation on the send path, the record
 # the DUT's monitor appends to the capture arena: outside tests, the
 # typed benchmark shims (shim.rs)
@@ -92,7 +96,7 @@ ci: seam
 # its Diff event or Fused record. Every runner has one lane and one full-width consumer: the
 # retired sharded runner's per-core routing stays gone. No library code
 # spawns, re-executes or exits a process: the one-shot socket consumer
-# is a thread, and only the difftest-serve binary is a process of its own.
+# is a thread.
 # Two runners remain, the engine and the socket runner: the retired
 # threaded runner, its channel adapters and the crossbeam dependency stay
 # gone (DESIGN.md §8). Transfer buffers have one owner at a time: each
@@ -149,13 +153,7 @@ seam:
 	else \
 		echo "wire seam clean: in-process runners stay off the wire layer"; \
 	fi
-	@if grep -rnE 'difftest_core::(engine|socket)(::|;| )' crates/serve/src; then \
-		echo "service seam violated: difftest-serve builds on proto/mux only"; \
-		exit 1; \
-	else \
-		echo "service seam clean: difftest-serve reaches no runner internals"; \
-	fi
-	@if for f in $(filter-out $(WIRE_SRCS),$(wildcard crates/core/src/*.rs crates/serve/src/*.rs)); do \
+	@if for f in $(filter-out $(WIRE_SRCS),$(wildcard crates/core/src/*.rs)); do \
 		sed -e '/^#\[cfg(test)\]/,$$d' $$f \
 			| grep -nE 'next_msg\(|ProtoSession|MuxStep|SocketTuning|kill_consumer_after' \
 			| sed "s|^|$$f: |"; \
@@ -164,6 +162,19 @@ seam:
 		exit 1; \
 	else \
 		echo "consumer-loop seam clean: one socket consumer loop, in mux.rs"; \
+	fi
+	@if [ -e crates/serve ]; then \
+		echo "one-process seam violated: the verification daemon crates/serve is back"; \
+		exit 1; \
+	elif for f in $$(find crates/*/src -name '*.rs'); do \
+		sed -e '/^#\[cfg(test)\]/,$$d' $$f \
+			| grep -nE 'TcpStream|ServeAddr|SERVE_ADDR_ENV|SessionRegistry|RESULT_MAGIC|write_result|read_result|write_sparse|read_sparse' \
+			| sed "s|^|$$f: |"; \
+	done | grep .; then \
+		echo "one-process seam violated: the socket carries client-to-server bytes only, and the runner takes the verdict from serve_connection"; \
+		exit 1; \
+	else \
+		echo "one-process seam clean: no daemon, no remote peer, no result blob"; \
 	fi
 	@if for f in $(SEND_SRCS); do \
 		sed -e '/^#\[cfg(test)\]/,$$d' -e '/^pub struct FixedOffsetPacker/,/^}/d' \
@@ -211,7 +222,7 @@ seam:
 		echo "lane seam clean: one lane, one full-width consumer per runner"; \
 	fi
 	@if grep -rnE 'Command::new|current_exe|process::exit|DIFFTEST_SOCKET_' \
-		crates/core/src crates/serve/src/lib.rs; then \
+		crates/core/src; then \
 		echo "process seam violated: library code spawns or exits a process"; \
 		exit 1; \
 	else \
@@ -279,22 +290,13 @@ faults:
 	$(CARGO) test -p difftest-core --test fault_link --test fault_runners
 
 # Socket runner smoke: the one-shot end-to-end suite (engine
-# equivalence, fault grid, a consumer dying mid-run, merged trace,
-# concurrent runs) plus the cross-runner equivalence proptests, socket
-# included.
+# equivalence, fault grid, merged trace, concurrent runs), the
+# cross-runner equivalence proptests, socket included, and the
+# hostile-bytes protocol fuzz, all in the optimized build.
 socket:
 	$(CARGO) test --release --test socket_runner
 	$(CARGO) test --release -p difftest-core --test runner_equivalence
-
-# Persistent verification daemon: concurrent-session acceptance over
-# Unix and TCP (per-session verdicts vs the engine, mismatch and fault
-# containment, flag- and SIGTERM-driven drain of the real binary), the
-# hostile-bytes protocol fuzz, and the in-process example with its
-# per-session observability assertions.
-serve:
-	$(CARGO) test --release -p difftest-serve
 	$(CARGO) test --release -p difftest-core --test proto_prop
-	$(CARGO) run --release --example serve
 
 # Observability smoke: short workloads through every runner with
 # DIFFTEST_OBS set; asserts the JSONL parses, carries all seven phases,

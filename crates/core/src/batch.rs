@@ -20,6 +20,10 @@
 //! ([`FixedOffsetPacker`]): every provisioned slot occupies packet space
 //! whether valid or not, producing the >60% bubbles of paper §4.2.1.
 
+// Fault-damaged packet bytes reach the unpacker: every read of them is
+// checked.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use difftest_dut::SlotTable;
 use difftest_event::record::RecordRef;
 use difftest_event::wire::{
@@ -403,7 +407,8 @@ pub struct Unpacker {
     /// Scratch every Fused record is refilled into and viewed from.
     fused: FusedCommit,
     expected_seq: u32,
-    /// Early arrivals waiting for the sequence gap to fill.
+    /// Early arrivals' item bodies (sequence stripped), waiting for the
+    /// sequence gap to fill.
     reorder: std::collections::BTreeMap<u32, Vec<u8>>,
 }
 
@@ -476,8 +481,13 @@ impl Unpacker {
     /// Returns [`CodecError`] on corrupt, malformed, or stale packets.
     pub fn admit<'a>(&mut self, bytes: &'a [u8]) -> Result<Option<&'a [u8]>, CodecError> {
         let body = verify_crc_frame(bytes)?;
-        let mut r = Reader::new(body);
-        let seq = r.u32()?;
+        let Some((seq, items)) = body.split_first_chunk::<4>() else {
+            return Err(CodecError::UnexpectedEnd {
+                needed: 4,
+                available: body.len(),
+            });
+        };
+        let seq = u32::from_le_bytes(*seq);
         if seq.wrapping_sub(self.expected_seq) > u32::MAX / 2 {
             // Sequence numerically behind the expectation: a duplicate or
             // a replayed packet.
@@ -486,7 +496,7 @@ impl Unpacker {
                 got: seq,
             });
         }
-        Self::validate_body(&body[4..], self.cores)?;
+        Self::validate_body(items, self.cores)?;
         if seq != self.expected_seq {
             // Bound the reassembly window: a gap that outlives this many
             // packets means the link lost one, which must surface rather
@@ -497,10 +507,10 @@ impl Unpacker {
                     missing: self.expected_seq,
                 });
             }
-            self.reorder.insert(seq, body.to_vec());
+            self.reorder.insert(seq, items.to_vec());
             return Ok(None);
         }
-        Ok(Some(&body[4..]))
+        Ok(Some(items))
     }
 
     /// Streams the items of an admitted in-order body — plus any buffered
@@ -526,7 +536,7 @@ impl Unpacker {
             let Some(next) = self.reorder.remove(&self.expected_seq) else {
                 break;
             };
-            stopped = self.visit_body(&next[4..], visit, &mut n)?;
+            stopped = self.visit_body(&next, visit, &mut n)?;
             self.expected_seq = self.expected_seq.wrapping_add(1);
         }
         Ok(n)

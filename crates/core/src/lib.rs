@@ -36,17 +36,15 @@
 //! - [`consume`]: the receive-side state machine ([`Consumer`]: CRC
 //!   verify → unpack → check → bounded ARQ recovery) every runner
 //!   drives,
-//! - [`proto`]: the DTH wire protocol itself — typed handshake/frame/
-//!   result codecs with incremental, bounded-allocation decoding,
-//! - [`mux`]: push-driven consumer sessions over that protocol, the one
-//!   socket consumer loop ([`serve_connection`]) and the
-//!   [`SessionRegistry`] a multi-session service accounts them in,
+//! - [`proto`]: the DTH wire protocol itself — typed handshake and
+//!   frame codecs with incremental, bounded-allocation decoding,
+//! - [`mux`]: the one socket consumer loop over that protocol
+//!   ([`serve_connection`]), which hands its verdict to its caller,
 //! - [`socket`]: the wall-clock runner — a producer thread and a
 //!   consumer on the calling thread speaking [`proto`] over a
-//!   Unix-domain socket pair (or a producer dialing a persistent
-//!   `difftest-serve` daemon process, Unix or TCP): the paper's
-//!   hardware/software parallelism behind a bounded sending queue
-//!   (§4.5), with real bytes through the kernel.
+//!   Unix-domain socket pair: the paper's hardware/software parallelism
+//!   behind a bounded sending queue (§4.5), with real bytes through the
+//!   kernel.
 //!
 //! # Quick start
 //!
@@ -104,9 +102,9 @@ pub use consume::{
 pub use engine::{BuildError, CoSimulation, CoSimulationBuilder, RunReport};
 pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyLink, LinkErrorKind, LinkStats};
 pub use link::{FusionWatch, LinkSink, QueueSink, SendLink};
-pub use mux::{serve_connection, CloseReason, Conn, Served, SessionRegistry};
+pub use mux::{serve_connection, CloseReason, Served};
 pub use produce::{Producer, ProducerOutput};
-pub use proto::{ClientMsg, FrameDecoder, Hello, ProtoError, ServeAddr, SERVE_ADDR_ENV};
+pub use proto::{ClientMsg, FrameDecoder, Hello, ProtoError};
 pub use replay::{FailureReport, ReplayBuffer, Retransmission};
 pub use session::{
     run_runner, run_session, DiffConfig, RunCommon, RunOutcome, RunnerKind, RunnerReport, Session,

@@ -12,7 +12,7 @@
 //! | runner | sink | receive side | buffer back to the packer |
 //! |---|---|---|---|
 //! | engine | `Inline` (virtual link) | [`deliver`](LinkSink::deliver), each cycle | after ingest |
-//! | socket | `StreamSink` (socket frames) | the peer's [`serve_connection`](crate::mux::serve_connection) | after the write |
+//! | socket | `StreamSink` (socket frames) | [`serve_connection`](crate::mux::serve_connection), on the calling thread | after the write |
 //! | tests, layer pass | [`QueueSink`] (collects) | driven by hand | by the caller |
 
 use difftest_stats::{FlightKind, FlightRecord, FlightRecorder, SpanBuf, SpanSink};

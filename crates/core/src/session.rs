@@ -532,8 +532,7 @@ pub enum RunnerKind {
     /// Virtual-time LogGP engine (one timeline, simulated speed).
     Engine,
     /// Producer and consumer threads joined by a Unix-domain socket
-    /// pair (wall-clock, real framed bytes through the kernel), or a
-    /// producer dialing a `difftest-serve` daemon process.
+    /// pair (wall-clock, real framed bytes through the kernel).
     Socket,
 }
 
@@ -610,8 +609,8 @@ impl RunnerReport {
 /// substrate-independent; only the throughput story differs. The engine
 /// runs on the Palladium platform model with Replay on (use
 /// [`CoSimulation::builder`](crate::engine::CoSimulation::builder) for
-/// anything else); the socket runner dials `DIFFTEST_SERVE_ADDR` when
-/// set and runs its consumer on a socket pair otherwise.
+/// anything else); the socket runner runs its consumer on the calling
+/// thread, joined to the producer by a socket pair.
 ///
 /// # Panics
 ///
@@ -623,9 +622,7 @@ pub fn run_session(kind: RunnerKind, session: Session) -> RunnerReport {
         RunnerKind::Engine => RunnerReport::Engine(
             crate::engine::CoSimulation::assemble(session, Platform::palladium(), true).run(),
         ),
-        RunnerKind::Socket => {
-            RunnerReport::Socket(crate::socket::run_socket_session(session, None))
-        }
+        RunnerKind::Socket => RunnerReport::Socket(crate::socket::run_socket_session(session)),
     }
 }
 

@@ -158,7 +158,7 @@ fn socket_run(w: &Workload, plan: FaultPlan) -> SocketReport {
         8,
         Some(plan),
     );
-    run_socket_session(session, None)
+    run_socket_session(session)
 }
 
 #[test]
@@ -198,7 +198,7 @@ fn socket_report_exports_link_and_fault_counters() {
         8,
         Some(FaultPlan::uniform(11, 20)),
     );
-    let r = run_socket_session(session, None);
+    let r = run_socket_session(session);
     let c = &r.metrics.counters;
     assert!(r.link.total_detected() > 0, "the plan must fault the link");
     for kind in LinkErrorKind::ALL {

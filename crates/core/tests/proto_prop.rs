@@ -1,30 +1,23 @@
 //! Hostile-bytes property tests for the DTH wire codec.
 //!
-//! The protocol layer fronts a daemon that accepts connections from
-//! anything able to dial a socket, so the decoder is held to a
-//! stricter bar than "round-trips what our writers produce": truncated,
-//! bit-flipped and length-inflated streams must all yield typed
-//! [`ProtoError`]s or a need-more-bytes stall — never a panic, and
-//! never an allocation sized by an attacker-controlled length prefix.
+//! The protocol layer decodes whatever arrives on its socket, so the
+//! decoder is held to a stricter bar than "round-trips what our writers
+//! produce": truncated, bit-flipped and length-inflated streams must all
+//! yield typed [`ProtoError`]s or a need-more-bytes stall — never a
+//! panic, and never an allocation sized by an attacker-controlled length
+//! prefix.
 
-use std::borrow::Cow;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
-use std::time::Duration;
 
-use difftest_core::consume::{ConsumerOutput, NoCharge, Step};
 use difftest_core::proto::{
-    read_result, write_end_frame, write_hello, write_result, write_transfer_frame, MAX_FRAME_BYTES,
-    MAX_HELLO_WORDS,
+    write_end_frame, write_hello, write_transfer_frame, MAX_FRAME_BYTES, MAX_HELLO_WORDS,
 };
 use difftest_core::{
-    serve_connection, ClientMsg, CloseReason, Conn, DiffConfig, FrameDecoder, Hello, ProtoError,
-    QueueSink, Served, Session, Transfer,
+    serve_connection, ClientMsg, CloseReason, DiffConfig, FrameDecoder, Hello, ProtoError, Served,
+    Transfer,
 };
-use difftest_dut::DutConfig;
-use difftest_stats::{SpanBuf, SpanEvent, SpanKind, PID_CONSUMER};
-use difftest_workload::Workload;
 use proptest::prelude::*;
 
 /// A syntactically valid wire stream: hello, `transfers` frames, end.
@@ -77,12 +70,11 @@ fn decode_all(bytes: &[u8], chunk: usize) -> (Vec<String>, Option<ProtoError>) {
 }
 
 /// Serves `bytes`, written in `chunk`-byte writes, through the socket
-/// consumer loop on one end of a socket pair, and reads back whatever it
-/// answers.
+/// consumer loop on one end of a socket pair, and waits for it to close.
 fn serve_bytes(bytes: &[u8], chunk: usize) -> Served {
     let (mut ours, theirs) = UnixStream::pair().expect("socket pair");
     std::thread::scope(|s| {
-        let consumer = s.spawn(|| serve_connection(Conn::Unix(theirs), Duration::from_secs(10)));
+        let consumer = s.spawn(|| serve_connection(theirs));
         for part in bytes.chunks(chunk.max(1)) {
             if ours.write_all(part).is_err() {
                 break;
@@ -142,7 +134,7 @@ proptest! {
     }
 
     /// Arbitrary garbage fed to a fresh session is rejected or stalls
-    /// until EOF; it never panics and never produces a result blob.
+    /// until EOF; it never panics and never produces a result.
     #[test]
     fn garbage_never_yields_a_result(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
@@ -212,95 +204,5 @@ proptest! {
         let oneshot = decode_all(&full, full.len());
         let chunked = decode_all(&full, chunk);
         prop_assert_eq!(oneshot, chunked);
-    }
-}
-
-/// A consumer's output over a short real stream — histograms, gauges,
-/// `obs.*` and `decode.*` counters, a flight ring of several records —
-/// plus one span track, with no span section when `traced` is off.
-fn full_output(traced: bool) -> ConsumerOutput {
-    let w = Workload::microbench().seed(3).iterations(3).build();
-    let session = Session::new(
-        DutConfig::nutshell(),
-        DiffConfig::BN,
-        &w,
-        Vec::new(),
-        100_000,
-        8,
-        None,
-    )
-    .with_packet_bytes(1024);
-    let mut p = session.producer(QueueSink::default());
-    p.run();
-    let mut c = session.consumer();
-    for t in &p.link_mut().sink_mut().queue {
-        if c.ingest(t, 0, &mut NoCharge) == Step::Stop {
-            break;
-        }
-    }
-    let mut out = c.finish();
-    if traced {
-        out.obs.spans.push(SpanBuf {
-            pid: PID_CONSUMER,
-            tid: 0,
-            process: "consumer".into(),
-            track: "consumer".into(),
-            events: vec![SpanEvent {
-                kind: SpanKind::Span,
-                name: Cow::Borrowed("check"),
-                ts_ns: 5,
-                dur_ns: 7,
-                id: 1,
-            }],
-            recorded: 1,
-            dropped: 0,
-        });
-    }
-    out
-}
-
-fn result_blob(out: &ConsumerOutput) -> Vec<u8> {
-    let mut blob = Vec::new();
-    write_result(&mut blob, out).expect("vec write");
-    blob
-}
-
-/// A flight count past what one consumer's ring holds is rejected from
-/// the count alone, before any record is read or allocated for.
-#[test]
-fn oversize_flight_count_is_invalid_before_any_record() {
-    let mut out = full_output(false);
-    out.obs.flight.records.clear();
-    let mut blob = result_blob(&out);
-    // The blob ends: flight count, evicted count, span track count.
-    let at = blob.len() - 4 - 8 - 4;
-    blob[at..at + 4].copy_from_slice(&(1u32 << 24).to_le_bytes());
-    let err = read_result(&mut blob.as_slice()).unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
-}
-
-/// Every truncation of a full result blob — histograms, flight records
-/// and a span track included — is a typed error, never a panic.
-#[test]
-fn truncated_result_blob_is_a_typed_error_at_every_offset() {
-    let out = full_output(true);
-    let blob = result_blob(&out);
-    let back = read_result(&mut blob.as_slice()).expect("full blob reads");
-    assert_eq!(back.obs, out.obs);
-    assert!(back
-        .obs
-        .metrics
-        .histogram("packet.bytes")
-        .is_some_and(|h| h.count() > 0));
-    assert!(back.obs.flight.records.len() > 2);
-    for cut in 0..blob.len() {
-        let err = read_result(&mut &blob[..cut]).unwrap_err();
-        assert!(
-            matches!(
-                err.kind(),
-                ErrorKind::UnexpectedEof | ErrorKind::InvalidData
-            ),
-            "cut at {cut}: {err}"
-        );
     }
 }

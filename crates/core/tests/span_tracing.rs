@@ -46,7 +46,7 @@ fn session(dut: DutConfig, w: &Workload, bugs: Vec<BugSpec>) -> Session {
 }
 
 fn socket(session: Session) -> SocketReport {
-    run_socket_session(session, None)
+    run_socket_session(session)
 }
 
 fn engine_report(path: &Path) -> RunReport {

@@ -12,10 +12,6 @@
 //! quantization error of any reported percentile to ≤ 1/16 (6.25%).
 //! Values below 16 are exact.
 
-use std::io::{self, Read, Write};
-
-use crate::obs::{bad, r_array, r_len, r_u64, w_len, w_u64};
-
 /// Linear sub-buckets per power-of-two range (as a bit count).
 const SUB_BITS: u32 = 4;
 /// Sub-buckets per range.
@@ -163,42 +159,6 @@ impl Histogram {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
-    }
-
-    /// Writes the sparse wire form: count, sum, min, max, then the
-    /// non-zero buckets as `(index, samples)` pairs.
-    pub(crate) fn write_sparse<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        for v in [self.count, self.sum, self.min, self.max] {
-            w_u64(w, v)?;
-        }
-        let nonzero = || self.buckets.iter().enumerate().filter(|(_, &n)| n > 0);
-        w_len(w, nonzero().count())?;
-        for (idx, &n) in nonzero() {
-            w.write_all(&(idx as u32).to_le_bytes())?;
-            w_u64(w, n)?;
-        }
-        Ok(())
-    }
-
-    /// Reads [`write_sparse`](Self::write_sparse)'s form back, rejecting
-    /// a bucket index past the array or bucket samples that do not sum
-    /// to the count.
-    pub(crate) fn read_sparse<R: Read>(r: &mut R) -> io::Result<Histogram> {
-        let mut h = Histogram::new();
-        [h.count, h.sum, h.min, h.max] = [r_u64(r)?, r_u64(r)?, r_u64(r)?, r_u64(r)?];
-        let mut total = 0u64;
-        for _ in 0..r_len(r, N_BUCKETS, "bucket count")? {
-            let idx = u32::from_le_bytes(r_array(r)?) as usize;
-            let slot = h.buckets.get_mut(idx).ok_or_else(|| bad("bucket index"))?;
-            *slot = r_u64(r)?;
-            total = total
-                .checked_add(*slot)
-                .ok_or_else(|| bad("bucket samples"))?;
-        }
-        if total != h.count {
-            return Err(bad("bucket samples"));
-        }
-        Ok(h)
     }
 }
 

@@ -13,7 +13,7 @@
 //!   debugging without re-running the DUT,
 //! - [`Obs`]: what one side of a run observed (metrics, flight
 //!   snapshot, span tracks), joined across sides with one
-//!   [`Obs::absorb`] and carried whole by its wire codec,
+//!   [`Obs::absorb`],
 //! - [`Table`] and the `fmt_*` helpers: the plain-text renderer every
 //!   benchmark harness uses to print paper-shaped tables,
 //! - [`trace`]: DUT-trace dump/reload for DUT-decoupled iterative

@@ -299,13 +299,6 @@ impl Metrics {
             .zip(self.hists.iter())
     }
 
-    /// Installs `h` as histogram `name`, replacing one of that name
-    /// (the wire codec's read path).
-    pub(crate) fn insert_histogram(&mut self, name: String, h: Histogram) {
-        let id = self.register_histogram(name);
-        self.hists[id.0] = h;
-    }
-
     /// Registers (or finds) the gauge `name`, returning its handle.
     /// A fresh gauge starts at zero.
     pub fn register_gauge(&mut self, name: impl Into<Cow<'static, str>>) -> GaugeId {

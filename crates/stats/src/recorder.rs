@@ -36,18 +36,6 @@ pub enum FlightKind {
 }
 
 impl FlightKind {
-    /// Every kind, in declaration order: a kind's wire byte is its
-    /// index here.
-    pub const ALL: [FlightKind; 7] = [
-        FlightKind::PacketSent,
-        FlightKind::PacketReceived,
-        FlightKind::Fusion,
-        FlightKind::Retransmit,
-        FlightKind::LinkError,
-        FlightKind::Mismatch,
-        FlightKind::Verdict,
-    ];
-
     /// Stable export name.
     pub fn name(self) -> &'static str {
         match self {

@@ -51,17 +51,6 @@ pub enum SpanKind {
     Counter,
 }
 
-impl SpanKind {
-    /// Every kind, in declaration order: a kind's wire byte is its
-    /// index here.
-    pub const ALL: [SpanKind; 4] = [
-        SpanKind::Span,
-        SpanKind::FlowOut,
-        SpanKind::FlowIn,
-        SpanKind::Counter,
-    ];
-}
-
 /// One recorded event on a track.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanEvent {

@@ -108,18 +108,15 @@ fn main() {
     assert_eq!(engine_summary.tracks, 2, "engine: producer + consumer");
 
     // 2. Socket runner: clean run, wall-clock phase attribution.
-    let t = run_socket_session(
-        Session::new(
-            DutConfig::nutshell(),
-            DiffConfig::BNSD,
-            &w,
-            Vec::new(),
-            400_000,
-            8,
-            None,
-        ),
+    let t = run_socket_session(Session::new(
+        DutConfig::nutshell(),
+        DiffConfig::BNSD,
+        &w,
+        Vec::new(),
+        400_000,
+        8,
         None,
-    );
+    ));
     assert_eq!(t.outcome, RunOutcome::GoodTrap);
     // No tracer injected and the env var is cleared: the socket leg
     // demonstrates the dormant path — zero spans accounted.
@@ -150,7 +147,6 @@ fn main() {
             Some(FaultPlan::uniform(4242, 40)),
         )
         .with_tracer(Some(Tracer::to_path(&lossy_trace))),
-        None,
     );
     println!("socket (lossy link): {:?}", s.outcome);
     check_trace("socket", &lossy_trace, &s.metrics);

@@ -1,16 +1,12 @@
 //! Co-simulation over the wire: the DUT producer and the checking
 //! consumer are joined by a Unix-domain socket pair carrying the
-//! CRC-framed, length-prefixed wire format, and the verdict comes back
-//! as a serialized result blob.
+//! CRC-framed, length-prefixed wire format. Both ends run in this
+//! process; the socket carries producer-to-consumer bytes only, and the
+//! runner takes the verdict straight from the consumer loop.
 //!
 //! ```text
 //! cargo run --release --example socket
 //! ```
-//!
-//! Both ends run in this process. For a consumer in a process of its
-//! own, start the `difftest-serve` daemon and point the runner at it
-//! with `DIFFTEST_SERVE_ADDR=unix:<path>` (or `tcp:<host:port>`); the
-//! same calls below then check every session in the daemon.
 //!
 //! With `DIFFTEST_TRACE=<path>` the clean run exports one merged
 //! Chrome/Perfetto trace of producer and consumer: the handshake carries
@@ -38,7 +34,7 @@ fn main() {
 
     // A healthy run: verdict-identical to the engine, but every packet
     // crossed a kernel socket as framed bytes.
-    let report = run_socket_session(session(), None);
+    let report = run_socket_session(session());
     assert_eq!(report.outcome, RunOutcome::GoodTrap);
     println!("== clean run ==");
     println!(

@@ -11,8 +11,6 @@
 //! - [`dut`]: the cycle-level design-under-test model with bug injection.
 //! - [`platform`]: LogGP link models of Palladium, FPGA and Verilator hosts.
 //! - [`core`]: Batch, Squash, Replay and the co-simulation engine.
-//! - [`serve`]: the persistent verification daemon multiplexing many
-//!   producer sessions over the DTH wire protocol.
 //! - [`workload`]: RV64 workload generators.
 //! - [`stats`]: performance counters, report tables and the trace toolkit.
 //!
@@ -42,6 +40,5 @@ pub use difftest_event as event;
 pub use difftest_isa as isa;
 pub use difftest_platform as platform;
 pub use difftest_ref as ref_model;
-pub use difftest_serve as serve;
 pub use difftest_stats as stats;
 pub use difftest_workload as workload;
