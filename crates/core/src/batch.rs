@@ -16,6 +16,14 @@
 //! bytes are — differenced payloads in the mirrored [`DiffCache`], fused
 //! records in one scratch [`FusedCommit`].
 //!
+//! Tagged and Diff items open with their order tag and token delta-coded
+//! against the same core's previous shipped item ([`crate::wire`]). Both
+//! ends advance that reference in packet-sequence order: the packer as
+//! it admits an item (a vacuous diff is never admitted, so it moves
+//! nothing), the unpacker as it visits one. Admission's validation walk
+//! touches no mirror state, so a corrupt, stale or early packet leaves
+//! the reference where it was.
+//!
 //! The module also provides the **fixed-offset baseline** of prior work
 //! ([`FixedOffsetPacker`]): every provisioned slot occupies packet space
 //! whether valid or not, producing the >60% bubbles of paper §4.2.1.
@@ -33,8 +41,8 @@ use difftest_event::{Event, EventKind, EventRef};
 
 use crate::squash::{FusedCommit, SquashSink};
 use crate::wire::{
-    decode_item_ref_body, encode_item_body, encode_tag_token, validate_item_body, DiffCache,
-    WireItem, WireItemRef, WireKind, TAG_TOKEN_BYTES,
+    decode_item_ref_body, encode_item_body, validate_item_body, DiffCache, WireItem, WireItemRef,
+    WireKind,
 };
 
 /// One metadata record: `count` items of `wire_kind` from `core`.
@@ -363,9 +371,12 @@ impl SquashSink for PackSink<'_> {
     fn tagged(&mut self, ev: &RecordRef<'_>) {
         let (h, payload) = (ev.header, ev.payload.wire_bytes());
         let batch = &mut *self.batch;
-        let len = TAG_TOKEN_BYTES + payload.len();
+        let len = batch.diff.header_len(h.core, h.order, h.token) + payload.len();
         batch.admit(h.core, WireKind::Tagged(h.kind), len, self.out);
-        encode_tag_token(h.order, h.token, &mut batch.payload);
+        batch
+            .diff
+            .write_header(h.core, h.order, h.token, &mut batch.payload);
+        batch.diff.advance(h.core, h.order, h.token);
         batch.payload.extend_from_slice(payload);
     }
 
@@ -373,8 +384,12 @@ impl SquashSink for PackSink<'_> {
         let (h, payload) = (ev.header, ev.payload.wire_bytes());
         self.batch
             .push_encoded(h.core, WireKind::Diff(h.kind), self.out, |diff, body| {
-                encode_tag_token(h.order, h.token, body);
-                diff.diff(h.core, h.kind, payload, body) > 0
+                diff.write_header(h.core, h.order, h.token, body);
+                let shipped = diff.diff(h.core, h.kind, payload, body) > 0;
+                if shipped {
+                    diff.advance(h.core, h.order, h.token);
+                }
+                shipped
             });
     }
 
@@ -544,9 +559,10 @@ impl Unpacker {
 
     /// Validates one packet body structurally (meta table, each run's
     /// core below `cores`, and every item's byte extent) without
-    /// materializing anything or touching the diff mirror. Fixed-layout
-    /// runs are skipped in O(1) per run — this is all the per-byte work
-    /// the admission path does beyond the CRC.
+    /// materializing anything or touching the diff mirror. Plain runs
+    /// are skipped in O(1) per run; Tagged, Fused and Diff runs are
+    /// walked item by item. This is all the per-byte work the admission
+    /// path does beyond the CRC.
     fn validate_body(bytes: &[u8], cores: usize) -> Result<(), CodecError> {
         let mut r = Reader::new(bytes);
         let n_meta = r.u16()? as usize;
@@ -560,14 +576,12 @@ impl Unpacker {
             let wire_kind = r.u8()?;
             let count = r.u16()? as usize;
             match WireKind::from_u8(wire_kind)? {
-                // Fixed layouts: the whole run's extent in one step.
+                // The fixed layout: the whole run's extent in one step.
                 WireKind::Plain(k) => {
                     pr.bytes_dyn(count * k.encoded_len())?;
                 }
-                WireKind::Tagged(k) => {
-                    pr.bytes_dyn(count * (TAG_TOKEN_BYTES + k.encoded_len()))?;
-                }
-                // Self-describing bodies must be walked item by item.
+                // Varint headers and self-describing bodies must be
+                // walked item by item.
                 kind => {
                     for _ in 0..count {
                         validate_item_body(kind, &mut pr)?;
@@ -981,7 +995,7 @@ mod tests {
         let mut unpacker = Unpacker::new(1);
         let mut items = Vec::new();
         let mut regs = [0u64; 32];
-        for i in 0..40u64 {
+        for i in 0..160u64 {
             regs[(i % 32) as usize] = i;
             items.push(WireItem::Diff {
                 core: 0,
@@ -998,6 +1012,108 @@ mod tests {
             .iter()
             .flat_map(|p| unpacker.unpack(&p.bytes).unwrap())
             .collect();
+        assert_eq!(back, items);
+    }
+
+    /// The tag/token header mirror under stress: two interleaved cores,
+    /// Tagged and Diff items, held dumps whose tag steps backwards, a
+    /// vacuous diff between two shipped ones, and tags and tokens that
+    /// wrap past `u64::MAX`, over 1 KiB packets decoded in order and with
+    /// adjacent packets swapped.
+    #[test]
+    fn header_mirror_survives_interleaving_backsteps_vacuous_diffs_and_wrap() {
+        use difftest_event::ArchIntRegState;
+        let base = u64::MAX - 5;
+        let (mut items, mut vacuous) = (Vec::new(), None);
+        let mut regs = [[0u64; 32]; 2];
+        for i in 0..240u64 {
+            let (core, step) = ((i % 2) as u8, i / 2);
+            // Every seventh step the tag falls behind its core's previous
+            // one, as when a held dump ships after a newer TLB diff.
+            let back = if step % 7 == 3 { 5 } else { 0 };
+            let tag = OrderTag(base.wrapping_add(2 * step).wrapping_sub(back));
+            let token = Token(base.wrapping_add(3 * step));
+            let event: Event = if step % 2 == 0 {
+                StoreEvent {
+                    addr: 0x8000_0000 + 8 * step,
+                    data: step,
+                    mask: 0xff,
+                }
+                .into()
+            } else {
+                // Core 1's diff at step 41 repeats its previous payload.
+                if step == 41 && core == 1 {
+                    vacuous = Some(items.len());
+                } else {
+                    regs[usize::from(core)][(step % 32) as usize] = step;
+                }
+                ArchIntRegState {
+                    regs: regs[usize::from(core)],
+                }
+                .into()
+            };
+            items.push(match step % 2 {
+                0 => WireItem::Tagged {
+                    core,
+                    tag,
+                    token,
+                    event,
+                },
+                _ => WireItem::Diff {
+                    core,
+                    tag,
+                    token,
+                    event,
+                },
+            });
+        }
+        let mut packer = BatchUnit::new(2, 1024);
+        let mut packets = Vec::new();
+        packer.push_cycle(&items, &mut packets);
+        packer.flush(&mut packets);
+        assert_eq!(packer.stats().diff_dropped, 1);
+        assert!(packets.len() >= 4, "need several packets to swap");
+
+        let mut expected = items;
+        expected.remove(vacuous.unwrap());
+        for swapped in [false, true] {
+            let mut arrival: Vec<&Packet> = packets.iter().collect();
+            if swapped {
+                arrival.chunks_exact_mut(2).for_each(|pair| pair.swap(0, 1));
+            }
+            let mut unpacker = Unpacker::new(2);
+            let back: Vec<WireItem> = arrival
+                .iter()
+                .flat_map(|p| unpacker.unpack(&p.bytes).unwrap())
+                .collect();
+            assert_eq!(back, expected, "adjacent packets swapped: {swapped}");
+        }
+    }
+
+    /// Tagged items one tag and one token apart pay two header bytes
+    /// each, not two raw `u64`s.
+    #[test]
+    fn tagged_headers_one_step_apart_take_two_bytes() {
+        let mut packer = BatchUnit::new(1, 4096);
+        let items: Vec<WireItem> = (1..=64u64)
+            .map(|i| WireItem::Tagged {
+                core: 0,
+                tag: OrderTag(i),
+                token: Token(i),
+                event: StoreEvent {
+                    addr: 0x8000_0000 + 8 * i,
+                    data: i,
+                    mask: 0xff,
+                }
+                .into(),
+            })
+            .collect();
+        let mut out = Vec::new();
+        packer.push_cycle(&items, &mut out);
+        packer.flush(&mut out);
+        assert_eq!(EventKind::StoreEvent.encoded_len(), 17);
+        assert_eq!(packer.stats().payload_bytes, 64 * (17 + 2));
+        let back = Unpacker::new(1).unpack(&out[0].bytes).unwrap();
         assert_eq!(back, items);
     }
 

@@ -45,8 +45,9 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"DTH1";
 /// was version 1 (the implicit, pre-extraction format) plus this very
 /// byte; version 3 ended the (since retired) result blob with the
 /// consumer's whole observation bundle; version 4 drops the hello's
-/// consumer kill knob.
-pub const PROTO_VERSION: u8 = 4;
+/// consumer kill knob; version 5 delta-codes the order tag and token
+/// heading each Tagged and Diff item inside transfer frames.
+pub const PROTO_VERSION: u8 = 5;
 
 /// Frame type: a [`Transfer`] packet.
 pub const FRAME_TRANSFER: u8 = 0;

@@ -30,6 +30,8 @@ use difftest_event::record::{RecordHeader, RecordRef, Records};
 use difftest_event::wire::{CodecError, Reader, Writer};
 use difftest_event::{commit_flags, EventKind, EventRef, InstrCommitRef};
 
+use crate::wire::{read_varint, varint_len, write_varint};
+
 /// How Squash treats each event kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SquashClass {
@@ -122,35 +124,6 @@ pub struct FusedCommit {
     pub int_writes: Vec<(u8, u64)>,
     /// Collective floating-point register write-set.
     pub fp_writes: Vec<(u8, u64)>,
-}
-
-/// Bytes a LEB128 varint encoding of `v` occupies (1–10).
-fn varint_len(v: u64) -> usize {
-    (64 - v.leading_zeros()).max(1).div_ceil(7) as usize
-}
-
-fn write_varint(w: &mut Writer<'_>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            w.u8(byte);
-            return;
-        }
-        w.u8(byte | 0x80);
-    }
-}
-
-fn read_varint(r: &mut Reader<'_>) -> Result<u64, CodecError> {
-    let mut v = 0u64;
-    for shift in (0..64).step_by(7) {
-        let byte = r.u8()?;
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(CodecError::Malformed("varint overruns 64 bits"))
 }
 
 impl FusedCommit {

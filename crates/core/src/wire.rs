@@ -14,6 +14,18 @@
 //!
 //! Every item has a self-describing binary encoding so the Batch parser can
 //! compute offsets while walking a packet (structural semantics).
+//!
+//! Tagged and Diff bodies open with a two-varint header: the order tag
+//! and the replay token, each as the zigzag-LEB128 delta against the
+//! same core's last *shipped* Tagged or Diff item. Encoder and decoder
+//! keep that reference pair in their [`DiffCache`] mirrors, which both
+//! advance strictly in packet-sequence order, so the header costs a few
+//! bytes instead of two raw `u64`s. A vacuous diff ships nothing and
+//! leaves the reference where it was.
+
+// Peer bytes reach the diff mirror's decoder: every read of them is
+// checked.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use difftest_event::wire::{CodecError, Reader, Writer};
 use difftest_event::{Event, EventKind, EventRef, OrderTag, Token};
@@ -231,12 +243,70 @@ impl WireKind {
     }
 }
 
-/// Per-core mirror of the last transmitted payload of each event kind,
-/// kept identically on the hardware (encoder) and software (decoder) sides
-/// so differencing round-trips.
+/// Bytes a LEB128 varint encoding of `v` occupies (1–10).
+pub(crate) fn varint_len(v: u64) -> usize {
+    (64 - v.leading_zeros()).max(1).div_ceil(7) as usize
+}
+
+/// Appends `v` as a LEB128 varint.
+pub(crate) fn write_varint(w: &mut Writer<'_>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            w.u8(byte);
+            return;
+        }
+        w.u8(byte | 0x80);
+    }
+}
+
+/// Reads one LEB128 varint.
+///
+/// # Errors
+///
+/// Returns [`CodecError`] when the varint is truncated or runs past ten
+/// bytes.
+pub(crate) fn read_varint(r: &mut Reader<'_>) -> Result<u64, CodecError> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = r.u8()?;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+    }
+    Err(CodecError::Malformed("varint overruns 64 bits"))
+}
+
+/// Maps a wrapping difference to a value that is small when the
+/// difference is small in either direction (0, −1, 1, −2 → 0, 1, 2, 3).
+fn zigzag(delta: u64) -> u64 {
+    let d = delta as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+/// Inverse of [`zigzag`].
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// Whether bit `w` of a diff body's change bitmap is set.
+#[inline]
+fn changed(bitmap: &[u8], w: usize) -> bool {
+    bitmap.get(w / 8).is_some_and(|b| b & (1 << (w % 8)) != 0)
+}
+
+/// Per-core mirror of what the link last carried, kept identically on
+/// the hardware (encoder) and software (decoder) sides: the last
+/// transmitted payload of each event kind, so differencing round-trips,
+/// and the order tag and token of the last shipped Tagged or Diff item,
+/// which the next one's header is coded against.
 #[derive(Debug, Clone, Default)]
 pub struct DiffCache {
     last: Vec<Option<Vec<u8>>>, // indexed core * COUNT + kind
+    // Per core: the (tag, token) pair the next header is a delta against.
+    tags: Vec<(u64, u64)>,
     // Scratch an owned event is encoded into before it is differenced.
     scratch: Vec<u8>,
 }
@@ -246,6 +316,7 @@ impl DiffCache {
     pub fn new(cores: usize) -> Self {
         DiffCache {
             last: vec![None; cores * EventKind::COUNT],
+            tags: vec![(0, 0); cores],
             scratch: Vec::new(),
         }
     }
@@ -253,6 +324,65 @@ impl DiffCache {
     #[inline]
     fn slot_index(core: u8, kind: EventKind) -> usize {
         core as usize * EventKind::COUNT + kind as usize
+    }
+
+    /// The zigzag deltas of `tag` and `token` against `core`'s reference
+    /// pair. A core the mirror lacks codes against zero; the decoder
+    /// rejects its items.
+    fn header_deltas(&self, core: u8, tag: OrderTag, token: Token) -> [u64; 2] {
+        let (t, k) = self
+            .tags
+            .get(usize::from(core))
+            .copied()
+            .unwrap_or_default();
+        [
+            zigzag(tag.0.wrapping_sub(t)),
+            zigzag(token.0.wrapping_sub(k)),
+        ]
+    }
+
+    /// Bytes of the header [`write_header`](Self::write_header) appends.
+    pub(crate) fn header_len(&self, core: u8, tag: OrderTag, token: Token) -> usize {
+        let [t, k] = self.header_deltas(core, tag, token);
+        varint_len(t) + varint_len(k)
+    }
+
+    /// Appends the header of a Tagged or Diff item of `core`: `tag` and
+    /// `token` as zigzag-LEB128 deltas against the core's reference pair.
+    /// The reference stays put until [`advance`](Self::advance), so an
+    /// item that turns out vacuous leaves it where it was.
+    pub(crate) fn write_header(&self, core: u8, tag: OrderTag, token: Token, out: &mut Vec<u8>) {
+        let mut w = Writer::new(out);
+        for d in self.header_deltas(core, tag, token) {
+            write_varint(&mut w, d);
+        }
+    }
+
+    /// Makes `tag` and `token` the reference of `core`'s next header:
+    /// the encoder calls it for each Tagged or Diff item that ships.
+    pub(crate) fn advance(&mut self, core: u8, tag: OrderTag, token: Token) {
+        if let Some(pair) = self.tags.get_mut(usize::from(core)) {
+            *pair = (tag.0, token.0);
+        }
+    }
+
+    /// Reads a header written by [`write_header`](Self::write_header) and
+    /// advances `core`'s reference to it (the decoder's side of the
+    /// mirror, in packet-sequence order).
+    fn read_header(
+        &mut self,
+        core: u8,
+        r: &mut Reader<'_>,
+    ) -> Result<(OrderTag, Token), CodecError> {
+        let cores = self.tags.len();
+        let pair = self
+            .tags
+            .get_mut(usize::from(core))
+            .ok_or(CodecError::BadCore { core, cores })?;
+        let tag = pair.0.wrapping_add(unzigzag(read_varint(r)?));
+        let token = pair.1.wrapping_add(unzigzag(read_varint(r)?));
+        *pair = (tag, token);
+        Ok((OrderTag(tag), Token(token)))
     }
 
     /// Encodes an owned `event` as a difference: its payload goes through
@@ -269,15 +399,24 @@ impl DiffCache {
     /// Appends `cur`, a payload of `kind`, as a difference against the
     /// cached previous payload, then caches `cur`. Returns the number of
     /// changed 64-bit words (zero means the payload is byte-identical to
-    /// the previous one and need not be transmitted at all).
+    /// the previous one and need not be transmitted at all). A core the
+    /// cache lacks differences against nothing.
     pub fn diff(&mut self, core: u8, kind: EventKind, cur: &[u8], out: &mut Vec<u8>) -> usize {
-        let idx = Self::slot_index(core, kind);
         let words = cur.len().div_ceil(8);
         let bitmap_bytes = words.div_ceil(8);
-        let prev = &mut self.last[idx];
+        let mut uncached = None;
+        let prev = self
+            .last
+            .get_mut(Self::slot_index(core, kind))
+            .unwrap_or(&mut uncached);
 
         let start = out.len();
         out.resize(start + bitmap_bytes, 0);
+        let mark = |out: &mut Vec<u8>, w: usize| {
+            if let Some(b) = out.get_mut(start + w / 8) {
+                *b |= 1 << (w % 8);
+            }
+        };
         let mut changed = 0usize;
         // One paired scan of both payloads. Without a previous payload
         // the partner is empty, so every word reads as changed.
@@ -286,7 +425,7 @@ impl DiffCache {
         let mut w = 0usize;
         for word in cur_words.by_ref() {
             if prev_words.next() != Some(word) {
-                out[start + w / 8] |= 1 << (w % 8);
+                mark(out, w);
                 out.extend_from_slice(word);
                 changed += 1;
             }
@@ -295,7 +434,7 @@ impl DiffCache {
         // A short tail word is zero-padded to eight bytes.
         let tail = cur_words.remainder();
         if !tail.is_empty() && (prev.is_none() || prev_words.remainder() != tail) {
-            out[start + w / 8] |= 1 << (w % 8);
+            mark(out, w);
             out.extend_from_slice(tail);
             out.resize(out.len() + 8 - tail.len(), 0);
             changed += 1;
@@ -314,9 +453,10 @@ impl DiffCache {
     ///
     /// # Errors
     ///
-    /// Returns [`CodecError`] when the body is truncated; the slot may
-    /// then hold a partial patch. Admission validates every body first,
-    /// so the stream never decodes a truncated one.
+    /// Returns [`CodecError`] when the body is truncated (the slot may
+    /// then hold a partial patch) or the cache has no slot for `core`.
+    /// Admission validates every body and core first, so the stream
+    /// meets neither.
     pub fn decode(
         &mut self,
         core: u8,
@@ -325,20 +465,25 @@ impl DiffCache {
     ) -> Result<EventRef<'_>, CodecError> {
         let len = kind.encoded_len();
         let words = len.div_ceil(8);
-        let bitmap_bytes = words.div_ceil(8);
         // Borrowed straight from the packet buffer — `bytes_dyn` hands out
         // `&'a [u8]` tied to the buffer, not the reader, so later reads
         // don't conflict and nothing is copied.
-        let bitmap = r.bytes_dyn(bitmap_bytes)?;
+        let bitmap = r.bytes_dyn(words.div_ceil(8))?;
 
-        let idx = Self::slot_index(core, kind);
-        let cur = self.last[idx].get_or_insert_with(|| vec![0u8; len]);
-        for w in 0..words {
-            if bitmap[w / 8] & (1 << (w % 8)) != 0 {
+        let cores = self.tags.len();
+        let cur = self
+            .last
+            .get_mut(Self::slot_index(core, kind))
+            .ok_or(CodecError::BadCore { core, cores })?
+            .get_or_insert_with(|| vec![0u8; len]);
+        // The slot's words, the last one short when `len` is not a
+        // multiple of eight.
+        for (w, dst) in cur.chunks_mut(8).enumerate() {
+            if changed(bitmap, w) {
                 let word = r.bytes::<8>()?;
-                let lo = w * 8;
-                let hi = (lo + 8).min(len);
-                cur[lo..hi].copy_from_slice(&word[..hi - lo]);
+                for (d, s) in dst.iter_mut().zip(word) {
+                    *d = s;
+                }
             }
         }
         EventRef::parse(kind, cur)
@@ -353,12 +498,10 @@ impl DiffCache {
     /// Returns the same truncation [`CodecError`]s as
     /// [`DiffCache::decode`].
     pub fn skip(kind: EventKind, r: &mut Reader<'_>) -> Result<(), CodecError> {
-        let len = kind.encoded_len();
-        let words = len.div_ceil(8);
-        let bitmap_bytes = words.div_ceil(8);
-        let bitmap = r.bytes_dyn(bitmap_bytes)?;
+        let words = kind.encoded_len().div_ceil(8);
+        let bitmap = r.bytes_dyn(words.div_ceil(8))?;
         for w in 0..words {
-            if bitmap[w / 8] & (1 << (w % 8)) != 0 {
+            if changed(bitmap, w) {
                 r.bytes_dyn(8)?;
             }
         }
@@ -367,10 +510,12 @@ impl DiffCache {
 }
 
 /// Encodes one wire item's body (excluding the kind byte, which packet
-/// metadata carries). Returns `false` for a *vacuous* item: a differenced
-/// event that is byte-identical to its predecessor, which the hardware
-/// drops instead of transmitting (paper §4.3 "only modified ones are
-/// transmitted"). The caller must then discard `out`'s new suffix.
+/// metadata carries) and advances `diff`'s mirror past it. Returns
+/// `false` for a *vacuous* item: a differenced event that is
+/// byte-identical to its predecessor, which the hardware drops instead of
+/// transmitting (paper §4.3 "only modified ones are transmitted"). The
+/// caller must then discard `out`'s new suffix; the header reference has
+/// not moved.
 pub fn encode_item_body(item: &WireItem, diff: &mut DiffCache, out: &mut Vec<u8>) -> bool {
     match item {
         WireItem::Plain { event, .. } => {
@@ -378,9 +523,13 @@ pub fn encode_item_body(item: &WireItem, diff: &mut DiffCache, out: &mut Vec<u8>
             true
         }
         WireItem::Tagged {
-            tag, token, event, ..
+            core,
+            tag,
+            token,
+            event,
         } => {
-            encode_tag_token(*tag, *token, out);
+            diff.write_header(*core, *tag, *token, out);
+            diff.advance(*core, *tag, *token);
             event.encode_into(out);
             true
         }
@@ -394,31 +543,27 @@ pub fn encode_item_body(item: &WireItem, diff: &mut DiffCache, out: &mut Vec<u8>
             event,
             core,
         } => {
-            encode_tag_token(*tag, *token, out);
-            diff.encode(*core, event, out) > 0
+            diff.write_header(*core, *tag, *token, out);
+            let shipped = diff.encode(*core, event, out) > 0;
+            if shipped {
+                diff.advance(*core, *tag, *token);
+            }
+            shipped
         }
     }
-}
-
-/// Bytes of the order tag and token that prefix Tagged and Diff bodies.
-pub(crate) const TAG_TOKEN_BYTES: usize = 16;
-
-/// Appends the prefix Tagged and Diff bodies share (the packer writes it
-/// straight into the packet when Squash hands it a record by reference).
-pub(crate) fn encode_tag_token(tag: OrderTag, token: Token, out: &mut Vec<u8>) {
-    let mut w = Writer::new(out);
-    w.u64(tag.0);
-    w.u64(token.0);
 }
 
 /// Decodes one wire item's body as a borrowed view: Plain/Tagged payloads
 /// are *not* copied out of the packet buffer, a Diff event is viewed in
 /// its `diff` mirror slot and a Fused record is refilled into `fused`,
-/// the decoder's scratch, and borrowed from there.
+/// the decoder's scratch, and borrowed from there. A Tagged or Diff
+/// header advances `diff`'s reference pair for `core`, so bodies must
+/// be decoded in the order they were encoded.
 ///
 /// # Errors
 ///
-/// Returns [`CodecError`] on truncated or malformed bodies.
+/// Returns [`CodecError`] on truncated or malformed bodies, or on a
+/// Tagged or Diff item of a core `diff` does not mirror.
 #[inline]
 pub fn decode_item_ref_body<'a: 'b, 'b>(
     kind: WireKind,
@@ -436,8 +581,7 @@ pub fn decode_item_ref_body<'a: 'b, 'b>(
             }
         }
         WireKind::Tagged(k) => {
-            let tag = OrderTag(r.u64()?);
-            let token = Token(r.u64()?);
+            let (tag, token) = diff.read_header(core, r)?;
             let payload = r.bytes_dyn(k.encoded_len())?;
             WireItemRef::Tagged {
                 core,
@@ -450,12 +594,15 @@ pub fn decode_item_ref_body<'a: 'b, 'b>(
             fused.read_from(r)?;
             WireItemRef::Fused { core, fused }
         }
-        WireKind::Diff(k) => WireItemRef::Diff {
-            core,
-            tag: OrderTag(r.u64()?),
-            token: Token(r.u64()?),
-            event: diff.decode(core, k, r)?,
-        },
+        WireKind::Diff(k) => {
+            let (tag, token) = diff.read_header(core, r)?;
+            WireItemRef::Diff {
+                core,
+                tag,
+                token,
+                event: diff.decode(core, k, r)?,
+            }
+        }
     })
 }
 
@@ -477,14 +624,14 @@ pub fn validate_item_body(kind: WireKind, r: &mut Reader<'_>) -> Result<(), Code
             r.bytes_dyn(k.encoded_len())?;
         }
         WireKind::Tagged(k) => {
-            r.u64()?;
-            r.u64()?;
+            read_varint(r)?;
+            read_varint(r)?;
             r.bytes_dyn(k.encoded_len())?;
         }
         WireKind::Fused => FusedCommit::skip_from(r)?,
         WireKind::Diff(k) => {
-            r.u64()?;
-            r.u64()?;
+            read_varint(r)?;
+            read_varint(r)?;
             DiffCache::skip(k, r)?;
         }
     }
