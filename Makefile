@@ -5,7 +5,7 @@
 CARGO ?= cargo
 
 .PHONY: all build test bench examples table5 table7 figures ablations doc clean ci faults obs \
-	socket seam trace alloc loc census
+	socket seam trace alloc loc census verdict-grid
 
 all: build
 
@@ -43,8 +43,8 @@ bench:
 # socket and span-tracing smokes, the bench harnesses' build, the
 # gated benchmark's self-test (benchmark/README.md: the perf harness
 # still compiles against the public surface and reproduces its exact
-# counts), the observability smoke, the wire byte census and the
-# warnings-as-errors rustdoc build. CI's aarch64 `cargo check` of
+# counts), the observability smoke, the wire byte census, the golden
+# verdict grid and the warnings-as-errors rustdoc build. CI's aarch64 `cargo check` of
 # difftest-event is left out: it needs `rustup target add`, a download.
 ci: seam
 	$(CARGO) fmt --all -- --check
@@ -57,7 +57,7 @@ ci: seam
 	$(CARGO) build -p difftest-bench --benches
 	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --check
 	$(CARGO) run --release --example observability
-	$(MAKE) census doc
+	$(MAKE) census verdict-grid doc
 
 # Runner modules build on the shared session/link/produce/consume layer
 # only — one runner reaching into another's internals is the coupling
@@ -306,10 +306,24 @@ obs:
 
 # Wire byte census (DESIGN.md §16): per wire kind, items and bytes per
 # cycle with the tag/token header split out, plus meta entries and
-# packet framing, for three BNSD streams; asserts the rows add up to
+# packet framing, for four BNSD streams; asserts the rows add up to
 # the wire.
 census:
 	$(CARGO) run --release --example wire_census
+
+# Golden verdict grid: BNSD's outcome and Replay localization over 672
+# injected-bug cells, and the outcome and length of 144 clean runs,
+# regenerated into a temp dir and diffed against
+# reference/verdict_grid.txt. A change that moves any verdict fails it;
+# one that means to moves the reference in the same commit.
+verdict-grid:
+	$(CARGO) build --release --example verdict_grid
+	@tmp=$$(mktemp -d); \
+	$(CARGO) run --release --quiet --example verdict_grid > $$tmp/verdict_grid.txt \
+		&& diff -u reference/verdict_grid.txt $$tmp/verdict_grid.txt; \
+	status=$$?; rm -rf $$tmp; \
+	if [ $$status -eq 0 ]; then echo "verdict grid unchanged: reference/verdict_grid.txt"; fi; \
+	exit $$status
 
 # Causal span tracing smoke (DESIGN.md §15). The socket example's clean
 # run, traced through DIFFTEST_TRACE, exports one Chrome trace merging

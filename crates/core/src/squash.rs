@@ -262,6 +262,9 @@ struct WindowState {
     /// A trap or interrupt entry has shipped: the core's next dump set
     /// ships at the end of its cycle.
     after_trap: bool,
+    /// Order tag of the last MMIO `LoadEvent` shipped: the skipped load
+    /// commit of the same tag has nothing left to tell the checker.
+    mmio_load_tag: Option<u64>,
 }
 
 impl WindowState {
@@ -274,6 +277,7 @@ impl WindowState {
             dumps: Default::default(),
             due: 0,
             after_trap: false,
+            mmio_load_tag: None,
         }
     }
 
@@ -376,8 +380,12 @@ pub trait SquashSink {
 /// 1. **Window close**: every [`flush_core`](Self::flush_core), just
 ///    before the `Fused` record. A dump therefore reaches the checker
 ///    before the record that steps the REF past its tag.
-/// 2. **Tagged events**: before any of the core's tagged events, so no
-///    NDE of an equal tag is applied before a dump captured ahead of it.
+/// 2. **Tagged events and skipped commits**: before every tagged event
+///    and every skipped (MMIO) commit of the core, so no NDE of an equal
+///    tag is applied before a dump captured ahead of it. The skipped
+///    commit itself ships (tagged) only when it carries a skip value the
+///    checker would otherwise not get: it is a load, and the core has not
+///    already shipped an MMIO `LoadEvent` with its tag.
 /// 3. **Trap entry**: after an `ArchEvent`, the core's next dump set
 ///    ships at the end of its cycle, keeping trap-entry state visible at
 ///    the handler's first cycle.
@@ -438,14 +446,22 @@ impl SquashUnit {
                 let EventRef::InstrCommit(c) = ev.payload else {
                     unreachable!("only commits fuse")
                 };
-                // A skipped (MMIO) commit is itself an NDE: its observed
-                // value must reach the checker even on configurations whose
-                // event coverage has no LoadEvent (e.g. NutShell). Schedule
-                // it ahead with its order tag before fusing it.
+                // A skipped (MMIO) commit is itself an NDE. A load's
+                // observed value must reach the checker even where no
+                // LoadEvent carried it (NutShell has no LoadEvent slots,
+                // atomics get none, the cycle budget may drop one), so
+                // such a commit is scheduled ahead with its order tag
+                // before fusing it. A store's arms nothing, and neither
+                // does a load's whose LoadEvent already shipped.
                 if ev.payload.is_nde() {
                     self.ship_dumps(core, out);
-                    self.stats.tagged += 1;
-                    out.tagged(ev);
+                    let tag = ev.header.order.0;
+                    if c.flags() & commit_flags::LOAD != 0
+                        && self.windows[core].mmio_load_tag != Some(tag)
+                    {
+                        self.stats.tagged += 1;
+                        out.tagged(ev);
+                    }
                 }
                 self.windows[core].absorb(ev, c);
                 self.stats.commits_fused += 1;
@@ -466,8 +482,12 @@ impl SquashUnit {
                     }
                 }
                 self.ship_dumps(core, out);
-                if ev.header.kind == EventKind::ArchEvent {
-                    self.windows[core].after_trap = true;
+                match ev.header.kind {
+                    EventKind::ArchEvent => self.windows[core].after_trap = true,
+                    EventKind::LoadEvent => {
+                        self.windows[core].mmio_load_tag = Some(ev.header.order.0);
+                    }
+                    _ => {}
                 }
                 self.stats.tagged += 1;
                 out.tagged(ev);
@@ -659,8 +679,8 @@ mod tests {
     }
 
     /// Rule 2: a tagged event of the core, an NDE load or a skipped MMIO
-    /// commit, ships the held dumps ahead of itself and leaves the window
-    /// open.
+    /// load no `LoadEvent` covered, ships the held dumps ahead of itself
+    /// and leaves the window open.
     #[test]
     fn tagged_events_ship_held_dumps_first() {
         let mut sq = SquashUnit::new(1, 8);
@@ -675,15 +695,74 @@ mod tests {
 
         out.clear();
         sq.push(&xregs(1, 3, 8), &mut out);
-        let mut skipped = commit(1, 4, 0x8000_0004, 1, 2);
+        let mut skipped = commit(2, 4, 0x8000_0004, 1, 2);
         if let Event::InstrCommit(c) = &mut skipped.event {
-            c.flags |= commit_flags::SKIP;
+            c.flags |= commit_flags::SKIP | commit_flags::LOAD;
         }
         sq.push(&skipped, &mut out);
         assert_eq!(
             shape(&out),
             ["diff:ArchIntRegState@3", "tagged:InstrCommit@4"]
         );
+        assert!(sq.windows[0].open);
+    }
+
+    /// A skipped (MMIO) commit of instruction `seq` with `flags` added.
+    fn skipped(seq: u64, token: u64, flags: u8) -> MonitoredEvent {
+        let mut ev = commit(seq, token, 0x8000_0000 + 4 * seq, 1, 0xab);
+        if let Event::InstrCommit(c) = &mut ev.event {
+            c.flags |= commit_flags::SKIP | flags;
+        }
+        ev
+    }
+
+    /// An MMIO load's value crosses the link once: its `LoadEvent` ships
+    /// tagged, and the skipped load commit of the same tag does not.
+    #[test]
+    fn skipped_load_after_its_load_event_ships_the_load_event_only() {
+        let mut sq = SquashUnit::new(1, 8);
+        let mut out = Vec::new();
+        sq.push(&commit(0, 0, 0x8000_0000, 1, 1), &mut out);
+        sq.push(&mmio_load(1, 1), &mut out);
+        sq.push(&skipped(1, 2, commit_flags::LOAD), &mut out);
+        assert_eq!(shape(&out), ["tagged:LoadEvent@1"]);
+        assert_eq!(sq.stats().tagged, 1);
+        assert_eq!(sq.windows[0].rec.count, 2, "the commit still fuses");
+    }
+
+    /// A skipped load with no `LoadEvent` ahead of it (NutShell, an MMIO
+    /// atomic, a budget-dropped event) carries the only copy of its skip
+    /// value, so it ships tagged.
+    #[test]
+    fn skipped_load_without_a_load_event_ships_tagged() {
+        let mut sq = SquashUnit::new(1, 8);
+        let mut out = Vec::new();
+        sq.push(&skipped(0, 0, commit_flags::LOAD), &mut out);
+        assert_eq!(shape(&out), ["tagged:InstrCommit@0"]);
+    }
+
+    /// Only a `LoadEvent` of the same order tag stands in for the commit:
+    /// one tagged to the previous instruction does not.
+    #[test]
+    fn load_event_of_another_tag_does_not_cover_a_skipped_load() {
+        let mut sq = SquashUnit::new(1, 8);
+        let mut out = Vec::new();
+        sq.push(&mmio_load(4, 1), &mut out);
+        sq.push(&skipped(5, 2, commit_flags::LOAD), &mut out);
+        assert_eq!(shape(&out), ["tagged:LoadEvent@1", "tagged:InstrCommit@2"]);
+    }
+
+    /// A skipped store arms nothing at the checker, so it never ships
+    /// tagged; the core's held dumps still go out at that point.
+    #[test]
+    fn skipped_store_ships_held_dumps_but_not_itself() {
+        let mut sq = SquashUnit::new(1, 8);
+        let mut out = Vec::new();
+        sq.push(&commit(0, 0, 0x8000_0000, 1, 1), &mut out);
+        sq.push(&xregs(1, 1, 7), &mut out);
+        sq.push(&skipped(1, 2, commit_flags::STORE), &mut out);
+        assert_eq!(shape(&out), ["diff:ArchIntRegState@1"]);
+        assert_eq!(sq.stats().tagged, 0);
         assert!(sq.windows[0].open);
     }
 

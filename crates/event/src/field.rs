@@ -1,5 +1,8 @@
 //! Trait over the field types that may appear in an event payload.
 
+// Views read peer bytes: every read of them is checked.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::fmt;
 
 use crate::wire::{CodecError, Reader, Writer};
@@ -34,13 +37,14 @@ pub trait WireField: Sized {
 }
 
 /// The `N` bytes at `bytes[off..]` as an array. Views only exist over
-/// exact-length payloads, so the slice index, its one check, always
-/// holds; the copy compiles to a plain load.
+/// exact-length payloads, so the read always lands and compiles to a
+/// plain load; a read past the end would give zeroes, not a panic.
 #[inline]
 fn array_at<const N: usize>(bytes: &[u8], off: usize) -> [u8; N] {
-    let mut a = [0u8; N];
-    a.copy_from_slice(&bytes[off..off + N]);
-    a
+    bytes
+        .get(off..)
+        .and_then(<[u8]>::first_chunk)
+        .map_or([0; N], |a| *a)
 }
 
 /// A borrowed `[u64; N]` field, decoded lazily from little-endian wire
@@ -52,10 +56,11 @@ pub struct U64ArrayView<'a, const N: usize> {
 }
 
 impl<'a, const N: usize> U64ArrayView<'a, N> {
-    /// Element `i`, decoded from its eight little-endian bytes.
+    /// Element `i`, decoded from its eight little-endian bytes; 0 when
+    /// `i >= N`, as a read past a register file's end reads nothing.
     #[inline]
     pub fn get(&self, i: usize) -> u64 {
-        u64::from_le_bytes(self.words[i])
+        self.words.get(i).map_or(0, |w| u64::from_le_bytes(*w))
     }
 
     /// Number of elements (`N`).
@@ -87,7 +92,7 @@ impl<'a, const N: usize> U64ArrayView<'a, N> {
 
 impl<const N: usize> PartialEq<[u64; N]> for U64ArrayView<'_, N> {
     fn eq(&self, other: &[u64; N]) -> bool {
-        (0..N).all(|i| self.get(i) == other[i])
+        self.iter().eq(other.iter().copied())
     }
 }
 
@@ -109,7 +114,7 @@ impl WireField for u8 {
     }
     #[inline]
     fn view_at(bytes: &[u8], off: usize) -> u8 {
-        bytes[off]
+        bytes.get(off).copied().unwrap_or(0)
     }
     fn view_matches(view: u8, owned: &Self) -> bool {
         view == *owned
@@ -185,8 +190,11 @@ impl<const N: usize> WireField for [u64; N] {
     }
     #[inline]
     fn view_at(bytes: &[u8], off: usize) -> U64ArrayView<'_, N> {
-        let (words, _) = bytes[off..off + 8 * N].as_chunks();
-        U64ArrayView { words }
+        let field = bytes.get(off..).unwrap_or_default();
+        let (words, _) = field.as_chunks();
+        U64ArrayView {
+            words: words.get(..N).unwrap_or(words),
+        }
     }
     fn view_matches(view: U64ArrayView<'_, N>, owned: &Self) -> bool {
         view == *owned
@@ -205,9 +213,12 @@ impl<const N: usize> WireField for [u8; N] {
     }
     #[inline]
     fn view_at(bytes: &[u8], off: usize) -> &[u8; N] {
-        // The field's exact N bytes split into exactly one N-byte chunk.
-        let (chunks, _) = bytes[off..off + N].as_chunks();
-        &chunks[0]
+        // Views only exist over exact-length payloads, so the field's N
+        // bytes are there; a read past the end would view zeroes.
+        bytes
+            .get(off..)
+            .and_then(<[u8]>::first_chunk)
+            .unwrap_or(&[0; N])
     }
     fn view_matches(view: &[u8; N], owned: &Self) -> bool {
         view == owned

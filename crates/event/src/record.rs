@@ -11,6 +11,10 @@
 //! length from the header alone. The Replay ring retains its events in
 //! this layout and the trace file stores them in it, behind a magic.
 
+// Records arrive from trace files and the Replay ring: every read of
+// them is checked.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::catalog::{EventKind, EventRef};
 use crate::monitor::{MonitoredEvent, OrderTag, Token};
 use crate::wire::CodecError;
@@ -58,24 +62,25 @@ impl RecordHeader {
     /// header, [`CodecError::BadKind`] on an out-of-range kind byte.
     #[inline]
     pub fn read(bytes: &[u8]) -> Result<(RecordHeader, usize), CodecError> {
-        let Some((head, _)) = bytes.split_first_chunk::<RECORD_HEADER_BYTES>() else {
-            return Err(CodecError::UnexpectedEnd {
-                needed: RECORD_HEADER_BYTES,
-                available: bytes.len(),
-            });
+        let short = || CodecError::UnexpectedEnd {
+            needed: RECORD_HEADER_BYTES,
+            available: bytes.len(),
         };
-        let kind = EventKind::from_u8(head[1])?;
-        let word = |at: usize| {
-            let mut w = [0u8; 8];
-            w.copy_from_slice(&head[at..at + 8]);
-            u64::from_le_bytes(w)
+        let Some((head, _)) = bytes.split_first_chunk::<RECORD_HEADER_BYTES>() else {
+            return Err(short());
+        };
+        let [core, kind, ref words @ ..] = *head;
+        let kind = EventKind::from_u8(kind)?;
+        // 24 bytes split into exactly three words.
+        let (&[cycle, order, token], _) = words.as_chunks::<8>() else {
+            return Err(short());
         };
         let header = RecordHeader {
-            core: head[0],
+            core,
             kind,
-            cycle: word(2),
-            order: OrderTag(word(10)),
-            token: Token(word(18)),
+            cycle: u64::from_le_bytes(cycle),
+            order: OrderTag(u64::from_le_bytes(order)),
+            token: Token(u64::from_le_bytes(token)),
         };
         Ok((header, RECORD_HEADER_BYTES + kind.encoded_len()))
     }
@@ -105,7 +110,8 @@ impl<'a> RecordRef<'a> {
                 available: bytes.len(),
             });
         };
-        let payload = EventRef::parse(header.kind, &record[RECORD_HEADER_BYTES..])?;
+        let payload = record.get(RECORD_HEADER_BYTES..).unwrap_or_default();
+        let payload = EventRef::parse(header.kind, payload)?;
         let record = RecordRef {
             header,
             payload,

@@ -1,6 +1,6 @@
 //! Wire byte census: where each byte of a BNSD stream goes.
 //!
-//! Runs three benchmark-shaped streams (seed-7000 programs) through the
+//! Runs four benchmark-shaped streams (seed-7000 programs) through the
 //! session's acceleration unit, walks every packet with the consumer's
 //! own validation pass ([`validate_item_body`]) and prints, per wire
 //! kind, items and bytes per cycle split into the tag/token header and
@@ -163,6 +163,9 @@ fn census(dut: DutConfig, preset: WorkloadBuilder, cycles: u64) -> Census {
 fn main() {
     census(DutConfig::xiangshan_dual(), Workload::mmio_heavy(), 150_000)
         .print("XiangShan Dual, mmio_heavy");
+    // No LoadEvent slots: the one stream whose skipped MMIO loads still
+    // ship their commits tagged.
+    census(DutConfig::nutshell(), Workload::mmio_heavy(), 150_000).print("NutShell, mmio_heavy");
     census(
         DutConfig::xiangshan_default(),
         Workload::microbench(),

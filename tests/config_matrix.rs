@@ -122,6 +122,31 @@ fn dual_core_bug_is_attributed_to_core_zero() {
     assert_eq!(failure.precise.expect("replay localizes").core, 0);
 }
 
+/// One MMIO load synchronizes the REF once, whatever the stream: BN's
+/// skipped commit and BNSD's one tagged copy of the value (the MMIO
+/// `LoadEvent` on XiangShan, the skipped commit on NutShell) each arm it
+/// once, so `sw.mmio_skips` agrees between the two.
+#[test]
+fn mmio_skips_count_once_per_load_on_every_stream() {
+    let w = Workload::mmio_heavy().seed(7).iterations(40).build();
+    for dut in [DutConfig::xiangshan_dual(), DutConfig::nutshell()] {
+        let skips = [DiffConfig::BN, DiffConfig::BNSD].map(|config| {
+            let mut sim = CoSimulation::builder()
+                .dut(dut.clone())
+                .platform(Platform::palladium())
+                .config(config)
+                .max_cycles(400_000)
+                .build(&w)
+                .expect("valid setup");
+            let report = sim.run();
+            assert_eq!(report.outcome, RunOutcome::GoodTrap, "{config:?}");
+            report.counters().get("sw.mmio_skips")
+        });
+        assert!(skips[0] > 0, "{}: the program reads MMIO", dut.name);
+        assert_eq!(skips[0], skips[1], "{}: BN vs BNSD mmio skips", dut.name);
+    }
+}
+
 #[test]
 fn max_cycles_is_respected() {
     let w = Workload::linux_boot().seed(3).iterations(50_000).build();
