@@ -112,7 +112,10 @@ ci: seam
 # compare path: the checker checks every event through its EventRef view,
 # and Replay re-checks the ring's records in place, so outside tests the
 # checker, the consumer and the ring materialize no owned event and the
-# retired owned arms stay gone (DESIGN.md §3.4).
+# retired owned arms stay gone (DESIGN.md §3.4). A run has one
+# description, Session: outside shim.rs, which keeps the builder the
+# gated benchmark still calls, no source in the workspace names the
+# retired run builder (`CoSimulationBuilder`, `CoSimulation::builder`).
 RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/socket.rs
 WIRE_SRCS = crates/core/src/proto.rs crates/core/src/mux.rs
 INPROC_RUNNER_SRCS = crates/core/src/engine.rs
@@ -266,6 +269,13 @@ seam:
 		exit 1; \
 	else \
 		echo "compare-path seam clean: one compare path, Replay re-checks the ring's records in place"; \
+	fi
+	@if grep -rnE 'CoSimulationBuilder|CoSimulation::builder' --include='*.rs' \
+		crates examples tests src | grep -v '^crates/core/src/shim.rs:'; then \
+		echo "run-description seam violated: a run is described by Session and started by CoSimulation::new or run_session"; \
+		exit 1; \
+	else \
+		echo "run-description seam clean: one run description, Session"; \
 	fi
 
 # Non-test Rust line count, as simplicity changes report it: every .rs

@@ -13,23 +13,33 @@
 use difftest_bench::{boot_workload, fmt_hz, fmt_pct, Table, BENCH_CYCLES};
 use difftest_core::batch::{BatchUnit, FixedOffsetPacker};
 use difftest_core::snapshot::snapshot_debug_run;
-use difftest_core::{CoSimulation, DiffConfig, RunOutcome, WireItem};
+use difftest_core::{CoSimulation, DiffConfig, RunOutcome, Session, WireItem};
 use difftest_dut::{BugKind, BugSpec};
 use difftest_dut::{Dut, DutConfig};
 use difftest_platform::Platform;
 use difftest_ref::Memory;
 use difftest_workload::Workload;
 
+/// XiangShan default on Palladium, BNSD, for [`BENCH_CYCLES`].
+fn session(workload: &Workload, bugs: Vec<BugSpec>) -> Session {
+    Session::new(
+        DutConfig::xiangshan_default(),
+        DiffConfig::BNSD,
+        workload,
+        bugs,
+        BENCH_CYCLES,
+        8,
+        None,
+    )
+    .with_platform(Platform::palladium())
+}
+
 fn run_with(
     workload: &Workload,
-    configure: impl FnOnce(difftest_core::CoSimulationBuilder) -> difftest_core::CoSimulationBuilder,
+    configure: impl FnOnce(Session) -> Session,
 ) -> difftest_core::RunReport {
-    let builder = CoSimulation::builder()
-        .dut(DutConfig::xiangshan_default())
-        .platform(Platform::palladium())
-        .config(DiffConfig::BNSD)
-        .max_cycles(BENCH_CYCLES);
-    let mut sim = configure(builder).build(workload).expect("valid setup");
+    let session = configure(session(workload, Vec::new()));
+    let mut sim = CoSimulation::new(session).expect("valid setup");
     let report = sim.run();
     assert!(
         matches!(report.outcome, RunOutcome::GoodTrap | RunOutcome::MaxCycles),
@@ -49,7 +59,7 @@ fn main() {
         &["Capacity", "Transfers", "Speed", "Comm overhead"],
     );
     for cap in [1024usize, 2048, 4096, 8192, 16384] {
-        let r = run_with(&workload, |b| b.packet_bytes(cap));
+        let r = run_with(&workload, |s| s.with_packet_bytes(cap));
         t.row(&[
             format!("{cap} B"),
             format!("{}", r.invokes),
@@ -65,7 +75,7 @@ fn main() {
         &["Window", "Fusion ratio", "Bytes", "Speed"],
     );
     for window in [4u32, 8, 16, 32, 64, 128] {
-        let r = run_with(&workload, |b| b.fusion_window(window));
+        let r = run_with(&workload, |s| s.with_fusion_window(window));
         t.row(&[
             format!("{window}"),
             format!("{:.1}", r.squash.map(|s| s.fusion_ratio()).unwrap_or(0.0)),
@@ -98,8 +108,8 @@ fn main() {
             Workload::mmio_heavy().seed(5).iterations(900).build(),
         ),
     ] {
-        let coupled = run_with(&w, |b| b.order_coupled(true));
-        let decoupled = run_with(&w, |b| b.order_coupled(false));
+        let coupled = run_with(&w, |s| s.with_order_coupled(true));
+        let decoupled = run_with(&w, |s| s.with_order_coupled(false));
         t.row(&[
             name.to_owned(),
             format!(
@@ -118,8 +128,8 @@ fn main() {
     println!("{t}");
 
     // 4. Differencing on/off.
-    let with = run_with(&workload, |b| b.differencing(true));
-    let without = run_with(&workload, |b| b.differencing(false));
+    let with = run_with(&workload, |s| s.with_differencing(true));
+    let without = run_with(&workload, |s| s.with_differencing(false));
     let mut t = Table::new(
         "Differencing contribution",
         &["Differencing", "Bytes transferred", "Speed"],
@@ -194,13 +204,7 @@ fn main() {
     // 6. Behavioral semantics: Replay vs snapshot debugging (Fig. 10).
     let bug = BugSpec::new(BugKind::StoreValueCorruption, 40_000);
     let replayed = run_with_mismatch(&workload, bug.clone());
-    let snap = snapshot_debug_run(
-        DutConfig::xiangshan_default(),
-        &workload,
-        vec![bug],
-        5_000,
-        BENCH_CYCLES,
-    );
+    let snap = snapshot_debug_run(&session(&workload, vec![bug]), 5_000);
     assert_eq!(snap.outcome, RunOutcome::Mismatch);
     let f = replayed.failure.expect("replay run mismatches");
     let mut t = Table::new(
@@ -230,14 +234,7 @@ fn main() {
 }
 
 fn run_with_mismatch(workload: &Workload, bug: BugSpec) -> difftest_core::RunReport {
-    let mut sim = CoSimulation::builder()
-        .dut(DutConfig::xiangshan_default())
-        .platform(Platform::palladium())
-        .config(DiffConfig::BNSD)
-        .bugs(vec![bug])
-        .max_cycles(BENCH_CYCLES)
-        .build(workload)
-        .expect("valid setup");
+    let mut sim = CoSimulation::new(session(workload, vec![bug])).expect("valid setup");
     let r = sim.run();
     assert_eq!(r.outcome, RunOutcome::Mismatch);
     r

@@ -12,7 +12,7 @@
 //!    Palladium with DiffTest-H".
 
 use difftest_bench::{boot_workload, fmt_hz, run, Table, BENCH_CYCLES};
-use difftest_core::{CoSimulation, DiffConfig, RunOutcome};
+use difftest_core::{CoSimulation, DiffConfig, RunOutcome, Session};
 use difftest_dut::{bug_catalog, BugKind, BugSpec, DutConfig};
 use difftest_platform::Platform;
 
@@ -54,14 +54,17 @@ fn main() {
         BugKind::RefillCorruption,
         BugKind::WrongBranchTarget,
     ] {
-        let mut sim = CoSimulation::builder()
-            .dut(dut.clone())
-            .platform(palladium.clone())
-            .config(DiffConfig::BNSD)
-            .bugs(vec![BugSpec::new(kind, 20_000)])
-            .max_cycles(BENCH_CYCLES)
-            .build(&workload)
-            .expect("valid setup");
+        let session = Session::new(
+            dut.clone(),
+            DiffConfig::BNSD,
+            &workload,
+            vec![BugSpec::new(kind, 20_000)],
+            BENCH_CYCLES,
+            8,
+            None,
+        )
+        .with_platform(palladium.clone());
+        let mut sim = CoSimulation::new(session).expect("valid setup");
         let report = sim.run();
         let detected = report.outcome == RunOutcome::Mismatch;
         let localized = report

@@ -5,7 +5,7 @@
 //! with the paper's reported values alongside (`DESIGN.md` §4 maps each
 //! experiment to its target; `EXPERIMENTS.md` records the outcomes).
 
-use difftest_core::{CoSimulation, DiffConfig, RunOutcome, RunReport};
+use difftest_core::{CoSimulation, DiffConfig, RunOutcome, RunReport, Session};
 use difftest_dut::DutConfig;
 use difftest_platform::Platform;
 use difftest_workload::Workload;
@@ -75,13 +75,17 @@ pub fn run(
     workload: &Workload,
     max_cycles: u64,
 ) -> RunReport {
-    let mut sim = CoSimulation::builder()
-        .dut(dut.clone())
-        .platform(platform.clone())
-        .config(config)
-        .max_cycles(max_cycles)
-        .build(workload)
-        .expect("benchmark setup is valid");
+    let session = Session::new(
+        dut.clone(),
+        config,
+        workload,
+        Vec::new(),
+        max_cycles,
+        8,
+        None,
+    )
+    .with_platform(platform.clone());
+    let mut sim = CoSimulation::new(session).expect("benchmark setup is valid");
     let report = sim.run();
     assert!(
         matches!(report.outcome, RunOutcome::GoodTrap | RunOutcome::MaxCycles),

@@ -1,6 +1,6 @@
 //! Quick preview of the Table 5 optimization breakdown (the full harness
 //! lives in `crates/bench/benches/table5.rs`).
-use difftest_core::{CoSimulation, DiffConfig};
+use difftest_core::{CoSimulation, DiffConfig, Session};
 use difftest_dut::DutConfig;
 use difftest_platform::Platform;
 use difftest_workload::Workload;
@@ -21,13 +21,9 @@ fn main() {
         let mut base = 0.0;
         for (i, cfg) in DiffConfig::ALL.into_iter().enumerate() {
             let w = Workload::linux_boot().seed(5).iterations(200).build();
-            let mut sim = CoSimulation::builder()
-                .dut(dut.clone())
-                .platform(plat.clone())
-                .config(cfg)
-                .max_cycles(120_000)
-                .build(&w)
-                .expect("valid setup");
+            let session = Session::new(dut.clone(), cfg, &w, Vec::new(), 120_000, 8, None)
+                .with_platform(plat.clone());
+            let mut sim = CoSimulation::new(session).expect("valid setup");
             let r = sim.run();
             if i == 0 {
                 base = r.speed_hz;

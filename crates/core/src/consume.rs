@@ -5,8 +5,8 @@
 //! [`ingest`](Consumer::ingest), close the stream with
 //! [`finish_stream`](Consumer::finish_stream), and read the verdict.
 //! Transport differences stay outside — a runner only decides *where*
-//! this state machine executes (in-line, or behind a socket on a thread
-//! or in a daemon) and what [`ChargeObserver`] accounts each transfer
+//! this state machine executes (in-line, or behind a socket on the
+//! calling thread) and what [`ChargeObserver`] accounts each transfer
 //! (the engine's LogGP virtual-time model; nothing for the wall-clock
 //! socket runner).
 //!

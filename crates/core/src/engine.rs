@@ -22,14 +22,12 @@
 use std::collections::VecDeque;
 use std::fmt;
 
-use difftest_dut::{BugSpec, Dut, DutConfig};
+use difftest_dut::Dut;
 use difftest_platform::{OverheadBreakdown, Platform};
 use difftest_stats::{Metrics, Tracer, PID_CONSUMER};
-use difftest_workload::Workload;
 
 use crate::checker::CheckStats;
 use crate::consume::{ChargeObserver, Consumer, Step};
-use crate::fault::FaultPlan;
 use crate::link::LinkSink;
 use crate::produce::Producer;
 use crate::replay::{FailureReport, ReplayBuffer};
@@ -61,168 +59,6 @@ impl fmt::Display for BuildError {
 }
 
 impl std::error::Error for BuildError {}
-
-/// Configures and builds a [`CoSimulation`].
-#[derive(Debug, Clone)]
-pub struct CoSimulationBuilder {
-    dut: DutConfig,
-    platform: Platform,
-    config: DiffConfig,
-    max_cycles: u64,
-    bugs: Vec<BugSpec>,
-    packet_bytes: usize,
-    fusion_window: u32,
-    order_coupled: bool,
-    differencing: bool,
-    replay: bool,
-    queue_depth: usize,
-    fault_plan: Option<FaultPlan>,
-    tracer: Option<Tracer>,
-}
-
-impl Default for CoSimulationBuilder {
-    fn default() -> Self {
-        CoSimulationBuilder {
-            dut: DutConfig::xiangshan_default(),
-            platform: Platform::palladium(),
-            config: DiffConfig::BNSD,
-            max_cycles: 1_000_000,
-            bugs: Vec::new(),
-            packet_bytes: 4096,
-            fusion_window: 32,
-            order_coupled: false,
-            differencing: true,
-            replay: true,
-            queue_depth: 8,
-            fault_plan: None,
-            tracer: None,
-        }
-    }
-}
-
-impl CoSimulationBuilder {
-    /// Selects the DUT configuration (default: XiangShan default).
-    pub fn dut(mut self, dut: DutConfig) -> Self {
-        self.dut = dut;
-        self
-    }
-
-    /// Selects the platform model (default: Palladium).
-    pub fn platform(mut self, platform: Platform) -> Self {
-        self.platform = platform;
-        self
-    }
-
-    /// Selects the optimization configuration (default: BNSD).
-    pub fn config(mut self, config: DiffConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Caps the simulated cycles (default: 1,000,000).
-    pub fn max_cycles(mut self, cycles: u64) -> Self {
-        self.max_cycles = cycles;
-        self
-    }
-
-    /// Injects bugs into core 0 of the DUT.
-    pub fn bugs(mut self, bugs: Vec<BugSpec>) -> Self {
-        self.bugs = bugs;
-        self
-    }
-
-    /// Sets the transmission packet capacity in bytes (default: 4096).
-    pub fn packet_bytes(mut self, bytes: usize) -> Self {
-        self.packet_bytes = bytes;
-        self
-    }
-
-    /// Sets the fusion window in commits (default: 32).
-    pub fn fusion_window(mut self, commits: u32) -> Self {
-        self.fusion_window = commits;
-        self
-    }
-
-    /// Uses the order-coupled fusion baseline of prior work (default: off).
-    pub fn order_coupled(mut self, coupled: bool) -> Self {
-        self.order_coupled = coupled;
-        self
-    }
-
-    /// Enables or disables differencing within Squash (default: on).
-    pub fn differencing(mut self, on: bool) -> Self {
-        self.differencing = on;
-        self
-    }
-
-    /// Enables the Replay debugging mechanism (default: on; only effective
-    /// with [`DiffConfig::BNSD`]).
-    pub fn replay(mut self, replay: bool) -> Self {
-        self.replay = replay;
-        self
-    }
-
-    /// Sets the non-blocking in-flight queue depth (default: 8).
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Injects link faults per a seeded schedule (default: clean link).
-    /// With [`DiffConfig::BNSD`] and replay enabled, detected failures
-    /// first attempt bounded recovery by retransmission from the packet
-    /// retention ring; otherwise they surface as
-    /// [`RunOutcome::LinkError`].
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Overrides the span tracer (default: the `DIFFTEST_TRACE`
-    /// environment variable). Tests inject a
-    /// [`FakeClock`](difftest_stats::FakeClock)-driven tracer here for
-    /// deterministic span timestamps.
-    pub fn tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Builds the co-simulation over a workload image.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] for invalid parameter combinations.
-    pub fn build(self, workload: &Workload) -> Result<CoSimulation, BuildError> {
-        if self.max_cycles == 0 {
-            return Err(BuildError::ZeroCycles);
-        }
-        if self.packet_bytes < 1024 {
-            return Err(BuildError::PacketTooSmall(self.packet_bytes));
-        }
-        if self.fusion_window == 0 {
-            return Err(BuildError::ZeroWindow);
-        }
-
-        let mut session = Session::new(
-            self.dut,
-            self.config,
-            workload,
-            self.bugs,
-            self.max_cycles,
-            self.queue_depth,
-            self.fault_plan,
-        )
-        .with_packet_bytes(self.packet_bytes)
-        .with_fusion_window(self.fusion_window)
-        .with_order_coupled(self.order_coupled)
-        .with_differencing(self.differencing);
-        if self.tracer.is_some() {
-            session = session.with_tracer(self.tracer);
-        }
-
-        Ok(CoSimulation::assemble(session, self.platform, self.replay))
-    }
-}
 
 /// The result of one co-simulation run: the shared [`RunCommon`] core
 /// plus the engine's virtual-time extensions.
@@ -470,24 +306,38 @@ pub struct CoSimulation {
     producer: Producer<Inline>,
     config: DiffConfig,
     failure: Option<FailureReport>,
-    /// Span-trace configuration, when `DIFFTEST_TRACE` (or a builder
-    /// override) enabled tracing.
+    /// Span-trace configuration, when `DIFFTEST_TRACE` (or the
+    /// session's override) enabled tracing.
     tracer: Option<Tracer>,
 }
 
 impl CoSimulation {
-    /// Starts configuring a co-simulation.
-    pub fn builder() -> CoSimulationBuilder {
-        CoSimulationBuilder::default()
+    /// Builds a co-simulation of `session` on the engine's virtual link,
+    /// timed by the session's platform model, with Replay where the
+    /// session asks for it and the configuration fuses.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError`] for a zero cycle budget, a packet capacity
+    /// below 1 KiB or a zero fusion window.
+    pub fn new(session: Session) -> Result<CoSimulation, BuildError> {
+        if session.max_cycles() == 0 {
+            return Err(BuildError::ZeroCycles);
+        }
+        if session.packet_bytes() < 1024 {
+            return Err(BuildError::PacketTooSmall(session.packet_bytes()));
+        }
+        if session.fusion_window() == 0 {
+            return Err(BuildError::ZeroWindow);
+        }
+        Ok(CoSimulation::assemble(session))
     }
 
-    /// Wires a built session onto the engine's virtual link, timed by
-    /// `platform`'s LogGP model, with Replay on where `replay` asks for
-    /// it and the configuration fuses ([`builder`](Self::builder) is the
-    /// validated front door).
-    pub(crate) fn assemble(session: Session, platform: Platform, replay: bool) -> CoSimulation {
+    /// [`new`](Self::new) without its parameter checks, for
+    /// [`run_session`](crate::run_session).
+    pub(crate) fn assemble(session: Session) -> CoSimulation {
         let config = session.config();
-        let consumer = if replay && config.squash() {
+        let consumer = if session.replay() && config.squash() {
             // A memory ceiling, not the working set: the consumer
             // releases the ring's chunks as the checker's checkpoints
             // pass them, so `replay.high_water` stays at a few thousand
@@ -498,7 +348,7 @@ impl CoSimulation {
         }
         .with_spans(session.span_sink(PID_CONSUMER, 0, "consumer", "consumer"));
         let timing = Timing::new(
-            platform,
+            session.platform().clone(),
             session.dut_cfg().gates,
             match config {
                 DiffConfig::Z => TimingMode::BlockingStep,
@@ -608,6 +458,9 @@ impl CoSimulation {
 
 #[cfg(test)]
 mod tests {
+    use difftest_dut::DutConfig;
+    use difftest_workload::Workload;
+
     use super::*;
 
     /// The engine hands every ingested transfer's buffer back to the
@@ -616,12 +469,16 @@ mod tests {
     fn engine_recycles_every_ingested_buffer() {
         let w = Workload::linux_boot().seed(9).iterations(300).build();
         for config in [DiffConfig::BN, DiffConfig::BNSD] {
-            let mut sim = CoSimulation::builder()
-                .dut(DutConfig::nutshell())
-                .config(config)
-                .max_cycles(300_000)
-                .build(&w)
-                .unwrap();
+            let session = Session::new(
+                DutConfig::nutshell(),
+                config,
+                &w,
+                Vec::new(),
+                300_000,
+                8,
+                None,
+            );
+            let mut sim = CoSimulation::new(session).unwrap();
             assert_eq!(sim.run().outcome, RunOutcome::GoodTrap, "{config:?}");
             let s = sim.producer.accel().pool_stats();
             assert!(s.hit_rate() >= 0.99, "{config:?}: {s:?}");

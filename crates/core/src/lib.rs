@@ -49,18 +49,23 @@
 //! # Quick start
 //!
 //! ```
-//! use difftest_core::{CoSimulation, DiffConfig, RunOutcome};
+//! use difftest_core::{CoSimulation, DiffConfig, RunOutcome, Session};
 //! use difftest_dut::DutConfig;
 //! use difftest_platform::Platform;
 //! use difftest_workload::Workload;
 //!
 //! let workload = Workload::microbench().seed(7).iterations(20).build();
-//! let mut sim = CoSimulation::builder()
-//!     .dut(DutConfig::nutshell())
-//!     .platform(Platform::palladium())
-//!     .config(DiffConfig::BNSD)
-//!     .max_cycles(200_000)
-//!     .build(&workload)?;
+//! let session = Session::new(
+//!     DutConfig::nutshell(),
+//!     DiffConfig::BNSD,
+//!     &workload,
+//!     Vec::new(), // no injected bugs
+//!     200_000,    // cycle budget
+//!     8,          // in-flight queue depth
+//!     None,       // clean link
+//! )
+//! .with_platform(Platform::palladium());
+//! let mut sim = CoSimulation::new(session)?;
 //! let report = sim.run();
 //! assert_eq!(report.outcome, RunOutcome::GoodTrap);
 //! assert!(report.speed_hz > 0.0);
@@ -99,7 +104,7 @@ pub use checker::{CheckStats, Checker, Mismatch, Verdict};
 pub use consume::{
     ChargeObserver, Consumer, ConsumerOutput, NoCharge, Step, MAX_REDELIVERY_DEPTH, RECOVERY_BUDGET,
 };
-pub use engine::{BuildError, CoSimulation, CoSimulationBuilder, RunReport};
+pub use engine::{BuildError, CoSimulation, RunReport};
 pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyLink, LinkErrorKind, LinkStats};
 pub use link::{FusionWatch, LinkSink, QueueSink, SendLink};
 pub use mux::{serve_connection, CloseReason, Served};
@@ -109,6 +114,8 @@ pub use replay::{FailureReport, ReplayBuffer, Retransmission};
 pub use session::{
     run_runner, run_session, DiffConfig, RunCommon, RunOutcome, RunnerKind, RunnerReport, Session,
 };
+#[doc(hidden)]
+pub use shim::*;
 pub use snapshot::{snapshot_debug_run, SnapshotReport};
 pub use socket::{child_entry, run_socket_session, SocketReport};
 pub use squash::{FusedCommit, SquashStats, SquashUnit};

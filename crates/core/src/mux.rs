@@ -25,7 +25,6 @@ use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 
 use difftest_dut::DutConfig;
-use difftest_ref::Memory;
 use difftest_stats::span::DEFAULT_SPAN_CAPACITY;
 use difftest_stats::{wall_epoch_ns, MonotonicClock, SpanSink, PID_CONSUMER};
 
@@ -46,10 +45,8 @@ const READ_CHUNK: usize = 64 * 1024;
 fn start(h: Hello) -> (Consumer, i64) {
     let mut dut_cfg = DutConfig::nutshell();
     dut_cfg.cores = h.cores;
-    let mut image = Memory::new();
-    image.load_words(Memory::RAM_BASE, &h.words);
     let session =
-        Session::from_image(dut_cfg, h.config, image, Vec::new(), 0, 1, None).with_tracer(None);
+        Session::from_words(dut_cfg, h.config, &h.words, Vec::new(), 0, 1, None).with_tracer(None);
     let consumer = session.consumer();
     if !h.trace {
         return (consumer, 0);

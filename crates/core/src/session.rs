@@ -18,8 +18,8 @@
 //!
 //! The two runners ([`crate::engine`], [`crate::socket`]) differ only in
 //! *where* those two machines run — one virtual timeline, or two threads
-//! (or processes) joined by a socket — and in what they report on top of
-//! the shared [`RunCommon`] core.
+//! joined by a socket — and in what they report on top of the shared
+//! [`RunCommon`] core.
 //! [`run_session`] dispatches a built session onto any of them.
 
 use std::fmt;
@@ -211,7 +211,7 @@ macro_rules! deref_to_common {
 
 deref_to_common!(crate::engine::RunReport, crate::socket::SocketReport);
 
-/// One co-simulation session: the transport-independent setup shared by
+/// One co-simulation session: the one description of a run, shared by
 /// every runner. Cloneable and `Sync`, so the socket runner's producer
 /// thread can borrow it and build its components locally.
 #[derive(Debug, Clone)]
@@ -219,8 +219,8 @@ pub struct Session {
     dut_cfg: DutConfig,
     config: DiffConfig,
     image: Memory,
-    /// The program words behind `image` (the socket handshake ships
-    /// them); empty when built [`from_image`](Session::from_image).
+    /// The program words `image` was loaded from (the socket handshake
+    /// ships them).
     words: Arc<[u32]>,
     bugs: Vec<BugSpec>,
     max_cycles: u64,
@@ -230,14 +230,16 @@ pub struct Session {
     fusion_window: u32,
     order_coupled: bool,
     differencing: bool,
+    platform: Platform,
+    replay: bool,
     tracer: Option<Tracer>,
 }
 
 impl Session {
     /// Creates a session over a workload with the default pipeline
-    /// tuning (4 KiB packets, 32-commit fusion window, order-decoupled,
-    /// differencing on) — what every runner other than the fully
-    /// configurable engine uses.
+    /// tuning: 4 KiB packets, a 32-commit fusion window, order-decoupled
+    /// fusion with differencing on, the Palladium platform model and
+    /// Replay on. The `with_*` methods override each of them.
     pub fn new(
         dut_cfg: DutConfig,
         config: DiffConfig,
@@ -247,33 +249,36 @@ impl Session {
         queue_depth: usize,
         fault: Option<FaultPlan>,
     ) -> Session {
-        let mut image = Memory::new();
-        image.load_words(Memory::RAM_BASE, workload.words());
-        let mut session =
-            Session::from_image(dut_cfg, config, image, bugs, max_cycles, queue_depth, fault);
-        session.words = workload.words().into();
-        session
+        Session::from_words(
+            dut_cfg,
+            config,
+            workload.words(),
+            bugs,
+            max_cycles,
+            queue_depth,
+            fault,
+        )
     }
 
-    /// Creates a session over an already-loaded memory image. This is
-    /// the entry point for receive-only sides (the socket consumer, a
-    /// daemon session) that get the image over the wire instead of from
-    /// a [`Workload`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_image(
+    /// Creates a session over a program's words, loading the image the
+    /// DUT and the REFs boot from out of them, so the image and the
+    /// words the socket hello ships always agree.
+    pub(crate) fn from_words(
         dut_cfg: DutConfig,
         config: DiffConfig,
-        image: Memory,
+        words: &[u32],
         bugs: Vec<BugSpec>,
         max_cycles: u64,
         queue_depth: usize,
         fault: Option<FaultPlan>,
     ) -> Session {
+        let mut image = Memory::new();
+        image.load_words(Memory::RAM_BASE, words);
         Session {
             dut_cfg,
             config,
             image,
-            words: Arc::from([]),
+            words: words.into(),
             bugs,
             max_cycles,
             queue_depth: queue_depth.max(1),
@@ -282,6 +287,8 @@ impl Session {
             fusion_window: 32,
             order_coupled: false,
             differencing: true,
+            platform: Platform::palladium(),
+            replay: true,
             tracer: Tracer::from_env(),
         }
     }
@@ -335,6 +342,22 @@ impl Session {
         self
     }
 
+    /// Selects the platform whose LogGP model times the engine's run
+    /// (default: Palladium). The socket runner ignores it: it measures
+    /// wall time.
+    pub fn with_platform(mut self, platform: Platform) -> Self {
+        self.platform = platform;
+        self
+    }
+
+    /// Enables the Replay debugging mechanism (default: on; only
+    /// effective with [`DiffConfig::BNSD`]). The socket runner ignores
+    /// it: it keeps no retention ring.
+    pub fn with_replay(mut self, replay: bool) -> Self {
+        self.replay = replay;
+        self
+    }
+
     /// The selected optimization configuration.
     pub fn config(&self) -> DiffConfig {
         self.config
@@ -360,12 +383,32 @@ impl Session {
         self.queue_depth
     }
 
+    /// The transmission packet capacity in bytes.
+    pub(crate) fn packet_bytes(&self) -> usize {
+        self.packet_bytes
+    }
+
+    /// The fusion window in commits.
+    pub(crate) fn fusion_window(&self) -> u32 {
+        self.fusion_window
+    }
+
+    /// The platform model the engine times its run on.
+    pub(crate) fn platform(&self) -> &Platform {
+        &self.platform
+    }
+
+    /// Whether the engine runs with Replay.
+    pub(crate) fn replay(&self) -> bool {
+        self.replay
+    }
+
     /// The loaded workload memory image.
     pub fn image(&self) -> &Memory {
         &self.image
     }
 
-    /// The workload's program words (empty on a receive-only session).
+    /// The workload's program words.
     pub fn words(&self) -> &[u32] {
         &self.words
     }
@@ -607,10 +650,12 @@ impl RunnerReport {
 /// dispatch entry point. Both runners drive the identical
 /// [`Producer`] and [`Consumer`] state machines, so the verdict is
 /// substrate-independent; only the throughput story differs. The engine
-/// runs on the Palladium platform model with Replay on (use
-/// [`CoSimulation::builder`](crate::engine::CoSimulation::builder) for
-/// anything else); the socket runner runs its consumer on the calling
-/// thread, joined to the producer by a socket pair.
+/// times the run on the session's platform model, with Replay as the
+/// session sets it, and skips [`CoSimulation::new`]'s parameter checks;
+/// the socket runner runs its consumer on the calling thread, joined to
+/// the producer by a socket pair.
+///
+/// [`CoSimulation::new`]: crate::engine::CoSimulation::new
 ///
 /// # Panics
 ///
@@ -619,9 +664,9 @@ impl RunnerReport {
 /// runner.
 pub fn run_session(kind: RunnerKind, session: Session) -> RunnerReport {
     match kind {
-        RunnerKind::Engine => RunnerReport::Engine(
-            crate::engine::CoSimulation::assemble(session, Platform::palladium(), true).run(),
-        ),
+        RunnerKind::Engine => {
+            RunnerReport::Engine(crate::engine::CoSimulation::assemble(session).run())
+        }
         RunnerKind::Socket => RunnerReport::Socket(crate::socket::run_socket_session(session)),
     }
 }
@@ -691,6 +736,29 @@ mod tests {
             assert_eq!(DiffConfig::from_wire(c.to_wire()), Some(c));
         }
         assert_eq!(DiffConfig::from_wire(9), None);
+    }
+
+    /// The socket hello ships the words the session's image was loaded
+    /// from, so the consumer's REFs boot from the engine's image and both
+    /// runners reach the same verdict (an empty hello traps the REFs at
+    /// instruction 0: a false mismatch).
+    #[test]
+    fn a_session_from_words_gets_one_verdict_on_both_runners() {
+        let w = Workload::microbench().seed(7).iterations(20).build();
+        let s = Session::from_words(
+            DutConfig::nutshell(),
+            DiffConfig::BNSD,
+            w.words(),
+            Vec::new(),
+            200_000,
+            8,
+            None,
+        )
+        .with_tracer(None);
+        let engine = run_session(RunnerKind::Engine, s.clone());
+        let socket = run_session(RunnerKind::Socket, s);
+        assert_eq!(engine.outcome, RunOutcome::GoodTrap);
+        assert_eq!(socket.outcome, engine.outcome, "{:?}", socket.mismatch);
     }
 
     #[test]

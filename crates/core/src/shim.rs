@@ -1,17 +1,23 @@
-//! Typed entry points kept for the benchmark contract (ROADMAP,
-//! "Benchmark contract"): the adapter under `benchmark/` still feeds
-//! `MonitoredEvent` values where the send path now takes records. Each
-//! shim encodes its events into a local arena with
-//! [`encode_record`] and calls the record path, so none is a second
+//! Entry points kept for the benchmark contract (ROADMAP, "Benchmark
+//! contract"). The adapter under `benchmark/` still feeds
+//! `MonitoredEvent` values where the send path now takes records: each
+//! typed shim encodes its events into a local arena with
+//! [`encode_record`] and calls the record path. It also still starts a
+//! run with [`CoSimulationBuilder`], which is [`Session::new`] and
+//! [`CoSimulation::new`] under six setters. None is a second
 //! implementation. They go, this whole module at once, when the
-//! benchmark-only PR of ROADMAP items 1 and 9(a) moves the adapter onto
-//! the record entry points.
+//! benchmark-only PR of ROADMAP items 1, 9(a) and 19 moves the adapter
+//! onto the record entry points and [`Session`].
 
+use difftest_dut::{BugSpec, DutConfig};
 use difftest_event::record::{encode_record, RecordRef, Records};
 use difftest_event::{Event, EventRef, MonitoredEvent};
+use difftest_workload::Workload;
 
 use crate::batch::{BatchUnit, Packet};
+use crate::engine::{BuildError, CoSimulation};
 use crate::replay::ReplayBuffer;
+use crate::session::{DiffConfig, Session};
 use crate::squash::{FusedCommit, SquashSink, SquashUnit};
 use crate::transport::{AccelUnit, Transfer};
 use crate::wire::WireItem;
@@ -91,5 +97,88 @@ impl SquashSink for Vec<WireItem> {
             core,
             fused: fused.clone(),
         });
+    }
+}
+
+/// The benchmark adapter's run builder: [`Session::new`]'s arguments
+/// the adapter sets, with the defaults it relies on (XiangShan default,
+/// BNSD, no bugs, 1 000 000 cycles, queue depth 8, Replay on).
+#[derive(Debug, Clone)]
+pub struct CoSimulationBuilder {
+    dut: DutConfig,
+    config: DiffConfig,
+    bugs: Vec<BugSpec>,
+    max_cycles: u64,
+    queue_depth: usize,
+    replay: bool,
+}
+
+impl CoSimulation {
+    /// A [`CoSimulationBuilder`] at its defaults.
+    pub fn builder() -> CoSimulationBuilder {
+        CoSimulationBuilder {
+            dut: DutConfig::xiangshan_default(),
+            config: DiffConfig::BNSD,
+            bugs: Vec::new(),
+            max_cycles: 1_000_000,
+            queue_depth: 8,
+            replay: true,
+        }
+    }
+}
+
+impl CoSimulationBuilder {
+    /// Selects the DUT configuration.
+    pub fn dut(mut self, dut: DutConfig) -> Self {
+        self.dut = dut;
+        self
+    }
+
+    /// Selects the optimization configuration.
+    pub fn config(mut self, config: DiffConfig) -> Self {
+        self.config = config;
+        self
+    }
+
+    /// Injects bugs into core 0 of the DUT.
+    pub fn bugs(mut self, bugs: Vec<BugSpec>) -> Self {
+        self.bugs = bugs;
+        self
+    }
+
+    /// Caps the simulated cycles.
+    pub fn max_cycles(mut self, cycles: u64) -> Self {
+        self.max_cycles = cycles;
+        self
+    }
+
+    /// Sets the non-blocking in-flight queue depth.
+    pub fn queue_depth(mut self, depth: usize) -> Self {
+        self.queue_depth = depth;
+        self
+    }
+
+    /// [`Session::with_replay`].
+    pub fn replay(mut self, replay: bool) -> Self {
+        self.replay = replay;
+        self
+    }
+
+    /// [`CoSimulation::new`] over the session these settings describe.
+    ///
+    /// # Errors
+    ///
+    /// As [`CoSimulation::new`].
+    pub fn build(self, workload: &Workload) -> Result<CoSimulation, BuildError> {
+        let session = Session::new(
+            self.dut,
+            self.config,
+            workload,
+            self.bugs,
+            self.max_cycles,
+            self.queue_depth,
+            None,
+        );
+        CoSimulation::new(session.with_replay(self.replay))
     }
 }

@@ -17,13 +17,12 @@
 //! only the failing range — no DUT re-execution, no multi-megabyte
 //! snapshots, no quiesce-induced fusion breaks.
 
-use difftest_dut::{BugSpec, Dut, DutConfig};
-use difftest_ref::{Memory, RefModel};
-use difftest_workload::Workload;
+use difftest_dut::Dut;
+use difftest_ref::RefModel;
 
 use crate::checker::{Checker, Mismatch};
 use crate::consume::{Consumer, NoCharge, Step};
-use crate::session::RunOutcome;
+use crate::session::{RunOutcome, Session};
 use crate::transport::{AccelUnit, SwUnit, Transfer};
 
 /// Outcome and cost accounting of a snapshot-debugged run.
@@ -60,9 +59,11 @@ fn feed(consumer: &mut Consumer, transfers: &mut Vec<Transfer>) -> u64 {
     ingested
 }
 
-/// Runs a squash-fused co-simulation debugged by periodic whole-DUT
-/// snapshots (interval in cycles), reproducing the prior-work flow of
-/// paper Fig. 10 for comparison against Replay.
+/// Runs `session` (a squash-fused configuration) debugged by periodic
+/// whole-DUT snapshots (interval in cycles), reproducing the prior-work
+/// flow of paper Fig. 10 for comparison against Replay. The session's
+/// DUT, acceleration unit, consumer and cycle budget drive the main run;
+/// its platform, queue depth, fault plan and Replay switch play no part.
 ///
 /// Both passes check through the one receive pipeline, [`Consumer`]: the
 /// main run over the fused, packed stream; the re-execution over the
@@ -71,27 +72,12 @@ fn feed(consumer: &mut Consumer, transfers: &mut Vec<Transfer>) -> u64 {
 /// `snapshot_interval == 0` is clamped to 1 (snapshot every cycle) rather
 /// than silently disabling snapshots, which would make `precise`
 /// localization return `None` with no signal.
-pub fn snapshot_debug_run(
-    dut_cfg: DutConfig,
-    workload: &Workload,
-    bugs: Vec<BugSpec>,
-    snapshot_interval: u64,
-    max_cycles: u64,
-) -> SnapshotReport {
+pub fn snapshot_debug_run(session: &Session, snapshot_interval: u64) -> SnapshotReport {
     let snapshot_interval = snapshot_interval.max(1);
-    let mut image = Memory::new();
-    image.load_words(Memory::RAM_BASE, workload.words());
-    let cores = dut_cfg.cores as usize;
-
-    // Kept for the debug flow: a mismatch before the first periodic
-    // snapshot re-executes from reset instead of a snapshot.
-    let re_cfg = dut_cfg.clone();
-    let re_bugs = bugs.clone();
-
-    let mut dut = Dut::new(dut_cfg, &image, bugs);
-    let mut accel = AccelUnit::squash_batch(cores, 4096, 32, false);
-    let refs: Vec<RefModel> = (0..cores).map(|_| RefModel::new(image.clone())).collect();
-    let mut consumer = Consumer::new(SwUnit::packed(cores), Checker::new(refs, false));
+    let max_cycles = session.max_cycles();
+    let mut dut = session.dut();
+    let mut accel = session.accel();
+    let mut consumer = session.consumer();
 
     let mut snapshot: Option<(Dut, Vec<(RefModel, u64)>)> = None;
     let mut snapshots_taken = 0u64;
@@ -150,14 +136,12 @@ pub fn snapshot_debug_run(
         // A mismatch before the first periodic snapshot falls back to the
         // reset state (a fresh DUT and fresh REFs), so localization still
         // works without the wasted cycle-0 whole-DUT copy.
-        let (mut re_dut, refs) = snapshot.take().unwrap_or_else(|| {
-            let refs = (0..cores)
-                .map(|_| (RefModel::new(image.clone()), 0u64))
-                .collect();
-            (Dut::new(re_cfg, &image, re_bugs), refs)
-        });
+        let (mut re_dut, checker) = match snapshot.take() {
+            Some((dut, refs)) => (dut, Checker::resume(refs, false)),
+            None => (session.dut(), session.checker(false)),
+        };
         let mut per_event = AccelUnit::per_event();
-        let mut re_consumer = Consumer::new(SwUnit::per_event(cores), Checker::resume(refs, false));
+        let mut re_consumer = Consumer::new(SwUnit::per_event(session.cores()), checker);
         while !re_consumer.stopped() && re_dut.halted().is_none() && re_dut.cycles() < max_cycles {
             records.clear();
             re_dut.tick_records(&mut records);
@@ -183,7 +167,14 @@ pub fn snapshot_debug_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use difftest_dut::BugKind;
+    use crate::session::DiffConfig;
+    use difftest_dut::{BugKind, BugSpec, DutConfig};
+    use difftest_workload::Workload;
+
+    /// A BNSD session over `w`, as the snapshot baseline runs it.
+    fn bnsd(dut: DutConfig, w: &Workload, bugs: Vec<BugSpec>, max_cycles: u64) -> Session {
+        Session::new(dut, DiffConfig::BNSD, w, bugs, max_cycles, 8, None)
+    }
 
     /// `kind` armed at twelve commit counts, 250 apart: one trigger can
     /// land on a write the program overwrites unread within its fusion
@@ -198,11 +189,13 @@ mod tests {
     fn snapshot_flow_localizes_a_bug() {
         let w = Workload::linux_boot().seed(41).iterations(300).build();
         let r = snapshot_debug_run(
-            DutConfig::xiangshan_minimal(),
-            &w,
-            armed(BugKind::RegWriteCorruption),
+            &bnsd(
+                DutConfig::xiangshan_minimal(),
+                &w,
+                armed(BugKind::RegWriteCorruption),
+                200_000,
+            ),
             2_000,
-            200_000,
         );
         assert_eq!(r.outcome, RunOutcome::Mismatch);
         let precise = r.precise.expect("re-execution reproduces the bug");
@@ -215,7 +208,7 @@ mod tests {
     #[test]
     fn snapshot_flow_passes_clean_runs() {
         let w = Workload::microbench().seed(41).iterations(40).build();
-        let r = snapshot_debug_run(DutConfig::nutshell(), &w, Vec::new(), 5_000, 400_000);
+        let r = snapshot_debug_run(&bnsd(DutConfig::nutshell(), &w, Vec::new(), 400_000), 5_000);
         assert_eq!(r.outcome, RunOutcome::GoodTrap);
         assert!(r.precise.is_none());
     }
@@ -226,7 +219,10 @@ mod tests {
     #[test]
     fn no_wasted_snapshot_at_cycle_zero() {
         let w = Workload::microbench().seed(41).iterations(40).build();
-        let r = snapshot_debug_run(DutConfig::nutshell(), &w, Vec::new(), 1_000_000, 400_000);
+        let r = snapshot_debug_run(
+            &bnsd(DutConfig::nutshell(), &w, Vec::new(), 400_000),
+            1_000_000,
+        );
         assert_eq!(r.outcome, RunOutcome::GoodTrap);
         assert_eq!(r.snapshots, 0, "interval > run length must snapshot never");
     }
@@ -237,11 +233,13 @@ mod tests {
     fn bug_before_first_snapshot_localizes_from_reset() {
         let w = Workload::linux_boot().seed(41).iterations(300).build();
         let r = snapshot_debug_run(
-            DutConfig::xiangshan_minimal(),
-            &w,
-            armed(BugKind::RegWriteCorruption),
+            &bnsd(
+                DutConfig::xiangshan_minimal(),
+                &w,
+                armed(BugKind::RegWriteCorruption),
+                200_000,
+            ),
             50_000,
-            200_000,
         );
         assert_eq!(r.outcome, RunOutcome::Mismatch);
         assert_eq!(r.snapshots, 0, "bug fires before the first snapshot");
@@ -258,11 +256,13 @@ mod tests {
     fn interval_zero_clamps_instead_of_disabling() {
         let w = Workload::linux_boot().seed(41).iterations(300).build();
         let r = snapshot_debug_run(
-            DutConfig::xiangshan_minimal(),
-            &w,
-            vec![BugSpec::new(BugKind::RegWriteCorruption, 500)],
+            &bnsd(
+                DutConfig::xiangshan_minimal(),
+                &w,
+                vec![BugSpec::new(BugKind::RegWriteCorruption, 500)],
+                100_000,
+            ),
             0,
-            100_000,
         );
         assert_eq!(r.outcome, RunOutcome::Mismatch);
         assert!(r.snapshots > 0, "interval 0 must not disable snapshots");

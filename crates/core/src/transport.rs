@@ -73,17 +73,9 @@ impl AccelUnit {
         }
     }
 
-    /// Squash + Batch: fusion/differencing feeding the tight packer.
-    pub fn squash_batch(
-        cores: usize,
-        packet_bytes: usize,
-        fusion_window: u32,
-        order_coupled: bool,
-    ) -> Self {
-        Self::squash_batch_with(cores, packet_bytes, fusion_window, order_coupled, true)
-    }
-
-    /// Squash + Batch with explicit differencing control (ablations).
+    /// Squash + Batch: fusion (order-coupled, for the prior-work
+    /// baseline, or not) and differencing (on or off, for the ablations)
+    /// feeding the tight packer.
     pub fn squash_batch_with(
         cores: usize,
         packet_bytes: usize,
@@ -427,7 +419,7 @@ mod tests {
     #[test]
     fn squash_batch_reduces_bytes() {
         let mut plain = AccelUnit::batch(1, 4096);
-        let mut squashed = AccelUnit::squash_batch(1, 4096, 32, false);
+        let mut squashed = AccelUnit::squash_batch_with(1, 4096, 32, false, true);
         let mut a = Vec::new();
         let mut b = Vec::new();
         for cycle in 0..500u64 {

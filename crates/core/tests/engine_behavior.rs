@@ -1,7 +1,10 @@
-//! Engine-level behavioral tests: builder validation, timing-mode
+//! Engine-level behavioral tests: parameter validation, timing-mode
 //! semantics, replay toggles and report consistency.
 
-use difftest_core::{BuildError, CoSimulation, DiffConfig, RunOutcome, RunReport};
+use difftest_core::{
+    run_session, BuildError, CoSimulation, DiffConfig, RunOutcome, RunReport, RunnerKind,
+    RunnerReport, Session,
+};
 use difftest_dut::{BugKind, BugSpec, DutConfig};
 use difftest_platform::Platform;
 use difftest_workload::Workload;
@@ -10,43 +13,95 @@ fn small_workload() -> Workload {
     Workload::linux_boot().seed(9).iterations(120).build()
 }
 
-fn run(
-    configure: impl FnOnce(difftest_core::CoSimulationBuilder) -> difftest_core::CoSimulationBuilder,
-) -> RunReport {
-    let b = CoSimulation::builder()
-        .dut(DutConfig::nutshell())
-        .platform(Platform::palladium())
-        .max_cycles(400_000);
-    let mut sim = configure(b).build(&small_workload()).expect("valid");
-    sim.run()
+/// A NutShell session over [`small_workload`] on Palladium.
+fn session(config: DiffConfig, bugs: Vec<BugSpec>, queue_depth: usize) -> Session {
+    Session::new(
+        DutConfig::nutshell(),
+        config,
+        &small_workload(),
+        bugs,
+        400_000,
+        queue_depth,
+        None,
+    )
+    .with_platform(Platform::palladium())
+}
+
+fn run(session: Session) -> RunReport {
+    CoSimulation::new(session).expect("valid").run()
+}
+
+/// `session` through the dispatcher's engine arm.
+fn run_engine(session: Session) -> RunReport {
+    match run_session(RunnerKind::Engine, session) {
+        RunnerReport::Engine(r) => r,
+        RunnerReport::Socket(_) => unreachable!("the engine arm reports an engine run"),
+    }
 }
 
 #[test]
-fn builder_rejects_bad_parameters() {
+fn new_rejects_bad_parameters() {
     let w = small_workload();
+    let xs = |max_cycles| {
+        Session::new(
+            DutConfig::xiangshan_default(),
+            DiffConfig::BNSD,
+            &w,
+            Vec::new(),
+            max_cycles,
+            8,
+            None,
+        )
+    };
     assert_eq!(
-        CoSimulation::builder().max_cycles(0).build(&w).unwrap_err(),
+        CoSimulation::new(xs(0)).unwrap_err(),
         BuildError::ZeroCycles
     );
     assert_eq!(
-        CoSimulation::builder()
-            .packet_bytes(16)
-            .build(&w)
-            .unwrap_err(),
+        CoSimulation::new(xs(1_000_000).with_packet_bytes(16)).unwrap_err(),
         BuildError::PacketTooSmall(16)
     );
     assert_eq!(
-        CoSimulation::builder()
-            .fusion_window(0)
-            .build(&w)
-            .unwrap_err(),
+        CoSimulation::new(xs(1_000_000).with_fusion_window(0)).unwrap_err(),
         BuildError::ZeroWindow
     );
 }
 
 #[test]
+fn run_session_times_the_engine_on_the_sessions_platform() {
+    let s = session(DiffConfig::BNSD, Vec::new(), 8);
+    let gates = s.dut_cfg().gates;
+    let fpga = run_engine(s.clone().with_platform(Platform::fpga()));
+    assert_eq!(fpga.outcome, RunOutcome::GoodTrap);
+    assert_eq!(fpga.dut_only_hz, Platform::fpga().dut_only_hz(gates));
+    let palladium = run_engine(s);
+    assert_eq!(
+        palladium.dut_only_hz,
+        Platform::palladium().dut_only_hz(gates)
+    );
+    assert_ne!(fpga.dut_only_hz, palladium.dut_only_hz);
+}
+
+#[test]
+fn run_session_honours_the_sessions_replay_switch() {
+    let bugs = vec![BugSpec::new(BugKind::StoreValueCorruption, 3_000)];
+    let s = session(DiffConfig::BNSD, bugs, 8);
+    // Without a retention ring nothing is replayed: the report's
+    // instruction-level mismatch is the fused stream's own.
+    let without = run_engine(s.clone().with_replay(false));
+    assert_eq!(without.outcome, RunOutcome::Mismatch);
+    let f = without.failure.expect("failure report");
+    assert_eq!(f.replayed_events, 0, "no replay without Replay");
+    assert_eq!(f.precise.as_ref(), Some(&f.coarse));
+    let with = run_engine(s);
+    let f = with.failure.expect("failure report");
+    assert!(f.replayed_events > 0, "replay ran");
+    assert!(f.precise.is_some());
+}
+
+#[test]
 fn report_accounting_is_self_consistent() {
-    let r = run(|b| b.config(DiffConfig::BNSD));
+    let r = run(session(DiffConfig::BNSD, Vec::new(), 8));
     assert_eq!(r.outcome, RunOutcome::GoodTrap);
     // Virtual time can never undercut the DUT-only time.
     let dut_time = r.cycles as f64 / r.dut_only_hz;
@@ -68,7 +123,7 @@ fn report_accounting_is_self_consistent() {
 #[test]
 fn blocking_overhead_is_additive() {
     // In the blocking baseline, total time == DUT time + all overhead.
-    let r = run(|b| b.config(DiffConfig::Z));
+    let r = run(session(DiffConfig::Z, Vec::new(), 8));
     let dut_time = r.cycles as f64 / r.dut_only_hz;
     let expected = dut_time + r.overhead.total();
     assert!(
@@ -82,8 +137,8 @@ fn blocking_overhead_is_additive() {
 
 #[test]
 fn squash_reduces_bytes_and_invokes() {
-    let plain = run(|b| b.config(DiffConfig::BN));
-    let squashed = run(|b| b.config(DiffConfig::BNSD));
+    let plain = run(session(DiffConfig::BN, Vec::new(), 8));
+    let squashed = run(session(DiffConfig::BNSD, Vec::new(), 8));
     assert!(
         squashed.bytes * 4 < plain.bytes,
         "{} vs {}",
@@ -99,13 +154,13 @@ fn squash_reduces_bytes_and_invokes() {
 #[test]
 fn replay_can_be_disabled() {
     let bugs = vec![BugSpec::new(BugKind::RegWriteCorruption, 2_000)];
-    let with = run(|b| b.config(DiffConfig::BNSD).bugs(bugs.clone()).replay(true));
+    let with = run(session(DiffConfig::BNSD, bugs.clone(), 8).with_replay(true));
     assert_eq!(with.outcome, RunOutcome::Mismatch);
     let f = with.failure.expect("failure report");
     assert!(f.replayed_events > 0, "replay ran");
     assert!(f.precise.is_some());
 
-    let without = run(|b| b.config(DiffConfig::BNSD).bugs(bugs).replay(false));
+    let without = run(session(DiffConfig::BNSD, bugs, 8).with_replay(false));
     assert_eq!(without.outcome, RunOutcome::Mismatch);
     let f = without.failure.expect("failure report");
     assert_eq!(f.replayed_events, 0, "no replay without support");
@@ -115,8 +170,8 @@ fn replay_can_be_disabled() {
 fn queue_depth_bounds_the_pipeline() {
     // A deeper in-flight queue can only help (or not hurt) non-blocking
     // throughput.
-    let shallow = run(|b| b.config(DiffConfig::BN).queue_depth(1));
-    let deep = run(|b| b.config(DiffConfig::BN).queue_depth(64));
+    let shallow = run(session(DiffConfig::BN, Vec::new(), 1));
+    let deep = run(session(DiffConfig::BN, Vec::new(), 64));
     assert!(
         deep.speed_hz >= shallow.speed_hz * 0.999,
         "deep {} < shallow {}",
@@ -129,7 +184,7 @@ fn queue_depth_bounds_the_pipeline() {
 fn coarse_detection_seq_is_no_earlier_than_precise() {
     // Fusion delays detection; Replay walks it back.
     let bugs = vec![BugSpec::new(BugKind::StoreValueCorruption, 3_000)];
-    let r = run(|b| b.config(DiffConfig::BNSD).bugs(bugs));
+    let r = run(session(DiffConfig::BNSD, bugs, 8));
     let f = r.failure.expect("mismatch");
     let precise = f.precise.expect("localized");
     assert!(f.coarse.seq >= precise.seq);
@@ -141,12 +196,16 @@ fn long_clean_runs_release_the_replay_ring_instead_of_wrapping_it() {
     // at least one record, so this run retains several ceilings' worth.
     const CEILING: u64 = 1 << 16;
     let w = Workload::microbench().seed(7).iterations(1_000_000).build();
-    let mut sim = CoSimulation::builder()
-        .dut(DutConfig::xiangshan_default())
-        .config(DiffConfig::BNSD)
-        .max_cycles(300_000)
-        .build(&w)
-        .expect("valid");
+    let session = Session::new(
+        DutConfig::xiangshan_default(),
+        DiffConfig::BNSD,
+        &w,
+        Vec::new(),
+        300_000,
+        8,
+        None,
+    );
+    let mut sim = CoSimulation::new(session).expect("valid");
     let r = sim.run();
     assert_eq!(r.outcome, RunOutcome::MaxCycles);
     assert!(r.instructions > 4 * CEILING, "{} commits", r.instructions);

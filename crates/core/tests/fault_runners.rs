@@ -27,15 +27,17 @@ fn workload() -> Workload {
 }
 
 fn engine_run(config: DiffConfig, plan: Option<FaultPlan>) -> RunReport {
-    let mut builder = CoSimulation::builder()
-        .dut(DutConfig::nutshell())
-        .platform(Platform::palladium())
-        .config(config)
-        .max_cycles(400_000);
-    if let Some(p) = plan {
-        builder = builder.fault_plan(p);
-    }
-    let mut sim = builder.build(&workload()).expect("build");
+    let session = Session::new(
+        DutConfig::nutshell(),
+        config,
+        &workload(),
+        Vec::new(),
+        400_000,
+        8,
+        plan,
+    )
+    .with_platform(Platform::palladium());
+    let mut sim = CoSimulation::new(session).expect("build");
     sim.run()
 }
 

@@ -4,7 +4,7 @@
 //! sequence number, and enabling tracing never changes any runner's
 //! verdict, item count or mismatch identity.
 //!
-//! Tracers are injected through the session/builder seam rather than
+//! Tracers are injected through `Session::with_tracer` rather than
 //! `DIFFTEST_TRACE` — libtest runs these cases on parallel threads, so
 //! process-global env mutation would race. The socket runner's merged
 //! trace is tested in the umbrella crate's `tests/socket_runner.rs`,
@@ -51,13 +51,8 @@ fn socket(session: Session) -> SocketReport {
 
 fn engine_report(path: &Path) -> RunReport {
     let w = Workload::microbench().seed(11).iterations(40).build();
-    let mut sim = CoSimulation::builder()
-        .dut(DutConfig::nutshell())
-        .config(DiffConfig::BNSD)
-        .max_cycles(500_000)
-        .tracer(fake_tracer(path))
-        .build(&w)
-        .expect("build");
+    let session = session(DutConfig::nutshell(), &w, Vec::new());
+    let mut sim = CoSimulation::new(session.with_tracer(Some(fake_tracer(path)))).expect("build");
     sim.run()
 }
 
@@ -155,13 +150,9 @@ proptest! {
         let base = engine_untraced(&w);
         let p = trace_path("prop-engine");
         let traced = {
-            let mut sim = CoSimulation::builder()
-                .dut(DutConfig::nutshell())
-                .config(DiffConfig::BNSD)
-                .max_cycles(500_000)
-                .tracer(fake_tracer(&p))
-                .build(&w)
-                .expect("build");
+            let session = session(DutConfig::nutshell(), &w, Vec::new());
+            let mut sim =
+                CoSimulation::new(session.with_tracer(Some(fake_tracer(&p)))).expect("build");
             sim.run()
         };
         prop_assert_eq!(traced.common.outcome, base.common.outcome);
@@ -202,11 +193,6 @@ proptest! {
 }
 
 fn engine_untraced(w: &Workload) -> RunReport {
-    let mut sim = CoSimulation::builder()
-        .dut(DutConfig::nutshell())
-        .config(DiffConfig::BNSD)
-        .max_cycles(500_000)
-        .build(w)
-        .expect("build");
+    let mut sim = CoSimulation::new(session(DutConfig::nutshell(), w, Vec::new())).expect("build");
     sim.run()
 }

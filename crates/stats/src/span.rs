@@ -88,7 +88,7 @@ pub struct SpanBuf {
 
 impl SpanBuf {
     /// Shifts every timestamp by `delta_ns` (saturating at zero). The
-    /// socket runner uses this to move the child process's spans onto
+    /// socket runner uses this to move the consumer's spans onto
     /// the producer's clock via the wall-clock epochs exchanged in the
     /// handshake.
     pub fn shift_ts(&mut self, delta_ns: i64) {

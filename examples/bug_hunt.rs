@@ -5,7 +5,7 @@
 //! cargo run --release --example bug_hunt
 //! ```
 
-use difftest_h::core::{CoSimulation, DiffConfig, RunOutcome};
+use difftest_h::core::{CoSimulation, DiffConfig, RunOutcome, Session};
 use difftest_h::dut::{BugKind, BugSpec, DutConfig};
 use difftest_h::platform::Platform;
 use difftest_h::workload::Workload;
@@ -19,14 +19,17 @@ fn main() {
     println!("injecting: {:?} ({})\n", bug.kind, bug.kind.category());
 
     for config in [DiffConfig::B, DiffConfig::BNSD] {
-        let mut sim = CoSimulation::builder()
-            .dut(DutConfig::xiangshan_default())
-            .platform(Platform::palladium())
-            .config(config)
-            .bugs(vec![bug.clone()])
-            .max_cycles(300_000)
-            .build(&workload)
-            .expect("valid setup");
+        let session = Session::new(
+            DutConfig::xiangshan_default(),
+            config,
+            &workload,
+            vec![bug.clone()],
+            300_000,
+            8,
+            None,
+        )
+        .with_platform(Platform::palladium());
+        let mut sim = CoSimulation::new(session).expect("valid setup");
         let report = sim.run();
 
         println!("== {config} ==");

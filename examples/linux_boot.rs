@@ -5,7 +5,7 @@
 //! cargo run --release --example linux_boot
 //! ```
 
-use difftest_h::core::{CoSimulation, DiffConfig, RunOutcome};
+use difftest_h::core::{CoSimulation, DiffConfig, RunOutcome, Session};
 use difftest_h::dut::DutConfig;
 use difftest_h::platform::Platform;
 use difftest_h::stats::{fmt_hz, fmt_pct, fmt_ratio, Table};
@@ -29,13 +29,17 @@ fn main() {
         let mut base = 0.0;
         let mut transcript = Vec::new();
         for (i, config) in DiffConfig::ALL.into_iter().enumerate() {
-            let mut sim = CoSimulation::builder()
-                .dut(DutConfig::xiangshan_default())
-                .platform(platform.clone())
-                .config(config)
-                .max_cycles(150_000)
-                .build(&workload)
-                .expect("valid setup");
+            let session = Session::new(
+                DutConfig::xiangshan_default(),
+                config,
+                &workload,
+                Vec::new(),
+                150_000,
+                8,
+                None,
+            )
+            .with_platform(platform.clone());
+            let mut sim = CoSimulation::new(session).expect("valid setup");
             let report = sim.run();
             assert_ne!(
                 report.outcome,

@@ -82,14 +82,18 @@ fn main() {
 
     // 1. Virtual-time engine, BNSD: clean run, no snapshot expected.
     let engine_trace = trace_for("engine");
-    let mut sim = CoSimulation::builder()
-        .dut(DutConfig::nutshell())
-        .platform(Platform::palladium())
-        .config(DiffConfig::BNSD)
-        .max_cycles(400_000)
-        .tracer(Tracer::to_path(&engine_trace))
-        .build(&w)
-        .expect("valid setup");
+    let session = Session::new(
+        DutConfig::nutshell(),
+        DiffConfig::BNSD,
+        &w,
+        Vec::new(),
+        400_000,
+        8,
+        None,
+    )
+    .with_platform(Platform::palladium())
+    .with_tracer(Some(Tracer::to_path(&engine_trace)));
+    let mut sim = CoSimulation::new(session).expect("valid setup");
     let engine = sim.run();
     assert_eq!(engine.outcome, RunOutcome::GoodTrap);
     assert!(

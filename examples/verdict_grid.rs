@@ -20,7 +20,7 @@
 //! make verdict-grid    # regenerates into a temp dir and diffs
 //! ```
 
-use difftest_h::core::{CoSimulation, DiffConfig};
+use difftest_h::core::{CoSimulation, DiffConfig, Session};
 use difftest_h::dut::{BugKind, BugSpec, DutConfig};
 use difftest_h::platform::Platform;
 use difftest_h::workload::{Workload, WorkloadBuilder};
@@ -79,14 +79,17 @@ impl Cell {
                 .map(|i| BugSpec::new(kind, base + i * 250))
                 .collect()
         });
-        let mut sim = CoSimulation::builder()
-            .dut(self.dut.clone())
-            .platform(Platform::palladium())
-            .config(DiffConfig::BNSD)
-            .bugs(bugs)
-            .max_cycles(max_cycles)
-            .build(&workload)
-            .expect("valid setup");
+        let session = Session::new(
+            self.dut.clone(),
+            DiffConfig::BNSD,
+            &workload,
+            bugs,
+            max_cycles,
+            8,
+            None,
+        )
+        .with_platform(Platform::palladium());
+        let mut sim = CoSimulation::new(session).expect("valid setup");
         let report = sim.run();
         let head = format!("{} {} seed {}", self.dut.name, workload.name(), self.seed);
         match self.bug {

@@ -17,19 +17,23 @@
 //! # Quick start
 //!
 //! ```
-//! use difftest_h::core::{CoSimulation, DiffConfig, RunOutcome};
+//! use difftest_h::core::{CoSimulation, DiffConfig, RunOutcome, Session};
 //! use difftest_h::dut::DutConfig;
 //! use difftest_h::platform::Platform;
 //! use difftest_h::workload::Workload;
 //!
 //! let workload = Workload::microbench().seed(7).iterations(20).build();
-//! let mut sim = CoSimulation::builder()
-//!     .dut(DutConfig::nutshell())
-//!     .platform(Platform::palladium())
-//!     .config(DiffConfig::BNSD)
-//!     .max_cycles(200_000)
-//!     .build(&workload)
-//!     .expect("valid co-simulation setup");
+//! let session = Session::new(
+//!     DutConfig::nutshell(),
+//!     DiffConfig::BNSD,
+//!     &workload,
+//!     Vec::new(),
+//!     200_000,
+//!     8,
+//!     None,
+//! )
+//! .with_platform(Platform::palladium());
+//! let mut sim = CoSimulation::new(session).expect("valid co-simulation setup");
 //! let report = sim.run();
 //! assert_eq!(report.outcome, RunOutcome::GoodTrap);
 //! ```

@@ -2,7 +2,7 @@
 //! is caught by the full DiffTest-H configuration, and Replay localizes it
 //! to a concrete instruction and check.
 
-use difftest_h::core::{CoSimulation, DiffConfig, RunOutcome};
+use difftest_h::core::{CoSimulation, DiffConfig, RunOutcome, Session};
 use difftest_h::dut::{BugKind, BugSpec, DutConfig};
 use difftest_h::platform::Platform;
 use difftest_h::workload::Workload;
@@ -43,14 +43,17 @@ fn detect_in(
     config: DiffConfig,
 ) -> (RunOutcome, Option<u64>) {
     let workload = Workload::linux_boot().seed(seed).iterations(400).build();
-    let mut sim = CoSimulation::builder()
-        .dut(DutConfig::xiangshan_minimal())
-        .platform(Platform::palladium())
-        .config(config)
-        .bugs(triggers.iter().map(|&at| BugSpec::new(kind, at)).collect())
-        .max_cycles(250_000)
-        .build(&workload)
-        .expect("valid setup");
+    let session = Session::new(
+        DutConfig::xiangshan_minimal(),
+        config,
+        &workload,
+        triggers.iter().map(|&at| BugSpec::new(kind, at)).collect(),
+        250_000,
+        8,
+        None,
+    )
+    .with_platform(Platform::palladium());
+    let mut sim = CoSimulation::new(session).expect("valid setup");
     let report = sim.run();
     let precise_seq = report
         .failure
@@ -148,13 +151,17 @@ fn replay_localization_matches_unfused_detection() {
 #[test]
 fn bug_free_runs_stay_clean_with_replay_enabled() {
     let workload = Workload::linux_boot().seed(13).iterations(150).build();
-    let mut sim = CoSimulation::builder()
-        .dut(DutConfig::xiangshan_minimal())
-        .platform(Platform::palladium())
-        .config(DiffConfig::BNSD)
-        .max_cycles(250_000)
-        .build(&workload)
-        .expect("valid setup");
+    let session = Session::new(
+        DutConfig::xiangshan_minimal(),
+        DiffConfig::BNSD,
+        &workload,
+        Vec::new(),
+        250_000,
+        8,
+        None,
+    )
+    .with_platform(Platform::palladium());
+    let mut sim = CoSimulation::new(session).expect("valid setup");
     assert_eq!(sim.run().outcome, RunOutcome::GoodTrap);
 }
 
@@ -167,14 +174,17 @@ fn replay_ranges_are_never_released_before_localization() {
     for dut in [DutConfig::xiangshan_minimal(), DutConfig::xiangshan_dual()] {
         let (mut localized, mut high_water) = (0, 0);
         for kind in ALL_BUGS {
-            let mut sim = CoSimulation::builder()
-                .dut(dut.clone())
-                .platform(Platform::palladium())
-                .config(DiffConfig::BNSD)
-                .bugs(vec![BugSpec::new(kind, 8_000)])
-                .max_cycles(250_000)
-                .build(&workload)
-                .expect("valid setup");
+            let session = Session::new(
+                dut.clone(),
+                DiffConfig::BNSD,
+                &workload,
+                vec![BugSpec::new(kind, 8_000)],
+                250_000,
+                8,
+                None,
+            )
+            .with_platform(Platform::palladium());
+            let mut sim = CoSimulation::new(session).expect("valid setup");
             let report = sim.run();
             high_water = high_water.max(report.replay_high_water);
             if let Some(f) = &report.failure {

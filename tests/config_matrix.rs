@@ -10,13 +10,9 @@ use difftest_h::platform::Platform;
 use difftest_h::workload::Workload;
 
 fn run_one(workload: &Workload, dut: DutConfig, config: DiffConfig) -> (RunOutcome, u64, u64) {
-    let mut sim = CoSimulation::builder()
-        .dut(dut)
-        .platform(Platform::palladium())
-        .config(config)
-        .max_cycles(400_000)
-        .build(workload)
-        .expect("valid setup");
+    let session = Session::new(dut, config, workload, Vec::new(), 400_000, 8, None)
+        .with_platform(Platform::palladium());
+    let mut sim = CoSimulation::new(session).expect("valid setup");
     let report = sim.run();
     (report.outcome, report.cycles, report.instructions)
 }
@@ -62,13 +58,17 @@ fn speeds_increase_monotonically_with_optimizations() {
     for platform in [Platform::palladium(), Platform::fpga()] {
         let mut last = 0.0;
         for config in DiffConfig::ALL {
-            let mut sim = CoSimulation::builder()
-                .dut(DutConfig::xiangshan_default())
-                .platform(platform.clone())
-                .config(config)
-                .max_cycles(60_000)
-                .build(&w)
-                .expect("valid setup");
+            let session = Session::new(
+                DutConfig::xiangshan_default(),
+                config,
+                &w,
+                Vec::new(),
+                60_000,
+                8,
+                None,
+            )
+            .with_platform(platform.clone());
+            let mut sim = CoSimulation::new(session).expect("valid setup");
             let report = sim.run();
             assert!(
                 report.speed_hz > last,
@@ -85,13 +85,17 @@ fn speeds_increase_monotonically_with_optimizations() {
 #[test]
 fn dual_core_verifies_and_reports_per_core() {
     let w = Workload::linux_boot().seed(6).iterations(80).build();
-    let mut sim = CoSimulation::builder()
-        .dut(DutConfig::xiangshan_dual())
-        .platform(Platform::palladium())
-        .config(DiffConfig::BNSD)
-        .max_cycles(400_000)
-        .build(&w)
-        .expect("valid setup");
+    let session = Session::new(
+        DutConfig::xiangshan_dual(),
+        DiffConfig::BNSD,
+        &w,
+        Vec::new(),
+        400_000,
+        8,
+        None,
+    )
+    .with_platform(Platform::palladium());
+    let mut sim = CoSimulation::new(session).expect("valid setup");
     let report = sim.run();
     assert_eq!(report.outcome, RunOutcome::GoodTrap);
     // Both cores were checked. They run the same program under
@@ -107,14 +111,17 @@ fn dual_core_verifies_and_reports_per_core() {
 fn dual_core_bug_is_attributed_to_core_zero() {
     use difftest_h::dut::{BugKind, BugSpec};
     let w = Workload::linux_boot().seed(6).iterations(200).build();
-    let mut sim = CoSimulation::builder()
-        .dut(DutConfig::xiangshan_dual())
-        .platform(Platform::palladium())
-        .config(DiffConfig::BNSD)
-        .bugs(vec![BugSpec::new(BugKind::RegWriteCorruption, 5_000)])
-        .max_cycles(400_000)
-        .build(&w)
-        .expect("valid setup");
+    let session = Session::new(
+        DutConfig::xiangshan_dual(),
+        DiffConfig::BNSD,
+        &w,
+        vec![BugSpec::new(BugKind::RegWriteCorruption, 5_000)],
+        400_000,
+        8,
+        None,
+    )
+    .with_platform(Platform::palladium());
+    let mut sim = CoSimulation::new(session).expect("valid setup");
     let report = sim.run();
     assert_eq!(report.outcome, RunOutcome::Mismatch);
     let failure = report.failure.expect("mismatch report");
@@ -131,13 +138,9 @@ fn mmio_skips_count_once_per_load_on_every_stream() {
     let w = Workload::mmio_heavy().seed(7).iterations(40).build();
     for dut in [DutConfig::xiangshan_dual(), DutConfig::nutshell()] {
         let skips = [DiffConfig::BN, DiffConfig::BNSD].map(|config| {
-            let mut sim = CoSimulation::builder()
-                .dut(dut.clone())
-                .platform(Platform::palladium())
-                .config(config)
-                .max_cycles(400_000)
-                .build(&w)
-                .expect("valid setup");
+            let session = Session::new(dut.clone(), config, &w, Vec::new(), 400_000, 8, None)
+                .with_platform(Platform::palladium());
+            let mut sim = CoSimulation::new(session).expect("valid setup");
             let report = sim.run();
             assert_eq!(report.outcome, RunOutcome::GoodTrap, "{config:?}");
             report.counters().get("sw.mmio_skips")

@@ -3,7 +3,7 @@
 //! traffic) must verify cleanly under both the baseline and the fully
 //! optimized configuration, across seeds.
 
-use difftest_h::core::{CoSimulation, DiffConfig, RunOutcome};
+use difftest_h::core::{CoSimulation, DiffConfig, RunOutcome, Session};
 use difftest_h::dut::DutConfig;
 use difftest_h::platform::Platform;
 use difftest_h::workload::Workload;
@@ -13,13 +13,17 @@ fn random_programs_verify_under_baseline_and_bnsd() {
     for seed in 0..6u64 {
         let w = Workload::fuzz().seed(seed).iterations(60).build();
         for config in [DiffConfig::Z, DiffConfig::BNSD] {
-            let mut sim = CoSimulation::builder()
-                .dut(DutConfig::xiangshan_minimal())
-                .platform(Platform::palladium())
-                .config(config)
-                .max_cycles(400_000)
-                .build(&w)
-                .expect("valid setup");
+            let session = Session::new(
+                DutConfig::xiangshan_minimal(),
+                config,
+                &w,
+                Vec::new(),
+                400_000,
+                8,
+                None,
+            )
+            .with_platform(Platform::palladium());
+            let mut sim = CoSimulation::new(session).expect("valid setup");
             let report = sim.run();
             assert_eq!(
                 report.outcome,
@@ -40,13 +44,9 @@ fn random_programs_verify_on_every_dut_width() {
         DutConfig::xiangshan_default(),
     ] {
         let name = dut.name.clone();
-        let mut sim = CoSimulation::builder()
-            .dut(dut)
-            .platform(Platform::palladium())
-            .config(DiffConfig::BNSD)
-            .max_cycles(400_000)
-            .build(&w)
-            .expect("valid setup");
+        let session = Session::new(dut, DiffConfig::BNSD, &w, Vec::new(), 400_000, 8, None)
+            .with_platform(Platform::palladium());
+        let mut sim = CoSimulation::new(session).expect("valid setup");
         let report = sim.run();
         assert_eq!(
             report.outcome,

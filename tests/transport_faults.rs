@@ -17,7 +17,7 @@ fn record_transfers() -> (Memory, Vec<Transfer>) {
     let mut image = Memory::new();
     image.load_words(Memory::RAM_BASE, w.words());
     let mut dut = Dut::new(DutConfig::xiangshan_minimal(), &image, Vec::new());
-    let mut accel = AccelUnit::squash_batch(1, 4096, 32, false);
+    let mut accel = AccelUnit::squash_batch_with(1, 4096, 32, false, true);
     let mut transfers = Vec::new();
     while dut.halted().is_none() && dut.cycles() < 200_000 {
         let out = dut.tick();
