@@ -80,7 +80,12 @@ ci: seam
 # `ServeAddr`, `SERVE_ADDR_ENV`, `SessionRegistry`) or writes or reads a
 # result blob back across the socket (`RESULT_MAGIC`, `write_result`,
 # `read_result`, and the histogram codec `write_sparse`/`read_sparse`):
-# the runner takes the consumer's output from serve_connection itself. A
+# the runner takes the consumer's output from serve_connection itself.
+# One consumer construction: the socket runner hands serve_connection the
+# Session's own Consumer, so outside tests mux.rs names no `Session` and
+# builds no clock, and no library source names the retired hello rebuild
+# or span clock shift (`from_words`, `wall_epoch_ns`, `epoch_wall_ns`,
+# `shift_ts`, `MAX_HELLO_WORDS`, `to_wire(`, `from_wire(`). A
 # monitored event has one representation on the send path, the record
 # the DUT's monitor appends to the capture arena: outside tests, the
 # typed benchmark shims (shim.rs)
@@ -178,6 +183,15 @@ seam:
 		exit 1; \
 	else \
 		echo "one-process seam clean: no daemon, no remote peer, no result blob"; \
+	fi
+	@if sed -e '/^#\[cfg(test)\]/,$$d' crates/core/src/mux.rs \
+		| grep -nE 'Session|Clock' | sed 's|^|crates/core/src/mux.rs: |' | grep . \
+		|| grep -rnE 'from_words|wall_epoch_ns|epoch_wall_ns|shift_ts|MAX_HELLO_WORDS|to_wire\(|from_wire\(' \
+			crates/*/src; then \
+		echo "consumer-construction seam violated: the socket consumer is the Session's own, built by the runner on the tracer's one clock"; \
+		exit 1; \
+	else \
+		echo "consumer-construction seam clean: one consumer construction, no hello rebuild, no clock shift"; \
 	fi
 	@if for f in $(SEND_SRCS); do \
 		sed -e '/^#\[cfg(test)\]/,$$d' -e '/^pub struct FixedOffsetPacker/,/^}/d' \

@@ -10,22 +10,25 @@
 //! A session is one client → server byte stream:
 //!
 //! ```text
-//! client → server   "DTH1" ver config cores trace epoch len words        (hello)
+//! client → server   "DTH1" ver                                           (hello)
 //!                   [ 0x00 core items len bytes ]*                       (transfer frames)
 //!                   0x01 produced                                        (end frame)
 //! ```
 //!
-//! All integers are little-endian: fixed-size fields parse with the
-//! event codec's [`Reader`], the writers use this module's private
-//! `w_*` helpers. Every length prefix is bounds-checked *before* any
-//! allocation: frames against [`MAX_FRAME_BYTES`], hello image words
-//! against [`MAX_HELLO_WORDS`], so a hostile or desynchronized stream
-//! yields a typed error, never a panic or an unbounded buffer.
+//! The hello carries no run description: both ends are threads of one
+//! process, and the consumer is built from the same
+//! [`Session`](crate::Session) as the producer. All integers are
+//! little-endian: fixed-size fields parse with the event codec's
+//! [`Reader`], the writers use this module's private `w_*` helpers.
+//! Every frame's length prefix is bounds-checked against
+//! [`MAX_FRAME_BYTES`] *before* any allocation, so a hostile or
+//! desynchronized stream yields a typed error, never a panic or an
+//! unbounded buffer.
 //!
-//! The version byte ([`PROTO_VERSION`]) right after the magic lets a
-//! consumer meeting a stream from a different build reject it as
-//! [`ProtoError::BadVersion`] instead of misparsing the fields that
-//! follow.
+//! The magic and the version byte ([`PROTO_VERSION`]) right after it let
+//! a consumer meeting a foreign stream, or one from a different build,
+//! reject it as [`ProtoError::BadMagic`] or [`ProtoError::BadVersion`]
+//! instead of misparsing the frames that follow.
 
 // Peer bytes reach this module: every read of them is checked.
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
@@ -34,9 +37,7 @@ use std::fmt;
 use std::io::{self, Write};
 
 use difftest_event::wire::{CodecError, Reader};
-use difftest_ref::Memory;
 
-use crate::session::{DiffConfig, Session};
 use crate::transport::Transfer;
 
 /// Magic opening every client stream.
@@ -46,8 +47,9 @@ pub const HANDSHAKE_MAGIC: [u8; 4] = *b"DTH1";
 /// byte; version 3 ended the (since retired) result blob with the
 /// consumer's whole observation bundle; version 4 drops the hello's
 /// consumer kill knob; version 5 delta-codes the order tag and token
-/// heading each Tagged and Diff item inside transfer frames.
-pub const PROTO_VERSION: u8 = 5;
+/// heading each Tagged and Diff item inside transfer frames; version 6
+/// shrinks the hello to the magic and this byte.
+pub const PROTO_VERSION: u8 = 6;
 
 /// Frame type: a [`Transfer`] packet.
 pub const FRAME_TRANSFER: u8 = 0;
@@ -57,55 +59,21 @@ pub const FRAME_END: u8 = 1;
 /// Upper bound on a transfer frame's length prefix; a larger prefix
 /// means a desynchronized or hostile stream.
 pub const MAX_FRAME_BYTES: usize = 1 << 24;
-/// Upper bound on the hello's memory-image word count (the whole RAM).
-pub const MAX_HELLO_WORDS: usize = (Memory::RAM_SIZE / 4) as usize;
-/// Upper bound on the hello's advertised core count.
-pub const MAX_CORES: u32 = 1024;
 
-/// Fixed-size prefix of the hello: magic, version, config, cores, trace
-/// flag, wall epoch, image word count.
-const HELLO_HEADER: usize = 4 + 1 + 1 + 4 + 1 + 8 + 4;
+/// The hello: magic and version.
+const HELLO_LEN: usize = 4 + 1;
 /// Fixed-size prefix of a transfer frame: type, core, items, byte length.
 const TRANSFER_HEADER: usize = 1 + 1 + 4 + 4;
 
-/// What the producer tells the consumer before any frame flows.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hello {
-    /// The optimization configuration both sides must agree on.
-    pub config: DiffConfig,
-    /// DUT core count (= reference models on the consumer).
-    pub cores: u32,
-    /// Span tracing requested: the consumer records its own track for
-    /// the runner to merge with the producer's.
-    pub trace: bool,
-    /// The producer's wall-clock nanoseconds at its trace clock origin;
-    /// the consumer shifts its spans by the epoch delta so producer and
-    /// consumer land on one merged timeline.
-    pub epoch_wall_ns: u64,
-    /// The workload memory image, loaded at `Memory::RAM_BASE`.
-    pub words: Vec<u32>,
-}
-
-impl Hello {
-    /// The hello describing `session` (configuration, tracing) with the
-    /// given workload image. The second argument is ignored: it set the
-    /// retired consumer kill knob, and stays only for callers that still
-    /// pass it.
-    pub fn from_session(session: &Session, _ignored: u32, words: &[u32]) -> Hello {
-        Hello {
-            config: session.config(),
-            cores: session.dut_cfg().cores,
-            trace: session.tracer().is_some(),
-            epoch_wall_ns: session.tracer().map_or(0, |t| t.epoch_wall_ns()),
-            words: words.to_vec(),
-        }
-    }
-}
+/// The stream's opening: it names the protocol and its version, and
+/// nothing else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hello;
 
 /// One decoded client → server message.
 #[derive(Debug)]
 pub enum ClientMsg {
-    /// Session setup; always the stream's first message.
+    /// The stream's opening; always its first message.
     Hello(Hello),
     /// One packet of the event stream.
     Transfer(Transfer),
@@ -124,9 +92,6 @@ pub enum ProtoError {
     BadMagic,
     /// The version byte does not match [`PROTO_VERSION`].
     BadVersion(u8),
-    /// A field holds a value outside its domain (config byte, core
-    /// count, frame type).
-    BadValue(&'static str),
     /// A length prefix exceeds its pinned bound — rejected before any
     /// allocation.
     Oversize {
@@ -154,7 +119,6 @@ impl fmt::Display for ProtoError {
                     "protocol version {v} (this build speaks {PROTO_VERSION})"
                 )
             }
-            ProtoError::BadValue(what) => write!(f, "bad {what}"),
             ProtoError::Oversize { what, len, max } => {
                 write!(f, "{what} length {len} exceeds bound {max}")
             }
@@ -252,47 +216,11 @@ fn parse_hello(avail: &[u8]) -> Result<Option<(Hello, usize)>, ProtoError> {
     if !HANDSHAKE_MAGIC.starts_with(avail.get(..4).unwrap_or(avail)) {
         return Err(ProtoError::BadMagic);
     }
-    if let Some(&v) = avail.get(4).filter(|&&v| v != PROTO_VERSION) {
-        return Err(ProtoError::BadVersion(v));
+    match avail.get(4) {
+        None => Ok(None),
+        Some(&PROTO_VERSION) => Ok(Some((Hello, HELLO_LEN))),
+        Some(&v) => Err(ProtoError::BadVersion(v)),
     }
-    let Some(header) = avail.get(5..HELLO_HEADER) else {
-        return Ok(None);
-    };
-    let mut r = Reader::new(header);
-    let config = DiffConfig::from_wire(r.u8()?).ok_or(ProtoError::BadValue("config"))?;
-    let cores = r.u32()?;
-    if cores == 0 || cores > MAX_CORES {
-        return Err(ProtoError::BadValue("core count"));
-    }
-    let trace = r.u8()? != 0;
-    let epoch_wall_ns = r.u64()?;
-    let len = r.u32()? as usize;
-    if len > MAX_HELLO_WORDS {
-        return Err(ProtoError::Oversize {
-            what: "hello image",
-            len: len as u64,
-            max: MAX_HELLO_WORDS as u64,
-        });
-    }
-    let total = HELLO_HEADER + len * 4;
-    let Some(image) = avail.get(HELLO_HEADER..total) else {
-        return Ok(None);
-    };
-    let mut words = Vec::with_capacity(len);
-    let mut r = Reader::new(image);
-    for _ in 0..len {
-        words.push(r.u32()?);
-    }
-    Ok(Some((
-        Hello {
-            config,
-            cores,
-            trace,
-            epoch_wall_ns,
-            words,
-        },
-        total,
-    )))
 }
 
 /// Parses a post-hello frame off the front of `avail`; `None` = need
@@ -342,19 +270,11 @@ fn parse_frame(avail: &[u8]) -> Result<Option<(ClientMsg, usize)>, ProtoError> {
     }
 }
 
-/// Writes the hello that opens a client stream.
-pub fn write_hello<W: Write>(w: &mut W, hello: &Hello) -> io::Result<()> {
+/// Writes the hello that opens a client stream: [`HANDSHAKE_MAGIC`] and
+/// [`PROTO_VERSION`].
+pub fn write_hello<W: Write>(w: &mut W, _: &Hello) -> io::Result<()> {
     w.write_all(&HANDSHAKE_MAGIC)?;
-    w_u8(w, PROTO_VERSION)?;
-    w_u8(w, hello.config.to_wire())?;
-    w_u32(w, hello.cores)?;
-    w_u8(w, u8::from(hello.trace))?;
-    w_u64(w, hello.epoch_wall_ns)?;
-    w_u32(w, hello.words.len() as u32)?;
-    for &word in &hello.words {
-        w_u32(w, word)?;
-    }
-    Ok(())
+    w_u8(w, PROTO_VERSION)
 }
 
 /// Writes one transfer frame.
@@ -380,87 +300,29 @@ fn w_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
 
-fn w_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use difftest_dut::DutConfig;
-    use difftest_stats::MonotonicClock;
-    use difftest_workload::Workload;
-    use std::sync::Arc;
 
     #[test]
     fn hello_round_trips_through_the_decoder() {
-        let w = Workload::microbench().seed(3).iterations(5).build();
-        let session = Session::new(
-            DutConfig::nutshell(),
-            DiffConfig::BNSD,
-            &w,
-            Vec::new(),
-            1_000,
-            8,
-            None,
-        );
-        let hello = Hello::from_session(&session, 0, w.words());
         let mut blob = Vec::new();
-        write_hello(&mut blob, &hello).unwrap();
+        write_hello(&mut blob, &Hello).unwrap();
+        assert_eq!(blob.len(), HELLO_LEN);
         let mut dec = FrameDecoder::new();
         dec.push(&blob);
-        let Some(ClientMsg::Hello(hs)) = dec.next_msg().unwrap() else {
-            panic!("expected a decoded hello");
-        };
-        assert_eq!(hs, hello);
+        assert!(matches!(
+            dec.next_msg().unwrap(),
+            Some(ClientMsg::Hello(Hello))
+        ));
         assert!(dec.hello_seen());
         assert_eq!(dec.buffered(), 0);
     }
 
     #[test]
-    fn hello_carries_trace_epoch() {
-        let w = Workload::microbench().seed(3).iterations(5).build();
-        let clock = Arc::new(MonotonicClock::default());
-        let session = Session::new(
-            DutConfig::nutshell(),
-            DiffConfig::BNSD,
-            &w,
-            Vec::new(),
-            1_000,
-            8,
-            None,
-        )
-        .with_tracer(Some(difftest_stats::Tracer::with_clock(
-            "/tmp/unused-trace.json",
-            clock,
-            123_456_789,
-        )));
-        let hello = Hello::from_session(&session, 0, w.words());
-        let mut blob = Vec::new();
-        write_hello(&mut blob, &hello).unwrap();
-        let mut dec = FrameDecoder::new();
-        dec.push(&blob);
-        let Some(ClientMsg::Hello(hs)) = dec.next_msg().unwrap() else {
-            panic!("expected a decoded hello");
-        };
-        assert!(hs.trace);
-        assert_eq!(hs.epoch_wall_ns, 123_456_789);
-    }
-
-    #[test]
     fn decoder_handles_arbitrary_fragmentation() {
-        let w = Workload::microbench().seed(9).iterations(5).build();
-        let session = Session::new(
-            DutConfig::nutshell(),
-            DiffConfig::BNSD,
-            &w,
-            Vec::new(),
-            1_000,
-            8,
-            None,
-        );
         let mut stream = Vec::new();
-        write_hello(&mut stream, &Hello::from_session(&session, 0, w.words())).unwrap();
+        write_hello(&mut stream, &Hello).unwrap();
         let t = Transfer {
             bytes: vec![1, 2, 3, 4, 5],
             core: 0,

@@ -24,7 +24,6 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
 
 use difftest_dut::{BugSpec, Dut, DutConfig};
 use difftest_platform::Platform;
@@ -86,27 +85,6 @@ impl DiffConfig {
             DiffConfig::B => "+Batch",
             DiffConfig::BN => "+NonBlock",
             DiffConfig::BNSD => "+Squash",
-        }
-    }
-
-    /// Stable single-byte encoding for cross-process handshakes.
-    pub(crate) fn to_wire(self) -> u8 {
-        match self {
-            DiffConfig::Z => 0,
-            DiffConfig::B => 1,
-            DiffConfig::BN => 2,
-            DiffConfig::BNSD => 3,
-        }
-    }
-
-    /// Inverse of [`to_wire`](Self::to_wire).
-    pub(crate) fn from_wire(b: u8) -> Option<Self> {
-        match b {
-            0 => Some(DiffConfig::Z),
-            1 => Some(DiffConfig::B),
-            2 => Some(DiffConfig::BN),
-            3 => Some(DiffConfig::BNSD),
-            _ => None,
         }
     }
 }
@@ -219,9 +197,6 @@ pub struct Session {
     dut_cfg: DutConfig,
     config: DiffConfig,
     image: Memory,
-    /// The program words `image` was loaded from (the socket handshake
-    /// ships them).
-    words: Arc<[u32]>,
     bugs: Vec<BugSpec>,
     max_cycles: u64,
     queue_depth: usize,
@@ -249,36 +224,12 @@ impl Session {
         queue_depth: usize,
         fault: Option<FaultPlan>,
     ) -> Session {
-        Session::from_words(
-            dut_cfg,
-            config,
-            workload.words(),
-            bugs,
-            max_cycles,
-            queue_depth,
-            fault,
-        )
-    }
-
-    /// Creates a session over a program's words, loading the image the
-    /// DUT and the REFs boot from out of them, so the image and the
-    /// words the socket hello ships always agree.
-    pub(crate) fn from_words(
-        dut_cfg: DutConfig,
-        config: DiffConfig,
-        words: &[u32],
-        bugs: Vec<BugSpec>,
-        max_cycles: u64,
-        queue_depth: usize,
-        fault: Option<FaultPlan>,
-    ) -> Session {
         let mut image = Memory::new();
-        image.load_words(Memory::RAM_BASE, words);
+        image.load_words(Memory::RAM_BASE, workload.words());
         Session {
             dut_cfg,
             config,
             image,
-            words: words.into(),
             bugs,
             max_cycles,
             queue_depth: queue_depth.max(1),
@@ -296,9 +247,7 @@ impl Session {
     /// Overrides the span tracer (default: [`Tracer::from_env`], i.e.
     /// `DIFFTEST_TRACE=<path>`). Tests inject a tracer here rather than
     /// setting the variable, which parallel test threads would race on.
-    /// Pass `None` to force tracing off — every socket consumer does
-    /// this, so the environment never makes it clobber the producer's
-    /// merged trace file.
+    /// Pass `None` to force tracing off.
     pub fn with_tracer(mut self, tracer: Option<Tracer>) -> Self {
         self.tracer = tracer;
         self
@@ -406,11 +355,6 @@ impl Session {
     /// The loaded workload memory image.
     pub fn image(&self) -> &Memory {
         &self.image
-    }
-
-    /// The workload's program words.
-    pub fn words(&self) -> &[u32] {
-        &self.words
     }
 
     /// Asserts the configuration suits a genuinely parallel runner.
@@ -728,37 +672,6 @@ mod tests {
         let plain = session(DiffConfig::Z, None);
         assert!(plain.accel().squash_stats().is_none());
         assert!(plain.sw_unit().expected_seq().is_none());
-    }
-
-    #[test]
-    fn diff_config_wire_round_trips() {
-        for c in DiffConfig::ALL {
-            assert_eq!(DiffConfig::from_wire(c.to_wire()), Some(c));
-        }
-        assert_eq!(DiffConfig::from_wire(9), None);
-    }
-
-    /// The socket hello ships the words the session's image was loaded
-    /// from, so the consumer's REFs boot from the engine's image and both
-    /// runners reach the same verdict (an empty hello traps the REFs at
-    /// instruction 0: a false mismatch).
-    #[test]
-    fn a_session_from_words_gets_one_verdict_on_both_runners() {
-        let w = Workload::microbench().seed(7).iterations(20).build();
-        let s = Session::from_words(
-            DutConfig::nutshell(),
-            DiffConfig::BNSD,
-            w.words(),
-            Vec::new(),
-            200_000,
-            8,
-            None,
-        )
-        .with_tracer(None);
-        let engine = run_session(RunnerKind::Engine, s.clone());
-        let socket = run_session(RunnerKind::Socket, s);
-        assert_eq!(engine.outcome, RunOutcome::GoodTrap);
-        assert_eq!(socket.outcome, engine.outcome, "{:?}", socket.mismatch);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! typed shim encodes its events into a local arena with
 //! [`encode_record`] and calls the record path. It also still starts a
 //! run with [`CoSimulationBuilder`], which is [`Session::new`] and
-//! [`CoSimulation::new`] under six setters. None is a second
-//! implementation. They go, this whole module at once, when the
+//! [`CoSimulation::new`] under six setters, and frames a hello with
+//! [`Hello::from_session`], whose arguments the hello no longer
+//! carries. None is a second implementation. They go, this whole module at once, when the
 //! benchmark-only PR of ROADMAP items 1, 9(a) and 19 moves the adapter
 //! onto the record entry points and [`Session`].
 
@@ -16,6 +17,7 @@ use difftest_workload::Workload;
 
 use crate::batch::{BatchUnit, Packet};
 use crate::engine::{BuildError, CoSimulation};
+use crate::proto::Hello;
 use crate::replay::ReplayBuffer;
 use crate::session::{DiffConfig, Session};
 use crate::squash::{FusedCommit, SquashSink, SquashUnit};
@@ -180,5 +182,14 @@ impl CoSimulationBuilder {
             None,
         );
         CoSimulation::new(session.with_replay(self.replay))
+    }
+}
+
+impl Hello {
+    /// The hello. Its arguments are ignored: the hello no longer ships
+    /// a run description, since the consumer is built from the same
+    /// [`Session`].
+    pub fn from_session(_session: &Session, _ignored: u32, _words: &[u32]) -> Hello {
+        Hello
     }
 }

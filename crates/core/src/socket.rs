@@ -30,7 +30,7 @@ use std::os::unix::net::UnixStream;
 use std::thread;
 use std::time::Instant;
 
-use difftest_stats::{FlightKind, FlightRecord, Metrics};
+use difftest_stats::{Metrics, PID_CONSUMER};
 
 use crate::fault::{LinkErrorKind, LinkStats};
 use crate::link::LinkSink;
@@ -42,6 +42,12 @@ use crate::transport::Transfer;
 
 /// Result of a socket run: the shared [`RunCommon`] core plus
 /// wall-clock throughput.
+///
+/// When the consumer ends the run early (a mismatch or a link error),
+/// the producer ticks on until a frame write fails. After such a stop,
+/// `cycles`, `instructions`, `fault` and the producer's flight records
+/// depend on socket timing; `outcome`, `mismatch`, `items` and the
+/// consumer's `link` stats are reproducible.
 #[derive(Debug, Clone)]
 pub struct SocketReport {
     /// The report core shared by every runner (verdict, volume, link
@@ -66,7 +72,8 @@ pub fn child_entry() {}
 /// `UnixStream::pair()` between them. The session's fault plan, if any,
 /// applies on the producer side, before the bytes enter the socket;
 /// unlike the engine this runner has no retention ring, so decode
-/// failures are reported, not recovered.
+/// failures are reported, not recovered. Which report fields an early
+/// stop leaves timing-dependent is on [`SocketReport`].
 ///
 /// # Panics
 ///
@@ -82,59 +89,30 @@ pub fn run_socket_session(session: Session) -> SocketReport {
     };
     let (sent, served) = thread::scope(|s| {
         let producer = s.spawn(|| run_producer(&session, ours));
-        let served = serve_connection(theirs);
+        // Built as the engine builds it, on this thread while the
+        // producer starts: its spans read the tracer's one clock.
+        let spans = session.span_sink(PID_CONSUMER, 0, "consumer", "consumer");
+        let served = serve_connection(theirs, session.consumer().with_spans(spans));
         let sent = producer
             .join()
             .unwrap_or_else(|p| std::panic::resume_unwind(p));
         (sent, served)
     });
     let wall_s = start.elapsed().as_secs_f64();
-    let (mut out, produced) = match sent {
-        Ok(done) => done,
+    let mut out = match sent {
+        Ok(out) => out,
         Err(kind) => return setup_failure_report(start, kind),
     };
 
-    let mut link = LinkStats::default();
-    let (outcome, mismatch, items) = match served.result {
-        Some(res) => {
-            // The consumer's spans are already shifted onto this clock
-            // via the wall-epoch exchanged in the handshake.
-            out.obs.absorb(res.obs);
-            link = res.link;
-            (
-                RunOutcome::decide(res.mismatch.is_some(), res.link_error, res.verdict),
-                res.mismatch,
-                res.items,
-            )
-        }
-        None => {
-            // The consumer never saw a hello, so it checked nothing:
-            // typed link error, attributed to the produced count (the
-            // last sequence we know left).
-            let kind = LinkErrorKind::Gap;
-            out.obs.flight.records.push(FlightRecord {
-                kind: FlightKind::LinkError,
-                core: 0,
-                seq: produced,
-                cycle: out.cycles,
-                value: kind as u64,
-            });
-            link.note(kind);
-            let outcome = RunOutcome::LinkError {
-                kind,
-                seq: produced,
-                core: 0,
-            };
-            (outcome, None, 0)
-        }
-    };
+    let res = served.result;
+    out.obs.absorb(res.obs);
     let mut common = RunCommon {
-        outcome,
-        mismatch,
+        outcome: RunOutcome::decide(res.mismatch.is_some(), res.link_error, res.verdict),
+        mismatch: res.mismatch,
         cycles: out.cycles,
         instructions: out.instructions,
-        items,
-        link,
+        items: res.items,
+        link: res.link,
         fault: out.fault,
         metrics: Metrics::new(),
         flight: None,
@@ -190,18 +168,13 @@ impl<W: Write> LinkSink for StreamSink<W> {
 }
 
 /// The producer thread: hello, the run, the end frame, then a
-/// half-close. Hands back the producer's account of the run and its
-/// pre-fault produced count.
-fn run_producer(
-    session: &Session,
-    stream: UnixStream,
-) -> Result<(ProducerOutput, u32), LinkErrorKind> {
+/// half-close. Hands back the producer's account of the run.
+fn run_producer(session: &Session, stream: UnixStream) -> Result<ProducerOutput, LinkErrorKind> {
     let writer = stream.try_clone().map_err(|_| LinkErrorKind::Malformed)?;
     let mut sink = StreamSink {
         w: BufWriter::new(writer),
     };
-    let hello = Hello::from_session(session, 0, session.words());
-    if write_hello(&mut sink.w, &hello).is_err() {
+    if write_hello(&mut sink.w, &Hello).is_err() {
         return Err(LinkErrorKind::Gap);
     }
 
@@ -219,7 +192,7 @@ fn run_producer(
     let w = &mut link.sink_mut().w;
     let _ = write_end_frame(w, produced).and_then(|()| w.flush());
     let _ = stream.shutdown(Shutdown::Write);
-    Ok((producer.finish(), produced))
+    Ok(producer.finish())
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Span-tracing integration tests (DESIGN.md §15): a FakeClock-driven
 //! engine run exports a deterministic, well-formed Chrome trace whose
 //! pack → unpack → check spans are linked by `pkt` flow arrows per
-//! sequence number, and enabling tracing never changes any runner's
+//! sequence number, a FakeClock-driven socket run exports the same
+//! bytes twice, and enabling tracing never changes any runner's
 //! verdict, item count or mismatch identity.
 //!
 //! Tracers are injected through `Session::with_tracer` rather than
@@ -38,7 +39,7 @@ fn trace_path(tag: &str) -> PathBuf {
 /// A deterministic tracer: every timestamp reads 0 from the FakeClock,
 /// so the exported bytes are a pure function of the event stream.
 fn fake_tracer(path: &Path) -> Tracer {
-    Tracer::with_clock(path.to_path_buf(), Arc::new(FakeClock::default()), 0)
+    Tracer::with_clock(path.to_path_buf(), Arc::new(FakeClock::default()))
 }
 
 fn session(dut: DutConfig, w: &Workload, bugs: Vec<BugSpec>) -> Session {
@@ -135,6 +136,38 @@ fn engine_trace_is_deterministic_and_causally_linked() {
 
     let _ = std::fs::remove_file(&p1);
     let _ = std::fs::remove_file(&p2);
+}
+
+/// The socket runner's two tracks read the tracer's one clock: with a
+/// FakeClock, two runs of one session export byte-identical files. The
+/// cycle budget ends before the trap, so neither side stops early and
+/// both streams are a pure function of the session.
+#[test]
+fn socket_trace_is_deterministic_under_a_fake_clock() {
+    let w = Workload::microbench().seed(11).iterations(40).build();
+    let run = |tag: &str| {
+        let path = trace_path(tag);
+        let r = socket(
+            Session::new(
+                DutConfig::nutshell(),
+                DiffConfig::BNSD,
+                &w,
+                Vec::new(),
+                5_000,
+                8,
+                None,
+            )
+            .with_tracer(Some(fake_tracer(&path))),
+        );
+        assert_eq!(r.common.outcome, RunOutcome::MaxCycles);
+        assert!(r.common.metrics.counters.get("trace.spans_recorded") > 0);
+        let text = std::fs::read_to_string(&path).expect("trace written");
+        let _ = std::fs::remove_file(&path);
+        text
+    };
+    let first = run("socket-a");
+    assert_eq!(validate_trace(&first).expect("well-formed trace").tracks, 2);
+    assert_eq!(first, run("socket-b"));
 }
 
 proptest! {

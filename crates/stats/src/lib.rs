@@ -66,7 +66,7 @@ pub use obs::Obs;
 pub use query::{GroupStats, TraceQuery};
 pub use recorder::{FlightKind, FlightRecord, FlightRecorder, FlightSnapshot};
 pub use span::{
-    wall_epoch_ns, CriticalStep, SpanBuf, SpanEvent, SpanGroup, SpanKind, SpanQuery, SpanSink,
-    Tracer, PID_CONSUMER, PID_PRODUCER, TRACE_ENV,
+    CriticalStep, SpanBuf, SpanEvent, SpanGroup, SpanKind, SpanQuery, SpanSink, Tracer,
+    PID_CONSUMER, PID_PRODUCER, TRACE_ENV,
 };
 pub use table::{fmt_hz, fmt_pct, fmt_ratio, Table};

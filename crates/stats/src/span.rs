@@ -22,7 +22,6 @@ use std::borrow::Cow;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::SystemTime;
 
 /// Environment variable naming the Chrome-trace output path.
 pub const TRACE_ENV: &str = "DIFFTEST_TRACE";
@@ -87,20 +86,6 @@ pub struct SpanBuf {
 }
 
 impl SpanBuf {
-    /// Shifts every timestamp by `delta_ns` (saturating at zero). The
-    /// socket runner uses this to move the consumer's spans onto
-    /// the producer's clock via the wall-clock epochs exchanged in the
-    /// handshake.
-    pub fn shift_ts(&mut self, delta_ns: i64) {
-        for ev in &mut self.events {
-            ev.ts_ns = if delta_ns >= 0 {
-                ev.ts_ns.saturating_add(delta_ns as u64)
-            } else {
-                ev.ts_ns.saturating_sub(delta_ns.unsigned_abs())
-            };
-        }
-    }
-
     /// True when nothing was recorded (disabled sink or idle track).
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -282,14 +267,13 @@ impl SpanSink {
     }
 }
 
-/// Shared trace configuration: where the trace goes, which clock spans
-/// read, and the wall-clock epoch that anchors the clock's origin so a
-/// second OS process can align its timeline with ours.
+/// Shared trace configuration: where the trace goes and which clock
+/// spans read. Every sink a tracer hands out reads its one clock, so
+/// all of a run's tracks share one timeline.
 #[derive(Clone)]
 pub struct Tracer {
     path: PathBuf,
     clock: Arc<dyn Clock + Send + Sync>,
-    epoch_wall_ns: u64,
     capacity: usize,
 }
 
@@ -297,33 +281,15 @@ impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tracer")
             .field("path", &self.path)
-            .field("epoch_wall_ns", &self.epoch_wall_ns)
             .field("capacity", &self.capacity)
             .finish_non_exhaustive()
     }
 }
 
-/// Wall-clock nanoseconds since the UNIX epoch, right now.
-pub fn wall_epoch_ns() -> u64 {
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0)
-}
-
 impl Tracer {
     /// A tracer writing to `path` over a fresh real monotonic clock.
-    /// The wall-clock epoch is captured at the same instant as the
-    /// clock origin so cross-process traces can be aligned.
     pub fn to_path(path: impl Into<PathBuf>) -> Tracer {
-        let clock = crate::metrics::MonotonicClock::default();
-        let epoch_wall_ns = wall_epoch_ns();
-        Tracer {
-            path: path.into(),
-            clock: Arc::new(clock),
-            epoch_wall_ns,
-            capacity: DEFAULT_SPAN_CAPACITY,
-        }
+        Tracer::with_clock(path, Arc::new(crate::metrics::MonotonicClock::default()))
     }
 
     /// Reads [`TRACE_ENV`]; `None` (tracing off) when unset or empty.
@@ -334,17 +300,12 @@ impl Tracer {
         }
     }
 
-    /// A tracer over an explicit clock and epoch; tests drive this with
-    /// a [`crate::FakeClock`] for deterministic timestamps.
-    pub fn with_clock(
-        path: impl Into<PathBuf>,
-        clock: Arc<dyn Clock + Send + Sync>,
-        epoch_wall_ns: u64,
-    ) -> Tracer {
+    /// A tracer over an explicit clock; tests drive this with a
+    /// [`crate::FakeClock`] for deterministic timestamps.
+    pub fn with_clock(path: impl Into<PathBuf>, clock: Arc<dyn Clock + Send + Sync>) -> Tracer {
         Tracer {
             path: path.into(),
             clock,
-            epoch_wall_ns,
             capacity: DEFAULT_SPAN_CAPACITY,
         }
     }
@@ -358,11 +319,6 @@ impl Tracer {
     /// The trace output path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Wall-clock nanoseconds at this tracer's clock origin.
-    pub fn epoch_wall_ns(&self) -> u64 {
-        self.epoch_wall_ns
     }
 
     /// The tracer's clock (shared by every sink it hands out).
@@ -556,7 +512,7 @@ mod tests {
 
     fn fake_tracer(clock: &Arc<FakeClock>) -> Tracer {
         let c: Arc<dyn Clock + Send + Sync> = Arc::clone(clock) as _;
-        Tracer::with_clock("/tmp/unused.json", c, 1_000)
+        Tracer::with_clock("/tmp/unused.json", c)
     }
 
     #[test]
@@ -615,26 +571,6 @@ mod tests {
         assert_eq!(buf.events.len(), 3);
         assert_eq!(buf.recorded, 3);
         assert_eq!(buf.dropped, 2);
-    }
-
-    #[test]
-    fn shift_ts_aligns_cross_process_clocks() {
-        let mut buf = SpanBuf {
-            events: vec![SpanEvent {
-                kind: SpanKind::Span,
-                name: Cow::Borrowed("unpack"),
-                ts_ns: 500,
-                dur_ns: 10,
-                id: 1,
-            }],
-            ..SpanBuf::default()
-        };
-        buf.shift_ts(250);
-        assert_eq!(buf.events[0].ts_ns, 750);
-        buf.shift_ts(-700);
-        assert_eq!(buf.events[0].ts_ns, 50);
-        buf.shift_ts(-100);
-        assert_eq!(buf.events[0].ts_ns, 0, "saturates at zero");
     }
 
     fn span(name: &'static str, ts: u64, dur: u64, id: u64) -> SpanEvent {

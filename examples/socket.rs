@@ -9,9 +9,10 @@
 //! ```
 //!
 //! With `DIFFTEST_TRACE=<path>` the clean run exports one merged
-//! Chrome/Perfetto trace of producer and consumer: the handshake carries
-//! the producer's clock epoch, so the consumer's spans land on the same
-//! timeline (`make trace` gates this through `scripts/trace_check`).
+//! Chrome/Perfetto trace of producer and consumer: both are built from
+//! one `Session`, so their spans read the tracer's one clock and land on
+//! the same timeline (`make trace` gates this through
+//! `scripts/trace_check`).
 
 use difftest_h::core::{run_socket_session, DiffConfig, RunOutcome, Session};
 use difftest_h::dut::DutConfig;

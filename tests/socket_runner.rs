@@ -142,9 +142,9 @@ fn fault_grid_matches_engine() {
 }
 
 /// A traced socket run produces ONE merged Chrome/Perfetto trace: the
-/// handshake ships the producer's clock epoch to the consumer, which
-/// shifts its spans onto the producer's clock, and the export
-/// interleaves both sides' tracks. The tracer is injected rather than
+/// consumer takes its span sink from the producer's `Session`, so both
+/// sides read the tracer's one clock, and the export interleaves both
+/// sides' tracks. The tracer is injected rather than
 /// set through `DIFFTEST_TRACE`, which parallel test threads would race
 /// on; `make trace` covers the environment-driven path.
 #[test]
