@@ -517,8 +517,9 @@ impl Consumer {
     /// phase. Returns the failure report and, when a replay ran, what the
     /// retransmission cost: its bytes (a 2-byte request per record plus
     /// its payload) and the checker stats before it, for a virtual-time
-    /// charge against the stats after. Without a ring or a fused window
-    /// to revert on that core, the mismatch is already precise.
+    /// charge against the stats after. Without a fused window to revert
+    /// on that core, the mismatch is already precise; without a ring on
+    /// a fused stream, no Replay pass runs and nothing is localized.
     pub fn localize(&mut self, coarse: Mismatch) -> (FailureReport, Option<(u64, CheckStats)>) {
         let t0 = self.timer.start();
         let Consumer {
@@ -528,8 +529,11 @@ impl Consumer {
             .as_ref()
             .and_then(|rb| Some((rb, checker.revert_for_replay(coarse.core)?)));
         let Some((rb, (from, to))) = window else {
+            // Without a ring, a fused window's mismatch names the window,
+            // not an instruction: only the unfused streams are precise.
+            let fused = retention.is_none() && checker.stats().fused_records > 0;
             let report = FailureReport {
-                precise: Some(coarse.clone()),
+                precise: (!fused).then(|| coarse.clone()),
                 coarse,
                 token_range: (0, 0),
                 replayed_events: 0,

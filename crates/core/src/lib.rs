@@ -107,7 +107,7 @@ pub use consume::{
 pub use engine::{BuildError, CoSimulation, RunReport};
 pub use fault::{FaultKind, FaultPlan, FaultStats, FaultyLink, LinkErrorKind, LinkStats};
 pub use link::{FusionWatch, LinkSink, QueueSink, SendLink};
-pub use mux::{serve_connection, CloseReason, Served};
+pub use mux::serve_connection;
 pub use produce::{Producer, ProducerOutput};
 pub use proto::{ClientMsg, FrameDecoder, Hello, ProtoError};
 pub use replay::{FailureReport, ReplayBuffer, Retransmission};

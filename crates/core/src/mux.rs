@@ -9,9 +9,8 @@
 //! calling thread): nothing is ever written back to the peer. Its
 //! semantics:
 //!
-//! - an early consumer stop ([`CloseReason::EarlyStop`]) seals the
-//!   result immediately and shuts the read side, so the producer's next
-//!   write fails with EPIPE,
+//! - an early consumer stop seals the result immediately and shuts the
+//!   read side, so the producer's next write fails with EPIPE,
 //! - a protocol error, before or after the hello, is treated as
 //!   end-of-stream, and the consumer judges what the truncation means,
 //! - EOF without an end frame finishes the stream with an unknown
@@ -30,25 +29,6 @@ use crate::proto::{ClientMsg, FrameDecoder};
 /// How many bytes one read of [`serve_connection`] takes off the socket.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// How one connection ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CloseReason {
-    /// The stream completed (end frame, EOF, a dead peer or protocol
-    /// damage).
-    Finished,
-    /// The consumer decided early; the read side was shut.
-    EarlyStop,
-}
-
-/// How one connection ended, and what its consumer concluded.
-#[derive(Debug)]
-pub struct Served {
-    /// Why the session closed.
-    pub reason: CloseReason,
-    /// The sealed consumer output.
-    pub result: ConsumerOutput,
-}
-
 /// The one socket consumer loop: reads `conn` with blocking reads and
 /// ingests each decoded transfer into `consumer` until the stream
 /// closes, then finishes the stream (the end frame's produced count,
@@ -59,16 +39,16 @@ pub struct Served {
 /// socket closes and the loop reads EOF. An early stop shuts the read
 /// side before returning, so the producer's next frame write fails with
 /// EPIPE.
-pub fn serve_connection(mut conn: UnixStream, mut consumer: Consumer) -> Served {
+pub fn serve_connection(mut conn: UnixStream, mut consumer: Consumer) -> ConsumerOutput {
     let mut dec = FrameDecoder::new();
     let mut buf = [0u8; READ_CHUNK];
-    let (reason, produced) = 'serve: loop {
+    let produced = 'serve: loop {
         match conn.read(&mut buf) {
             Ok(n @ 1..) => dec.push(buf.get(..n).unwrap_or_default()),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             // EOF or a read error ends the stream with an unknown
             // produced count.
-            Ok(_) | Err(_) => break (CloseReason::Finished, None),
+            Ok(_) | Err(_) => break None,
         }
         loop {
             match dec.next_msg() {
@@ -76,26 +56,21 @@ pub fn serve_connection(mut conn: UnixStream, mut consumer: Consumer) -> Served 
                 Ok(Some(ClientMsg::Hello(_))) => {}
                 Ok(Some(ClientMsg::Transfer(t))) => {
                     if consumer.ingest(&t, 0, &mut NoCharge) == Step::Stop {
-                        break 'serve (CloseReason::EarlyStop, None);
+                        let _ = conn.shutdown(Shutdown::Read);
+                        break 'serve None;
                     }
                 }
                 Ok(Some(ClientMsg::End { produced })) => {
-                    break 'serve (CloseReason::Finished, Some(produced));
+                    break 'serve Some(produced);
                 }
                 // Protocol damage is end-of-stream: the consumer judges
                 // what the truncation means.
-                Err(_) => break 'serve (CloseReason::Finished, None),
+                Err(_) => break 'serve None,
             }
         }
     };
-    if reason == CloseReason::EarlyStop {
-        let _ = conn.shutdown(Shutdown::Read);
-    }
     consumer.finish_stream(produced, 0, &mut NoCharge);
-    Served {
-        reason,
-        result: consumer.finish(),
-    }
+    consumer.finish()
 }
 
 #[cfg(test)]
@@ -139,7 +114,7 @@ mod tests {
     /// Serves `bytes`, written in `chunk`-byte writes, over a socket
     /// pair into `session`'s consumer; returns what `serve_connection`
     /// reports, having checked that it wrote nothing back.
-    fn serve_bytes(session: &Session, bytes: &[u8], chunk: usize) -> Served {
+    fn serve_bytes(session: &Session, bytes: &[u8], chunk: usize) -> ConsumerOutput {
         let (mut ours, theirs) = UnixStream::pair().unwrap();
         std::thread::scope(|s| {
             let consumer = s.spawn(|| serve_connection(theirs, session.consumer()));
@@ -162,9 +137,7 @@ mod tests {
         let bytes = stream_for(&session);
         let engine = run_session(RunnerKind::Engine, session.clone());
         // Ragged chunking across the whole stream.
-        let served = serve_bytes(&session, &bytes, 193);
-        assert_eq!(served.reason, CloseReason::Finished);
-        let out = served.result;
+        let out = serve_bytes(&session, &bytes, 193);
         assert!(out.mismatch.is_none());
         assert!(out.link_error.is_none());
         assert_eq!(engine.outcome, RunOutcome::GoodTrap);
@@ -194,9 +167,8 @@ mod tests {
         // consumer that keeps reading after its stop would take them all.
         let frame = garbage_transfer(4096);
         let err = (0..4096).find_map(|_| write_transfer_frame(&mut ours, &frame).err());
-        let served = consumer.join().unwrap();
+        let out = consumer.join().unwrap();
         assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::BrokenPipe));
-        assert_eq!(served.reason, CloseReason::EarlyStop);
-        assert!(served.result.link_error.is_some());
+        assert!(out.link_error.is_some());
     }
 }

@@ -304,8 +304,10 @@ fn raise(per_core: &mut Vec<Option<u64>>, core: u8, token: u64) {
 pub struct FailureReport {
     /// The mismatch observed on the optimized stream.
     pub coarse: Mismatch,
-    /// The precise mismatch found by reprocessing unfused events, when the
-    /// replay pass reproduced one.
+    /// The precise mismatch: the one found by reprocessing unfused
+    /// events when a replay pass reproduced one, or the coarse one when
+    /// the stream was unfused. `None` on a fused stream that Replay did
+    /// not localize, or that no Replay pass ran on.
     pub precise: Option<Mismatch>,
     /// Token range retransmitted.
     pub token_range: (u64, u64),
@@ -320,6 +322,9 @@ pub struct FailureReport {
 impl fmt::Display for FailureReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "co-simulation mismatch (fused stream): {}", self.coarse)?;
+        if self.precise.is_none() && self.replayed_events == 0 && self.token_range == (0, 0) {
+            return write!(f, "no Replay pass ran: not localized to an instruction");
+        }
         writeln!(
             f,
             "replayed {} unfused events over tokens [{}, {}]{}",
@@ -384,6 +389,32 @@ mod tests {
                 self.watermark[core as usize].is_none(),
             )
         }
+    }
+
+    /// A fused mismatch that no Replay pass ran on says so, rather than
+    /// claiming a localization or a replay that did not reproduce.
+    #[test]
+    fn an_unreplayed_failure_names_no_instruction() {
+        let coarse = Mismatch {
+            core: 0,
+            seq: 7,
+            check: "fused.first_seq".into(),
+            expected: "7".into(),
+            actual: "9".into(),
+        };
+        let mut report = FailureReport {
+            coarse: coarse.clone(),
+            precise: None,
+            token_range: (0, 0),
+            replayed_events: 0,
+            partial: false,
+        };
+        let text = report.to_string();
+        assert!(text.ends_with("no Replay pass ran: not localized to an instruction"));
+        report.precise = Some(coarse);
+        assert!(report
+            .to_string()
+            .contains("instruction-level localization"));
     }
 
     #[test]

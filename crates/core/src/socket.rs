@@ -87,16 +87,16 @@ pub fn run_socket_session(session: Session) -> SocketReport {
     let Ok((ours, theirs)) = UnixStream::pair() else {
         return setup_failure_report(start, LinkErrorKind::Malformed);
     };
-    let (sent, served) = thread::scope(|s| {
+    let (sent, res) = thread::scope(|s| {
         let producer = s.spawn(|| run_producer(&session, ours));
         // Built as the engine builds it, on this thread while the
         // producer starts: its spans read the tracer's one clock.
         let spans = session.span_sink(PID_CONSUMER, 0, "consumer", "consumer");
-        let served = serve_connection(theirs, session.consumer().with_spans(spans));
+        let res = serve_connection(theirs, session.consumer().with_spans(spans));
         let sent = producer
             .join()
             .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        (sent, served)
+        (sent, res)
     });
     let wall_s = start.elapsed().as_secs_f64();
     let mut out = match sent {
@@ -104,7 +104,6 @@ pub fn run_socket_session(session: Session) -> SocketReport {
         Err(kind) => return setup_failure_report(start, kind),
     };
 
-    let res = served.result;
     out.obs.absorb(res.obs);
     let mut common = RunCommon {
         outcome: RunOutcome::decide(res.mismatch.is_some(), res.link_error, res.verdict),

@@ -13,8 +13,8 @@ use std::os::unix::net::UnixStream;
 
 use difftest_core::proto::{write_end_frame, write_hello, write_transfer_frame, MAX_FRAME_BYTES};
 use difftest_core::{
-    serve_connection, ClientMsg, DiffConfig, FrameDecoder, Hello, ProtoError, Served, Session,
-    Transfer,
+    serve_connection, ClientMsg, ConsumerOutput, DiffConfig, FrameDecoder, Hello, ProtoError,
+    Session, Transfer,
 };
 use difftest_dut::DutConfig;
 use difftest_workload::Workload;
@@ -62,7 +62,7 @@ fn decode_all(bytes: &[u8], chunk: usize) -> (Vec<String>, Option<ProtoError>) {
 
 /// Serves `bytes`, written in `chunk`-byte writes, through the socket
 /// consumer loop on one end of a socket pair, and waits for it to close.
-fn serve_bytes(bytes: &[u8], chunk: usize) -> Served {
+fn serve_bytes(bytes: &[u8], chunk: usize) -> ConsumerOutput {
     let w = Workload::microbench().seed(1).iterations(5).build();
     let session = Session::new(
         DutConfig::nutshell(),
@@ -128,7 +128,7 @@ proptest! {
         bytes[pos as usize % len] ^= 1 << bit;
         let (_, _) = decode_all(&bytes, chunk);
         // The consumer loop on top must be exactly as calm about it.
-        let out = serve_bytes(&bytes, chunk).result;
+        let out = serve_bytes(&bytes, chunk);
         prop_assert!(out.verdict.is_none() && out.mismatch.is_none(), "{out:?}");
     }
 
@@ -140,7 +140,7 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
         chunk in 1usize..64,
     ) {
-        let out = serve_bytes(&bytes, chunk).result;
+        let out = serve_bytes(&bytes, chunk);
         prop_assert!(out.verdict.is_none() && out.mismatch.is_none(), "{out:?}");
     }
 
