@@ -93,7 +93,10 @@ ci: seam
 # `MonitoredEvent`, encodes an event or a record (`.encode_into(`, bar a
 # FusedCommit's, `encode_record(`), ticks the typed view (`tick_into(`)
 # or refills a held slot with `clone_from`: retention copies the arena,
-# and Squash and Batch read its records in place. The consume side is one state machine: outside
+# and Squash and Batch read its records in place. The monitor itself
+# (crates/dut/src/core.rs) builds no `MonitoredEvent` and calls no
+# `encode_record(`: it writes each header from its stamps and each
+# payload through the catalog's writers, dumps straight from the state. The consume side is one state machine: outside
 # consume.rs and checker.rs no library code drives the checker (`process_ref`,
 # `finalize`), and the retired owned decode path and second byte reader
 # stay gone. The squashed stream is checked in place too: the checker
@@ -203,6 +206,13 @@ seam:
 		exit 1; \
 	else \
 		echo "send-path seam clean: one send-path representation, records read in place"; \
+	fi
+	@if sed -e '/^#\[cfg(test)\]/,$$d' crates/dut/src/core.rs \
+		| grep -nE 'MonitoredEvent|encode_record\(' | sed 's|^|crates/dut/src/core.rs: |' | grep .; then \
+		echo "capture seam violated: the monitor writes each record from its stamps and the payload's writer, building no MonitoredEvent"; \
+		exit 1; \
+	else \
+		echo "capture seam clean: records written straight from the stamps and the state"; \
 	fi
 	@if grep -rnE 'BlockCache|Uop|MAX_BLOCK_LEN|ends_block' crates/*/src; then \
 		echo "REF tier seam violated: the block-compiled tier was retired (DESIGN.md §13)"; \
@@ -328,10 +338,11 @@ socket:
 obs:
 	$(CARGO) run --release --example observability
 
-# Wire byte census (DESIGN.md §16): per wire kind, items and bytes per
+# Byte census (DESIGN.md §16) of four BNSD streams: first the captured
+# stream, per event kind, records and bytes per cycle with the record
+# header split out; then the wire, per wire kind, items and bytes per
 # cycle with the tag/token header split out, plus meta entries and
-# packet framing, for four BNSD streams; asserts the rows add up to
-# the wire.
+# packet framing. Asserts each table's rows add up to its stream.
 census:
 	$(CARGO) run --release --example wire_census
 

@@ -110,12 +110,16 @@ impl<S: LinkSink> Producer<S> {
 
     /// Steps until the run ends, then flushes — unless a failed send or
     /// a [`deliver`](LinkSink::deliver) that decided the run stopped it.
+    /// The phases are timed as laps: each phase's closing clock reading
+    /// opens the next, so a cycle reads the clock once at its start and
+    /// once per phase.
     pub fn run(&mut self) {
         while self.running() {
-            self.tick();
-            self.monitor();
-            self.pack();
-            self.alive = self.feed() && self.deliver();
+            let t = self.timer.start();
+            let t = self.tick(t);
+            let t = self.monitor(t);
+            let t = self.pack(t);
+            self.alive = self.feed(t) && self.deliver();
         }
         if self.alive {
             self.flush();
@@ -123,48 +127,48 @@ impl<S: LinkSink> Producer<S> {
     }
 
     /// Advances the DUT one cycle, capturing its monitored events into
-    /// the arena.
-    fn tick(&mut self) {
-        let t0 = self.timer.start();
+    /// the arena; a lap of the tick phase from `since`.
+    fn tick(&mut self, since: u64) -> u64 {
         self.records.clear();
         self.dut.tick_records(&mut self.records);
-        self.timer.stop(Phase::Tick, t0);
+        self.timer.lap(Phase::Tick, since)
     }
 
     /// Copies the cycle's capture arena into the receiver's retention
-    /// ring, timed as the monitor phase. Without a ring the phase reads
-    /// zero.
-    fn monitor(&mut self) {
-        if let Some(rb) = self.link.sink_mut().retention() {
-            let t0 = self.timer.start();
-            rb.push_records(&self.records);
-            self.timer.stop(Phase::Monitor, t0);
+    /// ring, a lap of the monitor phase from `since`. Without a ring the
+    /// phase reads zero and no lap is taken.
+    fn monitor(&mut self, since: u64) -> u64 {
+        match self.link.sink_mut().retention() {
+            Some(rb) => {
+                rb.push_records(&self.records);
+                self.timer.lap(Phase::Monitor, since)
+            }
+            None => since,
         }
     }
 
-    /// Streams the cycle's records through the acceleration unit;
-    /// completed transfers are staged for [`feed`](Self::feed).
-    fn pack(&mut self) {
-        let t0 = self.timer.start();
+    /// Streams the cycle's records through the acceleration unit,
+    /// staging completed transfers for [`feed`](Self::feed); a lap of
+    /// the pack phase from `since`.
+    fn pack(&mut self, since: u64) -> u64 {
         self.accel.push_records(&self.records, &mut self.staging);
-        self.timer.stop(Phase::Pack, t0);
+        self.timer.lap(Phase::Pack, since)
     }
 
     /// Moves staged transfers across the link: the fusion watermark
-    /// record first, then the send path. A blocking sink is the sending
-    /// queue with backpressure. Returns `false` once the receiver is
-    /// gone.
-    fn feed(&mut self) -> bool {
+    /// record first, then the send path, as a lap of the transport phase
+    /// from `since`. A blocking sink is the sending queue with
+    /// backpressure. Returns `false` once the receiver is gone.
+    fn feed(&mut self, since: u64) -> bool {
         if self.staging.is_empty() {
             return true;
         }
-        let t0 = self.timer.start();
         let cycle = self.dut.cycles();
         self.fusion
             .observe(&self.accel, true, 0, cycle, &mut self.flight);
         let alive = self.link.feed(&mut self.staging, &mut self.flight, cycle);
         self.link.reclaim(&mut self.accel);
-        self.timer.stop(Phase::Transport, t0);
+        self.timer.lap(Phase::Transport, since);
         alive
     }
 
@@ -180,8 +184,8 @@ impl<S: LinkSink> Producer<S> {
     fn flush(&mut self) {
         let t0 = self.timer.start();
         self.accel.flush(&mut self.staging);
-        self.timer.stop(Phase::Pack, t0);
-        if self.feed() {
+        let t = self.timer.lap(Phase::Pack, t0);
+        if self.feed(t) {
             let t0 = self.timer.start();
             let sent = self.link.finish();
             self.timer.stop(Phase::Transport, t0);

@@ -103,31 +103,42 @@ impl ReplayBuffer {
         }
     }
 
-    /// Retains one cycle's capture arena: each record, before any
-    /// optimization touches it, copied to the tail as it lies, evicting
-    /// the oldest when full. The walk reads headers only, for lengths,
-    /// cores and tokens.
+    /// Retains one cycle's capture arena: its records, before any
+    /// optimization touches them, copied to the tail as they lie,
+    /// evicting the oldest when full. Each step copies the longest run
+    /// of whole records that fits both the back chunk and the remaining
+    /// capacity in one piece, then opens a fresh chunk or evicts the
+    /// oldest record. The walk reads headers only, for lengths, cores
+    /// and tokens.
     pub fn push_records(&mut self, mut records: &[u8]) {
-        while let Ok((header, len)) = RecordHeader::read(records) {
-            let Some((record, rest)) = records.split_at_checked(len) else {
-                break;
+        loop {
+            let free = self.capacity - self.len;
+            let (count, next) = match self.chunks.back_mut() {
+                Some(chunk) => {
+                    let room = CHUNK_BYTES.saturating_sub(chunk.bytes.len());
+                    let (run, count, next) = run_of(records, room, free, &mut chunk.newest);
+                    let (run, rest) = records.split_at(run);
+                    chunk.bytes.extend_from_slice(run);
+                    chunk.live += count;
+                    records = rest;
+                    (count, next)
+                }
+                None => {
+                    let (_, count, next) = run_of(records, 0, free, &mut Vec::new());
+                    (count, next)
+                }
             };
-            records = rest;
-            if self.len == self.capacity {
-                self.evict_oldest();
-            }
-            if !matches!(self.chunks.back(), Some(c) if c.bytes.len() + len <= CHUNK_BYTES) {
-                let fresh = self.spare.pop().unwrap_or_else(|| Chunk {
-                    bytes: Vec::with_capacity(CHUNK_BYTES),
-                    ..Chunk::default()
-                });
-                self.chunks.push_back(fresh);
-            }
-            if let Some(chunk) = self.chunks.back_mut() {
-                chunk.bytes.extend_from_slice(record);
-                chunk.live += 1;
-                raise(&mut chunk.newest, header.core, header.token.0);
-                self.len += 1;
+            self.len += count;
+            match next {
+                Next::End => break,
+                Next::Full => self.evict_oldest(),
+                Next::NoRoom => {
+                    let fresh = self.spare.pop().unwrap_or_else(|| Chunk {
+                        bytes: Vec::with_capacity(CHUNK_BYTES),
+                        ..Chunk::default()
+                    });
+                    self.chunks.push_back(fresh);
+                }
             }
         }
         self.high_water = self.high_water.max(self.len);
@@ -287,6 +298,63 @@ impl ReplayBuffer {
     pub fn packets_retained(&self) -> usize {
         self.packet_ring.len()
     }
+}
+
+/// What ends a run of records at the front of an arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Next {
+    /// No whole record follows: the arena is spent (or malformed).
+    End,
+    /// The ring holds its capacity: the oldest record must go first.
+    Full,
+    /// The next record does not fit the back chunk.
+    NoRoom,
+}
+
+/// The longest run of whole records at the front of `records` that
+/// fits `room` bytes and `free` records: its byte length, its record
+/// count and what stops it. Raises `newest` to each core's newest token
+/// in the run, once per stretch of one core's records (an arena holds
+/// each core's records together).
+fn run_of(
+    records: &[u8],
+    room: usize,
+    free: usize,
+    newest: &mut Vec<Option<u64>>,
+) -> (usize, usize, Next) {
+    let (mut run, mut count) = (0, 0);
+    let mut stretch: Option<(u8, u64)> = None;
+    let next = loop {
+        let rest = records.get(run..).unwrap_or_default();
+        let Ok((header, len)) = RecordHeader::read(rest) else {
+            break Next::End;
+        };
+        if len > rest.len() {
+            break Next::End;
+        }
+        if count == free {
+            break Next::Full;
+        }
+        if run + len > room {
+            break Next::NoRoom;
+        }
+        let (core, token) = (header.core, header.token.0);
+        stretch = match stretch {
+            Some((c, t)) if c == core => Some((c, t.max(token))),
+            done => {
+                if let Some((c, t)) = done {
+                    raise(newest, c, t);
+                }
+                Some((core, token))
+            }
+        };
+        run += len;
+        count += 1;
+    };
+    if let Some((c, t)) = stretch {
+        raise(newest, c, t);
+    }
+    (run, count, next)
 }
 
 /// Raises `core`'s entry of a per-core token maximum to `token`.

@@ -26,7 +26,7 @@
 //! [`InstrCommitRef`] fields, and holds a state dump as a copy of its
 //! record's bytes.
 
-use difftest_event::record::{RecordHeader, RecordRef, Records};
+use difftest_event::record::{RecordRef, Records};
 use difftest_event::wire::{CodecError, Reader, Writer};
 use difftest_event::{commit_flags, EventKind, EventRef, InstrCommitRef};
 
@@ -257,6 +257,9 @@ struct WindowState {
     rec: FusedCommit,
     /// The newest dump of each held kind, as its record's bytes.
     dumps: [Vec<u8>; HELD_SLOTS],
+    /// Each slot's dump's token, set when the slot is filled, so
+    /// ordering the due slots parses no header.
+    tokens: [u64; HELD_SLOTS],
     /// Bit `i` set: `dumps[i]` is held and not yet shipped.
     due: u8,
     /// A trap or interrupt entry has shipped: the core's next dump set
@@ -275,6 +278,7 @@ impl WindowState {
             rec: FusedCommit::default(),
             // A slot is read only while its `due` bit is set.
             dumps: Default::default(),
+            tokens: [0; HELD_SLOTS],
             due: 0,
             after_trap: false,
             mmio_load_tag: None,
@@ -285,7 +289,7 @@ impl WindowState {
     fn first_due(&self) -> Option<usize> {
         (0..HELD_SLOTS)
             .filter(|i| self.due & (1 << i) != 0)
-            .min_by_key(|&i| RecordHeader::read(&self.dumps[i]).ok().map(|h| h.0.token))
+            .min_by_key(|&i| self.tokens[i])
     }
 
     fn absorb(&mut self, ev: &RecordRef<'_>, c: InstrCommitRef<'_>) {
@@ -503,6 +507,7 @@ impl SquashUnit {
                 let w = &mut self.windows[core];
                 w.dumps[slot].clear();
                 w.dumps[slot].extend_from_slice(ev.bytes());
+                w.tokens[slot] = ev.header.token.0;
                 w.due |= 1 << slot;
             }
         }

@@ -57,7 +57,7 @@ struct RingModel {
     ring: VecDeque<MonitoredEvent>,
     capacity: usize,
     dropped: u64,
-    watermark: [Option<u64>; 2],
+    watermark: [Option<u64>; 4],
 }
 
 impl RingModel {
@@ -261,7 +261,7 @@ proptest! {
 
     #[test]
     fn byte_ring_behaves_as_a_deque_of_events(
-        stream in proptest::collection::vec((any_event(), 0u8..2, any::<u64>(), 0u64..3), 1..2500),
+        stream in proptest::collection::vec((any_event(), 0u8..4, any::<u64>(), 0u64..3), 1..2500),
         capacity in prop_oneof![1usize..8, 8usize..600, 600usize..=4096],
         batches in proptest::collection::vec(1usize..700, 1..12),
         probe in any::<(u64, u64)>(),
@@ -282,7 +282,7 @@ proptest! {
             ring: VecDeque::new(),
             capacity,
             dropped: 0,
-            watermark: [None; 2],
+            watermark: [None; 4],
         };
         let mut rest = events.as_slice();
         for n in batches.iter().cycle() {
@@ -296,7 +296,7 @@ proptest! {
             prop_assert_eq!(ring.len(), model.ring.len());
             prop_assert_eq!(ring.dropped(), model.dropped);
             let (lo, hi) = (probe.0 % (token + 2), probe.1 % (token + 2));
-            for core in 0..2 {
+            for core in 0..4 {
                 for (from, to) in [(0, u64::MAX), (lo.min(hi), lo.max(hi))] {
                     let got = ring.retransmit(core, from, to);
                     let got = (
@@ -315,11 +315,11 @@ proptest! {
 
     #[test]
     fn release_keeps_what_a_localization_can_ask_for(
-        stream in proptest::collection::vec((any_event(), 0u8..2, 0u64..3), 1..2500),
+        stream in proptest::collection::vec((any_event(), 0u8..4, 0u64..3), 1..2500),
         capacity in prop_oneof![Just(usize::MAX), 600usize..=4096],
-        steps in proptest::collection::vec((1usize..400, 0u64..600, 0u64..600, 0u8..4), 1..24),
+        steps in proptest::collection::vec((1usize..400, (0u64..600, 0u64..600, 0u64..600, 0u64..600), 0u8..16), 1..24),
     ) {
-        // Two-core pushes interleaved with releases at per-core floors
+        // Four-core pushes interleaved with releases at per-core floors
         // that only rise, and start unset. The model is every event
         // pushed; a small capacity adds overflow evictions on top.
         let mut token = 0u64;
@@ -332,9 +332,9 @@ proptest! {
             .collect();
         let mut ring = ReplayBuffer::new(capacity);
         let mut model: Vec<MonitoredEvent> = Vec::new();
-        let mut floors: [Option<u64>; 2] = [None; 2];
+        let mut floors: [Option<u64>; 4] = [None; 4];
         let mut rest = events.as_slice();
-        for (n, d0, d1, advance) in steps.iter().cycle() {
+        for (n, (d0, d1, d2, d3), advance) in steps.iter().cycle() {
             if rest.is_empty() {
                 break;
             }
@@ -342,7 +342,7 @@ proptest! {
             rest = tail;
             ring.push_slice(batch);
             model.extend_from_slice(batch);
-            for (core, d) in [d0, d1].into_iter().enumerate() {
+            for (core, d) in [d0, d1, d2, d3].into_iter().enumerate() {
                 if advance & (1 << core) != 0 {
                     floors[core] = Some(floors[core].unwrap_or(0) + d);
                 }
@@ -357,7 +357,7 @@ proptest! {
             let got = ring.retransmit(newest.core, newest.token.0, newest.token.0);
             prop_assert_eq!(got.records.len(), 1);
             let mut above = 0;
-            for core in 0..2u8 {
+            for core in 0..4u8 {
                 let floor = floors[core as usize].unwrap_or(0);
                 let want = |from: u64| -> Vec<MonitoredEvent> {
                     model

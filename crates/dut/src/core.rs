@@ -9,15 +9,15 @@
 //! detect), while every architectural side effect flows through the monitor
 //! as verification events.
 
-use difftest_event::record::encode_record;
+use difftest_event::record::RecordHeader;
 use difftest_event::{
     commit_flags, ArchEvent, ArchFpRegState, ArchIntRegState, ArchVecRegState, AtomicEvent,
     CsrState, DebugModeState, Event, EventKind, FpCsrUpdate, FpWriteback, HCsrUpdate,
     HypervisorCsrState, InstrCommit, IntWriteback, L1TlbEvent, L2TlbEvent, LoadEvent, LrScEvent,
-    MonitoredEvent, OrderTag, PtwEvent, Redirect, RefillEvent, RunaheadEvent, StoreEvent, Token,
-    TrapEvent, TriggerCsrState, VecConfig, VecCsrState,
+    OrderTag, PtwEvent, Redirect, RefillEvent, RunaheadEvent, StoreEvent, Token, TrapEvent,
+    TriggerCsrState, VecConfig, VecCsrState,
 };
-use difftest_isa::csr::{mi, mstatus, CsrIndex, CSR_COUNT};
+use difftest_isa::csr::{mi, mstatus, CsrIndex};
 use difftest_isa::trap::{Interrupt, Trap};
 use difftest_isa::{decode, Insn, Op};
 use difftest_ref::exec::{execute, Effect};
@@ -64,6 +64,15 @@ impl CycleBudget {
     fn take(&mut self, kind: EventKind) {
         self.used[kind as usize] += 1;
     }
+
+    /// Takes a slot of `kind` if one is left.
+    fn admit(&mut self, cfg: &DutConfig, kind: EventKind) -> bool {
+        let free = self.available(cfg, kind);
+        if free {
+            self.take(kind);
+        }
+        free
+    }
 }
 
 /// The monitor port a core's cycle writes through: each captured event is
@@ -80,17 +89,26 @@ pub struct MonitorPort<'a> {
 }
 
 impl MonitorPort<'_> {
-    fn capture(&mut self, core: u8, seq: u64, event: Event) {
+    /// Writes the header of a `kind` record, stamped with the next
+    /// token, and returns the arena, where the payload's layout goes
+    /// next.
+    #[inline]
+    fn stamp(&mut self, core: u8, seq: u64, kind: EventKind) -> &mut Vec<u8> {
         let token = Token(*self.next_token);
         *self.next_token += 1;
-        let ev = MonitoredEvent {
+        let header = RecordHeader {
             core,
+            kind,
             cycle: self.cycle,
             order: OrderTag(seq),
             token,
-            event,
         };
-        encode_record(&ev, self.out);
+        header.write(self.out);
+        self.out
+    }
+
+    fn capture(&mut self, core: u8, seq: u64, event: &Event) {
+        event.encode_into(self.stamp(core, seq, event.kind()));
     }
 }
 
@@ -384,7 +402,7 @@ impl DutCore {
                 .into();
                 self.injector.perturb_event(self.seq, &mut ev);
                 budget.take(EventKind::RefillEvent);
-                out.capture(self.id, self.seq, ev);
+                out.capture(self.id, self.seq, &ev);
             }
             self.stall = self.stall.max(1);
             return true;
@@ -737,7 +755,7 @@ impl DutCore {
                         .into();
                         self.injector.perturb_event(seq, &mut ev);
                         budget.take(EventKind::RefillEvent);
-                        out.capture(self.id, seq, ev);
+                        out.capture(self.id, seq, &ev);
                     }
                     self.stall = self.stall.max(self.stalls.l1_miss_penalty());
                     group_end = true;
@@ -832,69 +850,71 @@ impl DutCore {
         group_end
     }
 
-    /// Emits the periodic architectural state dumps.
-    fn emit_state_dumps(&mut self, out: &mut MonitorPort<'_>, budget: &mut CycleBudget) {
-        let seq = self.seq;
-        self.emit(
-            out,
-            budget,
-            seq,
-            ArchIntRegState {
-                regs: *self.state.xregs(),
-            }
-            .into(),
-        );
-        let mut csrs = [0u64; CSR_COUNT];
-        csrs.copy_from_slice(self.state.csrs());
-        self.emit(out, budget, seq, CsrState { csrs }.into());
+    /// Emits the periodic architectural state dumps, each written into
+    /// its record straight from the state, by reference: no payload
+    /// struct or event is built. No bug hooks a dump kind as an event
+    /// (`bug_catalog`'s hooks are pinned by a test), so skipping
+    /// `perturb_event` changes nothing; `perturb_state` has already
+    /// acted on the state itself.
+    fn emit_state_dumps(&self, out: &mut MonitorPort<'_>, budget: &mut CycleBudget) {
+        let s = &self.state;
+        if let Some(buf) = self.dump(out, budget, EventKind::ArchIntRegState) {
+            ArchIntRegState::write_fields(buf, s.xregs());
+        }
+        if let Some(buf) = self.dump(out, budget, EventKind::CsrState) {
+            CsrState::write_fields(buf, s.csrs());
+        }
         let p = self.cfg.policy;
         if p.fp_state {
-            self.emit(
-                out,
-                budget,
-                seq,
-                ArchFpRegState {
-                    regs: *self.state.fregs(),
-                }
-                .into(),
-            );
+            if let Some(buf) = self.dump(out, budget, EventKind::ArchFpRegState) {
+                ArchFpRegState::write_fields(buf, s.fregs());
+            }
         }
         if p.vec_state {
-            self.emit(out, budget, seq, ArchVecRegState { regs: [0; 64] }.into());
-            self.emit(
-                out,
-                budget,
-                seq,
-                VecCsrState {
-                    vstart: self.state.csr(CsrIndex::Vstart),
-                    vl: self.state.csr(CsrIndex::Vl),
-                    vtype: self.state.csr(CsrIndex::Vtype),
-                    vcsr: self.state.csr(CsrIndex::Vcsr),
-                    vlenb: 16,
-                    vill: 0,
-                }
-                .into(),
-            );
+            if let Some(buf) = self.dump(out, budget, EventKind::ArchVecRegState) {
+                ArchVecRegState::write_fields(buf, &[0; 64]);
+            }
+            if let Some(buf) = self.dump(out, budget, EventKind::VecCsrState) {
+                VecCsrState::write_fields(
+                    buf,
+                    &s.csr(CsrIndex::Vstart),
+                    &s.csr(CsrIndex::Vl),
+                    &s.csr(CsrIndex::Vtype),
+                    &s.csr(CsrIndex::Vcsr),
+                    &16,
+                    &0,
+                );
+            }
         }
         if p.ext_csr_state {
-            self.emit(
-                out,
-                budget,
-                seq,
-                HypervisorCsrState {
-                    csrs: {
-                        let mut h = [0u64; 11];
-                        h[0] = self.state.csr(CsrIndex::Hstatus);
-                        h[1] = self.state.csr(CsrIndex::Hedeleg);
-                        h
-                    },
-                    virt_mode: 0,
-                }
-                .into(),
-            );
-            self.emit(out, budget, seq, TriggerCsrState::default().into());
-            self.emit(out, budget, seq, DebugModeState::default().into());
+            if let Some(buf) = self.dump(out, budget, EventKind::HypervisorCsrState) {
+                let mut h = [0u64; 11];
+                h[0] = s.csr(CsrIndex::Hstatus);
+                h[1] = s.csr(CsrIndex::Hedeleg);
+                HypervisorCsrState::write_fields(buf, &h, &0);
+            }
+            if let Some(buf) = self.dump(out, budget, EventKind::TriggerCsrState) {
+                TriggerCsrState::write_fields(buf, &0, &[0; 4], &[0; 3], &0);
+            }
+            if let Some(buf) = self.dump(out, budget, EventKind::DebugModeState) {
+                DebugModeState::write_fields(buf, &0, &0, &0, &0, &0);
+            }
         }
+    }
+
+    /// Stamps a dump record of `kind` if the configuration provisions
+    /// slots for it and the cycle budget allows, and returns the arena
+    /// its payload goes into.
+    fn dump<'o>(
+        &self,
+        out: &'o mut MonitorPort<'_>,
+        budget: &mut CycleBudget,
+        kind: EventKind,
+    ) -> Option<&'o mut Vec<u8>> {
+        if !budget.admit(&self.cfg, kind) {
+            return None;
+        }
+        Some(out.stamp(self.id, self.seq, kind))
     }
 
     /// Pushes an event if the configuration provisions slots for its kind
@@ -906,12 +926,10 @@ impl DutCore {
         seq: u64,
         mut event: Event,
     ) {
-        let kind = event.kind();
-        if self.cfg.slots.slots(kind) == 0 || !budget.available(&self.cfg, kind) {
+        if !budget.admit(&self.cfg, event.kind()) {
             return;
         }
         self.injector.perturb_event(seq, &mut event);
-        budget.take(kind);
-        out.capture(self.id, seq, event);
+        out.capture(self.id, seq, &event);
     }
 }

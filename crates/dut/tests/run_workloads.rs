@@ -1,10 +1,14 @@
 //! End-to-end DUT smoke tests: generated workloads run to a good trap and
 //! produce plausible event streams.
 
-use difftest_dut::{Dut, DutConfig};
+use difftest_dut::{bug_catalog, BugKind, BugSpec, Dut, DutConfig, Hook};
 use difftest_event::record::Records;
-use difftest_event::{Event, EventKind};
-use difftest_ref::{Memory, RefModel, StepOutcome};
+use difftest_event::{
+    ArchFpRegState, ArchIntRegState, ArchVecRegState, CsrState, DebugModeState, Event, EventKind,
+    HypervisorCsrState, TriggerCsrState, VecCsrState,
+};
+use difftest_isa::csr::CsrIndex;
+use difftest_ref::{ArchState, Memory, RefModel, StepOutcome};
 use difftest_workload::Workload;
 
 fn image_of(words: &[u32]) -> Memory {
@@ -176,6 +180,110 @@ fn tokens_are_monotone_and_orders_nondecreasing_per_core() {
             let core = ev.core as usize;
             assert!(ev.order.0 >= last_order[core], "order regressed");
             last_order[core] = ev.order.0;
+        }
+    }
+}
+
+/// The state-dump kinds: whole register files and CSR groups.
+const DUMP_KINDS: [EventKind; 8] = [
+    EventKind::ArchIntRegState,
+    EventKind::CsrState,
+    EventKind::ArchFpRegState,
+    EventKind::ArchVecRegState,
+    EventKind::VecCsrState,
+    EventKind::HypervisorCsrState,
+    EventKind::TriggerCsrState,
+    EventKind::DebugModeState,
+];
+
+/// The dump of `kind` a core in state `s` captures, built as a payload
+/// struct by value: the oracle of the monitor's by-reference writer.
+fn dump_of(kind: EventKind, s: &ArchState) -> Event {
+    match kind {
+        EventKind::ArchIntRegState => ArchIntRegState { regs: *s.xregs() }.into(),
+        EventKind::CsrState => CsrState { csrs: *s.csrs() }.into(),
+        EventKind::ArchFpRegState => ArchFpRegState { regs: *s.fregs() }.into(),
+        EventKind::ArchVecRegState => ArchVecRegState { regs: [0; 64] }.into(),
+        EventKind::VecCsrState => VecCsrState {
+            vstart: s.csr(CsrIndex::Vstart),
+            vl: s.csr(CsrIndex::Vl),
+            vtype: s.csr(CsrIndex::Vtype),
+            vcsr: s.csr(CsrIndex::Vcsr),
+            vlenb: 16,
+            vill: 0,
+        }
+        .into(),
+        EventKind::HypervisorCsrState => {
+            let mut csrs = [0u64; 11];
+            csrs[0] = s.csr(CsrIndex::Hstatus);
+            csrs[1] = s.csr(CsrIndex::Hedeleg);
+            HypervisorCsrState { csrs, virt_mode: 0 }.into()
+        }
+        EventKind::TriggerCsrState => TriggerCsrState::default().into(),
+        EventKind::DebugModeState => DebugModeState::default().into(),
+        other => panic!("{other:?} is not a dump kind"),
+    }
+}
+
+#[test]
+fn state_dumps_equal_the_state_they_were_written_from() {
+    // A timer-interrupt workload moves the CSRs, and the two state bugs
+    // perturb the state just before the dumps are written from it.
+    let w = Workload::linux_boot().seed(5).iterations(40).build();
+    let bugs = vec![
+        BugSpec::new(BugKind::WrongVstart, 300),
+        BugSpec::new(BugKind::VsDirtyNotSet, 600),
+    ];
+    for cfg in [
+        DutConfig::nutshell(),
+        DutConfig::xiangshan_minimal(),
+        DutConfig::xiangshan_default(),
+        DutConfig::xiangshan_dual(),
+    ] {
+        let name = cfg.name.clone();
+        let mut dut = Dut::new(cfg, &image_of(w.words()), bugs.clone());
+        let mut records = Vec::new();
+        let mut seen = [0u64; EventKind::COUNT];
+        while dut.halted().is_none() && dut.cycles() < 20_000 {
+            records.clear();
+            dut.tick_records(&mut records);
+            for rec in Records::new(&records) {
+                let rec = rec.expect("a captured record decodes");
+                let kind = rec.header.kind;
+                if !DUMP_KINDS.contains(&kind) {
+                    continue;
+                }
+                let core = &dut.cores()[rec.header.core as usize];
+                assert_eq!(
+                    rec.payload.to_event(),
+                    dump_of(kind, core.state()),
+                    "{name} cycle {}: {kind:?}",
+                    rec.header.cycle
+                );
+                seen[kind as usize] += 1;
+            }
+        }
+        // Each preset writes its dump set whole at every dump point.
+        let sets = seen[EventKind::ArchIntRegState as usize];
+        assert!(sets > 100, "{name} captured {sets} dump sets");
+        for kind in DUMP_KINDS {
+            let n = seen[kind as usize];
+            assert!(n == 0 || n == sets, "{name}: {n} {kind:?} of {sets} sets");
+        }
+    }
+}
+
+#[test]
+fn no_bug_hooks_a_state_dump_as_an_event() {
+    // The monitor writes dumps without `perturb_event`: sound only while
+    // no catalog bug corrupts a dump kind in flight.
+    for spec in bug_catalog() {
+        if let Hook::Event(kind) = spec.kind.hook() {
+            assert!(
+                !DUMP_KINDS.contains(&kind),
+                "{:?} hooks the {kind:?} dump as an event",
+                spec.kind
+            );
         }
     }
 }

@@ -7,6 +7,10 @@
 //! The variable lengths and distinct layouts are exactly the *structural
 //! semantics* that the Batch packing mechanism exploits.
 
+// The generated decoders and views read peer bytes: every index is
+// checked.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use crate::field::WireField;
 use crate::wire::{CodecError, Reader, Writer};
 
@@ -85,9 +89,21 @@ macro_rules! catalog {
                 pub const ENCODED_LEN: usize = 0 $(+ <$ty as WireField>::LEN)*;
 
                 /// Appends the fixed binary layout to `buf`.
+                #[inline]
                 pub fn encode_into(&self, buf: &mut Vec<u8>) {
+                    Self::write_fields(buf, $( &self.$field ),*);
+                }
+
+                /// Appends the fixed binary layout of fields passed by
+                /// reference: the layout's one writer, so a monitor can
+                /// write a payload straight from the state it lives in
+                /// without building the struct first.
+                #[inline]
+                // One argument per field: the writer mirrors the struct.
+                #[allow(clippy::too_many_arguments)]
+                pub fn write_fields(buf: &mut Vec<u8>, $( $field: &$ty ),*) {
                     let mut w = Writer::new(buf);
-                    $( WireField::write(&self.$field, &mut w); )*
+                    $( WireField::write($field, &mut w); )*
                 }
 
                 /// Decodes from an exact-length byte slice.

@@ -106,6 +106,7 @@ impl WireField for u8 {
     const LEN: usize = 1;
     const ZERO: Self = 0;
     type View<'v> = u8;
+    #[inline]
     fn write(&self, w: &mut Writer<'_>) {
         w.u8(*self);
     }
@@ -125,6 +126,7 @@ impl WireField for u16 {
     const LEN: usize = 2;
     const ZERO: Self = 0;
     type View<'v> = u16;
+    #[inline]
     fn write(&self, w: &mut Writer<'_>) {
         w.u16(*self);
     }
@@ -144,6 +146,7 @@ impl WireField for u32 {
     const LEN: usize = 4;
     const ZERO: Self = 0;
     type View<'v> = u32;
+    #[inline]
     fn write(&self, w: &mut Writer<'_>) {
         w.u32(*self);
     }
@@ -163,6 +166,7 @@ impl WireField for u64 {
     const LEN: usize = 8;
     const ZERO: Self = 0;
     type View<'v> = u64;
+    #[inline]
     fn write(&self, w: &mut Writer<'_>) {
         w.u64(*self);
     }
@@ -182,6 +186,7 @@ impl<const N: usize> WireField for [u64; N] {
     const LEN: usize = 8 * N;
     const ZERO: Self = [0; N];
     type View<'v> = U64ArrayView<'v, N>;
+    #[inline]
     fn write(&self, w: &mut Writer<'_>) {
         w.u64_array(self);
     }
@@ -205,6 +210,7 @@ impl<const N: usize> WireField for [u8; N] {
     const LEN: usize = N;
     const ZERO: Self = [0; N];
     type View<'v> = &'v [u8; N];
+    #[inline]
     fn write(&self, w: &mut Writer<'_>) {
         w.bytes(self);
     }

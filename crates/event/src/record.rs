@@ -22,17 +22,17 @@ use crate::wire::CodecError;
 /// Bytes of the fixed record header.
 pub const RECORD_HEADER_BYTES: usize = 26;
 
-/// Appends `ev`'s record to `buf`. The header is built on the stack and
-/// written in one piece (one capacity check, not five).
+/// Appends `ev`'s record to `buf`.
 #[inline]
 pub fn encode_record(ev: &MonitoredEvent, buf: &mut Vec<u8>) {
-    let mut head = [0u8; RECORD_HEADER_BYTES];
-    head[0] = ev.core;
-    head[1] = ev.event.kind() as u8;
-    head[2..10].copy_from_slice(&ev.cycle.to_le_bytes());
-    head[10..18].copy_from_slice(&ev.order.0.to_le_bytes());
-    head[18..26].copy_from_slice(&ev.token.0.to_le_bytes());
-    buf.extend_from_slice(&head);
+    let header = RecordHeader {
+        core: ev.core,
+        kind: ev.event.kind(),
+        cycle: ev.cycle,
+        order: ev.order,
+        token: ev.token,
+    };
+    header.write(buf);
     ev.event.encode_into(buf);
 }
 
@@ -52,6 +52,20 @@ pub struct RecordHeader {
 }
 
 impl RecordHeader {
+    /// Appends the header to `buf`, where the layout of a `kind` payload
+    /// must follow. The header is built on the stack and written in one
+    /// piece (one capacity check, not five).
+    #[inline]
+    pub fn write(&self, buf: &mut Vec<u8>) {
+        let mut head = [0u8; RECORD_HEADER_BYTES];
+        head[0] = self.core;
+        head[1] = self.kind as u8;
+        head[2..10].copy_from_slice(&self.cycle.to_le_bytes());
+        head[10..18].copy_from_slice(&self.order.0.to_le_bytes());
+        head[18..26].copy_from_slice(&self.token.0.to_le_bytes());
+        buf.extend_from_slice(&head);
+    }
+
     /// Reads the header at the start of `bytes` and returns it with the
     /// length of the whole record. The payload is neither read nor
     /// required to be present.

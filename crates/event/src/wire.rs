@@ -5,6 +5,10 @@
 //! [`Writer`] and [`Reader`] here are deliberately minimal: no framing, no
 //! lengths, no tags. All framing lives in the packing layers above.
 
+// Writers run on every captured record and readers on peer bytes:
+// every index is checked.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use std::fmt;
 
 /// Error returned when decoding runs out of bytes or sees an invalid value.
@@ -128,8 +132,9 @@ impl<'a> Writer<'a> {
     pub fn u64_array(&mut self, vs: &[u64]) {
         let start = self.buf.len();
         self.buf.resize(start + 8 * vs.len(), 0);
-        for (dst, v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
-            dst.copy_from_slice(&v.to_le_bytes());
+        let tail = self.buf.get_mut(start..).unwrap_or_default();
+        for (dst, v) in tail.as_chunks_mut::<8>().0.iter_mut().zip(vs) {
+            *dst = v.to_le_bytes();
         }
     }
 
@@ -255,6 +260,9 @@ mod clmul;
 /// contribution of byte `b` positioned `j` bytes before the end of an
 /// 8-byte group. `TABLES[0]` is the classic byte-at-a-time table (used
 /// for the tail).
+// Const evaluation fails the build on an out-of-bounds index here, so
+// no index in the builder can panic at run time.
+#[allow(clippy::indexing_slicing)]
 const CRC32_TABLES: [[u32; 256]; 8] = {
     let mut t = [[0u32; 256]; 8];
     let mut i = 0;
@@ -306,23 +314,36 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// so the serial dependency chain advances once per 8 bytes instead of
 /// once per byte.
 fn crc32_slice8(mut c: u32, bytes: &[u8]) -> u32 {
-    let mut chunks = bytes.chunks_exact(8);
-    for ch in &mut chunks {
-        let lo = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]) ^ c;
-        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
-        c = CRC32_TABLES[7][(lo & 0xFF) as usize]
-            ^ CRC32_TABLES[6][((lo >> 8) & 0xFF) as usize]
-            ^ CRC32_TABLES[5][((lo >> 16) & 0xFF) as usize]
-            ^ CRC32_TABLES[4][(lo >> 24) as usize]
-            ^ CRC32_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC32_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC32_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC32_TABLES[0][(hi >> 24) as usize];
+    let (groups, tail) = bytes.as_chunks::<8>();
+    for &[b0, b1, b2, b3, b4, b5, b6, b7] in groups {
+        let lo = u32::from_le_bytes([b0, b1, b2, b3]) ^ c;
+        let hi = u32::from_le_bytes([b4, b5, b6, b7]);
+        let [l0, l1, l2, l3] = lo.to_le_bytes();
+        let [h0, h1, h2, h3] = hi.to_le_bytes();
+        c = crc_table(7, l0)
+            ^ crc_table(6, l1)
+            ^ crc_table(5, l2)
+            ^ crc_table(4, l3)
+            ^ crc_table(3, h0)
+            ^ crc_table(2, h1)
+            ^ crc_table(1, h2)
+            ^ crc_table(0, h3);
     }
-    for &b in chunks.remainder() {
-        c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    for &b in tail {
+        c = crc_table(0, c as u8 ^ b) ^ (c >> 8);
     }
     c
+}
+
+/// `CRC32_TABLES[j][b]`. A byte always lies within a table, so the
+/// lookup compiles to a plain load; a `j` past the last table reads 0.
+#[inline(always)]
+fn crc_table(j: usize, b: u8) -> u32 {
+    CRC32_TABLES
+        .get(j)
+        .and_then(|t| t.get(usize::from(b)))
+        .copied()
+        .unwrap_or(0)
 }
 
 /// Appends a little-endian CRC32 trailer covering everything currently in

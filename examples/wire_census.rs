@@ -1,11 +1,20 @@
-//! Wire byte census: where each byte of a BNSD stream goes.
+//! Byte census: where each byte of a BNSD stream goes, captured and on
+//! the wire.
 //!
 //! Runs four benchmark-shaped streams (seed-7000 programs) through the
-//! session's acceleration unit, walks every packet with the consumer's
-//! own validation pass ([`validate_item_body`]) and prints, per wire
-//! kind, items and bytes per cycle split into the tag/token header and
-//! the rest of the body, plus the meta-entry and framing rows. The rows
-//! add up to the stream's total, which the example asserts.
+//! session's acceleration unit. For each it prints two tables:
+//!
+//! - the captured stream: per event kind, the monitor's records and
+//!   bytes per cycle, split into the fixed record header and the
+//!   payload (what the DUT's capture arena holds before any
+//!   optimization);
+//! - the wire: every packet walked with the consumer's own validation
+//!   pass ([`validate_item_body`]), per wire kind, items and bytes per
+//!   cycle split into the tag/token header and the rest of the body,
+//!   plus the meta-entry and framing rows.
+//!
+//! Each table's rows add up to its stream's total, which the example
+//! asserts.
 //!
 //! ```text
 //! cargo run --release --example wire_census      # or: make census
@@ -17,6 +26,7 @@ use difftest_h::core::batch::META_ENTRY_BYTES;
 use difftest_h::core::wire::validate_item_body;
 use difftest_h::core::{DiffConfig, Session, WireKind};
 use difftest_h::dut::DutConfig;
+use difftest_h::event::record::{Records, RECORD_HEADER_BYTES};
 use difftest_h::event::wire::{verify_crc_frame, Reader, CRC_TRAILER_BYTES};
 use difftest_h::workload::{Workload, WorkloadBuilder};
 
@@ -40,6 +50,10 @@ struct Row {
 #[derive(Default)]
 struct Census {
     cycles: u64,
+    /// Bytes of every capture arena.
+    captured: u64,
+    /// Per event kind: records, record headers and payloads.
+    capture: BTreeMap<&'static str, Row>,
     packets: u64,
     total: u64,
     meta: u64,
@@ -47,6 +61,56 @@ struct Census {
 }
 
 impl Census {
+    /// Accounts one cycle's capture arena to its rows.
+    fn arena(&mut self, records: &[u8]) {
+        self.captured += records.len() as u64;
+        for rec in Records::new(records) {
+            let rec = rec.expect("a captured record decodes");
+            let row = self.capture.entry(rec.header.kind.name()).or_default();
+            row.items += 1;
+            row.header += RECORD_HEADER_BYTES as u64;
+            row.body += (rec.bytes().len() - RECORD_HEADER_BYTES) as u64;
+        }
+    }
+
+    fn print_capture(&self, title: &str) {
+        let per = |v: u64| v as f64 / self.cycles as f64;
+        let records: u64 = self.capture.values().map(|row| row.items).sum();
+        println!(
+            "== {title}: captured, {} cycles, {records} records",
+            self.cycles
+        );
+        println!(
+            "   {:<28} {:>11} {:>9} {:>9} {:>9}",
+            "row", "recs/cyc", "B/cyc", "header", "payload"
+        );
+        let (mut sum, mut headers) = (0, 0);
+        for (kind, row) in &self.capture {
+            let bytes = row.header + row.body;
+            println!(
+                "   {kind:<28} {:>11.3} {:>9.2} {:>9.2} {:>9.2}",
+                per(row.items),
+                per(bytes),
+                per(row.header),
+                per(row.body)
+            );
+            sum += bytes;
+            headers += row.header;
+        }
+        println!(
+            "   {:<28} {:>11.3} {:>9.2} {:>9.2} {:>9.2}\n",
+            "total",
+            per(records),
+            per(self.captured),
+            per(headers),
+            per(self.captured - headers)
+        );
+        assert_eq!(
+            sum, self.captured,
+            "{title}: the rows must add up to the arenas"
+        );
+    }
+
     /// Accounts one packet's bytes to its rows.
     fn packet(&mut self, bytes: &[u8]) {
         self.packets += 1;
@@ -148,6 +212,7 @@ fn census(dut: DutConfig, preset: WorkloadBuilder, cycles: u64) -> Census {
         records.clear();
         dut.tick_records(&mut records);
         c.cycles += 1;
+        c.arena(&records);
         accel.push_records(&records, &mut transfers);
         if dut.halted().is_some() || c.cycles == cycles {
             accel.flush(&mut transfers);
@@ -161,21 +226,37 @@ fn census(dut: DutConfig, preset: WorkloadBuilder, cycles: u64) -> Census {
 }
 
 fn main() {
-    census(DutConfig::xiangshan_dual(), Workload::mmio_heavy(), 150_000)
-        .print("XiangShan Dual, mmio_heavy");
-    // No LoadEvent slots: the one stream whose skipped MMIO loads still
-    // ship their commits tagged.
-    census(DutConfig::nutshell(), Workload::mmio_heavy(), 150_000).print("NutShell, mmio_heavy");
-    census(
-        DutConfig::xiangshan_default(),
-        Workload::microbench(),
-        300_000,
-    )
-    .print("XiangShan Default, microbench");
-    census(
-        DutConfig::xiangshan_minimal(),
-        Workload::linux_boot(),
-        300_000,
-    )
-    .print("XiangShan Minimal, linux_boot");
+    let streams = [
+        (
+            "XiangShan Dual, mmio_heavy",
+            DutConfig::xiangshan_dual(),
+            Workload::mmio_heavy(),
+            150_000,
+        ),
+        // No LoadEvent slots: the one stream whose skipped MMIO loads
+        // still ship their commits tagged.
+        (
+            "NutShell, mmio_heavy",
+            DutConfig::nutshell(),
+            Workload::mmio_heavy(),
+            150_000,
+        ),
+        (
+            "XiangShan Default, microbench",
+            DutConfig::xiangshan_default(),
+            Workload::microbench(),
+            300_000,
+        ),
+        (
+            "XiangShan Minimal, linux_boot",
+            DutConfig::xiangshan_minimal(),
+            Workload::linux_boot(),
+            300_000,
+        ),
+    ];
+    for (title, dut, preset, cycles) in streams {
+        let c = census(dut, preset, cycles);
+        c.print_capture(title);
+        c.print(title);
+    }
 }
