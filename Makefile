@@ -43,7 +43,7 @@ bench:
 # socket and span-tracing smokes, the bench harnesses' build, the
 # gated benchmark's self-test (benchmark/README.md: the perf harness
 # still compiles against the public surface and reproduces its exact
-# counts), the observability smoke, the wire byte census, the golden
+# counts), the observability smoke, the golden byte census, the golden
 # verdict grid and the warnings-as-errors rustdoc build. CI's aarch64 `cargo check` of
 # difftest-event is left out: it needs `rustup target add`, a download.
 ci: seam
@@ -338,13 +338,23 @@ socket:
 obs:
 	$(CARGO) run --release --example observability
 
-# Byte census (DESIGN.md §16) of four BNSD streams: first the captured
-# stream, per event kind, records and bytes per cycle with the record
-# header split out; then the wire, per wire kind, items and bytes per
-# cycle with the tag/token header split out, plus meta entries and
-# packet framing. Asserts each table's rows add up to its stream.
+# Golden byte census (DESIGN.md §16) of four BNSD streams: first the
+# captured stream, per event kind, records and bytes per cycle with the
+# record header split out; then the wire, per wire kind, items and bytes
+# per cycle with the tag/token header split out, plus meta entries and
+# packet framing. The example asserts each table's rows add up to its
+# stream; its output is regenerated into a temp dir and diffed against
+# reference/wire_census.txt, so a change that moves a captured or wire
+# byte fails it, and one that means to moves the reference in the same
+# commit.
 census:
-	$(CARGO) run --release --example wire_census
+	$(CARGO) build --release --example wire_census
+	@tmp=$$(mktemp -d); \
+	$(CARGO) run --release --quiet --example wire_census > $$tmp/wire_census.txt \
+		&& diff -u reference/wire_census.txt $$tmp/wire_census.txt; \
+	status=$$?; rm -rf $$tmp; \
+	if [ $$status -eq 0 ]; then echo "byte census unchanged: reference/wire_census.txt"; fi; \
+	exit $$status
 
 # Golden verdict grid: BNSD's outcome and Replay localization over 672
 # injected-bug cells, and the outcome and length of 144 clean runs,

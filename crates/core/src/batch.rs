@@ -33,7 +33,7 @@
 #![cfg_attr(not(test), deny(clippy::indexing_slicing))]
 
 use difftest_dut::SlotTable;
-use difftest_event::record::RecordRef;
+use difftest_event::record::RecordHeader;
 use difftest_event::wire::{
     append_crc_frame, verify_crc_frame, CodecError, Reader, Writer, CRC_TRAILER_BYTES,
 };
@@ -368,8 +368,7 @@ pub(crate) struct PackSink<'a> {
 }
 
 impl SquashSink for PackSink<'_> {
-    fn tagged(&mut self, ev: &RecordRef<'_>) {
-        let (h, payload) = (ev.header, ev.payload.wire_bytes());
+    fn tagged(&mut self, h: &RecordHeader, payload: &[u8]) {
         let batch = &mut *self.batch;
         let len = batch.diff.header_len(h.core, h.order, h.token) + payload.len();
         batch.admit(h.core, WireKind::Tagged(h.kind), len, self.out);
@@ -380,8 +379,13 @@ impl SquashSink for PackSink<'_> {
         batch.payload.extend_from_slice(payload);
     }
 
-    fn diff(&mut self, ev: &RecordRef<'_>) {
-        let (h, payload) = (ev.header, ev.payload.wire_bytes());
+    fn diff(&mut self, h: &RecordHeader, payload: &[u8]) {
+        // An unchanged payload is settled by one compare: no header, no
+        // bitmap, and the mirror stays as it is.
+        if self.batch.diff.unchanged(h.core, h.kind, payload) {
+            self.batch.stats.diff_dropped += 1;
+            return;
+        }
         self.batch
             .push_encoded(h.core, WireKind::Diff(h.kind), self.out, |diff, body| {
                 diff.write_header(h.core, h.order, h.token, body);

@@ -11,7 +11,7 @@
 //! onto the record entry points and [`Session`].
 
 use difftest_dut::{BugSpec, DutConfig};
-use difftest_event::record::{encode_record, RecordRef, Records};
+use difftest_event::record::{encode_record, RecordHeader, Records};
 use difftest_event::{Event, EventRef, MonitoredEvent};
 use difftest_workload::Workload;
 
@@ -56,8 +56,11 @@ impl SquashUnit {
     /// [`push_record`](Self::push_record) over `ev`'s record.
     pub fn push<S: SquashSink>(&mut self, ev: &MonitoredEvent, out: &mut S) {
         let records = arena([ev]);
-        for rec in Records::new(&records).map_while(Result::ok) {
-            self.push_record(&rec, out);
+        let mut walk = Records::new(&records);
+        while let Some(Ok((header, payload))) = walk.next_raw() {
+            if self.push_record(&header, payload, out).is_err() {
+                break;
+            }
         }
     }
 }
@@ -76,22 +79,26 @@ impl BatchUnit {
 /// Squash's output as owned wire items: the staged form the layer pass
 /// times apart from packing.
 impl SquashSink for Vec<WireItem> {
-    fn tagged(&mut self, ev: &RecordRef<'_>) {
-        self.push(WireItem::Tagged {
-            core: ev.header.core,
-            tag: ev.header.order,
-            token: ev.header.token,
-            event: ev.payload.to_event(),
-        });
+    fn tagged(&mut self, h: &RecordHeader, payload: &[u8]) {
+        if let Ok(event) = Event::decode(h.kind, payload) {
+            self.push(WireItem::Tagged {
+                core: h.core,
+                tag: h.order,
+                token: h.token,
+                event,
+            });
+        }
     }
 
-    fn diff(&mut self, ev: &RecordRef<'_>) {
-        self.push(WireItem::Diff {
-            core: ev.header.core,
-            tag: ev.header.order,
-            token: ev.header.token,
-            event: ev.payload.to_event(),
-        });
+    fn diff(&mut self, h: &RecordHeader, payload: &[u8]) {
+        if let Ok(event) = Event::decode(h.kind, payload) {
+            self.push(WireItem::Diff {
+                core: h.core,
+                tag: h.order,
+                token: h.token,
+                event,
+            });
+        }
     }
 
     fn fused(&mut self, core: u8, fused: &FusedCommit) {

@@ -21,12 +21,19 @@
 //! commit cycle, but Squash holds the newest of each kind per core and
 //! ships it once per fusion window (see [`SquashUnit`] for when).
 //!
-//! Squash reads the monitor's records in place: it classifies each by
-//! kind and its [`EventRef`] view, fuses commits from their
-//! [`InstrCommitRef`] fields, and holds a state dump as a copy of its
-//! record's bytes.
+//! Squash reads the monitor's records in place, header first
+//! ([`SquashUnit::push_record`]). A state dump is never viewed: Squash holds
+//! it as its [`RecordHeader`] and a copy of its payload bytes, and at a
+//! ship point sorts the core's due dumps by token once and lends each
+//! header and payload to the [`SquashSink`]. Every other record is
+//! classified by kind and its [`EventRef`] view, and commits fuse from
+//! their [`InstrCommitRef`] fields.
 
-use difftest_event::record::{RecordRef, Records};
+// Indices come from record headers (a core byte): every lookup is
+// checked, and a core without a window is forwarded, not a panic.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
+use difftest_event::record::RecordHeader;
 use difftest_event::wire::{CodecError, Reader, Writer};
 use difftest_event::{commit_flags, EventKind, EventRef, InstrCommitRef};
 
@@ -246,20 +253,24 @@ impl SquashStats {
     }
 }
 
+/// A held state dump: its record's header and a copy of its payload.
+#[derive(Debug)]
+struct HeldDump {
+    header: RecordHeader,
+    payload: Vec<u8>,
+}
+
 /// One core's fusion window and held state dumps. The record's write-set
-/// vectors are cleared on reopening, never taken, and each dump's record
-/// bytes are copied into its slot's buffer in place, so a steady stream
-/// of windows allocates nothing.
+/// vectors are cleared on reopening, never taken, and each dump's payload
+/// is copied into its slot's buffer in place, so a steady stream of
+/// windows allocates nothing.
 #[derive(Debug)]
 struct WindowState {
     open: bool,
     age: u32,
     rec: FusedCommit,
-    /// The newest dump of each held kind, as its record's bytes.
-    dumps: [Vec<u8>; HELD_SLOTS],
-    /// Each slot's dump's token, set when the slot is filled, so
-    /// ordering the due slots parses no header.
-    tokens: [u64; HELD_SLOTS],
+    /// The newest dump of each held kind, `None` until the first.
+    dumps: [Option<HeldDump>; HELD_SLOTS],
     /// Bit `i` set: `dumps[i]` is held and not yet shipped.
     due: u8,
     /// A trap or interrupt entry has shipped: the core's next dump set
@@ -276,35 +287,68 @@ impl WindowState {
             open: false,
             age: 0,
             rec: FusedCommit::default(),
-            // A slot is read only while its `due` bit is set.
             dumps: Default::default(),
-            tokens: [0; HELD_SLOTS],
             due: 0,
             after_trap: false,
             mmio_load_tag: None,
         }
     }
 
-    /// The held dump captured first, if any is due.
-    fn first_due(&self) -> Option<usize> {
-        (0..HELD_SLOTS)
-            .filter(|i| self.due & (1 << i) != 0)
-            .min_by_key(|&i| self.tokens[i])
+    /// Makes `payload` the held dump of `slot`, due at the next ship
+    /// point.
+    fn hold(&mut self, slot: usize, header: &RecordHeader, payload: &[u8]) {
+        let Some(held) = self.dumps.get_mut(slot) else {
+            return;
+        };
+        match held {
+            Some(dump) => {
+                dump.header = *header;
+                dump.payload.clear();
+                dump.payload.extend_from_slice(payload);
+            }
+            None => {
+                *held = Some(HeldDump {
+                    header: *header,
+                    payload: payload.to_vec(),
+                });
+            }
+        }
+        self.due |= 1 << slot;
     }
 
-    fn absorb(&mut self, ev: &RecordRef<'_>, c: InstrCommitRef<'_>) {
+    /// Clears the due set and returns its slots in capture order, written
+    /// into `order`. Tokens are unique, so one sort of at most
+    /// [`HELD_SLOTS`] keys fixes the order.
+    fn take_due<'a>(&mut self, order: &'a mut [(u64, usize); HELD_SLOTS]) -> &'a [(u64, usize)] {
+        let mut n = 0;
+        for (slot, held) in self.dumps.iter().enumerate() {
+            let Some(dump) = held.as_ref().filter(|_| self.due & (1 << slot) != 0) else {
+                continue;
+            };
+            if let Some(entry) = order.get_mut(n) {
+                *entry = (dump.header.token.0, slot);
+                n += 1;
+            }
+        }
+        self.due = 0;
+        let due = order.get_mut(..n).unwrap_or_default();
+        due.sort_unstable();
+        due
+    }
+
+    fn absorb(&mut self, header: &RecordHeader, c: InstrCommitRef<'_>) {
         let rec = &mut self.rec;
         if !self.open {
             self.open = true;
             self.age = 0;
-            rec.first_seq = ev.header.order.0;
+            rec.first_seq = header.order.0;
             rec.count = 0;
-            rec.token_first = ev.header.token.0;
+            rec.token_first = header.token.0;
             rec.int_writes.clear();
             rec.fp_writes.clear();
         }
         rec.count += 1;
-        rec.token_last = ev.header.token.0;
+        rec.token_last = header.token.0;
         rec.final_pc = next_pc_of(c);
         if c.wen() != 0 {
             let set = if c.flags() & commit_flags::FP_WEN != 0 {
@@ -319,11 +363,6 @@ impl WindowState {
             }
         }
     }
-}
-
-/// The record a held slot's bytes hold.
-fn held(bytes: &[u8]) -> Option<RecordRef<'_>> {
-    Records::new(bytes).next()?.ok()
 }
 
 /// PC after a committed instruction: the branch/jump target when taken,
@@ -362,15 +401,16 @@ fn decode_target(c: InstrCommitRef<'_>) -> u64 {
 }
 
 /// Where Squash's output goes: the one seam between classification and
-/// fusion on this side and encoding on the other. Records and the fusion
-/// record are lent, never moved, so a sink that encodes (the packer
-/// inside [`AccelUnit`](crate::AccelUnit)) copies each payload once,
-/// into its packet.
+/// fusion on this side and encoding on the other. Each record is lent as
+/// its header and payload bytes, and the fusion record by reference,
+/// never moved, so a sink that encodes (the packer inside
+/// [`AccelUnit`](crate::AccelUnit)) copies each payload once, into its
+/// packet. A payload is exactly its kind's length.
 pub trait SquashSink {
     /// A record scheduled ahead with its order tag, full payload.
-    fn tagged(&mut self, ev: &RecordRef<'_>);
+    fn tagged(&mut self, header: &RecordHeader, payload: &[u8]);
     /// A record to difference against the previous one of its kind.
-    fn diff(&mut self, ev: &RecordRef<'_>);
+    fn diff(&mut self, header: &RecordHeader, payload: &[u8]);
     /// A closed fusion window of `core`.
     fn fused(&mut self, core: u8, fused: &FusedCommit);
 }
@@ -378,8 +418,9 @@ pub trait SquashSink {
 /// The hardware-side Squash unit.
 ///
 /// State dumps (the [`SquashClass::State`] kinds) do not go out as they
-/// arrive. Each core keeps the newest dump of each kind and ships the
-/// held ones, in capture order, at four points:
+/// arrive. Each core keeps the newest dump of each kind, as its header
+/// and payload bytes, and ships the held ones, in capture (token) order,
+/// at four points:
 ///
 /// 1. **Window close**: every [`flush_core`](Self::flush_core), just
 ///    before the `Fused` record. A dump therefore reaches the checker
@@ -398,6 +439,10 @@ pub trait SquashSink {
 ///
 /// Every dump still enters the retention ring, so Replay re-checks each
 /// one at instruction granularity.
+///
+/// A record of a core the unit has no window for is forwarded as it is,
+/// [`tagged`](SquashSink::tagged), for the consumer's admission to
+/// reject.
 #[derive(Debug)]
 pub struct SquashUnit {
     windows: Vec<WindowState>,
@@ -437,17 +482,71 @@ impl SquashUnit {
         &self.stats
     }
 
-    /// Processes one monitored record, handing what it puts on the wire
-    /// to `out`.
-    pub fn push_record<S: SquashSink>(&mut self, ev: &RecordRef<'_>, out: &mut S) {
-        let core = ev.header.core as usize;
-        let mut class = classify(&ev.payload);
+    /// Processes one monitored record, given as its header and payload
+    /// bytes, and hands what it puts on the wire to `out`. A state dump
+    /// is held as its bytes, never viewed; every other kind is viewed
+    /// first. [`Records::next_raw`] yields records in this form.
+    ///
+    /// [`Records::next_raw`]: difftest_event::record::Records::next_raw
+    ///
+    /// # Errors
+    ///
+    /// [`EventRef::parse`]'s error when `payload` is not its kind's
+    /// length; nothing of the record is taken then.
+    #[inline]
+    pub fn push_record<S: SquashSink>(
+        &mut self,
+        header: &RecordHeader,
+        payload: &[u8],
+        out: &mut S,
+    ) -> Result<(), CodecError> {
+        match held_slot(header.kind) {
+            Some(slot) if payload.len() == header.kind.encoded_len() => {
+                self.hold(slot, header, payload, out);
+            }
+            _ => self.push_view(header, EventRef::parse(header.kind, payload)?, out),
+        }
+        Ok(())
+    }
+
+    /// Forwards a record of a core without a window as it is.
+    fn forward<S: SquashSink>(&mut self, header: &RecordHeader, payload: &[u8], out: &mut S) {
+        self.stats.tagged += 1;
+        out.tagged(header, payload);
+    }
+
+    /// Holds a state dump in its core's `slot`.
+    fn hold<S: SquashSink>(
+        &mut self,
+        slot: usize,
+        header: &RecordHeader,
+        payload: &[u8],
+        out: &mut S,
+    ) {
+        match self.windows.get_mut(usize::from(header.core)) {
+            Some(w) => w.hold(slot, header, payload),
+            None => self.forward(header, payload, out),
+        }
+    }
+
+    /// Processes a record that is not a state dump, through its view.
+    fn push_view<S: SquashSink>(
+        &mut self,
+        header: &RecordHeader,
+        event: EventRef<'_>,
+        out: &mut S,
+    ) {
+        let core = usize::from(header.core);
+        let Some(w) = self.windows.get_mut(core) else {
+            return self.forward(header, event.wire_bytes(), out);
+        };
+        let mut class = classify(&event);
         if class == SquashClass::Diff && !self.differencing {
             class = SquashClass::TagFull;
         }
         match class {
             SquashClass::Fuse => {
-                let EventRef::InstrCommit(c) = ev.payload else {
+                let EventRef::InstrCommit(c) = event else {
                     unreachable!("only commits fuse")
                 };
                 // A skipped (MMIO) commit is itself an NDE. A load's
@@ -457,76 +556,71 @@ impl SquashUnit {
                 // such a commit is scheduled ahead with its order tag
                 // before fusing it. A store's arms nothing, and neither
                 // does a load's whose LoadEvent already shipped.
-                if ev.payload.is_nde() {
+                if event.is_nde() {
+                    let covered = w.mmio_load_tag == Some(header.order.0);
                     self.ship_dumps(core, out);
-                    let tag = ev.header.order.0;
-                    if c.flags() & commit_flags::LOAD != 0
-                        && self.windows[core].mmio_load_tag != Some(tag)
-                    {
+                    if c.flags() & commit_flags::LOAD != 0 && !covered {
                         self.stats.tagged += 1;
-                        out.tagged(ev);
+                        out.tagged(header, event.wire_bytes());
                     }
                 }
-                self.windows[core].absorb(ev, c);
+                let Some(w) = self.windows.get_mut(core) else {
+                    return;
+                };
+                w.absorb(header, c);
                 self.stats.commits_fused += 1;
-                if self.windows[core].rec.count >= self.window_limit {
-                    self.flush_core(ev.header.core, out);
+                if w.rec.count >= self.window_limit {
+                    self.flush_core(header.core, out);
                 }
             }
             SquashClass::Subsume => {
                 self.stats.subsumed += 1;
             }
             SquashClass::TagFull => {
-                if self.order_coupled && ev.payload.is_nde() {
+                if self.order_coupled && event.is_nde() && w.open {
                     // Prior work: an NDE forces the fused window out first
                     // so transmission order equals checking order.
-                    if self.windows[core].open {
-                        self.stats.nde_breaks += 1;
-                        self.flush_core(ev.header.core, out);
-                    }
+                    self.stats.nde_breaks += 1;
+                    self.flush_core(header.core, out);
                 }
                 self.ship_dumps(core, out);
-                match ev.header.kind {
-                    EventKind::ArchEvent => self.windows[core].after_trap = true,
-                    EventKind::LoadEvent => {
-                        self.windows[core].mmio_load_tag = Some(ev.header.order.0);
+                if let Some(w) = self.windows.get_mut(core) {
+                    match header.kind {
+                        EventKind::ArchEvent => w.after_trap = true,
+                        EventKind::LoadEvent => w.mmio_load_tag = Some(header.order.0),
+                        _ => {}
                     }
-                    _ => {}
                 }
                 self.stats.tagged += 1;
-                out.tagged(ev);
+                out.tagged(header, event.wire_bytes());
             }
             SquashClass::Diff => {
                 self.stats.diffed += 1;
-                out.diff(ev);
+                out.diff(header, event.wire_bytes());
             }
-            SquashClass::State => {
-                let Some(slot) = held_slot(ev.header.kind) else {
-                    unreachable!("only held kinds classify as state")
-                };
-                let w = &mut self.windows[core];
-                w.dumps[slot].clear();
-                w.dumps[slot].extend_from_slice(ev.bytes());
-                w.tokens[slot] = ev.header.token.0;
-                w.due |= 1 << slot;
-            }
+            SquashClass::State => unreachable!("state dumps are held before they are viewed"),
         }
     }
 
     /// Ships `core`'s held dumps in capture (token) order.
     fn ship_dumps<S: SquashSink>(&mut self, core: usize, out: &mut S) {
-        let w = &mut self.windows[core];
-        while let Some(slot) = w.first_due() {
-            w.due &= !(1 << slot);
-            let Some(dump) = held(&w.dumps[slot]) else {
+        let Some(w) = self.windows.get_mut(core) else {
+            return;
+        };
+        if w.due == 0 {
+            return;
+        }
+        let mut order = [(0, 0); HELD_SLOTS];
+        for &(_, slot) in w.take_due(&mut order) {
+            let Some(Some(dump)) = w.dumps.get(slot) else {
                 continue;
             };
             if self.differencing {
                 self.stats.diffed += 1;
-                out.diff(&dump);
+                out.diff(&dump.header, &dump.payload);
             } else {
                 self.stats.tagged += 1;
-                out.tagged(&dump);
+                out.tagged(&dump.header, &dump.payload);
             }
         }
     }
@@ -535,15 +629,18 @@ impl SquashUnit {
     /// ages open windows and flushes stale ones.
     pub fn on_cycle_end<S: SquashSink>(&mut self, out: &mut S) {
         for core in 0..self.windows.len() {
-            let w = &mut self.windows[core];
-            if w.after_trap && w.due != 0 {
-                w.after_trap = false;
-                self.ship_dumps(core, out);
+            if let Some(w) = self.windows.get_mut(core) {
+                if w.after_trap && w.due != 0 {
+                    w.after_trap = false;
+                    self.ship_dumps(core, out);
+                }
             }
-            if self.windows[core].open {
-                self.windows[core].age += 1;
-                if self.windows[core].age >= MAX_WINDOW_AGE {
-                    self.flush_core(core as u8, out);
+            if let Some(w) = self.windows.get_mut(core) {
+                if w.open {
+                    w.age += 1;
+                    if w.age >= MAX_WINDOW_AGE {
+                        self.flush_core(core as u8, out);
+                    }
                 }
             }
         }
@@ -551,12 +648,13 @@ impl SquashUnit {
 
     /// Ships one core's held dumps, then its open fusion window.
     pub fn flush_core<S: SquashSink>(&mut self, core: u8, out: &mut S) {
-        self.ship_dumps(core as usize, out);
-        let w = &mut self.windows[core as usize];
-        if w.open {
-            w.open = false;
-            self.stats.fused_records += 1;
-            out.fused(core, &w.rec);
+        self.ship_dumps(usize::from(core), out);
+        if let Some(w) = self.windows.get_mut(usize::from(core)) {
+            if w.open {
+                w.open = false;
+                self.stats.fused_records += 1;
+                out.fused(core, &w.rec);
+            }
         }
     }
 

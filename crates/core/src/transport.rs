@@ -17,6 +17,10 @@
 //! transfer and streams its items to [`crate::Consumer`] as borrowed
 //! [`WireItemRef`] views.
 
+// Transfer bodies are peer bytes and cores come from record headers:
+// every lookup is checked.
+#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
+
 use difftest_event::record::Records;
 use difftest_event::wire::{append_crc_frame, verify_crc_frame, CodecError, Reader};
 use difftest_event::{EventKind, EventRef};
@@ -162,12 +166,16 @@ impl AccelUnit {
                 drain_packets(&mut self.packet_buf, out);
             }
             HwMode::SquashBatch(squash, batch) => {
-                // Squash lends each record (and each closed window) to
-                // the packer, which packs it in place: no WireItem
+                // Header first: Squash holds a state dump as its header
+                // and payload bytes, unviewed, and views only the other
+                // kinds. It lends what it ships (and each closed window)
+                // to the packer, which packs it in place: no WireItem
                 // staging.
                 let mut sink = batch.sink(&mut self.packet_buf);
-                while let Some(Ok(rec)) = records.next() {
-                    squash.push_record(&rec, &mut sink);
+                while let Some(Ok((header, payload))) = records.next_raw() {
+                    if squash.push_record(&header, payload, &mut sink).is_err() {
+                        break;
+                    }
                 }
                 squash.on_cycle_end(&mut sink);
                 drain_packets(&mut self.packet_buf, out);
@@ -312,7 +320,10 @@ fn per_event_item(body: &[u8]) -> Result<WireItemRef<'_>, CodecError> {
 mod tests {
     use super::*;
     use crate::wire::WireItem;
-    use difftest_event::{Event, InstrCommit, MonitoredEvent, OrderTag, Token};
+    use difftest_event::record::{encode_record, RECORD_HEADER_BYTES};
+    use difftest_event::{
+        ArchIntRegState, Event, InstrCommit, LoadEvent, MonitoredEvent, OrderTag, Token,
+    };
 
     /// Admits `t` and materializes the items it releases.
     fn decode(sw: &mut SwUnit, t: &Transfer) -> Result<Vec<WireItem>, CodecError> {
@@ -414,6 +425,72 @@ mod tests {
             })
             .collect();
         assert_eq!(got, sent);
+    }
+
+    /// One arena of `events`' records.
+    fn arena(events: &[MonitoredEvent]) -> Vec<u8> {
+        let mut records = Vec::new();
+        events.iter().for_each(|ev| encode_record(ev, &mut records));
+        records
+    }
+
+    fn at(core: u8, seq: u64, event: Event) -> MonitoredEvent {
+        MonitoredEvent {
+            core,
+            cycle: seq,
+            order: OrderTag(seq),
+            token: Token(seq),
+            event,
+        }
+    }
+
+    /// What a Squash + Batch unit makes of `arenas`, flushed.
+    fn squashed(cores: usize, arenas: &[Vec<u8>]) -> (Vec<Transfer>, Option<SquashStats>) {
+        let mut hw = AccelUnit::squash_batch_with(cores, 4096, 32, false, true);
+        let mut transfers = Vec::new();
+        for records in arenas {
+            hw.push_records(records, &mut transfers);
+        }
+        hw.flush(&mut transfers);
+        (transfers, hw.squash_stats())
+    }
+
+    /// A state dump cut short at the end of an arena is never held: the
+    /// walk stops at it, and the transfers are those of the arena
+    /// without it.
+    #[test]
+    fn a_dump_cut_short_holds_nothing() {
+        let regs = |seq, v| at(0, seq, ArchIntRegState { regs: [v; 32] }.into());
+        let first = arena(&[mev(0, 0, 0x8000_0000), regs(1, 1)]);
+        let whole = arena(&[mev(0, 2, 0x8000_0004), regs(3, 2)]);
+        let (want, want_stats) = squashed(1, &[first.clone(), whole.clone()]);
+        let dump = arena(&[regs(4, 3)]);
+        for cut in [1, 8, dump.len() - RECORD_HEADER_BYTES, dump.len() - 1] {
+            let mut cut_short = whole.clone();
+            cut_short.extend_from_slice(&dump[..cut]);
+            let (got, stats) = squashed(1, &[first.clone(), cut_short]);
+            assert_eq!(got, want, "dump cut to {cut} bytes");
+            assert_eq!(stats, want_stats);
+        }
+    }
+
+    /// A record of a core Squash has no window for is forwarded tagged,
+    /// as it is, whatever its kind: the consumer's admission rejects it
+    /// as `BadCore`, and nothing panics or vanishes on the way.
+    #[test]
+    fn a_record_of_an_unknown_core_is_forwarded_for_admission_to_reject() {
+        let records = arena(&[
+            mev(3, 0, 0x8000_0000),
+            at(3, 1, ArchIntRegState { regs: [1; 32] }.into()),
+            at(3, 2, LoadEvent::default().into()),
+        ]);
+        let (transfers, stats) = squashed(1, &[records]);
+        assert_eq!(stats.map(|s| s.tagged), Some(3));
+        assert_eq!(transfers.iter().map(|t| t.items).sum::<u32>(), 3);
+        let mut sw = SwUnit::packed(1);
+        for t in &transfers {
+            assert_eq!(sw.admit(t), Err(CodecError::BadCore { core: 3, cores: 1 }));
+        }
     }
 
     #[test]

@@ -297,6 +297,47 @@ fn changed(bitmap: &[u8], w: usize) -> bool {
     bitmap.get(w / 8).is_some_and(|b| b & (1 << (w % 8)) != 0)
 }
 
+/// Sets bit `w` of the change bitmap that starts at `out[start]`.
+#[inline]
+fn mark(out: &mut [u8], start: usize, w: usize) {
+    if let Some(b) = out.get_mut(start + w / 8) {
+        *b |= 1 << (w % 8);
+    }
+}
+
+/// Appends `bytes`, at most one word, zero-padded to eight bytes.
+#[inline]
+fn append_word_padded(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.extend_from_slice(bytes);
+    out.resize(out.len() + (8 - bytes.len() % 8) % 8, 0);
+}
+
+/// Differences `cur` against the equally long `prev` word by word:
+/// marks each changed word in the bitmap at `out[start]`, appends it
+/// (a short tail word zero-padded) and patches it into `prev`. Returns
+/// the number of changed words.
+#[inline]
+fn patch_words(prev: &mut [u8], cur: &[u8], start: usize, out: &mut Vec<u8>) -> usize {
+    let (cur_words, cur_tail) = cur.as_chunks::<8>();
+    let (prev_words, prev_tail) = prev.as_chunks_mut::<8>();
+    let mut changed = 0;
+    for (w, (new, old)) in cur_words.iter().zip(prev_words).enumerate() {
+        if u64::from_ne_bytes(*new) != u64::from_ne_bytes(*old) {
+            *old = *new;
+            mark(out, start, w);
+            out.extend_from_slice(new);
+            changed += 1;
+        }
+    }
+    if cur_tail != &*prev_tail {
+        prev_tail.copy_from_slice(cur_tail);
+        mark(out, start, cur_words.len());
+        append_word_padded(out, cur_tail);
+        changed += 1;
+    }
+    changed
+}
+
 /// Per-core mirror of what the link last carried, kept identically on
 /// the hardware (encoder) and software (decoder) sides: the last
 /// transmitted payload of each event kind, so differencing round-trips,
@@ -396,53 +437,47 @@ impl DiffCache {
         changed
     }
 
+    /// Whether `cur`, a payload of `kind`, equals the cached previous one
+    /// of `core`: one slice compare, which settles an unchanged payload
+    /// before anything is written. `false` before the first payload and
+    /// for a core the cache lacks.
+    #[inline]
+    pub fn unchanged(&self, core: u8, kind: EventKind, cur: &[u8]) -> bool {
+        matches!(
+            self.last.get(Self::slot_index(core, kind)),
+            Some(Some(prev)) if prev.as_slice() == cur
+        )
+    }
+
     /// Appends `cur`, a payload of `kind`, as a difference against the
-    /// cached previous payload, then caches `cur`. Returns the number of
-    /// changed 64-bit words (zero means the payload is byte-identical to
-    /// the previous one and need not be transmitted at all). A core the
-    /// cache lacks differences against nothing.
+    /// cached previous payload, and patches the changed words into the
+    /// cache. Returns the number of changed 64-bit words; zero means the
+    /// payload equals the previous one, and then nothing is appended and
+    /// the cache is untouched. The first payload of a kind, and any
+    /// payload of a core the cache lacks, differences against nothing:
+    /// every word ships, and only the first is cached.
     pub fn diff(&mut self, core: u8, kind: EventKind, cur: &[u8], out: &mut Vec<u8>) -> usize {
         let words = cur.len().div_ceil(8);
-        let bitmap_bytes = words.div_ceil(8);
-        let mut uncached = None;
-        let prev = self
-            .last
-            .get_mut(Self::slot_index(core, kind))
-            .unwrap_or(&mut uncached);
-
         let start = out.len();
-        out.resize(start + bitmap_bytes, 0);
-        let mark = |out: &mut Vec<u8>, w: usize| {
-            if let Some(b) = out.get_mut(start + w / 8) {
-                *b |= 1 << (w % 8);
+        out.resize(start + words.div_ceil(8), 0);
+        let changed = match self.last.get_mut(Self::slot_index(core, kind)) {
+            Some(Some(prev)) if prev.len() == cur.len() => patch_words(prev, cur, start, out),
+            slot => {
+                for w in 0..words {
+                    mark(out, start, w);
+                }
+                append_word_padded(out, cur);
+                if let Some(slot) = slot {
+                    let prev = slot.get_or_insert_with(Vec::new);
+                    prev.clear();
+                    prev.extend_from_slice(cur);
+                }
+                words
             }
         };
-        let mut changed = 0usize;
-        // One paired scan of both payloads. Without a previous payload
-        // the partner is empty, so every word reads as changed.
-        let mut cur_words = cur.chunks_exact(8);
-        let mut prev_words = prev.as_deref().unwrap_or_default().chunks_exact(8);
-        let mut w = 0usize;
-        for word in cur_words.by_ref() {
-            if prev_words.next() != Some(word) {
-                mark(out, w);
-                out.extend_from_slice(word);
-                changed += 1;
-            }
-            w += 1;
+        if changed == 0 {
+            out.truncate(start);
         }
-        // A short tail word is zero-padded to eight bytes.
-        let tail = cur_words.remainder();
-        if !tail.is_empty() && (prev.is_none() || prev_words.remainder() != tail) {
-            mark(out, w);
-            out.extend_from_slice(tail);
-            out.resize(out.len() + 8 - tail.len(), 0);
-            changed += 1;
-        }
-        // The slot takes a copy of the current payload, in its own buffer.
-        let slot = prev.get_or_insert_with(Vec::new);
-        slot.clear();
-        slot.extend_from_slice(cur);
         changed
     }
 
@@ -734,6 +769,173 @@ mod tests {
                 .into_item();
             r.finish().unwrap();
             assert_eq!(back, item);
+        }
+    }
+
+    /// The differencing `DiffCache::diff` is held to: one paired scan of
+    /// the current and the previous payload, appending the bitmap even
+    /// when no word changed, then the whole payload copied into the slot.
+    fn paired_scan_diff(prev: &mut Option<Vec<u8>>, cur: &[u8], out: &mut Vec<u8>) -> usize {
+        let words = cur.len().div_ceil(8);
+        let start = out.len();
+        out.resize(start + words.div_ceil(8), 0);
+        let mut changed = 0;
+        let mut cur_words = cur.chunks_exact(8);
+        let mut prev_words = prev.as_deref().unwrap_or_default().chunks_exact(8);
+        for (w, word) in cur_words.by_ref().enumerate() {
+            if prev_words.next() != Some(word) {
+                out[start + w / 8] |= 1 << (w % 8);
+                out.extend_from_slice(word);
+                changed += 1;
+            }
+        }
+        let tail = cur_words.remainder();
+        if !tail.is_empty() && (prev.is_none() || prev_words.remainder() != tail) {
+            out[start + (words - 1) / 8] |= 1 << ((words - 1) % 8);
+            out.extend_from_slice(tail);
+            out.resize(out.len() + 8 - tail.len(), 0);
+            changed += 1;
+        }
+        *prev = Some(cur.to_vec());
+        changed
+    }
+
+    /// The eight state-dump kinds Squash holds and differences.
+    const DUMP_KINDS: [EventKind; 8] = [
+        EventKind::ArchIntRegState,
+        EventKind::CsrState,
+        EventKind::ArchFpRegState,
+        EventKind::ArchVecRegState,
+        EventKind::VecCsrState,
+        EventKind::HypervisorCsrState,
+        EventKind::TriggerCsrState,
+        EventKind::DebugModeState,
+    ];
+
+    /// `DiffCache::diff` next to its oracle over one payload stream, and
+    /// a decoder mirror reading what it appends. The caches have two
+    /// cores; core 2 is one they lack.
+    struct OracleRun {
+        enc: DiffCache,
+        dec: DiffCache,
+        oracle: Vec<Option<Vec<u8>>>,
+    }
+
+    impl OracleRun {
+        fn new() -> Self {
+            OracleRun {
+                enc: DiffCache::new(2),
+                dec: DiffCache::new(2),
+                oracle: vec![None; 2 * EventKind::COUNT],
+            }
+        }
+
+        /// The last payload of `kind` the oracle cached for `core`.
+        fn last(&self, core: u8, kind: EventKind) -> Option<&[u8]> {
+            self.oracle
+                .get(DiffCache::slot_index(core, kind))?
+                .as_deref()
+        }
+
+        /// Differences `cur` both ways and checks they agree: the same
+        /// count, the same bytes when a word changed and none appended
+        /// when none did, the same cached payload, and a decoder mirror
+        /// that reconstructs `cur`. Returns the count.
+        fn step(&mut self, core: u8, kind: EventKind, cur: &[u8]) -> usize {
+            let (mut got, mut want) = (vec![0xee], vec![0xee]);
+            let mut uncached = None;
+            let slot = self
+                .oracle
+                .get_mut(DiffCache::slot_index(core, kind))
+                .unwrap_or(&mut uncached);
+            let n = paired_scan_diff(slot, cur, &mut want);
+            assert_eq!(self.enc.unchanged(core, kind, cur), n == 0, "{kind:?}");
+            assert_eq!(self.enc.diff(core, kind, cur, &mut got), n, "{kind:?}");
+            if n == 0 {
+                assert_eq!(got, [0xee], "a vacuous diff appends nothing");
+                assert!(want[1..].iter().all(|&b| b == 0));
+            } else {
+                assert_eq!(got, want, "{kind:?} on core {core}");
+            }
+            let idx = DiffCache::slot_index(core, kind);
+            assert_eq!(self.enc.last.get(idx), self.oracle.get(idx));
+            if n > 0 && usize::from(core) < 2 {
+                let mut r = Reader::new(&got[1..]);
+                let back = self.dec.decode(core, kind, &mut r).unwrap();
+                assert_eq!(back.wire_bytes(), cur, "{kind:?} mirrored");
+                r.finish().unwrap();
+            }
+            n
+        }
+    }
+
+    /// `kind`'s payload from `seed`, pseudo-random bytes.
+    fn dump_payload(kind: EventKind, seed: u64) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..kind.encoded_len())
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    /// The edges by name: the first capture, a repeat, a change in the
+    /// 1-byte tail word of `HypervisorCsrState`'s 89 bytes alone, a
+    /// change in one full word, and a core the cache lacks.
+    #[test]
+    fn diff_agrees_with_the_paired_scan_at_the_edges() {
+        let kind = EventKind::HypervisorCsrState;
+        assert_eq!((kind.encoded_len(), kind.encoded_len() % 8), (89, 1));
+        let mut run = OracleRun::new();
+        let mut cur = dump_payload(kind, 7);
+        assert_eq!(run.step(0, kind, &cur), 12, "first capture: every word");
+        assert_eq!(run.step(0, kind, &cur), 0, "repeat");
+        *cur.last_mut().unwrap() ^= 1;
+        assert_eq!(run.step(0, kind, &cur), 1, "tail only");
+        cur[8] ^= 0x80;
+        assert_eq!(run.step(0, kind, &cur), 1, "one full word");
+        for _ in 0..2 {
+            assert_eq!(run.step(2, kind, &cur), 12, "a core the cache lacks");
+        }
+        assert_eq!(run.step(1, kind, &cur), 12, "another core's first");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Over random payload streams of all eight dump kinds, each
+        /// payload a repeat, a few words or only the tail changed, or
+        /// fresh, on two cached cores and one the cache lacks.
+        #[test]
+        fn diff_agrees_with_the_paired_scan(
+            steps in proptest::collection::vec(
+                (0u8..3, 0usize..8, 0u8..4, proptest::prelude::any::<u64>()),
+                1..96,
+            ),
+        ) {
+            let mut run = OracleRun::new();
+            for (core, k, mode, seed) in steps {
+                let kind = DUMP_KINDS[k];
+                let mut cur = run
+                    .last(core, kind)
+                    .map_or_else(|| dump_payload(kind, seed), <[u8]>::to_vec);
+                let len = cur.len();
+                match mode {
+                    0 => {}
+                    1 => {
+                        for i in 0..=seed % 3 {
+                            let at = (seed.rotate_left(i as u32 * 8) as usize) % len;
+                            cur[at] = cur[at].wrapping_add(1);
+                        }
+                    }
+                    2 => cur[len - 1 - (seed as usize % (len % 8).max(1))] ^= 0x5a,
+                    _ => cur = dump_payload(kind, seed),
+                }
+                run.step(core, kind, &cur);
+            }
         }
     }
 }

@@ -111,29 +111,13 @@ pub struct RecordRef<'a> {
     bytes: &'a [u8],
 }
 
-impl<'a> RecordRef<'a> {
-    /// Splits the record at the start of `bytes` off the bytes after it:
-    /// [`RecordHeader::read`]'s errors, or [`CodecError::UnexpectedEnd`]
-    /// when the payload is cut short.
-    #[inline]
-    fn split(bytes: &'a [u8]) -> Result<(RecordRef<'a>, &'a [u8]), CodecError> {
-        let (header, len) = RecordHeader::read(bytes)?;
-        let Some((record, rest)) = bytes.split_at_checked(len) else {
-            return Err(CodecError::UnexpectedEnd {
-                needed: len,
-                available: bytes.len(),
-            });
-        };
-        let payload = record.get(RECORD_HEADER_BYTES..).unwrap_or_default();
-        let payload = EventRef::parse(header.kind, payload)?;
-        let record = RecordRef {
-            header,
-            payload,
-            bytes: record,
-        };
-        Ok((record, rest))
-    }
+/// The payload of a whole record.
+#[inline]
+fn payload_of(record: &[u8]) -> &[u8] {
+    record.get(RECORD_HEADER_BYTES..).unwrap_or_default()
+}
 
+impl<'a> RecordRef<'a> {
     /// The record's bytes as they lie, header and payload: what a holder
     /// of a record copies instead of re-encoding it.
     #[inline]
@@ -165,6 +149,43 @@ impl<'a> Records<'a> {
     pub fn new(bytes: &'a [u8]) -> Self {
         Records { rest: bytes }
     }
+
+    /// The next record's header and whole bytes: [`RecordHeader::read`]'s
+    /// errors, or [`CodecError::UnexpectedEnd`] when the payload is cut
+    /// short, end the walk.
+    #[inline]
+    fn next_record(&mut self) -> Option<Result<(RecordHeader, &'a [u8]), CodecError>> {
+        if self.rest.is_empty() {
+            return None;
+        }
+        let bytes = self.rest;
+        self.rest = &[];
+        let (header, len) = match RecordHeader::read(bytes) {
+            Ok(read) => read,
+            Err(e) => return Some(Err(e)),
+        };
+        let Some((record, rest)) = bytes.split_at_checked(len) else {
+            return Some(Err(CodecError::UnexpectedEnd {
+                needed: len,
+                available: bytes.len(),
+            }));
+        };
+        self.rest = rest;
+        Some(Ok((header, record)))
+    }
+
+    /// The next record as its header and payload bytes, the payload
+    /// unviewed: the header-first walk, for a reader that views only
+    /// some kinds. The payload is exactly its kind's length. Like
+    /// [`next`](Iterator::next), a malformed record yields its
+    /// [`CodecError`] and ends the walk.
+    #[inline]
+    pub fn next_raw(&mut self) -> Option<Result<(RecordHeader, &'a [u8]), CodecError>> {
+        Some(
+            self.next_record()?
+                .map(|(header, record)| (header, payload_of(record))),
+        )
+    }
 }
 
 impl<'a> Iterator for Records<'a> {
@@ -172,14 +193,16 @@ impl<'a> Iterator for Records<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
-        if self.rest.is_empty() {
-            return None;
-        }
-        match RecordRef::split(self.rest) {
-            Ok((record, rest)) => {
-                self.rest = rest;
-                Some(Ok(record))
-            }
+        let (header, record) = match self.next_record()? {
+            Ok(split) => split,
+            Err(e) => return Some(Err(e)),
+        };
+        match EventRef::parse(header.kind, payload_of(record)) {
+            Ok(payload) => Some(Ok(RecordRef {
+                header,
+                payload,
+                bytes: record,
+            })),
             Err(e) => {
                 self.rest = &[];
                 Some(Err(e))

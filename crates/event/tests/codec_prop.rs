@@ -2,8 +2,9 @@
 //! inputs, encode∘decode is the identity on the byte level, and the
 //! borrowed [`EventRef`] view family agrees with the materializing
 //! decode path — field reads, matching, and error behavior alike. The
-//! record codec round-trips every kind with its monitor stamps, and a
-//! cut or malformed record is a typed error, never a panic.
+//! record codec round-trips every kind with its monitor stamps, a cut or
+//! malformed record is a typed error, never a panic, and the header-first
+//! walk stops where the viewing walk does.
 
 use difftest_event::record::{encode_record, RecordHeader, Records, RECORD_HEADER_BYTES};
 use difftest_event::{CodecError, Event, EventKind, EventRef, MonitoredEvent, OrderTag, Token};
@@ -154,6 +155,30 @@ proptest! {
                 // The header alone reads once it is whole.
                 let header = RecordHeader::read(&bytes[..cut]);
                 prop_assert_eq!(header.is_ok(), cut >= RECORD_HEADER_BYTES);
+            }
+        }
+    }
+
+    /// The header-first walk yields each record's header and exact
+    /// payload, and stops where the viewing walk stops: at the first
+    /// record cut short.
+    #[test]
+    fn header_first_walk_agrees_with_the_viewing_walk(seed in any::<u64>(), cut in 0usize..64) {
+        let mut bytes = Vec::new();
+        for kind in EventKind::ALL {
+            encode_record(&monitored(kind, seed ^ kind as u64, 1), &mut bytes);
+        }
+        let bytes = &bytes[..bytes.len() - cut.min(bytes.len())];
+        let (mut raw, mut viewed) = (Records::new(bytes), Records::new(bytes));
+        loop {
+            match (raw.next_raw(), viewed.next()) {
+                (None, None) => break,
+                (Some(Ok((header, payload))), Some(Ok(record))) => {
+                    prop_assert_eq!(header, record.header);
+                    prop_assert_eq!(payload, record.payload.wire_bytes());
+                }
+                (Some(Err(a)), Some(Err(b))) => prop_assert_eq!(a, b),
+                (a, b) => prop_assert!(false, "walks diverge: {:?} vs {:?}", a, b.map(|r| r.map(|r| r.header))),
             }
         }
     }
