@@ -124,6 +124,13 @@ ci: seam
 # description, Session: outside shim.rs, which keeps the builder the
 # gated benchmark still calls, no source in the workspace names the
 # retired run builder (`CoSimulationBuilder`, `CoSimulation::builder`).
+# The monitor's stream is said once: the slot table is its only emit
+# policy, so no source names the retired `EventPolicy` or its `policy.`
+# flags, and crates/dut/src/dump.rs is the one definition of the state
+# dumps, so outside tests only it calls the eight dump structs'
+# `write_fields`, the checker keeps no second dump description (`Dump::`,
+# `first_divergence`), and neither the checker's `is_pre` nor a Squash
+# `held_slot` lists a dump kind (they ask `state_dump_slot`).
 RUNNER_SRCS = crates/core/src/engine.rs crates/core/src/socket.rs
 WIRE_SRCS = crates/core/src/proto.rs crates/core/src/mux.rs
 INPROC_RUNNER_SRCS = crates/core/src/engine.rs
@@ -132,6 +139,7 @@ SEND_SRCS = $(addprefix crates/core/src/,produce.rs engine.rs socket.rs replay.r
 	squash.rs batch.rs snapshot.rs)
 CONSUME_SRCS = crates/core/src/consume.rs crates/core/src/checker.rs
 COMPARE_SRCS = crates/core/src/checker.rs crates/core/src/consume.rs crates/core/src/replay.rs
+DUMP_KINDS = ArchIntRegState|ArchFpRegState|CsrState|ArchVecRegState|VecCsrState|HypervisorCsrState|TriggerCsrState|DebugModeState
 seam:
 	@if grep -nE 'use crate::(engine|socket)(::|;| )' $(RUNNER_SRCS); then \
 		echo "runner seam violated: runners must build on session/link/produce/consume only"; \
@@ -300,6 +308,20 @@ seam:
 		exit 1; \
 	else \
 		echo "run-description seam clean: one run description, Session"; \
+	fi
+	@if for f in $$(find crates/*/src src examples -name '*.rs'); do \
+		sed -e '/^#\[cfg(test)\]/,$$d' $$f \
+			| grep -nE 'EventPolicy|[A-Za-z_)]\.policy\b|\bpolicy\.[a-z_]' | sed "s|^|$$f: |"; \
+		[ $$f = crates/dut/src/dump.rs ] || sed -e '/^#\[cfg(test)\]/,$$d' $$f \
+			| grep -nE '\b($(DUMP_KINDS))::write_fields' | sed "s|^|$$f: |"; \
+	done | grep . \
+		|| sed -e '/^#\[cfg(test)\]/,$$d' crates/core/src/checker.rs | grep -nE 'Dump::|first_divergence' \
+		|| sed -n -e '/^fn is_pre(/,/^}/p' crates/core/src/checker.rs \
+			-e '/^fn held_slot(/,/^}/p' crates/core/src/squash.rs | grep -nE '\b($(DUMP_KINDS))\b'; then \
+		echo "dump seam violated: the slot table is the one emit policy and crates/dut/src/dump.rs the one dump definition (DESIGN.md §12.1)"; \
+		exit 1; \
+	else \
+		echo "dump seam clean: one dump definition, one emit policy"; \
 	fi
 
 # Non-test Rust line count, as simplicity changes report it: every .rs

@@ -28,10 +28,6 @@
 //! ([`FixedOffsetPacker`]): every provisioned slot occupies packet space
 //! whether valid or not, producing the >60% bubbles of paper §4.2.1.
 
-// Fault-damaged packet bytes reach the unpacker: every read of them is
-// checked.
-#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
-
 use difftest_dut::SlotTable;
 use difftest_event::record::RecordHeader;
 use difftest_event::wire::{

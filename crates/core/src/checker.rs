@@ -23,6 +23,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use difftest_dut::{dump_words, state_dump_slot, write_state_dump};
 use difftest_event::record::RecordRef;
 use difftest_event::{commit_flags, EventKind, EventRef, InstrCommit, Token};
 use difftest_isa::csr::CsrIndex;
@@ -102,20 +103,13 @@ fn is_pre(event: &EventRef<'_>) -> bool {
         | K::TrapEvent
         | K::VirtualInterrupt
         | K::GuestPageFault
-        | K::ArchIntRegState
-        | K::ArchFpRegState
-        | K::CsrState
-        | K::ArchVecRegState
-        | K::VecCsrState
-        | K::HypervisorCsrState
-        | K::TriggerCsrState
-        | K::DebugModeState
         | K::L1TlbEvent
         | K::L2TlbEvent
         | K::PtwEvent => true,
         K::LoadEvent | K::InstrCommit => event.is_nde(), // MMIO skips arm pre-step
         K::RefillEvent => matches!(event, EventRef::RefillEvent(r) if r.refill_type() != 0),
-        _ => false,
+        // A state dump describes the state before its instruction.
+        k => state_dump_slot(k).is_some(),
     }
 }
 
@@ -137,28 +131,41 @@ struct Parked {
     bytes: Vec<u8>,
 }
 
-/// A register-file state dump: which REF words it mirrors and how a
-/// divergent index is named in the [`Mismatch`].
-#[derive(Debug, Clone, Copy)]
-enum Dump {
-    Xregs,
-    Fregs,
-    Csrs,
-    /// Architecturally zero on both sides in this model; any non-zero
-    /// half is a monitor/datapath fault.
-    Vregs,
-}
+/// The small-dump fields a mismatch names, as `(kind, offset, length,
+/// name)`; any other small-dump byte is named by its offset.
+const DUMP_FIELDS: [(EventKind, usize, usize, &str); 8] = [
+    (EventKind::VecCsrState, 0, 8, "vstart"),
+    (EventKind::VecCsrState, 8, 8, "vl"),
+    (EventKind::VecCsrState, 16, 8, "vtype"),
+    (EventKind::VecCsrState, 24, 8, "vcsr"),
+    (EventKind::HypervisorCsrState, 0, 8, "hstatus"),
+    (EventKind::HypervisorCsrState, 8, 8, "hedeleg"),
+    (EventKind::TriggerCsrState, 0, 8, "tselect"),
+    (EventKind::DebugModeState, 0, 1, "debug_mode"),
+];
 
-/// The first index at which the DUT's words diverge from the REF's, with
-/// `(index, want, got)`.
-fn first_divergence(
-    dut: impl IntoIterator<Item = u64>,
-    refw: impl IntoIterator<Item = u64>,
-) -> Option<(usize, u64, u64)> {
-    dut.into_iter()
-        .zip(refw)
-        .enumerate()
-        .find_map(|(i, (got, want))| (got != want).then_some((i, want, got)))
+/// The field of a `kind` dump that holds byte `off`: its name, offset
+/// and length.
+fn dump_field(kind: EventKind, off: usize) -> (String, usize, usize) {
+    use EventKind as K;
+    let i = off / 8;
+    let word = |name| (name, 8 * i, 8);
+    match kind {
+        K::ArchIntRegState => word(format!("xreg x{i}")),
+        K::ArchFpRegState => word(format!("freg f{i}")),
+        K::CsrState => word(format!(
+            "csr {}",
+            CsrIndex::from_dense(i).map_or("?", |c| c.name())
+        )),
+        K::ArchVecRegState => word(format!("vreg half {i}")),
+        _ => DUMP_FIELDS
+            .iter()
+            .find(|&&(k, at, len, _)| k == kind && (at..at + len).contains(&off))
+            .map_or(
+                (format!("{} byte {off}", kind.name()), off, 1),
+                |&(_, at, len, name)| (name.to_owned(), at, len),
+            ),
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -182,6 +189,8 @@ struct CoreChecker {
     token_watermark: u64,
     ckpt: Option<Checkpoint>,
     replay_support: bool,
+    /// The REF's rendering of the dump being compared, reused.
+    dump: Vec<u8>,
 }
 
 macro_rules! mismatch {
@@ -211,6 +220,7 @@ impl CoreChecker {
             token_watermark: 0,
             ckpt: None,
             replay_support,
+            dump: Vec::new(),
         }
     }
 
@@ -287,30 +297,35 @@ impl CoreChecker {
         Ok(())
     }
 
-    /// Compares one register-file dump against the REF. It compares
-    /// first and renders the check name only on failure, so a clean dump
-    /// costs no allocation.
-    fn check_dump(&self, dump: Dump, dut: impl IntoIterator<Item = u64>) -> Result<(), Mismatch> {
+    /// Compares one state dump's payload against the REF's state. A
+    /// register-file dump compares its words in place; a small dump is
+    /// rendered from the REF by the monitor's own writer and compared as
+    /// bytes. The divergent field is named only on failure, so a clean
+    /// dump costs no allocation.
+    fn check_dump(&mut self, kind: EventKind, got: &[u8]) -> Result<(), Mismatch> {
         let st = self.refm.state();
-        let diverged = match dump {
-            Dump::Xregs => first_divergence(dut, st.xregs().iter().copied()),
-            Dump::Fregs => first_divergence(dut, st.fregs().iter().copied()),
-            Dump::Csrs => first_divergence(dut, st.csrs().iter().copied()),
-            Dump::Vregs => first_divergence(dut, std::iter::repeat(0)),
-        };
-        let Some((i, want, got)) = diverged else {
-            return Ok(());
-        };
-        let check = match dump {
-            Dump::Xregs => format!("xreg x{i}"),
-            Dump::Fregs => format!("freg f{i}"),
-            Dump::Csrs => {
-                let name = CsrIndex::from_dense(i).map(|c| c.name()).unwrap_or("?");
-                format!("csr {name}")
+        let same = match dump_words(kind, st) {
+            Some(want) => (got.as_chunks::<8>().0.iter())
+                .zip(want)
+                .all(|(g, w)| u64::from_le_bytes(*g) == *w),
+            None => {
+                self.dump.clear();
+                write_state_dump(kind, st, &mut self.dump);
+                self.dump == got
             }
-            Dump::Vregs => format!("vreg half {i}"),
         };
-        self.ensure(false, check, want, got)
+        if same {
+            return Ok(());
+        }
+        self.dump.clear();
+        write_state_dump(kind, st, &mut self.dump);
+        let off = self.dump.iter().zip(got).position(|(w, g)| w != g);
+        let (check, at, len) = dump_field(kind, off.unwrap_or(0));
+        let field = |b: &[u8]| {
+            b.get(at..at + len)
+                .map_or(0, |f| f.iter().rfold(0, |v, &x| v << 8 | u64::from(x)))
+        };
+        self.ensure(false, check, field(&self.dump), field(got))
     }
 
     /// Checks one event view against the current REF state: the
@@ -397,26 +412,14 @@ impl CoreChecker {
                     stats.exceptions += 1;
                 }
             }
-            EventRef::ArchIntRegState(s) => self.check_dump(Dump::Xregs, s.regs().iter())?,
-            EventRef::ArchFpRegState(s) => self.check_dump(Dump::Fregs, s.regs().iter())?,
-            EventRef::CsrState(s) => self.check_dump(Dump::Csrs, s.csrs().iter())?,
-            EventRef::ArchVecRegState(s) => self.check_dump(Dump::Vregs, s.regs().iter())?,
-            EventRef::VecCsrState(s) => self.check_csrs([
-                ("vstart", CsrIndex::Vstart, s.vstart()),
-                ("vl", CsrIndex::Vl, s.vl()),
-                ("vtype", CsrIndex::Vtype, s.vtype()),
-                ("vcsr", CsrIndex::Vcsr, s.vcsr()),
-            ])?,
-            EventRef::HypervisorCsrState(s) => self.check_csrs([
-                ("hstatus", CsrIndex::Hstatus, s.csrs().get(0)),
-                ("hedeleg", CsrIndex::Hedeleg, s.csrs().get(1)),
-            ])?,
-            EventRef::TriggerCsrState(s) => {
-                self.ensure(s.tselect() == 0, "tselect", 0u64, s.tselect())?;
-            }
-            EventRef::DebugModeState(s) => {
-                self.ensure(s.debug_mode() == 0, "debug_mode", 0u8, s.debug_mode())?;
-            }
+            EventRef::ArchIntRegState(_)
+            | EventRef::ArchFpRegState(_)
+            | EventRef::CsrState(_)
+            | EventRef::ArchVecRegState(_)
+            | EventRef::VecCsrState(_)
+            | EventRef::HypervisorCsrState(_)
+            | EventRef::TriggerCsrState(_)
+            | EventRef::DebugModeState(_) => self.check_dump(ev.kind(), ev.wire_bytes())?,
             EventRef::IntWriteback(w) => {
                 let want = refm.state().xreg(difftest_isa::Reg::new(w.idx()));
                 if w.data() != want {
@@ -497,15 +500,14 @@ impl CoreChecker {
             }
             EventRef::SbufferEvent(s) => {
                 let (addr, mask, data) = (s.addr(), s.mask(), s.data());
-                for b in 0..64u64 {
+                for (b, &got) in (0..64u64).zip(data) {
                     if mask & (1 << b) != 0 {
                         let want = self.refm.mem().read_u8(addr + b);
-                        let got = data[b as usize];
                         if got != want {
                             self.ensure(false, format!("sbuffer byte {b}"), want, got)?;
                         }
-                    } else if data[b as usize] != 0 {
-                        self.ensure(false, format!("sbuffer bubble {b}"), 0u8, data[b as usize])?;
+                    } else if got != 0 {
+                        self.ensure(false, format!("sbuffer bubble {b}"), 0u8, got)?;
                     }
                 }
             }
@@ -893,9 +895,10 @@ impl Checker {
         }
     }
 
-    /// Instructions checked so far on `core`.
+    /// Instructions checked so far on `core`, 0 for a core the checker
+    /// lacks.
     pub fn seq(&self, core: u8) -> u64 {
-        self.cores[core as usize].seq
+        self.cores.get(core as usize).map_or(0, |c| c.seq)
     }
 
     /// The checker that owns wire core id `core`, with the shared stats.
@@ -1404,37 +1407,129 @@ mod tests {
     fn revert_for_replay_of_an_unknown_core_is_none() {
         let mut ck = Checker::new(vec![ref_with(&[encode::nop()])], true);
         assert_eq!(ck.revert_for_replay(5), None);
+        assert_eq!(ck.seq(5), 0, "an unknown core has checked nothing");
     }
 
     /// Every kind has one comparison routine: a divergent event yields the
     /// identical `Mismatch` and stats checked on the stream (viewed in its
     /// packet) and re-checked by Replay (viewed in a ring record); a pre
-    /// kind parked at its tag renders the same text again.
+    /// kind parked at its tag renders the same text again. The rows flip
+    /// every field word of every state dump, in turn, in the REF's own
+    /// dump, so each field is compared and named. The shared dump writer
+    /// is pinned first to each owned payload built field by field, so a
+    /// wrong mapping in it cannot hide behind code both sides share.
     #[test]
     fn dump_divergence_renders_one_mismatch_on_both_paths() {
+        use difftest_dut::{write_state_dump, STATE_DUMPS};
         use difftest_event::record::{encode_record, Records};
         use difftest_event::{
-            ArchFpRegState, ArchVecRegState, FpCsrUpdate, HypervisorCsrState, IntWriteback,
-            Redirect, VecCsrState,
+            ArchFpRegState, ArchVecRegState, DebugModeState, FpCsrUpdate, HypervisorCsrState,
+            IntWriteback, Redirect, TriggerCsrState, VecCsrState,
         };
+        use difftest_isa::FReg;
+        use EventKind as K;
         let words = [encode::nop()];
-        let refm = ref_with(&words);
+        // Every register and CSR distinct, so a field read from the wrong
+        // place shows.
+        let setup = || {
+            let mut refm = ref_with(&words);
+            let st = refm.state_mut();
+            for i in 1..32u8 {
+                st.set_xreg(Reg::new(i), 0x1000 + u64::from(i));
+                st.set_freg(FReg::new(i), 0x2000 + u64::from(i));
+            }
+            for (i, &c) in CsrIndex::ALL.iter().enumerate() {
+                st.set_csr(c, 0x3000 + i as u64);
+            }
+            refm
+        };
+        let refm = setup();
         let st = refm.state();
-        let (mut xregs, mut fregs, mut csrs) = (*st.xregs(), *st.fregs(), *st.csrs());
-        xregs[5] ^= 0xdead;
-        fregs[5] ^= 0xdead;
-        csrs[3] ^= 0x40;
-        let mut vregs = [0u64; 64];
-        vregs[9] = 0xbeef;
-        let csr3 = CsrIndex::from_dense(3).map(|c| c.name()).unwrap_or("?");
-        let mut hcsrs = [0u64; 11];
-        hcsrs[0] = st.csr(CsrIndex::Hstatus);
-        hcsrs[1] = st.csr(CsrIndex::Hedeleg) ^ 1;
-        let cases: [(Event, String); 9] = [
-            (ArchIntRegState { regs: xregs }.into(), "xreg x5".into()),
-            (ArchFpRegState { regs: fregs }.into(), "freg f5".into()),
-            (CsrState { csrs }.into(), format!("csr {csr3}")),
-            (ArchVecRegState { regs: vregs }.into(), "vreg half 9".into()),
+
+        let csr = |c| st.csr(c);
+        let mut hcsrs = [0; 11];
+        hcsrs[0] = csr(CsrIndex::Hstatus);
+        hcsrs[1] = csr(CsrIndex::Hedeleg);
+        let owned: [Event; 8] = [
+            ArchIntRegState { regs: *st.xregs() }.into(),
+            CsrState { csrs: *st.csrs() }.into(),
+            ArchFpRegState { regs: *st.fregs() }.into(),
+            ArchVecRegState { regs: [0; 64] }.into(),
+            VecCsrState {
+                vstart: csr(CsrIndex::Vstart),
+                vl: csr(CsrIndex::Vl),
+                vtype: csr(CsrIndex::Vtype),
+                vcsr: csr(CsrIndex::Vcsr),
+                vlenb: 16,
+                vill: 0,
+            }
+            .into(),
+            HypervisorCsrState {
+                csrs: hcsrs,
+                virt_mode: 0,
+            }
+            .into(),
+            TriggerCsrState::default().into(),
+            DebugModeState::default().into(),
+        ];
+        for (kind, owned) in STATE_DUMPS.into_iter().zip(owned) {
+            assert_eq!(owned.kind(), kind);
+            let (mut written, mut encoded) = (Vec::new(), Vec::new());
+            write_state_dump(kind, st, &mut written);
+            owned.encode_into(&mut encoded);
+            assert_eq!(written, encoded, "{kind:?}");
+        }
+
+        // `(kind, byte offset of a field word, check)`.
+        let mut fields: Vec<(EventKind, usize, String)> = Vec::new();
+        for i in 0..32 {
+            fields.push((K::ArchIntRegState, 8 * i, format!("xreg x{i}")));
+            fields.push((K::ArchFpRegState, 8 * i, format!("freg f{i}")));
+        }
+        for (i, c) in CsrIndex::ALL.iter().enumerate() {
+            fields.push((K::CsrState, 8 * i, format!("csr {}", c.name())));
+        }
+        for i in 0..64 {
+            fields.push((K::ArchVecRegState, 8 * i, format!("vreg half {i}")));
+        }
+        // The small dumps' field words by offset; the first ones keep
+        // their field names, the rest are named by kind and offset.
+        let small: [(EventKind, &[&str], Vec<usize>); 4] = [
+            (
+                K::VecCsrState,
+                &["vstart", "vl", "vtype", "vcsr"],
+                vec![0, 8, 16, 24, 32, 40],
+            ),
+            (
+                K::HypervisorCsrState,
+                &["hstatus", "hedeleg"],
+                (0..=88).step_by(8).collect(),
+            ),
+            (
+                K::TriggerCsrState,
+                &["tselect"],
+                (0..=64).step_by(8).collect(),
+            ),
+            (K::DebugModeState, &["debug_mode"], vec![0, 1, 9, 17, 25]),
+        ];
+        for (kind, names, offsets) in small {
+            for (j, at) in offsets.into_iter().enumerate() {
+                let check = names
+                    .get(j)
+                    .map_or_else(|| format!("{} byte {at}", kind.name()), |n| n.to_string());
+                fields.push((kind, at, check));
+            }
+        }
+        let mut cases: Vec<(Event, String)> = fields
+            .into_iter()
+            .map(|(kind, at, check)| {
+                let mut bytes = Vec::new();
+                write_state_dump(kind, st, &mut bytes);
+                bytes[at] ^= 1;
+                (Event::decode(kind, &bytes).unwrap(), check)
+            })
+            .collect();
+        cases.extend([
             (
                 Redirect {
                     pc: st.pc(),
@@ -1443,7 +1538,7 @@ mod tests {
                     branch_type: 0,
                 }
                 .into(),
-                "redirect.target".into(),
+                "redirect.target".to_owned(),
             ),
             (
                 FpCsrUpdate {
@@ -1452,27 +1547,7 @@ mod tests {
                     data: st.csr(CsrIndex::Fcsr) ^ 0x20,
                 }
                 .into(),
-                "fcsr.data".into(),
-            ),
-            (
-                VecCsrState {
-                    vstart: st.csr(CsrIndex::Vstart),
-                    vl: st.csr(CsrIndex::Vl) ^ 4,
-                    vtype: st.csr(CsrIndex::Vtype),
-                    vcsr: st.csr(CsrIndex::Vcsr),
-                    vlenb: 0,
-                    vill: 0,
-                }
-                .into(),
-                "vl".into(),
-            ),
-            (
-                HypervisorCsrState {
-                    csrs: hcsrs,
-                    virt_mode: 0,
-                }
-                .into(),
-                "hedeleg".into(),
+                "fcsr.data".to_owned(),
             ),
             (
                 IntWriteback {
@@ -1480,17 +1555,18 @@ mod tests {
                     data: st.xreg(Reg::new(5)) ^ 0xdead,
                 }
                 .into(),
-                "int writeback x5".into(),
+                "int writeback x5".to_owned(),
             ),
-        ];
+        ]);
         for (event, check) in cases {
-            let mut viewed = Checker::new(vec![ref_with(&words)], false);
+            let mut viewed = Checker::new(vec![setup()], false);
             let plain = WireItem::Plain {
                 core: 0,
                 event: event.clone(),
             };
             let via_view = process(&mut viewed, plain).expect_err("divergent event");
             assert_eq!(via_view.check, check);
+            assert_ne!(via_view.expected, via_view.actual, "{check}");
             assert_eq!(viewed.stats().events, 1, "counted before the verdict");
 
             let mut record = Vec::new();
@@ -1506,13 +1582,13 @@ mod tests {
                 .next()
                 .expect("one record")
                 .expect("a well-formed record");
-            let mut replayed = Checker::new(vec![ref_with(&words)], false);
+            let mut replayed = Checker::new(vec![setup()], false);
             let via_record = replayed.replay_unfused(0, &[rec]).expect("divergent event");
             assert_eq!(via_view, via_record, "{check}");
             assert_eq!(viewed.stats(), replayed.stats(), "{check}");
 
             if is_pre(&rec.payload) {
-                let mut parked = Checker::new(vec![ref_with(&words)], false);
+                let mut parked = Checker::new(vec![setup()], false);
                 let via_parked =
                     process(&mut parked, tagged(0, 0, event)).expect_err("divergent event");
                 assert_eq!(via_view, via_parked, "{check}");

@@ -234,7 +234,7 @@ impl FaultyLink {
         let index = self.index;
         let mut i = 0;
         while i < self.held.len() {
-            if self.held[i].0 <= index {
+            if self.held.get(i).is_some_and(|(due, _)| *due <= index) {
                 let (_, t) = self.held.remove(i);
                 self.stats.delivered += 1;
                 out.push(t);
@@ -284,7 +284,9 @@ impl FaultyLink {
                 self.stats.corrupted += 1;
                 if !t.bytes.is_empty() {
                     let bit = self.rng.below(t.bytes.len() as u64 * 8);
-                    t.bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+                    if let Some(byte) = t.bytes.get_mut((bit / 8) as usize) {
+                        *byte ^= 1 << (bit % 8);
+                    }
                 }
                 out.push(t);
             }
@@ -387,12 +389,14 @@ pub struct LinkStats {
 impl LinkStats {
     /// Records one detected failure of `kind`.
     pub fn note(&mut self, kind: LinkErrorKind) {
-        self.detected[kind as usize] += 1;
+        if let Some(n) = self.detected.get_mut(kind as usize) {
+            *n += 1;
+        }
     }
 
     /// Detected failures of `kind`.
     pub fn count(&self, kind: LinkErrorKind) -> u64 {
-        self.detected[kind as usize]
+        self.detected.get(kind as usize).copied().unwrap_or(0)
     }
 
     /// Detected failures of every kind.

@@ -76,8 +76,13 @@
 #![warn(missing_docs)]
 // A panic in the decode/check path aborts a whole co-simulation; link
 // faults must surface as typed outcomes instead. Non-test code is held
-// to that bar mechanically (tests may still unwrap freely).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// to that bar mechanically (tests may still unwrap and index freely):
+// peer bytes, core ids and tokens reach every module, so every index
+// and slice is checked.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
+)]
 
 pub mod batch;
 pub mod checker;

@@ -16,9 +16,6 @@
 //! - EOF without an end frame finishes the stream with an unknown
 //!   produced count (tail-loss attribution unchanged).
 
-// Peer bytes reach this module: every read of them is checked.
-#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
-
 use std::io::{self, Read};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;

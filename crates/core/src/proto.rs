@@ -30,9 +30,6 @@
 //! reject it as [`ProtoError::BadMagic`] or [`ProtoError::BadVersion`]
 //! instead of misparsing the frames that follow.
 
-// Peer bytes reach this module: every read of them is checked.
-#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
-
 use std::fmt;
 use std::io::{self, Write};
 

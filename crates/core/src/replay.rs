@@ -363,7 +363,9 @@ fn raise(per_core: &mut Vec<Option<u64>>, core: u8, token: u64) {
     if per_core.len() <= idx {
         per_core.resize(idx + 1, None);
     }
-    per_core[idx] = per_core[idx].max(Some(token));
+    if let Some(max) = per_core.get_mut(idx) {
+        *max = (*max).max(Some(token));
+    }
 }
 
 /// The outcome of a Replay pass: the coarse (fused-stream) mismatch and the

@@ -29,10 +29,7 @@
 //! classified by kind and its [`EventRef`] view, and commits fuse from
 //! their [`InstrCommitRef`] fields.
 
-// Indices come from record headers (a core byte): every lookup is
-// checked, and a core without a window is forwarded, not a panic.
-#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
-
+use difftest_dut::{state_dump_slot, STATE_DUMPS};
 use difftest_event::record::RecordHeader;
 use difftest_event::wire::{CodecError, Reader, Writer};
 use difftest_event::{commit_flags, EventKind, EventRef, InstrCommitRef};
@@ -56,8 +53,11 @@ pub enum SquashClass {
     State,
 }
 
-/// Number of state-dump kinds Squash holds.
-const HELD_SLOTS: usize = 8;
+/// Number of state-dump kinds Squash holds, each in its
+/// [`state_dump_slot`]: a dump is a whole register file or CSR group, so
+/// the newest one a window captured carries everything its older ones
+/// did.
+const HELD_SLOTS: usize = STATE_DUMPS.len();
 
 /// Cycles a fusion window stays open, however few commits it holds.
 pub const MAX_WINDOW_AGE: u32 = 64;
@@ -74,24 +74,6 @@ pub const MAX_TAG_LEAD: u64 = MAX_WINDOW_AGE as u64 * 6;
 /// widest preset's slots per core and cycle).
 pub const MAX_PARKED: usize = 2 * MAX_WINDOW_AGE as usize * 88;
 
-/// The held slot of a state-dump kind, `None` for every other kind. A
-/// dump is a whole register file or CSR group, so the newest one a
-/// window captured carries everything its older ones did.
-fn held_slot(kind: EventKind) -> Option<usize> {
-    use EventKind as K;
-    Some(match kind {
-        K::ArchIntRegState => 0,
-        K::CsrState => 1,
-        K::ArchFpRegState => 2,
-        K::ArchVecRegState => 3,
-        K::VecCsrState => 4,
-        K::HypervisorCsrState => 5,
-        K::TriggerCsrState => 6,
-        K::DebugModeState => 7,
-        _ => return None,
-    })
-}
-
 /// Classifies an event under the Squash policy.
 pub fn classify(event: &EventRef<'_>) -> SquashClass {
     use EventKind as K;
@@ -106,7 +88,7 @@ pub fn classify(event: &EventRef<'_>) -> SquashClass {
             }
         }
         // Repetitive state: held per window, then differenced.
-        k if held_slot(k).is_some() => SquashClass::State,
+        k if state_dump_slot(k).is_some() => SquashClass::State,
         // Repetitive fills: differencing wins, but each fill is checked.
         K::L1TlbEvent | K::L2TlbEvent | K::PtwEvent => SquashClass::Diff,
         // Order-sensitive or mostly-fresh payloads: ahead, full.
@@ -500,7 +482,7 @@ impl SquashUnit {
         payload: &[u8],
         out: &mut S,
     ) -> Result<(), CodecError> {
-        match held_slot(header.kind) {
+        match state_dump_slot(header.kind) {
             Some(slot) if payload.len() == header.kind.encoded_len() => {
                 self.hold(slot, header, payload, out);
             }
@@ -751,12 +733,19 @@ mod tests {
             .collect()
     }
 
-    /// Each held kind owns a slot of its own.
+    /// Each held kind owns a slot of its own, its capture position.
     #[test]
     fn held_kinds_own_distinct_slots() {
-        let mut slots: Vec<usize> = EventKind::ALL.into_iter().filter_map(held_slot).collect();
+        let mut slots: Vec<usize> = EventKind::ALL
+            .into_iter()
+            .filter_map(state_dump_slot)
+            .collect();
         slots.sort_unstable();
         assert_eq!(slots, (0..HELD_SLOTS).collect::<Vec<_>>());
+        for kind in EventKind::ALL {
+            let at = STATE_DUMPS.iter().position(|&k| k == kind);
+            assert_eq!(state_dump_slot(kind), at, "{kind:?}");
+        }
     }
 
     /// Rule 1: a window's held dumps go out just before its record, in

@@ -17,10 +17,6 @@
 //! transfer and streams its items to [`crate::Consumer`] as borrowed
 //! [`WireItemRef`] views.
 
-// Transfer bodies are peer bytes and cores come from record headers:
-// every lookup is checked.
-#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
-
 use difftest_event::record::Records;
 use difftest_event::wire::{append_crc_frame, verify_crc_frame, CodecError, Reader};
 use difftest_event::{EventKind, EventRef};

@@ -23,10 +23,6 @@
 //! bytes instead of two raw `u64`s. A vacuous diff ships nothing and
 //! leaves the reference where it was.
 
-// Peer bytes reach the diff mirror's decoder: every read of them is
-// checked.
-#![cfg_attr(not(test), deny(clippy::indexing_slicing))]
-
 use difftest_event::wire::{CodecError, Reader, Writer};
 use difftest_event::{Event, EventKind, EventRef, OrderTag, Token};
 

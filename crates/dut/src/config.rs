@@ -58,24 +58,6 @@ impl SlotTable {
     }
 }
 
-/// Which events the monitor emits and how often (per DUT configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventPolicy {
-    /// Emit the architectural state dumps (int/fp/CSR/vector register
-    /// files) every N commit-cycles (1 = every commit cycle).
-    pub state_dump_period: u32,
-    /// Emit floating-point register state in dumps.
-    pub fp_state: bool,
-    /// Emit vector register state and vector CSR state in dumps.
-    pub vec_state: bool,
-    /// Emit hypervisor/debug/trigger CSR state in dumps.
-    pub ext_csr_state: bool,
-    /// Emit memory-hierarchy events (caches, TLBs, sbuffer, PTW).
-    pub hierarchy: bool,
-    /// Emit per-operation load/atomic/writeback events.
-    pub port_events: bool,
-}
-
 /// A design-under-test configuration (paper Table 3/4).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DutConfig {
@@ -89,9 +71,12 @@ pub struct DutConfig {
     pub gates: f64,
     /// Monitor probes per core (area model; paper §6.4 uses 128).
     pub probes_per_core: u32,
-    /// Event emission policy.
-    pub policy: EventPolicy,
-    /// Per-cycle hardware slot provisioning.
+    /// Emit the architectural state dumps every N commit-cycles (1 =
+    /// every commit cycle).
+    pub state_dump_period: u32,
+    /// Per-cycle hardware slot provisioning, and the monitor's emit
+    /// policy: a kind with no slots is never emitted, and the store-buffer
+    /// and TLB models run only when their events have slots.
     pub slots: SlotTable,
     /// Pipeline stall model parameters.
     pub pipeline: PipelineParams,
@@ -124,14 +109,7 @@ impl DutConfig {
             cores: 1,
             gates: 0.6e6,
             probes_per_core: 32,
-            policy: EventPolicy {
-                state_dump_period: 8,
-                fp_state: false,
-                vec_state: false,
-                ext_csr_state: false,
-                hierarchy: false,
-                port_events: false,
-            },
+            state_dump_period: 8,
             slots: SlotTable::from_pairs(&[
                 (K::InstrCommit, 1),
                 (K::TrapEvent, 1),
@@ -159,14 +137,7 @@ impl DutConfig {
             cores: 1,
             gates: 39.4e6,
             probes_per_core: 128,
-            policy: EventPolicy {
-                state_dump_period: 2,
-                fp_state: true,
-                vec_state: true,
-                ext_csr_state: true,
-                hierarchy: true,
-                port_events: true,
-            },
+            state_dump_period: 2,
             slots: Self::xiangshan_slots(2),
             pipeline: PipelineParams {
                 frontend_stall_ppm: 300_000,
@@ -187,14 +158,7 @@ impl DutConfig {
             cores: 1,
             gates: 57.6e6,
             probes_per_core: 128,
-            policy: EventPolicy {
-                state_dump_period: 1,
-                fp_state: true,
-                vec_state: true,
-                ext_csr_state: true,
-                hierarchy: true,
-                port_events: true,
-            },
+            state_dump_period: 1,
             slots: Self::xiangshan_slots(6),
             pipeline: PipelineParams {
                 frontend_stall_ppm: 150_000,

@@ -11,11 +11,9 @@
 
 use difftest_event::record::RecordHeader;
 use difftest_event::{
-    commit_flags, ArchEvent, ArchFpRegState, ArchIntRegState, ArchVecRegState, AtomicEvent,
-    CsrState, DebugModeState, Event, EventKind, FpCsrUpdate, FpWriteback, HCsrUpdate,
-    HypervisorCsrState, InstrCommit, IntWriteback, L1TlbEvent, L2TlbEvent, LoadEvent, LrScEvent,
-    OrderTag, PtwEvent, Redirect, RefillEvent, RunaheadEvent, StoreEvent, Token, TrapEvent,
-    TriggerCsrState, VecConfig, VecCsrState,
+    commit_flags, ArchEvent, AtomicEvent, Event, EventKind, FpCsrUpdate, FpWriteback, HCsrUpdate,
+    InstrCommit, IntWriteback, L1TlbEvent, L2TlbEvent, LoadEvent, LrScEvent, OrderTag, PtwEvent,
+    Redirect, RefillEvent, RunaheadEvent, StoreEvent, Token, TrapEvent, VecConfig,
 };
 use difftest_isa::csr::{mi, mstatus, CsrIndex};
 use difftest_isa::trap::{Interrupt, Trap};
@@ -27,6 +25,7 @@ use crate::bugs::BugInjector;
 use crate::cache::{Cache, Sbuffer, Tlb};
 use crate::config::DutConfig;
 use crate::device::Devices;
+use crate::dump::{write_state_dump, STATE_DUMPS};
 use crate::pipeline::StallModel;
 
 /// Extends a raw MMIO device value the way the load instruction would.
@@ -61,15 +60,11 @@ impl CycleBudget {
         self.used[kind as usize] < cfg.slots.slots(kind)
     }
 
-    fn take(&mut self, kind: EventKind) {
-        self.used[kind as usize] += 1;
-    }
-
     /// Takes a slot of `kind` if one is left.
     fn admit(&mut self, cfg: &DutConfig, kind: EventKind) -> bool {
         let free = self.available(cfg, kind);
         if free {
-            self.take(kind);
+            self.used[kind as usize] += 1;
         }
         free
     }
@@ -308,7 +303,7 @@ impl DutCore {
             self.injector.perturb_state(self.seq, &mut self.state);
             if self
                 .commit_cycles
-                .is_multiple_of(self.cfg.policy.state_dump_period as u64)
+                .is_multiple_of(self.cfg.state_dump_period as u64)
             {
                 self.emit_state_dumps(out, &mut budget);
             }
@@ -387,22 +382,19 @@ impl DutCore {
         out: &mut MonitorPort<'_>,
         budget: &mut CycleBudget,
     ) -> bool {
-        if self.cfg.policy.hierarchy {
+        if self.cfg.slots.slots(EventKind::L1TlbEvent) > 0 {
             if let Some(vpn) = self.itlb.access(pc) {
                 self.emit_hierarchy_fill(out, budget, vpn, 2);
             }
         }
         if !self.icache.access(pc) {
-            if self.cfg.policy.hierarchy && budget.available(&self.cfg, EventKind::RefillEvent) {
-                let mut ev: Event = RefillEvent {
+            if budget.available(&self.cfg, EventKind::RefillEvent) {
+                let refill = RefillEvent {
                     addr: Cache::line_addr(pc),
                     data: Cache::read_line(&self.mem, pc),
                     refill_type: 1,
-                }
-                .into();
-                self.injector.perturb_event(self.seq, &mut ev);
-                budget.take(EventKind::RefillEvent);
-                out.capture(self.id, self.seq, &ev);
+                };
+                self.emit(out, budget, self.seq, refill.into());
             }
             self.stall = self.stall.max(1);
             return true;
@@ -463,28 +455,13 @@ impl DutCore {
     }
 
     /// Conservative pre-check that the slots this instruction's mandatory
-    /// events need are still free this cycle.
+    /// events need are still free this cycle; a kind with no slots is
+    /// never emitted, so it never ends the group.
     fn budget_allows(&self, budget: &CycleBudget, insn: &Insn) -> bool {
-        let cfg = &self.cfg;
-        if insn.op.is_load()
-            && cfg.policy.port_events
-            && !budget.available(cfg, EventKind::LoadEvent)
-        {
-            return false;
-        }
-        if insn.op.is_store()
-            && cfg.slots.slots(EventKind::StoreEvent) > 0
-            && !budget.available(cfg, EventKind::StoreEvent)
-        {
-            return false;
-        }
-        if insn.op.is_atomic()
-            && cfg.policy.port_events
-            && !budget.available(cfg, EventKind::AtomicEvent)
-        {
-            return false;
-        }
-        true
+        let full = |kind| self.cfg.slots.slots(kind) > 0 && !budget.available(&self.cfg, kind);
+        !(insn.op.is_load() && full(EventKind::LoadEvent)
+            || insn.op.is_store() && full(EventKind::StoreEvent)
+            || insn.op.is_atomic() && full(EventKind::AtomicEvent))
     }
 
     /// Applies the (possibly perturbed) effect and emits this commit's
@@ -499,7 +476,6 @@ impl DutCore {
         out: &mut MonitorPort<'_>,
         budget: &mut CycleBudget,
     ) -> bool {
-        let cfg_port = self.cfg.policy.port_events;
         let pc = self.state.pc();
         let seq = self.seq;
         let mut group_end = false;
@@ -606,56 +582,51 @@ impl DutCore {
         );
 
         // ---- port-level events ------------------------------------------
-        if cfg_port {
-            if let Some((r, v)) = effect.xw {
-                self.emit(
-                    out,
-                    budget,
-                    seq,
-                    IntWriteback {
-                        idx: r.index() as u8,
-                        data: v,
-                    }
-                    .into(),
-                );
-            }
-            if let Some((r, v)) = effect.fw {
-                self.emit(
-                    out,
-                    budget,
-                    seq,
-                    FpWriteback {
-                        idx: r.index() as u8,
-                        data: v,
-                    }
-                    .into(),
-                );
-            }
+        if let Some((r, v)) = effect.xw {
+            self.emit(
+                out,
+                budget,
+                seq,
+                IntWriteback {
+                    idx: r.index() as u8,
+                    data: v,
+                }
+                .into(),
+            );
+        }
+        if let Some((r, v)) = effect.fw {
+            self.emit(
+                out,
+                budget,
+                seq,
+                FpWriteback {
+                    idx: r.index() as u8,
+                    data: v,
+                }
+                .into(),
+            );
         }
 
         // ---- memory events ----------------------------------------------
-        if insn.op.is_load() && !insn.op.is_atomic() {
-            if mmio {
-                // Emitted ahead of the commit above.
-            } else if cfg_port {
-                if let Some(m) = effect.memr {
-                    let value = effect.xw.map(|(_, v)| v).or(effect.fw.map(|(_, v)| v));
-                    self.emit(
-                        out,
-                        budget,
-                        seq,
-                        LoadEvent {
-                            pc,
-                            addr: m.addr,
-                            data: value.unwrap_or(0),
-                            len: m.len,
-                            is_mmio: 0,
-                            fu_type: 0,
-                            op_type: 1,
-                        }
-                        .into(),
-                    );
-                }
+        // An MMIO load's event went out ahead of the commit above.
+        if insn.op.is_load() && !insn.op.is_atomic() && !mmio {
+            if let Some(m) = effect.memr {
+                let value = effect.xw.map(|(_, v)| v).or(effect.fw.map(|(_, v)| v));
+                self.emit(
+                    out,
+                    budget,
+                    seq,
+                    LoadEvent {
+                        pc,
+                        addr: m.addr,
+                        data: value.unwrap_or(0),
+                        len: m.len,
+                        is_mmio: 0,
+                        fu_type: 0,
+                        op_type: 1,
+                    }
+                    .into(),
+                );
             }
         }
 
@@ -663,22 +634,20 @@ impl DutCore {
             if Memory::is_mmio(w.addr) {
                 group_end = true; // MMIO store serializes
             } else if insn.op.is_atomic() {
-                if cfg_port {
-                    let out_v = effect.xw.map_or(0, |(_, v)| v);
-                    self.emit(
-                        out,
-                        budget,
-                        seq,
-                        AtomicEvent {
-                            addr: w.addr,
-                            data: w.value,
-                            mask: ((1u16 << w.len) - 1) as u8,
-                            out: out_v,
-                            fu_op: insn.op as u8,
-                        }
-                        .into(),
-                    );
-                }
+                let out_v = effect.xw.map_or(0, |(_, v)| v);
+                self.emit(
+                    out,
+                    budget,
+                    seq,
+                    AtomicEvent {
+                        addr: w.addr,
+                        data: w.value,
+                        mask: ((1u16 << w.len) - 1) as u8,
+                        out: out_v,
+                        fu_op: insn.op as u8,
+                    }
+                    .into(),
+                );
             } else {
                 let base = w.addr & !7;
                 let off = (w.addr - base) as u32;
@@ -713,7 +682,7 @@ impl DutCore {
         }
 
         // SC completion (success or failure) reports the reservation check.
-        if matches!(insn.op, Op::ScW | Op::ScD) && cfg_port {
+        if matches!(insn.op, Op::ScW | Op::ScD) {
             let success = effect.xw.map_or(0, |(_, v)| (v == 0) as u8);
             self.emit(
                 out,
@@ -738,24 +707,19 @@ impl DutCore {
             }))
         {
             if !Memory::is_mmio(m.addr) {
-                if self.cfg.policy.hierarchy {
+                if self.cfg.slots.slots(EventKind::L1TlbEvent) > 0 {
                     if let Some(vpn) = self.dtlb.access(m.addr) {
                         self.emit_hierarchy_fill(out, budget, vpn, insn.op.is_store() as u8);
                     }
                 }
                 if !self.dcache.access(m.addr) {
-                    if self.cfg.policy.hierarchy
-                        && budget.available(&self.cfg, EventKind::RefillEvent)
-                    {
-                        let mut ev: Event = RefillEvent {
+                    if budget.available(&self.cfg, EventKind::RefillEvent) {
+                        let refill = RefillEvent {
                             addr: Cache::line_addr(m.addr),
                             data: Cache::read_line(&self.mem, m.addr),
                             refill_type: 0,
-                        }
-                        .into();
-                        self.injector.perturb_event(seq, &mut ev);
-                        budget.take(EventKind::RefillEvent);
-                        out.capture(self.id, seq, &ev);
+                        };
+                        self.emit(out, budget, seq, refill.into());
                     }
                     self.stall = self.stall.max(self.stalls.l1_miss_penalty());
                     group_end = true;
@@ -851,53 +815,15 @@ impl DutCore {
     }
 
     /// Emits the periodic architectural state dumps, each written into
-    /// its record straight from the state, by reference: no payload
-    /// struct or event is built. No bug hooks a dump kind as an event
-    /// (`bug_catalog`'s hooks are pinned by a test), so skipping
+    /// its record straight from the state by the one dump writer: no
+    /// payload struct or event is built. No bug hooks a dump kind as an
+    /// event (`bug_catalog`'s hooks are pinned by a test), so skipping
     /// `perturb_event` changes nothing; `perturb_state` has already
     /// acted on the state itself.
     fn emit_state_dumps(&self, out: &mut MonitorPort<'_>, budget: &mut CycleBudget) {
-        let s = &self.state;
-        if let Some(buf) = self.dump(out, budget, EventKind::ArchIntRegState) {
-            ArchIntRegState::write_fields(buf, s.xregs());
-        }
-        if let Some(buf) = self.dump(out, budget, EventKind::CsrState) {
-            CsrState::write_fields(buf, s.csrs());
-        }
-        let p = self.cfg.policy;
-        if p.fp_state {
-            if let Some(buf) = self.dump(out, budget, EventKind::ArchFpRegState) {
-                ArchFpRegState::write_fields(buf, s.fregs());
-            }
-        }
-        if p.vec_state {
-            if let Some(buf) = self.dump(out, budget, EventKind::ArchVecRegState) {
-                ArchVecRegState::write_fields(buf, &[0; 64]);
-            }
-            if let Some(buf) = self.dump(out, budget, EventKind::VecCsrState) {
-                VecCsrState::write_fields(
-                    buf,
-                    &s.csr(CsrIndex::Vstart),
-                    &s.csr(CsrIndex::Vl),
-                    &s.csr(CsrIndex::Vtype),
-                    &s.csr(CsrIndex::Vcsr),
-                    &16,
-                    &0,
-                );
-            }
-        }
-        if p.ext_csr_state {
-            if let Some(buf) = self.dump(out, budget, EventKind::HypervisorCsrState) {
-                let mut h = [0u64; 11];
-                h[0] = s.csr(CsrIndex::Hstatus);
-                h[1] = s.csr(CsrIndex::Hedeleg);
-                HypervisorCsrState::write_fields(buf, &h, &0);
-            }
-            if let Some(buf) = self.dump(out, budget, EventKind::TriggerCsrState) {
-                TriggerCsrState::write_fields(buf, &0, &[0; 4], &[0; 3], &0);
-            }
-            if let Some(buf) = self.dump(out, budget, EventKind::DebugModeState) {
-                DebugModeState::write_fields(buf, &0, &0, &0, &0, &0);
+        for kind in STATE_DUMPS {
+            if let Some(buf) = self.dump(out, budget, kind) {
+                write_state_dump(kind, &self.state, buf);
             }
         }
     }

@@ -45,11 +45,13 @@ pub mod cache;
 mod config;
 mod core;
 pub mod device;
+mod dump;
 mod dut;
 mod pipeline;
 
 pub use bugs::{bug_catalog, BugInjector, BugKind, BugSpec, Hook};
-pub use config::{DutConfig, EventPolicy, PipelineParams, SlotTable};
+pub use config::{DutConfig, PipelineParams, SlotTable};
 pub use core::{DutCore, MonitorPort};
+pub use dump::{dump_words, state_dump_slot, write_state_dump, STATE_DUMPS};
 pub use dut::{CycleOutput, CycleSummary, Dut, HaltInfo};
 pub use pipeline::{mix, StallModel};
