@@ -324,14 +324,22 @@ seam:
 		echo "dump seam clean: one dump definition, one emit policy"; \
 	fi
 
-# Non-test Rust line count, as simplicity changes report it: every .rs
+# Rust line counts, as simplicity changes report them. Non-test: every .rs
 # under the named trees outside */tests/, cut at its first #[cfg(test)].
+# Test: every .rs under tests/ and crates/*/tests/, plus the #[cfg(test)]
+# tails the non-test count cuts off under crates/ and vendor/.
 loc:
 	@for d in "crates vendor" crates/core/src; do \
 		n=$$(find $$d -name '*.rs' -not -path '*/tests/*' -print0 | sort -z \
 			| xargs -0 awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } !skip { n++ } END { print n }'); \
 		echo "$$n non-test Rust lines in $$d"; \
 	done
+	@suites=$$(cat tests/*.rs crates/*/tests/*.rs | wc -l); \
+	tails=$$(find crates vendor -name '*.rs' -not -path '*/tests/*' -print0 | sort -z \
+		| xargs -0 awk 'FNR == 1 { skip = 0 } /^#\[cfg\(test\)\]/ { skip = 1 } skip { n++ } END { print n }'); \
+	echo "$$suites test Rust lines in tests/ and crates/*/tests/"; \
+	echo "$$tails test Rust lines in #[cfg(test)] tails under crates vendor"; \
+	echo "$$((suites + tails)) test Rust lines in all"
 
 # Allocation-regression gate: a counting global allocator pins the
 # packed consume path (admit → view-based streaming check) to zero
@@ -341,17 +349,20 @@ loc:
 alloc:
 	$(CARGO) test -p difftest-core --test alloc_regression
 
-# Lossy-link fault suite on its own (property tests + cross-runner grid).
+# Lossy-link fault suite on its own: the link's property tests, the
+# engine's recovery, and the conformance matrix's fault row sets (the
+# cross-runner grid and drawn plans, every cell contained and diagnosable).
 faults:
 	$(CARGO) test -p difftest-core --test fault_link --test fault_runners
+	$(CARGO) test --test conformance f_
 
-# Socket runner smoke: the one-shot end-to-end suite (engine
-# equivalence, fault grid, merged trace, concurrent runs), the
-# cross-runner equivalence proptests, socket included, and the
-# hostile-bytes protocol fuzz, all in the optimized build.
+# Socket runner smoke: the one-shot end-to-end suite (merged trace,
+# phase attribution, concurrent runs), the conformance matrix, whose
+# socket columns must agree with the engine's, and the hostile-bytes
+# protocol fuzz, all in the optimized build.
 socket:
 	$(CARGO) test --release --test socket_runner
-	$(CARGO) test --release -p difftest-core --test runner_equivalence
+	$(CARGO) test --release --test conformance
 	$(CARGO) test --release -p difftest-core --test proto_prop
 
 # Observability smoke: short workloads through every runner with

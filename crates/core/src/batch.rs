@@ -3,8 +3,10 @@
 //! Batch minimizes communication startup frequency by packing many
 //! variable-length wire items into fixed-capacity transmission packets:
 //!
-//! - **Type level** — valid events of one type within a cycle are compacted
-//!   with a prefix-count mux-tree ([`type_level_pack`], paper Fig. 7).
+//! - **Type level** — the capture arena already holds only valid events:
+//!   the monitor appends a record only for an event that fired and that a
+//!   slot admitted, the selection paper Fig. 7's prefix-count mux-tree
+//!   makes in hardware.
 //! - **Cycle level** — different event types of a cycle are laid out
 //!   back-to-back, each run described by a [`MetaEntry`] (type, count);
 //!   offsets are the running sum of preceding lengths (paper Fig. 5/6).
@@ -80,24 +82,6 @@ impl Packet {
     /// Returns `true` for a packet with no items (never produced).
     pub fn is_empty(&self) -> bool {
         self.items == 0
-    }
-}
-
-/// Type-level packing (paper Fig. 7): compacts the valid entries of one
-/// event type's hardware slots into `packed`. The K-th output is the K-th
-/// valid input — in RTL this is a prefix-counter mux-tree; here the
-/// semantics are the same selection function. `packed` is cleared first
-/// and is meant to be reused across cycles so the steady state never
-/// reallocates.
-pub fn type_level_pack<T: Clone>(slots: &[Option<T>], packed: &mut Vec<T>) {
-    packed.clear();
-    for (i, slot) in slots.iter().enumerate() {
-        // prefix_valids(i) == packed.len() by induction: entry i lands at
-        // output index equal to the number of valid entries before it.
-        debug_assert!(packed.len() <= i);
-        if let Some(v) = slot {
-            packed.push(v.clone());
-        }
     }
 }
 
@@ -736,20 +720,6 @@ mod tests {
             ..Default::default()
         }
         .into()
-    }
-
-    #[test]
-    fn type_level_pack_selects_kth_valid() {
-        let mut packed = Vec::new();
-        let slots = [Some(1), None, Some(2), None, Some(3), None];
-        type_level_pack(&slots, &mut packed);
-        assert_eq!(packed, vec![1, 2, 3]);
-        // The scratch is reused — cleared each cycle, capacity retained.
-        let cap = packed.capacity();
-        let empty: [Option<i32>; 4] = [None; 4];
-        type_level_pack(&empty, &mut packed);
-        assert!(packed.is_empty());
-        assert_eq!(packed.capacity(), cap);
     }
 
     #[test]

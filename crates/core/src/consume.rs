@@ -571,9 +571,6 @@ impl Consumer {
         let decode = self.checker.ref_cache_stats();
         m.counters.set("decode.hits", decode.hits);
         m.counters.set("decode.misses", decode.misses);
-        m.counters
-            .set("decode.store_invalidations", decode.store_invalidations);
-        m.counters.set("decode.flushes", decode.flushes);
         m.phases = self.timer.times();
         m
     }

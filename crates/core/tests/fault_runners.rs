@@ -1,19 +1,19 @@
-//! Cross-runner fault acceptance (deterministic): under seeded
-//! drop/duplicate/reorder/truncate/corrupt schedules, every runner —
-//! virtual-time engine and socket — terminates with a typed
-//! [`RunOutcome::LinkError`] or a cleanly recovered verdict, never a
-//! panic and never a phantom mismatch. The engine's BNSD configuration
-//! additionally *recovers*: its packet retention ring retransmits lost
-//! or damaged packets, masking fault schedules the report-only socket
-//! runner must surface as errors.
+//! Fault recovery on the runners (deterministic): the engine's BNSD
+//! configuration *recovers*, its packet retention ring retransmitting
+//! lost or damaged packets, a fault schedule replays from its seed, a plan
+//! that injects nothing changes nothing, and the socket report exports
+//! its link-health counters. That every runner contains a seeded
+//! drop/duplicate/reorder/truncate/corrupt schedule, ending with a typed
+//! [`RunOutcome::LinkError`] or a recovered verdict and never a phantom
+//! mismatch, is the fault row sets of the conformance matrix
+//! (`tests/conformance.rs`).
 
 use difftest_core::{
     run_socket_session, CoSimulation, DiffConfig, FaultPlan, LinkErrorKind, RunOutcome, RunReport,
-    Session, SocketReport,
+    Session,
 };
 use difftest_dut::DutConfig;
 use difftest_platform::Platform;
-use difftest_stats::{FlightKind, FlightSnapshot};
 use difftest_workload::Workload;
 
 /// The schedule grid: a handful of seeds crossed with per-fault rates
@@ -39,62 +39,6 @@ fn engine_run(config: DiffConfig, plan: Option<FaultPlan>) -> RunReport {
     .with_platform(Platform::palladium());
     let mut sim = CoSimulation::new(session).expect("build");
     sim.run()
-}
-
-/// A faulted run may end recovered-clean or with a typed link error —
-/// anything else (mismatch, cycle exhaustion) means a fault leaked past
-/// the link layer into the checker.
-fn assert_contained(outcome: RunOutcome, ctx: &str) {
-    assert!(
-        matches!(outcome, RunOutcome::GoodTrap | RunOutcome::LinkError { .. }),
-        "{ctx}: fault must be recovered or typed, got {outcome:?}"
-    );
-}
-
-/// On a typed link error the attached flight snapshot must hold the
-/// failing sequence's link-error record with at least one transport
-/// record (send/receive/retransmit) before it — the minimum context a
-/// post-mortem needs.
-fn assert_flight_diagnosable(flight: Option<&FlightSnapshot>, seq: u32, ctx: &str) {
-    let snap = flight.unwrap_or_else(|| panic!("{ctx}: link error without a flight snapshot"));
-    let pos = snap
-        .find(FlightKind::LinkError, seq)
-        .unwrap_or_else(|| panic!("{ctx}: snapshot missing link_error record for seq {seq}"));
-    assert!(
-        snap.records[..pos].iter().any(|r| r.kind.is_transport()),
-        "{ctx}: no transport record precedes the link error (pos {pos} of {})",
-        snap.records.len()
-    );
-}
-
-#[test]
-fn engine_contains_faults_across_the_schedule_grid() {
-    for config in [DiffConfig::B, DiffConfig::BN, DiffConfig::BNSD] {
-        for seed in SEEDS {
-            for rate in RATES {
-                let plan = FaultPlan::uniform(seed, rate);
-                let r = engine_run(config, Some(plan));
-                let ctx = format!("{config:?} seed={seed} rate={rate}‰");
-                assert_contained(r.outcome, &ctx);
-                assert!(
-                    r.failure.is_none(),
-                    "{ctx}: phantom mismatch {:?}",
-                    r.failure
-                );
-                let fault = r.fault.expect("fault stats present when a plan is set");
-                if let RunOutcome::LinkError { seq, .. } = r.outcome {
-                    assert!(
-                        fault.total_faults() > 0,
-                        "{ctx}: link error without an injected fault"
-                    );
-                    assert!(r.link.total_detected() > 0, "{ctx}: untyped link error");
-                    assert_flight_diagnosable(r.flight.as_ref(), seq, &ctx);
-                } else {
-                    assert!(r.flight.is_none(), "{ctx}: clean run carries a snapshot");
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -149,43 +93,6 @@ fn engine_clean_plan_changes_nothing() {
     assert_eq!(clean.instructions, bare.instructions);
 }
 
-/// The socket runner, BNSD on the shared workload, behind `plan`.
-fn socket_run(w: &Workload, plan: FaultPlan) -> SocketReport {
-    let session = Session::new(
-        DutConfig::nutshell(),
-        DiffConfig::BNSD,
-        w,
-        Vec::new(),
-        400_000,
-        8,
-        Some(plan),
-    );
-    run_socket_session(session)
-}
-
-#[test]
-fn socket_runner_contains_faults() {
-    let w = workload();
-    for seed in SEEDS {
-        for rate in RATES {
-            let r = socket_run(&w, FaultPlan::uniform(seed, rate));
-            let ctx = format!("socket seed={seed} rate={rate}‰");
-            assert_contained(r.outcome, &ctx);
-            assert!(r.mismatch.is_none(), "{ctx}: phantom mismatch");
-            if let RunOutcome::LinkError { seq, .. } = r.outcome {
-                assert!(r.link.total_detected() > 0, "{ctx}: untyped link error");
-                assert!(
-                    r.fault.is_some_and(|f| f.total_faults() > 0),
-                    "{ctx}: link error without an injected fault"
-                );
-                assert_flight_diagnosable(r.flight.as_ref(), seq, &ctx);
-            } else {
-                assert!(r.flight.is_none(), "{ctx}: clean run carries a snapshot");
-            }
-        }
-    }
-}
-
 /// A socket report exports the engine's link-health rows: one
 /// `link.err.<kind>` per kind and the `fault.*` tallies, each equal to
 /// the report's own `link` and `fault` fields.
@@ -218,13 +125,6 @@ fn socket_report_exports_link_and_fault_counters() {
     ] {
         assert_eq!(c.get(name), v, "{name}");
     }
-}
-
-#[test]
-fn socket_clean_link_still_passes() {
-    let r = socket_run(&workload(), FaultPlan::clean(1));
-    assert_eq!(r.outcome, RunOutcome::GoodTrap);
-    assert_eq!(r.link.total_detected(), 0);
 }
 
 /// Drop-only schedules are the pure ARQ case: every loss is recoverable

@@ -91,8 +91,6 @@ pub struct PipelineParams {
     pub dcache_miss_ppm: u32,
     /// Stall cycles charged on a D-cache miss.
     pub miss_penalty: u32,
-    /// Probability (×1e6) that a fetch misses the I-cache.
-    pub icache_miss_ppm: u32,
     /// Probability (×1e6) that the commit group ends after each commit
     /// (models dispatch/ROB fragmentation; shapes the mean group size).
     pub group_break_ppm: u32,
@@ -122,7 +120,6 @@ impl DutConfig {
                 frontend_stall_ppm: 550_000,
                 dcache_miss_ppm: 60_000,
                 miss_penalty: 6,
-                icache_miss_ppm: 15_000,
                 group_break_ppm: 0,
             },
         }
@@ -143,7 +140,6 @@ impl DutConfig {
                 frontend_stall_ppm: 300_000,
                 dcache_miss_ppm: 50_000,
                 miss_penalty: 8,
-                icache_miss_ppm: 10_000,
                 group_break_ppm: 800_000,
             },
         }
@@ -164,7 +160,6 @@ impl DutConfig {
                 frontend_stall_ppm: 150_000,
                 dcache_miss_ppm: 45_000,
                 miss_penalty: 8,
-                icache_miss_ppm: 8_000,
                 group_break_ppm: 850_000,
             },
         }

@@ -74,7 +74,6 @@ mod tests {
             frontend_stall_ppm: 250_000,
             dcache_miss_ppm: 50_000,
             miss_penalty: 8,
-            icache_miss_ppm: 8_000,
             group_break_ppm: 0,
         }
     }

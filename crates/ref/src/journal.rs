@@ -78,7 +78,7 @@ impl Journal {
 
     /// Returns `true` if a [`revert_into`](Self::revert_into) would have a
     /// checkpoint to consume. Callers use this to skip revert side effects
-    /// (cache flushes) when a revert is a guaranteed no-op.
+    /// when a revert is a guaranteed no-op.
     pub fn has_checkpoint(&self) -> bool {
         !self.checkpoints.is_empty()
     }

@@ -2,7 +2,7 @@
 
 use difftest_isa::csr::{mstatus, CsrIndex};
 use difftest_isa::trap::{Interrupt, Trap};
-use difftest_isa::{decode, FReg, Insn, Op, Reg};
+use difftest_isa::{decode, FReg, Insn, Reg};
 
 use crate::exec::{execute, Effect};
 use crate::icache::{DecodeCache, DecodeCacheStats};
@@ -108,7 +108,7 @@ impl RefModel {
         self.icache.set_enabled(enabled);
     }
 
-    /// Decode-cache hit/miss/invalidation counters.
+    /// Decode-cache hit/miss counters.
     pub fn decode_cache_stats(&self) -> DecodeCacheStats {
         self.icache.stats()
     }
@@ -161,13 +161,9 @@ impl RefModel {
     /// Returns `false` if no checkpoint exists.
     pub fn revert(&mut self) -> bool {
         if !self.journal.has_checkpoint() {
-            // Nothing to roll back — and no reason to pay a cache flush.
             return false;
         }
         self.pending_skip = None;
-        // Compensation entries can restore old code bytes without going
-        // through the store path, so the decode cache starts over.
-        self.icache.flush();
         self.journal.revert_into(&mut self.state, &mut self.mem)
     }
 
@@ -224,12 +220,6 @@ impl RefModel {
 
         self.apply(&effect);
         self.bump_instret();
-        // `fence`/`fence.i` is the architectural point where prior stores
-        // become visible to instruction fetch; SFENCE.VMA currently decodes
-        // to Illegal and traps above, so this one arm covers the flush set.
-        if insn.op == Op::Fence {
-            self.icache.flush();
-        }
         StepOutcome::Retired { pc, insn, effect }
     }
 
@@ -310,7 +300,6 @@ impl RefModel {
         let old = self.mem.read(addr, len as usize);
         self.journal.record(JournalEntry::Mem { addr, len, old });
         self.mem.write(addr, len as usize, value);
-        self.icache.invalidate_store(addr, len as u64);
     }
 
     fn bump_instret(&mut self) {

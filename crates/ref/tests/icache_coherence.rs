@@ -141,9 +141,9 @@ proptest! {
 
 /// A loop that patches an instruction it already executed (and cached):
 /// iteration 1 runs `addi a0, a0, 1` then overwrites it with
-/// `addi a0, a0, 7` from the pool; iteration 2 must see the new word.
-/// This is the case raw-revalidation alone would *also* catch, but here
-/// we additionally assert the eager store-invalidation fired.
+/// `addi a0, a0, 7` from the pool; iteration 2 must see the new word. The
+/// re-fetched raw word no longer matches the cached line's key, so the
+/// lookup misses and the new word is decoded.
 #[test]
 fn store_to_cached_line_takes_effect_on_reexecution() {
     for fencei in [false, true] {
@@ -171,23 +171,12 @@ fn store_to_cached_line_takes_effect_on_reexecution() {
             "iteration 2 must execute the patched instruction (fence={fencei})"
         );
         let stats = m.decode_cache_stats();
-        if fencei {
-            // The per-iteration fence wipes the whole cache before any
-            // line can be re-executed, so no hits — only flushes.
-            assert!(stats.flushes >= 2, "each fence flushes");
-        } else {
-            assert!(stats.hits > 0, "the loop must actually hit the cache");
-            assert!(
-                stats.store_invalidations >= 2,
-                "each patching store invalidates the cached line"
-            );
-        }
+        assert!(stats.hits > 0, "the loop must actually hit the cache");
     }
 }
 
-/// A loop whose body contains `fence`: every iteration flushes the decode
-/// cache, and a patching store before the fence still takes effect on the
-/// next iteration.
+/// A loop whose body contains `fence`: a patching store before the fence
+/// takes effect on the next iteration and every later one.
 #[test]
 fn fence_inside_loop_flushes_every_iteration() {
     let mut words = Vec::new();
@@ -211,17 +200,10 @@ fn fence_inside_loop_flushes_every_iteration() {
         1 + 3 * 7,
         "iterations 2..4 execute the patched word"
     );
-    let s = m.decode_cache_stats();
-    assert!(s.flushes >= 4, "each fence flushes the decode cache: {s:?}");
-    assert!(
-        s.store_invalidations >= 1,
-        "the first patch drops the cached line: {s:?}"
-    );
 }
 
-/// A journal revert landing mid-run: the warm cache must not survive it,
-/// and re-execution after the revert is deterministic and
-/// lockstep-identical.
+/// A journal revert landing mid-run: re-execution from the warm cache
+/// after the revert is deterministic and lockstep-identical.
 #[test]
 fn revert_mid_block_reexecutes_identically() {
     let mut words = Vec::new();
@@ -241,10 +223,6 @@ fn revert_mid_block_reexecutes_identically() {
             assert!(c.revert());
             assert!(p.revert());
             assert_eq!(c.state(), p.state(), "revert diverged");
-            assert!(
-                c.decode_cache_stats().flushes >= 1,
-                "revert must flush the decode cache"
-            );
         }
         _ => {}
     });

@@ -1,6 +1,9 @@
-//! Cross-configuration equivalence: every optimization level verifies the
-//! same workloads to the same good trap, checking the same instruction
-//! stream — optimizations change communication, never semantics.
+//! What the optimization levels change beside the verdict: simulated
+//! speed rises with each, two cores are checked and attributed, an MMIO
+//! load synchronizes the REF once on every stream, the cycle cap holds and
+//! the parked queue stays bounded. That every level verifies the same
+//! workloads to the same good trap over the same execution is the
+//! conformance matrix's (`tests/conformance.rs`).
 
 use difftest_h::core::squash::{MAX_PARKED, MAX_TAG_LEAD, MAX_WINDOW_AGE};
 use difftest_h::core::wire::WireItemRef;
@@ -15,41 +18,6 @@ fn run_one(workload: &Workload, dut: DutConfig, config: DiffConfig) -> (RunOutco
     let mut sim = CoSimulation::new(session).expect("valid setup");
     let report = sim.run();
     (report.outcome, report.cycles, report.instructions)
-}
-
-#[test]
-fn all_workloads_verify_under_all_configs() {
-    let workloads = [
-        Workload::microbench().seed(3).iterations(60).build(),
-        Workload::linux_boot().seed(3).iterations(60).build(),
-        Workload::spec_like().seed(3).iterations(60).build(),
-        Workload::mmio_heavy().seed(3).iterations(120).build(),
-        Workload::trap_heavy().seed(3).iterations(120).build(),
-    ];
-    for w in &workloads {
-        let mut reference: Option<(u64, u64)> = None;
-        for config in DiffConfig::ALL {
-            let (outcome, cycles, instructions) =
-                run_one(w, DutConfig::xiangshan_minimal(), config);
-            assert_eq!(
-                outcome,
-                RunOutcome::GoodTrap,
-                "{} under {config:?}",
-                w.name()
-            );
-            // The DUT execution is identical regardless of the
-            // communication configuration.
-            match reference {
-                None => reference = Some((cycles, instructions)),
-                Some(r) => assert_eq!(
-                    (cycles, instructions),
-                    r,
-                    "{} under {config:?}: DUT execution must not depend on the transport",
-                    w.name()
-                ),
-            }
-        }
-    }
 }
 
 #[test]
@@ -187,8 +155,9 @@ fn parked_peaks(session: &Session) -> (u64, usize) {
 }
 
 /// The parked-queue bounds hold on every honest stream: the largest tag
-/// lead and parked count across the matrix above, plus a 128-commit
-/// fusion window on the widest preset, stay under `MAX_TAG_LEAD` and
+/// lead and parked count across the five presets on XiangShan Minimal
+/// under every configuration, plus a 128-commit fusion window on the
+/// widest preset, stay under `MAX_TAG_LEAD` and
 /// `MAX_PARKED`, whose derivation every preset's commit width and slot
 /// table satisfy.
 #[test]

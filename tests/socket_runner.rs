@@ -2,17 +2,17 @@
 //! producer and a consumer on the two ends of a Unix socket pair,
 //! speaking the framed wire protocol.
 //!
-//! Coverage: clean and buggy runs are verdict-identical to the engine,
-//! the producer-side fault grid stays typed (never a panic, never a
-//! phantom mismatch), the merged span trace links both sides, and
-//! concurrent one-shot runs keep their own verdicts.
+//! Coverage: the merged span trace links both sides, every runner times
+//! the same phases, and concurrent one-shot runs keep their own verdicts.
+//! That a socket run's verdict, first mismatch and flight snapshot equal
+//! the engine's is the conformance matrix's (`tests/conformance.rs`).
 
 use difftest_h::core::{
     run_runner, run_socket_session, DiffConfig, RunOutcome, RunnerKind, RunnerReport, Session,
     SocketReport,
 };
 use difftest_h::dut::{BugKind, BugSpec, DutConfig};
-use difftest_h::stats::{parse_json, validate_trace, FlightKind, Json, Tracer};
+use difftest_h::stats::{parse_json, validate_trace, Json, Tracer};
 use difftest_h::workload::Workload;
 
 const MAX_CYCLES: u64 = 400_000;
@@ -41,104 +41,6 @@ fn session(config: DiffConfig, w: &Workload, bugs: Vec<BugSpec>) -> Session {
         QUEUE_DEPTH,
         None,
     )
-}
-
-/// Clean runs: the socket runner must reach the same verdict, check the
-/// same item volume and commit the same instruction count as the
-/// virtual-time engine — the transport is the only thing that changed.
-#[test]
-fn clean_matches_engine() {
-    let w = Workload::microbench().seed(11).iterations(40).build();
-    for config in [DiffConfig::BN, DiffConfig::BNSD] {
-        let e = run(RunnerKind::Engine, config, &w, Vec::new());
-        let s = run(RunnerKind::Socket, config, &w, Vec::new());
-        assert_eq!(s.outcome, RunOutcome::GoodTrap, "{config:?}");
-        assert_eq!(s.outcome, e.outcome, "{config:?}");
-        assert_eq!(s.items, e.items, "{config:?}: same stream, same items");
-        assert_eq!(s.instructions, e.instructions, "{config:?}");
-        assert!(
-            s.flight.is_none(),
-            "{config:?}: clean run carries a snapshot"
-        );
-    }
-}
-
-/// Buggy runs: an injected DUT bug must produce byte-for-byte the same
-/// first mismatch on both ends of the socket (single core, so arrival
-/// order is identical).
-#[test]
-fn buggy_matches_engine() {
-    let w = Workload::linux_boot().seed(7).iterations(300).build();
-    let bugs = vec![BugSpec::new(BugKind::RegWriteCorruption, 2_000)];
-    for config in [DiffConfig::BN, DiffConfig::BNSD] {
-        let e = run(RunnerKind::Engine, config, &w, bugs.clone());
-        let s = run(RunnerKind::Socket, config, &w, bugs.clone());
-        assert_eq!(s.outcome, RunOutcome::Mismatch, "{config:?}");
-        assert_eq!(s.outcome, e.outcome, "{config:?}");
-        assert_eq!(s.mismatch, e.mismatch, "{config:?}: mismatch identity");
-        let m = s.mismatch.as_ref().expect("mismatch report");
-        let snap = s.flight.as_ref().expect("mismatch without flight snapshot");
-        assert!(
-            snap.records
-                .iter()
-                .any(|r| r.kind == FlightKind::Mismatch && r.value == m.seq),
-            "{config:?}: snapshot missing the mismatch record"
-        );
-    }
-}
-
-/// Producer-side fault grid: the socket runner is report-only (no
-/// retention ring) — on the report-only BN pipeline its typed outcome
-/// must equal the engine's on every schedule, and a fault must never
-/// surface as a phantom mismatch or a panic.
-#[test]
-fn fault_grid_matches_engine() {
-    use difftest_h::core::FaultPlan;
-    let w = Workload::microbench().seed(3).iterations(60).build();
-    for seed in [11u64, 29, 4242] {
-        for rate in [5u16, 20, 40] {
-            let plan = FaultPlan::uniform(seed, rate);
-            let ctx = format!("seed={seed} rate={rate}‰");
-            let run_faulty = |kind| {
-                run_runner(
-                    kind,
-                    DutConfig::nutshell(),
-                    DiffConfig::BN,
-                    &w,
-                    Vec::new(),
-                    MAX_CYCLES,
-                    QUEUE_DEPTH,
-                    Some(plan),
-                )
-            };
-            let e = run_faulty(RunnerKind::Engine);
-            let s = run_faulty(RunnerKind::Socket);
-            assert!(
-                matches!(
-                    s.outcome,
-                    RunOutcome::GoodTrap | RunOutcome::LinkError { .. }
-                ),
-                "{ctx}: fault must be recovered or typed, got {:?}",
-                s.outcome
-            );
-            assert!(s.mismatch.is_none(), "{ctx}: phantom mismatch");
-            assert_eq!(
-                s.outcome, e.outcome,
-                "{ctx}: same plan, same packet stream, same typed verdict"
-            );
-            if let RunOutcome::LinkError { seq, .. } = s.outcome {
-                assert!(s.link.total_detected() > 0, "{ctx}: untyped link error");
-                let snap = s
-                    .flight
-                    .as_ref()
-                    .unwrap_or_else(|| panic!("{ctx}: link error without a flight snapshot"));
-                assert!(
-                    snap.find(FlightKind::LinkError, seq).is_some(),
-                    "{ctx}: snapshot missing the link_error record"
-                );
-            }
-        }
-    }
 }
 
 /// A traced socket run produces ONE merged Chrome/Perfetto trace: the
